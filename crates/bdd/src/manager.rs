@@ -218,8 +218,9 @@ pub struct BddStats {
     /// [`Bdd::reorder`] sifting passes and explicit
     /// [`Bdd::swap_adjacent_levels`] calls), lifetime-cumulative.
     pub reorder_swaps: u64,
-    /// Number of [`Bdd::relational_product`] calls (forward/backward image
-    /// steps), lifetime-cumulative.
+    /// Number of [`Bdd::relational_product`] calls (the checker's forward
+    /// image steps; its pre-images use plain [`Bdd::and_exists`]),
+    /// lifetime-cumulative.
     pub relational_product_calls: u64,
     /// Cache hits observed inside [`Bdd::relational_product`] calls,
     /// lifetime-cumulative (a subset of the per-epoch cache hit counters).

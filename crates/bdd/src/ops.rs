@@ -174,9 +174,9 @@ impl Bdd {
     /// `relational_product_calls` is incremented and the cache traffic the
     /// step generates is attributed to the `image_cache_{hits,misses}`
     /// counters of [`BddStats`](crate::BddStats). The symbolic model builder
-    /// calls this for every partition it folds into a forward (or backward)
-    /// image, which makes the per-image cache behaviour observable in the
-    /// ablation tables.
+    /// calls this for every partition it folds into a forward image, which
+    /// makes the per-image cache behaviour observable in the ablation
+    /// tables.
     pub fn relational_product(&mut self, f: Ref, g: Ref, cube: Ref) -> Ref {
         let hits_before = self.ite_cache.counters.hits
             + self.exists_cache.counters.hits

@@ -1302,12 +1302,19 @@ fn serve_row(id: &str, spec: &str, clients: usize, batches_per_client: usize) ->
 /// Measures the serve ablation grid: cold-build versus warm-cache latency
 /// of the checking service, per instance.
 ///
-/// `smoke` restricts the run to the acceptance instance (`floodset-n8-t3`)
-/// with a short throughput phase — the row CI gates against
+/// `smoke` restricts the run to the acceptance instance
+/// (`floodset-n10-t3`, the smallest row whose cold batch outlasts both the
+/// warm repeat and the 50 ms deadline probe by more than 3x) with a short
+/// throughput phase — the row CI gates against
 /// `crates/bench/serve_budget.txt`.
 pub fn serve_rows(full: bool, smoke: bool) -> Vec<ServeRow> {
     if smoke {
-        return vec![serve_row("floodset-n8-t3", "protocol=floodset n=8 t=3 failure=crash", 4, 4)];
+        return vec![serve_row(
+            "floodset-n10-t3",
+            "protocol=floodset n=10 t=3 failure=crash",
+            4,
+            4,
+        )];
     }
     let mut rows = vec![
         serve_row("floodset-n4-t1", "protocol=floodset n=4 t=1 failure=crash", 4, 8),

@@ -27,16 +27,16 @@
 //!   strategy of MCK. Each layer's set of reachable states is encoded as a
 //!   BDD over boolean state variables in an agent-interleaved static order;
 //!   knowledge becomes quantification over the variables the agent does not
-//!   observe; the bounded temporal operators are evaluated by symbolic
-//!   pre-image over a per-round, per-agent **partitioned transition
-//!   relation** composed with the fused `and_exists` (early
-//!   quantification). The pre-image *schedules* those conjunctions by
-//!   support overlap: each partition's variable support is recorded when
-//!   the partitions are built, and the partition sharing the most
-//!   variables with the intermediate product is conjoined next (ties break
-//!   toward the fewest fresh variables, then the lowest agent index), so
-//!   primed variables leave the product as early as possible. See
-//!   [`RelationMode`] and [`SymbolicOptions`].
+//!   observe; each round has a per-agent **partitioned transition
+//!   relation**, and the bounded temporal operators are evaluated by a
+//!   symbolic pre-image through the round's **reachable relation**
+//!   `T_t = ∃ choices . reachable[t] ∧ ⋀_i R_t^i` — the forward image's
+//!   product (partitions conjoined in support-overlap order, choices
+//!   quantified as early as the schedule allows) with the current-state
+//!   variables kept, so that a pre-image is one fused `and_exists` against
+//!   a small diagram instead of a product over unreachable states. `T_t`
+//!   is a per-round cache dropped by every collection and reorder, never a
+//!   root. See [`RelationMode`] and [`SymbolicOptions`].
 //!
 //! [`SymbolicChecker`] accepts its layered model from **two front-ends**:
 //!
@@ -86,7 +86,7 @@
 //! ([`ReorderMode`]): the engine registers every current/primed variable
 //! pair as a sifting *group* with the manager, so Rudell sifting
 //! ([`epimc_bdd::Bdd::reorder`]) moves each pair as a block and the
-//! per-agent partitioned pre-image stays cheap under any learned order.
+//! transition relations stay cheap under any learned order.
 //! The automatic trigger lives at the collection safe points — whatever is
 //! rooted for a sweep is rooted for a sift — and its threshold doubles
 //! past the surviving live nodes, exactly like the GC threshold. The

@@ -139,6 +139,11 @@ impl<E: SymbolicEncode + 'static, R: SymbolicRule<E> + 'static> LocalChecker<E, 
         self.checker.stats()
     }
 
+    /// Live nodes of the underlying checker's manager, in O(1).
+    pub fn live_nodes(&self) -> usize {
+        self.checker.live_nodes()
+    }
+
     /// Arms (or disarms, with `None`) the BDD operation budget; use the
     /// `try_*` methods to observe trips.
     pub fn set_budget(&self, budget: Option<Budget>) {

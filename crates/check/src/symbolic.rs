@@ -26,8 +26,9 @@
 //!   copy — the standard ordering for synchronous multi-agent relations.
 //!   On top of that static seed, the engine can **reorder dynamically**
 //!   ([`SymbolicOptions::reorder`]): group sifting moves each
-//!   current/primed pair as a block (so the partitioned pre-image stays
-//!   cheap), either once after the encoding is built or automatically
+//!   current/primed pair as a block (so relations and the renaming between
+//!   the two copies stay cheap), either once after the encoding is built or
+//!   automatically
 //!   whenever the post-collection live-node count crosses a doubling
 //!   threshold — and because one BDD manager survives
 //!   [`SymbolicChecker::into_salvage`] / [`SymbolicChecker::resume`], the
@@ -36,16 +37,23 @@
 //! * **Variable-encoded atoms.** Every atom except `DecidesNow` is built
 //!   directly as a constraint over the encoded state variables instead of
 //!   scanning the explicit state list.
-//! * **Partitioned transition relation.** The bounded temporal operators
-//!   are evaluated by symbolic pre-image computation over a per-round,
-//!   per-agent *partitioned* transition relation: auxiliary choice
-//!   variables encode the adversary's successor choice, each partition
-//!   constrains one agent's primed variables, and the pre-image is composed
-//!   with the fused [`epimc_bdd::Bdd::and_exists`] so each agent's primed
-//!   variables are quantified out as early as possible. Relations are built
-//!   lazily, only for the rounds a temporal operator touches. A
-//!   [`RelationMode::Monolithic`] mode (conjoining all partitions up front)
-//!   exists for differential testing and ablation.
+//! * **Partitioned transition relation, pre-image through the reachable
+//!   relation.** Each round has a per-agent *partitioned* transition
+//!   relation: auxiliary choice variables encode the adversary's choice
+//!   and each partition constrains one agent's primed variables. The
+//!   bounded temporal operators never walk those partitions backwards.
+//!   Under the clock semantics `reachable[t]` is the exact care set of
+//!   round `t`, so the pre-image goes through the round's *reachable
+//!   relation* `T_t(cur, nxt) = ∃ choices . reachable[t] ∧ ⋀_i R_t^i` —
+//!   the forward image's early-quantification schedule with the
+//!   current-state variables kept — and `pre(S) ∧ reachable[t]` is one
+//!   fused [`epimc_bdd::Bdd::and_exists`] of `T_t` with the primed target.
+//!   `T_t` is built on first use and held in a per-round cache that every
+//!   collection and reorder empties, like the kernel's operation caches;
+//!   it is never rooted and never serialised (see the section comment
+//!   above `ensure_relation_machinery` for the measurements behind that).
+//!   A [`RelationMode::Monolithic`] mode (conjoining all partitions up
+//!   front) exists for differential testing.
 //! * **Garbage collection.** All long-lived BDD handles (reachable sets,
 //!   hidden-variable cubes, relation partitions) and every in-flight
 //!   formula denotation live in a rooted arena, so the manager's
@@ -83,23 +91,25 @@ use epimc_system::{
 
 use crate::pointset::PointSet;
 
-/// How the symbolic engine represents the transition relation of each round.
+/// How the symbolic engine holds the transition relation of each round.
+/// Both modes feed the same pre-image (one `and_exists` against the round's
+/// reachable relation `T_t`); they differ only in how many conjuncts `T_t`
+/// is built from.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RelationMode {
     /// One conjunct per agent, composed by early quantification with the
-    /// fused `and_exists` — the scalable default.
+    /// fused `and_exists` — the scalable default, and the only mode of the
+    /// relational front-end.
     #[default]
     Partitioned,
-    /// All per-agent conjuncts multiplied into a single relation BDD per
-    /// round. Kept for differential testing and for measuring what the
-    /// partitioning buys.
+    /// All per-agent conjuncts of an explicit model multiplied into a
+    /// single relation BDD per round. Kept for differential testing.
     Monolithic,
 }
 
 /// When (if ever) the symbolic engine reorders the BDD variables by group
 /// sifting (see [`epimc_bdd::Bdd::reorder`]). Current/primed variable pairs
-/// always move as blocks, so the partitioned pre-image stays cheap under any
-/// learned order.
+/// always move as blocks, so relations stay cheap under any learned order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReorderMode {
     /// Keep the static agent-interleaved order.
@@ -127,7 +137,11 @@ pub const DEFAULT_REORDER_THRESHOLD: usize = 1 << 16;
 /// Tuning knobs of the symbolic engine.
 #[derive(Clone, Copy, Debug)]
 pub struct SymbolicOptions {
-    /// Transition-relation representation.
+    /// Transition-relation representation of an explicit-source checker
+    /// (the relational front-end is always partitioned). It selects what
+    /// the per-round reachable relation `T_t` is conjoined from, not how
+    /// the pre-image runs: every source and mode answers `EX`/`AX` with one
+    /// `and_exists` against `T_t`, a cache entry that collections drop.
     pub relation_mode: RelationMode,
     /// Capacity of the manager's `ite` cache (the other operation caches
     /// are sized relative to it); see [`epimc_bdd::Bdd::with_cache_capacity`].
@@ -242,13 +256,22 @@ pub struct SymbolicStats {
     /// Total adjacent-level swaps performed by reordering.
     pub reorder_swaps: u64,
     /// Number of fused image steps ([`epimc_bdd::Bdd::relational_product`])
-    /// performed — the relational front-end's forward images plus every
-    /// partitioned pre-image step routed through the fused operator.
+    /// performed: one per partition folded into a **forward** image by the
+    /// relational front-end. Pre-images and reachable-relation builds go
+    /// through plain [`epimc_bdd::Bdd::and_exists`] and are not counted
+    /// here — see `preimage_calls` and `reachable_relations_built`.
     pub relational_product_calls: u64,
     /// Operation-cache hits observed inside those image steps.
     pub image_cache_hits: u64,
     /// Operation-cache misses observed inside those image steps.
     pub image_cache_misses: u64,
+    /// Pre-images computed by the temporal operators, each one
+    /// `and_exists` against a round's reachable relation. A pre-image of
+    /// the empty set is answered without one and is not counted.
+    pub preimage_calls: u64,
+    /// Reachable relations `T_t` built for those pre-images, counting
+    /// every rebuild after a collection or reorder dropped the cache.
+    pub reachable_relations_built: u64,
 }
 
 impl SymbolicStats {
@@ -267,7 +290,7 @@ impl fmt::Display for SymbolicStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} state vars, {} reachable-set nodes, {} live nodes (peak {}, {} gcs, {} swept, {} reorders), cache hit-rate {:.1}%",
+            "{} state vars, {} reachable-set nodes, {} live nodes (peak {}, {} gcs, {} swept, {} reorders), cache hit-rate {:.1}%, {} pre-images through {} reachable relations built",
             self.num_state_vars,
             self.reachable_nodes,
             self.live_nodes,
@@ -275,7 +298,9 @@ impl fmt::Display for SymbolicStats {
             self.gc_runs,
             self.swept_nodes,
             self.reorder_runs,
-            self.cache_hit_rate() * 100.0
+            self.cache_hit_rate() * 100.0,
+            self.preimage_calls,
+            self.reachable_relations_built
         )
     }
 }
@@ -375,18 +400,18 @@ struct Inner {
     /// front-end (forward images land on primed variables and are renamed
     /// back).
     nxt_to_cur: Option<SubstId>,
-    /// Per agent: the cube of the variables quantified when that agent's
-    /// partition is conjoined into a pre-image (its primed variables, plus
-    /// — relational front-end — the delivery-choice variables targeting
-    /// it).
+    /// Per agent: the cube of its primed variables (plus — relational
+    /// front-end — the delivery-choice variables targeting it). Nothing
+    /// quantifies over these any more; the relational front-end still
+    /// builds and roots them because version 1 checker snapshots carry
+    /// them in their root list.
     primed_cubes: Vec<Ref>,
-    /// The variable indices of each `primed_cubes` entry (for the
-    /// pre-image's support bookkeeping; stable under gc/reorder).
-    primed_quant_vars: Vec<Vec<u32>>,
-    /// The cube of the adversary-choice variables.
+    /// The cube of the adversary-choice variables. Like `primed_cubes`,
+    /// kept for the snapshot's root list only.
     choice_cube: Ref,
-    /// The cube of all primed variables plus the choice variables
-    /// (monolithic pre-image).
+    /// The cube of all primed variables plus the choice variables: what a
+    /// pre-image quantifies out of `T_t ∧ S'` (neither conjunct mentions a
+    /// choice variable, so those are skipped for free).
     all_quant_cube: Ref,
     /// Minterm of each successor index over the choice variables.
     choice_minterms: Vec<Ref>,
@@ -395,10 +420,20 @@ struct Inner {
     relations: Vec<Option<Vec<Ref>>>,
     /// Per round `t`: the sorted variable-index support of each relation
     /// partition, computed once when the partitions are built and used by
-    /// the pre-image to schedule the `and_exists` conjunctions by support
+    /// [`Inner::round_schedule`] to order the conjunctions by support
     /// overlap. Variable *identities* are stable under gc and reorder, so
     /// these need no rooting and never go stale.
     relation_supports: Vec<Option<Vec<Vec<u32>>>>,
+    /// Per round `t`: the reachable relation `T_t` the pre-image goes
+    /// through (see [`SymbolicChecker::reachable_relation`]). A **cache**,
+    /// not a root: the handles are unrooted, so [`Inner::collect`] and
+    /// [`Inner::reorder_now`] empty it — exactly when the kernel drops its
+    /// operation caches — and the next pre-image rebuilds what it needs.
+    reachable_relations: HashMap<usize, Ref>,
+    /// Pre-images answered through a reachable relation (lifetime count).
+    preimage_calls: u64,
+    /// Reachable relations built, rebuilds after a collection included.
+    reachable_relations_built: u64,
     /// Relational front-end only — per layer, the guarded decides-now
     /// conditions the layer's round was built under
     /// (`dnow[layer][agent * num_values + v]`), so `DecidesNow` atoms need
@@ -449,8 +484,10 @@ impl Inner {
     /// denotation, and the caller's `extra` scratch refs. When the
     /// surviving live-node count still exceeds the auto-reorder threshold,
     /// the same safe point group-sifts the variable order (rooting the
-    /// same set of handles).
+    /// same set of handles). The reachable-relation cache is emptied first:
+    /// its handles are deliberately not roots.
     fn collect(&mut self, extra: &mut [Ref]) {
+        self.reachable_relations.clear();
         {
             let inner = &mut *self;
             let roots = inner_roots!(inner, extra);
@@ -468,6 +505,7 @@ impl Inner {
     /// collection roots, and doubles the auto threshold past the surviving
     /// live nodes.
     fn reorder_now(&mut self, extra: &mut [Ref]) {
+        self.reachable_relations.clear();
         {
             let inner = &mut *self;
             let roots = inner_roots!(inner, extra);
@@ -492,6 +530,57 @@ impl Inner {
         if self.bdd.live_nodes() > self.gc_threshold {
             self.collect(extra);
         }
+    }
+
+    /// The order in which round `t`'s partitions are conjoined onto
+    /// `reachable[t]`, and for each step the `quantifiable` variables that
+    /// can be quantified out with it because no later partition mentions
+    /// them (early quantification). Greedy by support overlap with the
+    /// product so far — the partition sharing the most variables goes
+    /// next; ties break toward the fewest fresh variables, then the lowest
+    /// agent index. The schedule is a function of supports alone (stable
+    /// under gc, reorder and the complement-edge setting), so it is
+    /// deterministic and computing it performs no BDD operation.
+    /// `quantifiable` must be sorted.
+    fn round_schedule(&self, t: usize, quantifiable: &[u32]) -> Vec<(usize, Vec<u32>)> {
+        let supports = self.relation_supports[t].as_ref().expect("round supports not built");
+        let mut acc_support: Vec<u32> =
+            self.bdd.support(self.reachable[t]).iter().map(|v| v.index()).collect();
+        let mut remaining: Vec<usize> = (0..supports.len()).collect();
+        let mut schedule = Vec::with_capacity(remaining.len());
+        while !remaining.is_empty() {
+            let mut best_pos = 0;
+            let mut best_score: Option<(usize, usize)> = None;
+            for (pos, &agent) in remaining.iter().enumerate() {
+                let support = &supports[agent];
+                let overlap =
+                    support.iter().filter(|v| acc_support.binary_search(v).is_ok()).count();
+                let fresh = support.len() - overlap;
+                let beats = match best_score {
+                    None => true,
+                    Some((top_overlap, top_fresh)) => {
+                        overlap > top_overlap || (overlap == top_overlap && fresh < top_fresh)
+                    }
+                };
+                if beats {
+                    best_pos = pos;
+                    best_score = Some((overlap, fresh));
+                }
+            }
+            let agent = remaining.remove(best_pos);
+            acc_support.extend(supports[agent].iter().copied());
+            acc_support.sort_unstable();
+            acc_support.dedup();
+            let freed: Vec<u32> = acc_support
+                .iter()
+                .copied()
+                .filter(|v| quantifiable.binary_search(v).is_ok())
+                .filter(|v| remaining.iter().all(|&rest| supports[rest].binary_search(v).is_err()))
+                .collect();
+            acc_support.retain(|v| freed.binary_search(v).is_err());
+            schedule.push((agent, freed));
+        }
+        schedule
     }
 }
 
@@ -788,12 +877,14 @@ where
             cur_to_nxt: None,
             nxt_to_cur: None,
             primed_cubes: Vec::new(),
-            primed_quant_vars: Vec::new(),
             choice_cube: Ref::TRUE,
             all_quant_cube: Ref::TRUE,
             choice_minterms: Vec::new(),
             relations: vec![None; num_rounds],
             relation_supports: vec![None; num_rounds],
+            reachable_relations: HashMap::new(),
+            preimage_calls: 0,
+            reachable_relations_built: 0,
             dnow: Vec::new(),
             gc_threshold: base_threshold,
             gc_base_threshold: base_threshold,
@@ -934,13 +1025,11 @@ where
         // adversary-choice bits than the salvaged run allocated.
         inner.cur_to_nxt = None;
         inner.nxt_to_cur = None;
-        inner.primed_cubes.clear();
-        inner.primed_quant_vars.clear();
-        inner.choice_cube = Ref::TRUE;
         inner.all_quant_cube = Ref::TRUE;
         inner.choice_minterms.clear();
         inner.relations = vec![None; model.num_layers().saturating_sub(1)];
         inner.relation_supports = vec![None; model.num_layers().saturating_sub(1)];
+        inner.reachable_relations.clear();
 
         // Only the rounds out of the salvage's final layer onwards are new
         // (that layer had no successors when salvaged): widen the salvaged
@@ -1063,7 +1152,18 @@ where
         self.inner.borrow_mut().collect(&mut []);
     }
 
+    /// Live nodes of the checker's manager, in O(1). [`Self::stats`]
+    /// reports the same figure but scans the whole store and walks every
+    /// reachable layer for its other fields — about 0.2 ms on a warm
+    /// service model — so the server's node budget, which sums this over
+    /// every warm checker after every request, reads it here.
+    pub fn live_nodes(&self) -> usize {
+        self.inner.borrow().bdd.live_nodes()
+    }
+
     /// Statistics about the symbolic encoding (for the ablation benchmarks).
+    /// Linear in the store: it scans every node for the complemented-edge
+    /// count and walks each reachable layer.
     pub fn stats(&self) -> SymbolicStats {
         let inner = self.inner.borrow();
         let bdd_stats = inner.bdd.stats();
@@ -1085,6 +1185,8 @@ where
             relational_product_calls: bdd_stats.relational_product_calls,
             image_cache_hits: bdd_stats.image_cache_hits,
             image_cache_misses: bdd_stats.image_cache_misses,
+            preimage_calls: inner.preimage_calls,
+            reachable_relations_built: inner.reachable_relations_built,
         }
     }
 
@@ -2099,11 +2201,54 @@ where
     }
 
     // ------------------------------------------------------------------
-    // The partitioned transition relation and temporal operators.
+    // Transition relations and temporal operators.
+    //
+    // Each round `t` has a *partitioned* relation, one conjunct `R_t^i` per
+    // agent over current-state, adversary-choice and that agent's primed
+    // variables (built by `ensure_relation` from the explicit edges, or by
+    // `extend_layer_relational` from the protocol's symbolic contract).
+    // The forward image conjoins the partitions onto `reachable[t]` and
+    // quantifies current-state and choice variables as early as the
+    // schedule allows (`Inner::round_schedule`).
+    //
+    // The temporal operators go backwards, and going backwards through the
+    // bare partitions is what used to cost a cold request 87 % of its wall:
+    // seeded with the primed target, the product ranges over *every*
+    // current-state assignment, reachable or not (floodset n=8 t=3, round
+    // 2: a 1 983-node target against partitions of 186–1 397 nodes grew a
+    // 79 222-node intermediate, 370–495 ms per pre-image, for a result of
+    // 1 982 nodes once intersected with the layer). Under the clock
+    // semantics `reachable[t]` is the exact care set of round `t` — every
+    // denotation is restricted to it — so the pre-image instead goes
+    // through the round's **reachable relation**
+    //
+    //     T_t(cur, nxt) = ∃ choices . reachable[t] ∧ ⋀_i R_t^i
+    //
+    // which is the product the forward image already schedules with the
+    // current-state variables kept, and
+    //
+    //     pre(S) ∧ reachable[t] = ∃ nxt . T_t ∧ S'
+    //
+    // is one `and_exists` against a diagram of a few thousand nodes (same
+    // model: `T_1` is 7 122 nodes, built in 15 ms with intermediates of at
+    // most 10 965 nodes, and queried in 1 ms). `T_t` stays small as models
+    // grow: at most 23 737 nodes on floodset n=12 t=4, 35 405 on n=16 t=4.
+    //
+    // `T_t` is a cache entry, not a root. Rooting it for the checker's
+    // lifetime is a trap: on diff n=4 t=2 the extra post-collection live
+    // nodes cross `DEFAULT_REORDER_THRESHOLD`, `ReorderMode::Auto` sifts
+    // twice where it never sifted before, and the cold batch gets slower
+    // than with the partitioned pre-image (6.0 s against 4.3 s) while its
+    // median formula gets faster. Held unrooted and dropped by every
+    // collection and reorder — as the kernel's operation caches are — it
+    // leaves post-collection live nodes, the reorder trigger, budget
+    // accounting and snapshots exactly where they were, and costs a
+    // rebuild after a collection: 6–27 ms per round on floodset n=8 t=3,
+    // 18–110 ms on n=12 t=4.
 
-    /// Builds the relation machinery shared by all rounds: the
-    /// current-to-primed substitution, the per-agent primed-variable cubes,
-    /// and the choice-variable cubes and minterms.
+    /// Builds the relation machinery shared by all rounds of an explicit
+    /// model: the current-to-primed substitution, the pre-image's
+    /// quantification cube, and the choice-variable minterms.
     fn ensure_relation_machinery(&self) {
         let mut inner = self.inner.borrow_mut();
         if inner.cur_to_nxt.is_some() {
@@ -2113,22 +2258,7 @@ where
         let bdd = &mut inner.bdd;
         let map: Vec<(Var, Var)> = (0..self.num_slots).map(|slot| (cur(slot), nxt(slot))).collect();
         inner.cur_to_nxt = Some(bdd.register_substitution(map));
-        inner.primed_cubes = self
-            .agent_vars
-            .iter()
-            .map(|vars| {
-                let primed: Vec<Var> = vars.all_slots.iter().map(|&slot| nxt(slot)).collect();
-                bdd.cube_of_vars(primed)
-            })
-            .collect();
-        inner.primed_quant_vars = self
-            .agent_vars
-            .iter()
-            .map(|vars| vars.all_slots.iter().map(|&slot| nxt(slot).index()).collect())
-            .collect();
-        let choice_vars: Vec<Var> =
-            (0..self.choice_bits).map(|k| Var::new((2 * self.num_slots + k) as u32)).collect();
-        inner.choice_cube = bdd.cube_of_vars(choice_vars.clone());
+        let choice_vars: Vec<Var> = self.choice_var_indices().map(Var::new).collect();
         let all_primed: Vec<Var> =
             (0..self.num_slots).map(nxt).chain(choice_vars.iter().copied()).collect();
         inner.all_quant_cube = bdd.cube_of_vars(all_primed);
@@ -2140,6 +2270,13 @@ where
             minterms.push(minterm);
         }
         inner.choice_minterms = minterms;
+    }
+
+    /// Indices of the adversary-choice variables (they follow the state
+    /// variable pairs), ascending.
+    fn choice_var_indices(&self) -> impl Iterator<Item = u32> {
+        let first = 2 * self.num_slots;
+        (first..first + self.choice_bits).map(|index| index as u32)
     }
 
     /// Builds (once) the relation partitions for round `t`: for each agent
@@ -2207,90 +2344,62 @@ where
         if inner.mode == RelationMode::Monolithic {
             let conjoined = bdd.and_all(relation.iter().copied());
             relation = vec![conjoined];
-        } else {
-            // Record each partition's support once, for the pre-image's
-            // conjunction scheduling. Support is a property of the boolean
-            // *function* (stable under gc, reorder and the complement-edge
-            // setting), so the schedule it induces is deterministic.
-            let supports: Vec<Vec<u32>> = relation
-                .iter()
-                .map(|&part| bdd.support(part).iter().map(|var| var.index()).collect())
-                .collect();
-            inner.relation_supports[t] = Some(supports);
         }
+        // Record each partition's support once, for the conjunction
+        // schedule of the reachable relation.
+        let supports: Vec<Vec<u32>> = relation
+            .iter()
+            .map(|&part| bdd.support(part).iter().map(|var| var.index()).collect())
+            .collect();
+        inner.relation_supports[t] = Some(supports);
         inner.relations[t] = Some(relation);
     }
 
-    /// Symbolic pre-image: the layer-`t` states with a round-`t` successor
-    /// in `set_next` (a BDD over current-state variables of layer `t + 1`).
-    fn preimage(&self, inner: &mut Inner, t: usize, set_next: Ref) -> Ref {
-        let subst = inner.cur_to_nxt.expect("relation machinery not built");
-        let bdd = &mut inner.bdd;
-        let primed = bdd.replace(set_next, subst);
-        let relation = inner.relations[t].as_ref().expect("relation not built");
-        match inner.mode {
-            RelationMode::Partitioned => {
-                // Early quantification with conjunction scheduling: each
-                // partition only mentions its own agent's primed variables,
-                // so those are quantified out the moment that partition is
-                // conjoined. The conjunction order is chosen greedily by
-                // support overlap with the accumulator — the partition
-                // sharing the most variables with the intermediate product
-                // goes next, so quantifiable variables leave the product as
-                // early as possible instead of riding along in a fixed
-                // iteration order. Ties break toward the fewest fresh
-                // variables, then the lowest agent index, keeping the
-                // schedule deterministic.
-                let supports =
-                    inner.relation_supports[t].as_ref().expect("relation supports not built");
-                let mut acc = primed;
-                let mut acc_support: Vec<u32> =
-                    bdd.support(acc).iter().map(|var| var.index()).collect();
-                let mut remaining: Vec<usize> = (0..relation.len()).collect();
-                while !remaining.is_empty() {
-                    let mut best_pos = 0;
-                    let mut best_score: Option<(usize, usize)> = None;
-                    for (pos, &agent) in remaining.iter().enumerate() {
-                        let support = &supports[agent];
-                        let overlap = support
-                            .iter()
-                            .filter(|var| acc_support.binary_search(var).is_ok())
-                            .count();
-                        let fresh = support.len() - overlap;
-                        let beats = match best_score {
-                            None => true,
-                            Some((top_overlap, top_fresh)) => {
-                                overlap > top_overlap
-                                    || (overlap == top_overlap && fresh < top_fresh)
-                            }
-                        };
-                        if beats {
-                            best_pos = pos;
-                            best_score = Some((overlap, fresh));
-                        }
-                    }
-                    let agent = remaining.remove(best_pos);
-                    acc = bdd.and_exists(relation[agent], acc, inner.primed_cubes[agent]);
-                    // Approximate the product's support as the union minus
-                    // the variables just quantified out (exact support would
-                    // cost a store walk per step for little extra signal).
-                    let quantified = &inner.primed_quant_vars[agent];
-                    acc_support.extend(supports[agent].iter().copied());
-                    acc_support.sort_unstable();
-                    acc_support.dedup();
-                    acc_support.retain(|var| !quantified.contains(var));
-                }
-                bdd.exists(acc, inner.choice_cube)
-            }
-            RelationMode::Monolithic => bdd.and_exists(relation[0], primed, inner.all_quant_cube),
+    /// The reachable relation of round `t`,
+    /// `T_t(cur, nxt) = ∃ choices . reachable[t] ∧ ⋀_i R_t^i`: exactly the
+    /// round-`t` edges that leave a reachable state, with the adversary's
+    /// choices quantified away. Taken from the per-round cache, or built by
+    /// the forward image's conjunction schedule with only the choice
+    /// variables quantifiable.
+    ///
+    /// The build has no safe point — callers hold unrooted handles
+    /// (`temporal`'s finished layers) across it, and it peaks at a few
+    /// ×10 k nodes — and the cache entry is written only once the product
+    /// is complete, so a budget trip mid-build leaves nothing behind. It
+    /// uses plain [`Bdd::and_exists`]: `relational_product_calls` keeps
+    /// counting forward image steps only.
+    fn reachable_relation(&self, inner: &mut Inner, t: usize) -> Ref {
+        if let Some(&relation) = inner.reachable_relations.get(&t) {
+            return relation;
         }
+        let choices: Vec<u32> = self.choice_var_indices().collect();
+        let mut acc = inner.reachable[t];
+        for (agent, freed) in inner.round_schedule(t, &choices) {
+            let cube = inner.bdd.cube_of_vars(freed.into_iter().map(Var::new));
+            let part = inner.relations[t].as_ref().expect("relation not built")[agent];
+            acc = inner.bdd.and_exists(part, acc, cube);
+        }
+        inner.reachable_relations.insert(t, acc);
+        inner.reachable_relations_built += 1;
+        acc
     }
 
-    /// `EX target` at layer `t` (exists a successor in `target`).
-    fn exists_next(&self, inner: &mut Inner, t: usize, target_next: Ref) -> Ref {
-        let pre = self.preimage(inner, t, target_next);
-        let reach = inner.reachable[t];
-        inner.bdd.and(reach, pre)
+    /// Symbolic pre-image within the layer, which is `EX set_next` at layer
+    /// `t`: the *reachable* layer-`t` states with a round-`t` successor in
+    /// `set_next` (a BDD over current-state variables of layer `t + 1`), as
+    /// `∃ nxt . T_t ∧ set_next'` — one `and_exists` against the round's
+    /// reachable relation, for either model source and either
+    /// [`RelationMode`]. The empty set is answered before any relation is
+    /// demanded (an `AG` of an invariant never builds one).
+    fn preimage(&self, inner: &mut Inner, t: usize, set_next: Ref) -> Ref {
+        if set_next == Ref::FALSE {
+            return Ref::FALSE;
+        }
+        let relation = self.reachable_relation(inner, t);
+        let subst = inner.cur_to_nxt.expect("relation machinery not built");
+        let primed = inner.bdd.replace(set_next, subst);
+        inner.preimage_calls += 1;
+        inner.bdd.and_exists(relation, primed, inner.all_quant_cube)
     }
 
     /// `AX target` at layer `t` (all successors in `target`).
@@ -2305,8 +2414,8 @@ where
     }
 
     /// Bounded temporal operators by backward induction over the layers,
-    /// with the per-layer step computed as a symbolic pre-image over the
-    /// (lazily built) partitioned transition relation.
+    /// with the per-layer step computed as a symbolic pre-image through
+    /// the round's reachable relation.
     fn temporal(&self, kind: TemporalKind, target: DenId) -> DenId {
         debug_assert!(
             self.focus.get().is_none(),
@@ -2338,7 +2447,7 @@ where
                         } else if universal {
                             self.all_next(inner, t, target_layers[t + 1])
                         } else {
-                            self.exists_next(inner, t, target_layers[t + 1])
+                            self.preimage(inner, t, target_layers[t + 1])
                         }
                     })
                     .collect()
@@ -2354,7 +2463,7 @@ where
                     let future = if universal {
                         self.all_next(inner, t, layers[t + 1])
                     } else {
-                        self.exists_next(inner, t, layers[t + 1])
+                        self.preimage(inner, t, layers[t + 1])
                     };
                     let bdd = &mut inner.bdd;
                     layers[t] = if globally {
@@ -2483,11 +2592,9 @@ where
         let nxt_to_cur =
             bdd.register_substitution((0..num_slots).map(|slot| (nxt(slot), cur(slot))).collect());
         let mut primed_cubes = Vec::with_capacity(n);
-        let mut primed_quant_vars = Vec::with_capacity(n);
         for (agent, slots) in layout.agents.iter().enumerate() {
             let mut vars: Vec<Var> = slots.all_slots.iter().map(|&slot| nxt(slot)).collect();
             vars.extend(choice.receiver_deliver_vars(agent));
-            primed_quant_vars.push(vars.iter().map(|v| v.index()).collect::<Vec<u32>>());
             primed_cubes.push(bdd.cube_of_vars(vars));
         }
         let late_choice: Vec<Var> =
@@ -2505,12 +2612,14 @@ where
             cur_to_nxt: Some(cur_to_nxt),
             nxt_to_cur: Some(nxt_to_cur),
             primed_cubes,
-            primed_quant_vars,
             choice_cube,
             all_quant_cube,
             choice_minterms: Vec::new(),
             relations: Vec::new(),
             relation_supports: Vec::new(),
+            reachable_relations: HashMap::new(),
+            preimage_calls: 0,
+            reachable_relations_built: 0,
             dnow: Vec::new(),
             gc_threshold: base_threshold,
             gc_base_threshold: base_threshold,
@@ -2620,68 +2729,32 @@ where
     }
 
     /// One forward image: conjoins the frontier layer with the round's
-    /// partitions in support-overlap order, quantifying each variable the
-    /// moment no remaining conjunct mentions it (early quantification
-    /// through the fused [`epimc_bdd::Bdd::relational_product`]), then
-    /// renames the surviving primed variables back to their current-state
-    /// copies. Delivery choices leave with their receiver's partition;
-    /// current-state and crash-choice variables leave once their last
-    /// mentioning partition is in.
+    /// partitions in [`Inner::round_schedule`] order, quantifying each
+    /// variable the moment no remaining conjunct mentions it (early
+    /// quantification through the fused
+    /// [`epimc_bdd::Bdd::relational_product`]), then renames the surviving
+    /// primed variables back to their current-state copies. Delivery
+    /// choices leave with their receiver's partition; current-state and
+    /// crash-choice variables leave once their last mentioning partition
+    /// is in.
     fn relational_image(&self, inner: &mut Inner, t: usize) -> Ref {
-        let supports =
-            inner.relation_supports[t].as_ref().expect("round supports not built").clone();
-        let num_partitions = supports.len();
         // Everything that must leave the image: current-state copies and
         // the adversary's choices. (Already sorted: current-state indices
         // are the even numbers below 2·num_slots, choice indices follow.)
         let mut quantifiable: Vec<u32> = (0..self.num_slots).map(|slot| 2 * slot as u32).collect();
-        quantifiable.extend((0..self.choice_bits).map(|k| (2 * self.num_slots + k) as u32));
+        quantifiable.extend(self.choice_var_indices());
         let mut acc = inner.reachable[t];
-        let mut acc_support: Vec<u32> = inner.bdd.support(acc).iter().map(|v| v.index()).collect();
-        let mut remaining: Vec<usize> = (0..num_partitions).collect();
-        while !remaining.is_empty() {
+        for (agent, freed) in inner.round_schedule(t, &quantifiable) {
             // Safe point between steps: partitions and layers are rooted,
             // only the accumulator needs carrying.
             let mut extra = [acc];
             inner.maybe_gc(&mut extra);
             acc = extra[0];
-            // Greedy support-overlap scheduling, as in the pre-image.
-            let mut best_pos = 0;
-            let mut best_score: Option<(usize, usize)> = None;
-            for (pos, &agent) in remaining.iter().enumerate() {
-                let support = &supports[agent];
-                let overlap =
-                    support.iter().filter(|v| acc_support.binary_search(v).is_ok()).count();
-                let fresh = support.len() - overlap;
-                let beats = match best_score {
-                    None => true,
-                    Some((top_overlap, top_fresh)) => {
-                        overlap > top_overlap || (overlap == top_overlap && fresh < top_fresh)
-                    }
-                };
-                if beats {
-                    best_pos = pos;
-                    best_score = Some((overlap, fresh));
-                }
-            }
-            let agent = remaining.remove(best_pos);
-            let mut union_vars: Vec<u32> = acc_support.clone();
-            union_vars.extend(supports[agent].iter().copied());
-            union_vars.sort_unstable();
-            union_vars.dedup();
-            let freed: Vec<u32> = union_vars
-                .iter()
-                .copied()
-                .filter(|v| quantifiable.binary_search(v).is_ok())
-                .filter(|v| remaining.iter().all(|&rest| supports[rest].binary_search(v).is_err()))
-                .collect();
-            let cube = inner.bdd.cube_of_vars(freed.iter().map(|&v| Var::new(v)));
-            // Re-read the partition from its rooted slot: a collection at
-            // the loop's safe point remaps rooted handles in place.
+            let cube = inner.bdd.cube_of_vars(freed.into_iter().map(Var::new));
+            // Read the partition from its rooted slot: a collection at the
+            // safe point remaps rooted handles in place.
             let part = inner.relations[t].as_ref().expect("round not built")[agent];
             acc = inner.bdd.relational_product(part, acc, cube);
-            acc_support = union_vars;
-            acc_support.retain(|v| freed.binary_search(v).is_err());
         }
         let subst = inner.nxt_to_cur.expect("relational machinery registered at construction");
         inner.bdd.replace(acc, subst)
@@ -2929,9 +3002,8 @@ where
         }
         debug_assert!(roots.is_empty());
 
-        // Supports and quantification-variable lists are derivable (they
-        // mention variable identities, not refs), so they are recomputed
-        // rather than trusted from the stream.
+        // Supports are derivable (they mention variable identities, not
+        // refs), so they are recomputed rather than trusted from the stream.
         let relation_supports: Vec<Option<Vec<Vec<u32>>>> = relations
             .iter()
             .map(|round| {
@@ -2943,12 +3015,6 @@ where
                 })
             })
             .collect();
-        let mut primed_quant_vars = Vec::with_capacity(n);
-        for (agent, slots) in layout.agents.iter().enumerate() {
-            let mut vars: Vec<Var> = slots.all_slots.iter().map(|&slot| nxt(slot)).collect();
-            vars.extend(choice.receiver_deliver_vars(agent));
-            primed_quant_vars.push(vars.iter().map(|v| v.index()).collect::<Vec<u32>>());
-        }
         let agent_vars: Vec<AgentVars> = layout
             .agents
             .iter()
@@ -2971,12 +3037,14 @@ where
             cur_to_nxt: Some(cur_to_nxt),
             nxt_to_cur: Some(nxt_to_cur),
             primed_cubes,
-            primed_quant_vars,
             choice_cube,
             all_quant_cube,
             choice_minterms: Vec::new(),
             relations,
             relation_supports,
+            reachable_relations: HashMap::new(),
+            preimage_calls: 0,
+            reachable_relations_built: 0,
             dnow,
             gc_threshold: gc_threshold.max(2),
             gc_base_threshold: gc_base_threshold.max(2),
@@ -3011,8 +3079,8 @@ where
 // denotation. Atoms and epistemic operators reuse the evaluator's layer
 // focus — under `focus = Some(t)` the shared builders compute only layer
 // `t` and leave every other layer `FALSE` — which makes the seams
-// per-layer without duplicating operator semantics. `exists_next` /
-// `all_next` are already per-layer and are called directly.
+// per-layer without duplicating operator semantics. `preimage` (`EX`)
+// and `all_next` are already per-layer and are called directly.
 
 impl<'m, E, R> SymbolicChecker<'m, E, R>
 where
@@ -3202,7 +3270,7 @@ where
         let value = if universal {
             self.all_next(inner, layer, target_next)
         } else {
-            self.exists_next(inner, layer, target_next)
+            self.preimage(inner, layer, target_next)
         };
         inner.arena.get_mut(store)[dst] = value;
         inner.maybe_gc(&mut []);
@@ -3409,6 +3477,10 @@ impl<'a> EnvelopeReader<'a> {
         Ok(())
     }
 }
+
+#[cfg(test)]
+#[path = "symbolic_preimage_tests.rs"]
+mod preimage_tests;
 
 #[cfg(test)]
 mod tests {
@@ -3939,6 +4011,7 @@ mod tests {
             stats.image_cache_hits + stats.image_cache_misses > 0,
             "image cache counters never moved"
         );
+        assert_eq!(relational.live_nodes(), stats.live_nodes, "the O(1) count is the scanned one");
     }
 
     #[test]

@@ -236,7 +236,7 @@ impl WarmChecker {
     }
 
     fn live_nodes(&self) -> u64 {
-        with_checker!(self, |checker, _rule| checker.stats().live_nodes as u64)
+        with_checker!(self, |checker, _rule| checker.live_nodes() as u64)
     }
 
     fn relational_product_calls(&self) -> u64 {
@@ -338,7 +338,7 @@ impl WarmLocal {
     }
 
     fn live_nodes(&self) -> u64 {
-        with_local!(self, |checker| checker.symbolic_stats().live_nodes as u64)
+        with_local!(self, |checker| checker.live_nodes() as u64)
     }
 
     fn relational_product_calls(&self) -> u64 {

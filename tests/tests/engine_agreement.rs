@@ -330,10 +330,10 @@ fn partitioned_and_monolithic_relations_agree_on_seeded_formulas() {
     // Differential test for the two transition-relation representations of
     // the symbolic engine: on every seeded random formula (the same
     // generator as the explicit/symbolic suite, including the temporal
-    // operators that exercise pre-image computation), the per-agent
-    // partitioned relation with early quantification must produce exactly
-    // the same point sets as the monolithic relation — and both must match
-    // the explicit engine.
+    // operators that exercise pre-image computation), the reachable
+    // relation conjoined from the per-agent partitions must produce
+    // exactly the same point sets as the one built from the monolithic
+    // relation — and both must match the explicit engine.
     let params = ModelParams::builder().agents(3).max_faulty(1).values(2).build();
     let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
     let explicit = Checker::new(&model);
@@ -365,9 +365,10 @@ fn auto_reorder_agrees_with_static_order_and_explicit_on_seeded_formulas() {
     // auto-reorder threshold (and a tiny GC threshold, since the trigger
     // sits at collection safe points) the symbolic engine group-sifts the
     // order repeatedly mid-evaluation, and every seeded random formula —
-    // including the temporal operators, whose pre-image runs over the
-    // partitioned relation under the sifted order — must produce exactly
-    // the same `PointSet` as the static-order engine and the explicit one.
+    // including the temporal operators, whose reachable relations are
+    // dropped by every sift and rebuilt under the new order — must produce
+    // exactly the same `PointSet` as the static-order engine and the
+    // explicit one.
     let params = ModelParams::builder().agents(3).max_faulty(1).values(2).build();
     let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
     let explicit = Checker::new(&model);
@@ -408,7 +409,7 @@ fn complement_edges_on_off_and_explicit_agree_on_seeded_formulas() {
     // engine (complement edges on), the classic two-terminal engine
     // (complement edges off) and the explicit-state engine must produce
     // bit-identical `PointSet`s on every seeded random formula — including
-    // the temporal operators, whose scheduled pre-image conjunctions run
+    // the temporal operators, whose reachable relations are conjoined
     // over both representations, and under tiny gc/reorder thresholds so
     // both configurations collect and sift mid-evaluation.
     let params = ModelParams::builder().agents(3).max_faulty(1).values(2).build();
