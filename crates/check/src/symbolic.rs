@@ -14,8 +14,10 @@
 //!
 //! i.e. agent `i` knows `φ` exactly at the reachable states from which no
 //! reachable state that differs only in variables `i` cannot see fails `φ`.
-//! Common belief is the usual greatest-fixpoint iteration of the "everyone
-//! believes" operator, performed per layer on BDDs.
+//! Common belief is the greatest fixpoint of the "everyone believes"
+//! operator, computed per layer as a *frontier* iteration: each round
+//! projects only the points the previous round removed (see the comment
+//! above `SymbolicChecker::block`).
 //!
 //! # Engineering for scale
 //!
@@ -272,6 +274,16 @@ pub struct SymbolicStats {
     /// Reachable relations `T_t` built for those pre-images, counting
     /// every rebuild after a collection or reorder dropped the cache.
     pub reachable_relations_built: u64,
+    /// Rounds of the common-belief frontier iteration: per `C_B`
+    /// evaluation, the number of rounds its slowest layer needed before
+    /// its frontier emptied, summed over evaluations. A function of the
+    /// model and the formulas alone, so it repeats exactly.
+    pub common_belief_rounds: u64,
+    /// Layer × round steps those iterations computed: per `C_B`
+    /// evaluation, the sum over layers of the rounds *that* layer needed.
+    /// Below `common_belief_rounds × layers` whenever layers converge in
+    /// different rounds, since a converged layer is not revisited.
+    pub common_belief_layer_steps: u64,
 }
 
 impl SymbolicStats {
@@ -290,7 +302,7 @@ impl fmt::Display for SymbolicStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} state vars, {} reachable-set nodes, {} live nodes (peak {}, {} gcs, {} swept, {} reorders), cache hit-rate {:.1}%, {} pre-images through {} reachable relations built",
+            "{} state vars, {} reachable-set nodes, {} live nodes (peak {}, {} gcs, {} swept, {} reorders), cache hit-rate {:.1}%, {} pre-images through {} reachable relations built, {} common-belief rounds in {} layer steps",
             self.num_state_vars,
             self.reachable_nodes,
             self.live_nodes,
@@ -300,7 +312,9 @@ impl fmt::Display for SymbolicStats {
             self.reorder_runs,
             self.cache_hit_rate() * 100.0,
             self.preimage_calls,
-            self.reachable_relations_built
+            self.reachable_relations_built,
+            self.common_belief_rounds,
+            self.common_belief_layer_steps
         )
     }
 }
@@ -434,6 +448,11 @@ struct Inner {
     preimage_calls: u64,
     /// Reachable relations built, rebuilds after a collection included.
     reachable_relations_built: u64,
+    /// Rounds of the common-belief frontier iteration (lifetime count; see
+    /// [`SymbolicStats::common_belief_rounds`]).
+    common_belief_rounds: u64,
+    /// Layer × round steps those iterations actually computed.
+    common_belief_layer_steps: u64,
     /// Relational front-end only — per layer, the guarded decides-now
     /// conditions the layer's round was built under
     /// (`dnow[layer][agent * num_values + v]`), so `DecidesNow` atoms need
@@ -885,6 +904,8 @@ where
             reachable_relations: HashMap::new(),
             preimage_calls: 0,
             reachable_relations_built: 0,
+            common_belief_rounds: 0,
+            common_belief_layer_steps: 0,
             dnow: Vec::new(),
             gc_threshold: base_threshold,
             gc_base_threshold: base_threshold,
@@ -1187,6 +1208,8 @@ where
             image_cache_misses: bdd_stats.image_cache_misses,
             preimage_calls: inner.preimage_calls,
             reachable_relations_built: inner.reachable_relations_built,
+            common_belief_rounds: inner.common_belief_rounds,
+            common_belief_layer_steps: inner.common_belief_layer_steps,
         }
     }
 
@@ -1357,8 +1380,7 @@ where
             // projection only mentions observations of reachable states.
             let positive = bdd.exists(den_t, hidden);
             let not_den = bdd.not(den_t);
-            let failing = bdd.and(reach, not_den);
-            let negative = bdd.exists(failing, hidden);
+            let negative = bdd.and_exists(reach, not_den, hidden);
             (
                 self.decode_observations(&inner.bdd, positive, agent),
                 self.decode_observations(&inner.bdd, negative, agent),
@@ -2095,78 +2117,157 @@ where
     }
 
     // ------------------------------------------------------------------
-    // Epistemic operators.
+    // Epistemic operators: one layerwise primitive, "block the believers".
+    //
+    // Under the clock semantics knowledge is layer-local, and every
+    // operator below removes from a set `x` of one layer the observation
+    // classes of an agent `i` that contain a point of a bad set `a ∧ b`:
+    //
+    //     block_i(x, a ∧ b, guard) = x ∧ ¬(guard ∧ ∃ hidden_i . (a ∧ b))
+    //
+    // The projection is one fused `and_exists` (the conjunction is never
+    // built), and the clause it yields — a diagram over agent `i`'s
+    // observable variables and nonfaulty flag only — is conjoined straight
+    // onto `x`. With `R` the layer's reachable set and `nf_i` agent `i`'s
+    // nonfaulty flag:
+    //
+    //     K_i φ      = block_i(R, R ∧ ¬φ, ⊤)
+    //     B^N_i φ    = block_i(R, (R ∧ ¬φ) ∧ nf_i, ⊤)
+    //     E_B(x, Δ)  = the fold of block_i(·, Δ ∧ nf_i, nf_i) over all i, from x
+    //     E_B φ      = E_B(R, R ∧ ¬φ)
+    //
+    // Common belief `C_B φ = νX. E_B(X ∧ φ)` is a *frontier* iteration of
+    // that step: `X₀ = R`, `Δ₀ = R ∧ ¬φ`, `X_{k+1} = E_B(X_k, Δ_k)`,
+    // `Δ_{k+1} = X_k ∧ ¬X_{k+1}`. The textbook iterate is
+    // `E_B(R, R ∧ ¬(X_k ∧ φ))`, whose bad set only grows:
+    // `R ∧ ¬(X_k ∧ φ) = Δ₀ ∨ … ∨ Δ_k`. `∃` distributes over `∨`, so the
+    // clauses of `Δ₀ … Δ_{k-1}` are exactly those already conjoined into
+    // `X_k`, and each round quantifies only the points the previous round
+    // removed instead of the whole complement. A layer whose `Δ` is empty
+    // has converged, whatever the other layers are doing. Every iterate is
+    // the same boolean function as the textbook one, so in one manager it
+    // is the same diagram (`Ref`-equal) as what the generic `fixpoint`
+    // evaluator below computes for `νX. E_B(X ∧ φ)`.
 
-    /// `K_i target` (or `B^N_i target` when `guarded`) per layer:
-    /// `Reach ∧ ¬ ∃ hidden_i . (Reach ∧ guard ∧ ¬target)`.
-    fn knowledge(&self, agent: AgentId, target: DenId, guarded: bool) -> DenId {
+    /// `x ∧ ¬(guard ∧ ∃ hidden_agent . (a ∧ b))` on one layer; `x` itself
+    /// when no observation class of `agent` meets `a ∧ b`.
+    fn block(inner: &mut Inner, agent: AgentId, x: Ref, a: Ref, b: Ref, guard: Ref) -> Ref {
+        let hidden = inner.hidden_cubes[agent.index()];
+        let bdd = &mut inner.bdd;
+        let classes = bdd.and_exists(a, b, hidden);
+        if classes == Ref::FALSE {
+            return x;
+        }
+        let blocked = bdd.and(guard, classes);
+        let clause = bdd.not(blocked);
+        bdd.and(x, clause)
+    }
+
+    /// One layer of block the believers:
+    /// `x ∧ ⋀_i ¬(nf_i ∧ ∃ hidden_i . (nf_i ∧ delta))`.
+    fn block_believers(&self, inner: &mut Inner, x: Ref, delta: Ref) -> Ref {
+        if delta == Ref::FALSE {
+            return x;
+        }
+        let mut live = [x, delta];
+        for agent in AgentId::all(self.params.num_agents()) {
+            // Safe point between agents: whatever else the caller holds is
+            // rooted, only the accumulator and the frontier need carrying.
+            inner.maybe_gc(&mut live);
+            let [x, delta] = live;
+            let nonfaulty = inner.bdd.var(cur(self.agent_vars[agent.index()].nonfaulty));
+            live[0] = Self::block(inner, agent, x, delta, nonfaulty, nonfaulty);
+        }
+        live[0]
+    }
+
+    /// One layer of `K_agent target` (`B^N_agent target` when `guarded`).
+    fn knows_layer(
+        &self,
+        inner: &mut Inner,
+        layer: usize,
+        agent: AgentId,
+        target: Ref,
+        guarded: bool,
+    ) -> Ref {
+        let reach = inner.reachable[layer];
+        let not_target = inner.bdd.not(target);
+        if guarded {
+            let failing = inner.bdd.and(reach, not_target);
+            let nonfaulty = inner.bdd.var(cur(self.agent_vars[agent.index()].nonfaulty));
+            Self::block(inner, agent, reach, failing, nonfaulty, Ref::TRUE)
+        } else {
+            Self::block(inner, agent, reach, reach, not_target, Ref::TRUE)
+        }
+    }
+
+    /// One layer of `E_B_N target`.
+    fn everyone_believes_layer(&self, inner: &mut Inner, layer: usize, target: Ref) -> Ref {
+        let reach = inner.reachable[layer];
+        let not_target = inner.bdd.not(target);
+        let failing = inner.bdd.and(reach, not_target);
+        self.block_believers(inner, reach, failing)
+    }
+
+    /// Layerwise `op(layer, target[layer])` over the focused layers into a
+    /// fresh denotation, with a safe point before each layer (`target` and
+    /// the result are rooted in the arena).
+    fn map_layers<F>(&self, target: DenId, mut op: F) -> DenId
+    where
+        F: FnMut(&mut Inner, usize, Ref) -> Ref,
+    {
+        let result = self.alloc_false();
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
-        inner.maybe_gc(&mut []);
-        let hidden = inner.hidden_cubes[agent.index()];
-        let nonfaulty_var = cur(self.agent_vars[agent.index()].nonfaulty);
-        let target_layers: Vec<Ref> = inner.arena.get(target).to_vec();
-        let layers: Vec<Ref> = (0..inner.reachable.len())
-            .map(|layer| {
-                if !self.is_active(layer) {
-                    return Ref::FALSE;
-                }
-                let reach = inner.reachable[layer];
-                let bdd = &mut inner.bdd;
-                let not_target = bdd.not(target_layers[layer]);
-                let mut bad = bdd.and(reach, not_target);
-                if guarded {
-                    let nonfaulty = bdd.var(nonfaulty_var);
-                    bad = bdd.and(bad, nonfaulty);
-                }
-                let exists_bad = bdd.exists(bad, hidden);
-                let knows = bdd.not(exists_bad);
-                bdd.and(reach, knows)
-            })
-            .collect();
-        inner.arena.alloc(layers)
+        for layer in (0..inner.reachable.len()).filter(|&layer| self.is_active(layer)) {
+            inner.maybe_gc(&mut []);
+            let target_layer = inner.arena.get(target)[layer];
+            let value = op(inner, layer, target_layer);
+            inner.arena.get_mut(result)[layer] = value;
+        }
+        result
+    }
+
+    fn knowledge(&self, agent: AgentId, target: DenId, guarded: bool) -> DenId {
+        self.map_layers(target, |inner, layer, target| {
+            self.knows_layer(inner, layer, agent, target, guarded)
+        })
     }
 
     fn everyone_believes(&self, target: DenId) -> DenId {
-        let n = self.params.num_agents();
-        let beliefs: Vec<DenId> =
-            AgentId::all(n).map(|agent| self.knowledge(agent, target, true)).collect();
-        let acc = self.alloc_reachable();
-        {
-            let mut inner = self.inner.borrow_mut();
-            let inner = &mut *inner;
-            for agent in AgentId::all(n) {
-                let nonfaulty_var = cur(self.agent_vars[agent.index()].nonfaulty);
-                let belief_layers: Vec<Ref> = inner.arena.get(beliefs[agent.index()]).to_vec();
-                let layers = inner.arena.get_mut(acc);
-                for (layer, belief) in layers.iter_mut().zip(belief_layers) {
-                    let nonfaulty = inner.bdd.var(nonfaulty_var);
-                    let clause = inner.bdd.implies(nonfaulty, belief);
-                    *layer = inner.bdd.and(*layer, clause);
-                }
-            }
-            for belief in beliefs {
-                inner.arena.release(belief);
-            }
-        }
-        acc
+        self.map_layers(target, |inner, layer, target| {
+            self.everyone_believes_layer(inner, layer, target)
+        })
     }
 
+    /// `C_B_N target` by frontier iteration, each layer running until its
+    /// own frontier is empty.
     fn common_belief(&self, target: DenId) -> DenId {
-        let mut current = self.alloc_reachable();
-        loop {
-            self.inner.borrow_mut().maybe_gc(&mut []);
-            let body = self.clone_den(current);
-            self.map_binary(body, target, |bdd, a, b| bdd.and(a, b));
-            let next = self.everyone_believes(body);
-            self.release(body);
-            if self.dens_equal(next, current) {
-                self.release(next);
-                return current;
+        let result = self.alloc_reachable();
+        let mut inner = self.inner.borrow_mut();
+        let inner = &mut *inner;
+        let mut rounds = 0;
+        for layer in (0..inner.reachable.len()).filter(|&layer| self.is_active(layer)) {
+            inner.maybe_gc(&mut []);
+            let not_target = inner.bdd.not(inner.arena.get(target)[layer]);
+            let mut delta = inner.bdd.and(inner.reachable[layer], not_target);
+            let mut layer_rounds = 0;
+            while delta != Ref::FALSE {
+                let x = inner.arena.get(result)[layer];
+                let next = self.block_believers(inner, x, delta);
+                // `X_k` stayed rooted in the arena across the safe points
+                // between agents; a collection there remapped it in place.
+                let x = inner.arena.get(result)[layer];
+                let not_next = inner.bdd.not(next);
+                delta = inner.bdd.and(x, not_next);
+                inner.arena.get_mut(result)[layer] = next;
+                layer_rounds += 1;
             }
-            self.release(current);
-            current = next;
+            inner.common_belief_layer_steps += layer_rounds;
+            rounds = rounds.max(layer_rounds);
         }
+        inner.common_belief_rounds += rounds;
+        result
     }
 
     fn fixpoint(
@@ -2620,6 +2721,8 @@ where
             reachable_relations: HashMap::new(),
             preimage_calls: 0,
             reachable_relations_built: 0,
+            common_belief_rounds: 0,
+            common_belief_layer_steps: 0,
             dnow: Vec::new(),
             gc_threshold: base_threshold,
             gc_base_threshold: base_threshold,
@@ -3045,6 +3148,8 @@ where
             reachable_relations: HashMap::new(),
             preimage_calls: 0,
             reachable_relations_built: 0,
+            common_belief_rounds: 0,
+            common_belief_layer_steps: 0,
             dnow,
             gc_threshold: gc_threshold.max(2),
             gc_base_threshold: gc_base_threshold.max(2),
@@ -3076,11 +3181,12 @@ where
 // entries of a single arena denotation (the *store*), so every slot is
 // rooted across garbage collections and reorders, and each seam below
 // computes exactly one layer of the corresponding global-engine
-// denotation. Atoms and epistemic operators reuse the evaluator's layer
-// focus — under `focus = Some(t)` the shared builders compute only layer
-// `t` and leave every other layer `FALSE` — which makes the seams
-// per-layer without duplicating operator semantics. `preimage` (`EX`)
-// and `all_next` are already per-layer and are called directly.
+// denotation. Atoms reuse the evaluator's layer focus — under
+// `focus = Some(t)` the shared builder computes only layer `t` and leaves
+// every other layer `FALSE`. The epistemic operators (`knows_layer`,
+// `everyone_believes_layer`), `preimage` (`EX`) and `all_next` are
+// already per-layer and are called directly, so no operator semantics is
+// duplicated.
 
 impl<'m, E, R> SymbolicChecker<'m, E, R>
 where
@@ -3126,15 +3232,6 @@ where
         inner.arena.get_mut(store)[dst] = value;
         inner.arena.release(den);
         inner.maybe_gc(&mut []);
-    }
-
-    /// Wraps `store[slot]` as a full-length denotation with every other
-    /// layer `⊥` — the shape the focused shared builders expect.
-    fn seam_slot_den(&self, store: DenId, slot: usize, layer: usize) -> DenId {
-        let mut inner = self.inner.borrow_mut();
-        let mut layers = vec![Ref::FALSE; inner.reachable.len()];
-        layers[layer] = inner.arena.get(store)[slot];
-        inner.arena.alloc(layers)
     }
 
     pub(crate) fn seam_load_top(&self, store: DenId, dst: usize, layer: usize) {
@@ -3220,8 +3317,7 @@ where
         inner.maybe_gc(&mut []);
     }
 
-    /// One layer of `K_agent x` (or the guarded belief `B^N_agent x`),
-    /// through the focused shared builder.
+    /// One layer of `K_agent x` (or the guarded belief `B^N_agent x`).
     pub(crate) fn seam_knows(
         &self,
         store: DenId,
@@ -3231,24 +3327,24 @@ where
         guarded: bool,
         layer: usize,
     ) {
-        debug_assert!(self.focus.get().is_none(), "seam ops must not nest focus");
-        let target = self.seam_slot_den(store, x, layer);
-        self.focus.set(Some(layer));
-        let result = self.knowledge(agent, target, guarded);
-        self.focus.set(None);
-        self.release(target);
-        self.seam_adopt(store, dst, result, layer);
+        let mut inner = self.inner.borrow_mut();
+        let inner = &mut *inner;
+        inner.maybe_gc(&mut []);
+        let target = inner.arena.get(store)[x];
+        let value = self.knows_layer(inner, layer, agent, target, guarded);
+        inner.arena.get_mut(store)[dst] = value;
+        inner.maybe_gc(&mut []);
     }
 
-    /// One layer of `E_B_N x`, through the focused shared builder.
+    /// One layer of `E_B_N x`.
     pub(crate) fn seam_everyone_believes(&self, store: DenId, dst: usize, x: usize, layer: usize) {
-        debug_assert!(self.focus.get().is_none(), "seam ops must not nest focus");
-        let target = self.seam_slot_den(store, x, layer);
-        self.focus.set(Some(layer));
-        let result = self.everyone_believes(target);
-        self.focus.set(None);
-        self.release(target);
-        self.seam_adopt(store, dst, result, layer);
+        let mut inner = self.inner.borrow_mut();
+        let inner = &mut *inner;
+        inner.maybe_gc(&mut []);
+        let target = inner.arena.get(store)[x];
+        let value = self.everyone_believes_layer(inner, layer, target);
+        inner.arena.get_mut(store)[dst] = value;
+        inner.maybe_gc(&mut []);
     }
 
     /// One layer of `AX x` / `EX x`: `x_next` is a slot at `layer + 1`,
@@ -3481,6 +3577,10 @@ impl<'a> EnvelopeReader<'a> {
 #[cfg(test)]
 #[path = "symbolic_preimage_tests.rs"]
 mod preimage_tests;
+
+#[cfg(test)]
+#[path = "symbolic_belief_tests.rs"]
+mod belief_tests;
 
 #[cfg(test)]
 mod tests {
