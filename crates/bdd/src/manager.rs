@@ -283,7 +283,9 @@ pub struct Bdd {
     pub(crate) exists_cache: BoundedCache<(Ref, Ref)>,
     pub(crate) replace_cache: BoundedCache<(Ref, u32)>,
     pub(crate) and_exists_cache: BoundedCache<(Ref, Ref, Ref)>,
-    pub(crate) substitutions: Vec<Vec<(Var, Var)>>,
+    /// Per registered substitution, the target of each variable by index
+    /// (itself when unmapped; variables past the end are unmapped too).
+    pub(crate) substitutions: Vec<Vec<Var>>,
     /// `level_of[var.index()]` is the variable's current level; smaller
     /// levels are tested closer to the root. Always a permutation of
     /// `0..level_of.len()`, with `var_at` its inverse.

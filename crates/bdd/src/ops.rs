@@ -220,7 +220,14 @@ impl Bdd {
             "substitution sources and targets must not overlap"
         );
         let id = SubstId(u32::try_from(self.substitutions.len()).expect("too many substitutions"));
-        self.substitutions.push(map);
+        // Dense `variable index → target`, the identity off the domain:
+        // `replace` looks a variable up once per node it rebuilds.
+        let len = sources.last().map_or(0, |var| var.index() as usize + 1);
+        let mut table: Vec<Var> = (0..len as u32).map(Var::new).collect();
+        for (source, target) in map {
+            table[source.index() as usize] = target;
+        }
+        self.substitutions.push(table);
         id
     }
 
@@ -245,11 +252,8 @@ impl Bdd {
         let high = self.node_high(f);
         let low_r = self.replace(low, subst);
         let high_r = self.replace(high, subst);
-        let new_var = self.substitutions[subst.0 as usize]
-            .iter()
-            .find(|(s, _)| *s == var)
-            .map(|(_, t)| *t)
-            .unwrap_or(var);
+        let new_var =
+            self.substitutions[subst.0 as usize].get(var.index() as usize).copied().unwrap_or(var);
         // The renamed variable may violate the ordering relative to the
         // children, so rebuild with `ite` on the fresh variable.
         let var_bdd = self.var(new_var);
@@ -412,6 +416,44 @@ mod tests {
         let x9 = bdd.var(Var::new(9));
         let expected = bdd.and(x9, ny);
         assert_eq!(renamed, expected);
+    }
+
+    #[test]
+    fn replace_leaves_unmapped_variables_alone() {
+        // v1 lies inside the substitution's dense table (below the highest
+        // source) without being a source; v7 lies past its end.
+        let mut bdd = Bdd::new();
+        let x = bdd.var(Var::new(0));
+        let y = bdd.var(Var::new(1));
+        let z = bdd.var(Var::new(2));
+        let w = bdd.var(Var::new(7));
+        let xy = bdd.and(x, y);
+        let zw = bdd.xor(z, w);
+        let f = bdd.or(xy, zw);
+        let subst =
+            bdd.register_substitution(vec![(Var::new(2), Var::new(4)), (Var::new(0), Var::new(3))]);
+        let x3 = bdd.var(Var::new(3));
+        let z4 = bdd.var(Var::new(4));
+        let x3y = bdd.and(x3, y);
+        let z4w = bdd.xor(z4, w);
+        let expected = bdd.or(x3y, z4w);
+        assert_eq!(bdd.replace(f, subst), expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "sources must be distinct")]
+    fn replace_rejects_repeated_sources() {
+        let mut bdd = Bdd::new();
+        let _ =
+            bdd.register_substitution(vec![(Var::new(0), Var::new(2)), (Var::new(0), Var::new(3))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "targets must be distinct")]
+    fn replace_rejects_repeated_targets() {
+        let mut bdd = Bdd::new();
+        let _ =
+            bdd.register_substitution(vec![(Var::new(0), Var::new(2)), (Var::new(1), Var::new(2))]);
     }
 
     #[test]

@@ -36,7 +36,17 @@
 //!   variables kept, so that a pre-image is one fused `and_exists` against
 //!   a small diagram instead of a product over unreachable states. `T_t`
 //!   is a per-round cache dropped by every collection and reorder, never a
-//!   root. See [`RelationMode`] and [`SymbolicOptions`].
+//!   root. See [`RelationMode`] and [`SymbolicOptions`]. Denotations are
+//!   **restricted to the reachable sets on demand**: atoms are few-node
+//!   state constraints and the boolean connectives combine them as such
+//!   (restriction to a layer commutes with every connective under the
+//!   clock semantics), the epistemic operators absorb an unrestricted
+//!   operand in the `reachable ∧ ¬φ` they compute anyway, and only a
+//!   consumer — a public entry point, a temporal operator, a fixpoint body
+//!   — conjoins each layer's reachable set, once. What a consumer sees is
+//!   the same boolean function as under eager restriction, so the same
+//!   canonical diagram; [`SymbolicStats::reach_restrictions`] counts the
+//!   layer-level conjunctions.
 //!
 //! [`SymbolicChecker`] accepts its layered model from **two front-ends**:
 //!
@@ -100,7 +110,9 @@
 //!
 //! * [`EvalSession`] — a denotation cache for closed subformulas, so the
 //!   per-agent conditions of a knowledge-based-program branch share the
-//!   expensive common-belief fixpoint;
+//!   expensive common-belief fixpoint. Each entry is kept in the most
+//!   restricted form a consumer has asked of it, so repeating a query is
+//!   one cache hit and no BDD operation (the warm path of `epimc-serve`);
 //! * [`SymbolicChecker::observation_values`] — reads the truth value of a
 //!   formula on every observation class of an agent at a layer off the BDD
 //!   denotation, by existentially quantifying the variables the agent does

@@ -36,9 +36,15 @@
 //!   [`SymbolicChecker::into_salvage`] / [`SymbolicChecker::resume`], the
 //!   learned order carries across synthesis rounds instead of being re-paid
 //!   each round.
-//! * **Variable-encoded atoms.** Every atom except `DecidesNow` is built
-//!   directly as a constraint over the encoded state variables instead of
-//!   scanning the explicit state list.
+//! * **Variable-encoded atoms, restricted on demand.** Every atom except
+//!   `DecidesNow` is built directly as a constraint over the encoded state
+//!   variables instead of scanning the explicit state list, and stays that
+//!   few-node constraint through the boolean connectives: restriction to a
+//!   layer's reachable set commutes with them under the clock semantics,
+//!   so it is applied once per layer where a consumer needs it — an entry
+//!   point, a temporal operator, a fixpoint body — and never by a
+//!   connective (see the section comment above `SymbolicChecker::eval`;
+//!   [`SymbolicStats::reach_restrictions`] counts it).
 //! * **Partitioned transition relation, pre-image through the reachable
 //!   relation.** Each round has a per-agent *partitioned* transition
 //!   relation: auxiliary choice variables encode the adversary's choice
@@ -284,6 +290,12 @@ pub struct SymbolicStats {
     /// Below `common_belief_rounds × layers` whenever layers converge in
     /// different rounds, since a converged layer is not revisited.
     pub common_belief_layer_steps: u64,
+    /// Layer-level `reachable[l] ∧ ·` conjunctions performed on behalf of
+    /// consumers of a denotation (lifetime count, additive). The evaluator
+    /// restricts lazily, so this rises once per layer per consumer that was
+    /// handed an unbounded denotation — not once per connective — and
+    /// answers "why did this formula touch the layers k times".
+    pub reach_restrictions: u64,
 }
 
 impl SymbolicStats {
@@ -302,7 +314,7 @@ impl fmt::Display for SymbolicStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} state vars, {} reachable-set nodes, {} live nodes (peak {}, {} gcs, {} swept, {} reorders), cache hit-rate {:.1}%, {} pre-images through {} reachable relations built, {} common-belief rounds in {} layer steps",
+            "{} state vars, {} reachable-set nodes, {} live nodes (peak {}, {} gcs, {} swept, {} reorders), cache hit-rate {:.1}%, {} pre-images through {} reachable relations built, {} common-belief rounds in {} layer steps, {} reach restrictions",
             self.num_state_vars,
             self.reachable_nodes,
             self.live_nodes,
@@ -314,7 +326,8 @@ impl fmt::Display for SymbolicStats {
             self.preimage_calls,
             self.reachable_relations_built,
             self.common_belief_rounds,
-            self.common_belief_layer_steps
+            self.common_belief_layer_steps,
+            self.reach_restrictions
         )
     }
 }
@@ -348,22 +361,33 @@ fn nxt(slot: usize) -> Var {
 /// rooted arena, so it survives garbage collections.
 type DenId = usize;
 
-/// The rooted arena of in-flight denotations: every `Vec<Ref>` a formula
+/// One arena entry: a `Ref` per layer, and whether every layer is known to
+/// lie inside its reachable set. The evaluator restricts lazily (see the
+/// section comment above `SymbolicChecker::eval`), so an *unbounded* entry
+/// stands for the denotation `layers[l] ∧ reachable[l]`.
+#[derive(Clone)]
+struct Den {
+    layers: Vec<Ref>,
+    bounded: bool,
+}
+
+/// The rooted arena of in-flight denotations: every denotation a formula
 /// evaluation is still using lives here, and [`Inner::collect`] passes all
 /// of them to the collector as roots.
 #[derive(Default)]
 struct DenArena {
-    dens: Vec<Option<Vec<Ref>>>,
+    dens: Vec<Option<Den>>,
     free: Vec<usize>,
 }
 
 impl DenArena {
-    fn alloc(&mut self, den: Vec<Ref>) -> DenId {
+    fn alloc(&mut self, layers: Vec<Ref>, bounded: bool) -> DenId {
+        let den = Some(Den { layers, bounded });
         if let Some(id) = self.free.pop() {
-            self.dens[id] = Some(den);
+            self.dens[id] = den;
             id
         } else {
-            self.dens.push(Some(den));
+            self.dens.push(den);
             self.dens.len() - 1
         }
     }
@@ -374,12 +398,20 @@ impl DenArena {
         self.free.push(id);
     }
 
+    fn den(&self, id: DenId) -> &Den {
+        self.dens[id].as_ref().expect("use of freed denotation")
+    }
+
+    fn den_mut(&mut self, id: DenId) -> &mut Den {
+        self.dens[id].as_mut().expect("use of freed denotation")
+    }
+
     fn get(&self, id: DenId) -> &[Ref] {
-        self.dens[id].as_ref().expect("use of freed denotation").as_slice()
+        self.den(id).layers.as_slice()
     }
 
     fn get_mut(&mut self, id: DenId) -> &mut Vec<Ref> {
-        self.dens[id].as_mut().expect("use of freed denotation")
+        &mut self.den_mut(id).layers
     }
 
     fn live_count(&self) -> usize {
@@ -393,7 +425,7 @@ impl DenArena {
     }
 
     fn roots_mut(&mut self) -> impl Iterator<Item = &mut Ref> {
-        self.dens.iter_mut().flatten().flat_map(|den| den.iter_mut())
+        self.dens.iter_mut().flatten().flat_map(|den| den.layers.iter_mut())
     }
 }
 
@@ -453,6 +485,9 @@ struct Inner {
     common_belief_rounds: u64,
     /// Layer × round steps those iterations actually computed.
     common_belief_layer_steps: u64,
+    /// Layer-level restrictions to the reachable set performed for
+    /// consumers (lifetime count; see [`SymbolicStats::reach_restrictions`]).
+    reach_restrictions: u64,
     /// Relational front-end only — per layer, the guarded decides-now
     /// conditions the layer's round was built under
     /// (`dnow[layer][agent * num_values + v]`), so `DecidesNow` atoms need
@@ -668,6 +703,16 @@ pub struct SymbolicChecker<'m, E: InformationExchange, R> {
 /// branch once per round: the per-agent conditions `B^N_i C_B_N φ` share the
 /// expensive common-belief fixpoint `C_B_N φ`, which is computed for the
 /// first agent and recalled from the session for the rest.
+///
+/// An entry is stored as the evaluator produced it — possibly not yet
+/// restricted to the reachable sets — and is restricted in place the first
+/// time a consumer asks for it in that form (the arena entry carries the
+/// bit). It is thus kept in the most restricted form anyone has asked of
+/// it: repeating a query already answered through
+/// [`SymbolicChecker::holds_everywhere_in_session`],
+/// [`SymbolicChecker::check_in_session`] or the evaluation step of
+/// [`SymbolicChecker::observation_values`] is exactly one hit, at the root,
+/// and performs no BDD operation.
 ///
 /// Cached denotations live in the checker's rooted arena (they survive
 /// garbage collections) until the session is returned via
@@ -906,6 +951,7 @@ where
             reachable_relations_built: 0,
             common_belief_rounds: 0,
             common_belief_layer_steps: 0,
+            reach_restrictions: 0,
             dnow: Vec::new(),
             gc_threshold: base_threshold,
             gc_base_threshold: base_threshold,
@@ -1210,6 +1256,7 @@ where
             reachable_relations_built: inner.reachable_relations_built,
             common_belief_rounds: inner.common_belief_rounds,
             common_belief_layer_steps: inner.common_belief_layer_steps,
+            reach_restrictions: inner.reach_restrictions,
         }
     }
 
@@ -1226,7 +1273,7 @@ where
         self.inner.borrow_mut().maybe_gc(&mut []);
         let baseline = self.inner.borrow().arena.live_count();
         let mut env = HashMap::new();
-        let den = self.eval(formula, &mut env, None);
+        let den = self.eval_bounded(formula, &mut env, None);
         let set = self.to_point_set(den);
         let mut inner = self.inner.borrow_mut();
         inner.arena.release(den);
@@ -1287,7 +1334,7 @@ where
         Self::lock_session_focus(session, None);
         self.inner.borrow_mut().maybe_gc(&mut []);
         let mut env = HashMap::new();
-        let den = self.eval(formula, &mut env, Some(session));
+        let den = self.eval_bounded(formula, &mut env, Some(session));
         let set = self.to_point_set(den);
         self.release(den);
         set
@@ -1366,7 +1413,7 @@ where
         self.focus.set(focus);
         self.inner.borrow_mut().maybe_gc(&mut []);
         let mut env = HashMap::new();
-        let den = self.eval(formula, &mut env, Some(session));
+        let den = self.eval_bounded(formula, &mut env, Some(session));
         self.focus.set(None);
         let reachable = self.layer_observations(agent, time);
         let (positive, negative) = {
@@ -1376,8 +1423,9 @@ where
             let reach = inner.reachable[time as usize];
             let hidden = inner.hidden_cubes[agent.index()];
             let bdd = &mut inner.bdd;
-            // `den_t ⊆ reach` by the evaluation invariants, so the positive
+            // `den_t ⊆ reach` at the consumer boundary, so the positive
             // projection only mentions observations of reachable states.
+            // (The negative one conjoins `reach` itself.)
             let positive = bdd.exists(den_t, hidden);
             let not_den = bdd.not(den_t);
             let negative = bdd.and_exists(reach, not_den, hidden);
@@ -1442,14 +1490,15 @@ where
 
     /// Returns `true` when `formula` holds at every point of the model.
     ///
-    /// Works for both sources: a denotation is always restricted to the
-    /// reachable sets, so the formula holds everywhere exactly when its
-    /// per-layer BDDs equal the reachable-set BDDs (canonical diagrams make
-    /// this a pointer comparison).
+    /// Works for both sources: a denotation handed to a consumer is always
+    /// restricted to the reachable sets (`eval_bounded`), so the formula
+    /// holds everywhere exactly when its per-layer BDDs equal the
+    /// reachable-set BDDs (canonical diagrams make this a pointer
+    /// comparison).
     pub fn holds_everywhere(&self, formula: &Formula<ConsensusAtom>) -> bool {
         self.inner.borrow_mut().maybe_gc(&mut []);
         let mut env = HashMap::new();
-        let den = self.eval(formula, &mut env, None);
+        let den = self.eval_bounded(formula, &mut env, None);
         let holds = {
             let inner = self.inner.borrow();
             let layers = inner.arena.get(den);
@@ -1473,7 +1522,7 @@ where
         Self::lock_session_focus(session, None);
         self.inner.borrow_mut().maybe_gc(&mut []);
         let mut env = HashMap::new();
-        let den = self.eval(formula, &mut env, Some(session));
+        let den = self.eval_bounded(formula, &mut env, Some(session));
         let holds = {
             let inner = self.inner.borrow();
             let layers = inner.arena.get(den);
@@ -1594,7 +1643,7 @@ where
         );
         self.inner.borrow_mut().maybe_gc(&mut []);
         let mut env = HashMap::new();
-        let den = self.eval(formula, &mut env, None);
+        let den = self.eval_bounded(formula, &mut env, None);
         let set = {
             let inner = self.inner.borrow();
             let layers = inner.arena.get(den);
@@ -1664,73 +1713,101 @@ where
     // ------------------------------------------------------------------
     // Arena plumbing.
 
-    fn alloc(&self, den: Vec<Ref>) -> DenId {
-        self.inner.borrow_mut().arena.alloc(den)
-    }
-
     fn release(&self, den: DenId) {
         self.inner.borrow_mut().arena.release(den);
     }
 
     fn clone_den(&self, den: DenId) -> DenId {
         let mut inner = self.inner.borrow_mut();
-        let copy = inner.arena.get(den).to_vec();
-        inner.arena.alloc(copy)
+        let Den { layers, bounded } = inner.arena.den(den).clone();
+        inner.arena.alloc(layers, bounded)
+    }
+
+    /// A fresh denotation holding `value(layer)` on the focused layers and
+    /// `⊥` on the others. `bounded` is the caller's promise that every
+    /// value lies inside its layer's reachable set.
+    fn alloc_active<F>(&self, bounded: bool, mut value: F) -> DenId
+    where
+        F: FnMut(&mut Inner, usize) -> Ref,
+    {
+        let mut inner = self.inner.borrow_mut();
+        let inner = &mut *inner;
+        let layers = (0..inner.reachable.len())
+            .map(|layer| if self.is_active(layer) { value(inner, layer) } else { Ref::FALSE })
+            .collect();
+        inner.arena.alloc(layers, bounded)
     }
 
     fn alloc_reachable(&self) -> DenId {
-        let mut inner = self.inner.borrow_mut();
-        let copy = inner
-            .reachable
-            .iter()
-            .enumerate()
-            .map(|(layer, &reach)| if self.is_active(layer) { reach } else { Ref::FALSE })
-            .collect();
-        inner.arena.alloc(copy)
+        self.alloc_active(true, |inner, layer| inner.reachable[layer])
+    }
+
+    /// `⊤` as an unbounded denotation: no layer is touched until a consumer
+    /// restricts.
+    fn alloc_true(&self) -> DenId {
+        self.alloc_active(false, |_, _| Ref::TRUE)
     }
 
     fn alloc_false(&self) -> DenId {
-        let num_layers = self.num_layers();
-        self.alloc(vec![Ref::FALSE; num_layers])
+        self.alloc_active(true, |_, _| Ref::FALSE)
     }
 
-    /// Layerwise `a[l] = op(a[l])`, in place (skipping unfocused layers).
-    fn map_unary<F: Fn(&mut Bdd, Ref) -> Ref>(&self, a: DenId, op: F) {
+    /// Layerwise `a[l] = ¬a[l]`, in place (skipping unfocused layers). The
+    /// complement of anything leaves the reachable set, so `a` ends up
+    /// unbounded.
+    fn negate(&self, a: DenId) {
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
-        let layers = inner.arena.get_mut(a);
-        for (index, layer) in layers.iter_mut().enumerate() {
+        let den = inner.arena.den_mut(a);
+        for (index, layer) in den.layers.iter_mut().enumerate() {
             if self.is_active(index) {
-                *layer = op(&mut inner.bdd, *layer);
+                *layer = inner.bdd.not(*layer);
             }
         }
+        den.bounded = false;
     }
 
     /// Layerwise `a[l] = op(a[l], b[l])`, in place into `a`; `b` survives.
-    fn map_binary<F: Fn(&mut Bdd, Ref, Ref) -> Ref>(&self, a: DenId, b: DenId, op: F) {
+    /// `bound` says whether the result is bounded, given whether `a` and
+    /// `b` are.
+    fn map_binary<F: Fn(&mut Bdd, Ref, Ref) -> Ref>(
+        &self,
+        a: DenId,
+        b: DenId,
+        bound: fn(bool, bool) -> bool,
+        op: F,
+    ) {
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
         debug_assert_ne!(a, b, "aliased denotations");
-        let rhs: Vec<Ref> = inner.arena.get(b).to_vec();
-        let layers = inner.arena.get_mut(a);
-        for (index, (layer, r)) in layers.iter_mut().zip(rhs).enumerate() {
+        let rhs = inner.arena.den(b).clone();
+        let den = inner.arena.den_mut(a);
+        for (index, (layer, r)) in den.layers.iter_mut().zip(rhs.layers).enumerate() {
             if self.is_active(index) {
                 *layer = op(&mut inner.bdd, *layer, r);
             }
         }
+        den.bounded = bound(den.bounded, rhs.bounded);
     }
 
-    /// Layerwise `a[l] &= reachable[l]`, in place.
+    /// The consumer boundary: layerwise `a[l] &= reachable[l]`, in place,
+    /// unless `a` is bounded already. The one place a denotation meets the
+    /// reachable sets on a consumer's behalf, counted per layer in
+    /// [`SymbolicStats::reach_restrictions`].
     fn restrict_to_reachable(&self, a: DenId) {
         let mut inner = self.inner.borrow_mut();
-        let inner = &mut *inner;
-        let reach: Vec<Ref> = inner.reachable.clone();
-        let layers = inner.arena.get_mut(a);
-        for (index, (layer, r)) in layers.iter_mut().zip(reach).enumerate() {
+        let Inner { bdd, arena, reachable, reach_restrictions, .. } = &mut *inner;
+        let den = arena.den_mut(a);
+        if den.bounded {
+            return;
+        }
+        for (index, (layer, &reach)) in den.layers.iter_mut().zip(reachable.iter()).enumerate() {
             if self.is_active(index) {
-                *layer = inner.bdd.and(*layer, r);
+                *layer = bdd.and(reach, *layer);
+                *reach_restrictions += 1;
             }
         }
+        den.bounded = true;
     }
 
     fn dens_equal(&self, a: DenId, b: DenId) -> bool {
@@ -1739,15 +1816,59 @@ where
     }
 
     // ------------------------------------------------------------------
-    // Formula evaluation.
+    // Formula evaluation, with restriction to the reachable sets on demand.
+    //
+    // The denotation of `φ` at layer `l` is a subset `[φ]_l` of
+    // `reachable[l]`. Under the clock semantics restriction to the layer
+    // commutes with every boolean connective, so the evaluator does not
+    // restrict as it goes: what `eval` returns is any `d` with
+    // `d[l] ∧ reachable[l] = [φ]_l`, and the entry's `bounded` bit records
+    // when `d[l] = [φ]_l` already. Atoms yield their few-node state
+    // constraint as it is, `true` is `⊤`, and the connectives combine
+    // operands without touching a layer-sized diagram (`And` is bounded if
+    // any conjunct is, `Or` only if all disjuncts are, `Not` / `Implies` /
+    // `Iff` never). A specification clause of hundreds of implications
+    // over atoms is one small constraint, conjoined with each layer once.
+    //
+    // The restriction happens where a consumer needs it, through
+    // `eval_bounded`: the public entry points (`check*`,
+    // `holds_everywhere*`, `observation_values`), the operand of a temporal
+    // operator, the body of a fixpoint (its variable is bound to bounded
+    // iterates), and `seam_load_atom`. The epistemic operators conjoin
+    // `reachable[l]` onto `¬φ` anyway and take their operand as it is.
+    // What a consumer sees is the same boolean function as under eager
+    // restriction, hence — canonical diagrams in one manager — the same
+    // `Ref`.
 
-    /// Evaluates `formula` to a rooted denotation, consulting and filling
-    /// the session cache for closed subformulas when a session is given.
+    /// Evaluates `formula` to a rooted denotation, possibly unbounded (see
+    /// the section comment), consulting and filling the session cache for
+    /// closed subformulas when a session is given.
     fn eval(
         &self,
         formula: &Formula<ConsensusAtom>,
         env: &mut HashMap<u32, DenId>,
+        session: Option<&mut EvalSession>,
+    ) -> DenId {
+        self.eval_as(formula, env, session, false)
+    }
+
+    /// [`Self::eval`] for a consumer: the denotation itself, every layer
+    /// inside its reachable set and `⊥` off the layer focus.
+    fn eval_bounded(
+        &self,
+        formula: &Formula<ConsensusAtom>,
+        env: &mut HashMap<u32, DenId>,
+        session: Option<&mut EvalSession>,
+    ) -> DenId {
+        self.eval_as(formula, env, session, true)
+    }
+
+    fn eval_as(
+        &self,
+        formula: &Formula<ConsensusAtom>,
+        env: &mut HashMap<u32, DenId>,
         mut session: Option<&mut EvalSession>,
+        bounded: bool,
     ) -> DenId {
         // Only closed non-trivial subformulas are memoised, so the
         // canonical hash is computed lazily and exactly once per call.
@@ -1764,6 +1885,12 @@ where
                 if cached_formula == formula {
                     cache.hits += 1;
                     let den = *den;
+                    // The entry itself is restricted, so it stays in the
+                    // most restricted form any consumer has asked of it
+                    // and the next such hit performs no BDD operation.
+                    if bounded {
+                        self.restrict_to_reachable(den);
+                    }
                     return self.clone_den(den);
                 }
                 let (_, stale) = cache.cache.remove(&key).expect("entry just read");
@@ -1771,6 +1898,9 @@ where
             }
         }
         let den = self.eval_node(formula, env, session.as_deref_mut());
+        if bounded {
+            self.restrict_to_reachable(den);
+        }
         if let (Some(cache), Some(key)) = (session, key) {
             let copy = self.clone_den(den);
             cache.cache.insert(key, (formula.clone(), copy));
@@ -1785,7 +1915,7 @@ where
         mut session: Option<&mut EvalSession>,
     ) -> DenId {
         match formula {
-            Formula::True => self.alloc_reachable(),
+            Formula::True => self.alloc_true(),
             Formula::False => self.alloc_false(),
             Formula::Atom(atom) => self.atom_denotation(atom),
             Formula::Var(v) => {
@@ -1794,15 +1924,14 @@ where
             }
             Formula::Not(inner) => {
                 let t = self.eval(inner, env, session);
-                self.map_unary(t, |bdd, f| bdd.not(f));
-                self.restrict_to_reachable(t);
+                self.negate(t);
                 t
             }
             Formula::And(items) => {
-                let acc = self.alloc_reachable();
+                let acc = self.alloc_true();
                 for item in items {
                     let value = self.eval(item, env, session.as_deref_mut());
-                    self.map_binary(acc, value, |bdd, a, b| bdd.and(a, b));
+                    self.map_binary(acc, value, |a, b| a || b, |bdd, a, b| bdd.and(a, b));
                     self.release(value);
                 }
                 acc
@@ -1811,7 +1940,7 @@ where
                 let acc = self.alloc_false();
                 for item in items {
                     let value = self.eval(item, env, session.as_deref_mut());
-                    self.map_binary(acc, value, |bdd, a, b| bdd.or(a, b));
+                    self.map_binary(acc, value, |a, b| a && b, |bdd, a, b| bdd.or(a, b));
                     self.release(value);
                 }
                 acc
@@ -1819,17 +1948,15 @@ where
             Formula::Implies(lhs, rhs) => {
                 let l = self.eval(lhs, env, session.as_deref_mut());
                 let r = self.eval(rhs, env, session);
-                self.map_binary(l, r, |bdd, a, b| bdd.implies(a, b));
+                self.map_binary(l, r, |_, _| false, |bdd, a, b| bdd.implies(a, b));
                 self.release(r);
-                self.restrict_to_reachable(l);
                 l
             }
             Formula::Iff(lhs, rhs) => {
                 let l = self.eval(lhs, env, session.as_deref_mut());
                 let r = self.eval(rhs, env, session);
-                self.map_binary(l, r, |bdd, a, b| bdd.iff(a, b));
+                self.map_binary(l, r, |_, _| false, |bdd, a, b| bdd.iff(a, b));
                 self.release(r);
-                self.restrict_to_reachable(l);
                 l
             }
             Formula::Knows(agent, inner) => {
@@ -1859,7 +1986,7 @@ where
             Formula::Gfp(var, body) => self.fixpoint(*var, body, env, session, true),
             Formula::Lfp(var, body) => self.fixpoint(*var, body, env, session, false),
             Formula::Temporal(kind, inner) => {
-                let target = self.eval(inner, env, session);
+                let target = self.eval_bounded(inner, env, session);
                 let result = self.temporal(*kind, target);
                 self.release(target);
                 result
@@ -1900,11 +2027,12 @@ where
         acc
     }
 
-    /// The denotation of an atom: a single current-state constraint BDD
-    /// conjoined with each layer's reachable set (except for the atoms that
-    /// genuinely depend on the explicit transition structure).
+    /// The denotation of an atom, unbounded: the same current-state
+    /// constraint BDD on every layer, left for a consumer to conjoin with
+    /// the reachable sets (except for the atoms that genuinely depend on
+    /// the explicit transition structure, which are built from reachable
+    /// points and come out bounded).
     fn atom_denotation(&self, atom: &ConsensusAtom) -> DenId {
-        let num_layers = self.num_layers();
         let constraint = {
             let mut inner = self.inner.borrow_mut();
             let bdd = &mut inner.bdd;
@@ -1949,37 +2077,14 @@ where
             }
         };
         match (constraint, atom) {
-            (Some(c), _) => {
-                let mut inner = self.inner.borrow_mut();
-                let inner = &mut *inner;
-                let layers: Vec<Ref> =
-                    inner
-                        .reachable
-                        .iter()
-                        .enumerate()
-                        .map(|(layer, &reach)| {
-                            if self.is_active(layer) {
-                                inner.bdd.and(reach, c)
-                            } else {
-                                Ref::FALSE
-                            }
-                        })
-                        .collect();
-                inner.arena.alloc(layers)
-            }
-            (None, ConsensusAtom::TimeIs(round)) => {
-                let mut inner = self.inner.borrow_mut();
-                let layers: Vec<Ref> = (0..num_layers)
-                    .map(|layer| {
-                        if layer as Round == *round && self.is_active(layer) {
-                            inner.reachable[layer]
-                        } else {
-                            Ref::FALSE
-                        }
-                    })
-                    .collect();
-                inner.arena.alloc(layers)
-            }
+            (Some(c), _) => self.alloc_active(false, |_, _| c),
+            (None, ConsensusAtom::TimeIs(round)) => self.alloc_active(false, |_, layer| {
+                if layer as Round == *round {
+                    Ref::TRUE
+                } else {
+                    Ref::FALSE
+                }
+            }),
             // `DecidesNow` looks at the *action* taken in the coming round,
             // which is not part of the state encoding. Under a rule override
             // (synthesis) the denotation is built symbolically from the
@@ -2022,98 +2127,75 @@ where
     /// entry decides `value`. (In the crash failure model an agent is
     /// crashed iff it is faulty, which is the complement of the encoded
     /// nonfaulty flag; in the omission models no agent ever crashes.)
+    /// Unbounded: the state constraint, not yet conjoined with the layer.
     fn decides_now_denotation(&self, rule: &TableRule, agent: AgentId, value: Value) -> DenId {
         let vars = &self.agent_vars[agent.index()];
         let crash_model = self.params.failure().kind() == FailureKind::Crash;
-        let mut inner = self.inner.borrow_mut();
-        let inner = &mut *inner;
-        let layers: Vec<Ref> = (0..inner.reachable.len() as Round)
-            .map(|t| {
-                if !self.is_active(t as usize) {
-                    return Ref::FALSE;
-                }
-                // Deciding entries for (agent, t), sorted for determinism
-                // (the table iterates in hash order).
-                let mut deciding: Vec<&Observation> = rule
-                    .iter()
-                    .filter(|((a, time, _), action)| {
-                        *a == agent && *time == t && **action == Action::Decide(value)
-                    })
-                    .map(|((_, _, observation), _)| observation)
-                    .collect();
-                deciding.sort_unstable();
-                let bdd = &mut inner.bdd;
-                let terms: Vec<Ref> = deciding
-                    .into_iter()
-                    .map(|observation| {
-                        debug_assert_eq!(observation.len(), vars.obs_bits.len());
-                        // One flat cube over every observable bit: a single
-                        // level-ordered chain regardless of the current
-                        // variable order.
-                        bdd.cube_literals(vars.obs_bits.iter().enumerate().flat_map(
-                            |(field, slots)| {
-                                let value = observation.value(field);
-                                slots
-                                    .iter()
-                                    .enumerate()
-                                    .map(move |(k, &slot)| (cur(slot), value & (1 << k) != 0))
-                            },
-                        ))
-                    })
-                    .collect();
-                let fires = or_balanced(bdd, terms);
-                let decided = bdd.var(cur(vars.decided));
-                let undecided = bdd.not(decided);
-                let mut acc = bdd.and(fires, undecided);
-                if crash_model {
-                    let alive = bdd.var(cur(vars.nonfaulty));
-                    acc = bdd.and(acc, alive);
-                }
-                bdd.and(inner.reachable[t as usize], acc)
-            })
-            .collect();
-        inner.arena.alloc(layers)
+        self.alloc_active(false, |inner, t| {
+            // Deciding entries for (agent, t), sorted for determinism
+            // (the table iterates in hash order).
+            let mut deciding: Vec<&Observation> = rule
+                .iter()
+                .filter(|((a, time, _), action)| {
+                    *a == agent && *time == t as Round && **action == Action::Decide(value)
+                })
+                .map(|((_, _, observation), _)| observation)
+                .collect();
+            deciding.sort_unstable();
+            let bdd = &mut inner.bdd;
+            let terms: Vec<Ref> = deciding
+                .into_iter()
+                .map(|observation| {
+                    debug_assert_eq!(observation.len(), vars.obs_bits.len());
+                    // One flat cube over every observable bit: a single
+                    // level-ordered chain regardless of the current
+                    // variable order.
+                    bdd.cube_literals(vars.obs_bits.iter().enumerate().flat_map(
+                        |(field, slots)| {
+                            let value = observation.value(field);
+                            slots
+                                .iter()
+                                .enumerate()
+                                .map(move |(k, &slot)| (cur(slot), value & (1 << k) != 0))
+                        },
+                    ))
+                })
+                .collect();
+            let fires = or_balanced(bdd, terms);
+            let decided = bdd.var(cur(vars.decided));
+            let undecided = bdd.not(decided);
+            let acc = bdd.and(fires, undecided);
+            if crash_model {
+                let alive = bdd.var(cur(vars.nonfaulty));
+                bdd.and(acc, alive)
+            } else {
+                acc
+            }
+        })
     }
 
     /// The denotation of `DecidesNow(agent, value)` for a relational
     /// source without a rule override: each layer stores the guarded
-    /// decides-now conditions its round was built under, so the denotation
-    /// is a lookup conjoined with the reachable set.
+    /// decides-now conditions its round was built under, so the (unbounded)
+    /// denotation is a lookup.
     fn relational_decides_now(&self, agent: AgentId, value: Value) -> DenId {
-        let num_values = self.params.num_values();
-        let mut inner = self.inner.borrow_mut();
-        let inner = &mut *inner;
-        let layers: Vec<Ref> = (0..inner.reachable.len())
-            .map(|t| {
-                if !self.is_active(t) {
-                    return Ref::FALSE;
-                }
-                let condition = inner.dnow[t].as_ref().expect("relational dnow is built eagerly")
-                    [agent.index() * num_values + value.index()];
-                inner.bdd.and(inner.reachable[t], condition)
-            })
-            .collect();
-        inner.arena.alloc(layers)
+        let index = agent.index() * self.params.num_values() + value.index();
+        self.alloc_active(false, |inner, t| {
+            inner.dnow[t].as_ref().expect("relational dnow is built eagerly")[index]
+        })
     }
 
+    /// The exact (bounded) denotation of a predicate on explicit points.
     fn layer_bdds_of_predicate<F: Fn(PointId) -> bool>(&self, predicate: F) -> DenId {
-        let mut inner = self.inner.borrow_mut();
-        let inner = &mut *inner;
-        let layers: Vec<Ref> = (0..inner.reachable.len() as Round)
-            .map(|time| {
-                if !self.is_active(time as usize) {
-                    return Ref::FALSE;
-                }
-                let minterms: Vec<Ref> = self.encodings[time as usize]
-                    .iter()
-                    .enumerate()
-                    .filter(|(index, _)| predicate(PointId::new(time, *index)))
-                    .map(|(_, bits)| Self::minterm_cur(&mut inner.bdd, bits))
-                    .collect();
-                or_balanced(&mut inner.bdd, minterms)
-            })
-            .collect();
-        inner.arena.alloc(layers)
+        self.alloc_active(true, |inner, time| {
+            let minterms: Vec<Ref> = self.encodings[time]
+                .iter()
+                .enumerate()
+                .filter(|(index, _)| predicate(PointId::new(time as Round, *index)))
+                .map(|(_, bits)| Self::minterm_cur(&mut inner.bdd, bits))
+                .collect();
+            or_balanced(&mut inner.bdd, minterms)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -2135,6 +2217,13 @@ where
     //     B^N_i φ    = block_i(R, (R ∧ ¬φ) ∧ nf_i, ⊤)
     //     E_B(x, Δ)  = the fold of block_i(·, Δ ∧ nf_i, nf_i) over all i, from x
     //     E_B φ      = E_B(R, R ∧ ¬φ)
+    //
+    // The `R ∧ ¬φ` of every line is where an *unbounded* operand is
+    // absorbed: `φ` arrives as whatever `eval` produced (often a few-node
+    // state constraint), and since `R ∧ ¬(d ∧ R) = R ∧ ¬d` the bad set —
+    // and so the result, which lies inside `R` by construction and is
+    // allocated bounded — is the one eager restriction would have given.
+    // No operator here asks for `eval_bounded`.
     //
     // Common belief `C_B φ = νX. E_B(X ∧ φ)` is a *frontier* iteration of
     // that step: `X₀ = R`, `Δ₀ = R ∧ ¬φ`, `X_{k+1} = E_B(X_k, Δ_k)`,
@@ -2282,8 +2371,9 @@ where
         loop {
             self.inner.borrow_mut().maybe_gc(&mut []);
             let saved = env.insert(var, current);
-            let next = self.eval(body, env, session.as_deref_mut());
-            self.restrict_to_reachable(next);
+            // The variable is bound to bounded iterates, and convergence
+            // compares handles: the body is a consumer position.
+            let next = self.eval_bounded(body, env, session.as_deref_mut());
             match saved {
                 Some(value) => {
                     env.insert(var, value);
@@ -2576,7 +2666,7 @@ where
                 layers
             }
         };
-        inner.arena.alloc(layers)
+        inner.arena.alloc(layers, true)
     }
 }
 
@@ -2723,6 +2813,7 @@ where
             reachable_relations_built: 0,
             common_belief_rounds: 0,
             common_belief_layer_steps: 0,
+            reach_restrictions: 0,
             dnow: Vec::new(),
             gc_threshold: base_threshold,
             gc_base_threshold: base_threshold,
@@ -3150,6 +3241,7 @@ where
             reachable_relations_built: 0,
             common_belief_rounds: 0,
             common_belief_layer_steps: 0,
+            reach_restrictions: 0,
             dnow,
             gc_threshold: gc_threshold.max(2),
             gc_base_threshold: gc_base_threshold.max(2),
@@ -3183,10 +3275,12 @@ where
 // computes exactly one layer of the corresponding global-engine
 // denotation. Atoms reuse the evaluator's layer focus — under
 // `focus = Some(t)` the shared builder computes only layer `t` and leaves
-// every other layer `FALSE`. The epistemic operators (`knows_layer`,
-// `everyone_believes_layer`), `preimage` (`EX`) and `all_next` are
-// already per-layer and are called directly, so no operator semantics is
-// duplicated.
+// every other layer `FALSE` — and are restricted to the layer as they are
+// loaded, so every slot is bounded and the connective cells below keep
+// conjoining `reachable[layer]` themselves. The epistemic operators
+// (`knows_layer`, `everyone_believes_layer`), `preimage` (`EX`) and
+// `all_next` are already per-layer and are called directly, so no operator
+// semantics is duplicated.
 
 impl<'m, E, R> SymbolicChecker<'m, E, R>
 where
@@ -3195,7 +3289,7 @@ where
 {
     /// Allocates an empty slot store (a growable, rooted denotation).
     pub(crate) fn seam_alloc_store(&self) -> DenId {
-        self.inner.borrow_mut().arena.alloc(Vec::new())
+        self.inner.borrow_mut().arena.alloc(Vec::new(), true)
     }
 
     /// Releases a slot store (or any seam-produced denotation).
@@ -3244,6 +3338,7 @@ where
     }
 
     /// One layer of an atom's denotation, through the focused builder.
+    /// Every slot of the store is bounded, so the atom is restricted here.
     pub(crate) fn seam_load_atom(
         &self,
         store: DenId,
@@ -3254,6 +3349,7 @@ where
         debug_assert!(self.focus.get().is_none(), "seam ops must not nest focus");
         self.focus.set(Some(layer));
         let den = self.atom_denotation(atom);
+        self.restrict_to_reachable(den);
         self.focus.set(None);
         self.seam_adopt(store, dst, den, layer);
     }
@@ -3405,7 +3501,7 @@ where
         for &(layer, slot) in roots {
             layers[layer] = inner.arena.get(store)[slot];
         }
-        inner.arena.alloc(layers)
+        inner.arena.alloc(layers, true)
     }
 
     /// Reads an already-computed denotation off on the points of `model`
@@ -3581,6 +3677,10 @@ mod preimage_tests;
 #[cfg(test)]
 #[path = "symbolic_belief_tests.rs"]
 mod belief_tests;
+
+#[cfg(test)]
+#[path = "symbolic_restriction_tests.rs"]
+mod restriction_tests;
 
 #[cfg(test)]
 mod tests {
