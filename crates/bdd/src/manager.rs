@@ -371,7 +371,8 @@ impl Bdd {
         }
     }
 
-    /// Installs (or clears, with `None`) a resource [`Budget`]. The budget
+    /// Installs (or clears, with `None`) a resource
+    /// [`Budget`](crate::Budget). The budget
     /// is polled cooperatively: on op-cache misses and at the GC/reorder
     /// safe points. When a limit trips the manager unwinds a typed
     /// [`BddError`](crate::BddError) — catch it at the engine boundary with
@@ -689,7 +690,7 @@ impl Bdd {
     /// Checks the whole-store canonicity invariant: every occupied slot
     /// stores a non-redundant node whose children sit strictly below it in
     /// the level order and whose edges satisfy the complement convention
-    /// ([`Bdd::edges_are_canonical`]), and the unique table maps each
+    /// (`Bdd::edges_are_canonical`), and the unique table maps each
     /// stored triple back to its slot. Returns a description of the first
     /// violation. O(n); meant for tests and `debug_assert!`s.
     pub fn check_canonical_invariant(&self) -> Result<(), String> {

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! cargo run --release -p epimc-bench --bin tables -- \
-//!     [table1|table2|table3|scaling|ablation|explore|symbolic|synthesis|reorder|frontend|local|all]
+//!     [table1|table2|table3|scaling|ablation|explore|symbolic|synthesis|reorder|frontend|local|serve|all]
 //!     [--timeout <seconds>] [--full] [--smoke] [--budget <file>] [--json]
 //! ```
 //!
@@ -32,15 +32,16 @@
 //! delta per instance. `--smoke` and `--budget <file>` work as for
 //! `symbolic` (CI runs them against `crates/bench/reorder_budget.txt`).
 //!
-//! `frontend` prints the model-construction ablation: the explicit
-//! front-end (state-space exploration plus per-point encoding) versus the
-//! relational front-end (forward image over the round relation) building
-//! the same layered models, with build wall-clocks, peak live nodes,
-//! per-layer state counts and the relational-product / image-cache
-//! counters. Small rows additionally verify the two builds agree layer by
-//! layer. `--smoke`, `--budget <file>` (CI runs
-//! `crates/bench/frontend_budget.txt`) and `--full` (which appends the
-//! FloodSet n=10/n=12 headline instances) work as for `symbolic`.
+//! `frontend` prints the model-construction table: the relational
+//! front-end (forward image over the round relation) building the layered
+//! models, with build wall-clock, peak live nodes, per-layer state counts
+//! and the relational-product / image-cache counters. Every row an
+//! exploration can reach is verified against it: every explored point
+//! relationally reachable, and per layer as many states as the explored
+//! points have distinct states. `--smoke`, `--budget <file>` (CI runs
+//! `crates/bench/frontend_budget.txt`) and `--full` (which appends FloodSet
+//! n=10, verified, and n=12, 22M states, not explored) work as for
+//! `symbolic`.
 //!
 //! `local` prints the local-engine ablation: the lazy on-the-fly engine
 //! (fixpoint equation system over layers materialised on demand) versus
@@ -72,6 +73,11 @@
 //! `--full` selects the paper-sized parameter grids (several cells will show
 //! `TO` unless a generous `--timeout` is given); without it a smaller grid is
 //! used so the run completes in a few minutes.
+//!
+//! A mistyped invocation — an unknown table or flag, a flag missing its
+//! value, `--budget` with a table that has no budget gate — prints the usage
+//! to stderr and exits with status 2 before any table runs, so a typo in a
+//! CI step cannot pass green.
 
 use std::time::Duration;
 
@@ -103,6 +109,35 @@ fn write_snapshot(file_name: &str, contents: &str) {
     println!("wrote {}", path.display());
 }
 
+/// Every selection the binary knows.
+const TABLES: [&str; 13] = [
+    "table1",
+    "table2",
+    "table3",
+    "scaling",
+    "ablation",
+    "explore",
+    "symbolic",
+    "synthesis",
+    "reorder",
+    "frontend",
+    "local",
+    "serve",
+    "all",
+];
+
+/// The selections `--budget` gates (each against its own budget file).
+const BUDGETED: [&str; 6] = ["symbolic", "synthesis", "reorder", "frontend", "local", "serve"];
+
+fn usage_error(message: &str) -> ! {
+    eprintln!("tables: {message}");
+    eprintln!(
+        "usage: tables [{}] [--timeout <seconds>] [--full] [--smoke] [--budget <file>] [--json]",
+        TABLES.join("|")
+    );
+    std::process::exit(2);
+}
+
 fn check_budget_or_exit(result: Result<String, String>) {
     match result {
         Ok(summary) => println!("{summary}"),
@@ -119,30 +154,46 @@ fn main() {
     let mut timeout = DEFAULT_TIMEOUT;
     let mut full = epimc_bench::full_grids_requested();
     let mut smoke = false;
-    let mut budget_path: Option<String> = None;
+    let mut budget: Option<String> = None;
     let mut json = false;
 
-    let mut iter = args.iter().peekable();
+    let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--timeout" => {
                 let seconds: u64 = iter
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .expect("--timeout requires a number of seconds");
+                    .unwrap_or_else(|| usage_error("--timeout requires a number of seconds"));
                 timeout = Duration::from_secs(seconds);
             }
             "--full" => full = true,
             "--smoke" => smoke = true,
             "--budget" => {
-                budget_path = Some(iter.next().expect("--budget requires a file path").to_string());
+                let path = iter
+                    .next()
+                    .filter(|v| !v.starts_with("--"))
+                    .unwrap_or_else(|| usage_error("--budget requires a file path"));
+                budget = Some(std::fs::read_to_string(path).unwrap_or_else(|e| {
+                    usage_error(&format!("cannot read budget file {path}: {e}"))
+                }));
             }
             "--json" => json = true,
-            other => which.push(other.to_string()),
+            flag if flag.starts_with("--") => usage_error(&format!("unknown flag `{flag}`")),
+            table if TABLES.contains(&table) => which.push(table.to_string()),
+            other => usage_error(&format!("unknown table `{other}`")),
         }
     }
     if which.is_empty() {
         which.push("all".to_string());
+    }
+    if budget.is_some() {
+        if let Some(ungated) = which.iter().find(|table| !BUDGETED.contains(&table.as_str())) {
+            usage_error(&format!(
+                "--budget gates one of {}; `{ungated}` checks no budget",
+                BUDGETED.join(", ")
+            ));
+        }
     }
 
     for selection in which {
@@ -162,10 +213,8 @@ fn main() {
                         &symbolic_rows_json(&rows, grid_label(full, smoke)),
                     );
                 }
-                if let Some(path) = &budget_path {
-                    let budget = std::fs::read_to_string(path)
-                        .unwrap_or_else(|e| panic!("cannot read budget file {path}: {e}"));
-                    check_budget_or_exit(check_symbolic_budget(&rows, &budget));
+                if let Some(budget) = &budget {
+                    check_budget_or_exit(check_symbolic_budget(&rows, budget));
                 }
             }
             "reorder" => {
@@ -177,10 +226,8 @@ fn main() {
                         &reorder_rows_json(&rows, grid_label(full, smoke)),
                     );
                 }
-                if let Some(path) = &budget_path {
-                    let budget = std::fs::read_to_string(path)
-                        .unwrap_or_else(|e| panic!("cannot read budget file {path}: {e}"));
-                    check_budget_or_exit(check_reorder_budget(&rows, &budget));
+                if let Some(budget) = &budget {
+                    check_budget_or_exit(check_reorder_budget(&rows, budget));
                 }
             }
             "synthesis" => {
@@ -197,10 +244,8 @@ fn main() {
                         &synthesis_rows_json(&rows, grid_label(full, smoke)),
                     );
                 }
-                if let Some(path) = &budget_path {
-                    let budget = std::fs::read_to_string(path)
-                        .unwrap_or_else(|e| panic!("cannot read budget file {path}: {e}"));
-                    check_budget_or_exit(check_synthesis_budget(&rows, &budget));
+                if let Some(budget) = &budget {
+                    check_budget_or_exit(check_synthesis_budget(&rows, budget));
                 }
             }
             "frontend" => {
@@ -212,10 +257,8 @@ fn main() {
                         &frontend_rows_json(&rows, grid_label(full, smoke)),
                     );
                 }
-                if let Some(path) = &budget_path {
-                    let budget = std::fs::read_to_string(path)
-                        .unwrap_or_else(|e| panic!("cannot read budget file {path}: {e}"));
-                    check_budget_or_exit(check_frontend_budget(&rows, &budget));
+                if let Some(budget) = &budget {
+                    check_budget_or_exit(check_frontend_budget(&rows, budget));
                 }
             }
             "local" => {
@@ -232,10 +275,8 @@ fn main() {
                         &local_rows_json(&rows, grid_label(full, smoke)),
                     );
                 }
-                if let Some(path) = &budget_path {
-                    let budget = std::fs::read_to_string(path)
-                        .unwrap_or_else(|e| panic!("cannot read budget file {path}: {e}"));
-                    check_budget_or_exit(check_local_budget(&rows, &budget));
+                if let Some(budget) = &budget {
+                    check_budget_or_exit(check_local_budget(&rows, budget));
                 }
             }
             "serve" => {
@@ -247,10 +288,8 @@ fn main() {
                         &serve_rows_json(&rows, grid_label(full, smoke)),
                     );
                 }
-                if let Some(path) = &budget_path {
-                    let budget = std::fs::read_to_string(path)
-                        .unwrap_or_else(|e| panic!("cannot read budget file {path}: {e}"));
-                    check_budget_or_exit(check_serve_budget(&rows, &budget));
+                if let Some(budget) = &budget {
+                    check_budget_or_exit(check_serve_budget(&rows, budget));
                 }
             }
             "all" => {
@@ -301,7 +340,7 @@ fn main() {
                     write_snapshot("BENCH_serve.json", &serve_rows_json(&serve, grid));
                 }
             }
-            other => eprintln!("unknown table `{other}` (expected table1, table2, table3, scaling, ablation, explore, symbolic, synthesis, reorder, frontend, local, serve, or all)"),
+            other => unreachable!("selection `{other}` was validated against TABLES"),
         }
         println!();
     }

@@ -317,8 +317,7 @@ fn eba_symbolic_row(exchange: EbaExchangeKind, n: usize, t: usize) -> SymbolicRo
 /// `smoke` restricts the run to the single small instance exercised by CI
 /// (`floodset-n4-t1`). The default grid spans every protocol family and
 /// ends with FloodSet `n = 8, t = 3` — a ~400k-state instance that the
-/// pre-GC engine could not complete — checked without the temporal battery
-/// (its layers are too wide for relation construction to be informative).
+/// pre-GC engine could not complete — checked without the temporal battery.
 pub fn symbolic_rows(full: bool, smoke: bool) -> Vec<SymbolicRow> {
     if smoke {
         return vec![sba_symbolic_row(SbaExchangeKind::FloodSet, 4, 1, true)];
@@ -378,8 +377,9 @@ pub fn render_symbolic_table(rows: &[SymbolicRow]) -> String {
         &cells,
     );
     out.push_str(
-        "CB = SBA knowledge condition (B_0 CB exists0); AG = bounded temporal formula over the\n\
-         partitioned transition relation ('-' where the relation battery is skipped).\n",
+        "'build' is the relational model construction, the checks are holds_everywhere verdicts.\n\
+         CB = SBA knowledge condition (B_0 CB exists0); AG = bounded temporal formula by\n\
+         pre-image ('-' where the temporal battery is skipped).\n",
     );
     out
 }
@@ -605,7 +605,7 @@ pub struct ReorderRow {
     pub id: String,
     /// Profile under the static interleaved order.
     pub static_order: SymbolicProfile,
-    /// Profile with one group-sifting pass right after the encoding.
+    /// Profile with one group-sifting pass right after the build.
     pub sift_once: SymbolicProfile,
     /// Profile with the automatic live-node-growth trigger.
     pub auto: SymbolicProfile,
@@ -809,18 +809,13 @@ pub fn check_reorder_budget(rows: &[ReorderRow], budget_text: &str) -> Result<St
     check_peak_budget(&measured, budget_text)
 }
 
-/// One row of the front-end ablation: the same instance's layered symbolic
-/// model built twice — by the explicit front-end (state-space exploration
-/// plus per-point encoding, `O(states)` before any checking happens) and by
-/// the relational front-end (forward image over the partitioned round
-/// relation, no state ever enumerated).
+/// One row of the front-end table: an instance's layered symbolic model
+/// built relationally (forward image over the partitioned round relation,
+/// no state ever enumerated) and, on verified rows, compared layer by layer
+/// with an exploration of the same instance.
 pub struct FrontendRow {
     /// Stable identifier (the key used by the node-budget file).
     pub id: String,
-    /// Wall clock of the explicit build (exploration + encoding).
-    pub explicit_build: Duration,
-    /// Peak live nodes of the explicit build's manager.
-    pub explicit_peak: usize,
     /// Wall clock of the relational build.
     pub relational_build: Duration,
     /// Peak live nodes of the relational build's manager.
@@ -834,9 +829,10 @@ pub struct FrontendRow {
     pub image_cache_hits: u64,
     /// Image-operation cache misses attributed to those applications.
     pub image_cache_misses: u64,
-    /// Whether the per-layer differential (both builds' state counts equal)
-    /// was executed; skipped on instances where the satcount would not fit
-    /// the check budget.
+    /// Whether the layers were verified against the explorer: every
+    /// explored point relationally reachable, and each layer's state count
+    /// equal to the number of distinct states among its explored points.
+    /// Skipped where the exploration itself is out of reach.
     pub verified: bool,
 }
 
@@ -845,11 +841,41 @@ impl FrontendRow {
     pub fn total_states(&self) -> u128 {
         self.layer_states.iter().sum()
     }
+}
 
-    /// Build-time speedup of the relational front-end over the explicit one.
-    pub fn speedup(&self) -> f64 {
-        self.explicit_build.as_secs_f64() / self.relational_build.as_secs_f64().max(1e-9)
-    }
+/// Per layer, the number of distinct *states* among the explored points of
+/// `model`. A point is keyed by what a state consists of under the clock
+/// semantics — per agent its observation, nonfaulty flag, initial
+/// preference and decision value — because the explorer can keep points
+/// that differ only in adversary bookkeeping (EMin under omissions does).
+fn distinct_layer_states<E, R>(model: &ConsensusModel<E, R>) -> Vec<u128>
+where
+    E: InformationExchange,
+    R: DecisionRule<E>,
+{
+    (0..model.num_layers() as Round)
+        .map(|time| {
+            let states: std::collections::HashSet<Vec<u32>> = (0..model.layer_size(time))
+                .map(|index| {
+                    let point = PointId::new(time, index);
+                    let state = model.state(point);
+                    let nonfaulty = state.nonfaulty();
+                    AgentId::all(model.num_agents())
+                        .flat_map(|agent| {
+                            let decision =
+                                state.decision(agent).map_or(0, |d| d.value.index() as u32 + 1);
+                            model.observation(agent, point).values().iter().copied().chain([
+                                u32::from(nonfaulty.contains(agent)),
+                                state.init(agent).index() as u32,
+                                decision,
+                            ])
+                        })
+                        .collect()
+                })
+                .collect();
+            states.len() as u128
+        })
+        .collect()
 }
 
 fn frontend_row<E, R>(
@@ -876,24 +902,21 @@ where
     let layer_states: Vec<u128> =
         (0..relational.num_layers() as Round).map(|t| relational.layer_state_count(t)).collect();
 
-    let start = Instant::now();
-    let model = ConsensusModel::explore(exchange, params, rule);
-    let explicit = SymbolicChecker::new(&model);
-    let explicit_build = start.elapsed();
-    let explicit_stats = explicit.stats();
     if verify {
-        for time in 0..model.num_layers() as Round {
-            assert_eq!(
-                explicit.layer_state_count(time),
-                relational.layer_state_count(time),
-                "front-ends disagree on layer {time} of {id}"
-            );
-        }
+        let model = ConsensusModel::explore(exchange, params, rule);
+        assert_eq!(
+            relational.check_points(&model, &Formula::True),
+            PointSet::full(&model),
+            "{id}: an explored point is not relationally reachable"
+        );
+        assert_eq!(
+            layer_states,
+            distinct_layer_states(&model),
+            "{id}: the relational layers hold states the explorer never reached"
+        );
     }
     FrontendRow {
         id,
-        explicit_build,
-        explicit_peak: explicit_stats.peak_live_nodes,
         relational_build,
         relational_peak: relational_stats.peak_live_nodes,
         layer_states,
@@ -948,11 +971,11 @@ fn eba_frontend_row(exchange: EbaExchangeKind, n: usize, t: usize) -> FrontendRo
     }
 }
 
-/// Measures the front-end ablation grid: explicit versus relational model
-/// construction across the six protocol families. Small instances run the
-/// per-layer differential; the large FloodSet cells — where the explicit
-/// front-end's `O(states)` work dominates the wall clock — are the headline
-/// comparison. `smoke` restricts the run to the single CI instance.
+/// Measures the front-end grid: relational model construction across the
+/// six protocol families, every row verified against the explorer except
+/// FloodSet `n = 12` (22M states), which is out of the explorer's reach —
+/// the sizes the relational build exists for. `smoke` restricts the run to
+/// the single CI instance.
 pub fn frontend_rows(full: bool, smoke: bool) -> Vec<FrontendRow> {
     if smoke {
         return vec![sba_frontend_row(SbaExchangeKind::FloodSet, 4, 1, true)];
@@ -964,10 +987,10 @@ pub fn frontend_rows(full: bool, smoke: bool) -> Vec<FrontendRow> {
         eba_frontend_row(EbaExchangeKind::EMin, 3, 1),
         eba_frontend_row(EbaExchangeKind::EBasic, 2, 1),
         sba_frontend_row(SbaExchangeKind::FloodSet, 6, 2, true),
-        sba_frontend_row(SbaExchangeKind::FloodSet, 8, 3, false),
+        sba_frontend_row(SbaExchangeKind::FloodSet, 8, 3, true),
     ];
     if full {
-        rows.push(sba_frontend_row(SbaExchangeKind::FloodSet, 10, 3, false));
+        rows.push(sba_frontend_row(SbaExchangeKind::FloodSet, 10, 3, true));
         rows.push(sba_frontend_row(SbaExchangeKind::FloodSet, 12, 3, false));
     }
     rows
@@ -989,10 +1012,7 @@ pub fn render_frontend_table(rows: &[FrontendRow]) -> String {
                 key: vec![format!("{:<20}", row.id)],
                 entries: vec![
                     row.total_states().to_string(),
-                    format_mck_duration(row.explicit_build),
                     format_mck_duration(row.relational_build),
-                    format!("{:.1}x", row.speedup()),
-                    row.explicit_peak.to_string(),
                     row.relational_peak.to_string(),
                     row.relational_product_calls.to_string(),
                     hit_rate,
@@ -1002,14 +1022,11 @@ pub fn render_frontend_table(rows: &[FrontendRow]) -> String {
         })
         .collect();
     let mut out = render_table(
-        "Front-end: explicit enumeration versus relational forward image (model build)",
+        "Front-end: relational forward image (model build), verified against the explorer",
         &["instance            "],
         &[
             "states",
-            "explicit build",
             "relational build",
-            "speedup",
-            "explicit peak",
             "relational peak",
             "rel products",
             "img hit-rate",
@@ -1018,10 +1035,10 @@ pub fn render_frontend_table(rows: &[FrontendRow]) -> String {
         &cells,
     );
     out.push_str(
-        "'explicit build' explores the state space and encodes every point; 'relational build'\n\
-         computes the same layers as forward images of the round relation (never enumerating a\n\
-         state). 'verified' marks rows whose per-layer state counts were checked equal across\n\
-         the two builds; 'rel products' counts fused relational-product applications.\n",
+        "'relational build' computes the layers as forward images of the round relation (never\n\
+         enumerating a state). 'verified' marks rows checked against an exploration of the same\n\
+         instance: every explored point reachable, and per layer as many states as the explored\n\
+         points have distinct states; 'rel products' counts fused relational-product applications.\n",
     );
     out
 }
@@ -1035,8 +1052,8 @@ pub fn check_frontend_budget(rows: &[FrontendRow], budget_text: &str) -> Result<
     check_peak_budget(&measured, budget_text)
 }
 
-/// Machine-readable rendering of the front-end ablation (for
-/// `BENCH_frontend.json`): per-cell build wall-clocks, peak live nodes,
+/// Machine-readable rendering of the front-end table (for
+/// `BENCH_frontend.json`): per-cell build wall-clock, peak live nodes,
 /// relational-product and image-cache counters, and the per-layer state
 /// counts.
 pub fn frontend_rows_json(rows: &[FrontendRow], grid: &str) -> String {
@@ -1053,10 +1070,7 @@ pub fn frontend_rows_json(rows: &[FrontendRow], grid: &str) -> String {
                 ("id", json_string(&row.id)),
                 ("total_states", row.total_states().to_string()),
                 ("layer_states", format!("[{layers}]")),
-                ("explicit_build_s", json_seconds(row.explicit_build)),
                 ("relational_build_s", json_seconds(row.relational_build)),
-                ("speedup", format!("{:.4}", row.speedup())),
-                ("explicit_peak_live_nodes", row.explicit_peak.to_string()),
                 ("relational_peak_live_nodes", row.relational_peak.to_string()),
                 ("relational_product_calls", row.relational_product_calls.to_string()),
                 ("image_cache_hits", row.image_cache_hits.to_string()),
@@ -1626,7 +1640,9 @@ pub fn reorder_rows_json(rows: &[ReorderRow], grid: &str) -> String {
 }
 
 /// The engine ablation: explicit-state versus symbolic (BDD) evaluation of
-/// the SBA knowledge condition on the same models.
+/// the SBA knowledge condition on the same instances (the symbolic time
+/// includes its relational model build, the explicit one not its
+/// exploration).
 pub fn ablation_table(full: bool) -> String {
     use std::time::Instant;
     let max_n = if full { 5 } else { 4 };
@@ -1642,21 +1658,29 @@ pub fn ablation_table(full: bool) -> String {
         let condition = epimc::optimality::sba_knowledge_condition(AgentId::new(0), n, 2);
 
         let start = Instant::now();
-        let explicit = Checker::new(&model).check(&condition);
+        let explicit = Checker::new(&model);
+        let explicit_verdict = explicit.holds_everywhere(&condition);
         let explicit_time = start.elapsed();
 
         let start = Instant::now();
-        let symbolic_checker = SymbolicChecker::new(&model);
-        let symbolic = symbolic_checker.check(&condition);
+        let symbolic_checker =
+            SymbolicChecker::relational(FloodSet, params, FloodSetRule, SymbolicOptions::default());
+        let symbolic_verdict = symbolic_checker.holds_everywhere(&condition);
         let symbolic_time = start.elapsed();
-        assert_eq!(explicit, symbolic, "engines must agree");
+        let symbolic_stats = symbolic_checker.stats();
+        assert_eq!(explicit_verdict, symbolic_verdict, "engines must agree");
+        assert_eq!(
+            explicit.check(&condition),
+            symbolic_checker.check_points(&model, &condition),
+            "engines must agree point by point"
+        );
 
         cells.push(Cell {
             key: vec![n.to_string()],
             entries: vec![
                 format_mck_duration(explicit_time),
                 format_mck_duration(symbolic_time),
-                format!("{}", symbolic_checker.stats()),
+                format!("{symbolic_stats}"),
             ],
         });
     }
@@ -1898,8 +1922,6 @@ mod tests {
     fn frontend_ablation_row(id: &str, relational_peak: usize) -> FrontendRow {
         FrontendRow {
             id: id.to_string(),
-            explicit_build: Duration::from_millis(100),
-            explicit_peak: relational_peak * 2,
             relational_build: Duration::from_millis(20),
             relational_peak,
             layer_states: vec![2, 6, 14],
@@ -1925,22 +1947,22 @@ mod tests {
     fn frontend_row_surfaces_build_comparison_and_image_counters() {
         let row = frontend_ablation_row("floodset-n4-t1", 100);
         assert_eq!(row.total_states(), 22);
-        assert!((row.speedup() - 5.0).abs() < 1e-9);
         let json = frontend_rows_json(&[row], "test");
         assert!(json.contains("\"layer_states\": [2, 6, 14]"), "{json}");
         assert!(json.contains("\"relational_product_calls\": 12"), "{json}");
         assert!(json.contains("\"image_cache_hits\": 9"), "{json}");
         assert!(json.contains("\"image_cache_misses\": 3"), "{json}");
+        assert!(json.contains("\"verified\": true"), "{json}");
+        assert!(!json.contains("explicit"), "{json}");
         let table = frontend_ablation_row("floodset-n4-t1", 100);
         let rendered = render_frontend_table(&[table]);
-        assert!(rendered.contains("5.0x"), "{rendered}");
         assert!(rendered.contains("75.0%"), "{rendered}");
     }
 
     #[test]
     fn symbolic_json_surfaces_image_counters() {
         // The relational counters ride along in every symbolic profile
-        // snapshot (zero for explicit builds, nonzero for relational ones).
+        // snapshot.
         let mut measured = row("floodset-n4-t1", 10);
         measured.profile.stats.relational_product_calls = 7;
         measured.profile.stats.image_cache_hits = 4;

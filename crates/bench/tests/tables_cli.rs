@@ -1,0 +1,31 @@
+//! The `tables` binary's command line: a mistyped CI gate must fail, not
+//! print a complaint and exit 0 having checked nothing.
+
+use std::process::Command;
+
+#[test]
+fn mistyped_invocations_print_usage_and_exit_2_before_any_table_runs() {
+    let invocations: [&[&str]; 5] = [
+        &["symbolc", "--smoke", "--budget", "crates/bench/symbolic_budget.txt"],
+        &["symbolic", "--smok"],
+        &["symbolic", "--smoke", "--timeout"],
+        &["symbolic", "--smoke", "--budget"],
+        // `all` has no budget gate: a budget passed to it used to be ignored.
+        &[
+            "all",
+            "--smoke",
+            "--budget",
+            concat!(env!("CARGO_MANIFEST_DIR"), "/symbolic_budget.txt"),
+        ],
+    ];
+    for args in invocations {
+        let output = Command::new(env!("CARGO_BIN_EXE_tables"))
+            .args(args)
+            .output()
+            .expect("the tables binary runs");
+        assert_eq!(output.status.code(), Some(2), "`tables {}`", args.join(" "));
+        assert!(output.stdout.is_empty(), "`tables {}` ran a table", args.join(" "));
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("usage: tables"), "`tables {}`: {stderr}", args.join(" "));
+    }
+}

@@ -36,7 +36,7 @@
 //!   variables kept, so that a pre-image is one fused `and_exists` against
 //!   a small diagram instead of a product over unreachable states. `T_t`
 //!   is a per-round cache dropped by every collection and reorder, never a
-//!   root. See [`RelationMode`] and [`SymbolicOptions`]. Denotations are
+//!   root. See [`SymbolicOptions`]. Denotations are
 //!   **restricted to the reachable sets on demand**: atoms are few-node
 //!   state constraints and the boolean connectives combine them as such
 //!   (restriction to a layer commutes with every connective under the
@@ -48,25 +48,19 @@
 //!   canonical diagram; [`SymbolicStats::reach_restrictions`] counts the
 //!   layer-level conjunctions.
 //!
-//! [`SymbolicChecker`] accepts its layered model from **two front-ends**:
-//!
-//! * **explicit** ([`SymbolicChecker::new`] /
-//!   [`SymbolicChecker::with_options`]) — an explored `ConsensusModel` is
-//!   encoded point by point, `O(states)` work before any checking. This
-//!   front-end also carries the point-level APIs ([`Checker`]-compatible
-//!   [`PointSet`] results, `check`, per-point diagnostics) and remains the
-//!   differential oracle on small instances;
-//! * **relational** ([`SymbolicChecker::relational`] /
-//!   [`SymbolicChecker::relational_seed`] +
-//!   [`SymbolicChecker::extend_layer_relational`]) — the model is built
-//!   with no state ever enumerated, from a protocol's `SymbolicEncode`
-//!   contract (`epimc-relational`): layer 0 is the initial-state cube and
-//!   every further layer is the forward image of the previous one under
-//!   the round's partitioned transition relation, the adversary's
-//!   crash/delivery choices quantified away per image. Both front-ends
-//!   produce canonical BDDs of the same layer sets, so every operator
-//!   behaves identically; `check_points` evaluates formulas against an
-//!   explicit model's points for cross-validation.
+//! [`SymbolicChecker`] has **one model source**, the relational
+//! construction ([`SymbolicChecker::relational`] /
+//! [`SymbolicChecker::relational_seed`] +
+//! [`SymbolicChecker::extend_layer_relational`]): the model is built with
+//! no state ever enumerated, from a protocol's `SymbolicEncode` contract
+//! (`epimc-relational`). Layer 0 is the initial-state cube and every
+//! further layer is the forward image of the previous one under the
+//! round's partitioned transition relation, the adversary's crash/delivery
+//! choices quantified away per image. The explicit [`Checker`] over an
+//! explored `ConsensusModel` is the one point-level oracle, and
+//! [`SymbolicChecker::check_points`] the one read-off against it: it
+//! evaluates a formula and looks every explored point up in the
+//! denotation, giving a [`PointSet`] to compare.
 //!
 //! The manager underneath uses **complement edges**
 //! ([`SymbolicOptions::complement_edges`], on by default): negation is a
@@ -77,8 +71,8 @@
 //! handles are remapped (complement bit preserved) across gc and reorder,
 //! and everything in this crate roots its handles exactly as before. The
 //! `false` setting runs the classic two-terminal representation for
-//! differential testing; both configurations must produce bit-identical
-//! `PointSet`s.
+//! differential testing; both configurations must give the same verdicts
+//! and, read off through `check_points`, bit-identical `PointSet`s.
 //!
 //! # Memory discipline of the symbolic engine
 //!
@@ -99,14 +93,14 @@
 //! transition relations stay cheap under any learned order.
 //! The automatic trigger lives at the collection safe points — whatever is
 //! rooted for a sweep is rooted for a sift — and its threshold doubles
-//! past the surviving live nodes, exactly like the GC threshold. The
-//! salvage/resume hand-off carries the manager, and with it the **learned
-//! order and the trigger state, across synthesis rounds**.
+//! past the surviving live nodes, exactly like the GC threshold. A checker
+//! grows in place, so the manager — and with it the **learned order and
+//! the trigger state** — lives across all synthesis rounds.
 //!
 //! # Synthesis-facing API
 //!
 //! The symbolic synthesis engine (`epimc-synth`) drives its forward
-//! induction through four extensions of [`SymbolicChecker`]:
+//! induction through these extensions of [`SymbolicChecker`]:
 //!
 //! * [`EvalSession`] — a denotation cache for closed subformulas, so the
 //!   per-agent conditions of a knowledge-based-program branch share the
@@ -121,17 +115,17 @@
 //! * [`SymbolicChecker::set_rule_override`] — interprets `DecidesNow`
 //!   atoms symbolically against a partial decision table instead of the
 //!   model's rule;
-//! * [`SymbolicChecker::into_salvage`] / [`SymbolicChecker::resume`] — hand
-//!   the BDD manager (node store, caches, reachable sets, GC state) from
-//!   one checker to the next as the model grows a layer, so a whole
-//!   synthesis run lives in a single collected manager;
+//! * [`SymbolicChecker::extend_layer_relational`] — grows the model by one
+//!   layer under the partial rule fixed so far, in the same BDD manager
+//!   (node store, caches, reachable sets, GC state), so a whole synthesis
+//!   run lives in a single collected manager;
 //! * [`SymbolicChecker::snapshot`] / [`SymbolicChecker::restore_relational`]
-//!   — the same hand-off *across processes*: a versioned, checksummed byte
+//!   — a checker handed *across processes*: a versioned, checksummed byte
 //!   stream embedding the whole manager (see `epimc-bdd`'s snapshot module)
 //!   that restores to a checker answering bit-identically, used by
 //!   `epimc-serve` to persist warm model state.
 //!
-//! Both engines implement the same semantics; `tests/engine_agreement.rs`
+//! All engines implement the same semantics; `tests/engine_agreement.rs`
 //! checks them against each other on randomly generated formulas, and the
 //! benchmark crate compares their scaling (the `symbolic` and `synthesis`
 //! ablations of the reproduction).
@@ -148,7 +142,6 @@ pub use explicit::Checker;
 pub use local::{CheckBackend, LocalChecker, LocalStats};
 pub use pointset::PointSet;
 pub use symbolic::{
-    BudgetAbort, EvalSession, ObservationValues, RelationMode, ReorderMode, SymbolicChecker,
-    SymbolicOptions, SymbolicSalvage, SymbolicStats, CHECKER_SNAPSHOT_VERSION,
-    DEFAULT_REORDER_THRESHOLD,
+    BudgetAbort, EvalSession, ObservationValues, ReorderMode, SymbolicChecker, SymbolicOptions,
+    SymbolicStats, CHECKER_SNAPSHOT_VERSION, DEFAULT_REORDER_THRESHOLD,
 };

@@ -1,6 +1,6 @@
 //! The **local** (on-the-fly) engine: [`LocalChecker`] compiles a formula
 //! into an `epimc-local` fixpoint equation system and solves it against
-//! the relational front-end, materialising only the layers the query
+//! the relational model, materialising only the layers the query
 //! actually depends on.
 //!
 //! The checker owns a [`SymbolicChecker`] built from
@@ -75,22 +75,20 @@ type VerdictEntry = (Formula<ConsensusAtom>, Option<usize>, bool);
 
 /// The local (on-the-fly) engine: a lazily grown relational model plus
 /// the `epimc-local` equation-system solver. See the module docs.
-pub struct LocalChecker<E: SymbolicEncode + 'static, R: SymbolicRule<E> + 'static> {
-    checker: SymbolicChecker<'static, E, R>,
+pub struct LocalChecker<E: SymbolicEncode, R: SymbolicRule<E>> {
+    checker: SymbolicChecker<E, R>,
     verdicts: RefCell<HashMap<u64, Vec<VerdictEntry>>>,
     stats: Cell<LocalStats>,
 }
 
-impl<E: SymbolicEncode + 'static, R: SymbolicRule<E> + 'static> LocalChecker<E, R> {
+impl<E: SymbolicEncode, R: SymbolicRule<E>> LocalChecker<E, R> {
     /// Builds a local checker with layer 0 materialised and default
     /// symbolic options.
     pub fn new(exchange: E, params: ModelParams, rule: R) -> Self {
         Self::with_options(exchange, params, rule, SymbolicOptions::default())
     }
 
-    /// Builds a local checker with explicit symbolic options (the
-    /// relation mode must be partitioned, as for the relational
-    /// front-end).
+    /// Builds a local checker with explicit symbolic options.
     pub fn with_options(
         exchange: E,
         params: ModelParams,
@@ -321,16 +319,16 @@ impl<E: SymbolicEncode + 'static, R: SymbolicRule<E> + 'static> LocalChecker<E, 
 }
 
 /// `epimc_local::LocalOracle` over the per-layer seams of a
-/// relational-source [`SymbolicChecker`]: slots are entries of one rooted
-/// arena denotation, `ensure_layer` is the relational layer extension.
-struct SeamOracle<'c, E: SymbolicEncode + 'static, R: SymbolicRule<E> + 'static> {
-    checker: &'c SymbolicChecker<'static, E, R>,
+/// [`SymbolicChecker`]: slots are entries of one rooted arena denotation,
+/// `ensure_layer` is the relational layer extension.
+struct SeamOracle<'c, E: SymbolicEncode, R: SymbolicRule<E>> {
+    checker: &'c SymbolicChecker<E, R>,
     store: usize,
     horizon: usize,
 }
 
-impl<'c, E: SymbolicEncode + 'static, R: SymbolicRule<E> + 'static>
-    epimc_local::LocalOracle<ConsensusAtom> for SeamOracle<'c, E, R>
+impl<'c, E: SymbolicEncode, R: SymbolicRule<E>> epimc_local::LocalOracle<ConsensusAtom>
+    for SeamOracle<'c, E, R>
 {
     fn horizon(&self) -> usize {
         self.horizon
@@ -454,7 +452,7 @@ where
     }
 }
 
-impl<'m, E, R> CheckBackend<E, R> for SymbolicChecker<'m, E, R>
+impl<E, R> CheckBackend<E, R> for SymbolicChecker<E, R>
 where
     E: SymbolicEncode,
     R: SymbolicRule<E>,
@@ -478,8 +476,8 @@ where
 
 impl<E, R> CheckBackend<E, R> for LocalChecker<E, R>
 where
-    E: SymbolicEncode + 'static,
-    R: SymbolicRule<E> + 'static,
+    E: SymbolicEncode,
+    R: SymbolicRule<E>,
 {
     fn backend_name(&self) -> &'static str {
         "local"

@@ -29,16 +29,16 @@
 //!   On top of that static seed, the engine can **reorder dynamically**
 //!   ([`SymbolicOptions::reorder`]): group sifting moves each
 //!   current/primed pair as a block (so relations and the renaming between
-//!   the two copies stay cheap), either once after the encoding is built or
+//!   the two copies stay cheap), either once after the model is built or
 //!   automatically
 //!   whenever the post-collection live-node count crosses a doubling
-//!   threshold — and because one BDD manager survives
-//!   [`SymbolicChecker::into_salvage`] / [`SymbolicChecker::resume`], the
-//!   learned order carries across synthesis rounds instead of being re-paid
-//!   each round.
-//! * **Variable-encoded atoms, restricted on demand.** Every atom except
-//!   `DecidesNow` is built directly as a constraint over the encoded state
-//!   variables instead of scanning the explicit state list, and stays that
+//!   threshold — and because a checker grows in place
+//!   ([`SymbolicChecker::extend_layer_relational`]), the one BDD manager
+//!   and its learned order carry across synthesis rounds instead of being
+//!   re-paid each round.
+//! * **Variable-encoded atoms, restricted on demand.** Every atom is a
+//!   constraint over the encoded state variables (`DecidesNow` is the
+//!   guarded condition its round was built under) and stays that
 //!   few-node constraint through the boolean connectives: restriction to a
 //!   layer's reachable set commutes with them under the clock semantics,
 //!   so it is applied once per layer where a consumer needs it — an entry
@@ -59,9 +59,7 @@
 //!   `T_t` is built on first use and held in a per-round cache that every
 //!   collection and reorder empties, like the kernel's operation caches;
 //!   it is never rooted and never serialised (see the section comment
-//!   above `ensure_relation_machinery` for the measurements behind that).
-//!   A [`RelationMode::Monolithic`] mode (conjoining all partitions up
-//!   front) exists for differential testing.
+//!   above `reachable_relation` for the measurements behind that).
 //! * **Garbage collection.** All long-lived BDD handles (reachable sets,
 //!   hidden-variable cubes, relation partitions) and every in-flight
 //!   formula denotation live in a rooted arena, so the manager's
@@ -69,14 +67,18 @@
 //!   operations — including in the middle of fixpoint iterations — without
 //!   invalidating live work. Collections trigger automatically past a
 //!   live-node threshold (see [`SymbolicOptions::gc_threshold`]).
-//! * **Incremental growth and layer focus.** A checker can be dismantled
-//!   into its model-independent state ([`SymbolicChecker::into_salvage`])
-//!   and resumed over a model that has since gained layers
-//!   ([`SymbolicChecker::resume`]) — only the new layers are encoded. For
-//!   temporal-free formulas, [`SymbolicChecker::observation_values`]
-//!   focuses evaluation on the single queried layer (knowledge and common
-//!   belief are layer-local under the clock semantics). Together these
-//!   drive the symbolic synthesis engine's forward induction.
+//! * **Growth in place and layer focus.** The model is never enumerated:
+//!   layer 0 is the initial-state cube of the protocol's [`SymbolicEncode`]
+//!   contract and [`SymbolicChecker::extend_layer_relational`] appends each
+//!   further layer as the forward image of the frontier, under whatever
+//!   rule the caller passes. For temporal-free formulas,
+//!   [`SymbolicChecker::observation_values`] focuses evaluation on the
+//!   single queried layer (knowledge and common belief are layer-local
+//!   under the clock semantics). Together these drive the symbolic
+//!   synthesis engine's forward induction.
+//!
+//! The point-level reference is the explicit [`Checker`]; the one read-off
+//! against it is [`SymbolicChecker::check_points`].
 //!
 //! [`Checker`]: crate::Checker
 
@@ -84,13 +86,11 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
 
-use epimc_bdd::{
-    catch_budget, interleaved_slot, Bdd, BddError, Budget, Ref, ReorderPolicy, SubstId, Var,
-};
+use epimc_bdd::{catch_budget, Bdd, BddError, Budget, Ref, ReorderPolicy, SubstId, Var};
 use epimc_logic::{AgentId, Formula, TemporalKind};
 use epimc_relational::{
-    decides_now_table, initial_cube, round_relation, ChoiceVars, SlotLayout, SymbolicEncode,
-    SymbolicRule,
+    cur, decides_now_table, encode_state, initial_cube, nxt, round_relation, ChoiceVars,
+    SlotLayout, SymbolicEncode, SymbolicRule,
 };
 use epimc_system::{
     Action, ConsensusAtom, ConsensusModel, DecisionRule, FailureKind, InformationExchange,
@@ -99,22 +99,6 @@ use epimc_system::{
 
 use crate::pointset::PointSet;
 
-/// How the symbolic engine holds the transition relation of each round.
-/// Both modes feed the same pre-image (one `and_exists` against the round's
-/// reachable relation `T_t`); they differ only in how many conjuncts `T_t`
-/// is built from.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RelationMode {
-    /// One conjunct per agent, composed by early quantification with the
-    /// fused `and_exists` — the scalable default, and the only mode of the
-    /// relational front-end.
-    #[default]
-    Partitioned,
-    /// All per-agent conjuncts of an explicit model multiplied into a
-    /// single relation BDD per round. Kept for differential testing.
-    Monolithic,
-}
-
 /// When (if ever) the symbolic engine reorders the BDD variables by group
 /// sifting (see [`epimc_bdd::Bdd::reorder`]). Current/primed variable pairs
 /// always move as blocks, so relations stay cheap under any learned order.
@@ -122,8 +106,8 @@ pub enum RelationMode {
 pub enum ReorderMode {
     /// Keep the static agent-interleaved order.
     Static,
-    /// Group-sift once, right after the initial encoding is built, and keep
-    /// the learned order from then on.
+    /// Group-sift once, right after [`SymbolicChecker::relational`] has built
+    /// every layer, and keep the learned order from then on.
     SiftOnce,
     /// Group-sift whenever the live-node count *after a collection* still
     /// exceeds `threshold`; each reorder raises the effective threshold to
@@ -145,12 +129,6 @@ pub const DEFAULT_REORDER_THRESHOLD: usize = 1 << 16;
 /// Tuning knobs of the symbolic engine.
 #[derive(Clone, Copy, Debug)]
 pub struct SymbolicOptions {
-    /// Transition-relation representation of an explicit-source checker
-    /// (the relational front-end is always partitioned). It selects what
-    /// the per-round reachable relation `T_t` is conjoined from, not how
-    /// the pre-image runs: every source and mode answers `EX`/`AX` with one
-    /// `and_exists` against `T_t`, a cache entry that collections drop.
-    pub relation_mode: RelationMode,
     /// Capacity of the manager's `ite` cache (the other operation caches
     /// are sized relative to it); see [`epimc_bdd::Bdd::with_cache_capacity`].
     pub cache_capacity: usize,
@@ -172,8 +150,8 @@ pub struct SymbolicOptions {
     /// Optional resource budget installed on the manager (wall-clock
     /// deadline, live-node ceiling, operation fuel). A trip unwinds a
     /// typed [`epimc_bdd::BddError`]; use the `try_*` checker entry
-    /// points ([`SymbolicChecker::try_check`] and friends) to receive it
-    /// as a structured [`BudgetAbort`] instead. `None` (the default)
+    /// points ([`SymbolicChecker::try_holds_everywhere`] and friends) to
+    /// receive it as a structured [`BudgetAbort`] instead. `None` (the default)
     /// means unlimited.
     pub budget: Option<Budget>,
 }
@@ -181,7 +159,6 @@ pub struct SymbolicOptions {
 impl Default for SymbolicOptions {
     fn default() -> Self {
         SymbolicOptions {
-            relation_mode: RelationMode::Partitioned,
             cache_capacity: epimc_bdd::DEFAULT_CACHE_CAPACITY,
             // Peak store size is bounded by this threshold plus one
             // epoch's garbage. The cache-conscious node store makes a
@@ -201,8 +178,7 @@ impl Default for SymbolicOptions {
 }
 
 /// A budget trip translated into a structured error by the fallible
-/// checker entry points ([`SymbolicChecker::try_check`],
-/// [`SymbolicChecker::try_holds_everywhere`],
+/// checker entry points ([`SymbolicChecker::try_holds_everywhere`],
 /// [`SymbolicChecker::try_holds_everywhere_in_session`]). The checker's
 /// manager is structurally valid afterwards: every denotation the aborted
 /// evaluation was building has been released, session caches keep only
@@ -214,7 +190,7 @@ pub struct BudgetAbort {
     /// nodes at the trip point).
     pub error: BddError,
     /// Model layers fully built when the abort happened (partial-progress
-    /// stat; relevant for relational checkers grown layer by layer).
+    /// stat; relevant for checkers grown layer by layer).
     pub layers_built: usize,
     /// Live nodes after releasing the aborted evaluation's denotations.
     pub live_nodes: usize,
@@ -238,8 +214,7 @@ pub struct SymbolicStats {
     /// Number of boolean state variables in the encoding (current-state).
     pub num_state_vars: usize,
     /// Number of additional variables for the transition relation (primed
-    /// copies plus adversary-choice bits); `0` until a temporal operator
-    /// forces the relation machinery into existence.
+    /// copies plus adversary-choice bits).
     pub num_relation_vars: usize,
     /// Total BDD nodes ever allocated by the manager (swept nodes included).
     pub allocated_nodes: usize,
@@ -264,8 +239,8 @@ pub struct SymbolicStats {
     /// Total adjacent-level swaps performed by reordering.
     pub reorder_swaps: u64,
     /// Number of fused image steps ([`epimc_bdd::Bdd::relational_product`])
-    /// performed: one per partition folded into a **forward** image by the
-    /// relational front-end. Pre-images and reachable-relation builds go
+    /// performed: one per partition folded into a **forward** image.
+    /// Pre-images and reachable-relation builds go
     /// through plain [`epimc_bdd::Bdd::and_exists`] and are not counted
     /// here — see `preimage_calls` and `reachable_relations_built`.
     pub relational_product_calls: u64,
@@ -330,31 +305,6 @@ impl fmt::Display for SymbolicStats {
             self.reach_restrictions
         )
     }
-}
-
-/// Per-agent slices of the boolean state-variable vector, as *slot*
-/// indices. Slot `s` owns the variable pair `(Var(2s), Var(2s + 1))`:
-/// current-state and primed (next-state) copies, interleaved.
-struct AgentVars {
-    /// Bits of the observable variables (grouped per observable, low bit first).
-    obs_bits: Vec<Vec<usize>>,
-    /// The nonfaulty flag.
-    nonfaulty: usize,
-    /// Bits of the initial preference.
-    init_bits: Vec<usize>,
-    /// Decided flag and decision-value bits.
-    decided: usize,
-    decision_bits: Vec<usize>,
-    /// Every slot belonging to this agent, ascending.
-    all_slots: Vec<usize>,
-}
-
-fn cur(slot: usize) -> Var {
-    Var::new(2 * slot as u32)
-}
-
-fn nxt(slot: usize) -> Var {
-    Var::new(2 * slot as u32 + 1)
 }
 
 /// A handle to a formula denotation (one `Ref` per layer) held in the
@@ -438,19 +388,15 @@ struct Inner {
     /// For each agent, the cube of current-state variables it does *not*
     /// observe.
     hidden_cubes: Vec<Ref>,
-    mode: RelationMode,
-    /// Relation machinery, present once a temporal operator has run (or
-    /// from construction, for a relational-source checker).
-    cur_to_nxt: Option<SubstId>,
-    /// The reverse substitution, registered only by the relational
-    /// front-end (forward images land on primed variables and are renamed
-    /// back).
-    nxt_to_cur: Option<SubstId>,
-    /// Per agent: the cube of its primed variables (plus — relational
-    /// front-end — the delivery-choice variables targeting it). Nothing
-    /// quantifies over these any more; the relational front-end still
-    /// builds and roots them because version 1 checker snapshots carry
-    /// them in their root list.
+    /// Renames a pre-image's target onto the primed variables.
+    cur_to_nxt: SubstId,
+    /// The reverse substitution: forward images land on primed variables
+    /// and are renamed back.
+    nxt_to_cur: SubstId,
+    /// Per agent: the cube of its primed variables plus the
+    /// delivery-choice variables targeting it. Nothing quantifies over
+    /// these any more; they are still built and rooted because version 1
+    /// checker snapshots carry them in their root list.
     primed_cubes: Vec<Ref>,
     /// The cube of the adversary-choice variables. Like `primed_cubes`,
     /// kept for the snapshot's root list only.
@@ -459,17 +405,15 @@ struct Inner {
     /// pre-image quantifies out of `T_t ∧ S'` (neither conjunct mentions a
     /// choice variable, so those are skipped for free).
     all_quant_cube: Ref,
-    /// Minterm of each successor index over the choice variables.
-    choice_minterms: Vec<Ref>,
-    /// Per round `t`: the relation partitions (one per agent, or a single
-    /// conjoined BDD in monolithic mode), built lazily.
-    relations: Vec<Option<Vec<Ref>>>,
+    /// Per round `t`: the relation partitions, one per agent, built with
+    /// the layer the round leads to.
+    relations: Vec<Vec<Ref>>,
     /// Per round `t`: the sorted variable-index support of each relation
     /// partition, computed once when the partitions are built and used by
     /// [`Inner::round_schedule`] to order the conjunctions by support
     /// overlap. Variable *identities* are stable under gc and reorder, so
     /// these need no rooting and never go stale.
-    relation_supports: Vec<Option<Vec<Vec<u32>>>>,
+    relation_supports: Vec<Vec<Vec<u32>>>,
     /// Per round `t`: the reachable relation `T_t` the pre-image goes
     /// through (see [`SymbolicChecker::reachable_relation`]). A **cache**,
     /// not a root: the handles are unrooted, so [`Inner::collect`] and
@@ -488,12 +432,11 @@ struct Inner {
     /// Layer-level restrictions to the reachable set performed for
     /// consumers (lifetime count; see [`SymbolicStats::reach_restrictions`]).
     reach_restrictions: u64,
-    /// Relational front-end only — per layer, the guarded decides-now
-    /// conditions the layer's round was built under
-    /// (`dnow[layer][agent * num_values + v]`), so `DecidesNow` atoms need
-    /// no explicit predicate scan. The frontier layer's entry is built
-    /// lazily from the source rule on first query.
-    dnow: Vec<Option<Vec<Ref>>>,
+    /// Per layer, the guarded decides-now conditions the layer's round was
+    /// built under (`dnow[layer][agent * num_values + v]`), which is what
+    /// `DecidesNow` atoms denote. The frontier layer's entry comes from the
+    /// rule that built it, until the next extension replaces it.
+    dnow: Vec<Vec<Ref>>,
     gc_threshold: usize,
     gc_base_threshold: usize,
     /// Dynamic-reordering policy; the current auto threshold doubles after
@@ -514,7 +457,6 @@ macro_rules! inner_roots {
             primed_cubes,
             choice_cube,
             all_quant_cube,
-            choice_minterms,
             relations,
             dnow,
             ..
@@ -525,9 +467,8 @@ macro_rules! inner_roots {
             .chain(primed_cubes.iter_mut())
             .chain(std::iter::once(choice_cube))
             .chain(std::iter::once(all_quant_cube))
-            .chain(choice_minterms.iter_mut())
-            .chain(relations.iter_mut().flatten().flat_map(|p| p.iter_mut()))
-            .chain(dnow.iter_mut().flatten().flat_map(|d| d.iter_mut()))
+            .chain(relations.iter_mut().flatten())
+            .chain(dnow.iter_mut().flatten())
             .chain(arena.roots_mut())
             .chain($extra.iter_mut())
     }};
@@ -597,7 +538,7 @@ impl Inner {
     /// deterministic and computing it performs no BDD operation.
     /// `quantifiable` must be sorted.
     fn round_schedule(&self, t: usize, quantifiable: &[u32]) -> Vec<(usize, Vec<u32>)> {
-        let supports = self.relation_supports[t].as_ref().expect("round supports not built");
+        let supports = &self.relation_supports[t];
         let mut acc_support: Vec<u32> =
             self.bdd.support(self.reachable[t]).iter().map(|v| v.index()).collect();
         let mut remaining: Vec<usize> = (0..supports.len()).collect();
@@ -638,40 +579,22 @@ impl Inner {
     }
 }
 
-/// Where a [`SymbolicChecker`]'s layers come from.
+/// The symbolic epistemic model checker for consensus models.
 ///
-/// The **explicit** source borrows an enumerated [`ConsensusModel`] and
-/// encodes its points into per-layer BDDs — `O(states)` work that serves as
-/// the differential oracle on small instances. The **relational** source
-/// never enumerates a state: the protocol's [`SymbolicEncode`] /
+/// No state is ever enumerated: the protocol's [`SymbolicEncode`] /
 /// [`SymbolicRule`] implementations are compiled into an initial-state cube
 /// and per-round partitioned transition relations, and each layer is the
 /// forward image of the previous one.
-enum Source<'m, E: InformationExchange, R> {
-    /// An explicitly explored model (the `O(states)` front-end).
-    Explicit(&'m ConsensusModel<E, R>),
-    /// A purely symbolic construction: the exchange, the decision rule the
-    /// model was built under, and the shared variable layout and
-    /// adversary-choice variables.
-    Relational { exchange: E, rule: R, layout: SlotLayout, choice: ChoiceVars },
-}
-
-/// The symbolic epistemic model checker for consensus models.
-pub struct SymbolicChecker<'m, E: InformationExchange, R> {
-    source: Source<'m, E, R>,
-    /// The model parameters (cached; identical for both sources).
+pub struct SymbolicChecker<E: InformationExchange, R> {
+    exchange: E,
+    /// The decision rule the model is built under.
+    rule: R,
+    /// The state-variable layout shared with `epimc_relational`.
+    layout: SlotLayout,
+    /// The adversary-choice variables.
+    choice: ChoiceVars,
     params: ModelParams,
     inner: RefCell<Inner>,
-    agent_vars: Vec<AgentVars>,
-    num_slots: usize,
-    /// Number of adversary-choice bits (enough for the widest successor
-    /// fan-out in the model).
-    choice_bits: usize,
-    /// The widest successor fan-out of any point (explicit source only).
-    max_successors: usize,
-    /// Encoding (as slot-indexed bit assignment) of every state, per layer.
-    /// Empty for a relational source — nothing is ever enumerated.
-    encodings: Vec<Vec<Vec<bool>>>,
     /// When set, `DecidesNow` atoms are interpreted against this rule (built
     /// symbolically from its entries) instead of the model's own rule. The
     /// synthesis engine points this at the partial rule synthesized so far.
@@ -709,10 +632,9 @@ pub struct SymbolicChecker<'m, E: InformationExchange, R> {
 /// time a consumer asks for it in that form (the arena entry carries the
 /// bit). It is thus kept in the most restricted form anyone has asked of
 /// it: repeating a query already answered through
-/// [`SymbolicChecker::holds_everywhere_in_session`],
-/// [`SymbolicChecker::check_in_session`] or the evaluation step of
-/// [`SymbolicChecker::observation_values`] is exactly one hit, at the root,
-/// and performs no BDD operation.
+/// [`SymbolicChecker::holds_everywhere_in_session`] or the evaluation step
+/// of [`SymbolicChecker::observation_values`] is exactly one hit, at the
+/// root, and performs no BDD operation.
 ///
 /// Cached denotations live in the checker's rooted arena (they survive
 /// garbage collections) until the session is returned via
@@ -760,34 +682,6 @@ impl EvalSession {
     }
 }
 
-/// The model-independent state of a [`SymbolicChecker`]: the BDD manager
-/// with every encoded layer, reachable set and hidden-variable cube, handed
-/// from one checker to the next as a growing model gains layers.
-///
-/// The symbolic synthesis engine interleaves model growth (which needs the
-/// model mutably) with checking (which borrows it): at the end of each round
-/// it converts the checker back into a salvage
-/// ([`SymbolicChecker::into_salvage`]), extends the model by one layer, and
-/// resumes ([`SymbolicChecker::resume`]) — only the new layer is encoded,
-/// and the manager (with its node store, operation caches and garbage
-/// collector state) survives the whole run.
-pub struct SymbolicSalvage {
-    inner: Inner,
-    agent_vars: Vec<AgentVars>,
-    num_slots: usize,
-    encodings: Vec<Vec<Vec<bool>>>,
-    /// Widest successor fan-out across the salvaged layers; resume only
-    /// scans the rounds added since.
-    max_successors: usize,
-}
-
-impl SymbolicSalvage {
-    /// Number of layers already encoded.
-    pub fn num_layers(&self) -> usize {
-        self.encodings.len()
-    }
-}
-
 /// The truth values a formula takes on an agent's observation classes at one
 /// layer, read off the BDD denotation by existential quantification of the
 /// variables the agent does not observe (see
@@ -803,16 +697,6 @@ pub struct ObservationValues {
     /// The observations on which the formula is *not* constant, ascending.
     /// Empty whenever the formula is a knowledge condition for the agent.
     pub non_uniform: Vec<Observation>,
-}
-
-fn bits_for(domain: u32) -> usize {
-    let mut bits = 0;
-    let mut capacity: u64 = 1;
-    while capacity < u64::from(domain.max(1)) {
-        capacity <<= 1;
-        bits += 1;
-    }
-    bits.max(1)
 }
 
 /// Disjunction of `items` by balanced pairwise reduction, which keeps the
@@ -831,362 +715,19 @@ fn or_balanced(bdd: &mut Bdd, mut items: Vec<Ref>) -> Ref {
     items[0]
 }
 
-/// States per chunk when building reachable-set BDDs (a collection may run
-/// between chunks).
-const BUILD_CHUNK: usize = 1024;
-
-impl<'m, E, R> SymbolicChecker<'m, E, R>
+impl<E, R> SymbolicChecker<E, R>
 where
     E: InformationExchange,
     R: DecisionRule<E>,
 {
-    /// Builds the symbolic encoding of `model` with default options.
-    pub fn new(model: &'m ConsensusModel<E, R>) -> Self {
-        Self::with_options(model, SymbolicOptions::default())
-    }
-
-    /// Builds the symbolic encoding of `model`: allocates the state
-    /// variables (interleaved across agents), encodes every reachable
-    /// state, and builds the per-layer reachable-set BDDs. Transition
-    /// relations are built lazily when a temporal operator first needs
-    /// them.
-    pub fn with_options(model: &'m ConsensusModel<E, R>, options: SymbolicOptions) -> Self {
-        let params = *model.params();
-        let n = params.num_agents();
-        let layout = model.space().exchange().observable_layout(&params);
-        let value_bits = bits_for(params.num_values() as u32);
-
-        // Slot layout: identical per agent, so the interleaved order places
-        // corresponding bits of all agents at adjacent positions.
-        let obs_field_bits: Vec<usize> = layout.iter().map(|var| bits_for(var.domain)).collect();
-        let slots_per_agent =
-            obs_field_bits.iter().sum::<usize>() + 1 + value_bits + 1 + value_bits;
-        let mut agent_vars = Vec::with_capacity(n);
-        for agent in 0..n {
-            let mut offset = 0;
-            let mut fresh = |count: usize| -> Vec<usize> {
-                let slots = (0..count)
-                    .map(|k| interleaved_slot(n, agent, offset + k) as usize)
-                    .collect::<Vec<_>>();
-                offset += count;
-                slots
-            };
-            let obs_bits: Vec<Vec<usize>> =
-                obs_field_bits.iter().map(|&bits| fresh(bits)).collect();
-            let nonfaulty = fresh(1)[0];
-            let init_bits = fresh(value_bits);
-            let decided = fresh(1)[0];
-            let decision_bits = fresh(value_bits);
-            let mut all_slots: Vec<usize> = obs_bits.iter().flatten().copied().collect::<Vec<_>>();
-            all_slots.push(nonfaulty);
-            all_slots.extend(&init_bits);
-            all_slots.push(decided);
-            all_slots.extend(&decision_bits);
-            all_slots.sort_unstable();
-            debug_assert_eq!(all_slots.len(), slots_per_agent);
-            agent_vars.push(AgentVars {
-                obs_bits,
-                nonfaulty,
-                init_bits,
-                decided,
-                decision_bits,
-                all_slots,
-            });
-        }
-        let num_slots = n * slots_per_agent;
-
-        // Choice bits: enough for the widest successor fan-out.
-        let mut max_successors = 1usize;
-        for time in 0..model.num_layers().saturating_sub(1) as Round {
-            for index in 0..model.layer_size(time) {
-                max_successors =
-                    max_successors.max(model.successors(PointId::new(time, index)).len());
-            }
-        }
-        let choice_bits = bits_for(max_successors as u32);
-
-        // Encode every state.
-        let mut encodings = Vec::with_capacity(model.num_layers());
-        for time in 0..model.num_layers() as Round {
-            let layer: Vec<Vec<bool>> = (0..model.layer_size(time))
-                .map(|index| {
-                    Self::encode_point(model, &agent_vars, num_slots, PointId::new(time, index))
-                })
-                .collect();
-            encodings.push(layer);
-        }
-
-        let mut bdd = Bdd::with_settings(options.cache_capacity, options.complement_edges);
-        bdd.set_budget(options.budget);
-        // Each current-state variable and its primed copy sift as a block,
-        // so the per-agent pre-image partitioning survives any learned
-        // order. (Adversary-choice variables, allocated later, sift as
-        // singletons.)
-        bdd.set_groups((0..num_slots).map(|slot| vec![cur(slot), nxt(slot)]).collect());
-        let base_threshold = options.gc_threshold.max(2);
-        let reorder_threshold = match options.reorder {
-            ReorderMode::Auto { threshold } => threshold.max(2),
-            ReorderMode::Static | ReorderMode::SiftOnce => usize::MAX,
-        };
-        // The reachable sets are built through `Inner`, so the build loop
-        // shares the exact collection/reorder safe-point discipline of
-        // `resume` and of evaluation, instead of re-implementing it.
-        let num_rounds = model.num_layers().saturating_sub(1);
-        let mut inner = Inner {
-            bdd,
-            arena: DenArena::default(),
-            reachable: Vec::with_capacity(model.num_layers()),
-            hidden_cubes: Vec::new(),
-            mode: options.relation_mode,
-            cur_to_nxt: None,
-            nxt_to_cur: None,
-            primed_cubes: Vec::new(),
-            choice_cube: Ref::TRUE,
-            all_quant_cube: Ref::TRUE,
-            choice_minterms: Vec::new(),
-            relations: vec![None; num_rounds],
-            relation_supports: vec![None; num_rounds],
-            reachable_relations: HashMap::new(),
-            preimage_calls: 0,
-            reachable_relations_built: 0,
-            common_belief_rounds: 0,
-            common_belief_layer_steps: 0,
-            reach_restrictions: 0,
-            dnow: Vec::new(),
-            gc_threshold: base_threshold,
-            gc_base_threshold: base_threshold,
-            reorder_mode: options.reorder,
-            reorder_threshold,
-        };
-        for layer in &encodings {
-            let mut chunk_results: Vec<Ref> = Vec::new();
-            for chunk in layer.chunks(BUILD_CHUNK) {
-                let minterms: Vec<Ref> =
-                    chunk.iter().map(|bits| Self::minterm_cur(&mut inner.bdd, bits)).collect();
-                chunk_results.push(or_balanced(&mut inner.bdd, minterms));
-                if inner.bdd.live_nodes() > inner.gc_threshold {
-                    inner.collect(&mut chunk_results);
-                }
-            }
-            let reach = or_balanced(&mut inner.bdd, chunk_results);
-            inner.reachable.push(reach);
-        }
-        if options.reorder == ReorderMode::SiftOnce {
-            inner.reorder_now(&mut []);
-        }
-
-        // Hidden-variable cubes: everything agent i does not observe, over
-        // current-state variables.
-        inner.hidden_cubes = (0..n)
-            .map(|agent| {
-                let mut observed = vec![false; num_slots];
-                for slot in agent_vars[agent].obs_bits.iter().flatten() {
-                    observed[*slot] = true;
-                }
-                let hidden =
-                    (0..num_slots).filter(|&slot| !observed[slot]).map(cur).collect::<Vec<_>>();
-                inner.bdd.cube_of_vars(hidden)
-            })
-            .collect();
-
-        SymbolicChecker {
-            source: Source::Explicit(model),
-            params,
-            inner: RefCell::new(inner),
-            agent_vars,
-            num_slots,
-            choice_bits,
-            max_successors,
-            encodings,
-            rule_override: RefCell::new(None),
-            override_epoch: Cell::new(0),
-            focus: Cell::new(None),
-            reachable_obs: RefCell::new(HashMap::new()),
-        }
-    }
-
-    /// Converts the checker back into its model-independent state, ending
-    /// the borrow of the model so the caller can extend it and
-    /// [`SymbolicChecker::resume`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if an [`EvalSession`] is still holding denotations — end all
-    /// sessions first — or if the checker has a relational source (a
-    /// relational checker grows in place via
-    /// [`SymbolicChecker::extend_layer_relational`] and never needs the
-    /// hand-off).
-    pub fn into_salvage(self) -> SymbolicSalvage {
-        assert!(
-            matches!(self.source, Source::Explicit(_)),
-            "relational checkers extend in place; salvage/resume is the explicit hand-off"
-        );
-        let inner = self.inner.into_inner();
-        assert_eq!(inner.arena.live_count(), 0, "end all evaluation sessions before salvaging");
-        SymbolicSalvage {
-            inner,
-            agent_vars: self.agent_vars,
-            num_slots: self.num_slots,
-            encodings: self.encodings,
-            max_successors: self.max_successors,
-        }
-    }
-
-    /// Rebuilds a checker over `model` from a salvage whose layers are a
-    /// prefix of the model's: only the layers beyond the salvage are
-    /// encoded, everything else (manager, reachable sets, hidden cubes,
-    /// operation caches) is reused. The transition-relation machinery is
-    /// reset and lazily rebuilt, because new layers may widen the successor
-    /// fan-out the adversary-choice variables have to cover.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model's existing layers do not match the salvaged
-    /// encoding (different instance, or layers changed retroactively).
-    pub fn resume(model: &'m ConsensusModel<E, R>, salvage: SymbolicSalvage) -> Self {
-        let SymbolicSalvage { mut inner, agent_vars, num_slots, mut encodings, max_successors } =
-            salvage;
-        assert_eq!(agent_vars.len(), model.num_agents(), "salvage is for a different system");
-        let start = encodings.len();
-        assert!(
-            model.num_layers() >= start,
-            "resumed model has fewer layers than the salvaged encoding"
-        );
-        for (time, layer) in encodings.iter().enumerate() {
-            assert_eq!(
-                model.layer_size(time as Round),
-                layer.len(),
-                "resumed model diverges from the salvaged encoding at layer {time}"
-            );
-        }
-
-        // Encode and build the reachable sets of the new layers, collecting
-        // between chunks exactly as the fresh build does (the salvaged
-        // handles are rooted through `Inner::collect`).
-        for time in start..model.num_layers() {
-            let layer: Vec<Vec<bool>> = (0..model.layer_size(time as Round))
-                .map(|index| {
-                    Self::encode_point(
-                        model,
-                        &agent_vars,
-                        num_slots,
-                        PointId::new(time as Round, index),
-                    )
-                })
-                .collect();
-            let mut chunk_results: Vec<Ref> = Vec::new();
-            for chunk in layer.chunks(BUILD_CHUNK) {
-                let minterms: Vec<Ref> =
-                    chunk.iter().map(|bits| Self::minterm_cur(&mut inner.bdd, bits)).collect();
-                chunk_results.push(or_balanced(&mut inner.bdd, minterms));
-                if inner.bdd.live_nodes() > inner.gc_threshold {
-                    inner.collect(&mut chunk_results);
-                }
-            }
-            let reach = or_balanced(&mut inner.bdd, chunk_results);
-            inner.reachable.push(reach);
-            encodings.push(layer);
-        }
-
-        // The relation machinery is invalidated: new rounds may need more
-        // adversary-choice bits than the salvaged run allocated.
-        inner.cur_to_nxt = None;
-        inner.nxt_to_cur = None;
-        inner.all_quant_cube = Ref::TRUE;
-        inner.choice_minterms.clear();
-        inner.relations = vec![None; model.num_layers().saturating_sub(1)];
-        inner.relation_supports = vec![None; model.num_layers().saturating_sub(1)];
-        inner.reachable_relations.clear();
-
-        // Only the rounds out of the salvage's final layer onwards are new
-        // (that layer had no successors when salvaged): widen the salvaged
-        // fan-out by scanning just those.
-        let mut max_successors = max_successors;
-        for time in start.saturating_sub(1) as Round..model.num_layers().saturating_sub(1) as Round
-        {
-            for index in 0..model.layer_size(time) {
-                max_successors =
-                    max_successors.max(model.successors(PointId::new(time, index)).len());
-            }
-        }
-        let choice_bits = bits_for(max_successors as u32);
-
-        SymbolicChecker {
-            source: Source::Explicit(model),
-            params: *model.params(),
-            inner: RefCell::new(inner),
-            agent_vars,
-            num_slots,
-            choice_bits,
-            max_successors,
-            encodings,
-            rule_override: RefCell::new(None),
-            override_epoch: Cell::new(0),
-            focus: Cell::new(None),
-            reachable_obs: RefCell::new(HashMap::new()),
-        }
-    }
-
+    /// The state-variable assignment of one point of an explored model,
+    /// indexed by slot.
     fn encode_point<R2: DecisionRule<E>>(
+        &self,
         model: &ConsensusModel<E, R2>,
-        agent_vars: &[AgentVars],
-        num_slots: usize,
         point: PointId,
     ) -> Vec<bool> {
-        let mut bits = vec![false; num_slots];
-        let mut set_value = |slots: &[usize], value: u32| {
-            for (k, slot) in slots.iter().enumerate() {
-                bits[*slot] = value & (1 << k) != 0;
-            }
-        };
-        let state = model.state(point);
-        let nonfaulty = state.nonfaulty();
-        for (agent_index, vars) in agent_vars.iter().enumerate() {
-            let agent = AgentId::new(agent_index);
-            let observation = model.observation(agent, point);
-            for (obs_index, obs_slots) in vars.obs_bits.iter().enumerate() {
-                set_value(obs_slots, observation.value(obs_index));
-            }
-            set_value(&[vars.nonfaulty], u32::from(nonfaulty.contains(agent)));
-            set_value(&vars.init_bits, state.init(agent).index() as u32);
-            let decision = state.decision(agent);
-            set_value(&[vars.decided], u32::from(decision.is_some()));
-            set_value(&vars.decision_bits, decision.map(|d| d.value.index() as u32).unwrap_or(0));
-        }
-        bits
-    }
-
-    /// Minterm of a state over the current-state variables.
-    /// [`Bdd::cube_literals`] builds the chain in *level* order, so each
-    /// step is O(1) under any (possibly sifted) variable order.
-    fn minterm_cur(bdd: &mut Bdd, bits: &[bool]) -> Ref {
-        bdd.cube_literals((0..bits.len()).map(|slot| (cur(slot), bits[slot])))
-    }
-
-    /// Minterm of an agent's state over its primed variables.
-    fn minterm_nxt_agent(bdd: &mut Bdd, slots: &[usize], bits: &[bool]) -> Ref {
-        bdd.cube_literals(slots.iter().map(|&slot| (nxt(slot), bits[slot])))
-    }
-
-    /// The checker's explicitly enumerated model.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a relational-source checker, which has none — use
-    /// [`SymbolicChecker::params`] / [`SymbolicChecker::num_layers`] for
-    /// the model's shape, and [`SymbolicChecker::check_points`] to read
-    /// results off against an explicit oracle model.
-    pub fn model(&self) -> &ConsensusModel<E, R> {
-        self.explicit_model()
-    }
-
-    fn explicit_model(&self) -> &ConsensusModel<E, R> {
-        match &self.source {
-            Source::Explicit(model) => model,
-            Source::Relational { .. } => {
-                panic!("operation requires the explicit front-end; this checker is relational")
-            }
-        }
+        encode_state(&self.exchange, &self.params, &self.layout, model.state(point))
     }
 
     /// The model parameters.
@@ -1195,21 +736,10 @@ where
     }
 
     /// Number of layers built so far (`horizon + 1` for a fully built
-    /// model; a relational seed starts at 1 and grows via
+    /// model; a seed starts at 1 and grows via
     /// [`SymbolicChecker::extend_layer_relational`]).
     pub fn num_layers(&self) -> usize {
         self.inner.borrow().reachable.len()
-    }
-
-    /// Whether this checker's layers come from the relational (purely
-    /// symbolic) construction rather than an enumerated model.
-    pub fn is_relational(&self) -> bool {
-        matches!(self.source, Source::Relational { .. })
-    }
-
-    /// The transition-relation representation in use.
-    pub fn relation_mode(&self) -> RelationMode {
-        self.inner.borrow().mode
     }
 
     /// Forces a garbage collection now, rooting all persistent handles.
@@ -1234,10 +764,9 @@ where
     pub fn stats(&self) -> SymbolicStats {
         let inner = self.inner.borrow();
         let bdd_stats = inner.bdd.stats();
-        let relation_active = inner.cur_to_nxt.is_some();
         SymbolicStats {
-            num_state_vars: self.num_slots,
-            num_relation_vars: if relation_active { self.num_slots + self.choice_bits } else { 0 },
+            num_state_vars: self.layout.num_slots,
+            num_relation_vars: self.layout.num_slots + self.choice.count(),
             allocated_nodes: bdd_stats.allocated_nodes,
             live_nodes: bdd_stats.live_nodes,
             peak_live_nodes: bdd_stats.peak_live_nodes,
@@ -1266,20 +795,6 @@ where
     /// measure sift-on-demand against the automatic trigger.
     pub fn force_reorder(&self) {
         self.inner.borrow_mut().reorder_now(&mut []);
-    }
-
-    /// Evaluates `formula`, returning the set of points at which it holds.
-    pub fn check(&self, formula: &Formula<ConsensusAtom>) -> PointSet {
-        self.inner.borrow_mut().maybe_gc(&mut []);
-        let baseline = self.inner.borrow().arena.live_count();
-        let mut env = HashMap::new();
-        let den = self.eval_bounded(formula, &mut env, None);
-        let set = self.to_point_set(den);
-        let mut inner = self.inner.borrow_mut();
-        inner.arena.release(den);
-        debug_assert_eq!(inner.arena.live_count(), baseline, "denotation leak in eval");
-        inner.maybe_gc(&mut []);
-        set
     }
 
     /// Starts an evaluation session (a denotation cache for closed
@@ -1323,31 +838,13 @@ where
         inner.maybe_gc(&mut []);
     }
 
-    /// [`SymbolicChecker::check`] with a session cache: closed subformulas
-    /// already evaluated in `session` are recalled instead of recomputed.
-    pub fn check_in_session(
-        &self,
-        session: &mut EvalSession,
-        formula: &Formula<ConsensusAtom>,
-    ) -> PointSet {
-        self.assert_session_fresh(session);
-        Self::lock_session_focus(session, None);
-        self.inner.borrow_mut().maybe_gc(&mut []);
-        let mut env = HashMap::new();
-        let den = self.eval_bounded(formula, &mut env, Some(session));
-        let set = self.to_point_set(den);
-        self.release(den);
-        set
-    }
-
     /// Interprets `DecidesNow` atoms against `rule` (the partial rule a
     /// synthesis run has fixed so far) instead of the model's own decision
     /// rule. The denotation is built symbolically from the rule's entries —
     /// an observation-equality constraint per deciding entry, guarded by
-    /// "not yet decided" (and "not crashed" in the crash failure model) —
-    /// rather than by scanning the explicit states. Pass `None` to restore
-    /// the model's rule. Existing sessions become stale and must not be
-    /// used afterwards.
+    /// "not yet decided" (and "not crashed" in the crash failure model).
+    /// Pass `None` to restore the model's rule. Existing sessions become
+    /// stale and must not be used afterwards.
     pub fn set_rule_override(&self, rule: Option<TableRule>) {
         *self.rule_override.borrow_mut() = rule;
         self.override_epoch.set(self.override_epoch.get() + 1);
@@ -1445,7 +942,7 @@ where
     /// `agent`'s current-state observable variables) into observations,
     /// sorted ascending.
     fn decode_observations(&self, bdd: &Bdd, projected: Ref, agent: AgentId) -> Vec<Observation> {
-        let vars = &self.agent_vars[agent.index()];
+        let vars = &self.layout.agents[agent.index()];
         // The assignment walk follows the *current* variable order, which
         // dynamic reordering may have moved away from slot order.
         let mut var_list: Vec<Var> =
@@ -1490,11 +987,10 @@ where
 
     /// Returns `true` when `formula` holds at every point of the model.
     ///
-    /// Works for both sources: a denotation handed to a consumer is always
-    /// restricted to the reachable sets (`eval_bounded`), so the formula
-    /// holds everywhere exactly when its per-layer BDDs equal the
-    /// reachable-set BDDs (canonical diagrams make this a pointer
-    /// comparison).
+    /// A denotation handed to a consumer is always restricted to the
+    /// reachable sets (`eval_bounded`), so the formula holds everywhere
+    /// exactly when its per-layer BDDs equal the reachable-set BDDs
+    /// (canonical diagrams make this a pointer comparison).
     pub fn holds_everywhere(&self, formula: &Formula<ConsensusAtom>) -> bool {
         self.inner.borrow_mut().maybe_gc(&mut []);
         let mut env = HashMap::new();
@@ -1541,17 +1037,10 @@ where
         self.inner.borrow_mut().bdd.set_budget(budget);
     }
 
-    /// Fallible [`SymbolicChecker::check`]: a budget trip is returned as a
-    /// structured [`BudgetAbort`] instead of unwinding. On abort the
-    /// checker is restored to a clean, reusable state (see [`BudgetAbort`]).
-    pub fn try_check(&self, formula: &Formula<ConsensusAtom>) -> Result<PointSet, BudgetAbort> {
-        let before = self.inner.borrow().arena.live_ids();
-        catch_budget(|| self.check(formula))
-            .map_err(|error| self.budget_abort(error, &before, None))
-    }
-
-    /// Fallible [`SymbolicChecker::holds_everywhere`]; see
-    /// [`SymbolicChecker::try_check`] for the abort contract.
+    /// Fallible [`SymbolicChecker::holds_everywhere`]: a budget trip is
+    /// returned as a structured [`BudgetAbort`] instead of unwinding. On
+    /// abort the checker is restored to a clean, reusable state (see
+    /// [`BudgetAbort`]).
     pub fn try_holds_everywhere(
         &self,
         formula: &Formula<ConsensusAtom>,
@@ -1605,29 +1094,12 @@ where
         BudgetAbort { error, layers_built, live_nodes }
     }
 
-    fn to_point_set(&self, den: DenId) -> PointSet {
-        let model = self.explicit_model();
-        let inner = self.inner.borrow();
-        let layers = inner.arena.get(den);
-        let mut set = PointSet::empty(model);
-        for time in 0..model.num_layers() as Round {
-            for (index, bits) in self.encodings[time as usize].iter().enumerate() {
-                let holds =
-                    inner.bdd.eval(layers[time as usize], |v| bits[(v.index() / 2) as usize]);
-                if holds {
-                    set.insert(PointId::new(time, index));
-                }
-            }
-        }
-        set
-    }
-
     /// Evaluates `formula` and reads the result off on the points of
     /// `model` — an explicitly explored model of the *same instance*. This
-    /// is the differential oracle for the relational front-end: the
-    /// relational layers never enumerate a state, but any point of an
-    /// explicit model can be encoded and looked up in the denotation BDDs,
-    /// giving a `PointSet` directly comparable with the explicit engines'.
+    /// is the differential read-off: the layers never enumerate a state,
+    /// but any point of an explicit model can be encoded and looked up in
+    /// the denotation BDDs, giving a `PointSet` directly comparable with
+    /// the explicit [`Checker`](crate::Checker)'s.
     ///
     /// # Panics
     ///
@@ -1637,44 +1109,19 @@ where
         model: &ConsensusModel<E, R2>,
         formula: &Formula<ConsensusAtom>,
     ) -> PointSet {
-        assert!(
-            model.num_layers() <= self.num_layers(),
-            "oracle model has more layers than the checker has built"
-        );
         self.inner.borrow_mut().maybe_gc(&mut []);
         let mut env = HashMap::new();
         let den = self.eval_bounded(formula, &mut env, None);
-        let set = {
-            let inner = self.inner.borrow();
-            let layers = inner.arena.get(den);
-            let mut set = PointSet::empty(model);
-            for time in 0..model.num_layers() as Round {
-                for index in 0..model.layer_size(time) {
-                    let bits = Self::encode_point(
-                        model,
-                        &self.agent_vars,
-                        self.num_slots,
-                        PointId::new(time, index),
-                    );
-                    let holds =
-                        inner.bdd.eval(layers[time as usize], |v| bits[(v.index() / 2) as usize]);
-                    if holds {
-                        set.insert(PointId::new(time, index));
-                    }
-                }
-            }
-            set
-        };
+        let set = self.seam_read_points(model, den);
         self.release(den);
         self.inner.borrow_mut().maybe_gc(&mut []);
         set
     }
 
-    /// Number of distinct encoded states in layer `time`, counted off the
-    /// reachable-set BDD. For the relational front-end this is the layer's
-    /// exact state count; for the explicit front-end it counts *encodings*
-    /// (distinct points that encode identically — none in the current
-    /// protocols — collapse).
+    /// Number of states in layer `time`, counted off the reachable-set
+    /// BDD. An explored model of the same instance can have more *points*
+    /// than this: points that differ only in adversary bookkeeping no state
+    /// variable records (EMin under omissions has them) encode identically.
     ///
     /// # Panics
     ///
@@ -1682,7 +1129,7 @@ where
     /// is returned as `u128`).
     pub fn layer_state_count(&self, time: Round) -> u128 {
         let inner = self.inner.borrow();
-        let vars: Vec<Var> = (0..self.num_slots).map(cur).collect();
+        let vars: Vec<Var> = (0..self.layout.num_slots).map(cur).collect();
         inner.bdd.sat_count_over(inner.reachable[time as usize], &vars)
     }
 
@@ -1690,13 +1137,13 @@ where
     /// in every state of the newest layer: the symbolic counterpart of
     /// [`ConsensusModel::final_layer_settled`], answered on the reachable-set
     /// BDD without enumerating the layer. The forward synthesis induction
-    /// uses it for its early exit when running on the relational front-end.
+    /// uses it for its early exit.
     pub fn final_layer_settled(&self) -> bool {
         let inner = &mut *self.inner.borrow_mut();
         let last = *inner.reachable.last().expect("the checker always has a layer");
         let crash = self.params.failure().kind() == FailureKind::Crash;
         let mut unsettled = Ref::FALSE;
-        for vars in &self.agent_vars {
+        for vars in &self.layout.agents {
             let decided = inner.bdd.var(cur(vars.decided));
             let mut undecided = inner.bdd.not(decided);
             if crash {
@@ -2027,11 +1474,9 @@ where
         acc
     }
 
-    /// The denotation of an atom, unbounded: the same current-state
-    /// constraint BDD on every layer, left for a consumer to conjoin with
-    /// the reachable sets (except for the atoms that genuinely depend on
-    /// the explicit transition structure, which are built from reachable
-    /// points and come out bounded).
+    /// The denotation of an atom, unbounded: a current-state constraint
+    /// BDD per layer, left for a consumer to conjoin with the reachable
+    /// sets.
     fn atom_denotation(&self, atom: &ConsensusAtom) -> DenId {
         let constraint = {
             let mut inner = self.inner.borrow_mut();
@@ -2039,35 +1484,36 @@ where
             match *atom {
                 ConsensusAtom::InitIs(agent, value) => Some(Self::eq_const(
                     bdd,
-                    &self.agent_vars[agent.index()].init_bits,
+                    &self.layout.agents[agent.index()].init_bits,
                     value.index() as u32,
                 )),
                 ConsensusAtom::ExistsInit(value) => {
                     let per_agent: Vec<Ref> = self
-                        .agent_vars
+                        .layout
+                        .agents
                         .iter()
                         .map(|vars| Self::eq_const(bdd, &vars.init_bits, value.index() as u32))
                         .collect();
                     Some(bdd.or_all(per_agent))
                 }
                 ConsensusAtom::Nonfaulty(agent) => {
-                    Some(bdd.var(cur(self.agent_vars[agent.index()].nonfaulty)))
+                    Some(bdd.var(cur(self.layout.agents[agent.index()].nonfaulty)))
                 }
                 ConsensusAtom::Decided(agent) => {
-                    Some(bdd.var(cur(self.agent_vars[agent.index()].decided)))
+                    Some(bdd.var(cur(self.layout.agents[agent.index()].decided)))
                 }
                 ConsensusAtom::DecidedValue(agent, value) => {
-                    let vars = &self.agent_vars[agent.index()];
+                    let vars = &self.layout.agents[agent.index()];
                     let decided = bdd.var(cur(vars.decided));
                     let matches = Self::eq_const(bdd, &vars.decision_bits, value.index() as u32);
                     Some(bdd.and(decided, matches))
                 }
                 ConsensusAtom::ObsEquals(agent, obs_index, value) => {
-                    let vars = &self.agent_vars[agent.index()];
+                    let vars = &self.layout.agents[agent.index()];
                     vars.obs_bits.get(obs_index).map(|slots| Self::eq_const(bdd, slots, value))
                 }
                 ConsensusAtom::ObsAtMost(agent, obs_index, value) => {
-                    let vars = &self.agent_vars[agent.index()];
+                    let vars = &self.layout.agents[agent.index()];
                     vars.obs_bits.get(obs_index).map(|slots| Self::le_const(bdd, slots, value))
                 }
                 ConsensusAtom::CollisionProbe(truth) => {
@@ -2088,35 +1534,18 @@ where
             // `DecidesNow` looks at the *action* taken in the coming round,
             // which is not part of the state encoding. Under a rule override
             // (synthesis) the denotation is built symbolically from the
-            // override's entries; otherwise the relational source reads the
-            // guarded conditions its rounds were built under, and the
-            // explicit source falls back to the predicate scan over the
-            // model's own rule.
+            // override's entries; otherwise it is the guarded condition the
+            // layer's round was built under.
             (None, ConsensusAtom::DecidesNow(agent, value)) => {
-                let decides_by_override = {
-                    let override_rule = self.rule_override.borrow();
-                    override_rule
-                        .as_ref()
-                        .map(|rule| self.decides_now_denotation(rule, *agent, *value))
-                };
-                match (decides_by_override, &self.source) {
-                    (Some(den), _) => den,
-                    (None, Source::Explicit(model)) => {
-                        self.layer_bdds_of_predicate(|point| model.eval_atom(atom, point))
-                    }
-                    (None, Source::Relational { .. }) => {
-                        self.relational_decides_now(*agent, *value)
-                    }
+                let override_rule = self.rule_override.borrow();
+                match override_rule.as_ref() {
+                    Some(rule) => self.decides_now_denotation(rule, *agent, *value),
+                    None => self.relational_decides_now(*agent, *value),
                 }
             }
-            // Only out-of-range observable indices land here; no reachable
-            // state satisfies them in either source.
-            (None, _) => match &self.source {
-                Source::Explicit(model) => {
-                    self.layer_bdds_of_predicate(|point| model.eval_atom(atom, point))
-                }
-                Source::Relational { .. } => self.alloc_false(),
-            },
+            // Only out-of-range observable indices land here; no state
+            // satisfies them.
+            (None, _) => self.alloc_false(),
         }
     }
 
@@ -2129,7 +1558,7 @@ where
     /// nonfaulty flag; in the omission models no agent ever crashes.)
     /// Unbounded: the state constraint, not yet conjoined with the layer.
     fn decides_now_denotation(&self, rule: &TableRule, agent: AgentId, value: Value) -> DenId {
-        let vars = &self.agent_vars[agent.index()];
+        let vars = &self.layout.agents[agent.index()];
         let crash_model = self.params.failure().kind() == FailureKind::Crash;
         self.alloc_active(false, |inner, t| {
             // Deciding entries for (agent, t), sorted for determinism
@@ -2174,28 +1603,12 @@ where
         })
     }
 
-    /// The denotation of `DecidesNow(agent, value)` for a relational
-    /// source without a rule override: each layer stores the guarded
-    /// decides-now conditions its round was built under, so the (unbounded)
-    /// denotation is a lookup.
+    /// The denotation of `DecidesNow(agent, value)` without a rule
+    /// override: each layer stores the guarded decides-now conditions its
+    /// round was built under, so the (unbounded) denotation is a lookup.
     fn relational_decides_now(&self, agent: AgentId, value: Value) -> DenId {
         let index = agent.index() * self.params.num_values() + value.index();
-        self.alloc_active(false, |inner, t| {
-            inner.dnow[t].as_ref().expect("relational dnow is built eagerly")[index]
-        })
-    }
-
-    /// The exact (bounded) denotation of a predicate on explicit points.
-    fn layer_bdds_of_predicate<F: Fn(PointId) -> bool>(&self, predicate: F) -> DenId {
-        self.alloc_active(true, |inner, time| {
-            let minterms: Vec<Ref> = self.encodings[time]
-                .iter()
-                .enumerate()
-                .filter(|(index, _)| predicate(PointId::new(time as Round, *index)))
-                .map(|(_, bits)| Self::minterm_cur(&mut inner.bdd, bits))
-                .collect();
-            or_balanced(&mut inner.bdd, minterms)
-        })
+        self.alloc_active(false, |inner, t| inner.dnow[t][index])
     }
 
     // ------------------------------------------------------------------
@@ -2264,7 +1677,7 @@ where
             // rooted, only the accumulator and the frontier need carrying.
             inner.maybe_gc(&mut live);
             let [x, delta] = live;
-            let nonfaulty = inner.bdd.var(cur(self.agent_vars[agent.index()].nonfaulty));
+            let nonfaulty = inner.bdd.var(cur(self.layout.agents[agent.index()].nonfaulty));
             live[0] = Self::block(inner, agent, x, delta, nonfaulty, nonfaulty);
         }
         live[0]
@@ -2283,7 +1696,7 @@ where
         let not_target = inner.bdd.not(target);
         if guarded {
             let failing = inner.bdd.and(reach, not_target);
-            let nonfaulty = inner.bdd.var(cur(self.agent_vars[agent.index()].nonfaulty));
+            let nonfaulty = inner.bdd.var(cur(self.layout.agents[agent.index()].nonfaulty));
             Self::block(inner, agent, reach, failing, nonfaulty, Ref::TRUE)
         } else {
             Self::block(inner, agent, reach, reach, not_target, Ref::TRUE)
@@ -2396,8 +1809,8 @@ where
     //
     // Each round `t` has a *partitioned* relation, one conjunct `R_t^i` per
     // agent over current-state, adversary-choice and that agent's primed
-    // variables (built by `ensure_relation` from the explicit edges, or by
-    // `extend_layer_relational` from the protocol's symbolic contract).
+    // variables (built by `extend_layer_relational` from the protocol's
+    // symbolic contract).
     // The forward image conjoins the partitions onto `reachable[t]` and
     // quantifies current-state and choice variables as early as the
     // schedule allows (`Inner::round_schedule`).
@@ -2437,115 +1850,6 @@ where
     // rebuild after a collection: 6–27 ms per round on floodset n=8 t=3,
     // 18–110 ms on n=12 t=4.
 
-    /// Builds the relation machinery shared by all rounds of an explicit
-    /// model: the current-to-primed substitution, the pre-image's
-    /// quantification cube, and the choice-variable minterms.
-    fn ensure_relation_machinery(&self) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.cur_to_nxt.is_some() {
-            return;
-        }
-        let inner = &mut *inner;
-        let bdd = &mut inner.bdd;
-        let map: Vec<(Var, Var)> = (0..self.num_slots).map(|slot| (cur(slot), nxt(slot))).collect();
-        inner.cur_to_nxt = Some(bdd.register_substitution(map));
-        let choice_vars: Vec<Var> = self.choice_var_indices().map(Var::new).collect();
-        let all_primed: Vec<Var> =
-            (0..self.num_slots).map(nxt).chain(choice_vars.iter().copied()).collect();
-        inner.all_quant_cube = bdd.cube_of_vars(all_primed);
-        // Minterms of every successor index that can actually occur.
-        let mut minterms = Vec::with_capacity(self.max_successors);
-        for j in 0..self.max_successors {
-            let minterm = bdd
-                .cube_literals((0..self.choice_bits).map(|k| (choice_vars[k], j & (1 << k) != 0)));
-            minterms.push(minterm);
-        }
-        inner.choice_minterms = minterms;
-    }
-
-    /// Indices of the adversary-choice variables (they follow the state
-    /// variable pairs), ascending.
-    fn choice_var_indices(&self) -> impl Iterator<Item = u32> {
-        let first = 2 * self.num_slots;
-        (first..first + self.choice_bits).map(|index| index as u32)
-    }
-
-    /// Builds (once) the relation partitions for round `t`: for each agent
-    /// `i`, `R_t^i(s, c, s'_i) = ⋁_p minterm(p) ∧ ⋁_j choice(j) ∧
-    /// primed_i(succ_j(p))`, so that `⋀_i R_t^i` relates exactly the
-    /// explicit round-`t` edges (the choice variables `c` select which
-    /// successor the adversary takes, making the conjunction a product).
-    fn ensure_relation(&self, t: usize) {
-        let model = match &self.source {
-            Source::Explicit(model) => *model,
-            Source::Relational { .. } => {
-                // Relational rounds are built (and rooted) when the layer
-                // they lead to is built; nothing is lazy here.
-                assert!(
-                    self.inner.borrow().relations.get(t).is_some_and(|r| r.is_some()),
-                    "relational checker is missing the relation for round {t}"
-                );
-                return;
-            }
-        };
-        self.ensure_relation_machinery();
-        let mut inner = self.inner.borrow_mut();
-        if inner.relations[t].is_some() {
-            return;
-        }
-        let inner = &mut *inner;
-        let n = model.num_agents();
-        let mut partitions: Vec<Vec<Ref>> = vec![Vec::new(); n];
-        let layer = &self.encodings[t];
-        let next_layer = &self.encodings[t + 1];
-        for (index, bits) in layer.iter().enumerate() {
-            let point = PointId::new(t as Round, index);
-            let successors = model.successors(point);
-            let bdd = &mut inner.bdd;
-            let cur_mt = Self::minterm_cur(bdd, bits);
-            for (agent, partition) in partitions.iter_mut().enumerate() {
-                let slots = &self.agent_vars[agent].all_slots;
-                let branches: Vec<Ref> = successors
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &succ)| {
-                        let choice = inner.choice_minterms[j];
-                        let next_mt = Self::minterm_nxt_agent(bdd, slots, &next_layer[succ]);
-                        bdd.and(choice, next_mt)
-                    })
-                    .collect();
-                let branch = or_balanced(bdd, branches);
-                partition.push(bdd.and(cur_mt, branch));
-            }
-            if index % BUILD_CHUNK == BUILD_CHUNK - 1 {
-                let mut flat: Vec<Ref> = partitions.iter().flatten().copied().collect();
-                inner.maybe_gc(&mut flat);
-                let mut cursor = 0;
-                for partition in partitions.iter_mut() {
-                    for slot in partition.iter_mut() {
-                        *slot = flat[cursor];
-                        cursor += 1;
-                    }
-                }
-            }
-        }
-        let bdd = &mut inner.bdd;
-        let mut relation: Vec<Ref> =
-            partitions.into_iter().map(|pieces| or_balanced(bdd, pieces)).collect();
-        if inner.mode == RelationMode::Monolithic {
-            let conjoined = bdd.and_all(relation.iter().copied());
-            relation = vec![conjoined];
-        }
-        // Record each partition's support once, for the conjunction
-        // schedule of the reachable relation.
-        let supports: Vec<Vec<u32>> = relation
-            .iter()
-            .map(|&part| bdd.support(part).iter().map(|var| var.index()).collect())
-            .collect();
-        inner.relation_supports[t] = Some(supports);
-        inner.relations[t] = Some(relation);
-    }
-
     /// The reachable relation of round `t`,
     /// `T_t(cur, nxt) = ∃ choices . reachable[t] ∧ ⋀_i R_t^i`: exactly the
     /// round-`t` edges that leave a reachable state, with the adversary's
@@ -2563,11 +1867,11 @@ where
         if let Some(&relation) = inner.reachable_relations.get(&t) {
             return relation;
         }
-        let choices: Vec<u32> = self.choice_var_indices().collect();
+        let choices: Vec<u32> = self.choice.all_vars().iter().map(|var| var.index()).collect();
         let mut acc = inner.reachable[t];
         for (agent, freed) in inner.round_schedule(t, &choices) {
             let cube = inner.bdd.cube_of_vars(freed.into_iter().map(Var::new));
-            let part = inner.relations[t].as_ref().expect("relation not built")[agent];
+            let part = inner.relations[t][agent];
             acc = inner.bdd.and_exists(part, acc, cube);
         }
         inner.reachable_relations.insert(t, acc);
@@ -2579,16 +1883,14 @@ where
     /// `t`: the *reachable* layer-`t` states with a round-`t` successor in
     /// `set_next` (a BDD over current-state variables of layer `t + 1`), as
     /// `∃ nxt . T_t ∧ set_next'` — one `and_exists` against the round's
-    /// reachable relation, for either model source and either
-    /// [`RelationMode`]. The empty set is answered before any relation is
-    /// demanded (an `AG` of an invariant never builds one).
+    /// reachable relation. The empty set is answered before any relation
+    /// is demanded (an `AG` of an invariant never builds one).
     fn preimage(&self, inner: &mut Inner, t: usize, set_next: Ref) -> Ref {
         if set_next == Ref::FALSE {
             return Ref::FALSE;
         }
         let relation = self.reachable_relation(inner, t);
-        let subst = inner.cur_to_nxt.expect("relation machinery not built");
-        let primed = inner.bdd.replace(set_next, subst);
+        let primed = inner.bdd.replace(set_next, inner.cur_to_nxt);
         inner.preimage_calls += 1;
         inner.bdd.and_exists(relation, primed, inner.all_quant_cube)
     }
@@ -2613,9 +1915,6 @@ where
             "temporal operators couple layers and must not run under a layer focus"
         );
         let num_layers = self.num_layers();
-        for t in 0..num_layers.saturating_sub(1) {
-            self.ensure_relation(t);
-        }
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
         inner.maybe_gc(&mut []);
@@ -2670,7 +1969,7 @@ where
     }
 }
 
-impl<'m, E, R> SymbolicChecker<'m, E, R>
+impl<E, R> SymbolicChecker<E, R>
 where
     E: SymbolicEncode,
     R: SymbolicRule<E>,
@@ -2680,23 +1979,16 @@ where
     /// [`SymbolicEncode`] contract; every further layer is the forward
     /// image of the previous one through the round's partitioned
     /// transition relation, with the adversary's choices quantified away.
-    /// The resulting layer BDDs denote exactly the state sets the explicit
-    /// front-end ([`SymbolicChecker::with_options`] over an explored model
-    /// of the same instance) produces — canonical diagrams of the same
-    /// functions, over a variable order that additionally interleaves the
-    /// adversary-choice variables — so everything downstream (knowledge,
-    /// common belief, temporal operators, observation projections) works
-    /// unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `options` asks for the monolithic relation mode, which
-    /// only exists for the explicit front-end's differential tests.
+    /// The resulting layer BDDs denote exactly the state sets an
+    /// exploration of the same instance enumerates
+    /// ([`SymbolicChecker::check_points`] reads denotations off against
+    /// one), over a variable order that interleaves the adversary-choice
+    /// variables with the state variables.
     pub fn relational(exchange: E, params: ModelParams, rule: R, options: SymbolicOptions) -> Self {
         let horizon = params.horizon();
         let checker = Self::relational_seed(exchange, params, rule, options);
         for _ in 0..horizon {
-            checker.extend_with_source_rule();
+            checker.extend_layer_relational(&checker.rule);
         }
         if options.reorder == ReorderMode::SiftOnce {
             checker.inner.borrow_mut().reorder_now(&mut []);
@@ -2707,35 +1999,17 @@ where
     /// Builds only layer 0 of the relational model. The synthesis engine
     /// grows the model round by round from this seed via
     /// [`SymbolicChecker::extend_layer_relational`], passing the partial
-    /// rule synthesized so far — no salvage/resume hand-off, because
-    /// nothing borrows an explicit model.
+    /// rule synthesized so far.
     pub fn relational_seed(
         exchange: E,
         params: ModelParams,
         rule: R,
         options: SymbolicOptions,
     ) -> Self {
-        assert_eq!(
-            options.relation_mode,
-            RelationMode::Partitioned,
-            "the monolithic relation mode requires the explicit front-end"
-        );
         let layout = SlotLayout::new(&exchange, &params);
         let choice =
             ChoiceVars::new(params.failure().kind(), params.num_agents(), layout.num_slots);
         let num_slots = layout.num_slots;
-        let agent_vars: Vec<AgentVars> = layout
-            .agents
-            .iter()
-            .map(|slots| AgentVars {
-                obs_bits: slots.obs_bits.clone(),
-                nonfaulty: slots.nonfaulty,
-                init_bits: slots.init_bits.clone(),
-                decided: slots.decided,
-                decision_bits: slots.decision_bits.clone(),
-                all_slots: slots.all_slots.clone(),
-            })
-            .collect();
 
         let mut bdd = Bdd::with_settings(options.cache_capacity, options.complement_edges);
         bdd.set_budget(options.budget);
@@ -2799,13 +2073,11 @@ where
             arena: DenArena::default(),
             reachable: Vec::new(),
             hidden_cubes: Vec::new(),
-            mode: RelationMode::Partitioned,
-            cur_to_nxt: Some(cur_to_nxt),
-            nxt_to_cur: Some(nxt_to_cur),
+            cur_to_nxt,
+            nxt_to_cur,
             primed_cubes,
             choice_cube,
             all_quant_cube,
-            choice_minterms: Vec::new(),
             relations: Vec::new(),
             relation_supports: Vec::new(),
             reachable_relations: HashMap::new(),
@@ -2837,19 +2109,16 @@ where
         inner.reachable.push(init);
         let frontier =
             decides_now_table::<E, R>(&mut inner.bdd, &layout, &choice, &rule, &params, 0);
-        inner.dnow.push(Some(frontier));
+        inner.dnow.push(frontier);
         inner.maybe_gc(&mut []);
 
-        let choice_bits = choice.count();
         SymbolicChecker {
-            source: Source::Relational { exchange, rule, layout, choice },
+            exchange,
+            rule,
+            layout,
+            choice,
             params,
             inner: RefCell::new(inner),
-            agent_vars,
-            num_slots,
-            choice_bits,
-            max_successors: 0,
-            encodings: Vec::new(),
             rule_override: RefCell::new(None),
             override_epoch: Cell::new(0),
             focus: Cell::new(None),
@@ -2857,29 +2126,12 @@ where
         }
     }
 
-    fn extend_with_source_rule(&self) {
-        match &self.source {
-            Source::Relational { rule, .. } => self.extend_layer_relational(rule),
-            Source::Explicit(_) => unreachable!("explicit checkers never extend relationally"),
-        }
-    }
-
     /// Grows the relational model by one layer: builds the next round's
     /// partitioned transition relation and guarded decides-now conditions
     /// from `rule`, roots them, and computes the new layer as the forward
     /// image of the frontier. The round's relation stays available to the
-    /// temporal operators, exactly as the explicit front-end's lazily
-    /// built relations are.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an explicit-source checker (those grow through
-    /// [`SymbolicChecker::into_salvage`] / [`SymbolicChecker::resume`]).
+    /// temporal operators.
     pub fn extend_layer_relational<S: SymbolicRule<E>>(&self, rule: &S) {
-        let (exchange, layout, choice) = match &self.source {
-            Source::Relational { exchange, layout, choice, .. } => (exchange, layout, choice),
-            Source::Explicit(_) => panic!("extend_layer_relational requires a relational checker"),
-        };
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
         let t = inner.reachable.len() - 1;
@@ -2887,9 +2139,9 @@ where
         // intermediates are in flight; everything is rooted right below.
         let round = round_relation(
             &mut inner.bdd,
-            layout,
-            choice,
-            exchange,
+            &self.layout,
+            &self.choice,
+            &self.exchange,
             rule,
             &self.params,
             t as Round,
@@ -2900,11 +2152,11 @@ where
             .map(|&part| inner.bdd.support(part).iter().map(|v| v.index()).collect())
             .collect();
         debug_assert_eq!(inner.relations.len(), t, "rounds extend one at a time");
-        inner.relations.push(Some(round.partitions));
-        inner.relation_supports.push(Some(supports));
+        inner.relations.push(round.partitions);
+        inner.relation_supports.push(supports);
         // The round's conditions supersede the frontier entry (they are
         // what this round's decisions actually follow).
-        inner.dnow[t] = Some(round.dnow);
+        inner.dnow[t] = round.dnow;
         inner.maybe_gc(&mut []);
         let image = self.relational_image(inner, t);
         inner.reachable.push(image);
@@ -2912,13 +2164,13 @@ where
         // until the next extension replaces it.
         let frontier = decides_now_table::<E, S>(
             &mut inner.bdd,
-            layout,
-            choice,
+            &self.layout,
+            &self.choice,
             rule,
             &self.params,
             (t + 1) as Round,
         );
-        inner.dnow.push(Some(frontier));
+        inner.dnow.push(frontier);
         inner.maybe_gc(&mut []);
     }
 
@@ -2935,8 +2187,9 @@ where
         // Everything that must leave the image: current-state copies and
         // the adversary's choices. (Already sorted: current-state indices
         // are the even numbers below 2·num_slots, choice indices follow.)
-        let mut quantifiable: Vec<u32> = (0..self.num_slots).map(|slot| 2 * slot as u32).collect();
-        quantifiable.extend(self.choice_var_indices());
+        let mut quantifiable: Vec<u32> =
+            (0..self.layout.num_slots).map(|slot| cur(slot).index()).collect();
+        quantifiable.extend(self.choice.all_vars().iter().map(|var| var.index()));
         let mut acc = inner.reachable[t];
         for (agent, freed) in inner.round_schedule(t, &quantifiable) {
             // Safe point between steps: partitions and layers are rooted,
@@ -2947,14 +2200,13 @@ where
             let cube = inner.bdd.cube_of_vars(freed.into_iter().map(Var::new));
             // Read the partition from its rooted slot: a collection at the
             // safe point remaps rooted handles in place.
-            let part = inner.relations[t].as_ref().expect("round not built")[agent];
+            let part = inner.relations[t][agent];
             acc = inner.bdd.relational_product(part, acc, cube);
         }
-        let subst = inner.nxt_to_cur.expect("relational machinery registered at construction");
-        inner.bdd.replace(acc, subst)
+        inner.bdd.replace(acc, inner.nxt_to_cur)
     }
 
-    /// Serializes a relational checker — every built layer, round relation
+    /// Serializes the checker — every built layer, round relation
     /// and decides-now table, the trigger state, and the whole BDD manager
     /// (via [`epimc_bdd::Bdd::snapshot`]) — into a versioned, checksummed
     /// byte stream that [`SymbolicChecker::restore_relational`] can
@@ -2967,17 +2219,9 @@ where
     ///
     /// # Errors
     ///
-    /// Fails on an explicit-source checker, while evaluation sessions are
-    /// still holding denotations, or while a rule override is installed.
+    /// Fails while evaluation sessions are still holding denotations, or
+    /// while a rule override is installed.
     pub fn snapshot(&self) -> Result<Vec<u8>, String> {
-        match &self.source {
-            Source::Relational { .. } => {}
-            Source::Explicit(_) => {
-                return Err("only relational checkers can be snapshotted \
-                     (explicit checkers borrow their model)"
-                    .to_string())
-            }
-        }
         if self.rule_override.borrow().is_some() {
             return Err("clear the rule override before snapshotting".to_string());
         }
@@ -2985,7 +2229,6 @@ where
         if inner.arena.live_count() != 0 {
             return Err("end all evaluation sessions before snapshotting".to_string());
         }
-        debug_assert!(inner.choice_minterms.is_empty(), "relational checkers have no minterms");
 
         let mut out = Vec::new();
         out.extend_from_slice(CHECKER_SNAPSHOT_MAGIC);
@@ -2997,30 +2240,19 @@ where
         out.extend_from_slice(&(self.params.num_values() as u32).to_le_bytes());
         out.push(failure_kind_tag(self.params.failure().kind()));
         out.extend_from_slice(&self.params.horizon().to_le_bytes());
-        out.extend_from_slice(&(self.num_slots as u64).to_le_bytes());
-        out.extend_from_slice(&(self.choice_bits as u64).to_le_bytes());
+        out.extend_from_slice(&(self.layout.num_slots as u64).to_le_bytes());
+        out.extend_from_slice(&(self.choice.count() as u64).to_le_bytes());
 
         // Root distribution tables: layer count, then presence + length of
         // each round's partition list and each layer's decides-now table.
+        // (Every list is present; version 1 of the stream carries the
+        // presence byte, so it is still written.)
         out.extend_from_slice(&(inner.reachable.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(inner.relations.len() as u64).to_le_bytes());
-        for round in &inner.relations {
-            match round {
-                Some(parts) => {
-                    out.push(1);
-                    out.extend_from_slice(&(parts.len() as u64).to_le_bytes());
-                }
-                None => out.push(0),
-            }
-        }
-        out.extend_from_slice(&(inner.dnow.len() as u64).to_le_bytes());
-        for table in &inner.dnow {
-            match table {
-                Some(conds) => {
-                    out.push(1);
-                    out.extend_from_slice(&(conds.len() as u64).to_le_bytes());
-                }
-                None => out.push(0),
+        for lists in [&inner.relations, &inner.dnow] {
+            out.extend_from_slice(&(lists.len() as u64).to_le_bytes());
+            for list in lists {
+                out.push(1);
+                out.extend_from_slice(&(list.len() as u64).to_le_bytes());
             }
         }
 
@@ -3045,11 +2277,8 @@ where
         roots.extend_from_slice(&inner.primed_cubes);
         roots.push(inner.choice_cube);
         roots.push(inner.all_quant_cube);
-        for round in inner.relations.iter().flatten() {
-            roots.extend_from_slice(round);
-        }
-        for table in inner.dnow.iter().flatten() {
-            roots.extend_from_slice(table);
+        for list in inner.relations.iter().chain(&inner.dnow) {
+            roots.extend_from_slice(list);
         }
         let bdd_bytes = inner.bdd.snapshot(&roots);
         out.extend_from_slice(&(bdd_bytes.len() as u64).to_le_bytes());
@@ -3060,8 +2289,7 @@ where
     }
 
     /// Decodes a stream produced by [`SymbolicChecker::snapshot`] into a
-    /// working relational checker over the given exchange, parameters and
-    /// rule.
+    /// working checker over the given exchange, parameters and rule.
     ///
     /// The model fingerprint in the stream must match `params` (same agent
     /// count, fault bound, value count, failure kind, horizon, and the
@@ -3124,26 +2352,30 @@ where
         if num_layers == 0 {
             return Err("snapshot has no layers".to_string());
         }
+        // A list the stream marks absent is an error: every round below
+        // the frontier has its partitions and every layer its table.
+        let list_lens = |reader: &mut EnvelopeReader, count: usize, what: &str| {
+            (0..count)
+                .map(|index| match reader.u8()? {
+                    0 => Err(format!("snapshot is missing the {what} {index}")),
+                    _ => Ok(reader.u64()? as usize),
+                })
+                .collect::<Result<Vec<usize>, String>>()
+        };
         let relation_rounds = reader.u64()? as usize;
-        if relation_rounds > num_layers {
+        if relation_rounds + 1 != num_layers {
             return Err(format!(
                 "snapshot has {relation_rounds} relation rounds for {num_layers} layers"
             ));
         }
-        let mut relation_lens: Vec<Option<usize>> = Vec::with_capacity(relation_rounds);
-        for _ in 0..relation_rounds {
-            relation_lens.push(if reader.u8()? != 0 { Some(reader.u64()? as usize) } else { None });
-        }
+        let relation_lens = list_lens(&mut reader, relation_rounds, "relation of round")?;
         let dnow_layers = reader.u64()? as usize;
         if dnow_layers != num_layers {
             return Err(format!(
                 "snapshot has {dnow_layers} decides-now tables for {num_layers} layers"
             ));
         }
-        let mut dnow_lens: Vec<Option<usize>> = Vec::with_capacity(dnow_layers);
-        for _ in 0..dnow_layers {
-            dnow_lens.push(if reader.u8()? != 0 { Some(reader.u64()? as usize) } else { None });
-        }
+        let dnow_lens = list_lens(&mut reader, dnow_layers, "decides-now table of layer")?;
         let gc_threshold = reader.u64()? as usize;
         let gc_base_threshold = reader.u64()? as usize;
         let reorder_threshold = reader.u64()? as usize;
@@ -3160,8 +2392,8 @@ where
         let (mut bdd, mut roots) = Bdd::restore(bdd_bytes).map_err(|error| error.to_string())?;
 
         // Expected root count from the distribution tables.
-        let relation_refs: usize = relation_lens.iter().flatten().sum();
-        let dnow_refs: usize = dnow_lens.iter().flatten().sum();
+        let relation_refs: usize = relation_lens.iter().sum();
+        let dnow_refs: usize = dnow_lens.iter().sum();
         let expected = num_layers + n + n + 2 + relation_refs + dnow_refs;
         if roots.len() != expected {
             return Err(format!(
@@ -3186,39 +2418,20 @@ where
         let primed_cubes = take(n, &mut roots);
         let choice_cube = roots.remove(0);
         let all_quant_cube = roots.remove(0);
-        let mut relations: Vec<Option<Vec<Ref>>> = Vec::with_capacity(relation_rounds);
-        for len in &relation_lens {
-            relations.push(len.map(|len| take(len, &mut roots)));
-        }
-        let mut dnow: Vec<Option<Vec<Ref>>> = Vec::with_capacity(dnow_layers);
-        for len in &dnow_lens {
-            dnow.push(len.map(|len| take(len, &mut roots)));
-        }
+        let relations: Vec<Vec<Ref>> =
+            relation_lens.iter().map(|&len| take(len, &mut roots)).collect();
+        let dnow: Vec<Vec<Ref>> = dnow_lens.iter().map(|&len| take(len, &mut roots)).collect();
         debug_assert!(roots.is_empty());
 
         // Supports are derivable (they mention variable identities, not
         // refs), so they are recomputed rather than trusted from the stream.
-        let relation_supports: Vec<Option<Vec<Vec<u32>>>> = relations
+        let relation_supports: Vec<Vec<Vec<u32>>> = relations
             .iter()
-            .map(|round| {
-                round.as_ref().map(|parts| {
-                    parts
-                        .iter()
-                        .map(|&part| bdd.support(part).iter().map(|v| v.index()).collect())
-                        .collect()
-                })
-            })
-            .collect();
-        let agent_vars: Vec<AgentVars> = layout
-            .agents
-            .iter()
-            .map(|slots| AgentVars {
-                obs_bits: slots.obs_bits.clone(),
-                nonfaulty: slots.nonfaulty,
-                init_bits: slots.init_bits.clone(),
-                decided: slots.decided,
-                decision_bits: slots.decision_bits.clone(),
-                all_slots: slots.all_slots.clone(),
+            .map(|parts| {
+                parts
+                    .iter()
+                    .map(|&part| bdd.support(part).iter().map(|v| v.index()).collect())
+                    .collect()
             })
             .collect();
 
@@ -3227,13 +2440,11 @@ where
             arena: DenArena::default(),
             reachable,
             hidden_cubes,
-            mode: RelationMode::Partitioned,
-            cur_to_nxt: Some(cur_to_nxt),
-            nxt_to_cur: Some(nxt_to_cur),
+            cur_to_nxt,
+            nxt_to_cur,
             primed_cubes,
             choice_cube,
             all_quant_cube,
-            choice_minterms: Vec::new(),
             relations,
             relation_supports,
             reachable_relations: HashMap::new(),
@@ -3249,14 +2460,12 @@ where
             reorder_threshold: reorder_threshold.max(2),
         };
         Ok(SymbolicChecker {
-            source: Source::Relational { exchange, rule, layout, choice },
+            exchange,
+            rule,
+            layout,
+            choice,
             params,
             inner: RefCell::new(inner),
-            agent_vars,
-            num_slots,
-            choice_bits,
-            max_successors: 0,
-            encodings: Vec::new(),
             rule_override: RefCell::new(None),
             override_epoch: Cell::new(0),
             focus: Cell::new(None),
@@ -3269,7 +2478,7 @@ where
 // Per-layer seams for the local (on-the-fly) engine.
 //
 // `LocalChecker` (`crate::local`) implements `epimc_local::LocalOracle`
-// on top of a relational-source checker: its predicate slots are the
+// on top of a checker grown on demand: its predicate slots are the
 // entries of a single arena denotation (the *store*), so every slot is
 // rooted across garbage collections and reorders, and each seam below
 // computes exactly one layer of the corresponding global-engine
@@ -3282,7 +2491,7 @@ where
 // `all_next` are already per-layer and are called directly, so no operator
 // semantics is duplicated.
 
-impl<'m, E, R> SymbolicChecker<'m, E, R>
+impl<E, R> SymbolicChecker<E, R>
 where
     E: InformationExchange,
     R: DecisionRule<E>,
@@ -3454,7 +2663,6 @@ where
         x_next: usize,
         layer: usize,
     ) {
-        self.ensure_relation(layer);
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
         inner.maybe_gc(&mut []);
@@ -3505,8 +2713,8 @@ where
     }
 
     /// Reads an already-computed denotation off on the points of `model`
-    /// (the [`SymbolicChecker::check_points`] decode loop, without the
-    /// evaluation step). `den` stays owned by the caller.
+    /// ([`SymbolicChecker::check_points`] without the evaluation step).
+    /// `den` stays owned by the caller.
     pub(crate) fn seam_read_points<R2: DecisionRule<E>>(
         &self,
         model: &ConsensusModel<E, R2>,
@@ -3521,12 +2729,7 @@ where
         let mut set = PointSet::empty(model);
         for time in 0..model.num_layers() as Round {
             for index in 0..model.layer_size(time) {
-                let bits = Self::encode_point(
-                    model,
-                    &self.agent_vars,
-                    self.num_slots,
-                    PointId::new(time, index),
-                );
+                let bits = self.encode_point(model, PointId::new(time, index));
                 let holds =
                     inner.bdd.eval(layers[time as usize], |v| bits[(v.index() / 2) as usize]);
                 if holds {
@@ -3551,7 +2754,7 @@ where
     }
 }
 
-impl<'m, E, R> SymbolicChecker<'m, E, R>
+impl<E, R> SymbolicChecker<E, R>
 where
     E: SymbolicEncode,
     R: SymbolicRule<E>,
@@ -3561,7 +2764,7 @@ where
     /// `ensure_layer` — the only place it grows the model.
     pub(crate) fn seam_extend_to(&self, layers: usize) {
         while self.num_layers() < layers {
-            self.extend_with_source_rule();
+            self.extend_layer_relational(&self.rule);
         }
     }
 }
@@ -3684,6 +2887,7 @@ mod restriction_tests;
 
 #[cfg(test)]
 mod tests {
+    use super::restriction_tests::{explicit_values, rule_as_table};
     use super::*;
     use crate::explicit::Checker;
     use epimc_protocols::{CountFloodSet, FloodSet, FloodSetRule, TextbookRule};
@@ -3699,13 +2903,20 @@ mod tests {
         F::believes_nonfaulty(AgentId::new(agent), F::common_belief(exists(v)))
     }
 
-    #[test]
-    fn bits_for_domains() {
-        assert_eq!(bits_for(1), 1);
-        assert_eq!(bits_for(2), 1);
-        assert_eq!(bits_for(3), 2);
-        assert_eq!(bits_for(4), 2);
-        assert_eq!(bits_for(5), 3);
+    fn crash(agents: usize) -> ModelParams {
+        ModelParams::builder()
+            .agents(agents)
+            .max_faulty(1)
+            .values(2)
+            .failure(FailureKind::Crash)
+            .build()
+    }
+
+    fn floodset(
+        params: ModelParams,
+        options: SymbolicOptions,
+    ) -> SymbolicChecker<FloodSet, FloodSetRule> {
+        SymbolicChecker::relational(FloodSet, params, FloodSetRule, options)
     }
 
     fn agreement_formulas() -> Vec<F> {
@@ -3727,56 +2938,6 @@ mod tests {
     }
 
     #[test]
-    fn symbolic_agrees_with_explicit_on_floodset() {
-        let params = ModelParams::builder()
-            .agents(3)
-            .max_faulty(1)
-            .values(2)
-            .failure(FailureKind::Crash)
-            .build();
-        let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
-        let explicit = Checker::new(&model);
-        let symbolic = SymbolicChecker::new(&model);
-        for formula in agreement_formulas() {
-            assert_eq!(
-                explicit.check(&formula),
-                symbolic.check(&formula),
-                "engines disagree on {formula}"
-            );
-        }
-        let stats = symbolic.stats();
-        assert!(stats.num_state_vars > 0);
-        assert!(stats.reachable_nodes > 0);
-        // Temporal formulas ran, so the relation machinery exists.
-        assert!(stats.num_relation_vars > stats.num_state_vars);
-    }
-
-    #[test]
-    fn monolithic_relation_agrees_with_partitioned() {
-        let params = ModelParams::builder()
-            .agents(3)
-            .max_faulty(1)
-            .values(2)
-            .failure(FailureKind::Crash)
-            .build();
-        let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
-        let partitioned = SymbolicChecker::new(&model);
-        let monolithic = SymbolicChecker::with_options(
-            &model,
-            SymbolicOptions { relation_mode: RelationMode::Monolithic, ..Default::default() },
-        );
-        assert_eq!(partitioned.relation_mode(), RelationMode::Partitioned);
-        assert_eq!(monolithic.relation_mode(), RelationMode::Monolithic);
-        for formula in agreement_formulas() {
-            assert_eq!(
-                partitioned.check(&formula),
-                monolithic.check(&formula),
-                "relation modes disagree on {formula}"
-            );
-        }
-    }
-
-    #[test]
     fn symbolic_agrees_with_explicit_on_count_omissions() {
         let params = ModelParams::builder()
             .agents(2)
@@ -3786,7 +2947,12 @@ mod tests {
             .build();
         let model = ConsensusModel::explore(CountFloodSet, params, TextbookRule);
         let explicit = Checker::new(&model);
-        let symbolic = SymbolicChecker::new(&model);
+        let symbolic = SymbolicChecker::relational(
+            CountFloodSet,
+            params,
+            TextbookRule,
+            SymbolicOptions::default(),
+        );
         for formula in [
             sba_condition(0, 0),
             sba_condition(1, 1),
@@ -3797,7 +2963,7 @@ mod tests {
         ] {
             assert_eq!(
                 explicit.check(&formula),
-                symbolic.check(&formula),
+                symbolic.check_points(&model, &formula),
                 "engines disagree on {formula}"
             );
         }
@@ -3805,45 +2971,41 @@ mod tests {
 
     #[test]
     fn forced_gc_between_checks_preserves_results() {
-        let params = ModelParams::builder()
-            .agents(3)
-            .max_faulty(1)
-            .values(2)
-            .failure(FailureKind::Crash)
-            .build();
+        let params = crash(3);
         let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
-        let symbolic = SymbolicChecker::new(&model);
+        let symbolic = floodset(params, SymbolicOptions::default());
         let formulas = agreement_formulas();
-        let before: Vec<PointSet> = formulas.iter().map(|f| symbolic.check(f)).collect();
+        let before: Vec<PointSet> =
+            formulas.iter().map(|f| symbolic.check_points(&model, f)).collect();
         symbolic.force_gc();
         assert!(symbolic.stats().gc_runs >= 1);
         for (formula, expected) in formulas.iter().zip(&before) {
-            assert_eq!(symbolic.check(formula), *expected, "gc changed the answer to {formula}");
+            assert_eq!(
+                symbolic.check_points(&model, formula),
+                *expected,
+                "gc changed the answer to {formula}"
+            );
         }
     }
 
     #[test]
     fn sift_once_and_auto_reorder_agree_with_explicit() {
-        let params = ModelParams::builder()
-            .agents(3)
-            .max_faulty(1)
-            .values(2)
-            .failure(FailureKind::Crash)
-            .build();
+        let params = crash(3);
         let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
         let explicit = Checker::new(&model);
-        let static_order = SymbolicChecker::with_options(
-            &model,
+        let static_order = floodset(
+            params,
             SymbolicOptions { reorder: ReorderMode::Static, ..Default::default() },
         );
-        let sift_once = SymbolicChecker::with_options(
-            &model,
+        let sift_once = floodset(
+            params,
             SymbolicOptions { reorder: ReorderMode::SiftOnce, ..Default::default() },
         );
         // A tiny threshold (with a tiny GC threshold, since the trigger sits
-        // at collection safe points) forces reorders mid-evaluation.
-        let auto = SymbolicChecker::with_options(
-            &model,
+        // at collection safe points) forces reorders mid-build and
+        // mid-evaluation.
+        let auto = floodset(
+            params,
             SymbolicOptions {
                 reorder: ReorderMode::Auto { threshold: 64 },
                 gc_threshold: 1 << 9,
@@ -3852,9 +3014,17 @@ mod tests {
         );
         for formula in agreement_formulas() {
             let expected = explicit.check(&formula);
-            assert_eq!(static_order.check(&formula), expected, "static order on {formula}");
-            assert_eq!(sift_once.check(&formula), expected, "sift-once on {formula}");
-            assert_eq!(auto.check(&formula), expected, "auto-reorder on {formula}");
+            assert_eq!(
+                static_order.check_points(&model, &formula),
+                expected,
+                "static order on {formula}"
+            );
+            assert_eq!(
+                sift_once.check_points(&model, &formula),
+                expected,
+                "sift-once on {formula}"
+            );
+            assert_eq!(auto.check_points(&model, &formula), expected, "auto-reorder on {formula}");
         }
         assert_eq!(static_order.stats().reorder_runs, 0);
         assert!(sift_once.stats().reorder_runs >= 1, "sift-once must have sifted");
@@ -3863,141 +3033,62 @@ mod tests {
     }
 
     #[test]
-    fn learned_order_carries_across_salvage_and_resume() {
-        use epimc_system::TableRule;
-        let params = ModelParams::builder()
-            .agents(3)
-            .max_faulty(1)
-            .values(2)
-            .failure(FailureKind::Crash)
-            .build();
-        let rule = TableRule::new("noop");
-        let mut model =
-            ConsensusModel::new(epimc_system::StateSpace::initial(FloodSet, params), rule);
-        let options = SymbolicOptions {
-            reorder: ReorderMode::Auto { threshold: 64 },
-            gc_threshold: 1 << 9,
-            ..Default::default()
-        };
-        let mut salvage = SymbolicChecker::with_options(&model, options).into_salvage();
-        let mut reorders_before = 0;
-        for _ in 0..params.horizon() {
-            model.extend_layer();
-            let resumed = SymbolicChecker::resume(&model, salvage);
-            let fresh = SymbolicChecker::with_options(&model, options);
-            for formula in agreement_formulas() {
-                assert_eq!(
-                    resumed.check(&formula),
-                    fresh.check(&formula),
-                    "resumed reordering checker disagrees on {formula} at {} layers",
-                    model.num_layers()
-                );
-            }
-            let stats = resumed.stats();
-            assert!(
-                stats.reorder_runs >= reorders_before,
-                "reorder counters must carry across salvage/resume"
-            );
-            reorders_before = stats.reorder_runs;
-            salvage = resumed.into_salvage();
-        }
-        assert!(reorders_before >= 1, "the tiny threshold must have sifted at least once");
-    }
-
-    #[test]
     fn observation_values_survive_forced_reorders() {
-        let params = ModelParams::builder()
-            .agents(3)
-            .max_faulty(1)
-            .values(2)
-            .failure(FailureKind::Crash)
-            .build();
-        let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
-        let symbolic = SymbolicChecker::new(&model);
+        let params = crash(3);
+        let symbolic = floodset(params, SymbolicOptions::default());
         let formula = sba_condition(0, 0);
-        let mut before = Vec::new();
-        for agent in AgentId::all(3) {
-            for time in 0..model.num_layers() as Round {
-                let mut session = symbolic.session();
-                before.push(symbolic.observation_values(&mut session, &formula, agent, time));
-                symbolic.end_session(session);
+        let all_values = || {
+            let mut values = Vec::new();
+            for agent in AgentId::all(3) {
+                for time in 0..symbolic.num_layers() as Round {
+                    let mut session = symbolic.session();
+                    values.push(symbolic.observation_values(&mut session, &formula, agent, time));
+                    symbolic.end_session(session);
+                }
             }
-        }
+            values
+        };
+        let before = all_values();
         symbolic.force_reorder();
         assert!(symbolic.stats().reorder_runs >= 1);
-        let mut after = Vec::new();
-        for agent in AgentId::all(3) {
-            for time in 0..model.num_layers() as Round {
-                let mut session = symbolic.session();
-                after.push(symbolic.observation_values(&mut session, &formula, agent, time));
-                symbolic.end_session(session);
-            }
-        }
-        assert_eq!(before, after, "reordering changed observation values");
+        assert_eq!(before, all_values(), "reordering changed observation values");
     }
 
     #[test]
     fn tiny_gc_threshold_still_answers_correctly() {
-        // Force collections constantly; results must be unchanged.
+        // Force collections constantly — through the forward images of the
+        // build as well; results must be unchanged.
         let params = ModelParams::builder().agents(2).max_faulty(1).values(2).build();
         let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
         let explicit = Checker::new(&model);
-        let stressed = SymbolicChecker::with_options(
-            &model,
-            SymbolicOptions { gc_threshold: 1, ..Default::default() },
-        );
+        let stressed = floodset(params, SymbolicOptions { gc_threshold: 1, ..Default::default() });
         for formula in [sba_condition(0, 0), F::all_globally(exists(1)), exists(0)] {
-            assert_eq!(explicit.check(&formula), stressed.check(&formula), "on {formula}");
+            assert_eq!(
+                explicit.check(&formula),
+                stressed.check_points(&model, &formula),
+                "on {formula}"
+            );
         }
         assert!(stressed.stats().gc_runs > 0, "threshold 1 must trigger collections");
     }
 
-    #[test]
-    fn observation_values_match_explicit_grouping() {
-        let params = ModelParams::builder()
-            .agents(3)
-            .max_faulty(1)
-            .values(2)
-            .failure(FailureKind::Crash)
-            .build();
+    /// `observation_values` against the explicit grouping of the layer, for
+    /// every agent and layer (one session per layer: the cached denotations
+    /// are computed under that layer's focus).
+    fn observation_values_match_grouping(agents: usize, formulas: &[F]) {
+        let params = crash(agents);
         let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
-        let symbolic = SymbolicChecker::new(&model);
+        let symbolic = floodset(params, SymbolicOptions::default());
         let explicit = Checker::new(&model);
-        for formula in [sba_condition(0, 0), F::knows(AgentId::new(1), exists(1)), exists(0)] {
-            let holds = explicit.check(&formula);
-            for agent in AgentId::all(3) {
+        for formula in formulas {
+            let holds = explicit.check(formula);
+            for agent in AgentId::all(agents) {
                 for time in 0..model.num_layers() as Round {
-                    // One session per layer: the cached denotations are
-                    // computed under that layer's focus.
                     let mut session = symbolic.session();
-                    let values = symbolic.observation_values(&mut session, &formula, agent, time);
-                    // Group the layer explicitly by the agent's observation.
-                    let mut classes: std::collections::BTreeMap<Observation, Vec<bool>> =
-                        std::collections::BTreeMap::new();
-                    for index in 0..model.layer_size(time) {
-                        let point = PointId::new(time, index);
-                        classes
-                            .entry(model.observation(agent, point).clone())
-                            .or_default()
-                            .push(holds.contains(point));
-                    }
-                    let reachable: Vec<Observation> = classes.keys().cloned().collect();
-                    let holding: Vec<Observation> = classes
-                        .iter()
-                        .filter(|(_, values)| values.iter().all(|&v| v))
-                        .map(|(observation, _)| observation.clone())
-                        .collect();
-                    let non_uniform: Vec<Observation> = classes
-                        .iter()
-                        .filter(|(_, values)| {
-                            values.iter().any(|&v| v) && values.iter().any(|&v| !v)
-                        })
-                        .map(|(observation, _)| observation.clone())
-                        .collect();
-                    assert_eq!(values.reachable, reachable, "{formula} {agent} t={time}");
-                    assert_eq!(values.holding, holding, "{formula} {agent} t={time}");
-                    assert_eq!(values.non_uniform, non_uniform, "{formula} {agent} t={time}");
-                    assert_eq!(symbolic.layer_observations(agent, time), reachable);
+                    let values = symbolic.observation_values(&mut session, formula, agent, time);
+                    let expected = explicit_values(&model, &holds, agent, time);
+                    assert_eq!(values, expected, "{formula} {agent} t={time}");
+                    assert_eq!(symbolic.layer_observations(agent, time), expected.reachable);
                     assert!(!session.is_empty(), "closed formulas are memoised");
                     symbolic.end_session(session);
                 }
@@ -4006,11 +3097,23 @@ mod tests {
     }
 
     #[test]
+    fn observation_values_match_explicit_grouping() {
+        observation_values_match_grouping(
+            3,
+            &[sba_condition(0, 0), F::knows(AgentId::new(1), exists(1)), exists(0)],
+        );
+    }
+
+    #[test]
+    fn relational_observation_values_match_explicit() {
+        observation_values_match_grouping(2, &[sba_condition(0, 0)]);
+    }
+
+    #[test]
     #[should_panic(expected = "different layer focus")]
     fn sessions_cannot_mix_layer_focuses() {
         let params = ModelParams::builder().agents(2).max_faulty(1).values(2).build();
-        let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
-        let symbolic = SymbolicChecker::new(&model);
+        let symbolic = floodset(params, SymbolicOptions::default());
         let mut session = symbolic.session();
         let _ = symbolic.observation_values(&mut session, &exists(0), AgentId::new(0), 0);
         let _ = symbolic.observation_values(&mut session, &exists(0), AgentId::new(0), 1);
@@ -4020,134 +3123,91 @@ mod tests {
     fn session_checks_agree_with_plain_checks_across_gc() {
         let params = ModelParams::builder().agents(3).max_faulty(1).values(2).build();
         let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
-        let symbolic = SymbolicChecker::with_options(
-            &model,
-            SymbolicOptions { gc_threshold: 1 << 10, ..Default::default() },
-        );
+        let symbolic =
+            floodset(params, SymbolicOptions { gc_threshold: 1 << 10, ..Default::default() });
+        // `check_points` through a session: the denotation a session-backed
+        // entry point is handed, read off on the model's points.
+        let check_in_session = |session: &mut EvalSession, formula: &F| {
+            let den = symbolic.eval_bounded(formula, &mut HashMap::new(), Some(session));
+            let set = symbolic.seam_read_points(&model, den);
+            symbolic.release(den);
+            set
+        };
         let mut session = symbolic.session();
         for formula in agreement_formulas() {
-            let expected = symbolic.check(&formula);
-            assert_eq!(symbolic.check_in_session(&mut session, &formula), expected);
+            let expected = symbolic.check_points(&model, &formula);
+            assert_eq!(check_in_session(&mut session, &formula), expected);
             // Second evaluation is served from the cache.
-            assert_eq!(symbolic.check_in_session(&mut session, &formula), expected);
+            assert_eq!(check_in_session(&mut session, &formula), expected);
         }
         symbolic.force_gc();
         for formula in agreement_formulas() {
-            assert_eq!(symbolic.check_in_session(&mut session, &formula), symbolic.check(&formula));
+            assert_eq!(
+                check_in_session(&mut session, &formula),
+                symbolic.check_points(&model, &formula)
+            );
         }
         symbolic.end_session(session);
     }
 
-    #[test]
-    fn rule_override_matches_explicit_decides_now_scan() {
-        let params = ModelParams::builder()
-            .agents(3)
-            .max_faulty(1)
-            .values(2)
-            .failure(FailureKind::Crash)
-            .build();
+    /// Under the model's own rule spelled as a decision table, `DecidesNow`
+    /// goes through `decides_now_denotation` instead of the conditions the
+    /// rounds were built under, and must denote what the explicit checker
+    /// reads off the model's actions — as it must again once the override
+    /// is dropped.
+    fn rule_override_matches_scan(agents: usize) {
+        let params = crash(agents);
         let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
-        // Extensionally the same rule as the model's: every (agent, time,
-        // observation) that decides in the model becomes a table entry.
-        let mut table = epimc_system::TableRule::new("floodset-as-table");
-        for time in 0..model.num_layers() as Round {
-            for index in 0..model.layer_size(time) {
-                let point = PointId::new(time, index);
-                for agent in AgentId::all(3) {
-                    if let epimc_system::Action::Decide(value) = model.action_at(agent, point) {
-                        table.set(
-                            agent,
-                            time,
-                            model.observation(agent, point).clone(),
-                            epimc_system::Action::Decide(value),
-                        );
-                    }
-                }
-            }
-        }
-        let symbolic = SymbolicChecker::new(&model);
-        let formulas: Vec<F> = (0..3)
+        let explicit = Checker::new(&model);
+        let symbolic = floodset(params, SymbolicOptions::default());
+        let formulas: Vec<F> = (0..agents)
             .flat_map(|agent| {
                 (0..2).map(move |value| {
                     F::atom(ConsensusAtom::DecidesNow(AgentId::new(agent), Value::new(value)))
                 })
             })
             .collect();
-        let scanned: Vec<PointSet> = formulas.iter().map(|f| symbolic.check(f)).collect();
-        symbolic.set_rule_override(Some(table));
-        for (formula, expected) in formulas.iter().zip(&scanned) {
-            assert_eq!(
-                symbolic.check(formula),
-                *expected,
-                "override disagrees with the scan on {formula}"
-            );
-        }
-        symbolic.set_rule_override(None);
-        for (formula, expected) in formulas.iter().zip(&scanned) {
-            assert_eq!(symbolic.check(formula), *expected);
+        let scanned: Vec<PointSet> = formulas.iter().map(|f| explicit.check(f)).collect();
+        for table in [Some(rule_as_table(&model)), None] {
+            let overridden = table.is_some();
+            symbolic.set_rule_override(table);
+            for (formula, expected) in formulas.iter().zip(&scanned) {
+                assert_eq!(
+                    symbolic.check_points(&model, formula),
+                    *expected,
+                    "override={overridden} disagrees with the scan on {formula}"
+                );
+            }
         }
     }
 
     #[test]
-    fn salvage_and_resume_match_fresh_checkers_as_the_model_grows() {
-        use epimc_system::TableRule;
-        let params = ModelParams::builder()
-            .agents(3)
-            .max_faulty(1)
-            .values(2)
-            .failure(FailureKind::Crash)
-            .build();
-        let rule = TableRule::new("noop");
-        let mut model =
-            ConsensusModel::new(epimc_system::StateSpace::initial(FloodSet, params), rule);
-        // A small threshold exercises collections during the incremental
-        // reachable-set builds.
-        let options = SymbolicOptions { gc_threshold: 1 << 10, ..Default::default() };
-        let mut salvage = SymbolicChecker::with_options(&model, options).into_salvage();
-        for _ in 0..params.horizon() {
-            model.extend_layer();
-            let resumed = SymbolicChecker::resume(&model, salvage);
-            assert_eq!(resumed.model().num_layers(), model.num_layers());
-            let fresh = SymbolicChecker::with_options(&model, options);
-            for formula in agreement_formulas() {
-                assert_eq!(
-                    resumed.check(&formula),
-                    fresh.check(&formula),
-                    "resumed checker disagrees on {formula} at {} layers",
-                    model.num_layers()
-                );
-            }
-            for agent in AgentId::all(3) {
-                for time in 0..model.num_layers() as Round {
-                    assert_eq!(
-                        resumed.layer_observations(agent, time),
-                        fresh.layer_observations(agent, time)
-                    );
-                }
-            }
-            salvage = resumed.into_salvage();
-        }
-        assert_eq!(salvage.num_layers(), params.horizon() as usize + 1);
+    fn rule_override_matches_explicit_decides_now_scan() {
+        rule_override_matches_scan(3);
+    }
+
+    #[test]
+    fn relational_rule_override_matches_explicit_scan() {
+        rule_override_matches_scan(2);
     }
 
     #[test]
     #[should_panic(expected = "outlived a rule-override change")]
     fn stale_sessions_are_rejected() {
         let params = ModelParams::builder().agents(2).max_faulty(1).values(2).build();
-        let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
-        let symbolic = SymbolicChecker::new(&model);
+        let symbolic = floodset(params, SymbolicOptions::default());
         let mut session = symbolic.session();
         symbolic.set_rule_override(Some(epimc_system::TableRule::new("fresh")));
-        let _ = symbolic.check_in_session(&mut session, &exists(0));
+        let _ = symbolic.holds_everywhere_in_session(&mut session, &exists(0));
     }
 
     #[test]
     fn knowledge_is_constant_on_observation_classes() {
         let params = ModelParams::builder().agents(2).max_faulty(1).values(2).build();
         let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
-        let symbolic = SymbolicChecker::new(&model);
+        let symbolic = floodset(params, SymbolicOptions::default());
         let k = F::knows(AgentId::new(0), exists(0));
-        let holds = symbolic.check(&k);
+        let holds = symbolic.check_points(&model, &k);
         for time in 0..model.num_layers() as Round {
             for a in 0..model.layer_size(time) {
                 for b in 0..model.layer_size(time) {
@@ -4165,28 +3225,23 @@ mod tests {
 
     #[test]
     fn relational_layers_and_checks_match_explicit_on_floodset() {
-        let params = ModelParams::builder()
-            .agents(3)
-            .max_faulty(1)
-            .values(2)
-            .failure(FailureKind::Crash)
-            .build();
+        let params = crash(3);
         let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
         let explicit = Checker::new(&model);
-        let symbolic = SymbolicChecker::new(&model);
-        let relational =
-            SymbolicChecker::relational(FloodSet, params, FloodSetRule, SymbolicOptions::default());
-        assert!(relational.is_relational());
-        assert!(!symbolic.is_relational());
+        let relational = floodset(params, SymbolicOptions::default());
         assert_eq!(relational.num_layers(), model.num_layers());
-        // The relational layers are extensionally identical to the explicit
-        // ones: every explored point is reachable, and the satisfying-state
-        // counts agree layer by layer (so there is nothing extra either).
+        // The relational layers are extensionally identical to the explored
+        // ones: every explored point is reachable, and each layer has as
+        // many states as the exploration has distinct state encodings (so
+        // there is nothing extra either).
         assert_eq!(relational.check_points(&model, &F::tt()), PointSet::full(&model));
         for time in 0..model.num_layers() as Round {
+            let encodings: std::collections::HashSet<Vec<bool>> = (0..model.layer_size(time))
+                .map(|index| relational.encode_point(&model, PointId::new(time, index)))
+                .collect();
             assert_eq!(
                 relational.layer_state_count(time),
-                symbolic.layer_state_count(time),
+                encodings.len() as u128,
                 "layer {time} state count"
             );
         }
@@ -4201,11 +3256,14 @@ mod tests {
             );
             assert_eq!(
                 relational.holds_everywhere(&formula),
-                symbolic.holds_everywhere(&formula),
+                explicit.holds_everywhere(&formula),
                 "holds_everywhere disagrees on {formula}"
             );
         }
         let stats = relational.stats();
+        assert!(stats.num_state_vars > 0);
+        assert!(stats.reachable_nodes > 0);
+        assert!(stats.num_relation_vars > stats.num_state_vars);
         assert!(stats.relational_product_calls > 0, "images route through relational_product");
         assert!(
             stats.image_cache_hits + stats.image_cache_misses > 0,
@@ -4358,86 +3416,6 @@ mod tests {
     }
 
     #[test]
-    fn relational_observation_values_match_explicit() {
-        let params = ModelParams::builder()
-            .agents(2)
-            .max_faulty(1)
-            .values(2)
-            .failure(FailureKind::Crash)
-            .build();
-        let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
-        let symbolic = SymbolicChecker::new(&model);
-        let relational =
-            SymbolicChecker::relational(FloodSet, params, FloodSetRule, SymbolicOptions::default());
-        let condition = sba_condition(0, 0);
-        for time in 0..model.num_layers() as Round {
-            for agent in AgentId::all(2) {
-                let mut explicit_session = symbolic.session();
-                let mut relational_session = relational.session();
-                let expected =
-                    symbolic.observation_values(&mut explicit_session, &condition, agent, time);
-                let got =
-                    relational.observation_values(&mut relational_session, &condition, agent, time);
-                symbolic.end_session(explicit_session);
-                relational.end_session(relational_session);
-                assert_eq!(expected, got, "observation values differ for {agent} at {time}");
-            }
-        }
-    }
-
-    #[test]
-    fn relational_rule_override_matches_explicit_scan() {
-        let params = ModelParams::builder()
-            .agents(2)
-            .max_faulty(1)
-            .values(2)
-            .failure(FailureKind::Crash)
-            .build();
-        let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
-        let mut table = epimc_system::TableRule::new("floodset-as-table");
-        for time in 0..model.num_layers() as Round {
-            for index in 0..model.layer_size(time) {
-                let point = PointId::new(time, index);
-                for agent in AgentId::all(2) {
-                    if let epimc_system::Action::Decide(value) = model.action_at(agent, point) {
-                        table.set(
-                            agent,
-                            time,
-                            model.observation(agent, point).clone(),
-                            epimc_system::Action::Decide(value),
-                        );
-                    }
-                }
-            }
-        }
-        let symbolic = SymbolicChecker::new(&model);
-        let relational =
-            SymbolicChecker::relational(FloodSet, params, FloodSetRule, SymbolicOptions::default());
-        symbolic.set_rule_override(Some(table.clone()));
-        relational.set_rule_override(Some(table));
-        let formulas: Vec<F> = (0..2)
-            .flat_map(|agent| {
-                (0..2).map(move |value| {
-                    F::atom(ConsensusAtom::DecidesNow(AgentId::new(agent), Value::new(value)))
-                })
-            })
-            .collect();
-        for formula in &formulas {
-            assert_eq!(
-                symbolic.check(formula),
-                relational.check_points(&model, formula),
-                "override disagrees across front-ends on {formula}"
-            );
-        }
-        // Dropping the override reinstates the source rule on both sides.
-        symbolic.set_rule_override(None);
-        relational.set_rule_override(None);
-        for formula in &formulas {
-            assert_eq!(symbolic.check(formula), relational.check_points(&model, formula));
-        }
-    }
-
-    #[test]
     fn final_layer_settled_matches_explicit() {
         let params = ModelParams::builder()
             .agents(3)
@@ -4447,14 +3425,12 @@ mod tests {
             .build();
         let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
         assert!(model.final_layer_settled(), "FloodSet decides by the horizon");
-        assert!(SymbolicChecker::new(&model).final_layer_settled());
         let relational =
             SymbolicChecker::relational(FloodSet, params, FloodSetRule, SymbolicOptions::default());
         assert!(relational.final_layer_settled());
 
         let idle = ConsensusModel::explore(FloodSet, params, TableRule::new("noop"));
         assert!(!idle.final_layer_settled());
-        assert!(!SymbolicChecker::new(&idle).final_layer_settled());
         let relational_idle = SymbolicChecker::relational(
             FloodSet,
             params,
@@ -4462,14 +3438,5 @@ mod tests {
             SymbolicOptions::default(),
         );
         assert!(!relational_idle.final_layer_settled());
-    }
-
-    #[test]
-    #[should_panic(expected = "requires the explicit front-end")]
-    fn relational_checkers_reject_explicit_only_operations() {
-        let params = ModelParams::builder().agents(2).max_faulty(1).values(2).build();
-        let relational =
-            SymbolicChecker::relational(FloodSet, params, FloodSetRule, SymbolicOptions::default());
-        let _ = relational.check(&exists(0));
     }
 }

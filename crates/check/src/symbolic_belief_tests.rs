@@ -58,7 +58,7 @@ fn textbook_common_belief(phi: &F) -> F {
 /// Whether `C_B φ` and `νX. E_B(X ∧ φ)` evaluate to the same handles on
 /// every layer (under the checker's current focus and through `session`).
 fn frontier_equals_textbook<E, R>(
-    checker: &SymbolicChecker<'_, E, R>,
+    checker: &SymbolicChecker<E, R>,
     phi: &F,
     mut session: Option<&mut EvalSession>,
 ) -> bool
@@ -77,10 +77,10 @@ where
     equal
 }
 
-/// The differential on one family: both sources, under the default
-/// options, under `gc_threshold: 2` (a collection at whichever safe point —
-/// between layers, rounds or agents — first sees the store doubled), and in
-/// the two-terminal representation.
+/// The differential on one family: under the default options, under
+/// `gc_threshold: 2` (a collection at whichever safe point — between
+/// layers, rounds or agents — first sees the store doubled), and in the
+/// two-terminal representation.
 fn frontier_agrees_on<E, R>(family: &str, exchange: E, rule: R, params: ModelParams)
 where
     E: InformationExchange + SymbolicEncode + Clone,
@@ -109,55 +109,47 @@ where
     for (label, options) in
         [("default", default), ("collecting", collecting), ("two-terminal", two_terminal)]
     {
-        let checkers = [
-            ("explicit source", SymbolicChecker::with_options(&model, options)),
-            (
-                "relational source",
-                SymbolicChecker::relational(exchange.clone(), params, rule.clone(), options),
-            ),
-        ];
-        for (source, checker) in &checkers {
-            let baseline = checker.inner.borrow().arena.live_count();
+        let checker = &SymbolicChecker::relational(exchange.clone(), params, rule.clone(), options);
+        let baseline = checker.inner.borrow().arena.live_count();
+        for phi in &grid {
+            assert!(
+                frontier_equals_textbook(checker, phi, None),
+                "{family} {label}: C_B differs from the generic fixpoint on {phi}"
+            );
+        }
+        // A focused session, as synthesis drives it: only the queried
+        // layer is computed, to the same handle.
+        for layer in 0..checker.num_layers() {
+            let mut session = checker.session();
+            SymbolicChecker::<E, R>::lock_session_focus(&mut session, Some(layer));
+            checker.focus.set(Some(layer));
             for phi in &grid {
                 assert!(
-                    frontier_equals_textbook(checker, phi, None),
-                    "{family} {label} {source}: C_B differs from the generic fixpoint on {phi}"
+                    frontier_equals_textbook(checker, phi, Some(&mut session)),
+                    "{family} {label}: focused on layer {layer}, C_B differs from \
+                     the generic fixpoint on {phi}"
                 );
             }
-            // A focused session, as synthesis drives it: only the queried
-            // layer is computed, to the same handle.
-            for layer in 0..checker.num_layers() {
-                let mut session = checker.session();
-                SymbolicChecker::<E, R>::lock_session_focus(&mut session, Some(layer));
-                checker.focus.set(Some(layer));
-                for phi in &grid {
-                    assert!(
-                        frontier_equals_textbook(checker, phi, Some(&mut session)),
-                        "{family} {label} {source}: focused on layer {layer}, C_B differs from \
-                         the generic fixpoint on {phi}"
-                    );
-                }
-                checker.focus.set(None);
-                checker.end_session(session);
-            }
+            checker.focus.set(None);
+            checker.end_session(session);
+        }
+        assert_eq!(
+            checker.inner.borrow().arena.live_count(),
+            baseline,
+            "{family} {label}: denotation leak"
+        );
+        for (formula, want) in operators.iter().zip(&expected) {
             assert_eq!(
-                checker.inner.borrow().arena.live_count(),
-                baseline,
-                "{family} {label} {source}: denotation leak"
+                &checker.check_points(&model, formula),
+                want,
+                "{family} {label}: {formula} differs from the explicit checker"
             );
-            for (formula, want) in operators.iter().zip(&expected) {
-                assert_eq!(
-                    &checker.check_points(&model, formula),
-                    want,
-                    "{family} {label} {source}: {formula} differs from the explicit checker"
-                );
-            }
-            if label == "collecting" {
-                // The threshold doubles past the survivors, so few safe
-                // points collect; the sweep further down puts a collection
-                // on each of them in turn.
-                assert!(checker.stats().gc_runs > 0, "{family} {source}: never collected");
-            }
+        }
+        if label == "collecting" {
+            // The threshold doubles past the survivors, so few safe
+            // points collect; the sweep further down puts a collection
+            // on each of them in turn.
+            assert!(checker.stats().gc_runs > 0, "{family}: never collected");
         }
     }
 }
@@ -281,61 +273,41 @@ fn a_budget_trip_anywhere_in_a_knowledge_condition_leaves_a_valid_checker() {
     // below what `B[0] CB ∃0` needs on a cold manager, the query aborts,
     // the arena holds exactly the denotations it held before the call, the
     // manager stays canonical, and the un-budgeted retry *on the same
-    // checker* answers as a never-interrupted one does. (The relational
-    // source has no point list to decode into, so the fallible entry is
-    // `try_holds_everywhere`; `try_check` on the explicit source of the
-    // same model runs the same sweep.)
+    // checker* answers as a never-interrupted one does.
     let params = ModelParams::builder().agents(4).max_faulty(1).values(2).build();
     let formula = F::believes_nonfaulty(AgentId::new(0), F::common_belief(exists(0)));
     let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
-    let relational =
+    let checker =
         SymbolicChecker::relational(FloodSet, params, FloodSetRule, SymbolicOptions::default());
-    let explicit_source = SymbolicChecker::new(&model);
-    let want_points = Checker::new(&model).check(&formula);
-    let want_verdict = want_points == PointSet::full(&model);
+    let want = Ok(Checker::new(&model).holds_everywhere(&formula));
+    let query = || checker.try_holds_everywhere(&formula);
 
-    fn sweep<E, R, T>(
-        checker: &SymbolicChecker<'_, E, R>,
-        label: &str,
-        want: &T,
-        query: impl Fn() -> Result<T, BudgetAbort>,
-    ) where
-        E: InformationExchange,
-        R: DecisionRule<E>,
-        T: PartialEq + std::fmt::Debug,
-    {
-        // A collection empties the operation caches, so every attempt
-        // starts as cold as the first.
+    // A collection empties the operation caches, so every attempt
+    // starts as cold as the first.
+    checker.force_gc();
+    checker.set_budget(Some(Budget::with_max_ops(u64::MAX)));
+    assert_eq!(query(), want, "unlimited fuel");
+    let needed = checker.inner.borrow().bdd.budget_ops();
+    checker.set_budget(None);
+    assert!(needed > 1_000, "the query is too small to sweep ({needed} ops)");
+    let held = checker.inner.borrow().arena.live_ids();
+    for fuel in 1..needed {
         checker.force_gc();
-        checker.set_budget(Some(Budget::with_max_ops(u64::MAX)));
-        assert_eq!(query().as_ref(), Ok(want), "{label}: unlimited fuel");
-        let needed = checker.inner.borrow().bdd.budget_ops();
-        checker.set_budget(None);
-        assert!(needed > 1_000, "{label}: the query is too small to sweep ({needed} ops)");
-        let held = checker.inner.borrow().arena.live_ids();
-        for fuel in 1..needed {
-            checker.force_gc();
-            checker.set_budget(Some(Budget::with_max_ops(fuel)));
-            let abort = query().expect_err("less fuel than the query needs must abort");
-            assert!(matches!(abort.error, BddError::BudgetExceeded { .. }), "{label} fuel {fuel}");
-            {
-                let inner = checker.inner.borrow();
-                assert_eq!(inner.arena.live_ids(), held, "{label} fuel {fuel}: arena changed");
-                assert_eq!(inner.bdd.budget(), None, "{label} fuel {fuel}: budget still armed");
-                inner.bdd.check_canonical_invariant().unwrap_or_else(|error| {
-                    panic!("{label} fuel {fuel}: manager invalid after the abort: {error}")
-                });
-            }
-            assert_eq!(query().as_ref(), Ok(want), "{label} fuel {fuel}: retry after the abort");
+        checker.set_budget(Some(Budget::with_max_ops(fuel)));
+        let abort = query().expect_err("less fuel than the query needs must abort");
+        assert!(matches!(abort.error, BddError::BudgetExceeded { .. }), "fuel {fuel}");
+        {
+            let inner = checker.inner.borrow();
+            assert_eq!(inner.arena.live_ids(), held, "fuel {fuel}: arena changed");
+            assert_eq!(inner.bdd.budget(), None, "fuel {fuel}: budget still armed");
+            inner.bdd.check_canonical_invariant().unwrap_or_else(|error| {
+                panic!("fuel {fuel}: manager invalid after the abort: {error}")
+            });
         }
-        checker.force_gc();
-        checker.set_budget(Some(Budget::with_max_ops(needed)));
-        assert_eq!(query().as_ref(), Ok(want), "{label}: exact fuel suffices");
-        checker.set_budget(None);
+        assert_eq!(query(), want, "fuel {fuel}: retry after the abort");
     }
-
-    sweep(&relational, "relational", &want_verdict, || relational.try_holds_everywhere(&formula));
-    sweep(&explicit_source, "explicit source", &want_points, || {
-        explicit_source.try_check(&formula)
-    });
+    checker.force_gc();
+    checker.set_budget(Some(Budget::with_max_ops(needed)));
+    assert_eq!(query(), want, "exact fuel suffices");
+    checker.set_budget(None);
 }

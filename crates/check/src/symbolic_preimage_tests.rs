@@ -135,7 +135,7 @@ where
 /// `gc_threshold: 2` a collection whenever the store has doubled, each of
 /// which empties the reachable-relation cache.
 fn symbolic_next<E, R, R2>(
-    checker: &SymbolicChecker<'_, E, R>,
+    checker: &SymbolicChecker<E, R>,
     model: &ConsensusModel<E, R2>,
     t: usize,
     members: &[usize],
@@ -146,20 +146,16 @@ where
     R: DecisionRule<E>,
     R2: DecisionRule<E>,
 {
-    let encode = |time: usize, index: usize| {
-        SymbolicChecker::<E, R>::encode_point(
-            model,
-            &checker.agent_vars,
-            checker.num_slots,
-            PointId::new(time as Round, index),
-        )
-    };
-    checker.ensure_relation(t);
+    let encode =
+        |time: usize, index: usize| checker.encode_point(model, PointId::new(time as Round, index));
     let mut inner = checker.inner.borrow_mut();
     let inner = &mut *inner;
     let minterms: Vec<Ref> = members
         .iter()
-        .map(|&index| SymbolicChecker::<E, R>::minterm_cur(&mut inner.bdd, &encode(t + 1, index)))
+        .map(|&index| {
+            let bits = encode(t + 1, index);
+            inner.bdd.cube_literals(bits.iter().enumerate().map(|(slot, &bit)| (cur(slot), bit)))
+        })
         .collect();
     let mut target = [or_balanced(&mut inner.bdd, minterms)];
     inner.maybe_gc(&mut target);
@@ -176,8 +172,8 @@ where
         .collect()
 }
 
-/// Tests (i) and (ii) on one family: both sources, both relation modes,
-/// default options and collections between the steps.
+/// Tests (i) and (ii) on one family: default options and collections
+/// between the steps.
 fn preimage_agrees_on<E, R>(family: &str, exchange: E, rule: R, params: ModelParams, seed: u64)
 where
     E: InformationExchange + SymbolicEncode + Clone,
@@ -186,7 +182,21 @@ where
 {
     let model = ConsensusModel::explore(exchange.clone(), params, rule.clone());
     let rounds = model.num_layers() - 1;
-    let targets = seeded_targets(&SymbolicChecker::new(&model).encodings, seed);
+    // The encoding is a function of the layout alone; a seed has it.
+    let encoder = SymbolicChecker::relational_seed(
+        exchange.clone(),
+        params,
+        rule.clone(),
+        Default::default(),
+    );
+    let encodings: Vec<Vec<Vec<bool>>> = (0..model.num_layers() as Round)
+        .map(|time| {
+            (0..model.layer_size(time))
+                .map(|index| encoder.encode_point(&model, PointId::new(time, index)))
+                .collect()
+        })
+        .collect();
+    let targets = seeded_targets(&encodings, seed);
     let expected = oracle_answers(&model, &targets);
     // Totality: every reachable state has a successor, so `EX` of the
     // whole next layer is the whole layer.
@@ -196,83 +206,73 @@ where
     }
     let collecting = SymbolicOptions { gc_threshold: 2, ..Default::default() };
     for (label, options) in [("default", SymbolicOptions::default()), ("collecting", collecting)] {
-        let monolithic = SymbolicOptions { relation_mode: RelationMode::Monolithic, ..options };
-        let checkers = [
-            ("explicit source", SymbolicChecker::with_options(&model, options)),
-            ("explicit source, monolithic", SymbolicChecker::with_options(&model, monolithic)),
-            (
-                "relational source",
-                SymbolicChecker::relational(exchange.clone(), params, rule.clone(), options),
-            ),
-        ];
-        for (source, checker) in &checkers {
-            let images = checker.stats().relational_product_calls;
-            // `EX ∅` and `AX` of the whole next layer (a bad set of ∅) are
-            // answered without a reachable relation.
-            for t in 0..rounds {
-                let (empty, whole) = (&targets[t][0], &targets[t][1]);
-                assert_eq!(
-                    symbolic_next(checker, &model, t, empty, false),
-                    expected[t * SETS_PER_ROUND].0,
-                    "{family} {label} {source}: round {t}, EX ∅"
-                );
-                assert_eq!(
-                    symbolic_next(checker, &model, t, whole, true),
-                    expected[t * SETS_PER_ROUND + 1].1,
-                    "{family} {label} {source}: round {t}, AX of the whole layer"
-                );
-            }
-            let stats = checker.stats();
+        let checker = &SymbolicChecker::relational(exchange.clone(), params, rule.clone(), options);
+        let images = checker.stats().relational_product_calls;
+        // `EX ∅` and `AX` of the whole next layer (a bad set of ∅) are
+        // answered without a reachable relation.
+        for t in 0..rounds {
+            let (empty, whole) = (&targets[t][0], &targets[t][1]);
             assert_eq!(
-                (stats.preimage_calls, stats.reachable_relations_built),
-                (0, 0),
-                "{family} {label} {source}: an empty pre-image demanded a reachable relation"
+                symbolic_next(checker, &model, t, empty, false),
+                expected[t * SETS_PER_ROUND].0,
+                "{family} {label}: round {t}, EX ∅"
             );
-
-            for (k, want) in expected.iter().enumerate() {
-                let (t, members) =
-                    (k / SETS_PER_ROUND, &targets[k / SETS_PER_ROUND][k % SETS_PER_ROUND]);
-                let got = (
-                    symbolic_next(checker, &model, t, members, false),
-                    symbolic_next(checker, &model, t, members, true),
-                );
-                assert_eq!(
-                    &got,
-                    want,
-                    "{family} {label} {source}: round {t}, target {} (EX, AX)",
-                    k % SETS_PER_ROUND
-                );
-            }
-            let stats = checker.stats();
-            // Only `EX ∅` and `AX` of a whole layer skip the relation.
-            let queries: u64 = (0..rounds)
-                .flat_map(|t| targets[t].iter().map(move |members| (t, members.len())))
-                .map(|(t, len)| {
-                    u64::from(len != 0) + u64::from(len != model.layer_size(t as Round + 1))
-                })
-                .sum();
-            assert_eq!(stats.preimage_calls, queries, "{family} {label} {source}");
-            if label == "default" {
-                assert_eq!(stats.gc_runs, 0, "{family} {source}: the default threshold collected");
-                assert_eq!(
-                    stats.reachable_relations_built, rounds as u64,
-                    "{family} {source}: one relation per round serves every target"
-                );
-            } else {
-                // Every collection empties the cache, so relations are
-                // rebuilt (the threshold doubles past the survivors, so
-                // not every safe point collects).
-                assert!(stats.gc_runs > rounds as u64, "{family} {source}: too few collections");
-                assert!(
-                    stats.reachable_relations_built > rounds as u64,
-                    "{family} {source}: collections kept the reachable relations"
-                );
-            }
             assert_eq!(
-                stats.relational_product_calls, images,
-                "{family} {label} {source}: a pre-image was counted as a forward image step"
+                symbolic_next(checker, &model, t, whole, true),
+                expected[t * SETS_PER_ROUND + 1].1,
+                "{family} {label}: round {t}, AX of the whole layer"
             );
         }
+        let stats = checker.stats();
+        assert_eq!(
+            (stats.preimage_calls, stats.reachable_relations_built),
+            (0, 0),
+            "{family} {label}: an empty pre-image demanded a reachable relation"
+        );
+
+        for (k, want) in expected.iter().enumerate() {
+            let (t, members) =
+                (k / SETS_PER_ROUND, &targets[k / SETS_PER_ROUND][k % SETS_PER_ROUND]);
+            let got = (
+                symbolic_next(checker, &model, t, members, false),
+                symbolic_next(checker, &model, t, members, true),
+            );
+            assert_eq!(
+                &got,
+                want,
+                "{family} {label}: round {t}, target {} (EX, AX)",
+                k % SETS_PER_ROUND
+            );
+        }
+        let stats = checker.stats();
+        // Only `EX ∅` and `AX` of a whole layer skip the relation.
+        let queries: u64 = (0..rounds)
+            .flat_map(|t| targets[t].iter().map(move |members| (t, members.len())))
+            .map(|(t, len)| {
+                u64::from(len != 0) + u64::from(len != model.layer_size(t as Round + 1))
+            })
+            .sum();
+        assert_eq!(stats.preimage_calls, queries, "{family} {label}");
+        if label == "default" {
+            assert_eq!(stats.gc_runs, 0, "{family}: the default threshold collected");
+            assert_eq!(
+                stats.reachable_relations_built, rounds as u64,
+                "{family}: one relation per round serves every target"
+            );
+        } else {
+            // Every collection empties the cache, so relations are
+            // rebuilt (the threshold doubles past the survivors, so
+            // not every safe point collects).
+            assert!(stats.gc_runs > rounds as u64, "{family}: too few collections");
+            assert!(
+                stats.reachable_relations_built > rounds as u64,
+                "{family}: collections kept the reachable relations"
+            );
+        }
+        assert_eq!(
+            stats.relational_product_calls, images,
+            "{family} {label}: a pre-image was counted as a forward image step"
+        );
     }
 }
 

@@ -29,7 +29,7 @@ fn exists(value: usize) -> F {
 /// entry point does and asserts that each focused layer lies inside its
 /// reachable set, each unfocused layer is `⊥`, and the entry says so.
 fn consumer_denotation<E, R>(
-    checker: &SymbolicChecker<'_, E, R>,
+    checker: &SymbolicChecker<E, R>,
     formula: &F,
     session: Option<&mut EvalSession>,
     context: &str,
@@ -111,8 +111,8 @@ fn grid(seed: u64, n: usize) -> Vec<F> {
 /// The model's own rule as a decision table: every `(agent, time,
 /// observation)` at which the model decides becomes an entry, so a checker
 /// under this override must answer exactly as without it — through
-/// `decides_now_denotation` instead of the source's own path.
-fn rule_as_table<E, R>(model: &ConsensusModel<E, R>) -> TableRule
+/// `decides_now_denotation` instead of the rounds' own conditions.
+pub(super) fn rule_as_table<E, R>(model: &ConsensusModel<E, R>) -> TableRule
 where
     E: InformationExchange,
     R: DecisionRule<E>,
@@ -130,7 +130,7 @@ where
 
 /// What `observation_values` must report, computed from an explicit point
 /// set by grouping the layer on the agent's observation.
-fn explicit_values<E, R>(
+pub(super) fn explicit_values<E, R>(
     model: &ConsensusModel<E, R>,
     holds: &PointSet,
     agent: AgentId,
@@ -158,11 +158,11 @@ where
     }
 }
 
-/// The differential on one family: both sources; default options,
-/// `gc_threshold: 2` (unbounded operands sit in the arena across the safe
-/// points of `common_belief` and `map_layers`) and the two-terminal
-/// representation; with and without a rule override; unfocused, and
-/// through `observation_values` at every layer.
+/// The differential on one family: default options, `gc_threshold: 2`
+/// (unbounded operands sit in the arena across the safe points of
+/// `common_belief` and `map_layers`) and the two-terminal representation;
+/// with and without a rule override; unfocused, and through
+/// `observation_values` at every layer.
 fn restriction_agrees_on<E, R>(family: &str, exchange: E, rule: R, params: ModelParams, seed: u64)
 where
     E: InformationExchange + SymbolicEncode + Clone,
@@ -184,73 +184,63 @@ where
     for (label, options) in
         [("default", default), ("collecting", collecting), ("two-terminal", two_terminal)]
     {
-        let checkers = [
-            ("explicit source", SymbolicChecker::with_options(&model, options)),
-            (
-                "relational source",
-                SymbolicChecker::relational(exchange.clone(), params, rule.clone(), options),
-            ),
-        ];
-        for (source, checker) in &checkers {
-            for overridden in [false, true] {
-                checker.set_rule_override(overridden.then(|| table.clone()));
-                let context = format!("{family} {label} {source} override={overridden}");
-                let baseline = checker.inner.borrow().arena.live_count();
+        let checker = &SymbolicChecker::relational(exchange.clone(), params, rule.clone(), options);
+        for overridden in [false, true] {
+            checker.set_rule_override(overridden.then(|| table.clone()));
+            let context = format!("{family} {label} override={overridden}");
+            let baseline = checker.inner.borrow().arena.live_count();
 
-                let mut session = checker.session();
+            let mut session = checker.session();
+            for (formula, want) in grid.iter().zip(&expected) {
+                // Also padded with an observable index the layout does
+                // not have: the explicit model cannot evaluate it at
+                // all, the checker answers `⊥`, bounded.
+                let padded = Formula::Or(vec![formula.clone(), no_such_observable.clone()]);
+                for asked in [formula, &padded] {
+                    let den = consumer_denotation(checker, asked, Some(&mut session), &context);
+                    assert_eq!(
+                        &checker.seam_read_points(&model, den),
+                        want,
+                        "{context}: {asked} differs from the explicit checker"
+                    );
+                    checker.release(den);
+                }
+            }
+            checker.end_session(session);
+
+            // Temporal formulas are evaluated unfocused whatever layer
+            // is asked for, so they share one session.
+            let mut unfocused = checker.session();
+            for time in 0..model.num_layers() as Round {
+                let mut focused = checker.session();
                 for (formula, want) in grid.iter().zip(&expected) {
-                    // Also padded with an observable index the layout does
-                    // not have: the explicit model cannot evaluate it at
-                    // all, the relational source answers `⊥`, bounded.
-                    let padded = checker
-                        .is_relational()
-                        .then(|| Formula::Or(vec![formula.clone(), no_such_observable.clone()]));
-                    for asked in std::iter::once(formula).chain(padded.as_ref()) {
-                        let den = consumer_denotation(checker, asked, Some(&mut session), &context);
+                    let focus = (!formula.is_temporal()).then_some(time as usize);
+                    let session = if focus.is_some() { &mut focused } else { &mut unfocused };
+                    for agent in agents {
                         assert_eq!(
-                            &checker.seam_read_points(&model, den),
-                            want,
-                            "{context}: {asked} differs from the explicit checker"
+                            checker.observation_values(session, formula, agent, time),
+                            explicit_values(&model, want, agent, time),
+                            "{context}: {formula} for {agent} at layer {time}"
                         );
-                        checker.release(den);
                     }
+                    // What those calls were handed, under their focus.
+                    checker.focus.set(focus);
+                    let den = consumer_denotation(checker, formula, Some(session), &context);
+                    checker.focus.set(None);
+                    checker.release(den);
                 }
-                checker.end_session(session);
-
-                // Temporal formulas are evaluated unfocused whatever layer
-                // is asked for, so they share one session.
-                let mut unfocused = checker.session();
-                for time in 0..model.num_layers() as Round {
-                    let mut focused = checker.session();
-                    for (formula, want) in grid.iter().zip(&expected) {
-                        let focus = (!formula.is_temporal()).then_some(time as usize);
-                        let session = if focus.is_some() { &mut focused } else { &mut unfocused };
-                        for agent in agents {
-                            assert_eq!(
-                                checker.observation_values(session, formula, agent, time),
-                                explicit_values(&model, want, agent, time),
-                                "{context}: {formula} for {agent} at layer {time}"
-                            );
-                        }
-                        // What those calls were handed, under their focus.
-                        checker.focus.set(focus);
-                        let den = consumer_denotation(checker, formula, Some(session), &context);
-                        checker.focus.set(None);
-                        checker.release(den);
-                    }
-                    checker.end_session(focused);
-                }
-                checker.end_session(unfocused);
-                assert_eq!(
-                    checker.inner.borrow().arena.live_count(),
-                    baseline,
-                    "{context}: denotation leak"
-                );
+                checker.end_session(focused);
             }
-            checker.set_rule_override(None);
-            if label == "collecting" {
-                assert!(checker.stats().gc_runs > 0, "{family} {source}: never collected");
-            }
+            checker.end_session(unfocused);
+            assert_eq!(
+                checker.inner.borrow().arena.live_count(),
+                baseline,
+                "{context}: denotation leak"
+            );
+        }
+        checker.set_rule_override(None);
+        if label == "collecting" {
+            assert!(checker.stats().gc_runs > 0, "{family}: never collected");
         }
     }
 }
@@ -341,7 +331,7 @@ fn a_specification_clause_meets_each_layer_once() {
 
 /// Cache lookups and live nodes, the two things a session hit must leave
 /// alone.
-fn kernel_activity<E, R>(checker: &SymbolicChecker<'_, E, R>) -> (u64, u64, usize)
+fn kernel_activity<E, R>(checker: &SymbolicChecker<E, R>) -> (u64, u64, usize)
 where
     E: InformationExchange,
     R: DecisionRule<E>,
@@ -356,10 +346,8 @@ fn a_repeat_in_a_session_is_one_hit_and_no_bdd_operation() {
     // entry in the most restricted form a consumer has asked of it, so
     // asking again compares handles and performs no kernel operation.
     let params = crash(3);
-    let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
     let relational =
         SymbolicChecker::relational(FloodSet, params, FloodSetRule, SymbolicOptions::default());
-    let explicit_source = SymbolicChecker::new(&model);
     let decides = F::atom(ConsensusAtom::DecidesNow(AgentId::new(0), Value::new(0)));
     let propositional = F::implies(F::and([exists(0), F::not(exists(1))]), decides.clone());
     let mixed = F::implies(F::common_belief(exists(0)), decides);
@@ -396,17 +384,6 @@ fn a_repeat_in_a_session_is_one_hit_and_no_bdd_operation() {
         restrictions + relational.num_layers() as u64
     );
     relational.end_session(session);
-
-    // The point-level entry of the explicit source.
-    let mut session = explicit_source.session();
-    for formula in [&propositional, &mixed] {
-        let first = explicit_source.check_in_session(&mut session, formula);
-        let (hits, before) = (session.hits(), kernel_activity(&explicit_source));
-        assert_eq!(explicit_source.check_in_session(&mut session, formula), first);
-        assert_eq!(session.hits(), hits + 1);
-        assert_eq!(kernel_activity(&explicit_source), before, "{formula}: check_in_session");
-    }
-    explicit_source.end_session(session);
 
     // A focused `observation_values` repeat: evaluation is the one hit and
     // allocates nothing. Its two projections of the layer are kernel calls

@@ -8,9 +8,11 @@
 //! The forced collision uses the test-only `ConsensusAtom::CollisionProbe`
 //! atom, whose `Hash` impl deliberately ignores its payload: the `true`
 //! probe denotes ⊤ (all points), the `false` probe ⊥ (no points), and
-//! both hash identically.
+//! both hash identically. The checks go through
+//! `holds_everywhere_in_session`, the entry the server's warm path calls;
+//! the two probes differ in verdict, alone and under `K`.
 
-use epimc_check::{Checker, SymbolicChecker};
+use epimc_check::{Checker, SymbolicChecker, SymbolicOptions};
 use epimc_logic::{AgentId, Formula};
 use epimc_protocols::{FloodSet, FloodSetRule};
 use epimc_system::{ConsensusAtom, ConsensusModel, ModelParams};
@@ -30,21 +32,25 @@ fn cross_request_cache_rejects_canonical_hash_collisions() {
 
     let params = ModelParams::builder().agents(2).max_faulty(1).values(2).build();
     let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
-    let checker = SymbolicChecker::new(&model);
+    let checker =
+        SymbolicChecker::relational(FloodSet, params, FloodSetRule, SymbolicOptions::default());
     let explicit = Checker::new(&model);
 
     // One session promoted across "requests", as on the server's warm path.
     let mut session = checker.session();
 
     // Request 1 caches the ⊤ probe's denotation under the shared hash.
-    assert_eq!(checker.check_in_session(&mut session, &probe_top), explicit.check(&probe_top));
+    assert_eq!(
+        checker.holds_everywhere_in_session(&mut session, &probe_top),
+        explicit.holds_everywhere(&probe_top)
+    );
 
     // Request 2 sends the structurally different collider: the stale entry
     // must be rejected — no cache hit, and the ⊥ denotation computed fresh.
     let hits_before = session.hits();
     assert_eq!(
-        checker.check_in_session(&mut session, &probe_bottom),
-        explicit.check(&probe_bottom),
+        checker.holds_everywhere_in_session(&mut session, &probe_bottom),
+        explicit.holds_everywhere(&probe_bottom),
         "a colliding cache entry was served as the wrong denotation"
     );
     assert_eq!(session.hits(), hits_before, "a colliding entry counted as a cache hit");
@@ -53,13 +59,16 @@ fn cross_request_cache_rejects_canonical_hash_collisions() {
     // the correct denotation.
     let hits_before = session.hits();
     assert_eq!(
-        checker.check_in_session(&mut session, &probe_bottom),
-        explicit.check(&probe_bottom)
+        checker.holds_everywhere_in_session(&mut session, &probe_bottom),
+        explicit.holds_everywhere(&probe_bottom)
     );
     assert!(session.hits() > hits_before, "the refreshed entry must serve genuine hits");
 
     // And the evicted formula still answers correctly when it returns.
-    assert_eq!(checker.check_in_session(&mut session, &probe_top), explicit.check(&probe_top));
+    assert_eq!(
+        checker.holds_everywhere_in_session(&mut session, &probe_top),
+        explicit.holds_everywhere(&probe_top)
+    );
     checker.end_session(session);
 }
 
@@ -75,15 +84,19 @@ fn collisions_under_modal_operators_are_rejected_too() {
 
     let params = ModelParams::builder().agents(2).max_faulty(1).values(2).build();
     let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
-    let checker = SymbolicChecker::new(&model);
+    let checker =
+        SymbolicChecker::relational(FloodSet, params, FloodSetRule, SymbolicOptions::default());
     let explicit = Checker::new(&model);
 
     let mut session = checker.session();
-    assert_eq!(checker.check_in_session(&mut session, &k_top), explicit.check(&k_top));
+    assert_eq!(
+        checker.holds_everywhere_in_session(&mut session, &k_top),
+        explicit.holds_everywhere(&k_top)
+    );
     let hits_before = session.hits();
     assert_eq!(
-        checker.check_in_session(&mut session, &k_bottom),
-        explicit.check(&k_bottom),
+        checker.holds_everywhere_in_session(&mut session, &k_bottom),
+        explicit.holds_everywhere(&k_bottom),
         "a colliding modal formula was served the stale denotation"
     );
     assert_eq!(session.hits(), hits_before);

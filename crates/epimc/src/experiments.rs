@@ -162,8 +162,8 @@ pub struct SymbolicFormulaTiming {
     pub label: String,
     /// Wall-clock duration of the check.
     pub duration: Duration,
-    /// Number of points at which the formula holds.
-    pub points: usize,
+    /// Whether the formula holds at every point of the model.
+    pub holds: bool,
 }
 
 /// A profile of the symbolic (BDD) engine on one experiment instance:
@@ -173,10 +173,11 @@ pub struct SymbolicFormulaTiming {
 pub struct SymbolicProfile {
     /// Description of the instance (exchange and parameters).
     pub label: String,
-    /// Total number of explored states encoded symbolically.
+    /// Total number of states across the layers, model-counted off the
+    /// reachable-set BDDs.
     pub total_states: usize,
-    /// Wall-clock time to build the symbolic encoding (state variables,
-    /// reachable-set BDDs, hidden-variable cubes).
+    /// Wall-clock time to build the model relationally (the initial-state
+    /// cube and every layer's forward image).
     pub build_duration: Duration,
     /// The timed formula checks, in evaluation order.
     pub formulas: Vec<SymbolicFormulaTiming>,
@@ -209,9 +210,9 @@ impl fmt::Display for SymbolicProfile {
         for timing in &self.formulas {
             writeln!(
                 f,
-                "  {} -> {} points in {}",
+                "  {} -> {} in {}",
                 timing.label,
-                timing.points,
+                if timing.holds { "valid" } else { "not valid" },
                 format_mck_duration(timing.duration)
             )?;
         }
@@ -219,24 +220,26 @@ impl fmt::Display for SymbolicProfile {
     }
 }
 
-/// Profiles the symbolic engine on an already-explored model: builds the
-/// checker with `options`, times a fixed formula battery (the SBA knowledge
+/// Profiles the symbolic engine on one instance the way the service runs
+/// it: builds the checker relationally with `options`, times
+/// `holds_everywhere` on a fixed formula battery (the SBA knowledge
 /// condition plus, when `include_temporal` is set, a bounded temporal
-/// property that forces the partitioned transition relation into
-/// existence), and reports the manager statistics.
+/// property evaluated by pre-image), and reports the manager statistics.
 pub fn symbolic_profile_model<E, R>(
     label: String,
-    model: &ConsensusModel<E, R>,
+    exchange: E,
+    params: ModelParams,
+    rule: R,
     options: SymbolicOptions,
     include_temporal: bool,
 ) -> SymbolicProfile
 where
-    E: InformationExchange,
-    R: DecisionRule<E>,
+    E: SymbolicEncode,
+    R: SymbolicRule<E>,
 {
     type F = Formula<ConsensusAtom>;
     let start = Instant::now();
-    let checker = SymbolicChecker::with_options(model, options);
+    let checker = SymbolicChecker::relational(exchange, params, rule, options);
     let build_duration = start.elapsed();
 
     let exists0 = F::atom(ConsensusAtom::ExistsInit(Value::new(0)));
@@ -257,14 +260,16 @@ where
         .into_iter()
         .map(|(label, formula)| {
             let start = Instant::now();
-            let holds = checker.check(&formula);
-            SymbolicFormulaTiming { label, duration: start.elapsed(), points: holds.len() }
+            let holds = checker.holds_everywhere(&formula);
+            SymbolicFormulaTiming { label, duration: start.elapsed(), holds }
         })
         .collect();
 
+    let total_states: u128 =
+        (0..checker.num_layers() as Round).map(|time| checker.layer_state_count(time)).sum();
     SymbolicProfile {
         label,
-        total_states: model.space().total_states(),
+        total_states: usize::try_from(total_states).unwrap_or(usize::MAX),
         build_duration,
         formulas,
         stats: checker.stats(),
@@ -589,9 +594,8 @@ impl SbaExperiment {
 
     /// Profiles the symbolic engine on this instance (see
     /// [`symbolic_profile_model`]). `include_temporal` additionally times a
-    /// bounded temporal formula, which forces the per-round transition
-    /// relations to be built — skip it for instances whose layers are too
-    /// wide for relation construction to be worthwhile.
+    /// bounded temporal formula, evaluated by pre-image through the
+    /// per-round reachable relations.
     pub fn symbolic_profile(
         &self,
         options: SymbolicOptions,
@@ -600,22 +604,38 @@ impl SbaExperiment {
         let params = self.params();
         let label = self.label("symbolic");
         match self.exchange {
-            SbaExchangeKind::FloodSet => {
-                let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
-                symbolic_profile_model(label, &model, options, include_temporal)
-            }
-            SbaExchangeKind::CountFloodSet => {
-                let model = ConsensusModel::explore(CountFloodSet, params, TextbookRule);
-                symbolic_profile_model(label, &model, options, include_temporal)
-            }
-            SbaExchangeKind::DiffFloodSet => {
-                let model = ConsensusModel::explore(DiffFloodSet, params, TextbookRule);
-                symbolic_profile_model(label, &model, options, include_temporal)
-            }
-            SbaExchangeKind::DworkMoses => {
-                let model = ConsensusModel::explore(DworkMoses, params, DworkMosesRule);
-                symbolic_profile_model(label, &model, options, include_temporal)
-            }
+            SbaExchangeKind::FloodSet => symbolic_profile_model(
+                label,
+                FloodSet,
+                params,
+                FloodSetRule,
+                options,
+                include_temporal,
+            ),
+            SbaExchangeKind::CountFloodSet => symbolic_profile_model(
+                label,
+                CountFloodSet,
+                params,
+                TextbookRule,
+                options,
+                include_temporal,
+            ),
+            SbaExchangeKind::DiffFloodSet => symbolic_profile_model(
+                label,
+                DiffFloodSet,
+                params,
+                TextbookRule,
+                options,
+                include_temporal,
+            ),
+            SbaExchangeKind::DworkMoses => symbolic_profile_model(
+                label,
+                DworkMoses,
+                params,
+                DworkMosesRule,
+                options,
+                include_temporal,
+            ),
         }
     }
 }
@@ -710,12 +730,10 @@ impl EbaExperiment {
         let label = self.label("symbolic");
         match self.exchange {
             EbaExchangeKind::EMin => {
-                let model = ConsensusModel::explore(EMin, params, EMinRule);
-                symbolic_profile_model(label, &model, options, include_temporal)
+                symbolic_profile_model(label, EMin, params, EMinRule, options, include_temporal)
             }
             EbaExchangeKind::EBasic => {
-                let model = ConsensusModel::explore(EBasic, params, EBasicRule);
-                symbolic_profile_model(label, &model, options, include_temporal)
+                symbolic_profile_model(label, EBasic, params, EBasicRule, options, include_temporal)
             }
         }
     }
@@ -1208,7 +1226,7 @@ mod tests {
         assert_eq!(profile.formulas.len(), 4, "battery with temporal has 4 formulas");
         assert!(profile.formula("B_0 CB exists0").is_some());
         assert!(profile.stats.peak_live_nodes > 0);
-        assert!(profile.stats.num_relation_vars > 0, "temporal formula builds the relation");
+        assert!(profile.stats.relational_product_calls > 0, "the build runs forward images");
         assert!(profile.total_check_duration() > Duration::ZERO);
         assert!(!format!("{profile}").is_empty());
 
@@ -1220,7 +1238,7 @@ mod tests {
         };
         let profile = eba.symbolic_profile(SymbolicOptions::default(), false);
         assert_eq!(profile.formulas.len(), 3);
-        assert_eq!(profile.stats.num_relation_vars, 0, "no temporal formula, no relation");
+        assert_eq!(profile.stats.preimage_calls, 0, "no temporal formula, no pre-image");
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use epimc_system::run;
 pub mod prelude {
     pub use epimc_check::{
         CheckBackend, Checker, EvalSession, LocalChecker, LocalStats, ObservationValues, PointSet,
-        RelationMode, ReorderMode, SymbolicChecker, SymbolicOptions, SymbolicStats,
+        ReorderMode, SymbolicChecker, SymbolicOptions, SymbolicStats,
     };
     pub use epimc_logic::{AgentId, AgentSet, Formula};
     pub use epimc_protocols::{
@@ -68,9 +68,8 @@ pub mod prelude {
     };
     pub use epimc_relational::{SymbolicEncode, SymbolicRule};
     pub use epimc_synth::{
-        Frontend, KnowledgeBasedProgram, NonUniformClass, SymbolicSynthesisOptions,
-        SymbolicSynthesisProfile, SymbolicSynthesizer, SynthesisOutcome, SynthesisStats,
-        Synthesizer,
+        KnowledgeBasedProgram, NonUniformClass, SymbolicSynthesisOptions, SymbolicSynthesisProfile,
+        SymbolicSynthesizer, SynthesisOutcome, SynthesisStats, Synthesizer,
     };
     pub use epimc_system::{
         Action, ConsensusAtom, ConsensusModel, Decision, DecisionRule, FailureKind,

@@ -34,9 +34,8 @@ pub struct RoundRelation {
 /// alive; omission: any faulty set within the bound, recorded in the
 /// nonfaulty flags).
 ///
-/// The result is the same boolean function the explicit checker builds by
-/// OR-ing one minterm per explored initial state, so — BDDs being canonical
-/// over a fixed order — the two are bit-identical.
+/// The result is satisfied by exactly the encodings ([`encode_state`]) of
+/// the initial states an exploration enumerates.
 pub fn initial_cube<E: InformationExchange>(
     bdd: &mut Bdd,
     layout: &SlotLayout,

@@ -1,15 +1,12 @@
-//! The shared state-variable layout of the relational and explicit symbolic
-//! encodings.
+//! The state-variable layout of the symbolic encoding — the one owner of
+//! it: the relation builders of this crate and `epimc_check::SymbolicChecker`
+//! both read their variables off a [`SlotLayout`].
 //!
 //! One *slot* holds one state bit; slot `s` owns the BDD variable pair
 //! `Var(2s)` (current) / `Var(2s + 1)` (next), so a state variable and its
 //! primed copy are adjacent in the order. Slots are interleaved across
 //! agents via [`epimc_bdd::interleaved_slot`], so corresponding bits of all
-//! agents sit next to each other — the layout (and therefore every
-//! reachable-set BDD built over it) is **bit-identical** to the one
-//! `epimc_check::SymbolicChecker` allocates for an explicitly explored
-//! model, which is what makes the relational ≡ explicit differential suite
-//! possible.
+//! agents sit next to each other.
 
 use epimc_bdd::{interleaved_slot, Var};
 use epimc_system::{InformationExchange, ModelParams, ObservableVar};
@@ -66,10 +63,10 @@ pub struct SlotLayout {
 }
 
 impl SlotLayout {
-    /// Computes the layout for `exchange` under `params`. Mirrors the
-    /// explicit checker's allocation exactly: per agent, the observable
-    /// fields (low bit first), then nonfaulty, the initial value, the
-    /// decided flag, and the decision value, interleaved across agents.
+    /// Computes the layout for `exchange` under `params`: per agent, the
+    /// observable fields (low bit first), then nonfaulty, the initial
+    /// value, the decided flag, and the decision value, interleaved across
+    /// agents.
     pub fn new<E: InformationExchange>(exchange: &E, params: &ModelParams) -> Self {
         let n = params.num_agents();
         let obs_layout = exchange.observable_layout(params);

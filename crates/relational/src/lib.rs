@@ -1,24 +1,24 @@
 //! Relational (purely symbolic) model construction: protocols as BDD
 //! transition relations.
 //!
-//! The explicit front-end enumerates every reachable global state before
-//! the symbolic engines see the model — an `O(states)` cost that dominates
-//! the wall clock at paper scale (FloodSet `n = 12` has 22M reachable
-//! states). This crate removes it: a protocol that implements
+//! Enumerating every reachable global state before the symbolic engines
+//! see the model is an `O(states)` cost that dominates the wall clock at
+//! paper scale (FloodSet `n = 12` has 22M reachable states). This crate
+//! is how the symbolic checker avoids it: a protocol that implements
 //! [`SymbolicEncode`] declares its per-round state update *as a relation*
-//! over the same interleaved variable layout the symbolic checker already
-//! uses, and the checker builds each layer by forward image computation
-//! from an initial-state cube — no state is ever enumerated.
+//! over an interleaved variable layout, and the checker builds each layer
+//! by forward image computation from an initial-state cube — no state is
+//! ever enumerated.
 //!
 //! # The contract
 //!
 //! * [`SlotLayout`] fixes the state variables: per agent, the observable
 //!   fields of the exchange, a nonfaulty flag, the initial preference, a
-//!   decided flag and the decision value — the same slot-to-variable
-//!   assignment as `epimc_check::SymbolicChecker`'s explicit encoding, so
-//!   relational and explicit layer BDDs denote directly comparable state
-//!   sets (the differential suite asserts per-layer model counts,
-//!   observation classes and formula verdicts agree).
+//!   decided flag and the decision value. `epimc_check::SymbolicChecker`
+//!   uses this layout directly, and encodes the points of an explored
+//!   model over it to read its denotations off against the explicit
+//!   checker (the differential suite asserts per-layer state counts,
+//!   observation classes and formula point sets agree).
 //! * [`ChoiceVars`] adds the adversary's per-round nondeterminism as
 //!   auxiliary variables: which agents crash, which messages of faulty or
 //!   crashing agents get through. The image computation quantifies them

@@ -115,12 +115,12 @@ impl Default for ServeOptions {
 /// One warm checker; the enum closes the set of (exchange, rule) pairs the
 /// service instantiates, so the server itself stays non-generic.
 enum WarmChecker {
-    FloodSet(SymbolicChecker<'static, FloodSet, FloodSetRule>),
-    Count(SymbolicChecker<'static, CountFloodSet, TextbookRule>),
-    Diff(SymbolicChecker<'static, DiffFloodSet, TextbookRule>),
-    DworkMoses(SymbolicChecker<'static, DworkMoses, DworkMosesRule>),
-    EMin(SymbolicChecker<'static, EMin, EMinRule>),
-    EBasic(SymbolicChecker<'static, EBasic, EBasicRule>),
+    FloodSet(SymbolicChecker<FloodSet, FloodSetRule>),
+    Count(SymbolicChecker<CountFloodSet, TextbookRule>),
+    Diff(SymbolicChecker<DiffFloodSet, TextbookRule>),
+    DworkMoses(SymbolicChecker<DworkMoses, DworkMosesRule>),
+    EMin(SymbolicChecker<EMin, EMinRule>),
+    EBasic(SymbolicChecker<EBasic, EBasicRule>),
 }
 
 /// Runs `$body` with `$checker` bound to the variant's checker and `$rule`

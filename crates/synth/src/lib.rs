@@ -50,20 +50,14 @@
 //!   engine (e.g. FloodSet past `n = 6`); it produces bit-identical
 //!   [`SynthesisOutcome`]s (see `tests/synth_agreement.rs`).
 //!
-//! The symbolic backend itself chooses between two model front-ends
-//! ([`SymbolicSynthesisOptions::frontend`]):
-//!
-//! * [`Frontend::Relational`] (the default) grows the checker in place —
-//!   layer 0 from the protocol's `SymbolicEncode` contract, each further
-//!   layer as the forward image of the frontier under the partial rule
-//!   fixed so far, the early exit decided symbolically. No state is ever
-//!   enumerated; the induction's cost scales with BDD sizes, not state
-//!   counts.
-//! * [`Frontend::Explicit`] enumerates each layer and encodes it point by
-//!   point (one manager across rounds via salvage/resume). It remains the
-//!   differential oracle on small instances: the `_relational` grids of
-//!   `tests/synth_agreement.rs` assert both front-ends produce the same
-//!   outcome on every protocol family.
+//! The symbolic backend grows one checker in place — layer 0 from the
+//! protocol's `SymbolicEncode` contract, each further layer as the forward
+//! image of the frontier under the partial rule fixed so far, the early
+//! exit decided symbolically. No state is ever enumerated; the induction's
+//! cost scales with BDD sizes, not state counts. The explicit
+//! [`Synthesizer`] is its differential oracle: the grids of
+//! `tests/synth_agreement.rs` assert both produce the same outcome on
+//! every protocol family.
 //!
 //! Both backends exit the forward induction early once every agent has
 //! decided (or crashed) in every reachable state — the remaining rounds
@@ -83,8 +77,8 @@ mod synthesize;
 pub use kbp::{KbpBranch, KnowledgeBasedProgram};
 pub use predicate::{ObsLiteral, PredicateCube, PredicateReport};
 pub use symbolic::{
-    Frontend, SymbolicSynthesisOptions, SymbolicSynthesisProfile, SymbolicSynthesizer,
-    SynthesisAbort, SynthesisRound,
+    SymbolicSynthesisOptions, SymbolicSynthesisProfile, SymbolicSynthesizer, SynthesisAbort,
+    SynthesisRound,
 };
 pub use synthesize::{
     NonUniformClass, SynthesisOutcome, SynthesisStats, Synthesizer, TemplateValuation,

@@ -16,16 +16,16 @@
 //! changes is the machinery per round `m`:
 //!
 //! 1. the model is grown one layer at a time under the partial rule fixed so
-//!    far ([`ConsensusModel::extend_layer`]), and a single BDD manager lives
-//!    across the whole run: each round salvages the previous round's
-//!    [`SymbolicChecker`] ([`SymbolicChecker::into_salvage`] /
-//!    [`SymbolicChecker::resume`]), so only the newest layer is encoded and
-//!    the rooted arena, operation caches, garbage collector — and the
-//!    **dynamically learned variable order** with its auto-reorder trigger
-//!    state (`SymbolicOptions::reorder`) — carry over: a group-sifting pass
-//!    paid in round `k` keeps benefiting round `k + 1` instead of being
-//!    re-learned, and collections sweep the dead work of earlier rounds
-//!    mid-run;
+//!    far, never enumerating a state: one [`SymbolicChecker`] starts from
+//!    the initial-state cube ([`SymbolicChecker::relational_seed`]) and
+//!    each round appends the forward image of the frontier
+//!    ([`SymbolicChecker::extend_layer_relational`]). The checker lives
+//!    across the whole run, so the rooted arena, operation caches, garbage
+//!    collector — and the **dynamically learned variable order** with its
+//!    auto-reorder trigger state (`SymbolicOptions::reorder`) — carry over:
+//!    a group-sifting pass paid in round `k` keeps benefiting round `k + 1`
+//!    instead of being re-learned, and collections sweep the dead work of
+//!    earlier rounds mid-run;
 //! 2. `DecidesNow` atoms are interpreted against the partial rule through
 //!    the checker's rule override, symbolically (an observation-equality
 //!    constraint per deciding table entry) rather than by scanning states;
@@ -52,31 +52,10 @@ use epimc_bdd::{catch_budget, BddError};
 use epimc_check::{SymbolicChecker, SymbolicOptions, SymbolicStats};
 use epimc_logic::AgentId;
 use epimc_relational::SymbolicEncode;
-use epimc_system::{
-    ConsensusModel, InformationExchange, ModelParams, PointModel, Round, StateSpace,
-};
+use epimc_system::{InformationExchange, ModelParams, Round};
 
 use crate::kbp::KnowledgeBasedProgram;
 use crate::synthesize::{Induction, SynthesisOutcome};
-
-/// Which model-construction front-end feeds the forward induction.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Frontend {
-    /// Enumerate each layer explicitly ([`ConsensusModel::extend_layer`])
-    /// and encode its states one by one into the BDD manager — `O(states)`
-    /// work per round before any checking happens. Kept as the differential
-    /// oracle on small instances; request it explicitly to cross-validate
-    /// the relational construction.
-    Explicit,
-    /// Build each layer purely symbolically, as the forward image of the
-    /// previous layer under the partitioned round relation
-    /// ([`SymbolicChecker::relational_seed`] /
-    /// [`SymbolicChecker::extend_layer_relational`]). No state is ever
-    /// enumerated; per-round work scales with BDD sizes, not state counts.
-    /// The default.
-    #[default]
-    Relational,
-}
 
 /// Tuning knobs of the symbolic synthesis engine.
 #[derive(Clone, Copy, Debug)]
@@ -86,18 +65,11 @@ pub struct SymbolicSynthesisOptions {
     /// Whether to exit the forward induction once every agent has decided
     /// (or crashed) in every reachable state of the final explored layer.
     pub early_exit: bool,
-    /// The model-construction front-end (relational by default; the
-    /// explicit enumeration remains available as a differential oracle).
-    pub frontend: Frontend,
 }
 
 impl Default for SymbolicSynthesisOptions {
     fn default() -> Self {
-        SymbolicSynthesisOptions {
-            symbolic: SymbolicOptions::default(),
-            early_exit: true,
-            frontend: Frontend::Relational,
-        }
+        SymbolicSynthesisOptions { symbolic: SymbolicOptions::default(), early_exit: true }
     }
 }
 
@@ -108,8 +80,8 @@ pub struct SynthesisRound {
     pub time: Round,
     /// Number of states in that layer.
     pub layer_states: usize,
-    /// Wall-clock time of the round (encoding the newest layer plus
-    /// evaluating every branch condition and extracting the class values).
+    /// Wall-clock time of the round (evaluating every branch condition and
+    /// extracting the class values).
     pub wall: Duration,
     /// The symbolic engine's statistics at the end of the round. The BDD
     /// manager persists across rounds, so the node/GC/cache counters are
@@ -217,94 +189,12 @@ impl<E: InformationExchange> SymbolicSynthesizer<E> {
     ) -> Self {
         SymbolicSynthesizer { exchange, params, options, rounds_progress: Cell::new(0) }
     }
-
-    /// Runs the forward synthesis algorithm for `program` over the explicit
-    /// model-construction front-end, additionally returning the per-round
-    /// timing and BDD statistics.
-    fn synthesize_explicit_profiled(
-        &self,
-        program: &KnowledgeBasedProgram,
-    ) -> (SynthesisOutcome, SymbolicSynthesisProfile) {
-        let start = Instant::now();
-        let mut induction = Induction::new(&program.name);
-        let mut model = ConsensusModel::new(
-            StateSpace::initial(self.exchange.clone(), self.params),
-            induction.rule.clone(),
-        );
-        let mut profile = SymbolicSynthesisProfile::default();
-        let layout = self.exchange.observable_layout(&self.params);
-        let horizon = self.params.horizon();
-
-        let mut salvage: Option<epimc_check::SymbolicSalvage> = None;
-        for time in 0..=horizon {
-            let round_start = Instant::now();
-            let round_stats = {
-                // One BDD manager lives across the whole run: each round
-                // resumes the previous round's salvage, so only the newest
-                // layer is encoded and the collector sweeps the garbage of
-                // earlier rounds instead of starting over.
-                let checker = match salvage.take() {
-                    None => SymbolicChecker::with_options(&model, self.options.symbolic),
-                    Some(salvaged) => SymbolicChecker::resume(&model, salvaged),
-                };
-                for branch in &program.branches {
-                    // Interpret `DecidesNow` against the rule as fixed by
-                    // earlier branches and rounds; earlier branches of this
-                    // very round matter for the EBA-style programs whose
-                    // conditions mention current-round decisions.
-                    checker.set_rule_override(Some(induction.rule.clone()));
-                    let mut session = checker.session();
-                    for agent in AgentId::all(self.params.num_agents()) {
-                        let condition = branch.condition_for(agent, &self.params);
-                        let values =
-                            checker.observation_values(&mut session, &condition, agent, time);
-                        induction.record(&layout, agent, time, branch, &values);
-                    }
-                    checker.end_session(session);
-                }
-                let stats = checker.stats();
-                salvage = Some(checker.into_salvage());
-                stats
-            };
-            profile.rounds.push(SynthesisRound {
-                time,
-                layer_states: model.layer_size(time),
-                wall: round_start.elapsed(),
-                stats: round_stats,
-            });
-            self.rounds_progress.set(profile.rounds.len());
-            if time < horizon
-                && induction.advance(&mut model, self.options.early_exit, time, horizon)
-            {
-                break;
-            }
-        }
-
-        let total_states = model.space().total_states();
-        profile.total_wall = start.elapsed();
-        (induction.finish(&program.name, total_states), profile)
-    }
 }
 
 impl<E: InformationExchange + SymbolicEncode> SymbolicSynthesizer<E> {
     /// Runs the forward synthesis algorithm for `program`.
     pub fn synthesize(&self, program: &KnowledgeBasedProgram) -> SynthesisOutcome {
         self.synthesize_profiled(program).0
-    }
-
-    /// Runs the forward synthesis algorithm for `program`, additionally
-    /// returning the per-round timing and BDD statistics. The
-    /// model-construction front-end is chosen by
-    /// [`SymbolicSynthesisOptions::frontend`]; both produce the same
-    /// outcome (checked by `tests/synth_agreement.rs`).
-    pub fn synthesize_profiled(
-        &self,
-        program: &KnowledgeBasedProgram,
-    ) -> (SynthesisOutcome, SymbolicSynthesisProfile) {
-        match self.options.frontend {
-            Frontend::Explicit => self.synthesize_explicit_profiled(program),
-            Frontend::Relational => self.synthesize_relational_profiled(program),
-        }
     }
 
     /// Fallible [`SymbolicSynthesizer::synthesize_profiled`]: when the
@@ -320,13 +210,14 @@ impl<E: InformationExchange + SymbolicEncode> SymbolicSynthesizer<E> {
             .map_err(|error| SynthesisAbort { error, rounds_completed: self.rounds_progress.get() })
     }
 
-    /// The purely symbolic forward induction: the reachable layers are built
-    /// by forward image over the partitioned round relation, under the rule
-    /// fixed by the earlier rounds, and no state is ever enumerated. The
-    /// induction bookkeeping ([`Induction`]) is shared with the other two
-    /// engines, so the outcome is identical by construction wherever the
-    /// per-class values agree.
-    fn synthesize_relational_profiled(
+    /// Runs the forward synthesis algorithm for `program`, additionally
+    /// returning the per-round timing and BDD statistics. The reachable
+    /// layers are built by forward image over the partitioned round
+    /// relation, under the rule fixed by the earlier rounds, and no state is
+    /// ever enumerated. The induction bookkeeping (`Induction`) is shared
+    /// with the explicit [`Synthesizer`](crate::Synthesizer), so the outcome
+    /// is identical by construction wherever the per-class values agree.
+    pub fn synthesize_profiled(
         &self,
         program: &KnowledgeBasedProgram,
     ) -> (SynthesisOutcome, SymbolicSynthesisProfile) {
@@ -336,10 +227,9 @@ impl<E: InformationExchange + SymbolicEncode> SymbolicSynthesizer<E> {
         let layout = self.exchange.observable_layout(&self.params);
         let horizon = self.params.horizon();
 
-        // One relational checker lives across the whole run: each round
-        // grows it by one layer in place, so the BDD manager, caches and
-        // learned variable order carry over exactly as in the salvage/resume
-        // cycle of the explicit front-end.
+        // One checker lives across the whole run: each round grows it by
+        // one layer in place, so the BDD manager, caches and learned
+        // variable order carry over.
         let checker = SymbolicChecker::relational_seed(
             self.exchange.clone(),
             self.params,
@@ -351,8 +241,10 @@ impl<E: InformationExchange + SymbolicEncode> SymbolicSynthesizer<E> {
             let round_start = Instant::now();
             let states = layer_states(&checker, time);
             for branch in &program.branches {
-                // Interpret `DecidesNow` against the rule as fixed so far,
-                // exactly as the explicit front-end does via its override.
+                // Interpret `DecidesNow` against the rule as fixed by
+                // earlier branches and rounds; earlier branches of this
+                // very round matter for the EBA-style programs whose
+                // conditions mention current-round decisions.
                 checker.set_rule_override(Some(induction.rule.clone()));
                 let mut session = checker.session();
                 for agent in AgentId::all(self.params.num_agents()) {
@@ -386,7 +278,7 @@ impl<E: InformationExchange + SymbolicEncode> SymbolicSynthesizer<E> {
 
 /// The number of states of one reachable layer, read off the layer's BDD by
 /// model counting over the state variables.
-fn layer_states<E, R>(checker: &SymbolicChecker<'_, E, R>, time: Round) -> usize
+fn layer_states<E, R>(checker: &SymbolicChecker<E, R>, time: Round) -> usize
 where
     E: InformationExchange,
     R: epimc_system::DecisionRule<E>,
@@ -400,7 +292,7 @@ mod tests {
     use crate::synthesize::Synthesizer;
     use epimc_protocols::{EMin, FloodSet};
     use epimc_system::run::{simulate_run, Adversary};
-    use epimc_system::{FailureKind, Value};
+    use epimc_system::{ConsensusModel, FailureKind, PointModel, Value};
 
     fn crash_params(n: usize, t: usize) -> ModelParams {
         ModelParams::builder().agents(n).max_faulty(t).values(2).failure(FailureKind::Crash).build()
@@ -427,17 +319,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn symbolic_matches_explicit_on_emin_omissions() {
-        let params = ModelParams::builder()
-            .agents(2)
-            .max_faulty(1)
-            .values(2)
-            .failure(FailureKind::SendOmission)
-            .build();
-        let program = KnowledgeBasedProgram::eba_p0();
-        let explicit = Synthesizer::new(EMin, params).synthesize(&program);
-        let symbolic = SymbolicSynthesizer::new(EMin, params).synthesize(&program);
+    fn assert_same_outcome(explicit: &SynthesisOutcome, symbolic: &SynthesisOutcome) {
         assert_eq!(explicit.rule.len(), symbolic.rule.len());
         for (key, action) in explicit.rule.iter() {
             assert_eq!(symbolic.rule.get(key.0, key.1, &key.2), *action, "at {key:?}");
@@ -451,46 +333,11 @@ mod tests {
                 lhs.agent, lhs.time, lhs.branch_label
             );
         }
-    }
-
-    fn relational_options() -> SymbolicSynthesisOptions {
-        SymbolicSynthesisOptions { frontend: Frontend::Relational, ..Default::default() }
-    }
-
-    fn explicit_options() -> SymbolicSynthesisOptions {
-        SymbolicSynthesisOptions { frontend: Frontend::Explicit, ..Default::default() }
-    }
-
-    fn assert_same_outcome(explicit: &SynthesisOutcome, relational: &SynthesisOutcome) {
-        assert_eq!(explicit.rule.len(), relational.rule.len());
-        for (key, action) in explicit.rule.iter() {
-            assert_eq!(relational.rule.get(key.0, key.1, &key.2), *action, "at {key:?}");
-        }
-        assert_eq!(explicit.stats, relational.stats);
-        assert_eq!(explicit.templates.len(), relational.templates.len());
-        for (lhs, rhs) in explicit.templates.iter().zip(&relational.templates) {
-            assert_eq!(
-                lhs.predicate, rhs.predicate,
-                "{} t={} {}",
-                lhs.agent, lhs.time, lhs.branch_label
-            );
-        }
-        assert_eq!(explicit.non_uniform.len(), relational.non_uniform.len());
+        assert_eq!(explicit.non_uniform.len(), symbolic.non_uniform.len());
     }
 
     #[test]
-    fn relational_frontend_matches_explicit_on_floodset() {
-        let params = crash_params(3, 1);
-        let program = KnowledgeBasedProgram::sba(2);
-        let explicit = SymbolicSynthesizer::with_options(FloodSet, params, explicit_options())
-            .synthesize(&program);
-        let relational = SymbolicSynthesizer::with_options(FloodSet, params, relational_options())
-            .synthesize(&program);
-        assert_same_outcome(&explicit, &relational);
-    }
-
-    #[test]
-    fn relational_frontend_matches_explicit_on_emin_omissions() {
+    fn symbolic_matches_explicit_on_emin_omissions() {
         let params = ModelParams::builder()
             .agents(2)
             .max_faulty(1)
@@ -498,33 +345,40 @@ mod tests {
             .failure(FailureKind::SendOmission)
             .build();
         let program = KnowledgeBasedProgram::eba_p0();
-        let explicit = SymbolicSynthesizer::with_options(EMin, params, explicit_options())
-            .synthesize(&program);
-        let relational = SymbolicSynthesizer::with_options(EMin, params, relational_options())
-            .synthesize(&program);
-        assert_same_outcome(&explicit, &relational);
+        let explicit = Synthesizer::new(EMin, params).synthesize(&program);
+        let symbolic = SymbolicSynthesizer::new(EMin, params).synthesize(&program);
+        assert_same_outcome(&explicit, &symbolic);
+    }
+
+    #[test]
+    fn relational_frontend_matches_explicit_on_floodset() {
+        let params = crash_params(3, 1);
+        let program = KnowledgeBasedProgram::sba(2);
+        let explicit = Synthesizer::new(FloodSet, params).synthesize(&program);
+        let symbolic = SymbolicSynthesizer::new(FloodSet, params).synthesize(&program);
+        assert_same_outcome(&explicit, &symbolic);
     }
 
     #[test]
     fn relational_frontend_early_exit_matches_explicit() {
         // FloodSet n = 3, t = 2 settles two rounds short of the horizon; the
-        // relational front-end must skip the same rounds (and count the same
-        // states) via its symbolic settledness test.
+        // symbolic settledness test must skip the same rounds as the
+        // explicit synthesizer, and every processed layer must have as many
+        // states as an exploration under the synthesized rule has points
+        // (under crash failures distinct points are distinct states).
         let params = crash_params(3, 2);
         let program = KnowledgeBasedProgram::sba(2);
-        let (explicit, explicit_profile) =
-            SymbolicSynthesizer::with_options(FloodSet, params, explicit_options())
-                .synthesize_profiled(&program);
-        let (relational, relational_profile) =
-            SymbolicSynthesizer::with_options(FloodSet, params, relational_options())
-                .synthesize_profiled(&program);
+        let explicit = Synthesizer::new(FloodSet, params).synthesize(&program);
+        let (symbolic, profile) =
+            SymbolicSynthesizer::new(FloodSet, params).synthesize_profiled(&program);
         assert_eq!(explicit.stats.skipped_rounds, 2);
-        assert_same_outcome(&explicit, &relational);
-        assert_eq!(explicit_profile.rounds.len(), relational_profile.rounds.len());
-        for (lhs, rhs) in explicit_profile.rounds.iter().zip(&relational_profile.rounds) {
-            assert_eq!(lhs.layer_states, rhs.layer_states, "layer {} size", lhs.time);
+        assert_same_outcome(&explicit, &symbolic);
+        let model = ConsensusModel::explore(FloodSet, params, explicit.rule.clone());
+        assert_eq!(profile.rounds.len() + explicit.stats.skipped_rounds, model.num_layers());
+        for round in &profile.rounds {
+            assert_eq!(round.layer_states, model.layer_size(round.time), "layer {}", round.time);
         }
-        let last = relational_profile.rounds.last().unwrap();
+        let last = profile.rounds.last().unwrap();
         assert!(
             last.stats.relational_product_calls > 0,
             "relational images route through relational_product"

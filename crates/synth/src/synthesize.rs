@@ -222,7 +222,7 @@ impl Induction {
     }
 
     /// The early-exit bookkeeping of [`Induction::advance`] for engines that
-    /// grow the model themselves (the relational front-end): records how
+    /// grow the model themselves (the symbolic synthesizer): records how
     /// many trailing rounds the induction skipped after the layer built for
     /// `time + 1` came out settled.
     pub(crate) fn note_skipped_rounds(&mut self, time: Round, horizon: Round) {

@@ -64,9 +64,10 @@ fn explicit_and_symbolic_engines_agree_on_the_appendix_model() {
     let params = crash_params(3, 1);
     let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
     let explicit = Checker::new(&model);
-    let symbolic = SymbolicChecker::new(&model);
+    let symbolic =
+        SymbolicChecker::relational(FloodSet, params, FloodSetRule, SymbolicOptions::default());
     for agent in (0..3).map(AgentId::new) {
         let condition = sba_knowledge_condition(agent, 3, 2);
-        assert_eq!(explicit.check(&condition), symbolic.check(&condition));
+        assert_eq!(explicit.check(&condition), symbolic.check_points(&model, &condition));
     }
 }

@@ -2,7 +2,10 @@
 //! engines: on randomly generated epistemic/temporal formulas, the
 //! explicit-state checker, the symbolic (BDD) checker and the local
 //! (on-the-fly) checker must return exactly the same set of points — not
-//! merely the same valid/invalid verdict.
+//! merely the same valid/invalid verdict. The explicit checker over an
+//! explored model is the one point-level oracle; the symbolic engines build
+//! their model relationally, as everything that ships does, and are read
+//! off on the explored points through `check_points`.
 //!
 //! The clock-semantics outcomes are unique (Huang & van der Meyden), so
 //! explicit ≡ symbolic ≡ local must hold bit-for-bit. The **three-way
@@ -13,6 +16,7 @@
 //! reproduces exactly.
 
 use epimc::prelude::*;
+use epimc_integration::distinct_layer_states;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -59,21 +63,31 @@ fn random_formula(rng: &mut StdRng, n: usize, depth: usize) -> F {
     }
 }
 
+/// The symbolic engine as the differential tests run it: built
+/// relationally *under* `options`, so stressed thresholds already act on
+/// the forward images of the build.
+fn symbolic_floodset(
+    params: ModelParams,
+    options: SymbolicOptions,
+) -> SymbolicChecker<FloodSet, FloodSetRule> {
+    SymbolicChecker::relational(FloodSet, params, FloodSetRule, options)
+}
+
 /// Checks `FORMULAS_PER_FAMILY` random formulas on both engines over the
-/// same model, requiring identical point sets.
+/// same instance, requiring identical point sets.
 fn engines_agree_on<E, R>(family: &str, exchange: E, rule: R, params: ModelParams, seed: u64)
 where
-    E: InformationExchange,
-    R: DecisionRule<E>,
+    E: InformationExchange + SymbolicEncode,
+    R: DecisionRule<E> + SymbolicRule<E> + Clone,
 {
-    let model = ConsensusModel::explore(exchange, params, rule);
+    let model = ConsensusModel::explore(exchange.clone(), params, rule.clone());
     let explicit = Checker::new(&model);
-    let symbolic = SymbolicChecker::new(&model);
+    let symbolic = SymbolicChecker::relational(exchange, params, rule, SymbolicOptions::default());
     let mut rng = StdRng::seed_from_u64(seed);
     for case in 0..FORMULAS_PER_FAMILY {
         let formula = random_formula(&mut rng, params.num_agents(), 3);
         let explicit_result = explicit.check(&formula);
-        let symbolic_result = symbolic.check(&formula);
+        let symbolic_result = symbolic.check_points(&model, &formula);
         assert_eq!(
             explicit_result, symbolic_result,
             "{family} case {case}: engines disagree on {formula}"
@@ -84,10 +98,10 @@ where
 /// The relational front-end differential: the purely symbolic model
 /// construction must produce (a) layer state sets extensionally identical
 /// to the explicitly explored ones — every explored point reachable and
-/// the per-layer model counts equal, which for reduced OBDDs over the same
-/// variable order means bit-identical layer BDDs — (b) identical
-/// observation classes per agent and layer, and (c) on every seeded random
-/// formula, exactly the explicit engine's point set.
+/// each layer's model count equal to the number of distinct states among
+/// its explored points — (b) identical observation classes per agent and
+/// layer, and (c) on every seeded random formula, exactly the explicit
+/// engine's point set.
 fn relational_agrees_on<E, R>(
     family: &str,
     exchange: E,
@@ -101,7 +115,6 @@ fn relational_agrees_on<E, R>(
 {
     let model = ConsensusModel::explore(exchange.clone(), params, rule.clone());
     let explicit = Checker::new(&model);
-    let symbolic = SymbolicChecker::new(&model);
     let relational =
         SymbolicChecker::relational(exchange, params, rule, SymbolicOptions::default());
     assert_eq!(
@@ -109,24 +122,24 @@ fn relational_agrees_on<E, R>(
         PointSet::full(&model),
         "{family}: a point explored explicitly is not relationally reachable"
     );
+    let explored_states = distinct_layer_states(&model);
     for time in 0..model.num_layers() as Round {
         assert_eq!(
             relational.layer_state_count(time),
-            symbolic.layer_state_count(time),
+            explored_states[time as usize],
             "{family}: layer {time} state counts differ"
         );
         for agent in AgentId::all(params.num_agents()) {
-            let mut explicit_session = symbolic.session();
-            let mut relational_session = relational.session();
-            assert_eq!(
-                symbolic.observation_values(&mut explicit_session, &F::True, agent, time).reachable,
-                relational
-                    .observation_values(&mut relational_session, &F::True, agent, time)
-                    .reachable,
+            let explored: std::collections::BTreeSet<&Observation> = (0..model.layer_size(time))
+                .map(|index| model.observation(agent, PointId::new(time, index)))
+                .collect();
+            let mut session = relational.session();
+            let classes = relational.observation_values(&mut session, &F::True, agent, time);
+            relational.end_session(session);
+            assert!(
+                classes.reachable.iter().eq(explored),
                 "{family}: observation classes differ for {agent} at time {time}"
             );
-            symbolic.end_session(explicit_session);
-            relational.end_session(relational_session);
         }
     }
     let mut rng = StdRng::seed_from_u64(seed);
@@ -157,7 +170,12 @@ where
 {
     let model = ConsensusModel::explore(exchange.clone(), params, rule.clone());
     let explicit = Checker::new(&model);
-    let symbolic = SymbolicChecker::new(&model);
+    let symbolic = SymbolicChecker::relational(
+        exchange.clone(),
+        params,
+        rule.clone(),
+        SymbolicOptions::default(),
+    );
     let local = LocalChecker::new(exchange, params, rule);
     let backends: [&dyn CheckBackend<E, R>; 3] = [&explicit, &symbolic, &local];
     let mut rng = StdRng::seed_from_u64(seed);
@@ -298,19 +316,23 @@ fn engines_agree_on_diff_crash() {
 #[test]
 fn engines_agree_on_floodset_three_agents() {
     // A three-agent instance exercises nontrivial nonfaulty sets in the
-    // common-belief fixpoint; fewer cases because the model is larger.
+    // common-belief fixpoint; fewer cases because the model is larger. (The
+    // second seed is the formula set the retired partitioned-vs-monolithic
+    // comparison ran against the explicit engine.)
     let params = ModelParams::builder().agents(3).max_faulty(1).values(2).build();
     let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
     let explicit = Checker::new(&model);
-    let symbolic = SymbolicChecker::new(&model);
-    let mut rng = StdRng::seed_from_u64(0xD1FF_0004);
-    for case in 0..48 {
-        let formula = random_formula(&mut rng, 3, 3);
-        assert_eq!(
-            explicit.check(&formula),
-            symbolic.check(&formula),
-            "floodset-n3 case {case}: engines disagree on {formula}"
-        );
+    let symbolic = symbolic_floodset(params, SymbolicOptions::default());
+    for seed in [0xD1FF_0004, 0xD1FF_0006] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for case in 0..48 {
+            let formula = random_formula(&mut rng, 3, 3);
+            assert_eq!(
+                explicit.check(&formula),
+                symbolic.check_points(&model, &formula),
+                "floodset-n3 seed {seed:#x} case {case}: engines disagree on {formula}"
+            );
+        }
     }
 }
 
@@ -326,45 +348,12 @@ fn engines_agree_on_emin_omissions() {
 }
 
 #[test]
-fn partitioned_and_monolithic_relations_agree_on_seeded_formulas() {
-    // Differential test for the two transition-relation representations of
-    // the symbolic engine: on every seeded random formula (the same
-    // generator as the explicit/symbolic suite, including the temporal
-    // operators that exercise pre-image computation), the reachable
-    // relation conjoined from the per-agent partitions must produce
-    // exactly the same point sets as the one built from the monolithic
-    // relation — and both must match the explicit engine.
-    let params = ModelParams::builder().agents(3).max_faulty(1).values(2).build();
-    let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
-    let explicit = Checker::new(&model);
-    let partitioned = SymbolicChecker::new(&model);
-    let monolithic = SymbolicChecker::with_options(
-        &model,
-        SymbolicOptions { relation_mode: RelationMode::Monolithic, ..Default::default() },
-    );
-    let mut rng = StdRng::seed_from_u64(0xD1FF_0006);
-    for case in 0..48 {
-        let formula = random_formula(&mut rng, 3, 3);
-        let expected = explicit.check(&formula);
-        let from_partitioned = partitioned.check(&formula);
-        assert_eq!(
-            expected, from_partitioned,
-            "partitioned engine disagrees with explicit on case {case}: {formula}"
-        );
-        let from_monolithic = monolithic.check(&formula);
-        assert_eq!(
-            from_partitioned, from_monolithic,
-            "relation modes disagree on case {case}: {formula}"
-        );
-    }
-}
-
-#[test]
 fn auto_reorder_agrees_with_static_order_and_explicit_on_seeded_formulas() {
     // Differential test for dynamic variable reordering: with a tiny
     // auto-reorder threshold (and a tiny GC threshold, since the trigger
     // sits at collection safe points) the symbolic engine group-sifts the
-    // order repeatedly mid-evaluation, and every seeded random formula —
+    // order repeatedly, between the forward images of the build and
+    // mid-evaluation, and every seeded random formula —
     // including the temporal operators, whose reachable relations are
     // dropped by every sift and rebuilt under the new order — must produce
     // exactly the same `PointSet` as the static-order engine and the
@@ -372,12 +361,12 @@ fn auto_reorder_agrees_with_static_order_and_explicit_on_seeded_formulas() {
     let params = ModelParams::builder().agents(3).max_faulty(1).values(2).build();
     let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
     let explicit = Checker::new(&model);
-    let static_order = SymbolicChecker::with_options(
-        &model,
+    let static_order = symbolic_floodset(
+        params,
         SymbolicOptions { reorder: ReorderMode::Static, ..Default::default() },
     );
-    let reordered = SymbolicChecker::with_options(
-        &model,
+    let reordered = symbolic_floodset(
+        params,
         SymbolicOptions {
             reorder: ReorderMode::Auto { threshold: 256 },
             gc_threshold: 1 << 10,
@@ -389,12 +378,12 @@ fn auto_reorder_agrees_with_static_order_and_explicit_on_seeded_formulas() {
         let formula = random_formula(&mut rng, 3, 3);
         let expected = explicit.check(&formula);
         assert_eq!(
-            static_order.check(&formula),
+            static_order.check_points(&model, &formula),
             expected,
             "static-order engine disagrees with explicit on case {case}: {formula}"
         );
         assert_eq!(
-            reordered.check(&formula),
+            reordered.check_points(&model, &formula),
             expected,
             "auto-reordering engine disagrees on case {case}: {formula}"
         );
@@ -415,13 +404,13 @@ fn complement_edges_on_off_and_explicit_agree_on_seeded_formulas() {
     let params = ModelParams::builder().agents(3).max_faulty(1).values(2).build();
     let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
     let explicit = Checker::new(&model);
-    let with_complement = SymbolicChecker::new(&model);
-    let without_complement = SymbolicChecker::with_options(
-        &model,
+    let with_complement = symbolic_floodset(params, SymbolicOptions::default());
+    let without_complement = symbolic_floodset(
+        params,
         SymbolicOptions { complement_edges: false, ..Default::default() },
     );
-    let stressed = SymbolicChecker::with_options(
-        &model,
+    let stressed = symbolic_floodset(
+        params,
         SymbolicOptions {
             complement_edges: false,
             gc_threshold: 1 << 10,
@@ -434,17 +423,17 @@ fn complement_edges_on_off_and_explicit_agree_on_seeded_formulas() {
         let formula = random_formula(&mut rng, 3, 3);
         let expected = explicit.check(&formula);
         assert_eq!(
-            with_complement.check(&formula),
+            with_complement.check_points(&model, &formula),
             expected,
             "complement-edge engine disagrees with explicit on case {case}: {formula}"
         );
         assert_eq!(
-            without_complement.check(&formula),
+            without_complement.check_points(&model, &formula),
             expected,
             "two-terminal engine disagrees on case {case}: {formula}"
         );
         assert_eq!(
-            stressed.check(&formula),
+            stressed.check_points(&model, &formula),
             expected,
             "two-terminal engine under gc/reorder pressure disagrees on case {case}: {formula}"
         );
@@ -461,17 +450,15 @@ fn gc_preserves_symbolic_semantics_on_seeded_formulas() {
     let explicit = Checker::new(&model);
     // A tiny threshold also forces collections *during* evaluation, in the
     // middle of fixpoint iterations.
-    let symbolic = SymbolicChecker::with_options(
-        &model,
-        SymbolicOptions { gc_threshold: 1 << 10, ..Default::default() },
-    );
+    let symbolic =
+        symbolic_floodset(params, SymbolicOptions { gc_threshold: 1 << 10, ..Default::default() });
     let mut rng = StdRng::seed_from_u64(0xD1FF_0007);
     let formulas: Vec<F> = (0..64).map(|_| random_formula(&mut rng, 2, 3)).collect();
-    let before: Vec<PointSet> = formulas.iter().map(|f| symbolic.check(f)).collect();
+    let before: Vec<PointSet> = formulas.iter().map(|f| symbolic.check_points(&model, f)).collect();
     symbolic.force_gc();
     assert!(symbolic.stats().gc_runs > 0, "collections must have run");
     for (case, (formula, expected)) in formulas.iter().zip(&before).enumerate() {
-        let after = symbolic.check(formula);
+        let after = symbolic.check_points(&model, formula);
         assert_eq!(&after, expected, "gc changed case {case}: {formula}");
         assert_eq!(
             after,

@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 
 use epimc::prelude::*;
-use epimc_integration::{crash_params, omission_params};
+use epimc_integration::{crash_params, distinct_layer_states, omission_params};
 
 type RuleEntries = BTreeMap<(AgentId, Round, Observation), Action>;
 
@@ -23,8 +23,45 @@ fn rule_entries(rule: &TableRule) -> RuleEntries {
     rule.iter().map(|(key, action)| (key.clone(), *action)).collect()
 }
 
-/// Synthesizes `program` with both engines and asserts full agreement,
-/// printing the diverging (program, agent, time, observation) on failure.
+/// Synthesizes `program` with the explicit engine and with the symbolic
+/// engine under `options`, and asserts full agreement — rule, templates,
+/// statistics and diagnostics, bit for bit — printing the diverging
+/// (program, agent, time, observation) on failure. Returns the explicit
+/// outcome and the symbolic run's profile.
+fn engines_agree_with_options<E>(
+    program_name: &str,
+    exchange: E,
+    program: &KnowledgeBasedProgram,
+    params: ModelParams,
+    options: SymbolicSynthesisOptions,
+) -> (SynthesisOutcome, SymbolicSynthesisProfile)
+where
+    E: InformationExchange + SymbolicEncode,
+{
+    let explicit = Synthesizer::new(exchange.clone(), params).synthesize(program);
+    let (mut symbolic, profile) =
+        SymbolicSynthesizer::with_options(exchange.clone(), params, options)
+            .synthesize_profiled(program);
+    // `total_states` measures different things across the engines: the
+    // explicit engine counts explored *points*, the symbolic engine
+    // model-counts distinct encoded *states*. The exploration may keep
+    // points that differ only in adversary bookkeeping invisible to every
+    // agent (EMin under omissions does), so distinct ≤ explored — align the
+    // field after checking that relation, and compare everything else
+    // exactly.
+    assert!(
+        symbolic.stats.total_states <= explicit.stats.total_states,
+        "{program_name} {params}: the symbolic engine counted more states ({}) than the \
+         explicit exploration has points ({})",
+        symbolic.stats.total_states,
+        explicit.stats.total_states
+    );
+    symbolic.stats.total_states = explicit.stats.total_states;
+    compare_outcomes(program_name, exchange, params, &explicit, &symbolic);
+    (explicit, profile)
+}
+
+/// [`engines_agree_with_options`] under the default options.
 fn engines_agree_on<E>(
     program_name: &str,
     exchange: E,
@@ -33,20 +70,14 @@ fn engines_agree_on<E>(
 ) where
     E: InformationExchange + SymbolicEncode,
 {
-    let explicit = Synthesizer::new(exchange.clone(), params).synthesize(program);
-    // This suite pins the *explicit* symbolic front-end: it is the oracle
-    // differential against per-point enumeration. The relational (default)
-    // front-end has its own `_relational` grids below.
-    let options = SymbolicSynthesisOptions { frontend: Frontend::Explicit, ..Default::default() };
-    let symbolic =
-        SymbolicSynthesizer::with_options(exchange.clone(), params, options).synthesize(program);
-    compare_outcomes(program_name, exchange, params, &explicit, &symbolic);
+    engines_agree_with_options(program_name, exchange, program, params, Default::default());
 }
 
-/// The relational front-end differential: synthesis over the purely
-/// symbolic model construction (no state ever enumerated on the synthesis
-/// path) must produce the same `SynthesisOutcome` as the explicit
-/// synthesizer, bit for bit — rule, templates, statistics and diagnostics.
+/// The model-construction differential: on top of [`engines_agree_on`],
+/// every layer the symbolic induction built — as a forward image under the
+/// rule fixed so far, never enumerating a state — has exactly as many
+/// states as an exploration under the synthesized rule has distinct states
+/// in that layer.
 fn engines_agree_relational<E>(
     program_name: &str,
     exchange: E,
@@ -55,26 +86,22 @@ fn engines_agree_relational<E>(
 ) where
     E: InformationExchange + SymbolicEncode,
 {
-    let explicit = Synthesizer::new(exchange.clone(), params).synthesize(program);
-    let options = SymbolicSynthesisOptions { frontend: Frontend::Relational, ..Default::default() };
-    let mut relational =
-        SymbolicSynthesizer::with_options(exchange.clone(), params, options).synthesize(program);
-    // `total_states` measures different things across the front-ends: the
-    // explicit engine counts explored *points*, the relational engine
-    // model-counts distinct encoded *states*. The exploration may keep
-    // points that differ only in adversary bookkeeping invisible to every
-    // agent (EMin under omissions does), so distinct ≤ explored — align the
-    // field after checking that relation, and compare everything else
-    // exactly.
-    assert!(
-        relational.stats.total_states <= explicit.stats.total_states,
-        "{program_name} {params}: relational front-end counted more states ({}) than the \
-         explicit exploration has points ({})",
-        relational.stats.total_states,
-        explicit.stats.total_states
+    let (explicit, profile) = engines_agree_with_options(
+        program_name,
+        exchange.clone(),
+        program,
+        params,
+        Default::default(),
     );
-    relational.stats.total_states = explicit.stats.total_states;
-    compare_outcomes(program_name, exchange, params, &explicit, &relational);
+    let model = ConsensusModel::explore(exchange, params, explicit.rule);
+    let explored = distinct_layer_states(&model);
+    for round in &profile.rounds {
+        assert_eq!(
+            round.layer_states as u128, explored[round.time as usize],
+            "{program_name} {params}: layer {} state counts differ",
+            round.time
+        );
+    }
 }
 
 /// The auto-reorder differential: a symbolic synthesis run whose BDD order
@@ -88,24 +115,20 @@ fn engines_agree_under_auto_reorder<E>(
 ) where
     E: InformationExchange + SymbolicEncode,
 {
-    let explicit = Synthesizer::new(exchange.clone(), params).synthesize(program);
     let options = SymbolicSynthesisOptions {
         symbolic: SymbolicOptions {
             reorder: ReorderMode::Auto { threshold: 16 },
             gc_threshold: 1 << 7,
             ..Default::default()
         },
-        frontend: Frontend::Explicit,
         ..Default::default()
     };
-    let (symbolic, profile) = SymbolicSynthesizer::with_options(exchange.clone(), params, options)
-        .synthesize_profiled(program);
+    let (_, profile) = engines_agree_with_options(program_name, exchange, program, params, options);
     let final_stats = profile.rounds.last().expect("at least one round").stats;
     assert!(
         final_stats.reorder_runs > 0,
         "{program_name} {params}: the tiny threshold must have triggered reorders"
     );
-    compare_outcomes(program_name, exchange, params, &explicit, &symbolic);
 }
 
 /// The complement-edge differential: a symbolic synthesis run on the
@@ -120,21 +143,12 @@ fn engines_agree_without_complement_edges<E>(
 ) where
     E: InformationExchange + SymbolicEncode,
 {
-    let explicit = Synthesizer::new(exchange.clone(), params).synthesize(program);
-    let complement_options =
-        SymbolicSynthesisOptions { frontend: Frontend::Explicit, ..Default::default() };
-    let with_complement =
-        SymbolicSynthesizer::with_options(exchange.clone(), params, complement_options)
-            .synthesize(program);
-    compare_outcomes(program_name, exchange.clone(), params, &explicit, &with_complement);
+    engines_agree_on(program_name, exchange.clone(), program, params);
     let options = SymbolicSynthesisOptions {
         symbolic: SymbolicOptions { complement_edges: false, ..Default::default() },
-        frontend: Frontend::Explicit,
         ..Default::default()
     };
-    let without_complement =
-        SymbolicSynthesizer::with_options(exchange.clone(), params, options).synthesize(program);
-    compare_outcomes(program_name, exchange, params, &explicit, &without_complement);
+    engines_agree_with_options(program_name, exchange, program, params, options);
 }
 
 fn compare_outcomes<E>(
