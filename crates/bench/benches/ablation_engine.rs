@@ -17,28 +17,19 @@ fn bench_ablation(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(2));
 
     for n in 2..=max_n {
-        let params = ModelParams::builder()
-            .agents(n)
-            .max_faulty(1)
-            .values(2)
-            .failure(FailureKind::Crash)
-            .build();
-        let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
+        let params = Experiment::crash(ProtocolKind::FloodSet, n, 1).params();
         let condition = epimc::optimality::sba_knowledge_condition(AgentId::new(0), n, 2);
-
-        group.bench_with_input(BenchmarkId::new("explicit", n), &n, |b, _| {
-            b.iter(|| Checker::new(&model).holds_everywhere(&condition))
-        });
-        group.bench_with_input(BenchmarkId::new("symbolic", n), &n, |b, _| {
-            b.iter(|| {
-                SymbolicChecker::relational(
-                    FloodSet,
-                    params,
-                    FloodSetRule,
-                    SymbolicOptions::default(),
-                )
-                .holds_everywhere(&condition)
-            })
+        with_protocol!(ProtocolKind::FloodSet, |exchange, rule| {
+            let model = ConsensusModel::explore(exchange, params, rule);
+            group.bench_with_input(BenchmarkId::new("explicit", n), &n, |b, _| {
+                b.iter(|| Checker::new(&model).holds_everywhere(&condition))
+            });
+            group.bench_with_input(BenchmarkId::new("symbolic", n), &n, |b, _| {
+                b.iter(|| {
+                    SymbolicChecker::relational(exchange, params, rule, SymbolicOptions::default())
+                        .holds_everywhere(&condition)
+                })
+            });
         });
     }
     group.finish();

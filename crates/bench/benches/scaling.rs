@@ -14,7 +14,7 @@ fn bench_scaling(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(2));
 
     for n in 2..=max_n {
-        let experiment = SbaExperiment::crash(SbaExchangeKind::FloodSet, n, 1);
+        let experiment = Experiment::crash(ProtocolKind::FloodSet, n, 1);
         group.bench_with_input(BenchmarkId::new("model-check", n), &experiment, |b, e| {
             b.iter(|| e.model_check())
         });

@@ -17,7 +17,7 @@ fn bench_table1(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(2));
 
     for (n, t) in table1_grid(full) {
-        let flood = SbaExperiment::crash(SbaExchangeKind::FloodSet, n, t);
+        let flood = Experiment::crash(ProtocolKind::FloodSet, n, t);
         group.bench_with_input(
             BenchmarkId::new("floodset/model-check", format!("n{n}_t{t}")),
             &flood,
@@ -33,7 +33,7 @@ fn bench_table1(c: &mut Criterion) {
         if !full && n > 3 {
             continue;
         }
-        let count = SbaExperiment::crash(SbaExchangeKind::CountFloodSet, n, t);
+        let count = Experiment::crash(ProtocolKind::CountFloodSet, n, t);
         group.bench_with_input(
             BenchmarkId::new("count/model-check", format!("n{n}_t{t}")),
             &count,

@@ -14,15 +14,11 @@ fn bench_table2(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(2));
 
     for (n, t, rounds) in table2_grid(full) {
-        let diff = SbaExperiment {
-            exchange: SbaExchangeKind::DiffFloodSet,
-            n,
-            t,
-            num_values: 2,
-            failure: FailureKind::Crash,
+        let diff = Experiment {
             horizon: Some(rounds),
+            ..Experiment::crash(ProtocolKind::DiffFloodSet, n, t)
         };
-        let dwork = SbaExperiment { exchange: SbaExchangeKind::DworkMoses, ..diff };
+        let dwork = Experiment { protocol: ProtocolKind::DworkMoses, ..diff };
         group.bench_with_input(
             BenchmarkId::new("diff/model-check", format!("n{n}_t{t}_r{rounds}")),
             &diff,

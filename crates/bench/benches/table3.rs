@@ -14,12 +14,12 @@ fn bench_table3(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(2));
 
     for (n, t) in table3_grid(full) {
-        for exchange in [EbaExchangeKind::EMin, EbaExchangeKind::EBasic] {
+        for protocol in [ProtocolKind::EMin, ProtocolKind::EBasic] {
             for failure in [FailureKind::Crash, FailureKind::SendOmission] {
-                let experiment = EbaExperiment { exchange, n, t, failure };
+                let experiment = Experiment::new(protocol, n, t, failure);
                 let label = format!(
                     "{}/{}",
-                    exchange,
+                    protocol.paper_name(),
                     match failure {
                         FailureKind::Crash => "crash",
                         _ => "omissions",

@@ -13,7 +13,7 @@
 
 use std::time::Duration;
 
-use epimc::experiments::{format_mck_duration, local_profile, with_timeout};
+use epimc::experiments::{format_mck_duration, with_timeout};
 use epimc::prelude::*;
 
 /// Default per-cell timeout used by the `tables` binary, mirroring the
@@ -139,8 +139,8 @@ pub fn full_grids_requested() -> bool {
 pub fn table1(timeout: Duration, full: bool) -> String {
     let mut cells = Vec::new();
     for (n, t) in table1_grid(full) {
-        let flood = SbaExperiment::crash(SbaExchangeKind::FloodSet, n, t);
-        let count = SbaExperiment::crash(SbaExchangeKind::CountFloodSet, n, t);
+        let flood = Experiment::crash(ProtocolKind::FloodSet, n, t);
+        let count = Experiment::crash(ProtocolKind::CountFloodSet, n, t);
         let entries = vec![
             timed_entry(timeout, move || flood.model_check()),
             timed_entry(timeout, move || flood.synthesize()),
@@ -162,15 +162,11 @@ pub fn table1(timeout: Duration, full: bool) -> String {
 pub fn table2(timeout: Duration, full: bool) -> String {
     let mut cells = Vec::new();
     for (n, t, rounds) in table2_grid(full) {
-        let diff = SbaExperiment {
-            exchange: SbaExchangeKind::DiffFloodSet,
-            n,
-            t,
-            num_values: 2,
-            failure: FailureKind::Crash,
+        let diff = Experiment {
             horizon: Some(rounds),
+            ..Experiment::crash(ProtocolKind::DiffFloodSet, n, t)
         };
-        let dwork = SbaExperiment { exchange: SbaExchangeKind::DworkMoses, ..diff };
+        let dwork = Experiment { protocol: ProtocolKind::DworkMoses, ..diff };
         let entries = vec![
             timed_entry(timeout, move || diff.model_check()),
             timed_entry(timeout, move || dwork.model_check()),
@@ -191,9 +187,9 @@ pub fn table3(timeout: Duration, full: bool) -> String {
     let mut cells = Vec::new();
     for (n, t) in table3_grid(full) {
         let mut entries = Vec::new();
-        for exchange in [EbaExchangeKind::EMin, EbaExchangeKind::EBasic] {
+        for protocol in [ProtocolKind::EMin, ProtocolKind::EBasic] {
             for failure in [FailureKind::Crash, FailureKind::SendOmission] {
-                let experiment = EbaExperiment { exchange, n, t, failure };
+                let experiment = Experiment::new(protocol, n, t, failure);
                 entries.push(timed_entry(timeout, move || experiment.synthesize()));
             }
         }
@@ -213,7 +209,7 @@ pub fn scaling_table(timeout: Duration, full: bool) -> String {
     let max_n = if full { 6 } else { 5 };
     let mut cells = Vec::new();
     for n in 2..=max_n {
-        let flood = SbaExperiment::crash(SbaExchangeKind::FloodSet, n, 1);
+        let flood = Experiment::crash(ProtocolKind::FloodSet, n, 1);
         let entries = vec![
             timed_entry(timeout, move || flood.model_check()),
             timed_entry(timeout, move || flood.synthesize()),
@@ -236,36 +232,33 @@ pub fn explore_table(full: bool) -> String {
     let max_n = if full { 7 } else { 6 };
     let mut cells = Vec::new();
     for n in 4..=max_n {
-        let params = ModelParams::builder()
-            .agents(n)
-            .max_faulty(2)
-            .values(2)
-            .failure(FailureKind::Crash)
-            .build();
-        let sequential = StateSpace::explore_sequential(FloodSet, params, &FloodSetRule);
-        let parallel = StateSpace::explore(FloodSet, params, &FloodSetRule);
-        for (seq_layer, par_layer) in sequential.layers().iter().zip(parallel.layers()) {
-            assert!(
-                seq_layer.states == par_layer.states
-                    && seq_layer.successors == par_layer.successors,
-                "parallel exploration diverged from sequential"
-            );
-        }
-        let threads = parallel.threads();
-        let seq_stats = sequential.stats();
-        let par_stats = parallel.stats();
-        let speedup =
-            seq_stats.total_wall().as_secs_f64() / par_stats.total_wall().as_secs_f64().max(1e-9);
-        cells.push(Cell {
-            key: vec![n.to_string(), 2.to_string()],
-            entries: vec![
-                seq_stats.total_states().to_string(),
-                seq_stats.total_generated().to_string(),
-                seq_stats.total_dedup_hits().to_string(),
-                format_mck_duration(seq_stats.total_wall()),
-                format_mck_duration(par_stats.total_wall()),
-                format!("{speedup:.2}x ({threads} thr)"),
-            ],
+        let params = Experiment::crash(ProtocolKind::FloodSet, n, 2).params();
+        with_protocol!(ProtocolKind::FloodSet, |exchange, rule| {
+            let sequential = StateSpace::explore_sequential(exchange, params, &rule);
+            let parallel = StateSpace::explore(exchange, params, &rule);
+            for (seq_layer, par_layer) in sequential.layers().iter().zip(parallel.layers()) {
+                assert!(
+                    seq_layer.states == par_layer.states
+                        && seq_layer.successors == par_layer.successors,
+                    "parallel exploration diverged from sequential"
+                );
+            }
+            let threads = parallel.threads();
+            let seq_stats = sequential.stats();
+            let par_stats = parallel.stats();
+            let speedup = seq_stats.total_wall().as_secs_f64()
+                / par_stats.total_wall().as_secs_f64().max(1e-9);
+            cells.push(Cell {
+                key: vec![n.to_string(), 2.to_string()],
+                entries: vec![
+                    seq_stats.total_states().to_string(),
+                    seq_stats.total_generated().to_string(),
+                    seq_stats.total_dedup_hits().to_string(),
+                    format_mck_duration(seq_stats.total_wall()),
+                    format_mck_duration(par_stats.total_wall()),
+                    format!("{speedup:.2}x ({threads} thr)"),
+                ],
+            });
         });
     }
     render_table(
@@ -285,60 +278,53 @@ pub struct SymbolicRow {
     pub profile: SymbolicProfile,
 }
 
-fn sba_symbolic_row(
-    exchange: SbaExchangeKind,
-    n: usize,
-    t: usize,
-    include_temporal: bool,
-) -> SymbolicRow {
-    let id = match exchange {
-        SbaExchangeKind::FloodSet => format!("floodset-n{n}-t{t}"),
-        SbaExchangeKind::CountFloodSet => format!("count-n{n}-t{t}"),
-        SbaExchangeKind::DiffFloodSet => format!("diff-n{n}-t{t}"),
-        SbaExchangeKind::DworkMoses => format!("dworkmoses-n{n}-t{t}"),
-    };
-    let experiment = SbaExperiment::crash(exchange, n, t);
-    let profile = experiment.symbolic_profile(SymbolicOptions::default(), include_temporal);
-    SymbolicRow { id, profile }
+/// Whether a profile of `experiment` includes the bounded temporal formula:
+/// the largest instances (six agents and up) are profiled on the knowledge
+/// battery alone.
+fn profiles_temporal(experiment: &Experiment) -> bool {
+    experiment.n < 6
 }
 
-fn eba_symbolic_row(exchange: EbaExchangeKind, n: usize, t: usize) -> SymbolicRow {
-    let id = match exchange {
-        EbaExchangeKind::EMin => format!("emin-n{n}-t{t}-om"),
-        EbaExchangeKind::EBasic => format!("ebasic-n{n}-t{t}-om"),
-    };
-    let experiment = EbaExperiment { exchange, n, t, failure: FailureKind::SendOmission };
-    let profile = experiment.symbolic_profile(SymbolicOptions::default(), true);
-    SymbolicRow { id, profile }
-}
-
-/// Measures the symbolic-engine ablation grid.
+/// The symbolic-engine ablation grid, as data.
 ///
-/// `smoke` restricts the run to the single small instance exercised by CI
+/// `smoke` restricts it to the single small instance exercised by CI
 /// (`floodset-n4-t1`). The default grid spans every protocol family and
 /// ends with FloodSet `n = 8, t = 3` — a ~400k-state instance that the
 /// pre-GC engine could not complete — checked without the temporal battery.
-pub fn symbolic_rows(full: bool, smoke: bool) -> Vec<SymbolicRow> {
+pub fn symbolic_grid(full: bool, smoke: bool) -> Vec<Experiment> {
+    use {FailureKind::SendOmission, ProtocolKind::*};
     if smoke {
-        return vec![sba_symbolic_row(SbaExchangeKind::FloodSet, 4, 1, true)];
+        return vec![Experiment::crash(FloodSet, 4, 1)];
     }
-    let mut rows = vec![
-        sba_symbolic_row(SbaExchangeKind::FloodSet, 3, 1, true),
-        sba_symbolic_row(SbaExchangeKind::FloodSet, 4, 2, true),
-        sba_symbolic_row(SbaExchangeKind::CountFloodSet, 3, 1, true),
-        sba_symbolic_row(SbaExchangeKind::DiffFloodSet, 3, 1, true),
-        sba_symbolic_row(SbaExchangeKind::DworkMoses, 2, 1, true),
-        eba_symbolic_row(EbaExchangeKind::EMin, 2, 1),
-        eba_symbolic_row(EbaExchangeKind::EBasic, 2, 1),
-        sba_symbolic_row(SbaExchangeKind::FloodSet, 6, 2, false),
+    let mut grid = vec![
+        Experiment::crash(FloodSet, 3, 1),
+        Experiment::crash(FloodSet, 4, 2),
+        Experiment::crash(CountFloodSet, 3, 1),
+        Experiment::crash(DiffFloodSet, 3, 1),
+        Experiment::crash(DworkMoses, 2, 1),
+        Experiment::new(EMin, 2, 1, SendOmission),
+        Experiment::new(EBasic, 2, 1, SendOmission),
+        Experiment::crash(FloodSet, 6, 2),
     ];
     if full {
-        rows.push(sba_symbolic_row(SbaExchangeKind::CountFloodSet, 4, 1, true));
-        rows.push(sba_symbolic_row(SbaExchangeKind::DworkMoses, 3, 1, true));
-        rows.push(sba_symbolic_row(SbaExchangeKind::FloodSet, 7, 2, false));
+        grid.extend([
+            Experiment::crash(CountFloodSet, 4, 1),
+            Experiment::crash(DworkMoses, 3, 1),
+            Experiment::crash(FloodSet, 7, 2),
+        ]);
     }
-    rows.push(sba_symbolic_row(SbaExchangeKind::FloodSet, 8, 3, false));
-    rows
+    grid.push(Experiment::crash(FloodSet, 8, 3));
+    grid
+}
+
+/// Measures the symbolic-engine ablation grid ([`symbolic_grid`]).
+pub fn symbolic_rows(full: bool, smoke: bool) -> Vec<SymbolicRow> {
+    let measure = |experiment: &Experiment| SymbolicRow {
+        id: experiment.id(),
+        profile: experiment
+            .symbolic_profile(SymbolicOptions::default(), profiles_temporal(experiment)),
+    };
+    symbolic_grid(full, smoke).iter().map(measure).collect()
 }
 
 /// Renders the symbolic ablation rows as a table.
@@ -384,11 +370,6 @@ pub fn render_symbolic_table(rows: &[SymbolicRow]) -> String {
     out
 }
 
-/// The symbolic ablation table (measure + render).
-pub fn symbolic_table(full: bool) -> String {
-    render_symbolic_table(&symbolic_rows(full, false))
-}
-
 /// Checks measured peak-live-node counts against a checked-in budget file.
 ///
 /// The budget file has one `<instance-id> <max-peak-live-nodes>` pair per
@@ -399,8 +380,8 @@ pub fn symbolic_table(full: bool) -> String {
 /// pass CI. Returns a human-readable summary, or an error describing
 /// every violation (used to fail CI on regressions).
 pub fn check_symbolic_budget(rows: &[SymbolicRow], budget_text: &str) -> Result<String, String> {
-    let measured: Vec<(&str, usize)> =
-        rows.iter().map(|row| (row.id.as_str(), row.profile.stats.peak_live_nodes)).collect();
+    let measured: Vec<(String, usize)> =
+        rows.iter().map(|row| (row.id.clone(), row.profile.stats.peak_live_nodes)).collect();
     check_peak_budget(&measured, budget_text)
 }
 
@@ -408,15 +389,35 @@ pub fn check_symbolic_budget(rows: &[SymbolicRow], budget_text: &str) -> Result<
 /// budget file; same format and failure semantics as
 /// [`check_symbolic_budget`].
 pub fn check_synthesis_budget(rows: &[SynthesisRow], budget_text: &str) -> Result<String, String> {
-    let measured: Vec<(&str, usize)> =
-        rows.iter().map(|row| (row.id.as_str(), row.comparison.peak_live_nodes)).collect();
+    let measured: Vec<(String, usize)> =
+        rows.iter().map(|row| (row.id.clone(), row.comparison.peak_live_nodes)).collect();
     check_peak_budget(&measured, budget_text)
 }
 
-/// The shared budget gate over `(instance id, measured peak)` pairs.
-fn check_peak_budget(measured: &[(&str, usize)], budget_text: &str) -> Result<String, String> {
+/// How one budget gate words its messages: the gate's name, what one
+/// measured value is called, and how a violated value is introduced.
+struct GateWording {
+    gate: &'static str,
+    noun: &'static str,
+    quantity: &'static str,
+}
+
+const NODE_GATE: GateWording =
+    GateWording { gate: "node", noun: "instance", quantity: "peak live nodes" };
+const SERVE_GATE: GateWording = GateWording { gate: "serve", noun: "metric", quantity: "measured" };
+
+/// The shared budget gate over `(key, measured value)` pairs: every
+/// `<key> <bound>` line of `budget_text` whose key was measured is checked,
+/// and each excess joins `violations` (which may arrive holding failures
+/// the caller found on its own).
+fn check_budget(
+    measured: &[(String, usize)],
+    budget_text: &str,
+    wording: &GateWording,
+    mut violations: Vec<String>,
+) -> Result<String, String> {
+    let GateWording { gate, noun, quantity } = wording;
     let mut checked = 0usize;
-    let mut violations = Vec::new();
     for (line_number, line) in budget_text.lines().enumerate() {
         let line = line.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
@@ -429,27 +430,32 @@ fn check_peak_budget(measured: &[(&str, usize)], budget_text: &str) -> Result<St
         let budget: usize = budget
             .parse()
             .map_err(|_| format!("budget line {}: {budget:?} is not a number", line_number + 1))?;
-        let Some(&(_, peak)) = measured.iter().find(|(measured_id, _)| *measured_id == id) else {
+        let Some(&(_, value)) = measured.iter().find(|(measured_id, _)| measured_id == id) else {
             continue;
         };
         checked += 1;
-        if peak > budget {
-            violations.push(format!("{id}: peak live nodes {peak} exceeds the budget of {budget}"));
+        if value > budget {
+            violations.push(format!("{id}: {quantity} {value} exceeds the budget of {budget}"));
         }
     }
     if checked == 0 {
-        let ids: Vec<&str> = measured.iter().map(|(id, _)| *id).collect();
+        let ids: Vec<&str> = measured.iter().map(|(id, _)| id.as_str()).collect();
         return Err(format!(
-            "no budget entry matched any measured instance (measured: {}); \
+            "no budget entry matched any measured {noun} (measured: {}); \
              the budget gate would check nothing",
             ids.join(", ")
         ));
     }
     if violations.is_empty() {
-        Ok(format!("node budget ok ({checked} instance(s) checked)"))
+        Ok(format!("{gate} budget ok ({checked} {noun}(s) checked)"))
     } else {
         Err(violations.join("\n"))
     }
+}
+
+/// The peak-live-node gate over `(instance id, measured peak)` pairs.
+fn check_peak_budget(measured: &[(String, usize)], budget_text: &str) -> Result<String, String> {
+    check_budget(measured, budget_text, &NODE_GATE, Vec::new())
 }
 
 /// One row of the synthesis ablation: a stable instance id (the key used by
@@ -472,81 +478,59 @@ pub fn synthesis_disagreements(rows: &[SynthesisRow]) -> Vec<&str> {
         .collect()
 }
 
-fn sba_synthesis_row(
-    exchange: SbaExchangeKind,
-    n: usize,
-    t: usize,
-    timeout: Duration,
-) -> SynthesisRow {
-    let id = match exchange {
-        SbaExchangeKind::FloodSet => format!("floodset-n{n}-t{t}"),
-        SbaExchangeKind::CountFloodSet => format!("count-n{n}-t{t}"),
-        SbaExchangeKind::DiffFloodSet => format!("diff-n{n}-t{t}"),
-        SbaExchangeKind::DworkMoses => format!("dworkmoses-n{n}-t{t}"),
-    };
-    let experiment = SbaExperiment::crash(exchange, n, t);
-    SynthesisRow { id, comparison: experiment.compare_synthesis(timeout) }
-}
-
-fn eba_synthesis_row(
-    exchange: EbaExchangeKind,
-    n: usize,
-    t: usize,
-    timeout: Duration,
-) -> SynthesisRow {
-    let id = match exchange {
-        EbaExchangeKind::EMin => format!("emin-n{n}-t{t}-om"),
-        EbaExchangeKind::EBasic => format!("ebasic-n{n}-t{t}-om"),
-    };
-    let experiment = EbaExperiment { exchange, n, t, failure: FailureKind::SendOmission };
-    SynthesisRow { id, comparison: experiment.compare_synthesis(timeout) }
-}
-
-/// Measures the synthesis ablation grid: explicit versus symbolic synthesis
-/// of the SBA / EBA knowledge-based programs, with the explicit engine under
-/// `timeout` per cell (`TO` entries mirror the paper's tables).
+/// The synthesis ablation grid, as data: the SBA / EBA knowledge-based
+/// programs synthesized explicitly and symbolically.
 ///
-/// `smoke` restricts the run to the two small CI instances. The default
-/// grid climbs the FloodSet family to `n = 9, t = 3` (~1.1M states) and —
-/// the headline of this ablation — `n = 10, t = 3` (~3M states), which the
+/// `smoke` restricts it to the two small CI instances. The default grid
+/// climbs the FloodSet family to `n = 9, t = 3` (~1.1M states) and — the
+/// headline of this ablation — `n = 10, t = 3` (~3M states), which the
 /// symbolic engine completes while the explicit engine times out.
 ///
 /// A timed-out explicit run is detached, not cancelled
 /// ([`with_timeout`]'s TO semantics, as in the paper's tables), so its
 /// thread keeps consuming CPU: rows measured *after* a `TO` cell run
-/// degraded. The grids order instances so the TO-prone cell comes last;
+/// degraded. The grid orders instances so the TO-prone cell comes last;
 /// with a custom low `--timeout`, treat rows after the first `TO` as
 /// contaminated.
-pub fn synthesis_rows(full: bool, smoke: bool, timeout: Duration) -> Vec<SynthesisRow> {
+pub fn synthesis_grid(full: bool, smoke: bool) -> Vec<Experiment> {
+    use {FailureKind::SendOmission, ProtocolKind::*};
     if smoke {
-        return vec![
-            sba_synthesis_row(SbaExchangeKind::FloodSet, 4, 1, timeout),
-            eba_synthesis_row(EbaExchangeKind::EMin, 2, 1, timeout),
-        ];
+        return vec![Experiment::crash(FloodSet, 4, 1), Experiment::new(EMin, 2, 1, SendOmission)];
     }
-    let mut rows = vec![
-        sba_synthesis_row(SbaExchangeKind::FloodSet, 4, 1, timeout),
-        sba_synthesis_row(SbaExchangeKind::CountFloodSet, 3, 1, timeout),
-        eba_synthesis_row(EbaExchangeKind::EMin, 2, 1, timeout),
-        eba_synthesis_row(EbaExchangeKind::EMin, 3, 1, timeout),
-        eba_synthesis_row(EbaExchangeKind::EBasic, 2, 1, timeout),
-        sba_synthesis_row(SbaExchangeKind::FloodSet, 6, 2, timeout),
-        sba_synthesis_row(SbaExchangeKind::FloodSet, 7, 2, timeout),
-        sba_synthesis_row(SbaExchangeKind::FloodSet, 8, 3, timeout),
+    let mut grid = vec![
+        Experiment::crash(FloodSet, 4, 1),
+        Experiment::crash(CountFloodSet, 3, 1),
+        Experiment::new(EMin, 2, 1, SendOmission),
+        Experiment::new(EMin, 3, 1, SendOmission),
+        Experiment::new(EBasic, 2, 1, SendOmission),
+        Experiment::crash(FloodSet, 6, 2),
+        Experiment::crash(FloodSet, 7, 2),
+        Experiment::crash(FloodSet, 8, 3),
     ];
     if full {
-        rows.push(sba_synthesis_row(SbaExchangeKind::FloodSet, 9, 3, timeout));
+        grid.push(Experiment::crash(FloodSet, 9, 3));
     }
-    rows.push(sba_synthesis_row(SbaExchangeKind::FloodSet, 10, 3, timeout));
+    grid.push(Experiment::crash(FloodSet, 10, 3));
     if full {
         // ~8.4M states: the symbolic peak stays flat (~300k live nodes) but
         // the explicit-model front-end (exploration + observation
         // precompute) dominates the wall clock, so this row only fits the
         // bench budget on a multi-core host where the parallel explorer
         // pulls its weight. Last on purpose — see the TO note above.
-        rows.push(sba_synthesis_row(SbaExchangeKind::FloodSet, 11, 3, timeout));
+        grid.push(Experiment::crash(FloodSet, 11, 3));
     }
-    rows
+    grid
+}
+
+/// Measures the synthesis ablation grid ([`synthesis_grid`]), with the
+/// explicit engine under `timeout` per cell (`TO` entries mirror the
+/// paper's tables).
+pub fn synthesis_rows(full: bool, smoke: bool, timeout: Duration) -> Vec<SynthesisRow> {
+    let measure = |experiment: &Experiment| SynthesisRow {
+        id: experiment.id(),
+        comparison: experiment.compare_synthesis(timeout),
+    };
+    synthesis_grid(full, smoke).iter().map(measure).collect()
 }
 
 /// Renders the synthesis ablation rows as a table.
@@ -590,11 +574,6 @@ pub fn render_synthesis_table(rows: &[SynthesisRow]) -> String {
          'agree' compares the engines' rules.\n",
     );
     out
-}
-
-/// The synthesis ablation table (measure + render).
-pub fn synthesis_table(timeout: Duration, full: bool) -> String {
-    render_synthesis_table(&synthesis_rows(full, false, timeout))
 }
 
 /// One row of the reorder ablation: the same instance profiled under the
@@ -657,93 +636,44 @@ fn reorder_ablation_options(reorder: ReorderMode) -> SymbolicOptions {
 /// runs).
 const REORDER_ABLATION_AUTO_THRESHOLD: usize = 1 << 12;
 
-fn sba_reorder_row(
-    exchange: SbaExchangeKind,
-    n: usize,
-    t: usize,
-    include_temporal: bool,
-) -> ReorderRow {
-    let id = match exchange {
-        SbaExchangeKind::FloodSet => format!("floodset-n{n}-t{t}"),
-        SbaExchangeKind::CountFloodSet => format!("count-n{n}-t{t}"),
-        SbaExchangeKind::DiffFloodSet => format!("diff-n{n}-t{t}"),
-        SbaExchangeKind::DworkMoses => format!("dworkmoses-n{n}-t{t}"),
-    };
-    let experiment = SbaExperiment::crash(exchange, n, t);
-    ReorderRow {
-        id,
-        static_order: experiment
-            .symbolic_profile(reorder_ablation_options(ReorderMode::Static), include_temporal),
-        sift_once: experiment
-            .symbolic_profile(reorder_ablation_options(ReorderMode::SiftOnce), include_temporal),
-        auto: experiment.symbolic_profile(
-            reorder_ablation_options(ReorderMode::Auto {
-                threshold: REORDER_ABLATION_AUTO_THRESHOLD,
-            }),
-            include_temporal,
-        ),
-        no_complement: experiment.symbolic_profile(
-            SymbolicOptions {
-                complement_edges: false,
-                ..reorder_ablation_options(ReorderMode::Auto {
-                    threshold: REORDER_ABLATION_AUTO_THRESHOLD,
-                })
-            },
-            include_temporal,
-        ),
-    }
-}
-
-fn eba_reorder_row(exchange: EbaExchangeKind, n: usize, t: usize) -> ReorderRow {
-    let id = match exchange {
-        EbaExchangeKind::EMin => format!("emin-n{n}-t{t}-om"),
-        EbaExchangeKind::EBasic => format!("ebasic-n{n}-t{t}-om"),
-    };
-    let experiment = EbaExperiment { exchange, n, t, failure: FailureKind::SendOmission };
-    ReorderRow {
-        id,
-        static_order: experiment
-            .symbolic_profile(reorder_ablation_options(ReorderMode::Static), true),
-        sift_once: experiment
-            .symbolic_profile(reorder_ablation_options(ReorderMode::SiftOnce), true),
-        auto: experiment.symbolic_profile(
-            reorder_ablation_options(ReorderMode::Auto {
-                threshold: REORDER_ABLATION_AUTO_THRESHOLD,
-            }),
-            true,
-        ),
-        no_complement: experiment.symbolic_profile(
-            SymbolicOptions {
-                complement_edges: false,
-                ..reorder_ablation_options(ReorderMode::Auto {
-                    threshold: REORDER_ABLATION_AUTO_THRESHOLD,
-                })
-            },
-            true,
-        ),
-    }
-}
-
-/// Measures the reorder ablation grid: static order versus sift-once versus
-/// auto-reorder, across the six protocol families. `smoke` restricts the
-/// run to the single CI instance.
-pub fn reorder_rows(full: bool, smoke: bool) -> Vec<ReorderRow> {
+/// The reorder ablation grid, as data: the six protocol families. `smoke`
+/// restricts it to the single CI instance.
+pub fn reorder_grid(full: bool, smoke: bool) -> Vec<Experiment> {
+    use {FailureKind::SendOmission, ProtocolKind::*};
     if smoke {
-        return vec![sba_reorder_row(SbaExchangeKind::FloodSet, 4, 1, true)];
+        return vec![Experiment::crash(FloodSet, 4, 1)];
     }
-    let mut rows = vec![
-        sba_reorder_row(SbaExchangeKind::FloodSet, 5, 2, true),
-        sba_reorder_row(SbaExchangeKind::CountFloodSet, 4, 1, true),
-        sba_reorder_row(SbaExchangeKind::DiffFloodSet, 3, 1, true),
-        sba_reorder_row(SbaExchangeKind::DworkMoses, 2, 1, true),
-        eba_reorder_row(EbaExchangeKind::EMin, 3, 1),
-        eba_reorder_row(EbaExchangeKind::EBasic, 2, 1),
+    let mut grid = vec![
+        Experiment::crash(FloodSet, 5, 2),
+        Experiment::crash(CountFloodSet, 4, 1),
+        Experiment::crash(DiffFloodSet, 3, 1),
+        Experiment::crash(DworkMoses, 2, 1),
+        Experiment::new(EMin, 3, 1, SendOmission),
+        Experiment::new(EBasic, 2, 1, SendOmission),
     ];
     if full {
-        rows.push(sba_reorder_row(SbaExchangeKind::FloodSet, 6, 2, false));
-        rows.push(sba_reorder_row(SbaExchangeKind::DworkMoses, 3, 1, true));
+        grid.extend([Experiment::crash(FloodSet, 6, 2), Experiment::crash(DworkMoses, 3, 1)]);
     }
-    rows
+    grid
+}
+
+/// Measures the reorder ablation grid ([`reorder_grid`]): static order
+/// versus sift-once versus auto-reorder, plus the auto configuration with
+/// complement edges disabled.
+pub fn reorder_rows(full: bool, smoke: bool) -> Vec<ReorderRow> {
+    let auto =
+        reorder_ablation_options(ReorderMode::Auto { threshold: REORDER_ABLATION_AUTO_THRESHOLD });
+    let measure = |experiment: &Experiment| {
+        let profile = |options| experiment.symbolic_profile(options, profiles_temporal(experiment));
+        ReorderRow {
+            id: experiment.id(),
+            static_order: profile(reorder_ablation_options(ReorderMode::Static)),
+            sift_once: profile(reorder_ablation_options(ReorderMode::SiftOnce)),
+            auto: profile(auto),
+            no_complement: profile(SymbolicOptions { complement_edges: false, ..auto }),
+        }
+    };
+    reorder_grid(full, smoke).iter().map(measure).collect()
 }
 
 /// Renders the reorder ablation rows as a table.
@@ -804,8 +734,8 @@ pub fn render_reorder_table(rows: &[ReorderRow]) -> String {
 /// sift-once always sifts, so a regression that loses the sifting win (or
 /// a swap bug that balloons the store) trips the budget on every family.
 pub fn check_reorder_budget(rows: &[ReorderRow], budget_text: &str) -> Result<String, String> {
-    let measured: Vec<(&str, usize)> =
-        rows.iter().map(|row| (row.id.as_str(), row.best_reordered_peak())).collect();
+    let measured: Vec<(String, usize)> =
+        rows.iter().map(|row| (row.id.clone(), row.best_reordered_peak())).collect();
     check_peak_budget(&measured, budget_text)
 }
 
@@ -927,73 +857,40 @@ where
     }
 }
 
-fn sba_frontend_row(exchange: SbaExchangeKind, n: usize, t: usize, verify: bool) -> FrontendRow {
-    let params = ModelParams::builder()
-        .agents(n)
-        .max_faulty(t)
-        .values(2)
-        .failure(FailureKind::Crash)
-        .build();
-    match exchange {
-        SbaExchangeKind::FloodSet => {
-            frontend_row(format!("floodset-n{n}-t{t}"), FloodSet, FloodSetRule, params, verify)
-        }
-        SbaExchangeKind::CountFloodSet => {
-            frontend_row(format!("count-n{n}-t{t}"), CountFloodSet, TextbookRule, params, verify)
-        }
-        SbaExchangeKind::DiffFloodSet => {
-            frontend_row(format!("diff-n{n}-t{t}"), DiffFloodSet, TextbookRule, params, verify)
-        }
-        SbaExchangeKind::DworkMoses => frontend_row(
-            format!("dworkmoses-n{n}-t{t}"),
-            DworkMoses,
-            DworkMosesRule,
-            params,
-            verify,
-        ),
-    }
-}
-
-fn eba_frontend_row(exchange: EbaExchangeKind, n: usize, t: usize) -> FrontendRow {
-    let params = ModelParams::builder()
-        .agents(n)
-        .max_faulty(t)
-        .values(2)
-        .failure(FailureKind::SendOmission)
-        .build();
-    match exchange {
-        EbaExchangeKind::EMin => {
-            frontend_row(format!("emin-n{n}-t{t}-om"), EMin, EMinRule, params, true)
-        }
-        EbaExchangeKind::EBasic => {
-            frontend_row(format!("ebasic-n{n}-t{t}-om"), EBasic, EBasicRule, params, true)
-        }
-    }
-}
-
-/// Measures the front-end grid: relational model construction across the
-/// six protocol families, every row verified against the explorer except
-/// FloodSet `n = 12` (22M states), which is out of the explorer's reach —
-/// the sizes the relational build exists for. `smoke` restricts the run to
-/// the single CI instance.
-pub fn frontend_rows(full: bool, smoke: bool) -> Vec<FrontendRow> {
+/// The front-end grid, as data: relational model construction across the
+/// six protocol families. `smoke` restricts it to the single CI instance;
+/// `full` appends the sizes the relational build exists for.
+pub fn frontend_grid(full: bool, smoke: bool) -> Vec<Experiment> {
+    use {FailureKind::SendOmission, ProtocolKind::*};
     if smoke {
-        return vec![sba_frontend_row(SbaExchangeKind::FloodSet, 4, 1, true)];
+        return vec![Experiment::crash(FloodSet, 4, 1)];
     }
-    let mut rows = vec![
-        sba_frontend_row(SbaExchangeKind::CountFloodSet, 4, 1, true),
-        sba_frontend_row(SbaExchangeKind::DiffFloodSet, 3, 1, true),
-        sba_frontend_row(SbaExchangeKind::DworkMoses, 3, 1, true),
-        eba_frontend_row(EbaExchangeKind::EMin, 3, 1),
-        eba_frontend_row(EbaExchangeKind::EBasic, 2, 1),
-        sba_frontend_row(SbaExchangeKind::FloodSet, 6, 2, true),
-        sba_frontend_row(SbaExchangeKind::FloodSet, 8, 3, true),
+    let mut grid = vec![
+        Experiment::crash(CountFloodSet, 4, 1),
+        Experiment::crash(DiffFloodSet, 3, 1),
+        Experiment::crash(DworkMoses, 3, 1),
+        Experiment::new(EMin, 3, 1, SendOmission),
+        Experiment::new(EBasic, 2, 1, SendOmission),
+        Experiment::crash(FloodSet, 6, 2),
+        Experiment::crash(FloodSet, 8, 3),
     ];
     if full {
-        rows.push(sba_frontend_row(SbaExchangeKind::FloodSet, 10, 3, true));
-        rows.push(sba_frontend_row(SbaExchangeKind::FloodSet, 12, 3, false));
+        grid.extend([Experiment::crash(FloodSet, 10, 3), Experiment::crash(FloodSet, 12, 3)]);
     }
-    rows
+    grid
+}
+
+/// Measures the front-end grid ([`frontend_grid`]), every row verified
+/// against the explorer except FloodSet `n = 12` (22M states), which is out
+/// of the explorer's reach.
+pub fn frontend_rows(full: bool, smoke: bool) -> Vec<FrontendRow> {
+    let measure = |experiment: &Experiment| {
+        let (id, params, verify) = (experiment.id(), experiment.params(), experiment.n < 12);
+        with_protocol!(experiment.protocol, |exchange, rule| frontend_row(
+            id, exchange, rule, params, verify
+        ))
+    };
+    frontend_grid(full, smoke).iter().map(measure).collect()
 }
 
 /// Renders the front-end ablation rows as a table.
@@ -1047,8 +944,8 @@ pub fn render_frontend_table(rows: &[FrontendRow]) -> String {
 /// checked-in budget file; same format and failure semantics as
 /// [`check_symbolic_budget`].
 pub fn check_frontend_budget(rows: &[FrontendRow], budget_text: &str) -> Result<String, String> {
-    let measured: Vec<(&str, usize)> =
-        rows.iter().map(|row| (row.id.as_str(), row.relational_peak)).collect();
+    let measured: Vec<(String, usize)> =
+        rows.iter().map(|row| (row.id.clone(), row.relational_peak)).collect();
     check_peak_budget(&measured, budget_text)
 }
 
@@ -1104,78 +1001,40 @@ fn local_query() -> (String, Formula<ConsensusAtom>) {
     )
 }
 
-fn local_row<E, R>(id: String, exchange: E, rule: R, params: ModelParams) -> LocalRow
-where
-    E: InformationExchange + SymbolicEncode + 'static,
-    R: DecisionRule<E> + SymbolicRule<E> + Clone + 'static,
-{
-    let (query, formula) = local_query();
-    let profile = local_profile(id.clone(), exchange, params, rule, 0, query, formula);
-    LocalRow { id, profile }
-}
-
-fn sba_local_row(exchange: SbaExchangeKind, n: usize, t: usize) -> LocalRow {
-    let params = ModelParams::builder()
-        .agents(n)
-        .max_faulty(t)
-        .values(2)
-        .failure(FailureKind::Crash)
-        .build();
-    match exchange {
-        SbaExchangeKind::FloodSet => {
-            local_row(format!("floodset-n{n}-t{t}"), FloodSet, FloodSetRule, params)
-        }
-        SbaExchangeKind::CountFloodSet => {
-            local_row(format!("count-n{n}-t{t}"), CountFloodSet, TextbookRule, params)
-        }
-        SbaExchangeKind::DiffFloodSet => {
-            local_row(format!("diff-n{n}-t{t}"), DiffFloodSet, TextbookRule, params)
-        }
-        SbaExchangeKind::DworkMoses => {
-            local_row(format!("dworkmoses-n{n}-t{t}"), DworkMoses, DworkMosesRule, params)
-        }
-    }
-}
-
-fn eba_local_row(exchange: EbaExchangeKind, n: usize, t: usize) -> LocalRow {
-    let params = ModelParams::builder()
-        .agents(n)
-        .max_faulty(t)
-        .values(2)
-        .failure(FailureKind::SendOmission)
-        .build();
-    match exchange {
-        EbaExchangeKind::EMin => local_row(format!("emin-n{n}-t{t}-om"), EMin, EMinRule, params),
-        EbaExchangeKind::EBasic => {
-            local_row(format!("ebasic-n{n}-t{t}-om"), EBasic, EBasicRule, params)
-        }
-    }
-}
-
-/// Measures the local-engine ablation grid: the same layer-0 query
-/// answered by the lazy local engine (layers on demand) and the global
-/// symbolic engine (full relational construction), across the six
-/// protocol families. The large FloodSet cells — where the global build's
-/// deeper layers are pure waste for a layer-0 query — are the headline.
-/// `smoke` restricts the run to the single CI instance.
-pub fn local_rows(full: bool, smoke: bool) -> Vec<LocalRow> {
+/// The local-engine ablation grid, as data: the six protocol families.
+/// The large FloodSet cells — where the global build's deeper layers are
+/// pure waste for a layer-0 query — are the headline. `smoke` restricts it
+/// to the single CI instance.
+pub fn local_grid(full: bool, smoke: bool) -> Vec<Experiment> {
+    use {FailureKind::SendOmission, ProtocolKind::*};
     if smoke {
-        return vec![sba_local_row(SbaExchangeKind::FloodSet, 4, 1)];
+        return vec![Experiment::crash(FloodSet, 4, 1)];
     }
-    let mut rows = vec![
-        sba_local_row(SbaExchangeKind::CountFloodSet, 4, 1),
-        sba_local_row(SbaExchangeKind::DiffFloodSet, 3, 1),
-        sba_local_row(SbaExchangeKind::DworkMoses, 3, 1),
-        eba_local_row(EbaExchangeKind::EMin, 3, 1),
-        eba_local_row(EbaExchangeKind::EBasic, 2, 1),
-        sba_local_row(SbaExchangeKind::FloodSet, 6, 2),
-        sba_local_row(SbaExchangeKind::FloodSet, 8, 3),
-        sba_local_row(SbaExchangeKind::FloodSet, 10, 3),
+    let mut grid = vec![
+        Experiment::crash(CountFloodSet, 4, 1),
+        Experiment::crash(DiffFloodSet, 3, 1),
+        Experiment::crash(DworkMoses, 3, 1),
+        Experiment::new(EMin, 3, 1, SendOmission),
+        Experiment::new(EBasic, 2, 1, SendOmission),
+        Experiment::crash(FloodSet, 6, 2),
+        Experiment::crash(FloodSet, 8, 3),
+        Experiment::crash(FloodSet, 10, 3),
     ];
     if full {
-        rows.push(sba_local_row(SbaExchangeKind::FloodSet, 12, 3));
+        grid.push(Experiment::crash(FloodSet, 12, 3));
     }
-    rows
+    grid
+}
+
+/// Measures the local-engine ablation grid ([`local_grid`]): the same
+/// layer-0 query answered by the lazy local engine (layers on demand) and
+/// the global symbolic engine (full relational construction).
+pub fn local_rows(full: bool, smoke: bool) -> Vec<LocalRow> {
+    let measure = |experiment: &Experiment| {
+        let (query, formula) = local_query();
+        LocalRow { id: experiment.id(), profile: experiment.local_profile(0, query, formula) }
+    };
+    local_grid(full, smoke).iter().map(measure).collect()
 }
 
 /// The rows on which the two engines disagreed (must be empty; a
@@ -1235,7 +1094,7 @@ pub fn render_local_table(rows: &[LocalRow]) -> String {
 /// and `<id>-peak` bounds its manager's peak live nodes. Same file format
 /// and failure semantics as [`check_symbolic_budget`].
 pub fn check_local_budget(rows: &[LocalRow], budget_text: &str) -> Result<String, String> {
-    let owned: Vec<(String, usize)> = rows
+    let measured: Vec<(String, usize)> = rows
         .iter()
         .flat_map(|row| {
             [
@@ -1244,8 +1103,6 @@ pub fn check_local_budget(rows: &[LocalRow], budget_text: &str) -> Result<String
             ]
         })
         .collect();
-    let measured: Vec<(&str, usize)> =
-        owned.iter().map(|(id, value)| (id.as_str(), *value)).collect();
     check_peak_budget(&measured, budget_text)
 }
 
@@ -1307,39 +1164,56 @@ pub const SERVE_FORMULAS: [&str; 4] = [
     "EF decided[0]",
 ];
 
-fn serve_row(id: &str, spec: &str, clients: usize, batches_per_client: usize) -> ServeRow {
-    let measurement = serve_measurement(spec, &SERVE_FORMULAS, clients, batches_per_client)
-        .unwrap_or_else(|error| panic!("serve measurement {id} failed: {error}"));
-    ServeRow { id: id.to_string(), measurement }
-}
+/// Concurrent clients of every serve row's throughput phase.
+const SERVE_CLIENTS: usize = 4;
 
-/// Measures the serve ablation grid: cold-build versus warm-cache latency
-/// of the checking service, per instance.
+/// The serve ablation grid, as data: each instance with the number of warm
+/// batches every throughput client issues.
 ///
-/// `smoke` restricts the run to the acceptance instance
-/// (`floodset-n10-t3`, the smallest row whose cold batch outlasts both the
-/// warm repeat and the 50 ms deadline probe by more than 3x) with a short
-/// throughput phase — the row CI gates against
-/// `crates/bench/serve_budget.txt`.
-pub fn serve_rows(full: bool, smoke: bool) -> Vec<ServeRow> {
+/// `smoke` restricts it to the acceptance instance (`floodset-n10-t3`, the
+/// smallest row whose cold batch outlasts both the warm repeat and the
+/// 50 ms deadline probe by more than 3x) with a short throughput phase —
+/// the row CI gates against `crates/bench/serve_budget.txt`.
+pub fn serve_grid(full: bool, smoke: bool) -> Vec<(Experiment, usize)> {
+    use {FailureKind::SendOmission, ProtocolKind::*};
     if smoke {
-        return vec![serve_row(
-            "floodset-n10-t3",
-            "protocol=floodset n=10 t=3 failure=crash",
-            4,
-            4,
-        )];
+        return vec![(Experiment::crash(FloodSet, 10, 3), 4)];
     }
-    let mut rows = vec![
-        serve_row("floodset-n4-t1", "protocol=floodset n=4 t=1 failure=crash", 4, 8),
-        serve_row("count-n3-t1", "protocol=count n=3 t=1 failure=crash", 4, 8),
-        serve_row("emin-n2-t1-om", "protocol=emin n=2 t=1 failure=send", 4, 8),
+    let mut grid = vec![
+        (Experiment::crash(FloodSet, 4, 1), 8),
+        (Experiment::crash(CountFloodSet, 3, 1), 8),
+        (Experiment::new(EMin, 2, 1, SendOmission), 8),
     ];
     if full {
-        rows.push(serve_row("floodset-n10-t3", "protocol=floodset n=10 t=3 failure=crash", 4, 4));
+        grid.push((Experiment::crash(FloodSet, 10, 3), 4));
     }
-    rows.push(serve_row("floodset-n8-t3", "protocol=floodset n=8 t=3 failure=crash", 4, 4));
-    rows
+    grid.push((Experiment::crash(FloodSet, 8, 3), 4));
+    grid
+}
+
+/// Measures the serve ablation grid ([`serve_grid`]): cold-build versus
+/// warm-cache latency of the checking service, per instance.
+pub fn serve_rows(full: bool, smoke: bool) -> Vec<ServeRow> {
+    let measure = |(experiment, batches_per_client): &(Experiment, usize)| {
+        let id = experiment.id();
+        let spec = ModelSpec {
+            protocol: experiment.protocol,
+            n: experiment.n,
+            t: experiment.t,
+            values: experiment.num_values,
+            failure: experiment.failure,
+            horizon: experiment.params().horizon(),
+        };
+        let measurement = serve_measurement(
+            &spec.to_string(),
+            &SERVE_FORMULAS,
+            SERVE_CLIENTS,
+            *batches_per_client,
+        )
+        .unwrap_or_else(|error| panic!("serve measurement {id} failed: {error}"));
+        ServeRow { id, measurement }
+    };
+    serve_grid(full, smoke).iter().map(measure).collect()
 }
 
 /// Renders the serve ablation rows as a table.
@@ -1433,40 +1307,7 @@ pub fn check_serve_budget(rows: &[ServeRow], budget_text: &str) -> Result<String
             ]
         })
         .collect();
-    let mut checked = 0usize;
-    for (line_number, line) in budget_text.lines().enumerate() {
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let (Some(id), Some(budget)) = (parts.next(), parts.next()) else {
-            return Err(format!("budget line {} is malformed: {line:?}", line_number + 1));
-        };
-        let budget: usize = budget
-            .parse()
-            .map_err(|_| format!("budget line {}: {budget:?} is not a number", line_number + 1))?;
-        let Some((_, value)) = measured.iter().find(|(measured_id, _)| measured_id == id) else {
-            continue;
-        };
-        checked += 1;
-        if *value > budget {
-            violations.push(format!("{id}: measured {value} exceeds the budget of {budget}"));
-        }
-    }
-    if checked == 0 {
-        let ids: Vec<&str> = measured.iter().map(|(id, _)| id.as_str()).collect();
-        return Err(format!(
-            "no budget entry matched any measured serve metric (measured: {}); \
-             the budget gate would check nothing",
-            ids.join(", ")
-        ));
-    }
-    if violations.is_empty() {
-        Ok(format!("serve budget ok ({checked} metric(s) checked)"))
-    } else {
-        Err(violations.join("\n"))
-    }
+    check_budget(&measured, budget_text, &SERVE_GATE, violations)
 }
 
 /// Machine-readable rendering of the serve ablation (for
@@ -1648,40 +1489,37 @@ pub fn ablation_table(full: bool) -> String {
     let max_n = if full { 5 } else { 4 };
     let mut cells = Vec::new();
     for n in 2..=max_n {
-        let params = ModelParams::builder()
-            .agents(n)
-            .max_faulty(1)
-            .values(2)
-            .failure(FailureKind::Crash)
-            .build();
-        let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
-        let condition = epimc::optimality::sba_knowledge_condition(AgentId::new(0), n, 2);
+        let params = Experiment::crash(ProtocolKind::FloodSet, n, 1).params();
+        with_protocol!(ProtocolKind::FloodSet, |exchange, rule| {
+            let model = ConsensusModel::explore(exchange, params, rule);
+            let condition = epimc::optimality::sba_knowledge_condition(AgentId::new(0), n, 2);
 
-        let start = Instant::now();
-        let explicit = Checker::new(&model);
-        let explicit_verdict = explicit.holds_everywhere(&condition);
-        let explicit_time = start.elapsed();
+            let start = Instant::now();
+            let explicit = Checker::new(&model);
+            let explicit_verdict = explicit.holds_everywhere(&condition);
+            let explicit_time = start.elapsed();
 
-        let start = Instant::now();
-        let symbolic_checker =
-            SymbolicChecker::relational(FloodSet, params, FloodSetRule, SymbolicOptions::default());
-        let symbolic_verdict = symbolic_checker.holds_everywhere(&condition);
-        let symbolic_time = start.elapsed();
-        let symbolic_stats = symbolic_checker.stats();
-        assert_eq!(explicit_verdict, symbolic_verdict, "engines must agree");
-        assert_eq!(
-            explicit.check(&condition),
-            symbolic_checker.check_points(&model, &condition),
-            "engines must agree point by point"
-        );
+            let start = Instant::now();
+            let symbolic_checker =
+                SymbolicChecker::relational(exchange, params, rule, SymbolicOptions::default());
+            let symbolic_verdict = symbolic_checker.holds_everywhere(&condition);
+            let symbolic_time = start.elapsed();
+            let symbolic_stats = symbolic_checker.stats();
+            assert_eq!(explicit_verdict, symbolic_verdict, "engines must agree");
+            assert_eq!(
+                explicit.check(&condition),
+                symbolic_checker.check_points(&model, &condition),
+                "engines must agree point by point"
+            );
 
-        cells.push(Cell {
-            key: vec![n.to_string()],
-            entries: vec![
-                format_mck_duration(explicit_time),
-                format_mck_duration(symbolic_time),
-                format!("{symbolic_stats}"),
-            ],
+            cells.push(Cell {
+                key: vec![n.to_string()],
+                entries: vec![
+                    format_mck_duration(explicit_time),
+                    format_mck_duration(symbolic_time),
+                    format!("{symbolic_stats}"),
+                ],
+            });
         });
     }
     render_table(
@@ -1894,6 +1732,52 @@ mod tests {
         assert!(err.contains("floodset-n4-t1"), "{err}");
         let healthy = [reorder_ablation_row("floodset-n4-t1", 1)];
         check_reorder_budget(&healthy, budget).unwrap();
+    }
+
+    /// The budget-key drift gate: every key of every checked-in budget file
+    /// must be the id of an experiment in that table's grid (smoke or full),
+    /// plus the table's metric suffix where it has one. The CI smoke steps
+    /// measure one row each, so a renamed id in any other row would
+    /// otherwise stop being gated without anything failing.
+    #[test]
+    fn every_budget_key_is_the_id_of_a_grid_experiment() {
+        fn ids(grid: impl Fn(bool, bool) -> Vec<Experiment>) -> Vec<String> {
+            let smoke_and_full = grid(true, true).into_iter().chain(grid(true, false));
+            smoke_and_full.map(|experiment| experiment.id()).collect()
+        }
+        let serve = |full, smoke| serve_grid(full, smoke).into_iter().map(|row| row.0).collect();
+        let serve_suffixes = ["-warm-rel-products", "-warm-wall-pct", "-deadline-answer-pct"];
+        let tables: [(&str, &str, Vec<String>, &[&str]); 6] = [
+            ("symbolic", include_str!("../symbolic_budget.txt"), ids(symbolic_grid), &[""]),
+            ("synthesis", include_str!("../synthesis_budget.txt"), ids(synthesis_grid), &[""]),
+            ("reorder", include_str!("../reorder_budget.txt"), ids(reorder_grid), &[""]),
+            ("frontend", include_str!("../frontend_budget.txt"), ids(frontend_grid), &[""]),
+            ("local", include_str!("../local_budget.txt"), ids(local_grid), &["-layers", "-peak"]),
+            ("serve", include_str!("../serve_budget.txt"), ids(serve), &serve_suffixes),
+        ];
+        for (table, budget, ids, suffixes) in tables {
+            let keys: Vec<&str> = budget
+                .lines()
+                .filter_map(|line| line.split('#').next()?.split_whitespace().next())
+                .collect();
+            assert!(!keys.is_empty(), "{table}_budget.txt gates nothing");
+            for key in keys {
+                let known = ids
+                    .iter()
+                    .any(|id| suffixes.iter().any(|suffix| key == format!("{id}{suffix}")));
+                assert!(known, "{table}_budget.txt: `{key}` names no experiment of the grid");
+            }
+        }
+    }
+
+    /// Ids are derived once, from the experiment: the wire name, `n`, `t`,
+    /// and `-om` under sending omissions — the shape the budget files key.
+    #[test]
+    fn experiment_ids_keep_the_budget_file_shape() {
+        assert_eq!(Experiment::crash(ProtocolKind::DworkMoses, 3, 1).id(), "dworkmoses-n3-t1");
+        let omissions = Experiment::new(ProtocolKind::EBasic, 2, 1, FailureKind::SendOmission);
+        assert_eq!(omissions.id(), "ebasic-n2-t1-om");
+        assert_eq!(symbolic_grid(false, true)[0].id(), "floodset-n4-t1");
     }
 
     #[test]

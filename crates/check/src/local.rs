@@ -122,7 +122,7 @@ impl<E: SymbolicEncode, R: SymbolicRule<E>> LocalChecker<E, R> {
     /// property tests re-solve after this and demand identical
     /// verdicts).
     pub fn force_full_expansion(&self) {
-        self.checker.seam_extend_to(self.horizon() + 1);
+        self.checker.extend_to(self.horizon() + 1);
         self.sync_expansion();
     }
 
@@ -270,7 +270,7 @@ impl<E: SymbolicEncode, R: SymbolicRule<E>> LocalChecker<E, R> {
             let mut stats = self.stats.get();
             stats.fallbacks += 1;
             self.stats.set(stats);
-            self.checker.seam_extend_to(self.horizon() + 1);
+            self.checker.extend_to(self.horizon() + 1);
             self.sync_expansion();
             return None;
         }
@@ -335,7 +335,7 @@ impl<'c, E: SymbolicEncode, R: SymbolicRule<E>> epimc_local::LocalOracle<Consens
     }
 
     fn ensure_layer(&mut self, layer: usize) {
-        self.checker.seam_extend_to(layer + 1);
+        self.checker.extend_to(layer + 1);
     }
 
     fn layers_expanded(&self) -> usize {

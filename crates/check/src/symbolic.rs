@@ -1985,11 +1985,9 @@ where
     /// one), over a variable order that interleaves the adversary-choice
     /// variables with the state variables.
     pub fn relational(exchange: E, params: ModelParams, rule: R, options: SymbolicOptions) -> Self {
-        let horizon = params.horizon();
+        let layers = params.horizon() as usize + 1;
         let checker = Self::relational_seed(exchange, params, rule, options);
-        for _ in 0..horizon {
-            checker.extend_layer_relational(&checker.rule);
-        }
+        checker.extend_to(layers);
         if options.reorder == ReorderMode::SiftOnce {
             checker.inner.borrow_mut().reorder_now(&mut []);
         }
@@ -2123,6 +2121,16 @@ where
             override_epoch: Cell::new(0),
             focus: Cell::new(None),
             reachable_obs: RefCell::new(HashMap::new()),
+        }
+    }
+
+    /// Extends the relational model under the checker's own rule until
+    /// `layers` layers are materialised (no-op when they already are) —
+    /// how a warm checker is taken to a longer horizon, and the only place
+    /// the local engine grows its model.
+    pub fn extend_to(&self, layers: usize) {
+        while self.num_layers() < layers {
+            self.extend_layer_relational(&self.rule);
         }
     }
 
@@ -2751,21 +2759,6 @@ where
     /// since `live_before` was captured.
     pub(crate) fn seam_budget_abort(&self, error: BddError, live_before: &[usize]) -> BudgetAbort {
         self.budget_abort(error, live_before, None)
-    }
-}
-
-impl<E, R> SymbolicChecker<E, R>
-where
-    E: SymbolicEncode,
-    R: SymbolicRule<E>,
-{
-    /// Extends the relational model until `layers` layers are
-    /// materialised (no-op when they already are). The local engine's
-    /// `ensure_layer` — the only place it grows the model.
-    pub(crate) fn seam_extend_to(&self, layers: usize) {
-        while self.num_layers() < layers {
-            self.extend_layer_relational(&self.rule);
-        }
     }
 }
 

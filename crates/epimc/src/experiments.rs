@@ -23,13 +23,11 @@ use std::time::{Duration, Instant};
 
 use epimc_check::{LocalChecker, SymbolicChecker, SymbolicOptions, SymbolicStats};
 use epimc_logic::{AgentId, Formula};
-use epimc_protocols::{
-    CountFloodSet, DiffFloodSet, DworkMoses, DworkMosesRule, EBasic, EBasicRule, EMin, EMinRule,
-    FloodSet, FloodSetRule, TextbookRule,
-};
+use epimc_protocols::{with_protocol, ProtocolKind};
 use epimc_relational::{SymbolicEncode, SymbolicRule};
 use epimc_synth::{
-    KnowledgeBasedProgram, SymbolicSynthesisProfile, SymbolicSynthesizer, Synthesizer,
+    KnowledgeBasedProgram, SymbolicSynthesisProfile, SymbolicSynthesizer, SynthesisOutcome,
+    Synthesizer,
 };
 use epimc_system::{
     ConsensusAtom, ConsensusModel, DecisionRule, ExploreStats, FailureKind, InformationExchange,
@@ -38,50 +36,6 @@ use epimc_system::{
 
 use crate::optimality::analyze_sba;
 use crate::spec::{check_eba, check_sba};
-
-/// The SBA information exchanges of Table 1 and Table 2.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum SbaExchangeKind {
-    /// The FloodSet exchange (§7.1).
-    FloodSet,
-    /// FloodSet with a count of messages received (§7.2).
-    CountFloodSet,
-    /// The differential exchange with the previous count (§7.3).
-    DiffFloodSet,
-    /// The Dwork–Moses protocol variables (§7.4).
-    DworkMoses,
-}
-
-impl fmt::Display for SbaExchangeKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            SbaExchangeKind::FloodSet => "FloodSet",
-            SbaExchangeKind::CountFloodSet => "Count FloodSet",
-            SbaExchangeKind::DiffFloodSet => "Differential",
-            SbaExchangeKind::DworkMoses => "Dwork-Moses",
-        };
-        write!(f, "{name}")
-    }
-}
-
-/// The EBA information exchanges of Table 3.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum EbaExchangeKind {
-    /// The minimal exchange `E_min` (§9.1).
-    EMin,
-    /// The exchange `E_basic` with the `num1` counter (§9.2).
-    EBasic,
-}
-
-impl fmt::Display for EbaExchangeKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            EbaExchangeKind::EMin => "E_min",
-            EbaExchangeKind::EBasic => "E_basic",
-        };
-        write!(f, "{name}")
-    }
-}
 
 /// The outcome of one timed experiment.
 #[derive(Clone, Debug)]
@@ -225,7 +179,7 @@ impl fmt::Display for SymbolicProfile {
 /// `holds_everywhere` on a fixed formula battery (the SBA knowledge
 /// condition plus, when `include_temporal` is set, a bounded temporal
 /// property evaluated by pre-image), and reports the manager statistics.
-pub fn symbolic_profile_model<E, R>(
+fn symbolic_profile<E, R>(
     label: String,
     exchange: E,
     params: ModelParams,
@@ -332,7 +286,7 @@ impl LocalProfile {
 /// Measures one cell of the local-engine ablation: the same layer-bounded
 /// query answered lazily (layers on demand) and globally (full relational
 /// construction first).
-pub fn local_profile<E, R>(
+fn local_profile<E, R>(
     label: String,
     exchange: E,
     params: ModelParams,
@@ -429,22 +383,20 @@ impl fmt::Display for SynthesisComparison {
     }
 }
 
-fn compare_synthesis<E, P>(
-    label: String,
+fn compare_synthesis<E>(
+    experiment: Experiment,
     exchange: E,
-    params: ModelParams,
-    program: P,
     timeout: Duration,
 ) -> SynthesisComparison
 where
     E: InformationExchange + SymbolicEncode + 'static,
-    P: Fn() -> KnowledgeBasedProgram + Send + 'static,
 {
-    let (symbolic_outcome, profile) =
-        SymbolicSynthesizer::new(exchange.clone(), params).synthesize_profiled(&program());
+    let params = experiment.params();
+    let (symbolic_outcome, profile) = SymbolicSynthesizer::new(exchange.clone(), params)
+        .synthesize_profiled(&experiment.program());
     let explicit = with_timeout(timeout, move || {
         let start = Instant::now();
-        let outcome = Synthesizer::new(exchange, params).synthesize(&program());
+        let outcome = Synthesizer::new(exchange, params).synthesize(&experiment.program());
         (start.elapsed(), outcome)
     });
     let (explicit_duration, rules_agree) = match explicit {
@@ -452,7 +404,7 @@ where
         None => (None, None),
     };
     SynthesisComparison {
-        label,
+        label: experiment.label("synthesis"),
         explicit_duration,
         symbolic_duration: profile.total_wall,
         total_states: symbolic_outcome.stats.total_states,
@@ -466,11 +418,16 @@ where
     }
 }
 
-/// A Simultaneous Byzantine Agreement experiment instance.
+/// One experiment instance: a protocol of the registry
+/// ([`ProtocolKind`]) at fixed parameters. Everything that differs
+/// between the Simultaneous (Tables 1 and 2) and Eventual (Table 3)
+/// Byzantine Agreement experiments — the specification checked, whether
+/// optimality is analysed, the knowledge-based program synthesized —
+/// follows from [`ProtocolKind::is_eventual`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SbaExperiment {
-    /// Which information exchange to analyse.
-    pub exchange: SbaExchangeKind,
+pub struct Experiment {
+    /// Which (information exchange, literature rule) pair to analyse.
+    pub protocol: ProtocolKind,
     /// Number of agents.
     pub n: usize,
     /// Maximum number of faulty agents.
@@ -483,11 +440,24 @@ pub struct SbaExperiment {
     pub horizon: Option<Round>,
 }
 
-impl SbaExperiment {
+impl Experiment {
+    /// An experiment with binary decisions and the default horizon.
+    pub fn new(protocol: ProtocolKind, n: usize, t: usize, failure: FailureKind) -> Self {
+        Experiment { protocol, n, t, num_values: 2, failure, horizon: None }
+    }
+
     /// A crash-failure experiment with binary decisions (the Table 1
     /// configuration).
-    pub fn crash(exchange: SbaExchangeKind, n: usize, t: usize) -> Self {
-        SbaExperiment { exchange, n, t, num_values: 2, failure: FailureKind::Crash, horizon: None }
+    pub fn crash(protocol: ProtocolKind, n: usize, t: usize) -> Self {
+        Experiment::new(protocol, n, t, FailureKind::Crash)
+    }
+
+    /// The stable instance id — `"{wire_name}-n{n}-t{t}"`, with an `-om`
+    /// suffix under sending omissions — that keys the bench tables' rows
+    /// and the checked-in budget files.
+    pub fn id(&self) -> String {
+        let suffix = if self.failure == FailureKind::SendOmission { "-om" } else { "" };
+        format!("{}-n{}-t{}{suffix}", self.protocol.wire_name(), self.n, self.t)
     }
 
     /// The model parameters of the experiment.
@@ -506,244 +476,111 @@ impl SbaExperiment {
     fn label(&self, task: &str) -> String {
         format!(
             "{} n={} t={} |V|={} {} {}",
-            self.exchange, self.n, self.t, self.num_values, self.failure, task
+            self.protocol.paper_name(),
+            self.n,
+            self.t,
+            self.num_values,
+            self.failure,
+            task
         )
     }
 
-    /// The model-checking experiment: explore the literature protocol for
-    /// this exchange, check the SBA specification, and analyse optimality
-    /// with respect to the knowledge-based program.
-    pub fn model_check(&self) -> ExperimentMeasurement {
-        let params = self.params();
-        let label = self.label("model-check");
-        match self.exchange {
-            SbaExchangeKind::FloodSet => model_check_sba(label, FloodSet, FloodSetRule, params),
-            SbaExchangeKind::CountFloodSet => {
-                model_check_sba(label, CountFloodSet, TextbookRule, params)
-            }
-            SbaExchangeKind::DiffFloodSet => {
-                model_check_sba(label, DiffFloodSet, TextbookRule, params)
-            }
-            SbaExchangeKind::DworkMoses => {
-                model_check_sba(label, DworkMoses, DworkMosesRule, params)
-            }
+    /// The knowledge-based program of the experiment's agreement problem:
+    /// `P0` for EBA, the SBA program over the decision domain otherwise.
+    pub fn program(&self) -> KnowledgeBasedProgram {
+        if self.protocol.is_eventual() {
+            KnowledgeBasedProgram::eba_p0()
+        } else {
+            KnowledgeBasedProgram::sba(self.num_values)
         }
+    }
+
+    /// The model-checking experiment: explore the literature protocol for
+    /// this exchange and check its specification — for SBA, also analyse
+    /// optimality with respect to the knowledge-based program.
+    pub fn model_check(&self) -> ExperimentMeasurement {
+        let (label, params) = (self.label("model-check"), self.params());
+        let eventual = self.protocol.is_eventual();
+        with_protocol!(self.protocol, |exchange, rule| model_check(
+            label, exchange, rule, params, eventual
+        ))
     }
 
     /// The synthesis experiment: compute the clock-semantics implementation
-    /// of the SBA knowledge-based program for this exchange.
+    /// of the knowledge-based program for this exchange.
     pub fn synthesize(&self) -> ExperimentMeasurement {
-        let params = self.params();
-        let label = self.label("synthesis");
-        let program = KnowledgeBasedProgram::sba(self.num_values);
-        match self.exchange {
-            SbaExchangeKind::FloodSet => synthesize_sba(label, FloodSet, params, &program),
-            SbaExchangeKind::CountFloodSet => {
-                synthesize_sba(label, CountFloodSet, params, &program)
-            }
-            SbaExchangeKind::DiffFloodSet => synthesize_sba(label, DiffFloodSet, params, &program),
-            SbaExchangeKind::DworkMoses => synthesize_sba(label, DworkMoses, params, &program),
-        }
+        self.synthesize_on("synthesis", false)
     }
 
-    /// The symbolic synthesis experiment: like [`SbaExperiment::synthesize`]
+    /// The symbolic synthesis experiment: like [`Experiment::synthesize`]
     /// but over the BDD engine, which completes instances the explicit
     /// synthesizer cannot touch.
     pub fn synthesize_symbolic(&self) -> ExperimentMeasurement {
-        let params = self.params();
-        let label = self.label("symbolic-synthesis");
-        let program = KnowledgeBasedProgram::sba(self.num_values);
-        match self.exchange {
-            SbaExchangeKind::FloodSet => {
-                synthesize_sba_with(label, FloodSet, params, &program, symbolic_synthesis)
-            }
-            SbaExchangeKind::CountFloodSet => {
-                synthesize_sba_with(label, CountFloodSet, params, &program, symbolic_synthesis)
-            }
-            SbaExchangeKind::DiffFloodSet => {
-                synthesize_sba_with(label, DiffFloodSet, params, &program, symbolic_synthesis)
-            }
-            SbaExchangeKind::DworkMoses => {
-                synthesize_sba_with(label, DworkMoses, params, &program, symbolic_synthesis)
-            }
-        }
+        self.synthesize_on("symbolic-synthesis", true)
+    }
+
+    fn synthesize_on(&self, task: &str, symbolic: bool) -> ExperimentMeasurement {
+        let (label, params, program) = (self.label(task), self.params(), self.program());
+        let eventual = self.protocol.is_eventual();
+        with_protocol!(self.protocol, |exchange, _rule| {
+            let start = Instant::now();
+            let outcome = if symbolic {
+                SymbolicSynthesizer::new(exchange, params).synthesize(&program)
+            } else {
+                Synthesizer::new(exchange, params).synthesize(&program)
+            };
+            validate_synthesis(label, start, exchange, params, eventual, outcome)
+        })
     }
 
     /// Runs both synthesis engines on this instance (the explicit one under
     /// `timeout`) and compares their outputs; see [`SynthesisComparison`].
     pub fn compare_synthesis(&self, timeout: Duration) -> SynthesisComparison {
-        let params = self.params();
-        let label = self.label("synthesis");
-        let num_values = self.num_values;
-        let program = move || KnowledgeBasedProgram::sba(num_values);
-        match self.exchange {
-            SbaExchangeKind::FloodSet => {
-                compare_synthesis(label, FloodSet, params, program, timeout)
-            }
-            SbaExchangeKind::CountFloodSet => {
-                compare_synthesis(label, CountFloodSet, params, program, timeout)
-            }
-            SbaExchangeKind::DiffFloodSet => {
-                compare_synthesis(label, DiffFloodSet, params, program, timeout)
-            }
-            SbaExchangeKind::DworkMoses => {
-                compare_synthesis(label, DworkMoses, params, program, timeout)
-            }
-        }
+        with_protocol!(self.protocol, |exchange, _rule| compare_synthesis(*self, exchange, timeout))
     }
 
-    /// Profiles the symbolic engine on this instance (see
-    /// [`symbolic_profile_model`]). `include_temporal` additionally times a
-    /// bounded temporal formula, evaluated by pre-image through the
-    /// per-round reachable relations.
+    /// Profiles the symbolic engine on this instance: the relational build
+    /// under `options`, then a fixed formula battery. `include_temporal`
+    /// additionally times a bounded temporal formula, evaluated by
+    /// pre-image through the per-round reachable relations.
     pub fn symbolic_profile(
         &self,
         options: SymbolicOptions,
         include_temporal: bool,
     ) -> SymbolicProfile {
-        let params = self.params();
-        let label = self.label("symbolic");
-        match self.exchange {
-            SbaExchangeKind::FloodSet => symbolic_profile_model(
-                label,
-                FloodSet,
-                params,
-                FloodSetRule,
-                options,
-                include_temporal,
-            ),
-            SbaExchangeKind::CountFloodSet => symbolic_profile_model(
-                label,
-                CountFloodSet,
-                params,
-                TextbookRule,
-                options,
-                include_temporal,
-            ),
-            SbaExchangeKind::DiffFloodSet => symbolic_profile_model(
-                label,
-                DiffFloodSet,
-                params,
-                TextbookRule,
-                options,
-                include_temporal,
-            ),
-            SbaExchangeKind::DworkMoses => symbolic_profile_model(
-                label,
-                DworkMoses,
-                params,
-                DworkMosesRule,
-                options,
-                include_temporal,
-            ),
-        }
-    }
-}
-
-/// An Eventual Byzantine Agreement experiment instance (Table 3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EbaExperiment {
-    /// Which information exchange to analyse.
-    pub exchange: EbaExchangeKind,
-    /// Number of agents.
-    pub n: usize,
-    /// Maximum number of faulty agents.
-    pub t: usize,
-    /// Failure model (crash or sending omissions in the paper's Table 3).
-    pub failure: FailureKind,
-}
-
-impl EbaExperiment {
-    /// The model parameters of the experiment.
-    pub fn params(&self) -> ModelParams {
-        ModelParams::builder()
-            .agents(self.n)
-            .max_faulty(self.t)
-            .values(2)
-            .failure(self.failure)
-            .build()
+        let (label, params) = (self.label("symbolic"), self.params());
+        with_protocol!(self.protocol, |exchange, rule| symbolic_profile(
+            label,
+            exchange,
+            params,
+            rule,
+            options,
+            include_temporal
+        ))
     }
 
-    fn label(&self, task: &str) -> String {
-        format!("{} n={} t={} {} {}", self.exchange, self.n, self.t, self.failure, task)
-    }
-
-    /// The synthesis experiment: compute the implementation of the EBA
-    /// knowledge-based program `P0` for this exchange.
-    pub fn synthesize(&self) -> ExperimentMeasurement {
-        let params = self.params();
-        let label = self.label("synthesis");
-        let program = KnowledgeBasedProgram::eba_p0();
-        match self.exchange {
-            EbaExchangeKind::EMin => synthesize_eba(label, EMin, params, &program),
-            EbaExchangeKind::EBasic => synthesize_eba(label, EBasic, params, &program),
-        }
-    }
-
-    /// The symbolic synthesis experiment: like [`EbaExperiment::synthesize`]
-    /// but over the BDD engine.
-    pub fn synthesize_symbolic(&self) -> ExperimentMeasurement {
-        let params = self.params();
-        let label = self.label("symbolic-synthesis");
-        let program = KnowledgeBasedProgram::eba_p0();
-        match self.exchange {
-            EbaExchangeKind::EMin => {
-                synthesize_eba_with(label, EMin, params, &program, symbolic_synthesis)
-            }
-            EbaExchangeKind::EBasic => {
-                synthesize_eba_with(label, EBasic, params, &program, symbolic_synthesis)
-            }
-        }
-    }
-
-    /// Runs both synthesis engines on this instance (the explicit one under
-    /// `timeout`) and compares their outputs; see [`SynthesisComparison`].
-    pub fn compare_synthesis(&self, timeout: Duration) -> SynthesisComparison {
-        let params = self.params();
-        let label = self.label("synthesis");
-        let program = KnowledgeBasedProgram::eba_p0;
-        match self.exchange {
-            EbaExchangeKind::EMin => compare_synthesis(label, EMin, params, program, timeout),
-            EbaExchangeKind::EBasic => compare_synthesis(label, EBasic, params, program, timeout),
-        }
-    }
-
-    /// The model-checking experiment: check the EBA specification of the
-    /// hand-written implementation of `P0` for this exchange.
-    pub fn model_check(&self) -> ExperimentMeasurement {
-        let params = self.params();
-        let label = self.label("model-check");
-        match self.exchange {
-            EbaExchangeKind::EMin => model_check_eba(label, EMin, EMinRule, params),
-            EbaExchangeKind::EBasic => model_check_eba(label, EBasic, EBasicRule, params),
-        }
-    }
-
-    /// Profiles the symbolic engine on this instance (see
-    /// [`symbolic_profile_model`]).
-    pub fn symbolic_profile(
+    /// Measures `formula` (rendered as `query`) at `layer` on this
+    /// instance through the lazy local engine and through the global one;
+    /// see [`LocalProfile`]. The profile is labelled with the instance id.
+    pub fn local_profile(
         &self,
-        options: SymbolicOptions,
-        include_temporal: bool,
-    ) -> SymbolicProfile {
-        let params = self.params();
-        let label = self.label("symbolic");
-        match self.exchange {
-            EbaExchangeKind::EMin => {
-                symbolic_profile_model(label, EMin, params, EMinRule, options, include_temporal)
-            }
-            EbaExchangeKind::EBasic => {
-                symbolic_profile_model(label, EBasic, params, EBasicRule, options, include_temporal)
-            }
-        }
+        layer: usize,
+        query: String,
+        formula: Formula<ConsensusAtom>,
+    ) -> LocalProfile {
+        let (label, params) = (self.id(), self.params());
+        with_protocol!(self.protocol, |exchange, rule| local_profile(
+            label, exchange, params, rule, layer, query, formula
+        ))
     }
 }
 
-fn model_check_sba<E, R>(
+fn model_check<E, R>(
     label: String,
     exchange: E,
     rule: R,
     params: ModelParams,
+    eventual: bool,
 ) -> ExperimentMeasurement
 where
     E: InformationExchange,
@@ -751,142 +588,53 @@ where
 {
     let start = Instant::now();
     let model = ConsensusModel::explore(exchange, params, rule);
-    let spec = check_sba(&model);
-    let optimality = analyze_sba(&model);
-    // The Table 2 experiments deliberately truncate the horizon below the
-    // t + 2 rounds a decision requires; Termination cannot hold there and is
-    // excluded from the verdict, exactly as in the paper's round-count sweep.
-    let truncated = params.horizon() < params.max_faulty() as Round + 2;
-    let spec_ok =
-        spec.properties.iter().filter(|p| !(truncated && p.name == "Termination")).all(|p| p.holds);
+    let (spec_ok, optimal, earliest_knowledge_time, earliest_decision_time) = if eventual {
+        (check_eba(&model).all_hold(), true, None, None)
+    } else {
+        // The Table 2 experiments deliberately truncate the horizon below
+        // the t + 2 rounds a decision requires; Termination cannot hold
+        // there and is excluded from the verdict, exactly as in the paper's
+        // round-count sweep.
+        let truncated = params.horizon() < params.max_faulty() as Round + 2;
+        let spec_ok = check_sba(&model)
+            .properties
+            .iter()
+            .filter(|p| !(truncated && p.name == "Termination"))
+            .all(|p| p.holds);
+        let optimality = analyze_sba(&model);
+        (
+            spec_ok,
+            optimality.is_optimal(),
+            optimality.earliest_knowledge_time,
+            optimality.earliest_decision_time,
+        )
+    };
     ExperimentMeasurement {
         label,
         duration: start.elapsed(),
         total_states: model.space().total_states(),
         spec_ok,
-        optimal: optimality.is_optimal(),
-        earliest_knowledge_time: optimality.earliest_knowledge_time,
-        earliest_decision_time: optimality.earliest_decision_time,
+        optimal,
+        earliest_knowledge_time,
+        earliest_decision_time,
         explore_stats: Some(model.space().stats().clone()),
     }
 }
 
-fn model_check_eba<E, R>(
+/// Validates a synthesized protocol — it must satisfy its agreement
+/// specification — and closes the measurement started at `start`.
+fn validate_synthesis<E: InformationExchange>(
     label: String,
-    exchange: E,
-    rule: R,
-    params: ModelParams,
-) -> ExperimentMeasurement
-where
-    E: InformationExchange,
-    R: DecisionRule<E>,
-{
-    let start = Instant::now();
-    let model = ConsensusModel::explore(exchange, params, rule);
-    let spec = check_eba(&model);
-    ExperimentMeasurement {
-        label,
-        duration: start.elapsed(),
-        total_states: model.space().total_states(),
-        spec_ok: spec.all_hold(),
-        optimal: true,
-        earliest_knowledge_time: None,
-        earliest_decision_time: None,
-        explore_stats: Some(model.space().stats().clone()),
-    }
-}
-
-/// Runs the explicit synthesis engine (the default of the `synthesize`
-/// experiments).
-fn explicit_synthesis<E: InformationExchange>(
+    start: Instant,
     exchange: E,
     params: ModelParams,
-    program: &KnowledgeBasedProgram,
-) -> epimc_synth::SynthesisOutcome {
-    Synthesizer::new(exchange, params).synthesize(program)
-}
-
-/// Runs the symbolic (BDD) synthesis engine.
-fn symbolic_synthesis<E: InformationExchange + SymbolicEncode>(
-    exchange: E,
-    params: ModelParams,
-    program: &KnowledgeBasedProgram,
-) -> epimc_synth::SynthesisOutcome {
-    SymbolicSynthesizer::new(exchange, params).synthesize(program)
-}
-
-fn synthesize_sba<E>(
-    label: String,
-    exchange: E,
-    params: ModelParams,
-    program: &KnowledgeBasedProgram,
-) -> ExperimentMeasurement
-where
-    E: InformationExchange,
-{
-    synthesize_sba_with(label, exchange, params, program, explicit_synthesis)
-}
-
-fn synthesize_sba_with<E, S>(
-    label: String,
-    exchange: E,
-    params: ModelParams,
-    program: &KnowledgeBasedProgram,
-    engine: S,
-) -> ExperimentMeasurement
-where
-    E: InformationExchange,
-    S: FnOnce(E, ModelParams, &KnowledgeBasedProgram) -> epimc_synth::SynthesisOutcome,
-{
-    let start = Instant::now();
-    let outcome = engine(exchange.clone(), params, program);
-    // Validate the synthesized protocol: it must satisfy the SBA spec.
+    eventual: bool,
+    outcome: SynthesisOutcome,
+) -> ExperimentMeasurement {
     let model = ConsensusModel::explore(exchange, params, outcome.rule.clone());
-    let spec = check_sba(&model);
+    let spec = if eventual { check_eba(&model) } else { check_sba(&model) };
     let earliest = (0..params.num_agents())
-        .filter_map(|i| outcome.earliest_decision_time(epimc_logic::AgentId::new(i)))
-        .min();
-    ExperimentMeasurement {
-        label,
-        duration: start.elapsed(),
-        total_states: outcome.stats.total_states,
-        spec_ok: spec.all_hold(),
-        optimal: true,
-        earliest_knowledge_time: earliest,
-        earliest_decision_time: earliest,
-        explore_stats: None,
-    }
-}
-
-fn synthesize_eba<E>(
-    label: String,
-    exchange: E,
-    params: ModelParams,
-    program: &KnowledgeBasedProgram,
-) -> ExperimentMeasurement
-where
-    E: InformationExchange,
-{
-    synthesize_eba_with(label, exchange, params, program, explicit_synthesis)
-}
-
-fn synthesize_eba_with<E, S>(
-    label: String,
-    exchange: E,
-    params: ModelParams,
-    program: &KnowledgeBasedProgram,
-    engine: S,
-) -> ExperimentMeasurement
-where
-    E: InformationExchange,
-    S: FnOnce(E, ModelParams, &KnowledgeBasedProgram) -> epimc_synth::SynthesisOutcome,
-{
-    let start = Instant::now();
-    let outcome = engine(exchange.clone(), params, program);
-    let model = ConsensusModel::explore(exchange, params, outcome.rule.clone());
-    let spec = check_eba(&model);
-    let earliest = (0..params.num_agents())
-        .filter_map(|i| outcome.earliest_decision_time(epimc_logic::AgentId::new(i)))
+        .filter_map(|i| outcome.earliest_decision_time(AgentId::new(i)))
         .min();
     ExperimentMeasurement {
         label,
@@ -1132,7 +880,7 @@ mod tests {
 
     #[test]
     fn floodset_table1_cell_runs() {
-        let experiment = SbaExperiment::crash(SbaExchangeKind::FloodSet, 3, 1);
+        let experiment = Experiment::crash(ProtocolKind::FloodSet, 3, 1);
         let check = experiment.model_check();
         assert!(check.spec_ok);
         assert!(check.optimal);
@@ -1151,7 +899,7 @@ mod tests {
     fn count_table1_cell_detects_optimisation_opportunity() {
         // n = 2, t = 2: with the count exchange the early exit `count <= 1`
         // allows decisions the textbook rule misses.
-        let experiment = SbaExperiment::crash(SbaExchangeKind::CountFloodSet, 2, 2);
+        let experiment = Experiment::crash(ProtocolKind::CountFloodSet, 2, 2);
         let check = experiment.model_check();
         assert!(check.spec_ok);
         assert!(!check.optimal);
@@ -1159,12 +907,7 @@ mod tests {
 
     #[test]
     fn eba_table3_cell_runs() {
-        let experiment = EbaExperiment {
-            exchange: EbaExchangeKind::EMin,
-            n: 2,
-            t: 1,
-            failure: FailureKind::SendOmission,
-        };
+        let experiment = Experiment::new(ProtocolKind::EMin, 2, 1, FailureKind::SendOmission);
         let synth = experiment.synthesize();
         assert!(synth.spec_ok);
         let check = experiment.model_check();
@@ -1173,19 +916,14 @@ mod tests {
 
     #[test]
     fn symbolic_synthesis_cells_match_explicit_cells() {
-        let experiment = SbaExperiment::crash(SbaExchangeKind::FloodSet, 3, 1);
+        let experiment = Experiment::crash(ProtocolKind::FloodSet, 3, 1);
         let explicit = experiment.synthesize();
         let symbolic = experiment.synthesize_symbolic();
         assert!(symbolic.spec_ok);
         assert_eq!(explicit.earliest_decision_time, symbolic.earliest_decision_time);
         assert_eq!(explicit.total_states, symbolic.total_states);
 
-        let eba = EbaExperiment {
-            exchange: EbaExchangeKind::EMin,
-            n: 2,
-            t: 1,
-            failure: FailureKind::SendOmission,
-        };
+        let eba = Experiment::new(ProtocolKind::EMin, 2, 1, FailureKind::SendOmission);
         let symbolic = eba.synthesize_symbolic();
         assert!(symbolic.spec_ok);
         assert_eq!(eba.synthesize().earliest_decision_time, symbolic.earliest_decision_time);
@@ -1193,7 +931,7 @@ mod tests {
 
     #[test]
     fn synthesis_comparison_reports_agreement_and_profile() {
-        let experiment = SbaExperiment::crash(SbaExchangeKind::FloodSet, 3, 1);
+        let experiment = Experiment::crash(ProtocolKind::FloodSet, 3, 1);
         let comparison = experiment.compare_synthesis(Duration::from_secs(60));
         assert_eq!(comparison.rules_agree, Some(true), "{comparison}");
         assert!(comparison.explicit_duration.is_some());
@@ -1213,14 +951,14 @@ mod tests {
 
     #[test]
     fn dwork_moses_experiment_runs_on_small_instance() {
-        let experiment = SbaExperiment::crash(SbaExchangeKind::DworkMoses, 2, 1);
+        let experiment = Experiment::crash(ProtocolKind::DworkMoses, 2, 1);
         let check = experiment.model_check();
         assert!(check.spec_ok, "{check}");
     }
 
     #[test]
     fn symbolic_profile_reports_timings_and_stats() {
-        let experiment = SbaExperiment::crash(SbaExchangeKind::FloodSet, 3, 1);
+        let experiment = Experiment::crash(ProtocolKind::FloodSet, 3, 1);
         let profile = experiment.symbolic_profile(SymbolicOptions::default(), true);
         assert!(profile.total_states > 0);
         assert_eq!(profile.formulas.len(), 4, "battery with temporal has 4 formulas");
@@ -1230,12 +968,7 @@ mod tests {
         assert!(profile.total_check_duration() > Duration::ZERO);
         assert!(!format!("{profile}").is_empty());
 
-        let eba = EbaExperiment {
-            exchange: EbaExchangeKind::EMin,
-            n: 2,
-            t: 1,
-            failure: FailureKind::SendOmission,
-        };
+        let eba = Experiment::new(ProtocolKind::EMin, 2, 1, FailureKind::SendOmission);
         let profile = eba.symbolic_profile(SymbolicOptions::default(), false);
         assert_eq!(profile.formulas.len(), 3);
         assert_eq!(profile.stats.preimage_calls, 0, "no temporal formula, no pre-image");

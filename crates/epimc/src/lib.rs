@@ -62,9 +62,9 @@ pub mod prelude {
     };
     pub use epimc_logic::{AgentId, AgentSet, Formula};
     pub use epimc_protocols::{
-        CountFloodSet, CountOptimalRule, DecideAtRound, DiffFloodSet, DworkMoses, DworkMosesRule,
-        EBasic, EBasicRule, EMin, EMinRule, FloodSet, FloodSetRule, OptimalFloodSetRule,
-        TextbookRule,
+        with_protocol, CountFloodSet, CountOptimalRule, DecideAtRound, DiffFloodSet, DworkMoses,
+        DworkMosesRule, EBasic, EBasicRule, EMin, EMinRule, FloodSet, FloodSetRule,
+        OptimalFloodSetRule, ProtocolKind, TextbookRule,
     };
     pub use epimc_relational::{SymbolicEncode, SymbolicRule};
     pub use epimc_synth::{
@@ -77,12 +77,11 @@ pub mod prelude {
         StateSpace, TableRule, Value,
     };
 
-    pub use epimc_serve::{Client, ModelSpec, ProtocolKind, ServeOptions, Server};
+    pub use epimc_serve::{Client, ModelSpec, ServeOptions, Server};
 
     pub use crate::experiments::{
-        local_profile, serve_measurement, EbaExchangeKind, EbaExperiment, ExperimentMeasurement,
-        LocalProfile, SbaExchangeKind, SbaExperiment, ServeMeasurement, SymbolicFormulaTiming,
-        SymbolicProfile, SynthesisComparison,
+        serve_measurement, Experiment, ExperimentMeasurement, LocalProfile, ServeMeasurement,
+        SymbolicFormulaTiming, SymbolicProfile, SynthesisComparison,
     };
     pub use crate::hypotheses::{condition2, condition3, condition3_observed, HypothesisReport};
     pub use crate::optimality::{analyze_sba, OptimalityReport};

@@ -15,6 +15,19 @@
 //! Each module provides the [`InformationExchange`](epimc_system::InformationExchange)
 //! implementation, the decision rules from the literature, and unit tests of
 //! the protocol's behaviour on hand-constructed runs.
+//!
+//! # The registry
+//!
+//! The table above exists once as code: [`ProtocolKind`] names the six
+//! (exchange, literature rule) pairs as data, and [`with_protocol!`] is the
+//! only place in the workspace that maps a kind to its concrete types — the
+//! checking service, the experiment harness and the bench tables
+//! instantiate their generic code through it (see [`registry`]). Adding a
+//! seventh protocol means: its module here (the `InformationExchange`,
+//! `SymbolicEncode`, `DecisionRule` and `SymbolicRule` impls), a
+//! `ProtocolKind` variant with its entry in `ALL`, `wire_name` and
+//! `paper_name` (and `is_eventual` for an EBA exchange), and one arm in
+//! `with_protocol!`. Nothing downstream enumerates protocols.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -25,6 +38,7 @@ pub mod dwork_moses;
 pub mod ebasic;
 pub mod emin;
 pub mod floodset;
+pub mod registry;
 pub mod rules;
 pub mod symbolic;
 
@@ -39,4 +53,5 @@ pub use emin::{EMin, EMinRule, EMinState};
 pub use floodset::{
     condition2_decision_time, FloodSet, FloodSetRule, FloodState, OptimalFloodSetRule,
 };
+pub use registry::ProtocolKind;
 pub use rules::{DecideAtRound, HasSeenValues, TextbookRule};

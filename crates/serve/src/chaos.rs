@@ -79,7 +79,8 @@ enum Fault {
     /// A peer that sends half a length prefix and then nothing; the
     /// server must drop it within the I/O timeout instead of wedging.
     SilentPeer,
-    /// [`CHAOS_PANIC_FORMULA`]: a worker panic mid-request.
+    /// [`CHAOS_PANIC_FORMULA`]: a worker panic mid-request, once on each
+    /// backend; each must evict exactly the entry it touched.
     InjectedPanic,
     /// A 1 ms deadline on a cold build; must answer `error
     /// budget-exceeded` and evict cleanly.
@@ -252,13 +253,33 @@ fn inject(
         }
         Fault::InjectedPanic => {
             let mut client = chaos_client(addr)?;
-            match client.check(*spec, &[CHAOS_PANIC_FORMULA]) {
-                Ok(outcome) => {
-                    Err(format!("injected panic answered verdicts {:?}", outcome.verdicts))
+            let stats =
+                |client: &mut Client| client.stats().map_err(|error| format!("stats: {error}"));
+            // Each panic fires mid-request, on the entry the request just
+            // warmed; it must cost exactly that entry — one counted
+            // eviction — whichever engine it hit.
+            for backend in [RequestBackend::Symbolic, RequestBackend::Local] {
+                let evictions_before = stats(&mut client)?.evictions;
+                match client.check_with_backend(*spec, &[CHAOS_PANIC_FORMULA], None, backend) {
+                    Ok(reply) => {
+                        return Err(format!("injected panic on {backend:?} answered {reply:?}"))
+                    }
+                    Err(error) if error.to_string().contains("panicked") => {}
+                    Err(error) => {
+                        return Err(format!(
+                            "expected a panicked-request error on {backend:?}, got: {error}"
+                        ))
+                    }
                 }
-                Err(error) if error.to_string().contains("panicked") => Ok(()),
-                Err(error) => Err(format!("expected a panicked-request error, got: {error}")),
+                let evictions = stats(&mut client)?.evictions;
+                if evictions != evictions_before + 1 {
+                    return Err(format!(
+                        "a panic on {backend:?} moved evictions from {evictions_before} \
+                         to {evictions}, expected exactly one"
+                    ));
+                }
             }
+            Ok(())
         }
         Fault::BudgetTrip => {
             let mut client = chaos_client(addr)?;

@@ -7,11 +7,14 @@
 //! per invocation (the `epimc` binary's mode of operation) pays that cost
 //! every time. This crate keeps the built state *warm* across requests:
 //!
-//! * **Warm managers** — one fully built relational
-//!   [`epimc_check::SymbolicChecker`] per model instance, kept in memory
-//!   keyed by protocol and parameters, bounded by an LRU policy on total
-//!   live BDD nodes (not entry count, so a huge instance is charged what
-//!   it costs).
+//! * **Warm managers** — one warm checker per `(model instance, backend)`,
+//!   kept in a single map keyed by protocol, parameters and
+//!   [`RequestBackend`], bounded by an LRU policy on total live BDD nodes
+//!   (not entry count, so a huge instance is charged what it costs). The
+//!   default backend's entry is a fully built relational
+//!   [`epimc_check::SymbolicChecker`]; every entry sits behind one
+//!   type-erased handle, so there is one check path, one eviction routine
+//!   and one panic/budget eviction whatever the engine.
 //! * **Cross-request denotation cache** — each warm checker holds a
 //!   long-lived evaluation session whose closed-subformula denotations are
 //!   keyed by [`epimc_logic::Formula::canonical_hash`]; a repeated batched
@@ -28,9 +31,21 @@
 //!   only the model layers the query's equation system actually demands
 //!   are materialised, and verdicts memoise across requests. Local
 //!   entries are warmed, budgeted and evicted independently of the
-//!   symbolic ones (and evicted first under node pressure — they are
-//!   cheap to rebuild). Both backends must answer bit-identically; the
-//!   chaos harness checks exactly that on every differential batch.
+//!   symbolic ones — a trip or panic costs exactly the entry the request
+//!   touched — and go first under node pressure (they are cheap to
+//!   rebuild). Both backends must answer bit-identically; the chaos
+//!   harness checks exactly that on every differential batch.
+//!
+//! # Protocols
+//!
+//! The service instantiates no protocol itself. [`ProtocolKind`] — what
+//! `protocol=` in a model spec parses to — is the registry of
+//! `epimc-protocols`, re-exported here, and the generic engines are
+//! instantiated for a spec's (exchange, rule) pair through
+//! [`epimc_protocols::with_protocol!`], the one place the six-pair table
+//! lives. A seventh protocol added there (see the `epimc-protocols` crate
+//! docs) is servable, snapshot-restorable and chaos-tested with no change
+//! in this crate.
 //!
 //! # Wire protocol
 //!

@@ -39,62 +39,8 @@
 use std::fmt;
 
 use epimc_logic::{parse_formula, AgentId, Formula};
+pub use epimc_protocols::ProtocolKind;
 use epimc_system::{ConsensusAtom, FailureKind, ModelParams, Round, Value};
-
-/// The protocols (information exchange + literature decision rule) the
-/// service can instantiate.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum ProtocolKind {
-    /// FloodSet: union of seen values ([`epimc_protocols::FloodSet`]).
-    FloodSet,
-    /// Value counts ([`epimc_protocols::CountFloodSet`]).
-    CountFloodSet,
-    /// Count differences ([`epimc_protocols::DiffFloodSet`]).
-    DiffFloodSet,
-    /// Dwork–Moses crash-failure exchange ([`epimc_protocols::DworkMoses`]).
-    DworkMoses,
-    /// Minimal EBA exchange ([`epimc_protocols::EMin`]).
-    EMin,
-    /// Basic EBA exchange ([`epimc_protocols::EBasic`]).
-    EBasic,
-}
-
-impl ProtocolKind {
-    /// Every protocol kind, in wire-name order.
-    pub const ALL: [ProtocolKind; 6] = [
-        ProtocolKind::FloodSet,
-        ProtocolKind::CountFloodSet,
-        ProtocolKind::DiffFloodSet,
-        ProtocolKind::DworkMoses,
-        ProtocolKind::EMin,
-        ProtocolKind::EBasic,
-    ];
-
-    /// The wire name (what `protocol=` takes in a model spec).
-    pub fn wire_name(self) -> &'static str {
-        match self {
-            ProtocolKind::FloodSet => "floodset",
-            ProtocolKind::CountFloodSet => "count",
-            ProtocolKind::DiffFloodSet => "diff",
-            ProtocolKind::DworkMoses => "dworkmoses",
-            ProtocolKind::EMin => "emin",
-            ProtocolKind::EBasic => "ebasic",
-        }
-    }
-
-    fn parse(token: &str) -> Result<Self, String> {
-        ProtocolKind::ALL
-            .into_iter()
-            .find(|kind| kind.wire_name() == token)
-            .ok_or_else(|| format!("unknown protocol `{token}` (try `floodset`)"))
-    }
-}
-
-impl fmt::Display for ProtocolKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.wire_name())
-    }
-}
 
 fn failure_wire_name(kind: FailureKind) -> &'static str {
     match kind {
@@ -331,7 +277,7 @@ pub fn parse_service_formula(text: &str) -> Result<Formula<ConsensusAtom>, Strin
 /// the lazy local engine, which materialises reachable layers on demand and
 /// memoises per-formula verdicts across requests. Verdicts are always
 /// bit-identical between the two.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum RequestBackend {
     /// The warm global symbolic checker (the default).
     #[default]

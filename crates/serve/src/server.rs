@@ -3,25 +3,37 @@
 //!
 //! # Warm checkers
 //!
-//! The server keeps one fully built [`SymbolicChecker`] per model instance
-//! it has been asked about, keyed by the instance's [`ModelSpec`] with the
-//! horizon factored out: asking for a longer horizon of an already warm
-//! instance *extends* the existing checker relationally (new reachable
-//! layers are forward images of the last one) instead of rebuilding it.
-//! Each warm checker carries a long-lived [`EvalSession`] — the
-//! cross-request denotation cache, keyed by
-//! [`epimc_logic::Formula::canonical_hash`] — so a repeated batched query
-//! recalls every closed subformula instead of recomputing it. A fully warm
-//! repeat performs **zero** relational image computations; the CI budget
-//! gate pins that down.
+//! The server keeps one warm checker per `(model instance, backend)` it
+//! has been asked about, in a single map keyed by the instance's
+//! [`ModelSpec`] with the horizon factored out plus the
+//! [`RequestBackend`]. Every entry is a `Box<dyn WarmBackend>` — the
+//! type-erased handle over the generic engines, instantiated for the
+//! spec's protocol through [`epimc_protocols::with_protocol!`] — so the
+//! server has one check path, one eviction routine and one panic/budget
+//! eviction for both backends:
+//!
+//! * the default backend holds a fully built [`SymbolicChecker`] plus a
+//!   long-lived [`EvalSession`] — the cross-request denotation cache,
+//!   keyed by [`epimc_logic::Formula::canonical_hash`] — so a repeated
+//!   batched query recalls every closed subformula instead of recomputing
+//!   it. Asking for a longer horizon of an already warm instance *extends*
+//!   the existing checker relationally (new reachable layers are forward
+//!   images of the last one) instead of rebuilding it. A fully warm repeat
+//!   performs **zero** relational image computations; the CI budget gate
+//!   pins that down;
+//! * `backend=local` holds a lazy [`LocalChecker`]. Its horizon fixes the
+//!   meaning of `holds_everywhere` and of the verdict memo, so a request at
+//!   a different horizon rebuilds — cheap, because construction is lazy.
 //!
 //! # Eviction
 //!
 //! Warm checkers are bounded by a *node budget*: after every request the
 //! live BDD nodes of all warm managers are summed, and least-recently-used
-//! entries are dropped until the total fits (the entry just used is always
-//! kept). Bounding on live nodes rather than entry count makes one huge
-//! instance count for what it actually costs.
+//! entries are dropped until the total fits — lazy entries first (they
+//! rebuild in one layer), and the last symbolic entry is always kept.
+//! Bounding on live nodes rather than entry count makes one huge instance
+//! count for what it actually costs. A request that trips its budget or
+//! panics costs exactly the entry it touched.
 //!
 //! # Concurrency
 //!
@@ -43,17 +55,15 @@ use epimc_check::{
     catch_budget, BddError, Budget, BudgetReason, EvalSession, LocalChecker, SymbolicChecker,
     SymbolicOptions,
 };
-use epimc_logic::Formula;
-use epimc_protocols::{
-    CountFloodSet, DiffFloodSet, DworkMoses, DworkMosesRule, EBasic, EBasicRule, EMin, EMinRule,
-    FloodSet, FloodSetRule, TextbookRule,
-};
+use epimc_logic::{AgentId, Formula};
+use epimc_protocols::with_protocol;
+use epimc_relational::{SymbolicEncode, SymbolicRule};
 use epimc_system::ConsensusAtom;
 
 use crate::framing::{read_frame, write_frame};
 use crate::proto::{
     parse_service_formula, parse_snapshot_file_name, snapshot_file_name, CheckOutcome, ModelSpec,
-    ProtocolKind, Request, RequestBackend, Response, ServerStats,
+    Request, RequestBackend, Response, ServerStats,
 };
 
 /// Default node budget: warm managers may hold this many live BDD nodes in
@@ -112,267 +122,57 @@ impl Default for ServeOptions {
     }
 }
 
-/// One warm checker; the enum closes the set of (exchange, rule) pairs the
-/// service instantiates, so the server itself stays non-generic.
-enum WarmChecker {
-    FloodSet(SymbolicChecker<FloodSet, FloodSetRule>),
-    Count(SymbolicChecker<CountFloodSet, TextbookRule>),
-    Diff(SymbolicChecker<DiffFloodSet, TextbookRule>),
-    DworkMoses(SymbolicChecker<DworkMoses, DworkMosesRule>),
-    EMin(SymbolicChecker<EMin, EMinRule>),
-    EBasic(SymbolicChecker<EBasic, EBasicRule>),
-}
+/// A warm checker behind the server's map: the object-safe face of the
+/// generic engines, so the server itself stays non-generic. Implemented
+/// twice — for the global symbolic checker plus its session, and for the
+/// lazy local checker — and instantiated per protocol by [`build`] and
+/// [`restore`].
+trait WarmBackend: Send {
+    /// Whether a request at `horizon` can reuse this checker (extending it
+    /// if need be); `false` means it must be rebuilt for that horizon.
+    fn serves(&self, horizon: usize) -> bool;
 
-/// Runs `$body` with `$checker` bound to the variant's checker and `$rule`
-/// to a fresh value of its decision rule (all rules are unit structs).
-macro_rules! with_checker {
-    ($warm:expr, |$checker:ident, $rule:ident| $body:expr) => {
-        match $warm {
-            WarmChecker::FloodSet($checker) => {
-                let $rule = FloodSetRule;
-                $body
-            }
-            WarmChecker::Count($checker) => {
-                let $rule = TextbookRule;
-                $body
-            }
-            WarmChecker::Diff($checker) => {
-                let $rule = TextbookRule;
-                $body
-            }
-            WarmChecker::DworkMoses($checker) => {
-                let $rule = DworkMosesRule;
-                $body
-            }
-            WarmChecker::EMin($checker) => {
-                let $rule = EMinRule;
-                $body
-            }
-            WarmChecker::EBasic($checker) => {
-                let $rule = EBasicRule;
-                $body
-            }
-        }
-    };
-}
+    /// Makes the reachable layers cover `0 ..= horizon`. Returns whether
+    /// they already did (no model construction ran).
+    fn prepare(&mut self, horizon: usize) -> bool;
 
-impl WarmChecker {
-    /// Builds the instance cold (full relational construction to the
-    /// spec's horizon), under `budget` when one is given — a trip during
-    /// construction unwinds the typed budget error.
-    fn build(spec: &ModelSpec, budget: Option<Budget>) -> WarmChecker {
-        let params = spec.params();
-        let options = SymbolicOptions { budget, ..SymbolicOptions::default() };
-        match spec.protocol {
-            ProtocolKind::FloodSet => WarmChecker::FloodSet(SymbolicChecker::relational(
-                FloodSet,
-                params,
-                FloodSetRule,
-                options,
-            )),
-            ProtocolKind::CountFloodSet => WarmChecker::Count(SymbolicChecker::relational(
-                CountFloodSet,
-                params,
-                TextbookRule,
-                options,
-            )),
-            ProtocolKind::DiffFloodSet => WarmChecker::Diff(SymbolicChecker::relational(
-                DiffFloodSet,
-                params,
-                TextbookRule,
-                options,
-            )),
-            ProtocolKind::DworkMoses => WarmChecker::DworkMoses(SymbolicChecker::relational(
-                DworkMoses,
-                params,
-                DworkMosesRule,
-                options,
-            )),
-            ProtocolKind::EMin => {
-                WarmChecker::EMin(SymbolicChecker::relational(EMin, params, EMinRule, options))
-            }
-            ProtocolKind::EBasic => WarmChecker::EBasic(SymbolicChecker::relational(
-                EBasic, params, EBasicRule, options,
-            )),
-        }
-    }
+    /// One verdict per formula: does it hold at every point?
+    fn answer(&mut self, formulas: &[Formula<ConsensusAtom>]) -> Vec<bool>;
 
-    /// Restores the instance from a checker-snapshot stream.
-    fn restore(spec: &ModelSpec, bytes: &[u8]) -> Result<WarmChecker, String> {
-        let params = spec.params();
-        Ok(match spec.protocol {
-            ProtocolKind::FloodSet => WarmChecker::FloodSet(SymbolicChecker::restore_relational(
-                FloodSet,
-                params,
-                FloodSetRule,
-                bytes,
-            )?),
-            ProtocolKind::CountFloodSet => WarmChecker::Count(SymbolicChecker::restore_relational(
-                CountFloodSet,
-                params,
-                TextbookRule,
-                bytes,
-            )?),
-            ProtocolKind::DiffFloodSet => WarmChecker::Diff(SymbolicChecker::restore_relational(
-                DiffFloodSet,
-                params,
-                TextbookRule,
-                bytes,
-            )?),
-            ProtocolKind::DworkMoses => WarmChecker::DworkMoses(
-                SymbolicChecker::restore_relational(DworkMoses, params, DworkMosesRule, bytes)?,
-            ),
-            ProtocolKind::EMin => WarmChecker::EMin(SymbolicChecker::restore_relational(
-                EMin, params, EMinRule, bytes,
-            )?),
-            ProtocolKind::EBasic => WarmChecker::EBasic(SymbolicChecker::restore_relational(
-                EBasic, params, EBasicRule, bytes,
-            )?),
-        })
-    }
+    /// Cross-request cache hits so far (session hits, or verdict-memo hits
+    /// on the lazy engine).
+    fn hits(&self) -> u64;
 
-    fn num_layers(&self) -> usize {
-        with_checker!(self, |checker, _rule| checker.num_layers())
-    }
+    fn layers(&self) -> usize;
 
-    fn live_nodes(&self) -> u64 {
-        with_checker!(self, |checker, _rule| checker.live_nodes() as u64)
-    }
+    fn live_nodes(&self) -> u64;
 
-    fn relational_product_calls(&self) -> u64 {
-        with_checker!(self, |checker, _rule| checker.stats().relational_product_calls)
-    }
-
-    /// Extends the reachable layers to cover `0 ..= horizon`.
-    fn extend_to_horizon(&mut self, horizon: usize) {
-        with_checker!(self, |checker, rule| {
-            while checker.num_layers() < horizon + 1 {
-                checker.extend_layer_relational(&rule);
-            }
-        })
-    }
+    /// Relational image computations so far.
+    fn relational_products(&self) -> u64;
 
     /// Arms (or, with `None`, disarms) a per-request resource budget on
     /// the warm manager.
-    fn set_budget(&self, budget: Option<Budget>) {
-        with_checker!(self, |checker, _rule| checker.set_budget(budget))
-    }
+    fn set_budget(&self, budget: Option<Budget>);
 
-    fn session(&self) -> EvalSession {
-        with_checker!(self, |checker, _rule| checker.session())
-    }
-
-    fn end_session(&self, session: EvalSession) {
-        with_checker!(self, |checker, _rule| checker.end_session(session))
-    }
-
-    fn holds_everywhere_in_session(
-        &self,
-        session: &mut EvalSession,
-        formula: &Formula<ConsensusAtom>,
-    ) -> bool {
-        with_checker!(self, |checker, _rule| checker.holds_everywhere_in_session(session, formula))
-    }
-
-    fn snapshot(&self) -> Result<Vec<u8>, String> {
-        with_checker!(self, |checker, _rule| checker.snapshot())
+    /// The checker-snapshot stream of the instance, on the backend that
+    /// has one (snapshot requests always go to the default backend).
+    fn snapshot(&mut self) -> Result<Vec<u8>, String> {
+        Err("this backend keeps no snapshot".to_string())
     }
 }
 
-/// One warm lazy-engine checker; like [`WarmChecker`], the enum closes the
-/// set of (exchange, rule) pairs so the server stays non-generic.
-enum WarmLocal {
-    FloodSet(LocalChecker<FloodSet, FloodSetRule>),
-    Count(LocalChecker<CountFloodSet, TextbookRule>),
-    Diff(LocalChecker<DiffFloodSet, TextbookRule>),
-    DworkMoses(LocalChecker<DworkMoses, DworkMosesRule>),
-    EMin(LocalChecker<EMin, EMinRule>),
-    EBasic(LocalChecker<EBasic, EBasicRule>),
-}
-
-/// Runs `$body` with `$checker` bound to the variant's lazy checker.
-macro_rules! with_local {
-    ($warm:expr, |$checker:ident| $body:expr) => {
-        match $warm {
-            WarmLocal::FloodSet($checker) => $body,
-            WarmLocal::Count($checker) => $body,
-            WarmLocal::Diff($checker) => $body,
-            WarmLocal::DworkMoses($checker) => $body,
-            WarmLocal::EMin($checker) => $body,
-            WarmLocal::EBasic($checker) => $body,
-        }
-    };
-}
-
-impl WarmLocal {
-    /// Builds the lazy instance: only layer 0 materialises here; deeper
-    /// layers appear when a query forces them.
-    fn build(spec: &ModelSpec) -> WarmLocal {
-        let params = spec.params();
-        match spec.protocol {
-            ProtocolKind::FloodSet => {
-                WarmLocal::FloodSet(LocalChecker::new(FloodSet, params, FloodSetRule))
-            }
-            ProtocolKind::CountFloodSet => {
-                WarmLocal::Count(LocalChecker::new(CountFloodSet, params, TextbookRule))
-            }
-            ProtocolKind::DiffFloodSet => {
-                WarmLocal::Diff(LocalChecker::new(DiffFloodSet, params, TextbookRule))
-            }
-            ProtocolKind::DworkMoses => {
-                WarmLocal::DworkMoses(LocalChecker::new(DworkMoses, params, DworkMosesRule))
-            }
-            ProtocolKind::EMin => WarmLocal::EMin(LocalChecker::new(EMin, params, EMinRule)),
-            ProtocolKind::EBasic => {
-                WarmLocal::EBasic(LocalChecker::new(EBasic, params, EBasicRule))
-            }
-        }
-    }
-
-    fn set_budget(&self, budget: Option<Budget>) {
-        with_local!(self, |checker| checker.set_budget(budget))
-    }
-
-    fn holds_everywhere(&self, formula: &Formula<ConsensusAtom>) -> bool {
-        with_local!(self, |checker| checker.holds_everywhere(formula))
-    }
-
-    fn live_nodes(&self) -> u64 {
-        with_local!(self, |checker| checker.live_nodes() as u64)
-    }
-
-    fn relational_product_calls(&self) -> u64 {
-        with_local!(self, |checker| checker.symbolic_stats().relational_product_calls)
-    }
-
-    /// Cross-request verdict-memo hits — the lazy engine's analogue of
-    /// the symbolic path's session hits.
-    fn memo_hits(&self) -> u64 {
-        with_local!(self, |checker| checker.stats().memo_hits as u64)
-    }
-}
-
-/// One warm lazy-engine entry. The horizon the checker was built for is
-/// part of the entry (it fixes the meaning of `holds_everywhere` and of
-/// the verdict memo), so a request at a different horizon rebuilds —
-/// cheap, because construction is lazy.
-struct LocalEntry {
-    checker: WarmLocal,
-    horizon: usize,
-    last_used: u64,
-}
-
-struct WarmEntry {
-    checker: WarmChecker,
-    /// The cross-request denotation cache. `None` only transiently (taken
-    /// while answering, or just ended around an extension or snapshot).
+/// The default backend: a fully built checker and its cross-request
+/// denotation cache.
+struct WarmSymbolic<E: SymbolicEncode, R: SymbolicRule<E>> {
+    checker: SymbolicChecker<E, R>,
+    /// `None` only transiently (taken while answering, or just ended
+    /// around an extension or snapshot).
     session: Option<EvalSession>,
-    last_used: u64,
 }
 
-impl WarmEntry {
-    /// Ends the entry's session (releasing its cached denotations) so the
-    /// checker can be extended or snapshotted.
+impl<E: SymbolicEncode, R: SymbolicRule<E>> WarmSymbolic<E, R> {
+    /// Ends the session (releasing its cached denotations) so the checker
+    /// can be extended or snapshotted.
     fn drop_session(&mut self) {
         if let Some(session) = self.session.take() {
             self.checker.end_session(session);
@@ -380,35 +180,159 @@ impl WarmEntry {
     }
 }
 
+impl<E: SymbolicEncode, R: SymbolicRule<E> + Send> WarmBackend for WarmSymbolic<E, R> {
+    fn serves(&self, _horizon: usize) -> bool {
+        true
+    }
+
+    fn prepare(&mut self, horizon: usize) -> bool {
+        let ready = self.checker.num_layers() > horizon;
+        if !ready {
+            // Extension invalidates cached denotations (the layers guard in
+            // `EvalSession` enforces this), so the session ends first.
+            self.drop_session();
+            self.checker.extend_to(horizon + 1);
+        }
+        ready
+    }
+
+    fn answer(&mut self, formulas: &[Formula<ConsensusAtom>]) -> Vec<bool> {
+        let mut session = self.session.take().unwrap_or_else(|| self.checker.session());
+        let verdicts = formulas
+            .iter()
+            .map(|formula| self.checker.holds_everywhere_in_session(&mut session, formula))
+            .collect();
+        self.session = Some(session);
+        verdicts
+    }
+
+    fn hits(&self) -> u64 {
+        self.session.as_ref().map_or(0, EvalSession::hits)
+    }
+
+    fn layers(&self) -> usize {
+        self.checker.num_layers()
+    }
+
+    fn live_nodes(&self) -> u64 {
+        self.checker.live_nodes() as u64
+    }
+
+    fn relational_products(&self) -> u64 {
+        self.checker.stats().relational_product_calls
+    }
+
+    fn set_budget(&self, budget: Option<Budget>) {
+        self.checker.set_budget(budget);
+    }
+
+    fn snapshot(&mut self) -> Result<Vec<u8>, String> {
+        // The checker refuses to snapshot under live sessions (their
+        // denotations are process-local); the cache restarts afterwards.
+        self.drop_session();
+        self.checker.snapshot()
+    }
+}
+
+/// The `backend=local` engine: only layer 0 materialises at construction,
+/// deeper layers appear when a query forces them, and verdicts memoise
+/// across requests. Verdicts are bit-identical to the default backend;
+/// only the construction strategy differs.
+impl<E: SymbolicEncode, R: SymbolicRule<E> + Send> WarmBackend for LocalChecker<E, R> {
+    fn serves(&self, horizon: usize) -> bool {
+        self.horizon() == horizon
+    }
+
+    fn prepare(&mut self, _horizon: usize) -> bool {
+        true
+    }
+
+    fn answer(&mut self, formulas: &[Formula<ConsensusAtom>]) -> Vec<bool> {
+        formulas.iter().map(|formula| self.holds_everywhere(formula)).collect()
+    }
+
+    fn hits(&self) -> u64 {
+        self.stats().memo_hits as u64
+    }
+
+    fn layers(&self) -> usize {
+        self.layers_expanded()
+    }
+
+    fn live_nodes(&self) -> u64 {
+        LocalChecker::live_nodes(self) as u64
+    }
+
+    fn relational_products(&self) -> u64 {
+        self.symbolic_stats().relational_product_calls
+    }
+
+    fn set_budget(&self, budget: Option<Budget>) {
+        LocalChecker::set_budget(self, budget);
+    }
+}
+
+/// Builds the instance cold with `budget` armed (when one is given): the
+/// default backend constructs every layer to the spec's horizon under it —
+/// a trip during construction unwinds the typed budget error — the lazy
+/// one only layer 0.
+fn build(
+    spec: &ModelSpec,
+    backend: RequestBackend,
+    budget: Option<Budget>,
+) -> Box<dyn WarmBackend> {
+    let params = spec.params();
+    with_protocol!(spec.protocol, |exchange, rule| match backend {
+        RequestBackend::Symbolic => {
+            let options = SymbolicOptions { budget, ..SymbolicOptions::default() };
+            let checker = SymbolicChecker::relational(exchange, params, rule, options);
+            Box::new(WarmSymbolic { checker, session: None })
+        }
+        RequestBackend::Local => {
+            let checker = LocalChecker::new(exchange, params, rule);
+            checker.set_budget(budget);
+            Box::new(checker)
+        }
+    })
+}
+
+/// Restores the instance from a checker-snapshot stream.
+fn restore(spec: &ModelSpec, bytes: &[u8]) -> Result<Box<dyn WarmBackend>, String> {
+    let params = spec.params();
+    with_protocol!(spec.protocol, |exchange, rule| {
+        let checker = SymbolicChecker::restore_relational(exchange, params, rule, bytes)?;
+        Ok(Box::new(WarmSymbolic { checker, session: None }))
+    })
+}
+
+struct Entry {
+    checker: Box<dyn WarmBackend>,
+    last_used: u64,
+}
+
+/// What a warm checker is cached under: the spec with the horizon zeroed
+/// out (so longer-horizon requests extend instead of duplicating the
+/// instance) and the backend (so a local request never pays for a full
+/// symbolic construction and vice versa).
+type EntryKey = (ModelSpec, RequestBackend);
+
+fn entry_key(spec: &ModelSpec, backend: RequestBackend) -> EntryKey {
+    (ModelSpec { horizon: 0, ..*spec }, backend)
+}
+
 /// The server's shared state: warm checkers plus counters.
 struct ServerState {
-    /// Keyed by the spec with the horizon zeroed out, so longer-horizon
-    /// requests extend instead of duplicating the instance.
-    entries: HashMap<ModelSpec, WarmEntry>,
-    /// Warm lazy-engine checkers (`backend=local` requests), keyed like
-    /// `entries`. Kept apart so a local request never pays for a full
-    /// symbolic construction and vice versa.
-    local_entries: HashMap<ModelSpec, LocalEntry>,
+    entries: HashMap<EntryKey, Entry>,
     clock: u64,
     requests: u64,
     evictions: u64,
     options: ServeOptions,
 }
 
-fn base_key(spec: &ModelSpec) -> ModelSpec {
-    ModelSpec { horizon: 0, ..*spec }
-}
-
 impl ServerState {
     fn new(options: ServeOptions) -> Self {
-        let mut state = ServerState {
-            entries: HashMap::new(),
-            local_entries: HashMap::new(),
-            clock: 0,
-            requests: 0,
-            evictions: 0,
-            options,
-        };
+        let mut state =
+            ServerState { entries: HashMap::new(), clock: 0, requests: 0, evictions: 0, options };
         state.recover_snapshots();
         state
     }
@@ -431,17 +355,16 @@ impl ServerState {
                 let bytes = std::fs::read(&path).ok()?;
                 // A snapshot that panics the decoder is treated the same
                 // as one that reports a checksum error: quarantined.
-                let checker =
-                    catch_unwind(AssertUnwindSafe(|| WarmChecker::restore(&spec, &bytes).ok()))
-                        .ok()
-                        .flatten()?;
+                let checker = catch_unwind(AssertUnwindSafe(|| restore(&spec, &bytes).ok()))
+                    .ok()
+                    .flatten()?;
                 Some((spec, checker))
             });
             match restored {
                 Some((spec, checker)) => {
                     self.entries.insert(
-                        base_key(&spec),
-                        WarmEntry { checker, session: None, last_used: 0 },
+                        entry_key(&spec, RequestBackend::Symbolic),
+                        Entry { checker, last_used: 0 },
                     );
                 }
                 None => {
@@ -453,43 +376,67 @@ impl ServerState {
         self.enforce_budget();
     }
 
+    fn live_nodes(&self) -> u64 {
+        self.entries.values().map(|entry| entry.checker.live_nodes()).sum()
+    }
+
     /// Evicts least-recently-used entries until the summed live nodes fit
-    /// the budget (always keeping at least the most recent symbolic
-    /// entry). Lazy-engine entries go first: they rebuild in one layer.
+    /// the budget. Lazy-engine entries go first (they rebuild in one
+    /// layer), and the last symbolic entry is always kept.
     fn enforce_budget(&mut self) {
-        loop {
-            let total: u64 = self
-                .entries
-                .values()
-                .map(|e| e.checker.live_nodes())
-                .chain(self.local_entries.values().map(|e| e.checker.live_nodes()))
-                .sum();
-            if total <= self.options.node_budget {
-                return;
-            }
-            if let Some(oldest) = self
-                .local_entries
-                .iter()
-                .min_by_key(|(_, entry)| entry.last_used)
-                .map(|(key, _)| *key)
-            {
-                self.local_entries.remove(&oldest);
-                self.evictions += 1;
-                continue;
-            }
-            if self.entries.len() <= 1 {
-                return;
-            }
+        while self.live_nodes() > self.options.node_budget {
+            let is_symbolic = |key: &EntryKey| key.1 == RequestBackend::Symbolic;
+            let symbolic = self.entries.keys().filter(|key| is_symbolic(key)).count();
             let oldest = self
                 .entries
                 .iter()
-                .min_by_key(|(_, entry)| entry.last_used)
-                .map(|(key, _)| *key)
-                .expect("entries is nonempty");
-            if let Some(mut entry) = self.entries.remove(&oldest) {
-                entry.drop_session();
-            }
+                .filter(|(key, _)| !is_symbolic(key) || symbolic > 1)
+                .min_by_key(|(key, entry)| (is_symbolic(key), entry.last_used))
+                .map(|(key, _)| *key);
+            let Some(oldest) = oldest else { return };
+            self.entries.remove(&oldest);
             self.evictions += 1;
+        }
+    }
+
+    /// Drops the entry a failed request touched — its in-flight state is
+    /// suspect, and a rebuild is cheaper than a wrong answer — leaving
+    /// every other warm checker untouched.
+    fn evict_touched(&mut self, key: &EntryKey) {
+        if self.entries.remove(key).is_some() {
+            self.evictions += 1;
+        }
+    }
+
+    /// Handles one request, converting any panic that slips past the
+    /// up-front validation into an `error` response instead of a dead
+    /// server.
+    fn dispatch(&mut self, request: Request) -> Response {
+        let touched = match &request {
+            Request::Check { spec, backend, .. } => Some(entry_key(spec, *backend)),
+            Request::Snapshot { spec, .. } | Request::Restore { spec, .. } => {
+                Some(entry_key(spec, RequestBackend::Symbolic))
+            }
+            _ => None,
+        };
+        match catch_unwind(AssertUnwindSafe(|| self.handle(request))) {
+            Ok(response) => response,
+            Err(payload) => {
+                let message = payload
+                    .downcast::<String>()
+                    .map(|boxed| *boxed)
+                    .or_else(|payload| payload.downcast::<&str>().map(|boxed| boxed.to_string()))
+                    .or_else(|payload| {
+                        // A budget trip outside the check path's own
+                        // catch (e.g. during a snapshot build).
+                        payload.downcast::<BddError>().map(|boxed| boxed.to_string())
+                    })
+                    .unwrap_or_else(|_| "non-string panic payload".to_string());
+                if let Some(key) = touched {
+                    self.evict_touched(&key);
+                }
+                Response::Error(format!("request panicked: {message}"))
+            }
         }
     }
 
@@ -499,59 +446,57 @@ impl ServerState {
         match request {
             Request::Ping => Response::Pong,
             Request::Stats => Response::Stats(ServerStats {
-                entries: (self.entries.len() + self.local_entries.len()) as u64,
-                live_nodes: self
-                    .entries
-                    .values()
-                    .map(|e| e.checker.live_nodes())
-                    .chain(self.local_entries.values().map(|e| e.checker.live_nodes()))
-                    .sum(),
+                entries: self.entries.len() as u64,
+                live_nodes: self.live_nodes(),
                 requests: self.requests,
                 evictions: self.evictions,
             }),
             Request::Evict => {
-                let count = (self.entries.len() + self.local_entries.len()) as u64;
-                for (_, mut entry) in self.entries.drain() {
-                    entry.drop_session();
-                }
-                self.local_entries.clear();
+                let count = self.entries.len() as u64;
+                self.entries.clear();
                 Response::Evicted(count)
             }
             Request::Check { spec, formulas, deadline_ms, backend } => {
                 self.check(spec, &formulas, deadline_ms, backend)
             }
-            Request::Snapshot { spec, path } => self.snapshot(spec, &path),
-            Request::Restore { spec, path } => self.restore(spec, &path),
+            Request::Snapshot { spec, path } => {
+                self.snapshot(spec, &path).unwrap_or_else(Response::Error)
+            }
+            Request::Restore { spec, path } => {
+                self.restore(spec, &path).unwrap_or_else(Response::Error)
+            }
         }
     }
 
-    /// Looks up or builds the warm entry for `spec`, extending its horizon
-    /// when the request asks for more layers than are built. Returns the
-    /// key and whether the entry was already warm *and* long enough. Both
-    /// a cold build and an extension run under `budget` (when given), and
-    /// an existing entry is (dis)armed with it for the rest of the request.
-    fn warm_entry(&mut self, spec: &ModelSpec, budget: Option<Budget>) -> (ModelSpec, bool) {
-        let key = base_key(spec);
+    /// Looks up or builds the warm entry for `(spec, backend)`, extending
+    /// its horizon when the request asks for more layers than are built.
+    /// Returns the entry and whether it was already warm *and* long enough.
+    /// Both a cold build and an extension run under `budget` (when given),
+    /// and an existing entry is (dis)armed with it for the rest of the
+    /// request.
+    fn warm_entry(
+        &mut self,
+        spec: &ModelSpec,
+        backend: RequestBackend,
+        budget: Option<Budget>,
+    ) -> (&mut Entry, bool) {
+        let key = entry_key(spec, backend);
+        let horizon = spec.horizon as usize;
+        if self.entries.get(&key).is_some_and(|entry| !entry.checker.serves(horizon)) {
+            self.entries.remove(&key);
+        }
         let clock = self.clock;
-        let wanted_layers = spec.horizon as usize + 1;
         let existed = self.entries.contains_key(&key);
-        let entry = self.entries.entry(key).or_insert_with(|| WarmEntry {
-            checker: WarmChecker::build(spec, budget),
-            session: None,
-            last_used: clock,
-        });
+        let entry = self
+            .entries
+            .entry(key)
+            .or_insert_with(|| Entry { checker: build(spec, backend, budget), last_used: clock });
         entry.last_used = clock;
         if existed {
             entry.checker.set_budget(budget);
         }
-        let warm = existed && entry.checker.num_layers() >= wanted_layers;
-        if entry.checker.num_layers() < wanted_layers {
-            // Extension invalidates cached denotations (the layers guard in
-            // `EvalSession` enforces this), so the session ends first.
-            entry.drop_session();
-            entry.checker.extend_to_horizon(spec.horizon as usize);
-        }
-        (key, warm)
+        let warm = entry.checker.prepare(horizon) && existed;
+        (entry, warm)
     }
 
     /// The effective wall-clock deadline of a batch: the tighter of the
@@ -570,17 +515,18 @@ impl ServerState {
         deadline_ms: Option<u64>,
         backend: RequestBackend,
     ) -> Response {
-        if self.options.fault_injection
-            && formula_texts.iter().any(|text| text == CHAOS_PANIC_FORMULA)
-        {
-            // Deterministic mid-request worker panic for the chaos
-            // harness; `dispatch` turns it into an error response and
-            // evicts the touched entry.
-            panic!("injected chaos panic");
-        }
+        // Deterministic mid-request worker panic for the chaos harness
+        // (fired below, once the entry is warm); `dispatch` turns it into
+        // an error response and evicts the touched entry.
+        let inject_panic = self.options.fault_injection
+            && formula_texts.iter().any(|text| text == CHAOS_PANIC_FORMULA);
         let mut formulas = Vec::with_capacity(formula_texts.len());
-        for text in formula_texts {
-            match parse_service_formula(text) {
+        for text in
+            formula_texts.iter().filter(|text| !inject_panic || *text != CHAOS_PANIC_FORMULA)
+        {
+            let parsed = parse_service_formula(text)
+                .and_then(|formula| validate_indices(&formula, &spec).map(|()| formula));
+            match parsed {
                 Ok(formula) => formulas.push(formula),
                 Err(error) => return Response::Error(format!("formula `{text}`: {error}")),
             }
@@ -589,16 +535,15 @@ impl ServerState {
             .effective_deadline_ms(deadline_ms)
             .map(|ms| Budget::with_timeout(Duration::from_millis(ms)));
         let started = Instant::now();
-        if backend == RequestBackend::Local {
-            return self.check_local(spec, &formulas, budget, started);
-        }
+        let key = entry_key(&spec, backend);
         // Read the image counter before any build/extension so a cold
-        // request charges its model construction to `relational_products`.
+        // request charges its model construction to `relational_products`
+        // (an entry about to be rebuilt for another horizon starts over).
         let products_before = self
             .entries
-            .get(&base_key(&spec))
-            .map_or(0, |entry| entry.checker.relational_product_calls());
-        let key = base_key(&spec);
+            .get(&key)
+            .filter(|entry| entry.checker.serves(spec.horizon as usize))
+            .map_or(0, |entry| entry.checker.relational_products());
         // Everything that can trip the budget — cold build, horizon
         // extension, evaluation — runs under `catch_budget`; on a trip the
         // touched entry is evicted (its in-flight state is suspect, and
@@ -606,22 +551,18 @@ impl ServerState {
         // checker stays untouched, and the connection stays serviceable.
         let state = &mut *self;
         let result = catch_budget(move || {
-            let (key, warm) = state.warm_entry(&spec, budget);
-            let entry = state.entries.get_mut(&key).expect("warm_entry just inserted it");
-            let mut session = entry.session.take().unwrap_or_else(|| entry.checker.session());
-            let hits_before = session.hits();
-            let verdicts: Vec<bool> = formulas
-                .iter()
-                .map(|formula| entry.checker.holds_everywhere_in_session(&mut session, formula))
-                .collect();
-            let session_hits = session.hits() - hits_before;
-            entry.session = Some(session);
+            let (entry, warm) = state.warm_entry(&spec, backend, budget);
+            if inject_panic {
+                panic!("injected chaos panic");
+            }
+            let hits_before = entry.checker.hits();
+            let verdicts = entry.checker.answer(&formulas);
             entry.checker.set_budget(None);
             CheckOutcome {
                 warm,
                 wall_micros: started.elapsed().as_micros() as u64,
-                relational_products: entry.checker.relational_product_calls() - products_before,
-                session_hits,
+                relational_products: entry.checker.relational_products() - products_before,
+                session_hits: entry.checker.hits() - hits_before,
                 live_nodes: entry.checker.live_nodes(),
                 verdicts,
             }
@@ -632,100 +573,19 @@ impl ServerState {
                 Response::Check(outcome)
             }
             Err(error) => {
-                // Evict exactly the touched entry; an aborted checker is
-                // dropped, not poisoned in place.
-                if let Some(mut entry) = self.entries.remove(&key) {
-                    entry.session = None;
-                    drop(entry);
-                    self.evictions += 1;
-                }
+                self.evict_touched(&key);
                 budget_response(&error)
             }
         }
     }
 
-    /// The `backend=local` path: answers the batch from a warm lazy-engine
-    /// checker that materialises reachable layers on demand and memoises
-    /// per-formula verdicts across requests. Verdicts are bit-identical to
-    /// the default path; only the construction strategy differs.
-    fn check_local(
-        &mut self,
-        spec: ModelSpec,
-        formulas: &[Formula<ConsensusAtom>],
-        budget: Option<Budget>,
-        started: Instant,
-    ) -> Response {
-        let key = base_key(&spec);
-        let state = &mut *self;
-        let result = catch_budget(move || {
-            let clock = state.clock;
-            let horizon = spec.horizon as usize;
-            // A different horizon changes what `holds_everywhere` means,
-            // so the memoised entry cannot be reused across horizons.
-            if state.local_entries.get(&key).is_some_and(|entry| entry.horizon != horizon) {
-                state.local_entries.remove(&key);
-            }
-            let existed = state.local_entries.contains_key(&key);
-            // Read the image counter before the (lazy) cold build so the
-            // request is charged its layer-0 construction.
-            let products_before = state
-                .local_entries
-                .get(&key)
-                .map_or(0, |entry| entry.checker.relational_product_calls());
-            let entry = state.local_entries.entry(key).or_insert_with(|| LocalEntry {
-                checker: WarmLocal::build(&spec),
-                horizon,
-                last_used: clock,
-            });
-            entry.last_used = clock;
-            entry.checker.set_budget(budget);
-            let hits_before = entry.checker.memo_hits();
-            let verdicts: Vec<bool> =
-                formulas.iter().map(|formula| entry.checker.holds_everywhere(formula)).collect();
-            entry.checker.set_budget(None);
-            CheckOutcome {
-                warm: existed,
-                wall_micros: started.elapsed().as_micros() as u64,
-                relational_products: entry.checker.relational_product_calls() - products_before,
-                session_hits: entry.checker.memo_hits() - hits_before,
-                live_nodes: entry.checker.live_nodes(),
-                verdicts,
-            }
-        });
-        match result {
-            Ok(outcome) => {
-                self.enforce_budget();
-                Response::Check(outcome)
-            }
-            Err(error) => {
-                // As on the default path: the tripped checker is evicted,
-                // everything else stays warm.
-                if self.local_entries.remove(&key).is_some() {
-                    self.evictions += 1;
-                }
-                budget_response(&error)
-            }
-        }
-    }
-
-    fn snapshot(&mut self, spec: ModelSpec, path: &str) -> Response {
-        let path = match self.resolve_snapshot_path(&spec, path) {
-            Ok(path) => path,
-            Err(error) => return Response::Error(error),
-        };
-        let (key, _) = self.warm_entry(&spec, None);
-        let entry = self.entries.get_mut(&key).expect("warm_entry just inserted it");
-        // The checker refuses to snapshot under live sessions (their
-        // denotations are process-local); the cache restarts afterwards.
-        entry.drop_session();
-        let bytes = match entry.checker.snapshot() {
-            Ok(bytes) => bytes,
-            Err(error) => return Response::Error(error),
-        };
-        match write_atomic(Path::new(&path), &bytes) {
-            Ok(()) => Response::SnapshotWritten(bytes.len() as u64),
-            Err(error) => Response::Error(format!("writing {path}: {error}")),
-        }
+    fn snapshot(&mut self, spec: ModelSpec, path: &str) -> Result<Response, String> {
+        let path = self.resolve_snapshot_path(&spec, path)?;
+        let (entry, _) = self.warm_entry(&spec, RequestBackend::Symbolic, None);
+        let bytes = entry.checker.snapshot()?;
+        write_atomic(Path::new(&path), &bytes)
+            .map_err(|error| format!("writing {path}: {error}"))?;
+        Ok(Response::SnapshotWritten(bytes.len() as u64))
     }
 
     /// Resolves the [`AUTO_SNAPSHOT_PATH`] pseudo-path inside the
@@ -742,30 +602,55 @@ impl ServerState {
         Ok(Path::new(dir).join(snapshot_file_name(spec)).to_string_lossy().into_owned())
     }
 
-    fn restore(&mut self, spec: ModelSpec, path: &str) -> Response {
-        let path = match self.resolve_snapshot_path(&spec, path) {
-            Ok(path) => path,
-            Err(error) => return Response::Error(error),
-        };
-        let bytes = match std::fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(error) => return Response::Error(format!("reading {path}: {error}")),
-        };
-        let checker = match WarmChecker::restore(&spec, &bytes) {
-            Ok(checker) => checker,
-            Err(error) => return Response::Error(error),
-        };
-        let layers = checker.num_layers() as u64;
-        let clock = self.clock;
-        if let Some(mut old) = self
-            .entries
-            .insert(base_key(&spec), WarmEntry { checker, session: None, last_used: clock })
-        {
-            old.drop_session();
-        }
+    fn restore(&mut self, spec: ModelSpec, path: &str) -> Result<Response, String> {
+        let path = self.resolve_snapshot_path(&spec, path)?;
+        let bytes = std::fs::read(&path).map_err(|error| format!("reading {path}: {error}"))?;
+        let checker = restore(&spec, &bytes)?;
+        let layers = checker.layers() as u64;
+        let entry = Entry { checker, last_used: self.clock };
+        self.entries.insert(entry_key(&spec, RequestBackend::Symbolic), entry);
         self.enforce_budget();
-        Response::Restored(layers)
+        Ok(Response::Restored(layers))
     }
+}
+
+/// Checks every index a formula carries against the spec, so a stray one
+/// from the wire is an `error` reply instead of an out-of-bounds panic
+/// inside a checker: agents (in atoms and in knowledge/belief modalities)
+/// must be below `n`, the value of a `decides[i].v` below `values`.
+fn validate_indices(formula: &Formula<ConsensusAtom>, spec: &ModelSpec) -> Result<(), String> {
+    let agent_in_range = |agent: AgentId| {
+        if agent.index() < spec.n {
+            Ok(())
+        } else {
+            Err(format!("agent {} out of range (n={})", agent.index(), spec.n))
+        }
+    };
+    formula.agents().into_iter().try_for_each(agent_in_range)?;
+    for atom in formula.atoms() {
+        match *atom {
+            ConsensusAtom::InitIs(agent, _)
+            | ConsensusAtom::Nonfaulty(agent)
+            | ConsensusAtom::Decided(agent)
+            | ConsensusAtom::DecidedValue(agent, _)
+            | ConsensusAtom::ObsEquals(agent, ..)
+            | ConsensusAtom::ObsAtMost(agent, ..) => agent_in_range(agent)?,
+            ConsensusAtom::DecidesNow(agent, value) => {
+                agent_in_range(agent)?;
+                if value.index() >= spec.values {
+                    return Err(format!(
+                        "value {} out of range (values={})",
+                        value.index(),
+                        spec.values
+                    ));
+                }
+            }
+            ConsensusAtom::ExistsInit(_)
+            | ConsensusAtom::TimeIs(_)
+            | ConsensusAtom::CollisionProbe(_) => {}
+        }
+    }
+    Ok(())
 }
 
 /// Maps the typed budget error onto the wire: a deadline trip is the
@@ -813,18 +698,12 @@ pub fn answer_from_snapshot(
     bytes: &[u8],
     formulas: &[&str],
 ) -> Result<Vec<bool>, String> {
-    let checker = WarmChecker::restore(spec, bytes)?;
+    let mut checker = restore(spec, bytes)?;
     let parsed = formulas
         .iter()
         .map(|text| parse_service_formula(text).map_err(|error| format!("`{text}`: {error}")))
         .collect::<Result<Vec<_>, String>>()?;
-    let mut session = checker.session();
-    let verdicts = parsed
-        .iter()
-        .map(|formula| checker.holds_everywhere_in_session(&mut session, formula))
-        .collect();
-    checker.end_session(session);
-    Ok(verdicts)
+    Ok(checker.answer(&parsed))
 }
 
 /// A bound, not-yet-running checking server.
@@ -884,46 +763,12 @@ impl Server {
         stream.set_write_timeout(timeout)?;
         while let Some(payload) = read_frame(&mut stream)? {
             let response = match Request::decode(&payload) {
-                Ok(request) => self.dispatch(request),
+                Ok(request) => self.state.dispatch(request),
                 Err(error) => Response::Error(error),
             };
             write_frame(&mut stream, &response.encode())?;
         }
         Ok(())
-    }
-
-    /// Handles one request, converting any panic that slips past the
-    /// up-front validation into an `error` response instead of a dead
-    /// server.
-    fn dispatch(&mut self, request: Request) -> Response {
-        let touched = match &request {
-            Request::Check { spec, .. }
-            | Request::Snapshot { spec, .. }
-            | Request::Restore { spec, .. } => Some(base_key(spec)),
-            _ => None,
-        };
-        let state = &mut self.state;
-        match catch_unwind(AssertUnwindSafe(|| state.handle(request))) {
-            Ok(response) => response,
-            Err(payload) => {
-                let message = payload
-                    .downcast::<String>()
-                    .map(|boxed| *boxed)
-                    .or_else(|payload| payload.downcast::<&str>().map(|boxed| boxed.to_string()))
-                    .or_else(|payload| {
-                        // A budget trip outside the check path's own
-                        // catch (e.g. during a snapshot build).
-                        payload.downcast::<BddError>().map(|boxed| boxed.to_string())
-                    })
-                    .unwrap_or_else(|_| "non-string panic payload".to_string());
-                if let Some(key) = touched {
-                    // The panic may have left the entry mid-mutation; a
-                    // rebuild is cheaper than a wrong answer.
-                    self.state.entries.remove(&key);
-                }
-                Response::Error(format!("request panicked: {message}"))
-            }
-        }
     }
 }
 
@@ -958,6 +803,10 @@ mod tests {
         }
     }
 
+    fn is_warm(state: &ServerState, spec: &ModelSpec, backend: RequestBackend) -> bool {
+        state.entries.contains_key(&entry_key(spec, backend))
+    }
+
     fn expect_check(response: Response) -> CheckOutcome {
         match response {
             Response::Check(outcome) => outcome,
@@ -989,7 +838,7 @@ mod tests {
         assert!(!extended.warm, "an extension is not a warm hit");
         assert_eq!(state.entries.len(), 1, "extension reuses the entry");
         let entry = state.entries.values().next().unwrap();
-        assert_eq!(entry.checker.num_layers(), longer.horizon as usize + 1);
+        assert_eq!(entry.checker.layers(), longer.horizon as usize + 1);
         // And the shorter horizon is warm again afterwards.
         let short = expect_check(state.handle(check_request(spec)));
         assert!(short.warm);
@@ -1004,7 +853,7 @@ mod tests {
         state.handle(check_request(count));
         // Both exceed a 1-node budget; only the most recent survives.
         assert_eq!(state.entries.len(), 1);
-        assert!(state.entries.contains_key(&base_key(&count)));
+        assert!(is_warm(&state, &count, RequestBackend::Symbolic));
         assert!(state.evictions >= 1);
         match state.handle(Request::Stats) {
             Response::Stats(stats) => assert!(stats.evictions >= 1),
@@ -1184,8 +1033,8 @@ mod tests {
             "an expired deadline answers budget-exceeded, got {response:?}"
         );
         assert_eq!(state.evictions, evictions_before + 1, "exactly one eviction");
-        assert!(!state.entries.contains_key(&base_key(&floodset)), "the touched entry is gone");
-        assert!(state.entries.contains_key(&base_key(&count)), "the other entry survives");
+        assert!(!is_warm(&state, &floodset, RequestBackend::Symbolic), "the touched entry is gone");
+        assert!(is_warm(&state, &count, RequestBackend::Symbolic), "the other entry survives");
 
         // The untouched entry is still warm, denotation cache intact.
         let still_warm = expect_check(state.handle(check_request(count)));
@@ -1219,8 +1068,9 @@ mod tests {
         assert!(local_warm.session_hits > 0, "warm repeats hit the verdict memo");
         assert_eq!(local_warm.relational_products, 0, "a memoised repeat builds nothing");
         // Both engines show up in the server's bookkeeping.
-        assert_eq!(state.entries.len(), 1);
-        assert_eq!(state.local_entries.len(), 1);
+        assert_eq!(state.entries.len(), 2);
+        assert!(is_warm(&state, &spec, RequestBackend::Symbolic));
+        assert!(is_warm(&state, &spec, RequestBackend::Local));
     }
 
     /// A budget trip on the local backend evicts exactly its own entry;
@@ -1237,13 +1087,170 @@ mod tests {
             backend: RequestBackend::Local,
         });
         assert!(matches!(response, Response::BudgetExceeded(_)), "got {response:?}");
-        assert!(state.local_entries.is_empty(), "the tripped local entry is gone");
-        assert_eq!(state.entries.len(), 1, "the symbolic entry survives");
+        assert!(!is_warm(&state, &spec, RequestBackend::Local), "the tripped local entry is gone");
+        assert!(is_warm(&state, &spec, RequestBackend::Symbolic), "the symbolic entry survives");
         // A retry without the deadline rebuilds the local entry and agrees
         // with the warm symbolic one.
         let local = expect_check(state.handle(local_check_request(spec)));
         let symbolic = expect_check(state.handle(check_request(spec)));
         assert_eq!(local.verdicts, symbolic.verdicts);
+    }
+
+    /// The wrong-entry regression: a request that panics on `backend=local`
+    /// costs exactly the local entry — the symbolic entry of the same spec
+    /// stays warm with its denotation cache — and counts as one eviction.
+    #[test]
+    fn panic_on_the_local_backend_evicts_only_its_entry() {
+        let options = ServeOptions { fault_injection: true, ..Default::default() };
+        let mut state = ServerState::new(options);
+        let spec = floodset_spec();
+        expect_check(state.dispatch(check_request(spec)));
+        expect_check(state.dispatch(local_check_request(spec)));
+        assert_eq!(state.entries.len(), 2);
+        let evictions_before = state.evictions;
+
+        let response = state.dispatch(Request::Check {
+            spec,
+            formulas: vec![CHAOS_PANIC_FORMULA.to_string()],
+            deadline_ms: None,
+            backend: RequestBackend::Local,
+        });
+        match response {
+            Response::Error(message) => assert!(message.contains("panicked"), "{message}"),
+            other => panic!("expected a panicked-request error, got {other:?}"),
+        }
+        assert!(!is_warm(&state, &spec, RequestBackend::Local), "the panicked entry is gone");
+        assert!(is_warm(&state, &spec, RequestBackend::Symbolic), "the symbolic entry survives");
+        assert_eq!(state.evictions, evictions_before + 1, "exactly one eviction is counted");
+        match state.dispatch(Request::Stats) {
+            Response::Stats(stats) => {
+                assert_eq!((stats.entries, stats.evictions), (1, evictions_before + 1));
+            }
+            other => panic!("expected stats, got {other:?}"),
+        }
+
+        let still_warm = expect_check(state.dispatch(check_request(spec)));
+        assert!(still_warm.warm, "the symbolic entry answers warm");
+        assert_eq!(still_warm.relational_products, 0);
+        assert!(still_warm.session_hits > 0, "its denotation cache was not dropped");
+        // And the same panic on the default backend leaves a local entry be.
+        expect_check(state.dispatch(local_check_request(spec)));
+        let mut panicking = check_request(spec);
+        if let Request::Check { formulas, .. } = &mut panicking {
+            formulas.push(CHAOS_PANIC_FORMULA.to_string());
+        }
+        assert!(matches!(state.dispatch(panicking), Response::Error(_)));
+        assert!(!is_warm(&state, &spec, RequestBackend::Symbolic));
+        assert!(is_warm(&state, &spec, RequestBackend::Local));
+        assert_eq!(state.evictions, evictions_before + 2);
+    }
+
+    /// Indices the spec does not cover are refused up front — on both
+    /// backends, as a formula error naming the index — instead of reaching
+    /// an unchecked slice index inside a checker and costing a warm entry.
+    #[test]
+    fn out_of_range_indices_answer_errors_and_evict_nothing() {
+        let mut state = ServerState::new(ServeOptions::default());
+        let spec = floodset_spec();
+        expect_check(state.dispatch(check_request(spec)));
+        expect_check(state.dispatch(local_check_request(spec)));
+        for backend in [RequestBackend::Symbolic, RequestBackend::Local] {
+            for (text, complaint) in [
+                ("nonfaulty[9]", "agent 9 out of range (n=3)"),
+                ("decided[9]", "agent 9 out of range (n=3)"),
+                ("K[9] exists0", "agent 9 out of range (n=3)"),
+                ("B[9] exists0", "agent 9 out of range (n=3)"),
+                ("AG (exists0 => !init[3].0)", "agent 3 out of range (n=3)"),
+                ("decides[0].9", "value 9 out of range (values=2)"),
+            ] {
+                let response = state.dispatch(Request::Check {
+                    spec,
+                    formulas: vec!["exists0".to_string(), text.to_string()],
+                    deadline_ms: None,
+                    backend,
+                });
+                assert_eq!(
+                    response,
+                    Response::Error(format!("formula `{text}`: {complaint}")),
+                    "{text} on {backend:?}"
+                );
+            }
+        }
+        assert_eq!(state.entries.len(), 2, "both entries stay warm");
+        assert_eq!(state.evictions, 0);
+        assert!(expect_check(state.dispatch(check_request(spec))).warm);
+        // The largest index the spec does cover is still an ordinary query.
+        let response = state.dispatch(Request::Check {
+            spec,
+            formulas: vec!["K[2] nonfaulty[2] => decides[2].1".to_string()],
+            deadline_ms: None,
+            backend: RequestBackend::Symbolic,
+        });
+        assert_eq!(expect_check(response).verdicts.len(), 1);
+    }
+
+    /// Every protocol of the registry through the one handle: a cold check,
+    /// a warm repeat, a snapshot and a restore into a fresh server, with
+    /// verdicts compared against a directly constructed checker for the
+    /// pair and against the lazy backend.
+    #[test]
+    fn every_protocol_kind_checks_warm_snapshots_and_restores() {
+        use crate::proto::ProtocolKind;
+        let batch = ["CB exists0 => decides[0].0", "B[0] CB exists0", "EF decided[1]"];
+        let request = |spec, backend| Request::Check {
+            spec,
+            formulas: batch.iter().map(|text| text.to_string()).collect(),
+            deadline_ms: None,
+            backend,
+        };
+        for kind in ProtocolKind::ALL {
+            let failure = if kind.is_eventual() { "send" } else { "crash" };
+            let spec = ModelSpec::parse(&format!("protocol={kind} n=2 t=1 failure={failure}"))
+                .unwrap_or_else(|error| panic!("{kind}: {error}"));
+            let expected: Vec<bool> = with_protocol!(kind, |exchange, rule| {
+                let direct = SymbolicChecker::relational(
+                    exchange,
+                    spec.params(),
+                    rule,
+                    SymbolicOptions::default(),
+                );
+                batch
+                    .iter()
+                    .map(|text| direct.holds_everywhere(&parse_service_formula(text).unwrap()))
+                    .collect()
+            });
+
+            let mut state = ServerState::new(ServeOptions::default());
+            let cold = expect_check(state.dispatch(request(spec, RequestBackend::Symbolic)));
+            assert!(!cold.warm && cold.relational_products > 0, "{kind}: cold build");
+            assert_eq!(cold.verdicts, expected, "{kind}: cold verdicts");
+            let warm = expect_check(state.dispatch(request(spec, RequestBackend::Symbolic)));
+            assert!(warm.warm && warm.session_hits > 0, "{kind}: warm repeat");
+            assert_eq!(warm.relational_products, 0, "{kind}: a warm repeat computes no images");
+            assert_eq!(warm.verdicts, expected, "{kind}: warm verdicts");
+            let local = expect_check(state.dispatch(request(spec, RequestBackend::Local)));
+            assert_eq!(local.verdicts, expected, "{kind}: lazy verdicts");
+
+            let path = std::env::temp_dir()
+                .join(format!("epimc-serve-registry-{kind}-{}.snap", std::process::id()));
+            let path_text = path.to_string_lossy().to_string();
+            match state.dispatch(Request::Snapshot { spec, path: path_text.clone() }) {
+                Response::SnapshotWritten(bytes) => assert!(bytes > 0, "{kind}"),
+                other => panic!("{kind}: expected a snapshot response, got {other:?}"),
+            }
+            let mut fresh = ServerState::new(ServeOptions::default());
+            match fresh.dispatch(Request::Restore { spec, path: path_text }) {
+                Response::Restored(layers) => assert_eq!(layers, spec.horizon as u64 + 1),
+                other => panic!("{kind}: expected a restore response, got {other:?}"),
+            }
+            let restored = expect_check(fresh.dispatch(request(spec, RequestBackend::Symbolic)));
+            assert!(restored.warm, "{kind}: a restored instance is warm");
+            assert_eq!(restored.relational_products, 0, "{kind}: restore builds nothing");
+            assert_eq!(restored.verdicts, expected, "{kind}: restored verdicts");
+            let bytes = std::fs::read(&path).unwrap();
+            assert_eq!(answer_from_snapshot(&spec, &bytes, &batch).unwrap(), expected, "{kind}");
+            let _ = std::fs::remove_file(&path);
+        }
     }
 
     /// An expired deadline on a *cold build* answers budget-exceeded

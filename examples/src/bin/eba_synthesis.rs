@@ -8,35 +8,24 @@
 
 use epimc::prelude::*;
 
-fn run(exchange: EbaExchangeKind, n: usize, t: usize, failure: FailureKind) {
-    let experiment = EbaExperiment { exchange, n, t, failure };
+fn run(protocol: ProtocolKind, n: usize, t: usize, failure: FailureKind) {
+    let experiment = Experiment::new(protocol, n, t, failure);
     let params = experiment.params();
-    let program = KnowledgeBasedProgram::eba_p0();
-    println!("=== {exchange}, {params} ===");
-    match exchange {
-        EbaExchangeKind::EMin => {
-            let outcome = Synthesizer::new(EMin, params).synthesize(&program);
-            println!("{outcome}");
-            let model = ConsensusModel::explore(EMin, params, outcome.rule.clone());
-            println!("EBA spec holds: {}", epimc::spec::check_eba(&model).all_hold());
-            let handwritten = ConsensusModel::explore(EMin, params, EMinRule);
-            println!(
-                "hand-written E_min implementation also satisfies EBA: {}",
-                epimc::spec::check_eba(&handwritten).all_hold()
-            );
-        }
-        EbaExchangeKind::EBasic => {
-            let outcome = Synthesizer::new(EBasic, params).synthesize(&program);
-            println!("{outcome}");
-            let model = ConsensusModel::explore(EBasic, params, outcome.rule.clone());
-            println!("EBA spec holds: {}", epimc::spec::check_eba(&model).all_hold());
-            let handwritten = ConsensusModel::explore(EBasic, params, EBasicRule);
-            println!(
-                "hand-written E_basic implementation also satisfies EBA: {}",
-                epimc::spec::check_eba(&handwritten).all_hold()
-            );
-        }
-    }
+    let name = protocol.paper_name();
+    println!("=== {name}, {params} ===");
+    // The exchange and its hand-written rule come from the protocol
+    // registry; the body below is the same for both EBA exchanges.
+    with_protocol!(protocol, |exchange, handwritten_rule| {
+        let outcome = Synthesizer::new(exchange, params).synthesize(&experiment.program());
+        println!("{outcome}");
+        let model = ConsensusModel::explore(exchange, params, outcome.rule.clone());
+        println!("EBA spec holds: {}", epimc::spec::check_eba(&model).all_hold());
+        let handwritten = ConsensusModel::explore(exchange, params, handwritten_rule);
+        println!(
+            "hand-written {name} implementation also satisfies EBA: {}",
+            epimc::spec::check_eba(&handwritten).all_hold()
+        );
+    });
     println!();
 }
 
@@ -46,8 +35,8 @@ fn main() {
     let t: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(1);
 
     for failure in [FailureKind::Crash, FailureKind::SendOmission] {
-        run(EbaExchangeKind::EMin, n, t, failure);
-        run(EbaExchangeKind::EBasic, n, t, failure);
+        run(ProtocolKind::EMin, n, t, failure);
+        run(ProtocolKind::EBasic, n, t, failure);
     }
     println!("Note how the E_basic predicates include the early decision on 1 when");
     println!("`num1 > n - time`: the counter of (init, 1) messages lets an agent rule");

@@ -21,9 +21,14 @@ fn main() {
             .values(2)
             .failure(FailureKind::Crash)
             .build();
-        let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
-        let optimality = epimc::optimality::analyze_sba(&model);
-        let hypothesis = epimc::hypotheses::verify_sba_hypothesis(&model, condition2(&params));
+        // The textbook protocol: the registry's FloodSet exchange and rule.
+        let (optimality, hypothesis) = with_protocol!(ProtocolKind::FloodSet, |exchange, rule| {
+            let model = ConsensusModel::explore(exchange, params, rule);
+            (
+                epimc::optimality::analyze_sba(&model),
+                epimc::hypotheses::verify_sba_hypothesis(&model, condition2(&params)),
+            )
+        });
         println!(
             "{:<8} {:<8} {:<12} {:<12} {:<10} {}",
             n,

@@ -5,19 +5,16 @@
 
 use epimc::prelude::*;
 
-fn main() {
-    // FloodSet over 3 agents, at most one crash failure, binary decisions.
-    let params = ModelParams::builder()
-        .agents(3)
-        .max_faulty(1)
-        .values(2)
-        .failure(FailureKind::Crash)
-        .build();
-    println!("model instance: {params}");
-
+/// The full pipeline over one information exchange and its literature
+/// decision rule — generic, so it runs on any protocol of the registry.
+fn analyse<E, R>(exchange: E, rule: R, params: ModelParams)
+where
+    E: InformationExchange,
+    R: DecisionRule<E>,
+{
     // Explore the reachable state space of the textbook protocol
     // ("broadcast everything you have seen, decide the least value at t+1").
-    let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
+    let model = ConsensusModel::explore(exchange.clone(), params, rule);
     println!(
         "reachable states: {} across {} rounds",
         model.space().total_states(),
@@ -34,11 +31,26 @@ fn main() {
 
     // 3. Synthesize the optimal implementation of the knowledge-based program
     //    for the same information exchange, and print the knowledge predicates.
-    let outcome = Synthesizer::new(FloodSet, params).synthesize(&KnowledgeBasedProgram::sba(2));
+    let outcome =
+        Synthesizer::new(exchange.clone(), params).synthesize(&KnowledgeBasedProgram::sba(2));
     println!("\n{outcome}");
 
     // 4. The synthesized protocol is directly executable.
     let table = outcome.rule;
-    let spec_synth = epimc::spec::check_sba(&ConsensusModel::explore(FloodSet, params, table));
+    let spec_synth = epimc::spec::check_sba(&ConsensusModel::explore(exchange, params, table));
     println!("\nsynthesized protocol satisfies SBA: {}", spec_synth.all_hold());
+}
+
+fn main() {
+    // FloodSet over 3 agents, at most one crash failure, binary decisions.
+    let params = ModelParams::builder()
+        .agents(3)
+        .max_faulty(1)
+        .values(2)
+        .failure(FailureKind::Crash)
+        .build();
+    println!("model instance: {params}");
+
+    // The protocol registry pairs the exchange with its literature rule.
+    with_protocol!(ProtocolKind::FloodSet, |exchange, rule| analyse(exchange, rule, params));
 }
