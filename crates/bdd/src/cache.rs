@@ -10,9 +10,15 @@
 //! allocation and the statistics reported by [`crate::BddStats`])
 //! reproducible from run to run.
 
-use std::hash::{Hash, Hasher};
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use crate::manager::Ref;
+
+/// A hash set keyed through [`FxHasher`]: the traversal-dedup set of
+/// [`crate::Bdd::support`] and [`crate::Bdd::node_count`], where `std`'s
+/// SipHash cost a measurable share of a whole-model pass.
+pub(crate) type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
 /// A deterministic, seed-free hasher (FxHash-style multiply-rotate mix).
 ///

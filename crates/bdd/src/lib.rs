@@ -29,7 +29,10 @@
 //!   (`&mut Ref`), the collector sweeps everything unreachable, compacts the
 //!   node store, rebuilds the unique table, and remaps the roots in place.
 //!   Any non-rooted [`Ref`] is invalidated by a collection — see the
-//!   [`Ref`] docs for the precise rooting contract.
+//!   [`Ref`] docs for the precise rooting contract. [`Bdd::gc_with_cache`]
+//!   adds a second tier of *cache roots*, kept and remapped the same way
+//!   but reported apart ([`GcStats::cache_only_nodes`]), so memoised
+//!   diagrams can survive a collection without counting as model size.
 //! * **Bounded operation caches.** The `ite`/`exists`/`replace`/`and_exists`
 //!   memo tables are direct-mapped caches with a fixed capacity
 //!   ([`Bdd::with_cache_capacity`]) and deterministic hashing, so cache

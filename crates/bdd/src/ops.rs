@@ -2,6 +2,7 @@
 
 use std::collections::BTreeSet;
 
+use crate::cache::FxHashSet;
 use crate::manager::{Bdd, Ref, Var};
 
 /// Identifier of a variable substitution registered with
@@ -262,21 +263,23 @@ impl Bdd {
         result
     }
 
-    /// The set of variables on which `f` depends.
+    /// The set of variables on which `f` depends, sorted by index.
     pub fn support(&self, f: Ref) -> Vec<Var> {
-        let mut support = BTreeSet::new();
-        let mut seen = std::collections::HashSet::new();
+        // Every stored node's variable has a level, so its index is below
+        // `num_levels`: one flag per variable, read out in index order.
+        let mut in_support = vec![false; self.num_levels()];
+        let mut seen = FxHashSet::default();
         let mut stack = vec![f];
         while let Some(r) = stack.pop() {
             // Dedupe by slot: both polarities of a node have one support.
             if r.is_terminal() || !seen.insert(r.index()) {
                 continue;
             }
-            support.insert(self.node_var(r));
+            in_support[self.node_var(r).index() as usize] = true;
             stack.push(self.node_low(r));
             stack.push(self.node_high(r));
         }
-        support.into_iter().collect()
+        (0..in_support.len() as u32).filter(|&i| in_support[i as usize]).map(Var::new).collect()
     }
 }
 

@@ -84,6 +84,51 @@ fn gc_preserves_semantics_of_a_random_formula_set() {
 }
 
 #[test]
+fn gc_with_cache_keeps_both_tiers_and_counts_the_cache_apart() {
+    // Two managers built from the same seed: one collected with a cache
+    // tier, one with the roots alone. The cache-only count is exactly the
+    // difference of their survivors, and every diagram of both tiers
+    // evaluates as before.
+    for round in 0..16u64 {
+        let build = || {
+            let mut rng = StdRng::seed_from_u64(0x6C_0100 + round);
+            let mut bdd = Bdd::new();
+            let mut roots = Vec::new();
+            let mut cache = Vec::new();
+            for k in 0..10 {
+                let f = random_function(&mut bdd, &mut rng, 4);
+                let _garbage = random_function(&mut bdd, &mut rng, 3);
+                if k % 2 == 0 {
+                    roots.push(f);
+                } else {
+                    cache.push(f);
+                }
+            }
+            // A cache entry built over a root shares its nodes.
+            let shared = bdd.and(roots[0], cache[0]);
+            cache.push(shared);
+            (bdd, roots, cache)
+        };
+        let (mut tiered, mut roots, mut cache) = build();
+        let tables: Vec<Vec<bool>> =
+            roots.iter().chain(&cache).map(|&f| truth_table(&tiered, f)).collect();
+        let gc = tiered.gc_with_cache(roots.iter_mut(), cache.iter_mut());
+        let (mut plain, mut plain_roots, _) = build();
+        let plain_gc = plain.gc(plain_roots.iter_mut());
+        assert_eq!(gc.live_nodes - gc.cache_only_nodes, plain_gc.live_nodes, "round {round}");
+        assert_eq!(gc.live_nodes, tiered.live_nodes(), "round {round}");
+        for (index, (&f, table)) in roots.iter().chain(&cache).zip(&tables).enumerate() {
+            assert_eq!(truth_table(&tiered, f), *table, "round {round}: diagram {index}");
+        }
+        tiered.check_canonical_invariant().unwrap();
+        // Dropping the cache tier and collecting again sweeps exactly the
+        // cache-only nodes.
+        let again = tiered.gc(roots.iter_mut());
+        assert_eq!(again.swept_nodes, gc.cache_only_nodes, "round {round}");
+    }
+}
+
+#[test]
 fn repeated_gc_is_stable() {
     let mut rng = StdRng::seed_from_u64(0x6C_0002);
     let mut bdd = Bdd::new();

@@ -82,9 +82,14 @@
 //! the live-node count passes [`SymbolicOptions::gc_threshold`] — including
 //! inside fixpoint iterations. The operation caches are capacity-bounded
 //! ([`SymbolicOptions::cache_capacity`]), so memory stays proportional to
-//! the live diagrams, not to the history of operations. [`SymbolicStats`]
-//! reports peak live nodes, collections, swept nodes, reorders, and cache
-//! hit/miss/eviction counts.
+//! the live diagrams, not to the history of operations. The per-round
+//! reachable relations the temporal operators build are a second,
+//! *cache* tier of the collector ([`epimc_bdd::Bdd::gc_with_cache`]): kept
+//! across automatic collections, but counted by neither the GC nor the
+//! reorder trigger, and dropped by reorders and
+//! [`SymbolicChecker::force_gc`]. [`SymbolicStats`] reports peak live
+//! nodes, collections, swept nodes, reorders, and cache hit/miss/eviction
+//! counts.
 //!
 //! On top of the GC discipline sits **dynamic variable reordering**
 //! ([`ReorderMode`]): the engine registers every current/primed variable

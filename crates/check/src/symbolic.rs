@@ -56,10 +56,12 @@
 //!   the forward image's early-quantification schedule with the
 //!   current-state variables kept — and `pre(S) ∧ reachable[t]` is one
 //!   fused [`epimc_bdd::Bdd::and_exists`] of `T_t` with the primed target.
-//!   `T_t` is built on first use and held in a per-round cache that every
-//!   collection and reorder empties, like the kernel's operation caches;
-//!   it is never rooted and never serialised (see the section comment
-//!   above `reachable_relation` for the measurements behind that).
+//!   `T_t` is built on first use and held in a per-round cache that
+//!   automatic collections keep as a cache tier the GC and reorder
+//!   triggers do not count, and that reorders and
+//!   [`SymbolicChecker::force_gc`] empty; it is never serialised (see the
+//!   section comment above `reachable_relation` for the measurements
+//!   behind that).
 //! * **Garbage collection.** All long-lived BDD handles (reachable sets,
 //!   hidden-variable cubes, relation partitions) and every in-flight
 //!   formula denotation live in a rooted arena, so the manager's
@@ -253,7 +255,9 @@ pub struct SymbolicStats {
     /// the empty set is answered without one and is not counted.
     pub preimage_calls: u64,
     /// Reachable relations `T_t` built for those pre-images, counting
-    /// every rebuild after a collection or reorder dropped the cache.
+    /// every rebuild after a reorder or a full collection
+    /// ([`SymbolicChecker::force_gc`]) dropped the cache; automatic
+    /// collections keep it.
     pub reachable_relations_built: u64,
     /// Rounds of the common-belief frontier iteration: per `C_B`
     /// evaluation, the number of rounds its slowest layer needed before
@@ -415,14 +419,16 @@ struct Inner {
     /// these need no rooting and never go stale.
     relation_supports: Vec<Vec<Vec<u32>>>,
     /// Per round `t`: the reachable relation `T_t` the pre-image goes
-    /// through (see [`SymbolicChecker::reachable_relation`]). A **cache**,
-    /// not a root: the handles are unrooted, so [`Inner::collect`] and
-    /// [`Inner::reorder_now`] empty it — exactly when the kernel drops its
-    /// operation caches — and the next pre-image rebuilds what it needs.
+    /// through (see [`SymbolicChecker::reachable_relation`]). A **cache
+    /// tier** of the collector, not a root: [`Inner::collect`] keeps and
+    /// remaps it without counting it toward either trigger, while
+    /// [`Inner::reorder_now`] and [`SymbolicChecker::force_gc`] empty it
+    /// and the next pre-image rebuilds what it needs. Never serialised.
     reachable_relations: HashMap<usize, Ref>,
     /// Pre-images answered through a reachable relation (lifetime count).
     preimage_calls: u64,
-    /// Reachable relations built, rebuilds after a collection included.
+    /// Reachable relations built, rebuilds after a reorder or a full
+    /// collection included.
     reachable_relations_built: u64,
     /// Rounds of the common-belief frontier iteration (lifetime count; see
     /// [`SymbolicStats::common_belief_rounds`]).
@@ -476,21 +482,26 @@ macro_rules! inner_roots {
 
 impl Inner {
     /// Runs a collection now, rooting every long-lived handle, every arena
-    /// denotation, and the caller's `extra` scratch refs. When the
-    /// surviving live-node count still exceeds the auto-reorder threshold,
-    /// the same safe point group-sifts the variable order (rooting the
-    /// same set of handles). The reachable-relation cache is emptied first:
-    /// its handles are deliberately not roots.
+    /// denotation, and the caller's `extra` scratch refs, and keeping the
+    /// reachable-relation cache as the collector's *cache* tier
+    /// ([`Bdd::gc_with_cache`]): its entries survive, remapped, but the
+    /// nodes only they hold are not model size. Both triggers see the
+    /// model alone — with `model_live` the survivors the roots reach, the
+    /// next collection waits for `max(base, 2·model_live)` plus the cache,
+    /// and the auto reorder fires iff `model_live` exceeds its threshold —
+    /// so with an empty cache every decision is the one a plain `gc` made.
+    /// A reorder at the same safe point drops the cache (see
+    /// [`Inner::reorder_now`]).
     fn collect(&mut self, extra: &mut [Ref]) {
-        self.reachable_relations.clear();
-        {
+        let gc = {
             let inner = &mut *self;
             let roots = inner_roots!(inner, extra);
-            inner.bdd.gc(roots);
-        }
-        self.gc_threshold = self.gc_base_threshold.max(self.bdd.live_nodes() * 2);
+            inner.bdd.gc_with_cache(roots, inner.reachable_relations.values_mut())
+        };
+        let model_live = gc.live_nodes - gc.cache_only_nodes;
+        self.gc_threshold = self.gc_base_threshold.max(model_live * 2) + gc.cache_only_nodes;
         if let ReorderMode::Auto { .. } = self.reorder_mode {
-            if self.bdd.live_nodes() > self.reorder_threshold {
+            if model_live > self.reorder_threshold {
                 self.reorder_now(extra);
             }
         }
@@ -498,7 +509,9 @@ impl Inner {
 
     /// Group-sifts the variable order now, rooting exactly what a
     /// collection roots, and doubles the auto threshold past the surviving
-    /// live nodes.
+    /// live nodes. The reachable-relation cache is dropped first: sifting
+    /// is sized by the model, and its relations are rebuilt on demand under
+    /// the new order.
     fn reorder_now(&mut self, extra: &mut [Ref]) {
         self.reachable_relations.clear();
         {
@@ -742,11 +755,16 @@ where
         self.inner.borrow().reachable.len()
     }
 
-    /// Forces a garbage collection now, rooting all persistent handles.
-    /// Every `PointSet` already extracted stays valid (it holds no BDD
-    /// references); subsequent checks are unaffected.
+    /// Forces a *full* garbage collection now: drops the cached reachable
+    /// relations that automatic collections keep, then collects, rooting
+    /// all persistent handles — afterwards the store holds the model alone
+    /// (e.g. before a snapshot). Every `PointSet` already extracted stays
+    /// valid (it holds no BDD references); subsequent checks are
+    /// unaffected, bar rebuilding a relation on the next pre-image.
     pub fn force_gc(&self) {
-        self.inner.borrow_mut().collect(&mut []);
+        let mut inner = self.inner.borrow_mut();
+        inner.reachable_relations.clear();
+        inner.collect(&mut []);
     }
 
     /// Live nodes of the checker's manager, in O(1). [`Self::stats`]
@@ -1838,17 +1856,34 @@ where
     // most 10 965 nodes, and queried in 1 ms). `T_t` stays small as models
     // grow: at most 23 737 nodes on floodset n=12 t=4, 35 405 on n=16 t=4.
     //
-    // `T_t` is a cache entry, not a root. Rooting it for the checker's
-    // lifetime is a trap: on diff n=4 t=2 the extra post-collection live
-    // nodes cross `DEFAULT_REORDER_THRESHOLD`, `ReorderMode::Auto` sifts
-    // twice where it never sifted before, and the cold batch gets slower
-    // than with the partitioned pre-image (6.0 s against 4.3 s) while its
-    // median formula gets faster. Held unrooted and dropped by every
-    // collection and reorder — as the kernel's operation caches are — it
-    // leaves post-collection live nodes, the reorder trigger, budget
-    // accounting and snapshots exactly where they were, and costs a
-    // rebuild after a collection: 6–27 ms per round on floodset n=8 t=3,
-    // 18–110 ms on n=12 t=4.
+    // `T_t` is a cache entry that survives automatic collections. It is
+    // exact for the model that has been built — `reachable[t]` and the
+    // round's partitions never change once the round exists — so keeping
+    // it is always sound; the question is only what it costs. Rooting it
+    // like a model handle is a trap: on diff n=4 t=2 the extra
+    // post-collection live nodes cross `DEFAULT_REORDER_THRESHOLD`,
+    // `ReorderMode::Auto` sifts twice where it never sifted before, and
+    // the cold batch gets slower (6.0 s against 4.3 s). Dropping it at
+    // every collection instead — as the kernel's operation caches are —
+    // made each temporal formula, which starts with a safe point, rebuild
+    // the relations the previous one had built: the service's cold batch
+    // (`EF decided[0]`, `AX AX decided[0]` and its inner `AX`) built
+    // `T_t` 55 times for 25 distinct rounds across the six `serve_cold`
+    // models, 4.9 M of a pass's 8.4 M kernel ops.
+    //
+    // So the collector keeps the cache as a second tier
+    // (`Bdd::gc_with_cache`) that no trigger counts: `Inner::collect`
+    // sizes the next collection and the reorder decision by the nodes the
+    // model's roots reach, and adds the cache-only nodes on top of the
+    // GC threshold. With an empty cache every decision is the old one;
+    // with a full one the trap stays shut. A reorder drops the cache
+    // (sifting is sized by the model, and the relations are rebuilt
+    // under the new order), and so does `force_gc`, the full collection.
+    // The relations count in `live_nodes` — and so in a server's node
+    // budget — while they are held. Measured on `serve_cold`: one build
+    // per round (25 per pass), kernel ops 8.36 M → 5.09 M, collections
+    // 17 → 9, `pass_wall_s` 0.603 → 0.364 s (−40 %, medians of ten
+    // alternating pairs), no reorder, and an unchanged peak of live nodes.
 
     /// The reachable relation of round `t`,
     /// `T_t(cur, nxt) = ∃ choices . reachable[t] ∧ ⋀_i R_t^i`: exactly the

@@ -132,8 +132,8 @@ where
 /// The symbolic `AX S` (`universal`) or `EX S` at layer `t` for the target
 /// `members` of layer `t + 1`, straight through `all_next` /
 /// `preimage`, with a safe point (carrying the target) first — under
-/// `gc_threshold: 2` a collection whenever the store has doubled, each of
-/// which empties the reachable-relation cache.
+/// `gc_threshold: 2` a collection whenever the model's share of the store
+/// has doubled, each of which remaps the reachable-relation cache.
 fn symbolic_next<E, R, R2>(
     checker: &SymbolicChecker<E, R>,
     model: &ConsensusModel<E, R2>,
@@ -170,6 +170,27 @@ where
             inner.bdd.eval(result, |v| bits[(v.index() / 2) as usize])
         })
         .collect()
+}
+
+/// Every cached `T_t` is `Ref`-equal to a from-scratch rebuild: whatever
+/// collections remapped, or an abort left behind, is the complete
+/// canonical relation. Leaves the rebuilt relations cached.
+fn assert_cache_matches_rebuild<E, R>(checker: &SymbolicChecker<E, R>, context: &str)
+where
+    E: InformationExchange,
+    R: DecisionRule<E>,
+{
+    let mut inner = checker.inner.borrow_mut();
+    let cached: Vec<(usize, Ref)> =
+        inner.reachable_relations.iter().map(|(&t, &r)| (t, r)).collect();
+    inner.reachable_relations.clear();
+    for (t, relation) in cached {
+        assert_eq!(
+            checker.reachable_relation(&mut inner, t),
+            relation,
+            "{context}: the cached relation of round {t} differs from its rebuild"
+        );
+    }
 }
 
 /// Tests (i) and (ii) on one family: default options and collections
@@ -230,9 +251,18 @@ where
             "{family} {label}: an empty pre-image demanded a reachable relation"
         );
 
+        let mut collections_over_cache = 0;
         for (k, want) in expected.iter().enumerate() {
             let (t, members) =
                 (k / SETS_PER_ROUND, &targets[k / SETS_PER_ROUND][k % SETS_PER_ROUND]);
+            if label == "collecting" && k % SETS_PER_ROUND == SETS_PER_ROUND / 2 {
+                // Midway through each round's targets, an automatic-style
+                // collection over the relations built so far.
+                let mut inner = checker.inner.borrow_mut();
+                assert!(!inner.reachable_relations.is_empty(), "{family}: round {t}, no T_t");
+                inner.collect(&mut []);
+                collections_over_cache += 1;
+            }
             let got = (
                 symbolic_next(checker, &model, t, members, false),
                 symbolic_next(checker, &model, t, members, true),
@@ -253,21 +283,19 @@ where
             })
             .sum();
         assert_eq!(stats.preimage_calls, queries, "{family} {label}");
+        // Collections keep the cache, so one relation per round serves
+        // every target either way.
+        assert_eq!(
+            stats.reachable_relations_built, rounds as u64,
+            "{family} {label}: a relation was rebuilt"
+        );
         if label == "default" {
             assert_eq!(stats.gc_runs, 0, "{family}: the default threshold collected");
-            assert_eq!(
-                stats.reachable_relations_built, rounds as u64,
-                "{family}: one relation per round serves every target"
-            );
         } else {
-            // Every collection empties the cache, so relations are
-            // rebuilt (the threshold doubles past the survivors, so
-            // not every safe point collects).
-            assert!(stats.gc_runs > rounds as u64, "{family}: too few collections");
-            assert!(
-                stats.reachable_relations_built > rounds as u64,
-                "{family}: collections kept the reachable relations"
-            );
+            assert_eq!(collections_over_cache, rounds, "{family}");
+            // What the collections remapped is what a rebuild from scratch
+            // finds: remap plus canonicity.
+            assert_cache_matches_rebuild(checker, &format!("{family} {label}"));
         }
         assert_eq!(
             stats.relational_product_calls, images,
@@ -362,30 +390,62 @@ fn a_budget_trip_anywhere_in_the_first_temporal_query_leaves_a_valid_checker() {
             .try_holds_everywhere(&batch[0])
             .expect_err("less fuel than the query needs must abort");
         assert!(matches!(abort.error, BddError::BudgetExceeded { .. }), "fuel {fuel}");
-        {
-            let mut inner = checker.inner.borrow_mut();
-            inner.bdd.check_canonical_invariant().unwrap_or_else(|error| {
-                panic!("fuel {fuel}: manager invalid after the abort: {error}")
-            });
-            // Whatever the abort left in the cache is a complete relation:
-            // rebuilding it from scratch gives the same canonical diagram.
-            let cached: Vec<(usize, Ref)> =
-                inner.reachable_relations.iter().map(|(&t, &r)| (t, r)).collect();
-            inner.reachable_relations.clear();
-            for (t, relation) in cached {
-                assert_eq!(
-                    checker.reachable_relation(&mut inner, t),
-                    relation,
-                    "fuel {fuel}: partial reachable relation cached for round {t}"
-                );
-            }
-        }
+        assert_valid_after_abort(&checker, &format!("fuel {fuel}"));
         let retried: Vec<bool> = batch.iter().map(|f| checker.holds_everywhere(f)).collect();
         assert_eq!(retried, verdicts, "fuel {fuel}: verdicts changed after the abort");
     }
     let checker = fresh();
     checker.set_budget(Some(Budget::with_max_ops(needed)));
     assert_eq!(checker.try_holds_everywhere(&batch[0]), Ok(first), "exact fuel suffices");
+
+    // The same sweep over a *warm* cache: `EF decided[0]` filled it, a
+    // safe-point collection kept it, and `AX AX decided[0]` trips at every
+    // op-fuel value below what it needs. No trip may corrupt a kept
+    // relation.
+    let warm = || {
+        let checker = fresh();
+        assert_eq!(checker.holds_everywhere(&batch[0]), verdicts[0]);
+        let mut inner = checker.inner.borrow_mut();
+        assert!(!inner.reachable_relations.is_empty(), "`EF` built no relation");
+        inner.collect(&mut []);
+        drop(inner);
+        checker
+    };
+    let reference = warm();
+    let built = reference.stats().reachable_relations_built;
+    reference.set_budget(Some(Budget::with_max_ops(u64::MAX)));
+    let second = reference.try_holds_everywhere(&batch[1]).expect("unlimited fuel");
+    let needed = reference.inner.borrow().bdd.budget_ops();
+    assert_eq!(second, verdicts[1]);
+    assert_eq!(reference.stats().reachable_relations_built, built, "the collection lost T_t");
+    assert!(needed > 100, "the warm query is too small to sweep ({needed} ops)");
+    for fuel in 1..needed {
+        let checker = warm();
+        checker.set_budget(Some(Budget::with_max_ops(fuel)));
+        let abort = checker
+            .try_holds_everywhere(&batch[1])
+            .expect_err("less fuel than the query needs must abort");
+        assert!(matches!(abort.error, BddError::BudgetExceeded { .. }), "warm fuel {fuel}");
+        assert_valid_after_abort(&checker, &format!("warm fuel {fuel}"));
+        let retried: Vec<bool> = batch.iter().map(|f| checker.holds_everywhere(f)).collect();
+        assert_eq!(retried, verdicts, "warm fuel {fuel}: verdicts changed after the abort");
+    }
+}
+
+/// After a budget trip: the manager is canonical and every cached `T_t`
+/// is the complete relation its rebuild gives.
+fn assert_valid_after_abort<E, R>(checker: &SymbolicChecker<E, R>, context: &str)
+where
+    E: InformationExchange,
+    R: DecisionRule<E>,
+{
+    checker
+        .inner
+        .borrow()
+        .bdd
+        .check_canonical_invariant()
+        .unwrap_or_else(|error| panic!("{context}: manager invalid after the abort: {error}"));
+    assert_cache_matches_rebuild(checker, context);
 }
 
 #[test]
@@ -422,4 +482,100 @@ fn a_temporal_batch_leaves_no_trace_in_a_snapshot() {
         let answers: Vec<bool> = batch.iter().map(|f| restored.holds_everywhere(f)).collect();
         assert_eq!(answers, verdicts, "a restored checker answers the batch differently");
     }
+}
+
+/// The service's cold batch, in its order: a common-belief implication,
+/// a safety `AG`, a nested belief, and the two formulas whose pre-images
+/// reach every layer.
+fn cold_batch() -> Vec<F> {
+    let exists0 = F::atom(ConsensusAtom::ExistsInit(Value::new(0)));
+    let temporal = temporal_batch();
+    vec![
+        F::implies(
+            F::common_belief(exists0.clone()),
+            F::atom(ConsensusAtom::DecidesNow(AgentId::new(0), Value::new(0))),
+        ),
+        temporal[2].clone(),
+        F::believes_nonfaulty(AgentId::new(0), F::common_belief(exists0)),
+        temporal[0].clone(),
+        temporal[1].clone(),
+    ]
+}
+
+/// The cold batch through one session under the default options
+/// (`ReorderMode::Auto`): the relations kept across collections never
+/// move the reorder trigger, every round's `T_t` is built once, and the
+/// verdicts are those of a checker that never reorders. Returns whether
+/// a collection ran while relations were cached.
+fn cold_batch_keeps_the_trap_shut<E, R>(
+    family: &str,
+    exchange: E,
+    rule: R,
+    params: ModelParams,
+) -> bool
+where
+    E: InformationExchange + SymbolicEncode + Clone,
+    R: DecisionRule<E> + SymbolicRule<E> + Clone,
+{
+    let batch = cold_batch();
+    let answer = |options: SymbolicOptions| {
+        let checker = SymbolicChecker::relational(exchange.clone(), params, rule.clone(), options);
+        let mut session = checker.session();
+        let mut collected_over_cache = false;
+        let verdicts: Vec<bool> = batch
+            .iter()
+            .map(|f| {
+                let cached = !checker.inner.borrow().reachable_relations.is_empty();
+                let runs = checker.stats().gc_runs;
+                let verdict = checker.holds_everywhere_in_session(&mut session, f);
+                collected_over_cache |= cached && checker.stats().gc_runs > runs;
+                verdict
+            })
+            .collect();
+        checker.end_session(session);
+        (verdicts, checker.stats(), collected_over_cache)
+    };
+    let (verdicts, stats, collected_over_cache) = answer(SymbolicOptions::default());
+    let (reference, ..) =
+        answer(SymbolicOptions { reorder: ReorderMode::Static, ..Default::default() });
+    assert_eq!(verdicts, reference, "{family}: verdicts differ from a static order");
+    assert_eq!(stats.reorder_runs, 0, "{family}: the kept relations set off a reorder");
+    assert_eq!(
+        stats.reachable_relations_built,
+        u64::from(params.horizon()),
+        "{family}: one relation per round serves the batch"
+    );
+    collected_over_cache
+}
+
+#[test]
+fn the_cold_batch_builds_each_relation_once_without_reordering() {
+    // The instance the old "rooting is a trap" measurement was taken on:
+    // `AX AX decided[0]` starts with a collection over the relations
+    // `EF decided[0]` built.
+    let params = ModelParams::builder().agents(4).max_faulty(2).values(2).build();
+    assert!(
+        cold_batch_keeps_the_trap_shut("diff", DiffFloodSet, TextbookRule, params),
+        "no collection ran over a non-empty cache"
+    );
+}
+
+#[test]
+#[ignore = "release-sized: the six serve_cold models"]
+fn the_cold_batch_builds_each_relation_once_on_every_serve_cold_model() {
+    let crash = |n, t| ModelParams::builder().agents(n).max_faulty(t).values(2).build();
+    let send = |n, t| {
+        ModelParams::builder()
+            .agents(n)
+            .max_faulty(t)
+            .values(2)
+            .failure(FailureKind::SendOmission)
+            .build()
+    };
+    cold_batch_keeps_the_trap_shut("floodset", FloodSet, FloodSetRule, crash(8, 3));
+    cold_batch_keeps_the_trap_shut("count", CountFloodSet, TextbookRule, crash(5, 2));
+    cold_batch_keeps_the_trap_shut("diff", DiffFloodSet, TextbookRule, crash(4, 2));
+    cold_batch_keeps_the_trap_shut("dworkmoses", DworkMoses, DworkMosesRule, crash(3, 1));
+    cold_batch_keeps_the_trap_shut("emin", EMin, EMinRule, send(4, 2));
+    cold_batch_keeps_the_trap_shut("ebasic", EBasic, EBasicRule, send(4, 3));
 }
