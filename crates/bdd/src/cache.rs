@@ -119,7 +119,7 @@ impl<K: Copy + Eq + Hash> BoundedCache<K> {
     }
 
     /// Stores `key → value`, evicting whatever previously occupied the slot.
-    #[inline]
+    #[inline(always)] // on `Bdd::ite`'s miss path: see the comment there
     pub fn insert(&mut self, key: K, value: Ref) {
         let slot = self.slot_of(&key);
         match &mut self.slots[slot] {

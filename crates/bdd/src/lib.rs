@@ -14,11 +14,9 @@
 //!   a node is never complemented* (a constructor handed a complemented
 //!   then-edge builds the negated node and returns a complemented
 //!   reference). There is a single terminal, ⊤; `false` is the complemented
-//!   edge to it. The convention can be disabled per manager
-//!   ([`Bdd::with_settings`]) for differential testing against the classic
-//!   two-terminal representation, and
-//!   [`Bdd::check_canonical_invariant`] verifies the invariant over the
-//!   whole store.
+//!   edge to it. This is the only representation (the classic two-terminal
+//!   one is not offered), and [`Bdd::check_canonical_invariant`] verifies
+//!   the convention over the whole store.
 //! * **Cache-conscious node store.** Nodes live in a struct-of-arrays arena
 //!   (variables, low edges and high edges in three parallel `u32` arrays),
 //!   packing 16 child edges per 64-byte cache line on the hot traversal
@@ -43,7 +41,7 @@
 //!   `∃ vars . f ∧ g` without materialising the conjunction (early
 //!   quantification), which is what makes partitioned transition relations
 //!   pay off in the symbolic model checker.
-//! * **Dynamic variable reordering.** A variable's identity ([`Var`]) is
+//! * **Variable reordering on request.** A variable's identity ([`Var`]) is
 //!   distinct from its *level* (its position in the order, see
 //!   [`Bdd::level_of_var`]). [`Bdd::swap_adjacent_levels`] exchanges two
 //!   adjacent levels in place without invalidating any [`Ref`], and
@@ -51,9 +49,11 @@
 //!   blocks of variables (e.g. current/primed pairs) are registered with
 //!   [`Bdd::set_groups`], so the pairs a transition relation relies on stay
 //!   adjacent. `reorder` follows the same rooting contract as [`Bdd::gc`].
+//!   Nothing in the manager triggers it: the symbolic layer ships a static
+//!   order and sifts only when a caller asks.
 //! * **Static interleaved ordering.** [`interleaved_order`] and
-//!   [`interleaved_slot`] compute the agent-interleaved variable order used
-//!   by the symbolic layer as the starting point that sifting then refines.
+//!   [`interleaved_slot`] compute an agent-interleaved variable order;
+//!   [`Bdd::set_order`] installs a client's order up front.
 //! * **Cooperative cancellation.** A [`Budget`] installed with
 //!   [`Bdd::set_budget`] bounds a computation by wall-clock deadline,
 //!   live-node ceiling and operation fuel. The budget is polled on

@@ -185,13 +185,8 @@ pub struct BddStats {
     pub live_nodes: usize,
     /// Largest number of simultaneously live nodes ever observed.
     pub peak_live_nodes: usize,
-    /// Number of stored child edges currently carrying the complement bit
-    /// (with complement edges disabled, only edges to the `false` terminal
-    /// count — the classic two-terminal representation).
-    pub complemented_edges: usize,
     /// Negations answered in O(1) by flipping the complement bit, without
-    /// allocating or traversing anything. Zero when complement edges are
-    /// disabled.
+    /// allocating or traversing anything.
     pub o1_negations: u64,
     /// Number of [`Bdd::gc`] runs.
     pub gc_runs: u64,
@@ -299,11 +294,6 @@ pub struct Bdd {
     /// Variable groups moved as blocks by group sifting; see
     /// [`Bdd::set_groups`].
     pub(crate) groups: Vec<Vec<Var>>,
-    /// Whether complement edges are canonicalized into interior edges. When
-    /// `false` the manager behaves like the classic two-terminal engine:
-    /// the complement bit only ever appears on edges to the terminal (the
-    /// representation of `false`), and negation traverses.
-    pub(crate) complement_edges: bool,
     pub(crate) peak_live_nodes: usize,
     pub(crate) o1_negations: u64,
     pub(crate) gc_runs: u64,
@@ -329,25 +319,28 @@ impl Default for Bdd {
 
 impl Bdd {
     /// Creates an empty manager containing only the terminal node, with
-    /// the default cache capacity and complement edges enabled.
+    /// the default cache capacity.
     pub fn new() -> Self {
         Self::with_cache_capacity(DEFAULT_CACHE_CAPACITY)
     }
 
-    /// Creates an empty manager whose `ite` cache holds at most `capacity`
-    /// entries (rounded up to a power of two); the `exists`, `replace` and
-    /// `and_exists` caches hold a quarter of that each. Complement edges
-    /// are enabled.
-    pub fn with_cache_capacity(capacity: usize) -> Self {
-        Self::with_settings(capacity, true)
+    /// [`Bdd::with_cache_capacity`], spelled with the complement-edge flag
+    /// the manager once took. Complement edges are the only representation,
+    /// so the flag must be `true`; the signature stays for existing callers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `complement` is `false`: the two-terminal representation
+    /// was removed.
+    pub fn with_settings(capacity: usize, complement: bool) -> Self {
+        assert!(complement, "the two-terminal representation (complement edges off) was removed");
+        Self::with_cache_capacity(capacity)
     }
 
-    /// Creates an empty manager with an explicit cache capacity and an
-    /// explicit complement-edge mode. Disabling complement edges restricts
-    /// the complement bit to terminal edges (the classic two-terminal
-    /// representation), turning [`Bdd::not`] back into a traversal — useful
-    /// for differential testing and ablation benchmarks.
-    pub fn with_settings(capacity: usize, complement_edges: bool) -> Self {
+    /// Creates an empty manager whose `ite` cache holds at most `capacity`
+    /// entries (rounded up to a power of two); the `exists`, `replace` and
+    /// `and_exists` caches hold a quarter of that each.
+    pub fn with_cache_capacity(capacity: usize) -> Self {
         let secondary = (capacity / 4).max(2);
         Bdd {
             store: NodeStore::new(),
@@ -360,7 +353,6 @@ impl Bdd {
             level_of: Vec::new(),
             var_at: Vec::new(),
             groups: Vec::new(),
-            complement_edges,
             peak_live_nodes: 1,
             o1_negations: 0,
             gc_runs: 0,
@@ -405,7 +397,7 @@ impl Bdd {
     /// Charges one budgeted operation (called on every op-cache miss).
     /// Checks the fuel limit immediately and runs the full deadline/node
     /// poll every 1024 charges, keeping the hot path at a counter bump.
-    #[inline]
+    #[inline(always)] // on `ite`'s miss path: see the comment there
     pub(crate) fn charge_op(&mut self) {
         let Some(budget) = self.budget else { return };
         self.budget_ops += 1;
@@ -450,12 +442,6 @@ impl Bdd {
             ops: self.budget_ops,
             live_nodes: self.store.live(),
         })
-    }
-
-    /// Whether this manager canonicalizes complement edges into interior
-    /// edges (see [`Bdd::with_settings`]).
-    pub fn complement_edges_enabled(&self) -> bool {
-        self.complement_edges
     }
 
     /// Makes sure `var` (and every variable of smaller index) has a level.
@@ -568,7 +554,7 @@ impl Bdd {
 
     /// The level of the variable tested by node `r` (`u32::MAX` for the
     /// terminals, which sit below every variable).
-    #[inline]
+    #[inline(always)] // on `ite`'s miss path: see the comment there
     pub(crate) fn node_level(&self, r: Ref) -> u32 {
         let var = self.store.var(r.index());
         if var.0 == u32::MAX {
@@ -636,18 +622,6 @@ impl Bdd {
         self.store.high(r.index()).through(r)
     }
 
-    /// Whether a stored `(low, high)` pair satisfies the canonical-form
-    /// rules of this manager: with complement edges, the high edge must be
-    /// regular; without, no interior edge may carry the bit at all.
-    pub(crate) fn edges_are_canonical(&self, low: Ref, high: Ref) -> bool {
-        if self.complement_edges {
-            !high.is_complement()
-        } else {
-            (low.is_terminal() || !low.is_complement())
-                && (high.is_terminal() || !high.is_complement())
-        }
-    }
-
     /// Creates (or finds) the node `ITE(var, high, low)`, applying the
     /// standard reduction rules and the complement-edge canonicalization:
     /// a complemented high edge is never stored — the node is built with
@@ -667,15 +641,8 @@ impl Bdd {
             self.node_level(low),
             self.node_level(high),
         );
-        let (low, high, negate) = if self.complement_edges && high.is_complement() {
-            (low.negate(), high.negate(), true)
-        } else {
-            (low, high, false)
-        };
-        debug_assert!(
-            self.edges_are_canonical(low, high),
-            "mk would store a non-canonical node: {low:?} / {high:?}"
-        );
+        let negate = high.is_complement();
+        let (low, high) = if negate { (low.negate(), high.negate()) } else { (low, high) };
         let node = Node { var, low, high };
         // `get` then `insert`, not `entry`: the entry API measured about
         // 20 % slower here (global_check, alternating pairs).
@@ -695,8 +662,8 @@ impl Bdd {
 
     /// Checks the whole-store canonicity invariant: every occupied slot
     /// stores a non-redundant node whose children sit strictly below it in
-    /// the level order and whose edges satisfy the complement convention
-    /// (`Bdd::edges_are_canonical`), and the unique table maps each
+    /// the level order and whose high edge is regular (the complement
+    /// convention), and the unique table maps each
     /// stored triple back to its slot. Returns a description of the first
     /// violation. O(n); meant for tests and `debug_assert!`s.
     pub fn check_canonical_invariant(&self) -> Result<(), String> {
@@ -708,7 +675,7 @@ impl Bdd {
             if node.low == node.high {
                 return Err(format!("slot {slot} is redundant: both children are {:?}", node.low));
             }
-            if !self.edges_are_canonical(node.low, node.high) {
+            if node.high.is_complement() {
                 return Err(format!(
                     "slot {slot} violates the complement convention: low {:?}, high {:?}",
                     node.low, node.high
@@ -769,10 +736,9 @@ impl Bdd {
     /// All binary boolean operations are implemented in terms of this
     /// operation, which is memoised (a dedicated two-operand `and`/`or`
     /// recursion was tried and gained only about 3 % on global_check).
-    /// With complement edges the call is
-    /// normalised before the cache is consulted (first operand regular,
-    /// then-operand regular), so `ite(f, g, h)` and `¬ite(¬f, ¬h, ¬g)`
-    /// share one cache entry.
+    /// The call is normalised before the cache is consulted (first operand
+    /// regular, then-operand regular), so `ite(f, g, h)` and
+    /// `¬ite(¬f, ¬h, ¬g)` share one cache entry.
     pub fn ite(&mut self, f: Ref, g: Ref, h: Ref) -> Ref {
         // Terminal cases.
         if f == Ref::TRUE {
@@ -787,46 +753,48 @@ impl Bdd {
         let mut f = f;
         let mut g = g;
         let mut h = h;
-        if self.complement_edges {
-            // Operand identities that only make sense when equality of a
-            // reference and a *negated* reference is meaningful.
-            if g == f {
-                g = Ref::TRUE;
-            } else if g == f.negate() {
-                g = Ref::FALSE;
-            }
-            if h == f {
-                h = Ref::FALSE;
-            } else if h == f.negate() {
-                h = Ref::TRUE;
-            }
-            if g == h {
-                return g;
-            }
+        // Operand identities: an operand equal to the condition or to its
+        // negation is a constant on each branch.
+        if g == f {
+            g = Ref::TRUE;
+        } else if g == f.negate() {
+            g = Ref::FALSE;
+        }
+        if h == f {
+            h = Ref::FALSE;
+        } else if h == f.negate() {
+            h = Ref::TRUE;
+        }
+        if g == h {
+            return g;
         }
         if g == Ref::TRUE && h == Ref::FALSE {
             return f;
         }
-        if self.complement_edges && g == Ref::FALSE && h == Ref::TRUE {
+        if g == Ref::FALSE && h == Ref::TRUE {
             return f.negate();
         }
-        let mut negate = false;
-        if self.complement_edges {
-            // Canonicalize the cache key: condition regular, then-branch
-            // regular (the complement is pulled out of the result).
-            if f.is_complement() {
-                f = f.negate();
-                std::mem::swap(&mut g, &mut h);
-            }
-            if g.is_complement() {
-                negate = true;
-                g = g.negate();
-                h = h.negate();
-            }
+        // Canonicalize the cache key: condition regular, then-branch
+        // regular (the complement is pulled out of the result).
+        if f.is_complement() {
+            f = f.negate();
+            std::mem::swap(&mut g, &mut h);
+        }
+        let negate = g.is_complement();
+        if negate {
+            g = g.negate();
+            h = h.negate();
         }
         if let Some(cached) = self.ite_cache.get(&(f, g, h)) {
             return if negate { cached.negate() } else { cached };
         }
+        // The miss path sits behind a chain of early returns that LLVM's
+        // static branch weights rate as cold, and at a cold call site it
+        // inlines almost nothing: `charge_op`, `node_level`, `cofactors`
+        // and the cache insert would stay calls on the kernel's hottest
+        // recursion (5–8 % of the reference benchmark's `global_check` and
+        // `local_lazy` pass wall, 2-core AMD EPYC), so they are
+        // `#[inline(always)]`.
         self.charge_op();
         // The top variable is the one at the root-most *level* among the
         // three operands (`f` is never terminal here, so the minimum is a
@@ -847,6 +815,7 @@ impl Bdd {
         }
     }
 
+    #[inline(always)] // on `ite`'s miss path: see the comment there
     pub(crate) fn cofactors(&self, r: Ref, var: Var) -> (Ref, Ref) {
         if r.is_terminal() || self.node_var(r) != var {
             (r, r)
@@ -856,14 +825,10 @@ impl Bdd {
     }
 
     /// Logical negation: an O(1) complement-bit flip that allocates no
-    /// nodes. With complement edges disabled it traverses instead (the
-    /// classic two-terminal behaviour).
+    /// nodes.
     pub fn not(&mut self, f: Ref) -> Ref {
-        if self.complement_edges {
-            self.o1_negations += 1;
-            return f.negate();
-        }
-        self.ite(f, Ref::FALSE, Ref::TRUE)
+        self.o1_negations += 1;
+        f.negate()
     }
 
     /// Logical conjunction.
@@ -939,8 +904,9 @@ impl Bdd {
         self.store.live()
     }
 
-    /// Manager-wide statistics. See [`BddStats`] for which counters are
-    /// lifetime-cumulative and which are per-epoch.
+    /// Manager-wide statistics, in O(1): every field is a maintained
+    /// counter, none scans the store. See [`BddStats`] for which counters
+    /// are lifetime-cumulative and which are per-epoch.
     pub fn stats(&self) -> BddStats {
         let caches = [
             &self.ite_cache.counters,
@@ -948,19 +914,10 @@ impl Bdd {
             &self.replace_cache.counters,
             &self.and_exists_cache.counters,
         ];
-        let mut complemented_edges = 0;
-        for slot in 1..self.store.len() {
-            if self.store.is_free(slot) {
-                continue;
-            }
-            complemented_edges += usize::from(self.store.low(slot).is_complement())
-                + usize::from(self.store.high(slot).is_complement());
-        }
         BddStats {
             allocated_nodes: self.store.live() + self.swept_nodes as usize,
             live_nodes: self.store.live(),
             peak_live_nodes: self.peak_live_nodes,
-            complemented_edges,
             o1_negations: self.o1_negations,
             gc_runs: self.gc_runs,
             swept_nodes: self.swept_nodes,
@@ -1408,23 +1365,5 @@ mod tests {
         assert!(plain.snapshot(&plain_roots) == tiered.snapshot(&tiered_roots));
         plain.check_canonical_invariant().unwrap();
         tiered.check_canonical_invariant().unwrap();
-    }
-
-    #[test]
-    fn disabling_complement_edges_restricts_the_bit_to_terminal_edges() {
-        let mut bdd = Bdd::with_settings(64, false);
-        assert!(!bdd.complement_edges_enabled());
-        let x = bdd.var(Var::new(0));
-        let y = bdd.var(Var::new(1));
-        let f = bdd.xor(x, y);
-        let live = bdd.live_nodes();
-        let nf = bdd.not(f);
-        assert!(bdd.live_nodes() > live, "classic negation allocates fresh nodes");
-        assert_eq!(bdd.stats().o1_negations, 0);
-        assert_eq!(bdd.not(nf), f);
-        bdd.check_canonical_invariant().unwrap();
-        // The off-mode invariant: no interior edge carries the bit.
-        let stats = bdd.stats();
-        assert!(stats.complemented_edges > 0, "false-terminal edges still count");
     }
 }

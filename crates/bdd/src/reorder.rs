@@ -182,10 +182,7 @@ impl Bdd {
             debug_assert_ne!(h0, h1, "swap produced a redundant node");
             self.unique.remove(&node);
             let rewritten = Node { var: y, low: h0, high: h1 };
-            debug_assert!(
-                self.edges_are_canonical(rewritten.low, rewritten.high),
-                "swap produced a non-canonical node"
-            );
+            debug_assert!(!rewritten.high.is_complement(), "swap produced a non-canonical node");
             self.store.set(slot, rewritten);
             let previous = self.unique.insert(rewritten, Ref::from_index(slot));
             debug_assert!(previous.is_none(), "swap produced a duplicate node");
@@ -486,10 +483,7 @@ impl Bdd {
             // f11 is regular (the stored then-edge is never complemented),
             // so h1 is regular and the rewrite stays canonical.
             let rewritten = Node { var: y, low: h0, high: h1 };
-            debug_assert!(
-                self.edges_are_canonical(rewritten.low, rewritten.high),
-                "swap produced a non-canonical node"
-            );
+            debug_assert!(!rewritten.high.is_complement(), "swap produced a non-canonical node");
             self.store.set(index, rewritten);
             let previous = self.unique.insert(rewritten, Ref::from_index(index));
             debug_assert!(previous.is_none(), "swap produced a duplicate node");
@@ -534,7 +528,7 @@ impl Bdd {
         // the negated node. Reference counts are per-slot (the complement
         // bit is stripped by `Ref::index`), so the ownership protocol is
         // untouched by the negations.
-        if self.complement_edges && high.is_complement() {
+        if high.is_complement() {
             let negated = self.reorder_mk(ctx, created, var, low.negate(), high.negate());
             return negated.negate();
         }
@@ -542,7 +536,6 @@ impl Bdd {
             self.node_level(low) > self.level(var) && self.node_level(high) > self.level(var),
             "reorder_mk would violate the level invariant"
         );
-        debug_assert!(self.edges_are_canonical(low, high));
         let node = Node { var, low, high };
         if let Some(&existing) = self.unique.get(&node) {
             // The existing node already owns references to the children.

@@ -3,8 +3,8 @@
 //! A snapshot captures everything needed to resurrect a manager in another
 //! process: the struct-of-arrays node store (variables, low/high edges with
 //! their complement bits, and the free-list), the learned level ↔ variable
-//! order, the sifting groups, the complement-edge mode, the cache capacity,
-//! and the lifetime statistics counters. The caller additionally passes the
+//! order, the sifting groups, the cache capacity, and the lifetime
+//! statistics counters. The caller additionally passes the
 //! external [`Ref`]s it wants to survive; [`Bdd::restore`] hands them back
 //! in the same order, valid against the restored manager.
 //!
@@ -13,7 +13,8 @@
 //!
 //! ```text
 //! magic   b"EPMC"                     version u32 (currently 1)
-//! flags   u8 (bit 0: complement edges)
+//! flags   u8 (bit 0: complement edges; always set — a stream with the
+//!         bit clear is a two-terminal manager and is rejected)
 //! cache capacity u64
 //! store:  len u64, vars len×u32, lows len×u32, highs len×u32,
 //!         free-list u64 + u32s        (u32::MAX tombstone sentinel kept)
@@ -54,6 +55,9 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 
 /// Magic bytes opening every snapshot.
 const MAGIC: [u8; 4] = *b"EPMC";
+
+/// The flag byte every snapshot carries: bit 0, complement edges.
+const FLAG_COMPLEMENT_EDGES: u8 = 1;
 
 /// Sentinel variable index marking the terminal slot and tombstones, as
 /// stored by the node arena. Part of the format.
@@ -187,7 +191,7 @@ impl Bdd {
         let mut out = Vec::with_capacity(64 + vars.len() * 12);
         out.extend_from_slice(&MAGIC);
         put_u32(&mut out, SNAPSHOT_VERSION);
-        out.push(u8::from(self.complement_edges));
+        out.push(FLAG_COMPLEMENT_EDGES);
         put_u64(&mut out, self.ite_cache.capacity() as u64);
         put_u64(&mut out, vars.len() as u64);
         for &var in vars {
@@ -265,11 +269,16 @@ impl Bdd {
                 "unsupported snapshot version {version} (this build reads {SNAPSHOT_VERSION})"
             )));
         }
-        let flags = reader.u8()?;
-        if flags > 1 {
-            return Err(SnapshotError::new(format!("unknown flag bits {flags:#x}")));
+        match reader.u8()? {
+            FLAG_COMPLEMENT_EDGES => {}
+            0 => {
+                return Err(SnapshotError::new(
+                    "two-terminal snapshot (complement edges off): that representation was \
+                     removed, and this build reads complement-edge managers only",
+                ))
+            }
+            flags => return Err(SnapshotError::new(format!("unknown flag bits {flags:#x}"))),
         }
-        let complement_edges = flags & 1 != 0;
         let capacity = reader.u64()?;
         if capacity == 0 || capacity > MAX_CACHE_CAPACITY {
             return Err(SnapshotError::new(format!("implausible cache capacity {capacity}")));
@@ -319,7 +328,7 @@ impl Bdd {
         let num_levels = reader.count(8, "level")?;
         let level_of = reader.u32_vec(num_levels)?;
         let var_at = reader.u32_vec(num_levels)?;
-        let mut bdd = Bdd::with_settings(capacity as usize, complement_edges);
+        let mut bdd = Bdd::with_cache_capacity(capacity as usize);
         let order: Vec<Var> = var_at.iter().map(|&index| Var::new(index)).collect();
         bdd.try_set_order(order).map_err(|message| {
             SnapshotError::new(format!("invalid serialized variable order: {message}"))

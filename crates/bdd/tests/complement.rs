@@ -1,8 +1,7 @@
 //! Complement-edge oracle tests: every memoised operation must agree with a
 //! truth-table oracle while negations fly around freely, the canonicity
 //! invariant (stored then-edges are never complemented) must hold at every
-//! point — including mid-stream garbage collections and reorders — and the
-//! complement-edges-off manager must compute identical functions.
+//! point — including mid-stream garbage collections and reorders.
 
 use epimc_bdd::{Bdd, Ref, ReorderPolicy, Var};
 use rand::rngs::StdRng;
@@ -266,44 +265,41 @@ fn canonicity_invariant_holds_through_random_op_gc_reorder_streams() {
     // The seeded property test behind `check_canonical_invariant`: no
     // reachable stored edge may violate the complement convention at any
     // point of a long random stream of operations, collections, swaps and
-    // reorders — in both manager configurations.
+    // reorders.
     let mut rng = StdRng::seed_from_u64(0x5EA4_0014);
-    for &complement in &[true, false] {
-        let mut bdd = Bdd::with_settings(256, complement);
-        let mut roots: Vec<Ref> = Vec::new();
-        for step in 0..200 {
-            match rng.gen_range(0..10u32) {
-                0..=5 => {
-                    let f = random_function(&mut bdd, &mut rng, 3);
-                    roots.push(f);
-                }
-                6 => {
-                    if let Some(&f) = roots.last() {
-                        let nf = bdd.not(f);
-                        roots.push(nf);
-                    }
-                }
-                7 => {
-                    if roots.len() >= 2 {
-                        let a = roots[rng.gen_range(0..roots.len())];
-                        let b = roots[rng.gen_range(0..roots.len())];
-                        let cube = bdd.cube_of_vars([Var::new(rng.gen_range(0..NUM_VARS))]);
-                        let fused = bdd.and_exists(a, b, cube);
-                        roots.push(fused);
-                    }
-                }
-                8 => {
-                    roots.truncate(roots.len() / 2);
-                    bdd.gc(roots.iter_mut());
-                }
-                _ => {
-                    bdd.reorder(ReorderPolicy::Sift, roots.iter_mut());
+    let mut bdd = Bdd::with_cache_capacity(256);
+    let mut roots: Vec<Ref> = Vec::new();
+    for step in 0..200 {
+        match rng.gen_range(0..10u32) {
+            0..=5 => {
+                let f = random_function(&mut bdd, &mut rng, 3);
+                roots.push(f);
+            }
+            6 => {
+                if let Some(&f) = roots.last() {
+                    let nf = bdd.not(f);
+                    roots.push(nf);
                 }
             }
-            bdd.check_canonical_invariant().unwrap_or_else(|violation| {
-                panic!("complement={complement} step {step}: {violation}")
-            });
+            7 => {
+                if roots.len() >= 2 {
+                    let a = roots[rng.gen_range(0..roots.len())];
+                    let b = roots[rng.gen_range(0..roots.len())];
+                    let cube = bdd.cube_of_vars([Var::new(rng.gen_range(0..NUM_VARS))]);
+                    let fused = bdd.and_exists(a, b, cube);
+                    roots.push(fused);
+                }
+            }
+            8 => {
+                roots.truncate(roots.len() / 2);
+                bdd.gc(roots.iter_mut());
+            }
+            _ => {
+                bdd.reorder(ReorderPolicy::Sift, roots.iter_mut());
+            }
         }
+        bdd.check_canonical_invariant()
+            .unwrap_or_else(|violation| panic!("step {step}: {violation}"));
     }
 }
 
@@ -368,64 +364,4 @@ fn op_caches_never_confuse_a_function_with_its_negation() {
             "round {round}: and_exists(¬f) must not reuse the and_exists(f) entry"
         );
     }
-}
-
-#[test]
-fn complement_on_and_off_managers_compute_identical_functions() {
-    // The same operation stream in both configurations: every truth table,
-    // satisfiability count and prime cover must coincide; node counts need
-    // not (that is the point of complement edges).
-    for seed in [0x5EA4_0017u64, 0x5EA4_0018, 0x5EA4_0019] {
-        let mut rng_on = StdRng::seed_from_u64(seed);
-        let mut rng_off = StdRng::seed_from_u64(seed);
-        let mut on = Bdd::with_settings(1024, true);
-        let mut off = Bdd::with_settings(1024, false);
-        assert!(on.complement_edges_enabled());
-        assert!(!off.complement_edges_enabled());
-        for round in 0..40 {
-            let f_on = random_function(&mut on, &mut rng_on, 4);
-            let f_off = random_function(&mut off, &mut rng_off, 4);
-            assert_eq!(
-                truth_table(&on, f_on),
-                truth_table(&off, f_off),
-                "seed {seed:#x} round {round}"
-            );
-            assert_eq!(
-                on.sat_count(f_on, NUM_VARS),
-                off.sat_count(f_off, NUM_VARS),
-                "seed {seed:#x} round {round}"
-            );
-            let mut cover_on = on.prime_cover(f_on);
-            let mut cover_off = off.prime_cover(f_off);
-            cover_on.sort();
-            cover_off.sort();
-            assert_eq!(cover_on, cover_off, "seed {seed:#x} round {round}");
-        }
-        on.check_canonical_invariant().expect("complement-on canonicity");
-        off.check_canonical_invariant().expect("complement-off canonicity");
-        // The off manager counts no O(1) negations, the on manager plenty.
-        assert_eq!(off.stats().o1_negations, 0);
-        assert!(on.stats().o1_negations > 0);
-    }
-}
-
-#[test]
-fn complemented_edge_counts_are_reported() {
-    let mut bdd = Bdd::new();
-    let x = bdd.var(Var::new(0));
-    let y = bdd.var(Var::new(1));
-    let neither = {
-        let nx = bdd.not(x);
-        let ny = bdd.not(y);
-        bdd.and(nx, ny)
-    };
-    let stats = bdd.stats();
-    assert!(
-        stats.complemented_edges > 0,
-        "¬x ∧ ¬y must store at least one complemented edge, got {stats:?}"
-    );
-    // ¬(x ∨ y) and ¬x ∧ ¬y are the same function, so sharing is total.
-    let or = bdd.or(x, y);
-    let nor = bdd.not(or);
-    assert_eq!(nor, neither);
 }

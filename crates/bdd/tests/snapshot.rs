@@ -137,18 +137,47 @@ fn single_byte_corruptions_are_rejected_without_panicking() {
     Bdd::restore(&bytes).expect("pristine stream restores");
 }
 
+/// FNV-1a 64-bit, the snapshot trailer checksum, so a test can re-seal a
+/// stream it edited on purpose.
+fn reseal(bytes: &mut [u8]) {
+    let (payload, trailer) = bytes.split_at_mut(bytes.len() - 8);
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &byte in payload.iter() {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x100_0000_01b3);
+    }
+    trailer.copy_from_slice(&hash.to_le_bytes());
+}
+
 #[test]
 fn complement_edge_mode_is_preserved() {
-    for complement_edges in [false, true] {
-        let mut bdd = Bdd::with_settings(1 << 10, complement_edges);
-        let x = bdd.var(Var::new(0));
-        let y = bdd.var(Var::new(1));
-        let and = bdd.and(x, y);
-        let nand = bdd.not(and);
-        let bytes = bdd.snapshot(&[nand]);
-        let (restored, roots) = Bdd::restore(&bytes).expect("round trip");
-        assert_eq!(restored.complement_edges_enabled(), complement_edges);
-        assert!(!restored.eval_bits(roots[0], &[true, true]));
-        assert!(restored.eval_bits(roots[0], &[true, false]));
-    }
+    let mut bdd = Bdd::with_cache_capacity(1 << 10);
+    let x = bdd.var(Var::new(0));
+    let y = bdd.var(Var::new(1));
+    let and = bdd.and(x, y);
+    let nand = bdd.not(and);
+    let mut bytes = bdd.snapshot(&[nand]);
+    // The flag byte follows the magic and the version; bit 0 is set.
+    assert_eq!(bytes[8], 1, "every snapshot is a complement-edge manager");
+    let (mut restored, roots) = Bdd::restore(&bytes).expect("round trip");
+    assert!(!restored.eval_bits(roots[0], &[true, true]));
+    assert!(restored.eval_bits(roots[0], &[true, false]));
+    // The restored manager negates by flipping the bit: no allocation.
+    let live = restored.live_nodes();
+    let and_again = restored.not(roots[0]);
+    assert_eq!(restored.live_nodes(), live);
+    assert!(restored.eval_bits(and_again, &[true, true]));
+
+    // A well-formed stream whose flag byte says two-terminal is refused by
+    // name, not restored into another representation.
+    bytes[8] = 0;
+    reseal(&mut bytes);
+    let error = Bdd::restore(&bytes).expect_err("two-terminal stream accepted");
+    assert!(error.message().contains("two-terminal"), "{error}");
+}
+
+#[test]
+#[should_panic(expected = "two-terminal representation")]
+fn with_settings_rejects_the_two_terminal_mode() {
+    let _ = Bdd::with_settings(1 << 10, false);
 }

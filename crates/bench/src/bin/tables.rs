@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! cargo run --release -p epimc-bench --bin tables -- \
-//!     [table1|table2|table3|scaling|ablation|explore|symbolic|synthesis|reorder|frontend|local|serve|all]
+//!     [table1|table2|table3|scaling|ablation|explore|symbolic|synthesis|frontend|local|serve|all]
 //!     [--timeout <seconds>] [--full] [--smoke] [--budget <file>] [--json]
 //! ```
 //!
@@ -25,12 +25,6 @@
 //! FloodSet instance the explicit engine cannot finish within the timeout.
 //! `--smoke` and `--budget <file>` work as for `symbolic` (CI runs them
 //! against `crates/bench/synthesis_budget.txt`).
-//!
-//! `reorder` prints the reordering ablation: the same instances profiled
-//! under the static interleaved order, a single post-build group-sifting
-//! pass, and the automatic live-node-growth trigger, with the peak-live-node
-//! delta per instance. `--smoke` and `--budget <file>` work as for
-//! `symbolic` (CI runs them against `crates/bench/reorder_budget.txt`).
 //!
 //! `frontend` prints the model-construction table: the relational
 //! front-end (forward image over the round relation) building the layered
@@ -63,10 +57,9 @@
 //! relational images, warm wall ≤ 10% of cold).
 //!
 //! `--json` additionally writes the measured `symbolic`, `synthesis`,
-//! `reorder`, `frontend`, `local` and `serve` grids as machine-readable
-//! snapshots (`BENCH_symbolic.json`, `BENCH_synthesis.json`,
-//! `BENCH_reorder.json`, `BENCH_frontend.json`, `BENCH_local.json`,
-//! `BENCH_serve.json`, always placed at the
+//! `frontend`, `local` and `serve` grids as machine-readable snapshots
+//! (`BENCH_symbolic.json`, `BENCH_synthesis.json`, `BENCH_frontend.json`,
+//! `BENCH_local.json`, `BENCH_serve.json`, always placed at the
 //! workspace root regardless of the invocation directory), so the perf
 //! trajectory can be tracked across PRs.
 //!
@@ -82,13 +75,12 @@
 use std::time::Duration;
 
 use epimc_bench::{
-    ablation_table, check_frontend_budget, check_local_budget, check_reorder_budget,
-    check_serve_budget, check_symbolic_budget, check_synthesis_budget, explore_table,
-    frontend_rows, frontend_rows_json, local_disagreements, local_rows, local_rows_json,
-    render_frontend_table, render_local_table, render_reorder_table, render_serve_table,
-    render_symbolic_table, render_synthesis_table, reorder_rows, reorder_rows_json, scaling_table,
-    serve_rows, serve_rows_json, snapshot_path, symbolic_rows, symbolic_rows_json, synthesis_rows,
-    synthesis_rows_json, table1, table2, table3, DEFAULT_TIMEOUT,
+    ablation_table, check_frontend_budget, check_local_budget, check_serve_budget,
+    check_symbolic_budget, check_synthesis_budget, explore_table, frontend_rows,
+    frontend_rows_json, local_disagreements, local_rows, local_rows_json, render_frontend_table,
+    render_local_table, render_serve_table, render_symbolic_table, render_synthesis_table,
+    scaling_table, serve_rows, serve_rows_json, snapshot_path, symbolic_rows, symbolic_rows_json,
+    synthesis_rows, synthesis_rows_json, table1, table2, table3, DEFAULT_TIMEOUT,
 };
 
 /// The grid label recorded in the JSON snapshots.
@@ -110,7 +102,7 @@ fn write_snapshot(file_name: &str, contents: &str) {
 }
 
 /// Every selection the binary knows.
-const TABLES: [&str; 13] = [
+const TABLES: [&str; 12] = [
     "table1",
     "table2",
     "table3",
@@ -119,7 +111,6 @@ const TABLES: [&str; 13] = [
     "explore",
     "symbolic",
     "synthesis",
-    "reorder",
     "frontend",
     "local",
     "serve",
@@ -127,7 +118,7 @@ const TABLES: [&str; 13] = [
 ];
 
 /// The selections `--budget` gates (each against its own budget file).
-const BUDGETED: [&str; 6] = ["symbolic", "synthesis", "reorder", "frontend", "local", "serve"];
+const BUDGETED: [&str; 5] = ["symbolic", "synthesis", "frontend", "local", "serve"];
 
 fn usage_error(message: &str) -> ! {
     eprintln!("tables: {message}");
@@ -217,19 +208,6 @@ fn main() {
                     check_budget_or_exit(check_symbolic_budget(&rows, budget));
                 }
             }
-            "reorder" => {
-                let rows = reorder_rows(full, smoke);
-                print!("{}", render_reorder_table(&rows));
-                if json {
-                    write_snapshot(
-                        "BENCH_reorder.json",
-                        &reorder_rows_json(&rows, grid_label(full, smoke)),
-                    );
-                }
-                if let Some(budget) = &budget {
-                    check_budget_or_exit(check_reorder_budget(&rows, budget));
-                }
-            }
             "synthesis" => {
                 let rows = synthesis_rows(full, smoke, timeout);
                 print!("{}", render_synthesis_table(&rows));
@@ -311,9 +289,6 @@ fn main() {
                 let synthesis = synthesis_rows(full, smoke, timeout);
                 print!("{}", render_synthesis_table(&synthesis));
                 println!();
-                let reorder = reorder_rows(full, smoke);
-                print!("{}", render_reorder_table(&reorder));
-                println!();
                 let frontend = frontend_rows(full, smoke);
                 print!("{}", render_frontend_table(&frontend));
                 println!();
@@ -334,7 +309,6 @@ fn main() {
                     let grid = grid_label(full, smoke);
                     write_snapshot("BENCH_symbolic.json", &symbolic_rows_json(&symbolic, grid));
                     write_snapshot("BENCH_synthesis.json", &synthesis_rows_json(&synthesis, grid));
-                    write_snapshot("BENCH_reorder.json", &reorder_rows_json(&reorder, grid));
                     write_snapshot("BENCH_frontend.json", &frontend_rows_json(&frontend, grid));
                     write_snapshot("BENCH_local.json", &local_rows_json(&local, grid));
                     write_snapshot("BENCH_serve.json", &serve_rows_json(&serve, grid));

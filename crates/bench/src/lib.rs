@@ -576,169 +576,6 @@ pub fn render_synthesis_table(rows: &[SynthesisRow]) -> String {
     out
 }
 
-/// One row of the reorder ablation: the same instance profiled under the
-/// three reordering policies of the symbolic engine.
-pub struct ReorderRow {
-    /// Stable identifier, e.g. `floodset-n5-t2` (the key used by the
-    /// node-budget file, which gates the `auto` configuration).
-    pub id: String,
-    /// Profile under the static interleaved order.
-    pub static_order: SymbolicProfile,
-    /// Profile with one group-sifting pass right after the build.
-    pub sift_once: SymbolicProfile,
-    /// Profile with the automatic live-node-growth trigger.
-    pub auto: SymbolicProfile,
-    /// Profile with the automatic trigger but complement edges disabled
-    /// (the classic two-terminal representation) — the complement-edge
-    /// ablation, isolating the representation win from the ordering win.
-    pub no_complement: SymbolicProfile,
-}
-
-impl ReorderRow {
-    /// The smaller peak of the two reordering configurations.
-    pub fn best_reordered_peak(&self) -> usize {
-        self.sift_once.stats.peak_live_nodes.min(self.auto.stats.peak_live_nodes)
-    }
-
-    /// Peak-live-node reduction of the best reordering configuration over
-    /// the static order, in `[0, 1]` (negative if reordering lost).
-    pub fn reduction(&self) -> f64 {
-        let baseline = self.static_order.stats.peak_live_nodes;
-        if baseline == 0 {
-            0.0
-        } else {
-            1.0 - self.best_reordered_peak() as f64 / baseline as f64
-        }
-    }
-
-    /// Peak-live-node reduction of complement edges over the two-terminal
-    /// representation at identical settings (the `auto` configuration), in
-    /// `[0, 1]` (negative if complement edges lost).
-    pub fn complement_reduction(&self) -> f64 {
-        let baseline = self.no_complement.stats.peak_live_nodes;
-        if baseline == 0 {
-            0.0
-        } else {
-            1.0 - self.auto.stats.peak_live_nodes as f64 / baseline as f64
-        }
-    }
-}
-
-/// The shared options of the reorder ablation: a moderate GC threshold in
-/// every configuration, so `peak_live_nodes` tracks genuinely live diagrams
-/// rather than uncollected garbage, making the three policies comparable.
-fn reorder_ablation_options(reorder: ReorderMode) -> SymbolicOptions {
-    SymbolicOptions { gc_threshold: 1 << 14, reorder, ..Default::default() }
-}
-
-/// The auto trigger of the ablation, scaled to the ablation's instance
-/// sizes (the production default of `SymbolicOptions` targets much larger
-/// runs).
-const REORDER_ABLATION_AUTO_THRESHOLD: usize = 1 << 12;
-
-/// The reorder ablation grid, as data: the six protocol families. `smoke`
-/// restricts it to the single CI instance.
-pub fn reorder_grid(full: bool, smoke: bool) -> Vec<Experiment> {
-    use {FailureKind::SendOmission, ProtocolKind::*};
-    if smoke {
-        return vec![Experiment::crash(FloodSet, 4, 1)];
-    }
-    let mut grid = vec![
-        Experiment::crash(FloodSet, 5, 2),
-        Experiment::crash(CountFloodSet, 4, 1),
-        Experiment::crash(DiffFloodSet, 3, 1),
-        Experiment::crash(DworkMoses, 2, 1),
-        Experiment::new(EMin, 3, 1, SendOmission),
-        Experiment::new(EBasic, 2, 1, SendOmission),
-    ];
-    if full {
-        grid.extend([Experiment::crash(FloodSet, 6, 2), Experiment::crash(DworkMoses, 3, 1)]);
-    }
-    grid
-}
-
-/// Measures the reorder ablation grid ([`reorder_grid`]): static order
-/// versus sift-once versus auto-reorder, plus the auto configuration with
-/// complement edges disabled.
-pub fn reorder_rows(full: bool, smoke: bool) -> Vec<ReorderRow> {
-    let auto =
-        reorder_ablation_options(ReorderMode::Auto { threshold: REORDER_ABLATION_AUTO_THRESHOLD });
-    let measure = |experiment: &Experiment| {
-        let profile = |options| experiment.symbolic_profile(options, profiles_temporal(experiment));
-        ReorderRow {
-            id: experiment.id(),
-            static_order: profile(reorder_ablation_options(ReorderMode::Static)),
-            sift_once: profile(reorder_ablation_options(ReorderMode::SiftOnce)),
-            auto: profile(auto),
-            no_complement: profile(SymbolicOptions { complement_edges: false, ..auto }),
-        }
-    };
-    reorder_grid(full, smoke).iter().map(measure).collect()
-}
-
-/// Renders the reorder ablation rows as a table.
-pub fn render_reorder_table(rows: &[ReorderRow]) -> String {
-    let cells: Vec<Cell> = rows
-        .iter()
-        .map(|row| {
-            let static_stats = &row.static_order.stats;
-            let sift_stats = &row.sift_once.stats;
-            let auto_stats = &row.auto.stats;
-            Cell {
-                key: vec![format!("{:<20}", row.id)],
-                entries: vec![
-                    row.static_order.total_states.to_string(),
-                    static_stats.peak_live_nodes.to_string(),
-                    sift_stats.peak_live_nodes.to_string(),
-                    format!("{} ({}r)", auto_stats.peak_live_nodes, auto_stats.reorder_runs),
-                    format!("{:+.1}%", -row.reduction() * 100.0),
-                    row.no_complement.stats.peak_live_nodes.to_string(),
-                    format!("{:+.1}%", -row.complement_reduction() * 100.0),
-                    format_mck_duration(row.static_order.total_check_duration()),
-                    format_mck_duration(row.auto.total_check_duration()),
-                ],
-            }
-        })
-        .collect();
-    let mut out = render_table(
-        "Reordering: static interleaved order versus group sifting (peak live BDD nodes)",
-        &["instance            "],
-        &[
-            "states",
-            "static peak",
-            "sift-once peak",
-            "auto peak (runs)",
-            "best delta",
-            "no-compl peak",
-            "compl delta",
-            "static check",
-            "auto check",
-        ],
-        &cells,
-    );
-    out.push_str(
-        "'best delta' compares the smaller of the two reordered peaks against the static\n\
-         order (negative = fewer nodes); 'auto peak (runs)' counts reorder invocations.\n\
-         'no-compl peak' re-runs the auto configuration with complement edges disabled\n\
-         (the classic two-terminal representation); 'compl delta' is the auto peak\n\
-         against it — the isolated complement-edge win.\n",
-    );
-    out
-}
-
-/// Checks the *best reordered* peak of each reorder-ablation row (the
-/// smaller of the sift-once and auto configurations) against a checked-in
-/// budget file; same format and failure semantics as
-/// [`check_symbolic_budget`]. Gating the best of the two keeps the gate
-/// honest on instances too small for the auto trigger to ever fire —
-/// sift-once always sifts, so a regression that loses the sifting win (or
-/// a swap bug that balloons the store) trips the budget on every family.
-pub fn check_reorder_budget(rows: &[ReorderRow], budget_text: &str) -> Result<String, String> {
-    let measured: Vec<(String, usize)> =
-        rows.iter().map(|row| (row.id.clone(), row.best_reordered_peak())).collect();
-    check_peak_budget(&measured, budget_text)
-}
-
 /// One row of the front-end table: an instance's layered symbolic model
 /// built relationally (forward image over the partitioned round relation,
 /// no state ever enumerated) and, on verified rows, compared layer by layer
@@ -1460,26 +1297,6 @@ pub fn synthesis_rows_json(rows: &[SynthesisRow], grid: &str) -> String {
     json_document("synthesis", grid, cells)
 }
 
-/// Machine-readable rendering of the reorder ablation (for
-/// `BENCH_reorder.json`): every configuration's profile per instance.
-pub fn reorder_rows_json(rows: &[ReorderRow], grid: &str) -> String {
-    let cells = rows
-        .iter()
-        .map(|row| {
-            json_object(&[
-                ("id", json_string(&row.id)),
-                ("static", symbolic_profile_json(&row.id, &row.static_order)),
-                ("sift_once", symbolic_profile_json(&row.id, &row.sift_once)),
-                ("auto", symbolic_profile_json(&row.id, &row.auto)),
-                ("no_complement", symbolic_profile_json(&row.id, &row.no_complement)),
-                ("best_reduction", format!("{:.4}", row.reduction())),
-                ("complement_reduction", format!("{:.4}", row.complement_reduction())),
-            ])
-        })
-        .collect::<Vec<_>>();
-    json_document("reorder", grid, cells)
-}
-
 /// The engine ablation: explicit-state versus symbolic (BDD) evaluation of
 /// the SBA knowledge condition on the same instances (the symbolic time
 /// includes its relational model build, the explicit one not its
@@ -1680,23 +1497,6 @@ mod tests {
         assert!(render_synthesis_table(&rows).contains("NO"));
     }
 
-    fn reorder_ablation_row(id: &str, peak: usize) -> ReorderRow {
-        let profile = |peak: usize| SymbolicProfile {
-            label: id.to_string(),
-            total_states: 1,
-            build_duration: Duration::ZERO,
-            formulas: Vec::new(),
-            stats: SymbolicStats { peak_live_nodes: peak, ..Default::default() },
-        };
-        ReorderRow {
-            id: id.to_string(),
-            static_order: profile(peak * 2),
-            sift_once: profile(peak),
-            auto: profile(peak),
-            no_complement: profile(peak * 2),
-        }
-    }
-
     #[test]
     fn checked_in_symbolic_budget_gate_can_trip() {
         // The real `symbolic_budget.txt` shipped to CI, fed a synthetic
@@ -1724,16 +1524,6 @@ mod tests {
         check_synthesis_budget(&healthy, budget).unwrap();
     }
 
-    #[test]
-    fn checked_in_reorder_budget_gate_can_trip() {
-        let budget = include_str!("../reorder_budget.txt");
-        let regressed = [reorder_ablation_row("floodset-n4-t1", 100_000_000)];
-        let err = check_reorder_budget(&regressed, budget).unwrap_err();
-        assert!(err.contains("floodset-n4-t1"), "{err}");
-        let healthy = [reorder_ablation_row("floodset-n4-t1", 1)];
-        check_reorder_budget(&healthy, budget).unwrap();
-    }
-
     /// The budget-key drift gate: every key of every checked-in budget file
     /// must be the id of an experiment in that table's grid (smoke or full),
     /// plus the table's metric suffix where it has one. The CI smoke steps
@@ -1747,10 +1537,9 @@ mod tests {
         }
         let serve = |full, smoke| serve_grid(full, smoke).into_iter().map(|row| row.0).collect();
         let serve_suffixes = ["-warm-rel-products", "-warm-wall-pct", "-deadline-answer-pct"];
-        let tables: [(&str, &str, Vec<String>, &[&str]); 6] = [
+        let tables: [(&str, &str, Vec<String>, &[&str]); 5] = [
             ("symbolic", include_str!("../symbolic_budget.txt"), ids(symbolic_grid), &[""]),
             ("synthesis", include_str!("../synthesis_budget.txt"), ids(synthesis_grid), &[""]),
-            ("reorder", include_str!("../reorder_budget.txt"), ids(reorder_grid), &[""]),
             ("frontend", include_str!("../frontend_budget.txt"), ids(frontend_grid), &[""]),
             ("local", include_str!("../local_budget.txt"), ids(local_grid), &["-layers", "-peak"]),
             ("serve", include_str!("../serve_budget.txt"), ids(serve), &serve_suffixes),
@@ -1778,18 +1567,6 @@ mod tests {
         let omissions = Experiment::new(ProtocolKind::EBasic, 2, 1, FailureKind::SendOmission);
         assert_eq!(omissions.id(), "ebasic-n2-t1-om");
         assert_eq!(symbolic_grid(false, true)[0].id(), "floodset-n4-t1");
-    }
-
-    #[test]
-    fn reorder_row_reductions_cover_both_ablations() {
-        let row = reorder_ablation_row("floodset-n4-t1", 100);
-        // best reordered peak 100 vs static 200: a 50% sifting win.
-        assert!((row.reduction() - 0.5).abs() < 1e-9);
-        // auto 100 vs two-terminal 200: a 50% complement-edge win.
-        assert!((row.complement_reduction() - 0.5).abs() < 1e-9);
-        let json = reorder_rows_json(&[row], "test");
-        assert!(json.contains("\"no_complement\""), "{json}");
-        assert!(json.contains("\"complement_reduction\": 0.5000"), "{json}");
     }
 
     #[test]

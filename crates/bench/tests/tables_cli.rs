@@ -5,8 +5,10 @@ use std::process::Command;
 
 #[test]
 fn mistyped_invocations_print_usage_and_exit_2_before_any_table_runs() {
-    let invocations: [&[&str]; 5] = [
+    let invocations: [&[&str]; 6] = [
         &["symbolc", "--smoke", "--budget", "crates/bench/symbolic_budget.txt"],
+        // The reorder ablation is gone; its old CI step must not pass green.
+        &["reorder", "--smoke"],
         &["symbolic", "--smok"],
         &["symbolic", "--smoke", "--timeout"],
         &["symbolic", "--smoke", "--budget"],

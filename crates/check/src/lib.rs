@@ -25,7 +25,8 @@
 //!   [`CheckBackend`] seam lets differential suites drive them uniformly.
 //! * [`SymbolicChecker`] — the OBDD engine, mirroring the implementation
 //!   strategy of MCK. Each layer's set of reachable states is encoded as a
-//!   BDD over boolean state variables in an agent-interleaved static order;
+//!   BDD over boolean state variables in one static, sender-interleaved
+//!   order;
 //!   knowledge becomes quantification over the variables the agent does not
 //!   observe; each round has a per-agent **partitioned transition
 //!   relation**, and the bounded temporal operators are evaluated by a
@@ -35,8 +36,9 @@
 //!   quantified as early as the schedule allows) with the current-state
 //!   variables kept, so that a pre-image is one fused `and_exists` against
 //!   a small diagram instead of a product over unreachable states. `T_t`
-//!   is a per-round cache dropped by every collection and reorder, never a
-//!   root. See [`SymbolicOptions`]. Denotations are
+//!   is a per-round cache kept across automatic collections and dropped by
+//!   a full collection or a reorder, never a root. See
+//!   [`SymbolicOptions`]. Denotations are
 //!   **restricted to the reachable sets on demand**: atoms are few-node
 //!   state constraints and the boolean connectives combine them as such
 //!   (restriction to a layer commutes with every connective under the
@@ -62,17 +64,12 @@
 //! evaluates a formula and looks every explored point up in the
 //! denotation, giving a [`PointSet`] to compare.
 //!
-//! The manager underneath uses **complement edges**
-//! ([`SymbolicOptions::complement_edges`], on by default): negation is a
-//! constant-time bit flip and a denotation shares every BDD node with its
-//! negation — which is what the negation-heavy epistemic operators (`¬K¬`,
-//! belief via relativised knowledge, the common-belief fixpoint) hammer.
-//! The `Ref` rooting contract is unchanged by the representation: rooted
-//! handles are remapped (complement bit preserved) across gc and reorder,
-//! and everything in this crate roots its handles exactly as before. The
-//! `false` setting runs the classic two-terminal representation for
-//! differential testing; both configurations must give the same verdicts
-//! and, read off through `check_points`, bit-identical `PointSet`s.
+//! The manager underneath uses **complement edges**, its only
+//! representation: negation is a constant-time bit flip and a denotation
+//! shares every BDD node with its negation — which is what the
+//! negation-heavy epistemic operators (`¬K¬`, belief via relativised
+//! knowledge, the common-belief fixpoint) hammer. Rooted handles are
+//! remapped (complement bit preserved) across gc and reorder.
 //!
 //! # Memory discipline of the symbolic engine
 //!
@@ -85,22 +82,19 @@
 //! the live diagrams, not to the history of operations. The per-round
 //! reachable relations the temporal operators build are a second,
 //! *cache* tier of the collector ([`epimc_bdd::Bdd::gc_with_cache`]): kept
-//! across automatic collections, but counted by neither the GC nor the
-//! reorder trigger, and dropped by reorders and
-//! [`SymbolicChecker::force_gc`]. [`SymbolicStats`] reports peak live
-//! nodes, collections, swept nodes, reorders, and cache hit/miss/eviction
-//! counts.
+//! across automatic collections, but not counted by the GC trigger, and
+//! dropped by reorders and [`SymbolicChecker::force_gc`].
+//! [`SymbolicStats`] reports peak live nodes, collections, swept nodes,
+//! reorders, and cache hit/miss/eviction counts.
 //!
-//! On top of the GC discipline sits **dynamic variable reordering**
-//! ([`ReorderMode`]): the engine registers every current/primed variable
-//! pair as a sifting *group* with the manager, so Rudell sifting
-//! ([`epimc_bdd::Bdd::reorder`]) moves each pair as a block and the
-//! transition relations stay cheap under any learned order.
-//! The automatic trigger lives at the collection safe points — whatever is
-//! rooted for a sweep is rooted for a sift — and its threshold doubles
-//! past the surviving live nodes, exactly like the GC threshold. A checker
-//! grows in place, so the manager — and with it the **learned order and
-//! the trigger state** — lives across all synthesis rounds.
+//! The variable order is static ([`ReorderMode::Static`], the only
+//! policy): the engine never sifts on its own. It registers every
+//! current/primed variable pair as a sifting *group* with the manager, so
+//! a requested sift ([`SymbolicChecker::force_reorder`], Rudell group
+//! sifting through [`epimc_bdd::Bdd::reorder`]) moves each pair as a block
+//! and the transition relations stay cheap under the new order. A checker
+//! grows in place, so the manager and its GC state live across all
+//! synthesis rounds.
 //!
 //! # Synthesis-facing API
 //!
@@ -148,5 +142,5 @@ pub use local::{CheckBackend, LocalChecker, LocalStats};
 pub use pointset::PointSet;
 pub use symbolic::{
     BudgetAbort, EvalSession, ObservationValues, ReorderMode, SymbolicChecker, SymbolicOptions,
-    SymbolicStats, CHECKER_SNAPSHOT_VERSION, DEFAULT_REORDER_THRESHOLD,
+    SymbolicStats, CHECKER_SNAPSHOT_VERSION,
 };

@@ -21,21 +21,18 @@
 //!
 //! # Engineering for scale
 //!
-//! * **Interleaved static variable order, refined dynamically.** State
-//!   variables start out laid out with corresponding bits of different
-//!   agents adjacent ([`epimc_bdd::interleaved_slot`]), and each
-//!   current-state variable immediately followed by its next-state (primed)
-//!   copy — the standard ordering for synchronous multi-agent relations.
-//!   On top of that static seed, the engine can **reorder dynamically**
-//!   ([`SymbolicOptions::reorder`]): group sifting moves each
-//!   current/primed pair as a block (so relations and the renaming between
-//!   the two copies stay cheap), either once after the model is built or
-//!   automatically
-//!   whenever the post-collection live-node count crosses a doubling
-//!   threshold — and because a checker grows in place
+//! * **One static variable order.** Each agent's state variables come as
+//!   (current, primed) pairs — every current-state variable immediately
+//!   followed by its next-state copy, the standard ordering for synchronous
+//!   multi-agent relations — and right after them the adversary choices
+//!   gating that agent's outgoing messages (see
+//!   `SymbolicChecker::relational_seed`). The order is installed once and
+//!   never changes on its own: the engine does not sift automatically.
+//!   [`SymbolicChecker::force_reorder`] group-sifts on request, moving each
+//!   current/primed pair as a block so relations and the renaming between
+//!   the two copies stay cheap. Because a checker grows in place
 //!   ([`SymbolicChecker::extend_layer_relational`]), the one BDD manager
-//!   and its learned order carry across synthesis rounds instead of being
-//!   re-paid each round.
+//!   carries across synthesis rounds instead of being rebuilt each round.
 //! * **Variable-encoded atoms, restricted on demand.** Every atom is a
 //!   constraint over the encoded state variables (`DecidesNow` is the
 //!   guarded condition its round was built under) and stays that
@@ -57,8 +54,8 @@
 //!   current-state variables kept — and `pre(S) ∧ reachable[t]` is one
 //!   fused [`epimc_bdd::Bdd::and_exists`] of `T_t` with the primed target.
 //!   `T_t` is built on first use and held in a per-round cache that
-//!   automatic collections keep as a cache tier the GC and reorder
-//!   triggers do not count, and that reorders and
+//!   automatic collections keep as a cache tier the GC trigger does not
+//!   count, and that reorders and
 //!   [`SymbolicChecker::force_gc`] empty; it is never serialised (see the
 //!   section comment above `reachable_relation` for the measurements
 //!   behind that).
@@ -101,32 +98,17 @@ use epimc_system::{
 
 use crate::pointset::PointSet;
 
-/// When (if ever) the symbolic engine reorders the BDD variables by group
-/// sifting (see [`epimc_bdd::Bdd::reorder`]). Current/primed variable pairs
-/// always move as blocks, so relations stay cheap under any learned order.
+/// The variable-order policy of the symbolic engine. [`ReorderMode::Static`]
+/// — the sender-interleaved order installed when the model is seeded — is
+/// the only value: the engine never sifts on its own, and
+/// [`SymbolicChecker::force_reorder`] group-sifts on request. The type and
+/// its [`SymbolicOptions::reorder`] field are kept only so callers that
+/// spell the policy out keep compiling.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReorderMode {
-    /// Keep the static agent-interleaved order.
+    /// Keep the static sender-interleaved order.
     Static,
-    /// Group-sift once, right after [`SymbolicChecker::relational`] has built
-    /// every layer, and keep the learned order from then on.
-    SiftOnce,
-    /// Group-sift whenever the live-node count *after a collection* still
-    /// exceeds `threshold`; each reorder raises the effective threshold to
-    /// twice the surviving live nodes (the same discipline as
-    /// [`SymbolicOptions::gc_threshold`]), so a model that genuinely needs
-    /// many nodes does not thrash on sifting.
-    Auto {
-        /// Post-collection live-node count that triggers a reorder.
-        threshold: usize,
-    },
 }
-
-/// The default [`ReorderMode::Auto`] threshold: small models never pay for
-/// sifting, while models heading for node blow-up reorder before the blow-up
-/// peaks. (Measured on FloodSet n=10 t=3 SBA synthesis: two reorders fire
-/// and cut total node allocation by ~23% at an unchanged wall clock.)
-pub const DEFAULT_REORDER_THRESHOLD: usize = 1 << 16;
 
 /// Tuning knobs of the symbolic engine.
 #[derive(Clone, Copy, Debug)]
@@ -139,16 +121,8 @@ pub struct SymbolicOptions {
     /// raised to twice the surviving live nodes, so a model that genuinely
     /// needs more than the threshold does not thrash.
     pub gc_threshold: usize,
-    /// Dynamic variable reordering policy (defaults to
-    /// [`ReorderMode::Auto`] with [`DEFAULT_REORDER_THRESHOLD`]).
+    /// The variable-order policy: [`ReorderMode::Static`], its only value.
     pub reorder: ReorderMode,
-    /// Whether the BDD manager uses complement edges (constant-time
-    /// negation, shared nodes between a function and its negation); see
-    /// [`epimc_bdd::Bdd::with_settings`]. On by default — the `false`
-    /// setting exists for differential testing against the classic
-    /// two-terminal representation, which must produce bit-identical
-    /// results.
-    pub complement_edges: bool,
     /// Optional resource budget installed on the manager (wall-clock
     /// deadline, live-node ceiling, operation fuel). A trip unwinds a
     /// typed [`epimc_bdd::BddError`]; use the `try_*` checker entry
@@ -172,8 +146,7 @@ impl Default for SymbolicOptions {
             // garbage epochs themselves, since negations no longer
             // materialise copied DAGs.
             gc_threshold: 1 << 17,
-            reorder: ReorderMode::Auto { threshold: DEFAULT_REORDER_THRESHOLD },
-            complement_edges: true,
+            reorder: ReorderMode::Static,
             budget: None,
         }
     }
@@ -397,14 +370,6 @@ struct Inner {
     /// The reverse substitution: forward images land on primed variables
     /// and are renamed back.
     nxt_to_cur: SubstId,
-    /// Per agent: the cube of its primed variables plus the
-    /// delivery-choice variables targeting it. Nothing quantifies over
-    /// these any more; they are still built and rooted because version 1
-    /// checker snapshots carry them in their root list.
-    primed_cubes: Vec<Ref>,
-    /// The cube of the adversary-choice variables. Like `primed_cubes`,
-    /// kept for the snapshot's root list only.
-    choice_cube: Ref,
     /// The cube of all primed variables plus the choice variables: what a
     /// pre-image quantifies out of `T_t ∧ S'` (neither conjunct mentions a
     /// choice variable, so those are skipped for free).
@@ -445,10 +410,6 @@ struct Inner {
     dnow: Vec<Vec<Ref>>,
     gc_threshold: usize,
     gc_base_threshold: usize,
-    /// Dynamic-reordering policy; the current auto threshold doubles after
-    /// each reorder, mirroring the GC discipline.
-    reorder_mode: ReorderMode,
-    reorder_threshold: usize,
 }
 
 /// Roots every long-lived handle, every arena denotation and the caller's
@@ -456,22 +417,10 @@ struct Inner {
 /// collector / reorderer.
 macro_rules! inner_roots {
     ($inner:expr, $extra:expr) => {{
-        let Inner {
-            arena,
-            reachable,
-            hidden_cubes,
-            primed_cubes,
-            choice_cube,
-            all_quant_cube,
-            relations,
-            dnow,
-            ..
-        } = $inner;
+        let Inner { arena, reachable, hidden_cubes, all_quant_cube, relations, dnow, .. } = $inner;
         reachable
             .iter_mut()
             .chain(hidden_cubes.iter_mut())
-            .chain(primed_cubes.iter_mut())
-            .chain(std::iter::once(choice_cube))
             .chain(std::iter::once(all_quant_cube))
             .chain(relations.iter_mut().flatten())
             .chain(dnow.iter_mut().flatten())
@@ -480,18 +429,74 @@ macro_rules! inner_roots {
     }};
 }
 
+/// The model's long-lived handles: what a seed builds and what a
+/// snapshot carries, in the order a snapshot lists them.
+struct ModelRoots {
+    reachable: Vec<Ref>,
+    hidden_cubes: Vec<Ref>,
+    all_quant_cube: Ref,
+    relations: Vec<Vec<Ref>>,
+    dnow: Vec<Vec<Ref>>,
+}
+
+/// The sorted variable-index support of `f`.
+fn support_indices(bdd: &Bdd, f: Ref) -> Vec<u32> {
+    bdd.support(f).iter().map(|var| var.index()).collect()
+}
+
 impl Inner {
+    /// The one constructor, shared by a fresh seed and a restored
+    /// snapshot. It registers both substitution directions — in this order
+    /// on every manager, so a restored checker's ids (allocated
+    /// sequentially) match the snapshotted one's — derives each relation
+    /// partition's support from the partition itself, and starts every
+    /// counter, cache and the arena empty.
+    fn new(
+        mut bdd: Bdd,
+        num_slots: usize,
+        roots: ModelRoots,
+        gc_threshold: usize,
+        gc_base_threshold: usize,
+    ) -> Self {
+        let cur_to_nxt =
+            bdd.register_substitution((0..num_slots).map(|slot| (cur(slot), nxt(slot))).collect());
+        let nxt_to_cur =
+            bdd.register_substitution((0..num_slots).map(|slot| (nxt(slot), cur(slot))).collect());
+        let ModelRoots { reachable, hidden_cubes, all_quant_cube, relations, dnow } = roots;
+        let relation_supports = relations
+            .iter()
+            .map(|parts| parts.iter().map(|&part| support_indices(&bdd, part)).collect())
+            .collect();
+        Inner {
+            bdd,
+            arena: DenArena::default(),
+            reachable,
+            hidden_cubes,
+            cur_to_nxt,
+            nxt_to_cur,
+            all_quant_cube,
+            relations,
+            relation_supports,
+            reachable_relations: HashMap::new(),
+            preimage_calls: 0,
+            reachable_relations_built: 0,
+            common_belief_rounds: 0,
+            common_belief_layer_steps: 0,
+            reach_restrictions: 0,
+            dnow,
+            gc_threshold: gc_threshold.max(2),
+            gc_base_threshold: gc_base_threshold.max(2),
+        }
+    }
+
     /// Runs a collection now, rooting every long-lived handle, every arena
     /// denotation, and the caller's `extra` scratch refs, and keeping the
     /// reachable-relation cache as the collector's *cache* tier
     /// ([`Bdd::gc_with_cache`]): its entries survive, remapped, but the
-    /// nodes only they hold are not model size. Both triggers see the
-    /// model alone — with `model_live` the survivors the roots reach, the
-    /// next collection waits for `max(base, 2·model_live)` plus the cache,
-    /// and the auto reorder fires iff `model_live` exceeds its threshold —
-    /// so with an empty cache every decision is the one a plain `gc` made.
-    /// A reorder at the same safe point drops the cache (see
-    /// [`Inner::reorder_now`]).
+    /// nodes only they hold are not model size. The trigger sees the model
+    /// alone — with `model_live` the survivors the roots reach, the next
+    /// collection waits for `max(base, 2·model_live)` plus the cache — so
+    /// with an empty cache every decision is the one a plain `gc` made.
     fn collect(&mut self, extra: &mut [Ref]) {
         let gc = {
             let inner = &mut *self;
@@ -500,26 +505,21 @@ impl Inner {
         };
         let model_live = gc.live_nodes - gc.cache_only_nodes;
         self.gc_threshold = self.gc_base_threshold.max(model_live * 2) + gc.cache_only_nodes;
-        if let ReorderMode::Auto { .. } = self.reorder_mode {
-            if model_live > self.reorder_threshold {
-                self.reorder_now(extra);
-            }
-        }
     }
 
     /// Group-sifts the variable order now, rooting exactly what a
-    /// collection roots, and doubles the auto threshold past the surviving
-    /// live nodes. The reachable-relation cache is dropped first: sifting
-    /// is sized by the model, and its relations are rebuilt on demand under
-    /// the new order.
-    fn reorder_now(&mut self, extra: &mut [Ref]) {
+    /// collection roots (no scratch refs: it runs only between checks).
+    /// The reachable-relation cache is dropped first: sifting is sized by
+    /// the model, and its relations are rebuilt on demand under the new
+    /// order.
+    fn reorder_now(&mut self) {
         self.reachable_relations.clear();
         {
             let inner = &mut *self;
-            let roots = inner_roots!(inner, extra);
+            let mut no_scratch: [Ref; 0] = [];
+            let roots = inner_roots!(inner, no_scratch);
             inner.bdd.reorder(ReorderPolicy::GroupSift, roots);
         }
-        self.reorder_threshold = self.reorder_threshold.max(self.bdd.live_nodes() * 2);
         // Reordering sweeps twice; keep the GC threshold consistent with
         // the (possibly much smaller) surviving store.
         self.gc_threshold = self.gc_base_threshold.max(self.bdd.live_nodes() * 2);
@@ -547,13 +547,12 @@ impl Inner {
     /// product so far — the partition sharing the most variables goes
     /// next; ties break toward the fewest fresh variables, then the lowest
     /// agent index. The schedule is a function of supports alone (stable
-    /// under gc, reorder and the complement-edge setting), so it is
+    /// under gc and reorder), so it is
     /// deterministic and computing it performs no BDD operation.
     /// `quantifiable` must be sorted.
     fn round_schedule(&self, t: usize, quantifiable: &[u32]) -> Vec<(usize, Vec<u32>)> {
         let supports = &self.relation_supports[t];
-        let mut acc_support: Vec<u32> =
-            self.bdd.support(self.reachable[t]).iter().map(|v| v.index()).collect();
+        let mut acc_support = support_indices(&self.bdd, self.reachable[t]);
         let mut remaining: Vec<usize> = (0..supports.len()).collect();
         let mut schedule = Vec::with_capacity(remaining.len());
         while !remaining.is_empty() {
@@ -768,17 +767,17 @@ where
     }
 
     /// Live nodes of the checker's manager, in O(1). [`Self::stats`]
-    /// reports the same figure but scans the whole store and walks every
-    /// reachable layer for its other fields — about 0.2 ms on a warm
-    /// service model — so the server's node budget, which sums this over
+    /// reports the same figure but walks every reachable layer for its
+    /// other fields, so the server's node budget, which sums this over
     /// every warm checker after every request, reads it here.
     pub fn live_nodes(&self) -> usize {
         self.inner.borrow().bdd.live_nodes()
     }
 
     /// Statistics about the symbolic encoding (for the ablation benchmarks).
-    /// Linear in the store: it scans every node for the complemented-edge
-    /// count and walks each reachable layer.
+    /// The manager's counters are O(1); `reachable_nodes` walks each
+    /// reachable layer ([`epimc_bdd::Bdd::node_count`]), so the call is
+    /// linear in the layers' diagrams.
     pub fn stats(&self) -> SymbolicStats {
         let inner = self.inner.borrow();
         let bdd_stats = inner.bdd.stats();
@@ -809,10 +808,11 @@ where
 
     /// Forces a group-sifting reorder now, rooting all persistent handles
     /// (the reorderer follows the `gc` contract, so every `PointSet`
-    /// already extracted stays valid). Used by the reorder ablation to
-    /// measure sift-on-demand against the automatic trigger.
+    /// already extracted stays valid) and dropping the reachable-relation
+    /// cache. The engine never sifts on its own; this is the one entry
+    /// point, for callers that time sifting or stress the reorderer.
     pub fn force_reorder(&self) {
-        self.inner.borrow_mut().reorder_now(&mut []);
+        self.inner.borrow_mut().reorder_now();
     }
 
     /// Starts an evaluation session (a denotation cache for closed
@@ -1860,30 +1860,27 @@ where
     // exact for the model that has been built — `reachable[t]` and the
     // round's partitions never change once the round exists — so keeping
     // it is always sound; the question is only what it costs. Rooting it
-    // like a model handle is a trap: on diff n=4 t=2 the extra
-    // post-collection live nodes cross `DEFAULT_REORDER_THRESHOLD`,
-    // `ReorderMode::Auto` sifts twice where it never sifted before, and
-    // the cold batch gets slower (6.0 s against 4.3 s). Dropping it at
-    // every collection instead — as the kernel's operation caches are —
-    // made each temporal formula, which starts with a safe point, rebuild
-    // the relations the previous one had built: the service's cold batch
+    // like a model handle would let the cache inflate the GC trigger, which
+    // doubles past the post-collection live count. Dropping it at every
+    // collection instead — as the kernel's operation caches are — made
+    // each temporal formula, which starts with a safe point, rebuild the
+    // relations the previous one had built: the service's cold batch
     // (`EF decided[0]`, `AX AX decided[0]` and its inner `AX`) built
     // `T_t` 55 times for 25 distinct rounds across the six `serve_cold`
     // models, 4.9 M of a pass's 8.4 M kernel ops.
     //
     // So the collector keeps the cache as a second tier
-    // (`Bdd::gc_with_cache`) that no trigger counts: `Inner::collect`
-    // sizes the next collection and the reorder decision by the nodes the
-    // model's roots reach, and adds the cache-only nodes on top of the
-    // GC threshold. With an empty cache every decision is the old one;
-    // with a full one the trap stays shut. A reorder drops the cache
+    // (`Bdd::gc_with_cache`) that the trigger does not count:
+    // `Inner::collect` sizes the next collection by the nodes the model's
+    // roots reach, and adds the cache-only nodes on top. With an empty
+    // cache every decision is the old one. A reorder drops the cache
     // (sifting is sized by the model, and the relations are rebuilt
     // under the new order), and so does `force_gc`, the full collection.
     // The relations count in `live_nodes` — and so in a server's node
     // budget — while they are held. Measured on `serve_cold`: one build
     // per round (25 per pass), kernel ops 8.36 M → 5.09 M, collections
     // 17 → 9, `pass_wall_s` 0.603 → 0.364 s (−40 %, medians of ten
-    // alternating pairs), no reorder, and an unchanged peak of live nodes.
+    // alternating pairs), and an unchanged peak of live nodes.
 
     /// The reachable relation of round `t`,
     /// `T_t(cur, nxt) = ∃ choices . reachable[t] ∧ ⋀_i R_t^i`: exactly the
@@ -2023,9 +2020,6 @@ where
         let layers = params.horizon() as usize + 1;
         let checker = Self::relational_seed(exchange, params, rule, options);
         checker.extend_to(layers);
-        if options.reorder == ReorderMode::SiftOnce {
-            checker.inner.borrow_mut().reorder_now(&mut []);
-        }
         checker
     }
 
@@ -2044,7 +2038,7 @@ where
             ChoiceVars::new(params.failure().kind(), params.num_agents(), layout.num_slots);
         let num_slots = layout.num_slots;
 
-        let mut bdd = Bdd::with_settings(options.cache_capacity, options.complement_edges);
+        let mut bdd = Bdd::with_cache_capacity(options.cache_capacity);
         bdd.set_budget(options.budget);
         bdd.set_groups((0..num_slots).map(|slot| vec![cur(slot), nxt(slot)]).collect());
         let crash = params.failure().kind() == FailureKind::Crash;
@@ -2071,62 +2065,12 @@ where
             order.extend((0..n).filter(|&r| r != agent).map(|r| choice.deliver_var(agent, r)));
         }
         bdd.set_order(order);
-        let base_threshold = options.gc_threshold.max(2);
-        let reorder_threshold = match options.reorder {
-            ReorderMode::Auto { threshold } => threshold.max(2),
-            ReorderMode::Static | ReorderMode::SiftOnce => usize::MAX,
-        };
 
-        // The relation machinery exists from the start. Both substitution
-        // directions are registered (forward images land on primed
-        // variables and are renamed back); each receiver's quantification
-        // cube covers its primed variables *plus* the delivery-choice
-        // variables targeting it, which appear in no other partition. The
-        // crash choices span partitions (every channel condition mentions
-        // the sender's crash choice), so they stay for the final
-        // quantification in `choice_cube`.
-        let cur_to_nxt =
-            bdd.register_substitution((0..num_slots).map(|slot| (cur(slot), nxt(slot))).collect());
-        let nxt_to_cur =
-            bdd.register_substitution((0..num_slots).map(|slot| (nxt(slot), cur(slot))).collect());
-        let mut primed_cubes = Vec::with_capacity(n);
-        for (agent, slots) in layout.agents.iter().enumerate() {
-            let mut vars: Vec<Var> = slots.all_slots.iter().map(|&slot| nxt(slot)).collect();
-            vars.extend(choice.receiver_deliver_vars(agent));
-            primed_cubes.push(bdd.cube_of_vars(vars));
-        }
-        let late_choice: Vec<Var> =
-            if crash { (0..n).map(|agent| choice.crash_var(agent)).collect() } else { Vec::new() };
-        let choice_cube = bdd.cube_of_vars(late_choice);
+        // What a pre-image quantifies out of `T_t ∧ S'`: every primed and
+        // every choice variable, in one cube.
         let all_quant: Vec<Var> = (0..num_slots).map(nxt).chain(choice.all_vars()).collect();
         let all_quant_cube = bdd.cube_of_vars(all_quant);
-
-        let mut inner = Inner {
-            bdd,
-            arena: DenArena::default(),
-            reachable: Vec::new(),
-            hidden_cubes: Vec::new(),
-            cur_to_nxt,
-            nxt_to_cur,
-            primed_cubes,
-            choice_cube,
-            all_quant_cube,
-            relations: Vec::new(),
-            relation_supports: Vec::new(),
-            reachable_relations: HashMap::new(),
-            preimage_calls: 0,
-            reachable_relations_built: 0,
-            common_belief_rounds: 0,
-            common_belief_layer_steps: 0,
-            reach_restrictions: 0,
-            dnow: Vec::new(),
-            gc_threshold: base_threshold,
-            gc_base_threshold: base_threshold,
-            reorder_mode: options.reorder,
-            reorder_threshold,
-        };
-
-        inner.hidden_cubes = (0..n)
+        let hidden_cubes = (0..n)
             .map(|agent| {
                 let mut observed = vec![false; num_slots];
                 for slot in layout.agents[agent].obs_bits.iter().flatten() {
@@ -2134,17 +2078,34 @@ where
                 }
                 let hidden =
                     (0..num_slots).filter(|&slot| !observed[slot]).map(cur).collect::<Vec<_>>();
-                inner.bdd.cube_of_vars(hidden)
+                bdd.cube_of_vars(hidden)
             })
             .collect();
-
-        let init = initial_cube(&mut inner.bdd, &layout, &exchange, &params);
-        inner.reachable.push(init);
-        let frontier =
-            decides_now_table::<E, R>(&mut inner.bdd, &layout, &choice, &rule, &params, 0);
-        inner.dnow.push(frontier);
+        let init = initial_cube(&mut bdd, &layout, &exchange, &params);
+        let frontier = decides_now_table::<E, R>(&mut bdd, &layout, &choice, &rule, &params, 0);
+        let roots = ModelRoots {
+            reachable: vec![init],
+            hidden_cubes,
+            all_quant_cube,
+            relations: Vec::new(),
+            dnow: vec![frontier],
+        };
+        let mut inner =
+            Inner::new(bdd, num_slots, roots, options.gc_threshold, options.gc_threshold);
         inner.maybe_gc(&mut []);
+        Self::from_parts(exchange, rule, layout, choice, params, inner)
+    }
 
+    /// Wraps a built or restored [`Inner`] with the model's code and
+    /// layout, every per-checker cache empty.
+    fn from_parts(
+        exchange: E,
+        rule: R,
+        layout: SlotLayout,
+        choice: ChoiceVars,
+        params: ModelParams,
+        inner: Inner,
+    ) -> Self {
         SymbolicChecker {
             exchange,
             rule,
@@ -2189,11 +2150,8 @@ where
             &self.params,
             t as Round,
         );
-        let supports: Vec<Vec<u32>> = round
-            .partitions
-            .iter()
-            .map(|&part| inner.bdd.support(part).iter().map(|v| v.index()).collect())
-            .collect();
+        let supports: Vec<Vec<u32>> =
+            round.partitions.iter().map(|&part| support_indices(&inner.bdd, part)).collect();
         debug_assert_eq!(inner.relations.len(), t, "rounds extend one at a time");
         inner.relations.push(round.partitions);
         inner.relation_supports.push(supports);
@@ -2250,7 +2208,7 @@ where
     }
 
     /// Serializes the checker — every built layer, round relation
-    /// and decides-now table, the trigger state, and the whole BDD manager
+    /// and decides-now table, the GC trigger state, and the whole BDD manager
     /// (via [`epimc_bdd::Bdd::snapshot`]) — into a versioned, checksummed
     /// byte stream that [`SymbolicChecker::restore_relational`] can
     /// resurrect in another process.
@@ -2286,39 +2244,25 @@ where
         out.extend_from_slice(&(self.layout.num_slots as u64).to_le_bytes());
         out.extend_from_slice(&(self.choice.count() as u64).to_le_bytes());
 
-        // Root distribution tables: layer count, then presence + length of
-        // each round's partition list and each layer's decides-now table.
-        // (Every list is present; version 1 of the stream carries the
-        // presence byte, so it is still written.)
+        // Root distribution tables: layer count, then the length of each
+        // round's partition list and of each layer's decides-now table.
         out.extend_from_slice(&(inner.reachable.len() as u64).to_le_bytes());
         for lists in [&inner.relations, &inner.dnow] {
             out.extend_from_slice(&(lists.len() as u64).to_le_bytes());
             for list in lists {
-                out.push(1);
                 out.extend_from_slice(&(list.len() as u64).to_le_bytes());
             }
         }
 
-        // GC / reorder trigger state.
+        // GC trigger state.
         out.extend_from_slice(&(inner.gc_threshold as u64).to_le_bytes());
         out.extend_from_slice(&(inner.gc_base_threshold as u64).to_le_bytes());
-        out.extend_from_slice(&(inner.reorder_threshold as u64).to_le_bytes());
-        match inner.reorder_mode {
-            ReorderMode::Static => out.push(0),
-            ReorderMode::SiftOnce => out.push(1),
-            ReorderMode::Auto { threshold } => {
-                out.push(2);
-                out.extend_from_slice(&(threshold as u64).to_le_bytes());
-            }
-        }
 
-        // Every rooted handle, in a fixed order the restorer re-distributes
-        // from the tables above.
+        // Every rooted handle, in the `ModelRoots` order the restorer
+        // re-distributes from the tables above.
         let mut roots: Vec<Ref> = Vec::new();
         roots.extend_from_slice(&inner.reachable);
         roots.extend_from_slice(&inner.hidden_cubes);
-        roots.extend_from_slice(&inner.primed_cubes);
-        roots.push(inner.choice_cube);
         roots.push(inner.all_quant_cube);
         for list in inner.relations.iter().chain(&inner.dnow) {
             roots.extend_from_slice(list);
@@ -2395,15 +2339,8 @@ where
         if num_layers == 0 {
             return Err("snapshot has no layers".to_string());
         }
-        // A list the stream marks absent is an error: every round below
-        // the frontier has its partitions and every layer its table.
-        let list_lens = |reader: &mut EnvelopeReader, count: usize, what: &str| {
-            (0..count)
-                .map(|index| match reader.u8()? {
-                    0 => Err(format!("snapshot is missing the {what} {index}")),
-                    _ => Ok(reader.u64()? as usize),
-                })
-                .collect::<Result<Vec<usize>, String>>()
+        let list_lens = |reader: &mut EnvelopeReader, count: usize| {
+            (0..count).map(|_| Ok(reader.u64()? as usize)).collect::<Result<Vec<usize>, String>>()
         };
         let relation_rounds = reader.u64()? as usize;
         if relation_rounds + 1 != num_layers {
@@ -2411,33 +2348,26 @@ where
                 "snapshot has {relation_rounds} relation rounds for {num_layers} layers"
             ));
         }
-        let relation_lens = list_lens(&mut reader, relation_rounds, "relation of round")?;
+        let relation_lens = list_lens(&mut reader, relation_rounds)?;
         let dnow_layers = reader.u64()? as usize;
         if dnow_layers != num_layers {
             return Err(format!(
                 "snapshot has {dnow_layers} decides-now tables for {num_layers} layers"
             ));
         }
-        let dnow_lens = list_lens(&mut reader, dnow_layers, "decides-now table of layer")?;
+        let dnow_lens = list_lens(&mut reader, dnow_layers)?;
         let gc_threshold = reader.u64()? as usize;
         let gc_base_threshold = reader.u64()? as usize;
-        let reorder_threshold = reader.u64()? as usize;
-        let reorder_mode = match reader.u8()? {
-            0 => ReorderMode::Static,
-            1 => ReorderMode::SiftOnce,
-            2 => ReorderMode::Auto { threshold: reader.u64()? as usize },
-            tag => return Err(format!("unknown reorder-mode tag {tag}")),
-        };
 
         let bdd_len = reader.u64()? as usize;
         let bdd_bytes = reader.bytes(bdd_len)?;
         reader.finish()?;
-        let (mut bdd, mut roots) = Bdd::restore(bdd_bytes).map_err(|error| error.to_string())?;
+        let (bdd, mut roots) = Bdd::restore(bdd_bytes).map_err(|error| error.to_string())?;
 
         // Expected root count from the distribution tables.
         let relation_refs: usize = relation_lens.iter().sum();
         let dnow_refs: usize = dnow_lens.iter().sum();
-        let expected = num_layers + n + n + 2 + relation_refs + dnow_refs;
+        let expected = num_layers + n + 1 + relation_refs + dnow_refs;
         if roots.len() != expected {
             return Err(format!(
                 "snapshot carries {} rooted handles, expected {expected}",
@@ -2445,75 +2375,19 @@ where
             ));
         }
 
-        // Re-register the two substitutions in seed order; ids are
-        // allocated sequentially, so they match the snapshotted manager's.
-        let cur_to_nxt =
-            bdd.register_substitution((0..num_slots).map(|slot| (cur(slot), nxt(slot))).collect());
-        let nxt_to_cur =
-            bdd.register_substitution((0..num_slots).map(|slot| (nxt(slot), cur(slot))).collect());
-
-        // Distribute the roots back into the rooted fields, in the order
-        // `snapshot` flattened them.
-        let take =
-            |count: usize, roots: &mut Vec<Ref>| -> Vec<Ref> { roots.drain(..count).collect() };
-        let reachable = take(num_layers, &mut roots);
-        let hidden_cubes = take(n, &mut roots);
-        let primed_cubes = take(n, &mut roots);
-        let choice_cube = roots.remove(0);
-        let all_quant_cube = roots.remove(0);
-        let relations: Vec<Vec<Ref>> =
-            relation_lens.iter().map(|&len| take(len, &mut roots)).collect();
-        let dnow: Vec<Vec<Ref>> = dnow_lens.iter().map(|&len| take(len, &mut roots)).collect();
-        debug_assert!(roots.is_empty());
-
-        // Supports are derivable (they mention variable identities, not
-        // refs), so they are recomputed rather than trusted from the stream.
-        let relation_supports: Vec<Vec<Vec<u32>>> = relations
-            .iter()
-            .map(|parts| {
-                parts
-                    .iter()
-                    .map(|&part| bdd.support(part).iter().map(|v| v.index()).collect())
-                    .collect()
-            })
-            .collect();
-
-        let inner = Inner {
-            bdd,
-            arena: DenArena::default(),
-            reachable,
-            hidden_cubes,
-            cur_to_nxt,
-            nxt_to_cur,
-            primed_cubes,
-            choice_cube,
-            all_quant_cube,
-            relations,
-            relation_supports,
-            reachable_relations: HashMap::new(),
-            preimage_calls: 0,
-            reachable_relations_built: 0,
-            common_belief_rounds: 0,
-            common_belief_layer_steps: 0,
-            reach_restrictions: 0,
-            dnow,
-            gc_threshold: gc_threshold.max(2),
-            gc_base_threshold: gc_base_threshold.max(2),
-            reorder_mode,
-            reorder_threshold: reorder_threshold.max(2),
-        };
-        Ok(SymbolicChecker {
-            exchange,
-            rule,
-            layout,
-            choice,
-            params,
-            inner: RefCell::new(inner),
-            rule_override: RefCell::new(None),
-            override_epoch: Cell::new(0),
-            focus: Cell::new(None),
-            reachable_obs: RefCell::new(HashMap::new()),
-        })
+        // Distribute the roots back, in the order `snapshot` flattened
+        // them. Supports are derivable (they mention variable identities,
+        // not refs), so `Inner::new` recomputes them rather than trusting
+        // the stream.
+        let mut take = |count: usize| -> Vec<Ref> { roots.drain(..count).collect() };
+        let reachable = take(num_layers);
+        let hidden_cubes = take(n);
+        let all_quant_cube = take(1)[0];
+        let relations = relation_lens.iter().map(|&len| take(len)).collect();
+        let dnow = dnow_lens.iter().map(|&len| take(len)).collect();
+        let roots = ModelRoots { reachable, hidden_cubes, all_quant_cube, relations, dnow };
+        let inner = Inner::new(bdd, num_slots, roots, gc_threshold, gc_base_threshold);
+        Ok(Self::from_parts(exchange, rule, layout, choice, params, inner))
     }
 }
 
@@ -2802,8 +2676,10 @@ where
 const CHECKER_SNAPSHOT_MAGIC: &[u8; 4] = b"EPCK";
 
 /// Version of the checker snapshot envelope. Bumped on any layout change;
-/// the embedded BDD snapshot carries its own independent version.
-pub const CHECKER_SNAPSHOT_VERSION: u32 = 1;
+/// the embedded BDD snapshot carries its own independent version. Version
+/// 2 dropped the reorder-policy fields, two unused cubes from the root
+/// list and the per-list presence bytes of version 1, which is rejected.
+pub const CHECKER_SNAPSHOT_VERSION: u32 = 2;
 
 fn failure_kind_tag(kind: FailureKind) -> u8 {
     match kind {
@@ -3017,47 +2893,29 @@ mod tests {
     }
 
     #[test]
-    fn sift_once_and_auto_reorder_agree_with_explicit() {
+    fn forced_reorders_agree_with_explicit() {
+        // Group sifting mid-session, with a small GC threshold so
+        // collections run through the build and the evaluations too: every
+        // answer must stay the explicit engine's.
         let params = crash(3);
         let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
         let explicit = Checker::new(&model);
-        let static_order = floodset(
-            params,
-            SymbolicOptions { reorder: ReorderMode::Static, ..Default::default() },
-        );
-        let sift_once = floodset(
-            params,
-            SymbolicOptions { reorder: ReorderMode::SiftOnce, ..Default::default() },
-        );
-        // A tiny threshold (with a tiny GC threshold, since the trigger sits
-        // at collection safe points) forces reorders mid-build and
-        // mid-evaluation.
-        let auto = floodset(
-            params,
-            SymbolicOptions {
-                reorder: ReorderMode::Auto { threshold: 64 },
-                gc_threshold: 1 << 9,
-                ..Default::default()
-            },
-        );
-        for formula in agreement_formulas() {
-            let expected = explicit.check(&formula);
+        let symbolic =
+            floodset(params, SymbolicOptions { gc_threshold: 1 << 10, ..Default::default() });
+        for (case, formula) in agreement_formulas().iter().enumerate() {
+            if case % 3 == 2 {
+                symbolic.force_reorder();
+            }
             assert_eq!(
-                static_order.check_points(&model, &formula),
-                expected,
-                "static order on {formula}"
+                symbolic.check_points(&model, formula),
+                explicit.check(formula),
+                "{formula}"
             );
-            assert_eq!(
-                sift_once.check_points(&model, &formula),
-                expected,
-                "sift-once on {formula}"
-            );
-            assert_eq!(auto.check_points(&model, &formula), expected, "auto-reorder on {formula}");
         }
-        assert_eq!(static_order.stats().reorder_runs, 0);
-        assert!(sift_once.stats().reorder_runs >= 1, "sift-once must have sifted");
-        assert!(auto.stats().reorder_runs >= 1, "the tiny threshold must trigger reorders");
-        assert!(auto.stats().reorder_swaps > 0);
+        let stats = symbolic.stats();
+        assert!(stats.reorder_runs >= 3, "every third case sifts");
+        assert!(stats.reorder_swaps > 0);
+        assert!(stats.gc_runs > 0, "the small threshold collects");
     }
 
     #[test]
@@ -3441,6 +3299,45 @@ mod tests {
             SymbolicChecker::restore_relational(FloodSet, other, FloodSetRule, &bytes).is_err(),
             "snapshot for n=4 must not restore under n=3 params"
         );
+    }
+
+    #[test]
+    fn version_1_checker_snapshots_are_rejected_by_version() {
+        let params = crash(2);
+        let checker = floodset(params, SymbolicOptions::default());
+        let mut bytes = checker.snapshot().expect("snapshot");
+        // An intact, correctly sealed stream that claims version 1.
+        let version = CHECKER_SNAPSHOT_MAGIC.len();
+        bytes[version..version + 4].copy_from_slice(&1u32.to_le_bytes());
+        let payload = bytes.len() - 8;
+        let checksum = fnv1a(&bytes[..payload]);
+        bytes[payload..].copy_from_slice(&checksum.to_le_bytes());
+        let error = SymbolicChecker::restore_relational(FloodSet, params, FloodSetRule, &bytes)
+            .err()
+            .expect("a version 1 stream restored");
+        assert!(error.contains("unsupported checker snapshot version 1"), "{error}");
+    }
+
+    #[test]
+    fn a_sifted_order_survives_a_snapshot_round_trip() {
+        // The order is static unless a caller sifts; a sifted checker's
+        // snapshot carries the new order, and the restored checker answers
+        // as the explicit engine does.
+        let params = crash(3);
+        let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
+        let explicit = Checker::new(&model);
+        let sifted = floodset(params, SymbolicOptions::default());
+        let seeded_order = sifted.inner.borrow().bdd.current_order();
+        sifted.force_reorder();
+        let order = sifted.inner.borrow().bdd.current_order();
+        assert_ne!(order, seeded_order, "sifting moved no variable");
+        let bytes = sifted.snapshot().expect("snapshot");
+        let restored = SymbolicChecker::restore_relational(FloodSet, params, FloodSetRule, &bytes)
+            .expect("restore");
+        assert_eq!(restored.inner.borrow().bdd.current_order(), order);
+        for formula in agreement_formulas() {
+            assert_eq!(restored.check_points(&model, &formula), explicit.check(&formula));
+        }
     }
 
     #[test]

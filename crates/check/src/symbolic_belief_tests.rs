@@ -77,10 +77,9 @@ where
     equal
 }
 
-/// The differential on one family: under the default options, under
+/// The differential on one family: under the default options and under
 /// `gc_threshold: 2` (a collection at whichever safe point — between
-/// layers, rounds or agents — first sees the store doubled), and in the
-/// two-terminal representation.
+/// layers, rounds or agents — first sees the store doubled).
 fn frontier_agrees_on<E, R>(family: &str, exchange: E, rule: R, params: ModelParams)
 where
     E: InformationExchange + SymbolicEncode + Clone,
@@ -105,10 +104,7 @@ where
 
     let default = SymbolicOptions::default();
     let collecting = SymbolicOptions { gc_threshold: 2, ..default };
-    let two_terminal = SymbolicOptions { complement_edges: false, ..default };
-    for (label, options) in
-        [("default", default), ("collecting", collecting), ("two-terminal", two_terminal)]
-    {
+    for (label, options) in [("default", default), ("collecting", collecting)] {
         let checker = &SymbolicChecker::relational(exchange.clone(), params, rule.clone(), options);
         let baseline = checker.inner.borrow().arena.live_count();
         for phi in &grid {

@@ -158,11 +158,10 @@ where
     }
 }
 
-/// The differential on one family: default options, `gc_threshold: 2`
+/// The differential on one family: default options and `gc_threshold: 2`
 /// (unbounded operands sit in the arena across the safe points of
-/// `common_belief` and `map_layers`) and the two-terminal representation;
-/// with and without a rule override; unfocused, and through
-/// `observation_values` at every layer.
+/// `common_belief` and `map_layers`); with and without a rule override;
+/// unfocused, and through `observation_values` at every layer.
 fn restriction_agrees_on<E, R>(family: &str, exchange: E, rule: R, params: ModelParams, seed: u64)
 where
     E: InformationExchange + SymbolicEncode + Clone,
@@ -180,10 +179,7 @@ where
 
     let default = SymbolicOptions::default();
     let collecting = SymbolicOptions { gc_threshold: 2, ..default };
-    let two_terminal = SymbolicOptions { complement_edges: false, ..default };
-    for (label, options) in
-        [("default", default), ("collecting", collecting), ("two-terminal", two_terminal)]
-    {
+    for (label, options) in [("default", default), ("collecting", collecting)] {
         let checker = &SymbolicChecker::relational(exchange.clone(), params, rule.clone(), options);
         for overridden in [false, true] {
             checker.set_rule_override(overridden.then(|| table.clone()));

@@ -358,7 +358,7 @@ pub struct SynthesisComparison {
     pub peak_live_nodes: usize,
     /// Garbage collections across all rounds of the symbolic run.
     pub gc_runs: u64,
-    /// Dynamic variable reorders across all rounds of the symbolic run.
+    /// Variable reorders across all rounds of the symbolic run.
     pub reorder_runs: u64,
     /// `Some(true)` when both engines ran and produced identical decision
     /// tables; `None` when the explicit engine timed out.

@@ -92,15 +92,6 @@ impl ChoiceVars {
     pub fn all_vars(&self) -> Vec<Var> {
         (0..self.count()).map(|k| Var::new(self.base + k as u32)).collect()
     }
-
-    /// The delivery variables targeting `receiver` (these appear only in
-    /// the receiver's own transition partition).
-    pub fn receiver_deliver_vars(&self, receiver: usize) -> Vec<Var> {
-        (0..self.num_agents)
-            .filter(|&sender| sender != receiver)
-            .map(|sender| self.deliver_var(sender, receiver))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -131,7 +122,6 @@ mod tests {
         let cv = ChoiceVars::new(FailureKind::SendOmission, 4, 8);
         assert_eq!(cv.count(), 12);
         assert_eq!(cv.all_vars().len(), 12);
-        assert_eq!(cv.receiver_deliver_vars(2).len(), 3);
     }
 
     #[test]

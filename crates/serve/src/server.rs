@@ -1002,6 +1002,40 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A snapshot written by a build with the version 1 checker envelope:
+    /// intact and correctly sealed, but a layout this build no longer reads.
+    /// Boot moves it aside like any unreadable file and keeps serving.
+    #[test]
+    fn startup_recovery_quarantines_version_1_snapshots() {
+        let dir = temp_dir("version-1");
+        let spec = floodset_spec();
+        let mut state = ServerState::new(dir_options(&dir));
+        let before = expect_check(state.handle(check_request(spec)));
+        state.handle(Request::Snapshot { spec, path: AUTO_SNAPSHOT_PATH.to_string() });
+        let snap = dir.join(snapshot_file_name(&spec));
+        let mut bytes = std::fs::read(&snap).unwrap();
+        // The version follows the 4-byte magic; the trailer is FNV-1a over
+        // everything before it.
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let payload = bytes.len() - 8;
+        let checksum = bytes[..payload].iter().fold(0xcbf2_9ce4_8422_2325_u64, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3)
+        });
+        bytes[payload..].copy_from_slice(&checksum.to_le_bytes());
+        std::fs::write(&snap, &bytes).unwrap();
+        let error = restore(&spec, &bytes).err().expect("a version 1 stream restored");
+        assert!(error.contains("unsupported checker snapshot version 1"), "{error}");
+
+        let mut recovered = ServerState::new(dir_options(&dir));
+        assert_eq!(recovered.entries.len(), 0, "the version 1 file is not trusted");
+        assert!(!snap.exists(), "the version 1 snapshot was moved aside");
+        assert!(snap.with_extension("snap.corrupt").exists(), "quarantined, not deleted");
+        let cold = expect_check(recovered.handle(check_request(spec)));
+        assert!(!cold.warm);
+        assert_eq!(cold.verdicts, before.verdicts);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// The budget-trip eviction contract: a deadline that expires
     /// mid-check evicts exactly the touched entry; every other warm
     /// checker keeps its denotation cache (session hits unchanged), and

@@ -20,12 +20,10 @@
 //!    the initial-state cube ([`SymbolicChecker::relational_seed`]) and
 //!    each round appends the forward image of the frontier
 //!    ([`SymbolicChecker::extend_layer_relational`]). The checker lives
-//!    across the whole run, so the rooted arena, operation caches, garbage
-//!    collector — and the **dynamically learned variable order** with its
-//!    auto-reorder trigger state (`SymbolicOptions::reorder`) — carry over:
-//!    a group-sifting pass paid in round `k` keeps benefiting round `k + 1`
-//!    instead of being re-learned, and collections sweep the dead work of
-//!    earlier rounds mid-run;
+//!    across the whole run, so the rooted arena, operation caches and
+//!    garbage collector carry over — the static variable order is installed
+//!    once, with the seed — and collections sweep the dead work of earlier
+//!    rounds mid-run;
 //! 2. `DecidesNow` atoms are interpreted against the partial rule through
 //!    the checker's rule override, symbolically (an observation-equality
 //!    constraint per deciding table entry) rather than by scanning states;
@@ -113,10 +111,9 @@ impl SymbolicSynthesisProfile {
         self.rounds.iter().map(|round| round.stats.gc_runs).max().unwrap_or(0)
     }
 
-    /// Total dynamic variable reorders over the run (cumulative, like
-    /// [`SymbolicSynthesisProfile::gc_runs`]). The BDD manager — and with
-    /// it the learned variable order — survives from round to round, so a
-    /// reorder paid in round `k` keeps benefiting every later round.
+    /// Total variable reorders over the run (cumulative, like
+    /// [`SymbolicSynthesisProfile::gc_runs`]). The checker keeps its static
+    /// order and never sifts on its own, so a synthesis run reports zero.
     pub fn reorder_runs(&self) -> u64 {
         self.rounds.iter().map(|round| round.stats.reorder_runs).max().unwrap_or(0)
     }

@@ -24,24 +24,22 @@ fn rule_entries(rule: &TableRule) -> RuleEntries {
 }
 
 /// Synthesizes `program` with the explicit engine and with the symbolic
-/// engine under `options`, and asserts full agreement — rule, templates,
-/// statistics and diagnostics, bit for bit — printing the diverging
-/// (program, agent, time, observation) on failure. Returns the explicit
-/// outcome and the symbolic run's profile.
-fn engines_agree_with_options<E>(
+/// engine under the default options, and asserts full agreement — rule,
+/// templates, statistics and diagnostics, bit for bit — printing the
+/// diverging (program, agent, time, observation) on failure. Returns the
+/// explicit outcome and the symbolic run's profile.
+fn engines_agree_on<E>(
     program_name: &str,
     exchange: E,
     program: &KnowledgeBasedProgram,
     params: ModelParams,
-    options: SymbolicSynthesisOptions,
 ) -> (SynthesisOutcome, SymbolicSynthesisProfile)
 where
     E: InformationExchange + SymbolicEncode,
 {
     let explicit = Synthesizer::new(exchange.clone(), params).synthesize(program);
     let (mut symbolic, profile) =
-        SymbolicSynthesizer::with_options(exchange.clone(), params, options)
-            .synthesize_profiled(program);
+        SymbolicSynthesizer::new(exchange.clone(), params).synthesize_profiled(program);
     // `total_states` measures different things across the engines: the
     // explicit engine counts explored *points*, the symbolic engine
     // model-counts distinct encoded *states*. The exploration may keep
@@ -61,18 +59,6 @@ where
     (explicit, profile)
 }
 
-/// [`engines_agree_with_options`] under the default options.
-fn engines_agree_on<E>(
-    program_name: &str,
-    exchange: E,
-    program: &KnowledgeBasedProgram,
-    params: ModelParams,
-) where
-    E: InformationExchange + SymbolicEncode,
-{
-    engines_agree_with_options(program_name, exchange, program, params, Default::default());
-}
-
 /// The model-construction differential: on top of [`engines_agree_on`],
 /// every layer the symbolic induction built — as a forward image under the
 /// rule fixed so far, never enumerating a state — has exactly as many
@@ -86,13 +72,7 @@ fn engines_agree_relational<E>(
 ) where
     E: InformationExchange + SymbolicEncode,
 {
-    let (explicit, profile) = engines_agree_with_options(
-        program_name,
-        exchange.clone(),
-        program,
-        params,
-        Default::default(),
-    );
+    let (explicit, profile) = engines_agree_on(program_name, exchange.clone(), program, params);
     let model = ConsensusModel::explore(exchange, params, explicit.rule);
     let explored = distinct_layer_states(&model);
     for round in &profile.rounds {
@@ -102,53 +82,6 @@ fn engines_agree_relational<E>(
             round.time
         );
     }
-}
-
-/// The auto-reorder differential: a symbolic synthesis run whose BDD order
-/// is group-sifted repeatedly mid-run (tiny thresholds) must produce the
-/// same `SynthesisOutcome` as the explicit engine, bit for bit.
-fn engines_agree_under_auto_reorder<E>(
-    program_name: &str,
-    exchange: E,
-    program: &KnowledgeBasedProgram,
-    params: ModelParams,
-) where
-    E: InformationExchange + SymbolicEncode,
-{
-    let options = SymbolicSynthesisOptions {
-        symbolic: SymbolicOptions {
-            reorder: ReorderMode::Auto { threshold: 16 },
-            gc_threshold: 1 << 7,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let (_, profile) = engines_agree_with_options(program_name, exchange, program, params, options);
-    let final_stats = profile.rounds.last().expect("at least one round").stats;
-    assert!(
-        final_stats.reorder_runs > 0,
-        "{program_name} {params}: the tiny threshold must have triggered reorders"
-    );
-}
-
-/// The complement-edge differential: a symbolic synthesis run on the
-/// classic two-terminal representation (complement edges off) must produce
-/// the same `SynthesisOutcome` as the default complement-edge engine and as
-/// the explicit engine, bit for bit.
-fn engines_agree_without_complement_edges<E>(
-    program_name: &str,
-    exchange: E,
-    program: &KnowledgeBasedProgram,
-    params: ModelParams,
-) where
-    E: InformationExchange + SymbolicEncode,
-{
-    engines_agree_on(program_name, exchange.clone(), program, params);
-    let options = SymbolicSynthesisOptions {
-        symbolic: SymbolicOptions { complement_edges: false, ..Default::default() },
-        ..Default::default()
-    };
-    engines_agree_with_options(program_name, exchange, program, params, options);
 }
 
 fn compare_outcomes<E>(
@@ -265,50 +198,6 @@ fn eba_ebasic_grid() {
     for params in [crash_params(2, 1), omission_params(2, 1)] {
         engines_agree_on("EBA-P0", EBasic, &program, params);
     }
-}
-
-#[test]
-fn sba_floodset_agrees_under_auto_reorder() {
-    for (n, t) in [(3, 1), (3, 2)] {
-        engines_agree_under_auto_reorder(
-            "SBA",
-            FloodSet,
-            &KnowledgeBasedProgram::sba(2),
-            crash_params(n, t),
-        );
-    }
-}
-
-#[test]
-fn eba_emin_agrees_under_auto_reorder() {
-    engines_agree_under_auto_reorder(
-        "EBA-P0",
-        EMin,
-        &KnowledgeBasedProgram::eba_p0(),
-        omission_params(2, 1),
-    );
-}
-
-#[test]
-fn sba_floodset_agrees_without_complement_edges() {
-    for (n, t) in [(2, 2), (3, 1), (3, 2)] {
-        engines_agree_without_complement_edges(
-            "SBA",
-            FloodSet,
-            &KnowledgeBasedProgram::sba(2),
-            crash_params(n, t),
-        );
-    }
-}
-
-#[test]
-fn eba_emin_agrees_without_complement_edges() {
-    engines_agree_without_complement_edges(
-        "EBA-P0",
-        EMin,
-        &KnowledgeBasedProgram::eba_p0(),
-        omission_params(2, 1),
-    );
 }
 
 #[test]

@@ -45,7 +45,6 @@ fn global_and_local_agree_on_floodset(agents: usize, max_faulty: usize) {
     assert!(!local.holds_in_layer(&formulas[1], 0));
     let stats = global.stats();
     assert!(stats.preimage_calls > 0 && stats.reachable_relations_built > 0);
-    assert_eq!(stats.reorder_runs, 0, "uncollected reachable relations must not trigger a sift");
 }
 
 #[test]
