@@ -21,17 +21,12 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use epimc_check::{LocalChecker, SymbolicChecker, SymbolicOptions, SymbolicStats};
-use epimc_logic::{AgentId, Formula};
+use epimc_logic::AgentId;
 use epimc_protocols::{with_protocol, ProtocolKind};
-use epimc_relational::{SymbolicEncode, SymbolicRule};
-use epimc_synth::{
-    KnowledgeBasedProgram, SymbolicSynthesisProfile, SymbolicSynthesizer, SynthesisOutcome,
-    Synthesizer,
-};
+use epimc_synth::{KnowledgeBasedProgram, SymbolicSynthesizer, SynthesisOutcome, Synthesizer};
 use epimc_system::{
-    ConsensusAtom, ConsensusModel, DecisionRule, ExploreStats, FailureKind, InformationExchange,
-    ModelParams, Round, Value,
+    ConsensusModel, DecisionRule, ExploreStats, FailureKind, InformationExchange, ModelParams,
+    Round,
 };
 
 use crate::optimality::analyze_sba;
@@ -107,315 +102,6 @@ where
         let _ = sender.send(work());
     });
     receiver.recv_timeout(timeout).ok()
-}
-
-/// One timed formula evaluation inside a [`SymbolicProfile`].
-#[derive(Clone, Debug)]
-pub struct SymbolicFormulaTiming {
-    /// Human-readable rendering of the checked formula.
-    pub label: String,
-    /// Wall-clock duration of the check.
-    pub duration: Duration,
-    /// Whether the formula holds at every point of the model.
-    pub holds: bool,
-}
-
-/// A profile of the symbolic (BDD) engine on one experiment instance:
-/// per-formula wall-clock timings plus the manager's node/GC/cache
-/// statistics — the measurements behind the `tables -- symbolic` ablation.
-#[derive(Clone, Debug)]
-pub struct SymbolicProfile {
-    /// Description of the instance (exchange and parameters).
-    pub label: String,
-    /// Total number of states across the layers, model-counted off the
-    /// reachable-set BDDs.
-    pub total_states: usize,
-    /// Wall-clock time to build the model relationally (the initial-state
-    /// cube and every layer's forward image).
-    pub build_duration: Duration,
-    /// The timed formula checks, in evaluation order.
-    pub formulas: Vec<SymbolicFormulaTiming>,
-    /// Final manager statistics (peak live nodes, gc runs, cache rates).
-    pub stats: SymbolicStats,
-}
-
-impl SymbolicProfile {
-    /// Total wall-clock time spent checking formulas.
-    pub fn total_check_duration(&self) -> Duration {
-        self.formulas.iter().map(|f| f.duration).sum()
-    }
-
-    /// The timing entry for the formula labelled `label`, if present.
-    pub fn formula(&self, label: &str) -> Option<&SymbolicFormulaTiming> {
-        self.formulas.iter().find(|f| f.label == label)
-    }
-}
-
-impl fmt::Display for SymbolicProfile {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{}: {} states, build {}, check {}",
-            self.label,
-            self.total_states,
-            format_mck_duration(self.build_duration),
-            format_mck_duration(self.total_check_duration())
-        )?;
-        for timing in &self.formulas {
-            writeln!(
-                f,
-                "  {} -> {} in {}",
-                timing.label,
-                if timing.holds { "valid" } else { "not valid" },
-                format_mck_duration(timing.duration)
-            )?;
-        }
-        write!(f, "  {}", self.stats)
-    }
-}
-
-/// Profiles the symbolic engine on one instance the way the service runs
-/// it: builds the checker relationally with `options`, times
-/// `holds_everywhere` on a fixed formula battery (the SBA knowledge
-/// condition plus, when `include_temporal` is set, a bounded temporal
-/// property evaluated by pre-image), and reports the manager statistics.
-fn symbolic_profile<E, R>(
-    label: String,
-    exchange: E,
-    params: ModelParams,
-    rule: R,
-    options: SymbolicOptions,
-    include_temporal: bool,
-) -> SymbolicProfile
-where
-    E: SymbolicEncode,
-    R: SymbolicRule<E>,
-{
-    type F = Formula<ConsensusAtom>;
-    let start = Instant::now();
-    let checker = SymbolicChecker::relational(exchange, params, rule, options);
-    let build_duration = start.elapsed();
-
-    let exists0 = F::atom(ConsensusAtom::ExistsInit(Value::new(0)));
-    let agent0 = AgentId::new(0);
-    let mut battery: Vec<(String, F)> = vec![
-        ("exists0".into(), exists0.clone()),
-        ("K_0 exists0".into(), F::knows(agent0, exists0.clone())),
-        ("B_0 CB exists0".into(), F::believes_nonfaulty(agent0, F::common_belief(exists0.clone()))),
-    ];
-    if include_temporal {
-        battery.push((
-            "AG(decided_0 -> exists0)".into(),
-            F::all_globally(F::implies(F::atom(ConsensusAtom::Decided(agent0)), exists0)),
-        ));
-    }
-
-    let formulas = battery
-        .into_iter()
-        .map(|(label, formula)| {
-            let start = Instant::now();
-            let holds = checker.holds_everywhere(&formula);
-            SymbolicFormulaTiming { label, duration: start.elapsed(), holds }
-        })
-        .collect();
-
-    let total_states: u128 =
-        (0..checker.num_layers() as Round).map(|time| checker.layer_state_count(time)).sum();
-    SymbolicProfile {
-        label,
-        total_states: usize::try_from(total_states).unwrap_or(usize::MAX),
-        build_duration,
-        formulas,
-        stats: checker.stats(),
-    }
-}
-
-/// A lazy-versus-global comparison of one layer-bounded query — the
-/// measurement behind the `tables -- local` ablation.
-///
-/// The **local** engine ([`LocalChecker`]) compiles the query into a
-/// fixpoint equation system and expands reachable layers only as the
-/// solver demands them; the **global** engine builds every layer up front
-/// (the relational front-end) and answers the same query bounded to the
-/// layer (`time==t => φ` over all points). Verdicts must agree; the
-/// quantities of interest are how few layers the local engine touched
-/// (`layers_expanded` against `horizon`) and the wall-clock win that
-/// buys on instances whose horizon the query never needed.
-#[derive(Clone, Debug)]
-pub struct LocalProfile {
-    /// Description of the instance (exchange and parameters).
-    pub label: String,
-    /// Human-readable rendering of the checked query.
-    pub query: String,
-    /// The layer the query was asked at.
-    pub layer: usize,
-    /// The model's horizon (`horizon + 1` layers exist when fully built).
-    pub horizon: usize,
-    /// Layers the local engine materialised to settle the query.
-    pub layers_expanded: usize,
-    /// Wall clock of the local engine: lazy construction plus solving.
-    pub local_wall: Duration,
-    /// Peak live nodes of the local engine's manager.
-    pub local_peak_live_nodes: usize,
-    /// Verdict-memo and equation-system hash-consing hits after a warm
-    /// repeat of the same query.
-    pub memo_hits: usize,
-    /// Wall clock of the global engine: full relational build plus the
-    /// bounded query.
-    pub global_wall: Duration,
-    /// Peak live nodes of the global engine's manager.
-    pub global_peak_live_nodes: usize,
-    /// The local verdict.
-    pub verdict: bool,
-    /// Whether the two engines agreed (a disagreement fails the table).
-    pub agreed: bool,
-}
-
-impl LocalProfile {
-    /// Wall-clock speedup of the local engine over the global one.
-    pub fn speedup(&self) -> f64 {
-        self.global_wall.as_secs_f64() / self.local_wall.as_secs_f64().max(1e-9)
-    }
-
-    /// Whether the query settled without materialising the whole model.
-    pub fn settled_early(&self) -> bool {
-        self.layers_expanded < self.horizon
-    }
-}
-
-/// Measures one cell of the local-engine ablation: the same layer-bounded
-/// query answered lazily (layers on demand) and globally (full relational
-/// construction first).
-fn local_profile<E, R>(
-    label: String,
-    exchange: E,
-    params: ModelParams,
-    rule: R,
-    layer: usize,
-    query: String,
-    formula: Formula<ConsensusAtom>,
-) -> LocalProfile
-where
-    E: InformationExchange + SymbolicEncode + 'static,
-    R: DecisionRule<E> + SymbolicRule<E> + Clone + 'static,
-{
-    let start = Instant::now();
-    let local = LocalChecker::new(exchange.clone(), params, rule.clone());
-    let verdict = local.holds_in_layer(&formula, layer);
-    let local_wall = start.elapsed();
-    let layers_expanded = local.stats().layers_expanded;
-    let local_peak_live_nodes = local.symbolic_stats().peak_live_nodes;
-    // A warm repeat of the same query must come out of the verdict memo.
-    local.holds_in_layer(&formula, layer);
-    let memo_hits = local.stats().memo_hits;
-
-    // The global engine answers the identical query, bounded to the layer,
-    // over a fully built model.
-    let bounded = Formula::implies(Formula::atom(ConsensusAtom::TimeIs(layer as Round)), formula);
-    let start = Instant::now();
-    let global = SymbolicChecker::relational(exchange, params, rule, SymbolicOptions::default());
-    let global_verdict = global.holds_everywhere(&bounded);
-    let global_wall = start.elapsed();
-
-    LocalProfile {
-        label,
-        query,
-        layer,
-        horizon: local.horizon(),
-        layers_expanded,
-        local_wall,
-        local_peak_live_nodes,
-        memo_hits,
-        global_wall,
-        global_peak_live_nodes: global.stats().peak_live_nodes,
-        verdict,
-        agreed: verdict == global_verdict,
-    }
-}
-
-/// An explicit-versus-symbolic comparison of one synthesis instance — the
-/// measurement behind the `tables -- synthesis` ablation.
-///
-/// The symbolic engine always runs (it is the scaling backend); the explicit
-/// engine runs under the given timeout and reports `None` on `TO`, exactly
-/// as the paper's tables treat long-running MCK cells. When both complete,
-/// their decision tables are compared entry by entry.
-#[derive(Clone, Debug)]
-pub struct SynthesisComparison {
-    /// Description of the instance (exchange, parameters).
-    pub label: String,
-    /// Wall-clock time of the explicit engine, or `None` on timeout.
-    pub explicit_duration: Option<Duration>,
-    /// Wall-clock time of the symbolic engine.
-    pub symbolic_duration: Duration,
-    /// Total states explored by the symbolic run.
-    pub total_states: usize,
-    /// Rounds the symbolic forward induction processed.
-    pub rounds: usize,
-    /// Trailing rounds skipped by the early exit.
-    pub skipped_rounds: usize,
-    /// Peak live BDD nodes across all rounds of the symbolic run.
-    pub peak_live_nodes: usize,
-    /// Garbage collections across all rounds of the symbolic run.
-    pub gc_runs: u64,
-    /// Variable reorders across all rounds of the symbolic run.
-    pub reorder_runs: u64,
-    /// `Some(true)` when both engines ran and produced identical decision
-    /// tables; `None` when the explicit engine timed out.
-    pub rules_agree: Option<bool>,
-    /// The per-round profile of the symbolic run.
-    pub profile: SymbolicSynthesisProfile,
-}
-
-impl fmt::Display for SynthesisComparison {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: explicit {}, symbolic {} ({} states, {} rounds + {} skipped, peak {} nodes)",
-            self.label,
-            self.explicit_duration.map(format_mck_duration).unwrap_or_else(|| "TO".into()),
-            format_mck_duration(self.symbolic_duration),
-            self.total_states,
-            self.rounds,
-            self.skipped_rounds,
-            self.peak_live_nodes
-        )
-    }
-}
-
-fn compare_synthesis<E>(
-    experiment: Experiment,
-    exchange: E,
-    timeout: Duration,
-) -> SynthesisComparison
-where
-    E: InformationExchange + SymbolicEncode + 'static,
-{
-    let params = experiment.params();
-    let (symbolic_outcome, profile) = SymbolicSynthesizer::new(exchange.clone(), params)
-        .synthesize_profiled(&experiment.program());
-    let explicit = with_timeout(timeout, move || {
-        let start = Instant::now();
-        let outcome = Synthesizer::new(exchange, params).synthesize(&experiment.program());
-        (start.elapsed(), outcome)
-    });
-    let (explicit_duration, rules_agree) = match explicit {
-        Some((duration, outcome)) => (Some(duration), Some(outcome.rule == symbolic_outcome.rule)),
-        None => (None, None),
-    };
-    SynthesisComparison {
-        label: experiment.label("synthesis"),
-        explicit_duration,
-        symbolic_duration: profile.total_wall,
-        total_states: symbolic_outcome.stats.total_states,
-        rounds: profile.rounds.len(),
-        skipped_rounds: symbolic_outcome.stats.skipped_rounds,
-        peak_live_nodes: profile.peak_live_nodes(),
-        gc_runs: profile.gc_runs(),
-        reorder_runs: profile.reorder_runs(),
-        rules_agree,
-        profile,
-    }
 }
 
 /// One experiment instance: a protocol of the registry
@@ -532,47 +218,6 @@ impl Experiment {
             validate_synthesis(label, start, exchange, params, eventual, outcome)
         })
     }
-
-    /// Runs both synthesis engines on this instance (the explicit one under
-    /// `timeout`) and compares their outputs; see [`SynthesisComparison`].
-    pub fn compare_synthesis(&self, timeout: Duration) -> SynthesisComparison {
-        with_protocol!(self.protocol, |exchange, _rule| compare_synthesis(*self, exchange, timeout))
-    }
-
-    /// Profiles the symbolic engine on this instance: the relational build
-    /// under `options`, then a fixed formula battery. `include_temporal`
-    /// additionally times a bounded temporal formula, evaluated by
-    /// pre-image through the per-round reachable relations.
-    pub fn symbolic_profile(
-        &self,
-        options: SymbolicOptions,
-        include_temporal: bool,
-    ) -> SymbolicProfile {
-        let (label, params) = (self.label("symbolic"), self.params());
-        with_protocol!(self.protocol, |exchange, rule| symbolic_profile(
-            label,
-            exchange,
-            params,
-            rule,
-            options,
-            include_temporal
-        ))
-    }
-
-    /// Measures `formula` (rendered as `query`) at `layer` on this
-    /// instance through the lazy local engine and through the global one;
-    /// see [`LocalProfile`]. The profile is labelled with the instance id.
-    pub fn local_profile(
-        &self,
-        layer: usize,
-        query: String,
-        formula: Formula<ConsensusAtom>,
-    ) -> LocalProfile {
-        let (label, params) = (self.id(), self.params());
-        with_protocol!(self.protocol, |exchange, rule| local_profile(
-            label, exchange, params, rule, layer, query, formula
-        ))
-    }
 }
 
 fn model_check<E, R>(
@@ -648,215 +293,6 @@ fn validate_synthesis<E: InformationExchange>(
     }
 }
 
-/// Cold/warm latency, cache effectiveness, snapshot fidelity, and
-/// multi-client throughput of the checking service (`epimc-serve`) on one
-/// model instance — the measurements behind the `tables -- serve` ablation.
-#[derive(Clone, Debug)]
-pub struct ServeMeasurement {
-    /// Description of the instance (the model spec answered).
-    pub label: String,
-    /// Wall-clock latency of the first batched query (includes the model
-    /// construction).
-    pub cold: Duration,
-    /// Wall-clock latency of the identical repeat against the warm
-    /// instance.
-    pub warm: Duration,
-    /// Relational image computations charged to the cold query.
-    pub cold_relational_products: u64,
-    /// Relational image computations charged to the warm repeat (the
-    /// budget gate pins this to zero).
-    pub warm_relational_products: u64,
-    /// Cross-request denotation-cache hits during the warm repeat.
-    pub warm_session_hits: u64,
-    /// Size of the instance's checker snapshot in bytes.
-    pub snapshot_bytes: u64,
-    /// Whether a checker restored from that snapshot answered the batch
-    /// identically to the warm server.
-    pub snapshot_differential_ok: bool,
-    /// Number of concurrent clients in the throughput phase.
-    pub clients: usize,
-    /// Total warm batches answered across those clients.
-    pub throughput_batches: u64,
-    /// Wall-clock duration of the throughput phase.
-    pub throughput_duration: Duration,
-    /// The per-request deadline of the budget probe, in milliseconds.
-    pub deadline_ms: u64,
-    /// Wall-clock until the deadline probe was *answered* (either a
-    /// structured `error budget-exceeded` or, on instances that build
-    /// faster than the deadline, the verdicts themselves).
-    pub deadline_answer: Duration,
-    /// Whether the probe tripped the deadline (expected on any instance
-    /// whose cold build outlasts it).
-    pub deadline_tripped: bool,
-    /// Whether the batch issued right after the trip — a cold rebuild,
-    /// since the trip evicts the instance — answered identically to the
-    /// warm server.
-    pub post_trip_differential_ok: bool,
-}
-
-impl ServeMeasurement {
-    /// Warm batches per second in the multi-client phase.
-    pub fn batches_per_second(&self) -> f64 {
-        let seconds = self.throughput_duration.as_secs_f64();
-        if seconds == 0.0 {
-            0.0
-        } else {
-            self.throughput_batches as f64 / seconds
-        }
-    }
-
-    /// Cold wall over warm wall (the acceptance criterion asks for ≥ 10×).
-    pub fn warm_speedup(&self) -> f64 {
-        let warm = self.warm.as_secs_f64();
-        if warm == 0.0 {
-            f64::INFINITY
-        } else {
-            self.cold.as_secs_f64() / warm
-        }
-    }
-
-    /// Wall-clock of the deadline probe's answer as an integer percentage
-    /// of the configured deadline, rounded up (a `<= 200` budget entry
-    /// means every deadline-exceeded request is answered within 2× the
-    /// deadline — the responsiveness acceptance criterion).
-    pub fn deadline_answer_pct(&self) -> usize {
-        let deadline_nanos = (self.deadline_ms as u128 * 1_000_000).max(1);
-        (self.deadline_answer.as_nanos() * 100).div_ceil(deadline_nanos) as usize
-    }
-}
-
-impl fmt::Display for ServeMeasurement {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: cold {} warm {} ({:.1}x), warm images {}, {} cache hits, \
-             {} clients at {:.1} batches/s, {}ms probe {} in {}",
-            self.label,
-            format_mck_duration(self.cold),
-            format_mck_duration(self.warm),
-            self.warm_speedup(),
-            self.warm_relational_products,
-            self.warm_session_hits,
-            self.clients,
-            self.batches_per_second(),
-            self.deadline_ms,
-            if self.deadline_tripped { "tripped" } else { "finished" },
-            format_mck_duration(self.deadline_answer)
-        )
-    }
-}
-
-/// Measures the checking service on one instance: starts an in-process
-/// server on an ephemeral port, issues the batch cold and warm, snapshots
-/// the warm checker and differentially re-answers from the restored copy,
-/// drives `clients` concurrent connections issuing `batches_per_client`
-/// warm batches each, then probes robustness: the instance is evicted and
-/// re-requested under a 50 ms deadline (a cold build that outlasts it
-/// must answer a structured `error budget-exceeded`, promptly), and the
-/// batch after the trip must rebuild and answer identically.
-///
-/// # Errors
-///
-/// Reports spec/formula parse failures and any I/O or server-side error.
-pub fn serve_measurement(
-    spec_text: &str,
-    formulas: &[&str],
-    clients: usize,
-    batches_per_client: usize,
-) -> Result<ServeMeasurement, String> {
-    use epimc_serve::{answer_from_snapshot, CheckReply, Client, ModelSpec, ServeOptions, Server};
-
-    /// The deadline of the robustness probe: far below any interesting
-    /// instance's cold build, far above the trip-to-answer latency.
-    const PROBE_DEADLINE_MS: u64 = 50;
-
-    let spec = ModelSpec::parse(spec_text)?;
-    let server = Server::bind("127.0.0.1:0", ServeOptions::default())
-        .map_err(|error| format!("bind: {error}"))?;
-    let addr = server.local_addr().map_err(|error| error.to_string())?;
-    thread::spawn(move || server.run());
-
-    let mut client = Client::connect(addr).map_err(|error| format!("connect: {error}"))?;
-    let cold_started = Instant::now();
-    let cold = client.check(spec, formulas).map_err(|error| format!("cold check: {error}"))?;
-    let cold_wall = cold_started.elapsed();
-    let warm_started = Instant::now();
-    let warm = client.check(spec, formulas).map_err(|error| format!("warm check: {error}"))?;
-    let warm_wall = warm_started.elapsed();
-
-    // Snapshot the warm instance and differentially re-answer the batch
-    // from the restored copy.
-    let path =
-        std::env::temp_dir().join(format!("epimc-serve-measure-{}.snap", std::process::id()));
-    let path_text = path.to_string_lossy().to_string();
-    let snapshot_bytes =
-        client.snapshot(spec, &path_text).map_err(|error| format!("snapshot: {error}"))?;
-    let stream = std::fs::read(&path).map_err(|error| format!("reading {path_text}: {error}"))?;
-    let _ = std::fs::remove_file(&path);
-    let restored_verdicts = answer_from_snapshot(&spec, &stream, formulas)?;
-    let snapshot_differential_ok = restored_verdicts == warm.verdicts;
-
-    // The server handles connections sequentially, so the measurement
-    // connection must close before the throughput workers can be served.
-    drop(client);
-
-    // Throughput: N concurrent clients, each issuing warm batches over its
-    // own connection.
-    let throughput_started = Instant::now();
-    let mut workers = Vec::new();
-    for _ in 0..clients {
-        let formulas: Vec<String> = formulas.iter().map(|text| text.to_string()).collect();
-        workers.push(thread::spawn(move || -> Result<u64, String> {
-            let mut client = Client::connect(addr).map_err(|error| format!("connect: {error}"))?;
-            let texts: Vec<&str> = formulas.iter().map(String::as_str).collect();
-            for _ in 0..batches_per_client {
-                client.check(spec, &texts).map_err(|error| format!("batch: {error}"))?;
-            }
-            Ok(batches_per_client as u64)
-        }));
-    }
-    let mut throughput_batches = 0;
-    for worker in workers {
-        throughput_batches +=
-            worker.join().map_err(|_| "throughput worker panicked".to_string())??;
-    }
-    let throughput_duration = throughput_started.elapsed();
-
-    // Robustness probe: evict the warm instance, race a 50 ms deadline
-    // against the cold rebuild, and verify the server both answers the
-    // trip promptly (structured, not a dropped connection) and rebuilds
-    // correctly on the very next batch.
-    let mut client = Client::connect(addr).map_err(|error| format!("connect: {error}"))?;
-    client.evict_all().map_err(|error| format!("evict: {error}"))?;
-    let probe_started = Instant::now();
-    let reply = client
-        .check_with_deadline(spec, formulas, Some(PROBE_DEADLINE_MS))
-        .map_err(|error| format!("deadline probe: {error}"))?;
-    let deadline_answer = probe_started.elapsed();
-    let deadline_tripped = matches!(reply, CheckReply::BudgetExceeded(_));
-    let post =
-        client.check(spec, formulas).map_err(|error| format!("post-trip rebuild: {error}"))?;
-    let post_trip_differential_ok = post.verdicts == warm.verdicts;
-
-    Ok(ServeMeasurement {
-        label: spec.to_string(),
-        cold: cold_wall,
-        warm: warm_wall,
-        cold_relational_products: cold.relational_products,
-        warm_relational_products: warm.relational_products,
-        warm_session_hits: warm.session_hits,
-        snapshot_bytes,
-        snapshot_differential_ok,
-        clients,
-        throughput_batches,
-        throughput_duration,
-        deadline_ms: PROBE_DEADLINE_MS,
-        deadline_answer,
-        deadline_tripped,
-        post_trip_differential_ok,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -930,65 +366,9 @@ mod tests {
     }
 
     #[test]
-    fn synthesis_comparison_reports_agreement_and_profile() {
-        let experiment = Experiment::crash(ProtocolKind::FloodSet, 3, 1);
-        let comparison = experiment.compare_synthesis(Duration::from_secs(60));
-        assert_eq!(comparison.rules_agree, Some(true), "{comparison}");
-        assert!(comparison.explicit_duration.is_some());
-        assert!(comparison.peak_live_nodes > 0);
-        assert_eq!(comparison.rounds, comparison.profile.rounds.len());
-        assert!(
-            comparison.rounds + comparison.skipped_rounds == 4,
-            "horizon t + 2 = 3 has 4 rounds"
-        );
-        assert!(!format!("{comparison}").is_empty());
-
-        // A timeout of zero forces the explicit engine into a `TO` cell.
-        let timed_out = experiment.compare_synthesis(Duration::from_millis(0));
-        assert_eq!(timed_out.explicit_duration, None);
-        assert_eq!(timed_out.rules_agree, None);
-    }
-
-    #[test]
     fn dwork_moses_experiment_runs_on_small_instance() {
         let experiment = Experiment::crash(ProtocolKind::DworkMoses, 2, 1);
         let check = experiment.model_check();
         assert!(check.spec_ok, "{check}");
-    }
-
-    #[test]
-    fn symbolic_profile_reports_timings_and_stats() {
-        let experiment = Experiment::crash(ProtocolKind::FloodSet, 3, 1);
-        let profile = experiment.symbolic_profile(SymbolicOptions::default(), true);
-        assert!(profile.total_states > 0);
-        assert_eq!(profile.formulas.len(), 4, "battery with temporal has 4 formulas");
-        assert!(profile.formula("B_0 CB exists0").is_some());
-        assert!(profile.stats.peak_live_nodes > 0);
-        assert!(profile.stats.relational_product_calls > 0, "the build runs forward images");
-        assert!(profile.total_check_duration() > Duration::ZERO);
-        assert!(!format!("{profile}").is_empty());
-
-        let eba = Experiment::new(ProtocolKind::EMin, 2, 1, FailureKind::SendOmission);
-        let profile = eba.symbolic_profile(SymbolicOptions::default(), false);
-        assert_eq!(profile.formulas.len(), 3);
-        assert_eq!(profile.stats.preimage_calls, 0, "no temporal formula, no pre-image");
-    }
-
-    #[test]
-    fn serve_measurement_reports_a_warm_image_free_repeat() {
-        let measurement = serve_measurement(
-            "protocol=floodset n=3 t=1 values=2 failure=crash",
-            &["CB exists0 => decides[0].0", "AG (decided[1].0 => !decided[1].1)"],
-            2,
-            3,
-        )
-        .expect("the in-process service answers");
-        assert!(measurement.cold_relational_products > 0);
-        assert_eq!(measurement.warm_relational_products, 0);
-        assert!(measurement.warm_session_hits > 0);
-        assert!(measurement.snapshot_differential_ok);
-        assert_eq!(measurement.throughput_batches, 6);
-        assert!(measurement.batches_per_second() > 0.0);
-        assert!(!format!("{measurement}").is_empty());
     }
 }

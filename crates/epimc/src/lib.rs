@@ -79,10 +79,7 @@ pub mod prelude {
 
     pub use epimc_serve::{Client, ModelSpec, ServeOptions, Server};
 
-    pub use crate::experiments::{
-        serve_measurement, Experiment, ExperimentMeasurement, LocalProfile, ServeMeasurement,
-        SymbolicFormulaTiming, SymbolicProfile, SynthesisComparison,
-    };
+    pub use crate::experiments::{Experiment, ExperimentMeasurement};
     pub use crate::hypotheses::{condition2, condition3, condition3_observed, HypothesisReport};
     pub use crate::optimality::{analyze_sba, OptimalityReport};
     pub use crate::spec::{check_eba, check_sba, SpecReport};

@@ -110,32 +110,6 @@ impl SymbolicSynthesisProfile {
     pub fn gc_runs(&self) -> u64 {
         self.rounds.iter().map(|round| round.stats.gc_runs).max().unwrap_or(0)
     }
-
-    /// Total variable reorders over the run (cumulative, like
-    /// [`SymbolicSynthesisProfile::gc_runs`]). The checker keeps its static
-    /// order and never sifts on its own, so a synthesis run reports zero.
-    pub fn reorder_runs(&self) -> u64 {
-        self.rounds.iter().map(|round| round.stats.reorder_runs).max().unwrap_or(0)
-    }
-}
-
-impl fmt::Display for SymbolicSynthesisProfile {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "symbolic synthesis: {:.3?} total, peak {} live nodes",
-            self.total_wall,
-            self.peak_live_nodes()
-        )?;
-        for round in &self.rounds {
-            writeln!(
-                f,
-                "  round {}: {} states in {:.3?} ({})",
-                round.time, round.layer_states, round.wall, round.stats
-            )?;
-        }
-        Ok(())
-    }
 }
 
 /// The symbolic synthesis engine: computes the same unique clock-semantics
@@ -396,6 +370,5 @@ mod tests {
             assert_eq!(round.time, expected_time as Round);
             assert!(round.layer_states > 0);
         }
-        assert!(!format!("{profile}").is_empty());
     }
 }
