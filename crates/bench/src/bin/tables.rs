@@ -1,6 +1,6 @@
-//! Prints the paper's result tables (Tables 1–3) plus the scaling and
-//! engine-ablation summaries, and this reproduction's ablations, using
-//! this reproduction's engines.
+//! Prints the paper's result tables (Tables 1–3) plus the scaling,
+//! engine-ablation and exploration studies, and this reproduction's
+//! ablations, using this reproduction's engines.
 //!
 //! Usage:
 //!
@@ -10,48 +10,24 @@
 //!     [--timeout <seconds>] [--full] [--smoke] [--budget]
 //! ```
 //!
-//! `explore` prints the exploration ablation: sequential versus parallel
-//! frontier expansion, with per-run state counts, de-duplication hits and
-//! the parallel speedup (see `epimc_system::ExploreStats`).
+//! Every selection is one [`epimc_bench::Table`]: its grid of experiments
+//! is measured, printed one row per instance id, and gated. A `MustHold`
+//! field that reads `NO` — a paper-table cell whose protocol violates its
+//! specification, an engine disagreement, a parallel exploration that
+//! diverged from the sequential one, a snapshot or post-trip differential —
+//! exits 1 with or without `--budget`.
 //!
-//! `symbolic` prints the symbolic-engine ablation: per-formula timings,
-//! peak live BDD nodes, garbage collections and cache hit-rates across the
-//! protocol families, ending with FloodSet n=8 t=3.
+//! `table1`, `table2` and `table3` reproduce the paper's tables (`TO` past
+//! the per-cell timeout, `[subopt]` on a correct but suboptimal protocol);
+//! `scaling` times FloodSet at t=1 as the agents grow; `ablation` compares
+//! the explicit-state and symbolic engines on the SBA knowledge condition;
+//! `explore` compares sequential and parallel frontier expansion.
 //!
-//! `synthesis` prints the synthesis ablation: explicit versus symbolic
-//! forward induction across the FloodSet / EBA families, ending at a
-//! FloodSet instance the explicit engine cannot finish within the timeout.
-//! A disagreement between the engines' rules fails the run.
-//!
-//! `frontend` prints the model-construction table: the relational
-//! front-end (forward image over the round relation) building the layered
-//! models, with build wall-clock, peak live nodes and the relational-product
-//! / image-cache counters. Every row an exploration can reach is verified
-//! against it: every explored point relationally reachable, and per layer as
-//! many states as the explored points have distinct states. `--full`
-//! appends FloodSet n=10, verified, and n=12, 22M states, not explored.
-//!
-//! `local` prints the local-engine ablation: the lazy on-the-fly engine
-//! (fixpoint equation system over layers materialised on demand) versus
-//! the global symbolic engine (full relational construction) answering
-//! the same layer-0 knowledge query, with layers used against the
-//! layers built, wall clocks, peak live nodes and warm-repeat memo hits. A
-//! verdict disagreement between the engines fails the run. `--full`
-//! appends the FloodSet n=12 cell.
-//!
-//! `serve` prints the checking-service ablation: cold (build included)
-//! versus warm (cross-request denotation cache) latency of a batched
-//! query against `epimc-serve`, the relational-image and cache-hit
-//! counters of the warm repeat, snapshot round-trip fidelity, throughput
-//! under concurrent clients, and a 50 ms deadline probe. A restored
-//! snapshot or post-probe rebuild that answers differently fails the run.
-//!
-//! `--smoke` restricts these five ablations to their CI instances
-//! (FloodSet n=4 t=1, plus EMin n=2 t=1 under omissions for `synthesis`,
-//! and FloodSet n=10 t=3 for `serve`). `--budget` gates each selected
-//! ablation against its own checked-in budget,
-//! `crates/bench/<name>_budget.txt`, exiting 1 on a regression; it is
-//! refused with any other selection.
+//! `symbolic`, `synthesis`, `frontend`, `local` and `serve` are this
+//! reproduction's ablations (see each table's note). `--smoke` restricts
+//! them to their CI instances, and `--budget` gates each against its own
+//! checked-in budget, `crates/bench/<name>_budget.txt`, exiting 1 on a
+//! regression; it is refused with a selection that has no budget.
 //!
 //! `--full` selects the paper-sized parameter grids (several cells will show
 //! `TO` unless a generous `--timeout` is given); without it a smaller grid is
@@ -64,44 +40,21 @@
 
 use std::time::Duration;
 
-use epimc_bench::{
-    ablation_table, explore_table, gate, scaling_table, table1, table2, table3, ABLATIONS,
-    DEFAULT_TIMEOUT,
-};
-
-/// The paper's tables and the summaries printed alongside them, in `all`
-/// order (the ablations follow).
-const PAPER_TABLES: [&str; 6] = ["table1", "table2", "table3", "scaling", "ablation", "explore"];
-
-fn paper_table(name: &str, timeout: Duration, full: bool) -> String {
-    match name {
-        "table1" => table1(timeout, full),
-        "table2" => table2(timeout, full),
-        "table3" => table3(timeout, full),
-        "scaling" => scaling_table(timeout, full),
-        "ablation" => ablation_table(full),
-        "explore" => explore_table(full),
-        other => unreachable!("`{other}` is not in PAPER_TABLES"),
-    }
-}
-
-/// Every selection the binary knows, in `all` order.
-fn selections() -> Vec<&'static str> {
-    PAPER_TABLES.into_iter().chain(ABLATIONS.iter().map(|ablation| ablation.name)).collect()
-}
+use epimc_bench::{gate, Table, DEFAULT_TIMEOUT, TABLES};
 
 fn usage_error(message: &str) -> ! {
+    let names: Vec<&str> = TABLES.iter().map(|table| table.name).collect();
     eprintln!("tables: {message}");
     eprintln!(
         "usage: tables [{}|all]... [--timeout <seconds>] [--full] [--smoke] [--budget]",
-        selections().join("|")
+        names.join("|")
     );
     std::process::exit(2);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut which: Vec<&str> = Vec::new();
+    let mut which: Vec<&Table> = Vec::new();
     let mut timeout = DEFAULT_TIMEOUT;
     let mut full = false;
     let mut smoke = false;
@@ -121,38 +74,31 @@ fn main() {
             "--smoke" => smoke = true,
             "--budget" => budget = true,
             flag if flag.starts_with("--") => usage_error(&format!("unknown flag `{flag}`")),
-            "all" => which.extend(selections()),
-            table => match selections().into_iter().find(|known| *known == table) {
-                Some(known) => which.push(known),
-                None => usage_error(&format!("unknown table `{table}`")),
+            "all" => which.extend(TABLES.iter()),
+            name => match TABLES.iter().find(|table| table.name == name) {
+                Some(table) => which.push(table),
+                None => usage_error(&format!("unknown table `{name}`")),
             },
         }
     }
     if which.is_empty() {
-        which = selections();
+        which.extend(TABLES.iter());
     }
     if budget {
-        if let Some(ungated) = which.iter().find(|table| PAPER_TABLES.contains(table)) {
-            usage_error(&format!(
-                "--budget gates the ablations only; `{ungated}` checks no budget"
-            ));
+        if let Some(ungated) = which.iter().find(|table| table.budget.is_none()) {
+            usage_error(&format!("--budget: `{}` has no budget gate", ungated.name));
         }
     }
 
-    for name in which {
-        match ABLATIONS.iter().find(|ablation| ablation.name == name) {
-            None => print!("{}", paper_table(name, timeout, full)),
-            Some(ablation) => {
-                let rows = ablation.rows(full, smoke, timeout);
-                print!("{}", ablation.render(&rows));
-                match gate(&rows, budget.then_some(ablation.budget)) {
-                    Ok(summary) if summary.is_empty() => {}
-                    Ok(summary) => println!("{name}: {summary}"),
-                    Err(violations) => {
-                        eprintln!("{name}: gate failed:\n{violations}");
-                        std::process::exit(1);
-                    }
-                }
+    for table in which {
+        let rows = table.rows(full, smoke, timeout);
+        print!("{}", table.render(&rows));
+        match gate(&rows, table.budget.filter(|_| budget)) {
+            Ok(summary) if summary.is_empty() => {}
+            Ok(summary) => println!("{}: {summary}", table.name),
+            Err(violations) => {
+                eprintln!("{}: gate failed:\n{violations}", table.name);
+                std::process::exit(1);
             }
         }
         println!();

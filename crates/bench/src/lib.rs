@@ -1,20 +1,17 @@
-//! Shared harness code for the benchmark suite.
+//! The `tables` binary's harness: the paper's result tables and this
+//! reproduction's ablations, each described once.
 //!
 //! The paper reports three tables of running times (model checking and
 //! synthesis for SBA, model checking of the Diff/Dwork–Moses protocols under
 //! varying round counts, and EBA synthesis), obtained with a 10-minute
-//! timeout per experiment. This crate reproduces those tables:
-//!
-//! * `cargo run -p epimc-bench --bin tables` prints all three tables (plus
-//!   the scaling and engine-ablation summaries) in the paper's layout, using
-//!   a configurable per-cell timeout;
-//! * `cargo bench -p epimc-bench` runs Criterion benchmarks over the smaller
-//!   parameter grid, giving statistically robust timings per cell.
-//!
-//! The same binary prints this reproduction's own ablations ([`ABLATIONS`]).
-//! Each is a grid of experiments plus a measure that returns one row of
-//! [`Field`]s; one renderer prints every ablation and one [`gate`] checks
-//! every invariant and checked-in node budget.
+//! timeout per experiment; a scaling study, the explicit-versus-symbolic
+//! engine ablation and the exploration speedup are printed alongside them,
+//! and this reproduction adds five ablations of its own. Each of the eleven
+//! is one [`Table`] in [`TABLES`]: a grid of experiments plus a measure that
+//! returns one row of [`Field`]s. One renderer prints every table, keyed by
+//! the instance id, and one [`gate`] checks every invariant and checked-in
+//! node budget. `cargo run --release -p epimc-bench --bin tables -- --full`
+//! selects the paper-sized grids.
 
 use std::fmt;
 use std::thread;
@@ -29,313 +26,22 @@ use epimc_serve::{answer_from_snapshot, CheckReply};
 /// quickly; pass `--timeout <seconds>` for longer budgets).
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// One cell of a result table.
-#[derive(Clone, Debug)]
-pub struct Cell {
-    /// Row label components (e.g. `n`, `t`, and optionally the round count).
-    pub key: Vec<String>,
-    /// One rendered entry per column.
-    pub entries: Vec<String>,
-}
-
-/// Renders a table in a fixed-width layout.
-pub fn render_table(title: &str, key_headers: &[&str], columns: &[&str], cells: &[Cell]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{title}\n"));
-    let mut header = String::new();
-    for key in key_headers {
-        header.push_str(&format!("{key:>4} "));
-    }
-    for column in columns {
-        header.push_str(&format!("{column:>22} "));
-    }
-    out.push_str(&header);
-    out.push('\n');
-    out.push_str(&"-".repeat(header.len()));
-    out.push('\n');
-    for cell in cells {
-        let mut line = String::new();
-        for key in &cell.key {
-            line.push_str(&format!("{key:>4} "));
-        }
-        for entry in &cell.entries {
-            line.push_str(&format!("{entry:>22} "));
-        }
-        out.push_str(&line);
-        out.push('\n');
-    }
-    out
-}
-
-/// Runs one measurement with a timeout; renders `TO` on timeout, like the
-/// paper's tables.
-pub fn timed_entry<F>(timeout: Duration, run: F) -> String
-where
-    F: FnOnce() -> ExperimentMeasurement + Send + 'static,
-{
-    match with_timeout(timeout, run) {
-        Some(measurement) => {
-            let mut entry = format_mck_duration(measurement.duration);
-            if !measurement.spec_ok {
-                entry.push_str(" [spec!]");
-            } else if !measurement.optimal {
-                entry.push_str(" [subopt]");
-            }
-            entry
-        }
-        None => "TO".to_string(),
-    }
-}
-
-/// The (n, t) grid of Table 1. The `full` grid matches the paper
-/// (n up to 6); the quick grid keeps every cell under a few seconds on a
-/// laptop so that `cargo bench` completes promptly.
-pub fn table1_grid(full: bool) -> Vec<(usize, usize)> {
-    let max_n = if full { 6 } else { 4 };
-    let mut grid = Vec::new();
-    for n in 2..=max_n {
-        for t in 1..=n {
-            if !full && n == 4 && t > 2 {
-                continue;
-            }
-            grid.push((n, t));
-        }
-    }
-    grid
-}
-
-/// The (n, t, rounds) grid of Table 2.
-pub fn table2_grid(full: bool) -> Vec<(usize, usize, u32)> {
-    let max_n = if full { 4 } else { 3 };
-    let mut grid = Vec::new();
-    for n in 2..=max_n {
-        for t in 1..=n {
-            for rounds in 1..=(t as u32 + 1) {
-                if !full && n == 3 && t > 2 {
-                    continue;
-                }
-                grid.push((n, t, rounds));
-            }
-        }
-    }
-    grid
-}
-
-/// The (n, t) grid of Table 3.
-pub fn table3_grid(full: bool) -> Vec<(usize, usize)> {
-    let max_n = if full { 4 } else { 3 };
-    let mut grid = Vec::new();
-    for n in 2..=max_n {
-        for t in 1..=n {
-            if !full && n == 3 && t > 2 {
-                continue;
-            }
-            grid.push((n, t));
-        }
-    }
-    grid
-}
-
-/// Whether the `cargo bench` targets should run the full (paper-sized)
-/// grids, requested via the `EPIMC_BENCH_FULL` environment variable (the
-/// `tables` binary takes `--full` instead).
-pub fn full_grids_requested() -> bool {
-    std::env::var("EPIMC_BENCH_FULL").map(|v| v == "1" || v == "true").unwrap_or(false)
-}
-
-/// Table 1: model checking and synthesis times for the FloodSet and Count
-/// FloodSet exchanges under crash failures.
-pub fn table1(timeout: Duration, full: bool) -> String {
-    let mut cells = Vec::new();
-    for (n, t) in table1_grid(full) {
-        let flood = Experiment::crash(ProtocolKind::FloodSet, n, t);
-        let count = Experiment::crash(ProtocolKind::CountFloodSet, n, t);
-        let entries = vec![
-            timed_entry(timeout, move || flood.model_check()),
-            timed_entry(timeout, move || flood.synthesize()),
-            timed_entry(timeout, move || count.model_check()),
-            timed_entry(timeout, move || count.synthesize()),
-        ];
-        cells.push(Cell { key: vec![n.to_string(), t.to_string()], entries });
-    }
-    render_table(
-        "Table 1: SBA running times (crash failures, |V| = 2)",
-        &["n", "t"],
-        &["floodset check", "floodset synth", "count check", "count synth"],
-        &cells,
-    )
-}
-
-/// Table 2: model checking times for the Differential and Dwork–Moses
-/// protocols, with a varying number of explored rounds.
-pub fn table2(timeout: Duration, full: bool) -> String {
-    let mut cells = Vec::new();
-    for (n, t, rounds) in table2_grid(full) {
-        let diff = Experiment {
-            horizon: Some(rounds),
-            ..Experiment::crash(ProtocolKind::DiffFloodSet, n, t)
-        };
-        let dwork = Experiment { protocol: ProtocolKind::DworkMoses, ..diff };
-        let entries = vec![
-            timed_entry(timeout, move || diff.model_check()),
-            timed_entry(timeout, move || dwork.model_check()),
-        ];
-        cells.push(Cell { key: vec![n.to_string(), t.to_string(), rounds.to_string()], entries });
-    }
-    render_table(
-        "Table 2: model checking the Differential and Dwork-Moses protocols",
-        &["n", "t", "rds"],
-        &["differential check", "dwork-moses check"],
-        &cells,
-    )
-}
-
-/// Table 3: EBA synthesis times for `E_min` and `E_basic`, under crash and
-/// sending-omission failures.
-pub fn table3(timeout: Duration, full: bool) -> String {
-    let mut cells = Vec::new();
-    for (n, t) in table3_grid(full) {
-        let mut entries = Vec::new();
-        for protocol in [ProtocolKind::EMin, ProtocolKind::EBasic] {
-            for failure in [FailureKind::Crash, FailureKind::SendOmission] {
-                let experiment = Experiment::new(protocol, n, t, failure);
-                entries.push(timed_entry(timeout, move || experiment.synthesize()));
-            }
-        }
-        cells.push(Cell { key: vec![n.to_string(), t.to_string()], entries });
-    }
-    render_table(
-        "Table 3: EBA synthesis running times",
-        &["n", "t"],
-        &["E_min crash", "E_min omissions", "E_basic crash", "E_basic omissions"],
-        &cells,
-    )
-}
-
-/// The scaling study (runtime versus number of agents, t = 1) behind the
-/// paper's discussion of the blow-up threshold.
-pub fn scaling_table(timeout: Duration, full: bool) -> String {
-    let max_n = if full { 6 } else { 5 };
-    let mut cells = Vec::new();
-    for n in 2..=max_n {
-        let flood = Experiment::crash(ProtocolKind::FloodSet, n, 1);
-        let entries = vec![
-            timed_entry(timeout, move || flood.model_check()),
-            timed_entry(timeout, move || flood.synthesize()),
-        ];
-        cells.push(Cell { key: vec![n.to_string()], entries });
-    }
-    render_table(
-        "Scaling: FloodSet, t = 1, runtime versus number of agents",
-        &["n"],
-        &["model check", "synthesis"],
-        &cells,
-    )
-}
-
-/// The exploration ablation: sequential versus parallel frontier expansion
-/// of the FloodSet state space (t = 2), reporting per-run state counts,
-/// de-duplication hits and the parallel speedup. The two explorations are
-/// checked to be bit-identical before reporting.
-pub fn explore_table(full: bool) -> String {
-    let max_n = if full { 7 } else { 6 };
-    let mut cells = Vec::new();
-    for n in 4..=max_n {
-        let params = Experiment::crash(ProtocolKind::FloodSet, n, 2).params();
-        with_protocol!(ProtocolKind::FloodSet, |exchange, rule| {
-            let sequential = StateSpace::explore_sequential(exchange, params, &rule);
-            let parallel = StateSpace::explore(exchange, params, &rule);
-            for (seq_layer, par_layer) in sequential.layers().iter().zip(parallel.layers()) {
-                assert!(
-                    seq_layer.states == par_layer.states
-                        && seq_layer.successors == par_layer.successors,
-                    "parallel exploration diverged from sequential"
-                );
-            }
-            let threads = parallel.threads();
-            let seq_stats = sequential.stats();
-            let par_stats = parallel.stats();
-            let speedup = seq_stats.total_wall().as_secs_f64()
-                / par_stats.total_wall().as_secs_f64().max(1e-9);
-            cells.push(Cell {
-                key: vec![n.to_string(), 2.to_string()],
-                entries: vec![
-                    seq_stats.total_states().to_string(),
-                    seq_stats.total_generated().to_string(),
-                    seq_stats.total_dedup_hits().to_string(),
-                    format_mck_duration(seq_stats.total_wall()),
-                    format_mck_duration(par_stats.total_wall()),
-                    format!("{speedup:.2}x ({threads} thr)"),
-                ],
-            });
-        });
-    }
-    render_table(
-        "Exploration: sequential versus parallel frontier expansion (FloodSet, t = 2)",
-        &["n", "t"],
-        &["states", "generated", "dedup hits", "sequential", "parallel", "speedup"],
-        &cells,
-    )
-}
-
-/// The engine ablation: explicit-state versus symbolic (BDD) evaluation of
-/// the SBA knowledge condition on the same instances (the symbolic time
-/// includes its relational model build, the explicit one not its
-/// exploration).
-pub fn ablation_table(full: bool) -> String {
-    let max_n = if full { 5 } else { 4 };
-    let mut cells = Vec::new();
-    for n in 2..=max_n {
-        let params = Experiment::crash(ProtocolKind::FloodSet, n, 1).params();
-        with_protocol!(ProtocolKind::FloodSet, |exchange, rule| {
-            let model = ConsensusModel::explore(exchange, params, rule);
-            let condition = epimc::optimality::sba_knowledge_condition(AgentId::new(0), n, 2);
-
-            let start = Instant::now();
-            let explicit = Checker::new(&model);
-            let explicit_verdict = explicit.holds_everywhere(&condition);
-            let explicit_time = start.elapsed();
-
-            let start = Instant::now();
-            let symbolic_checker =
-                SymbolicChecker::relational(exchange, params, rule, SymbolicOptions::default());
-            let symbolic_verdict = symbolic_checker.holds_everywhere(&condition);
-            let symbolic_time = start.elapsed();
-            let symbolic_stats = symbolic_checker.stats();
-            assert_eq!(explicit_verdict, symbolic_verdict, "engines must agree");
-            assert_eq!(
-                explicit.check(&condition),
-                symbolic_checker.check_points(&model, &condition),
-                "engines must agree point by point"
-            );
-
-            cells.push(Cell {
-                key: vec![n.to_string()],
-                entries: vec![
-                    format_mck_duration(explicit_time),
-                    format_mck_duration(symbolic_time),
-                    format!("{symbolic_stats}"),
-                ],
-            });
-        });
-    }
-    render_table(
-        "Ablation: explicit-state versus symbolic engine (FloodSet, t = 1, SBA knowledge condition)",
-        &["n"],
-        &["explicit", "symbolic", "BDD statistics"],
-        &cells,
-    )
-}
-
-/// One measured quantity of an ablation row, as its table prints it.
+/// One measured quantity of a table row, as its table prints it.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// A count (states, nodes, calls); the only kind a budget gates.
     Count(u128),
     /// A wall time, printed `XmY.ZZZ` like the paper's tables.
     Wall(Duration),
-    /// A wall time that may have run out of time, printed `TO` then.
-    MaybeWall(Option<Duration>),
+    /// A timed run, printed `TO` if it ran out of time, and marked
+    /// `[subopt]` if the protocol it checked meets its specification but
+    /// is not optimal (one of the paper's findings, not an error).
+    MaybeWall {
+        /// The run's wall time; `None` if it timed out.
+        wall: Option<Duration>,
+        /// Whether the checked protocol is suboptimal.
+        subopt: bool,
+    },
     /// A percentage.
     Percent(f64),
     /// A speed-up ratio.
@@ -351,12 +57,15 @@ impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Count(count) => write!(f, "{count}"),
-            Value::Wall(wall) | Value::MaybeWall(Some(wall)) => {
+            Value::Wall(wall) | Value::MaybeWall { wall: Some(wall), subopt: false } => {
                 f.write_str(&format_mck_duration(*wall))
             }
-            Value::MaybeWall(None) => f.write_str("TO"),
+            Value::MaybeWall { wall: Some(wall), subopt: true } => {
+                write!(f, "{} [subopt]", format_mck_duration(*wall))
+            }
+            Value::MaybeWall { wall: None, .. } => f.write_str("TO"),
             Value::Percent(percent) => write!(f, "{percent:.1}%"),
-            Value::Ratio(ratio) => write!(f, "{ratio:.1}x"),
+            Value::Ratio(ratio) => write!(f, "{ratio:.2}x"),
             Value::Flag(Some(true)) => f.write_str("yes"),
             Value::Flag(Some(false)) => f.write_str("NO"),
             Value::Flag(None) => f.write_str("-"),
@@ -370,14 +79,14 @@ impl fmt::Display for Value {
 pub enum Gate {
     /// Nothing: the field is only printed.
     None,
-    /// A count bounded by the ablation's budget file under the key
+    /// A count bounded by the table's budget file under the key
     /// `<row id><suffix>`, checked when a budget is given.
     Budget(&'static str),
     /// A flag that must not read `NO`, checked on every run.
     MustHold,
 }
 
-/// One column of one ablation row.
+/// One column of one table row.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Field {
     /// The column header.
@@ -402,14 +111,14 @@ impl Field {
     }
 }
 
-/// One measured ablation row: the experiment's id (the budget-key prefix)
-/// and its fields.
+/// One measured table row: the experiment's id (the key column and the
+/// budget-key prefix) and its fields.
 pub type Row = (String, Vec<Field>);
 
-/// One ablation of this reproduction, described once: `tables -- <name>`
+/// One table of the `tables` binary, described once: `tables -- <name>`
 /// measures every experiment of its grid, prints the rows under its title
 /// and note, and gates them.
-pub struct Ablation {
+pub struct Table {
     /// The selection name on the `tables` command line.
     pub name: &'static str,
     /// The table's title line.
@@ -417,16 +126,18 @@ pub struct Ablation {
     /// The explanation printed under the table.
     pub note: &'static str,
     /// The checked-in node budget (`crates/bench/<name>_budget.txt`): one
-    /// `<row id><suffix> <max>` pair per line, `#` starts a comment.
-    pub budget: &'static str,
-    /// The experiments measured, given `(full, smoke)`.
+    /// `<row id><suffix> <max>` pair per line, `#` starts a comment. The
+    /// paper's tables have none, and `--budget` refuses them.
+    pub budget: Option<&'static str>,
+    /// The experiments measured, given `(full, smoke)`; the paper's tables
+    /// have no smoke grid and ignore `smoke`.
     pub grid: fn(bool, bool) -> Vec<Experiment>,
-    /// Measures one experiment (the timeout bounds the explicit engine,
-    /// where there is one).
+    /// Measures one experiment; the timeout bounds the paper's timed cells
+    /// and the synthesis ablation's explicit engine.
     pub measure: fn(&Experiment, Duration) -> Vec<Field>,
 }
 
-impl Ablation {
+impl Table {
     /// Measures the grid selected by `full` and `smoke`.
     pub fn rows(&self, full: bool, smoke: bool, timeout: Duration) -> Vec<Row> {
         let measure =
@@ -434,20 +145,25 @@ impl Ablation {
         (self.grid)(full, smoke).iter().map(measure).collect()
     }
 
-    /// Renders `rows` under the ablation's title, followed by its note.
+    /// Renders `rows` in a fixed-width layout under the table's title, one
+    /// line per row keyed by its instance id, followed by the note.
     pub fn render(&self, rows: &[Row]) -> String {
-        let headers: Vec<&str> = rows
-            .first()
-            .map(|(_, fields)| fields.iter().map(|f| f.header).collect())
-            .unwrap_or_default();
-        let cells: Vec<Cell> = rows
-            .iter()
-            .map(|(id, fields)| Cell {
-                key: vec![format!("{id:<20}")],
-                entries: fields.iter().map(|field| field.value.to_string()).collect(),
-            })
-            .collect();
-        let mut out = render_table(self.title, &["instance            "], &headers, &cells);
+        let line = |key: &str, entries: Vec<String>| {
+            let mut line = format!("{key:<20} ");
+            for entry in entries {
+                line.push_str(&format!("{entry:>22} "));
+            }
+            line
+        };
+        let headers = rows.first().map_or_else(Vec::new, |(_, fields)| {
+            fields.iter().map(|field| field.header.to_string()).collect()
+        });
+        let header = line("instance", headers);
+        let mut out = format!("{}\n{header}\n{}\n", self.title, "-".repeat(header.len()));
+        for (id, fields) in rows {
+            out.push_str(&line(id, fields.iter().map(|field| field.value.to_string()).collect()));
+            out.push('\n');
+        }
         out.push_str(self.note);
         out
     }
@@ -527,51 +243,102 @@ pub fn gate(rows: &[Row], budget: Option<&str>) -> Result<String, String> {
     }
 }
 
-/// The five ablations `tables` measures, in `all` order.
-pub const ABLATIONS: [Ablation; 5] = [
-    Ablation {
+/// Every table `tables` measures, in `all` order: the paper's six, then
+/// this reproduction's five ablations.
+pub const TABLES: [Table; 11] = [
+    Table {
+        name: "table1",
+        title: "Table 1: SBA running times (crash failures, |V| = 2)",
+        note: PAPER_NOTE,
+        budget: None,
+        grid: table1_grid,
+        measure: measure_table1,
+    },
+    Table {
+        name: "table2",
+        title: "Table 2: model checking the Differential and Dwork-Moses protocols",
+        note: "'-r<rounds>' is the number of rounds explored; below t + 2 the spec check skips\n\
+               Termination, which cannot hold yet.\n",
+        budget: None,
+        grid: table2_grid,
+        measure: measure_table2,
+    },
+    Table {
+        name: "table3",
+        title: "Table 3: EBA synthesis running times",
+        note: PAPER_NOTE,
+        budget: None,
+        grid: table3_grid,
+        measure: measure_table3,
+    },
+    Table {
+        name: "scaling",
+        title: "Scaling: FloodSet, t = 1, runtime versus number of agents",
+        note: PAPER_NOTE,
+        budget: None,
+        grid: scaling_grid,
+        measure: measure_scaling,
+    },
+    Table {
+        name: "ablation",
+        title: "Ablation: explicit-state versus symbolic engine (FloodSet, t = 1, SBA knowledge condition)",
+        note: "'symbolic' includes the relational model build, 'explicit' not its exploration; 'agree'\n\
+               compares the engines' verdicts and satisfying point sets.\n",
+        budget: None,
+        grid: ablation_grid,
+        measure: measure_engines,
+    },
+    Table {
+        name: "explore",
+        title: "Exploration: sequential versus parallel frontier expansion (FloodSet, t = 2)",
+        note: "'identical' marks rows whose parallel exploration is bit-identical to the sequential one.\n",
+        budget: None,
+        grid: explore_grid,
+        measure: measure_explore,
+    },
+    Table {
         name: "symbolic",
         title: "Symbolic engine: per-formula timings, GC and cache behaviour",
         note: "'build' is the relational model construction, the checks are holds_everywhere verdicts.\n\
                CB = SBA knowledge condition (B_0 CB exists0); AG = bounded temporal formula by\n\
                pre-image ('-' where the temporal battery is skipped).\n",
-        budget: include_str!("../symbolic_budget.txt"),
+        budget: Some(include_str!("../symbolic_budget.txt")),
         grid: symbolic_grid,
         measure: measure_symbolic,
     },
-    Ablation {
+    Table {
         name: "synthesis",
         title: "Synthesis: explicit versus symbolic forward induction",
         note: "explicit runs under the per-cell timeout ('TO' mirrors the paper's tables); \
                rounds+skip counts\nprocessed rounds plus rounds skipped by the early exit; \
                'agree' compares the engines' rules.\n",
-        budget: include_str!("../synthesis_budget.txt"),
+        budget: Some(include_str!("../synthesis_budget.txt")),
         grid: synthesis_grid,
         measure: measure_synthesis,
     },
-    Ablation {
+    Table {
         name: "frontend",
         title: "Front-end: relational forward image (model build), verified against the explorer",
         note: "'relational build' computes the layers as forward images of the round relation (never\n\
                enumerating a state). 'verified' marks rows checked against an exploration of the same\n\
                instance: every explored point reachable, and per layer as many states as the explored\n\
                points have distinct states; 'rel products' counts fused relational-product applications.\n",
-        budget: include_str!("../frontend_budget.txt"),
+        budget: Some(include_str!("../frontend_budget.txt")),
         grid: frontend_grid,
         measure: measure_frontend,
     },
-    Ablation {
+    Table {
         name: "local",
         title: "Local engine: on-the-fly solving versus global symbolic checking (B_0 CB exists0 @ t=0)",
         note: "'layers used' counts the reachable layers the local engine materialised, out of the\n\
                'layers' a full build constructs; 'local wall' includes lazy construction and solving,\n\
                'global wall' the full relational build plus the same query bounded to the layer.\n\
                'memo hits' are verdict-memo and hash-consing hits after a warm repeat of the query.\n",
-        budget: include_str!("../local_budget.txt"),
+        budget: Some(include_str!("../local_budget.txt")),
         grid: local_grid,
         measure: measure_local,
     },
-    Ablation {
+    Table {
         name: "serve",
         title: "Serve: cold build versus warm cross-request cache (epimc-serve)",
         note: "'cold' answers the batch on a fresh server (model construction included); 'warm'\n\
@@ -582,11 +349,212 @@ pub const ABLATIONS: [Ablation; 5] = [
                rows answered a structured error budget-exceeded after 'answer % deadline' of it (the\n\
                budget gate bounds it at 200), 'done' rows built faster than the deadline; 'post-trip\n\
                ok' marks rows whose rebuild after the probe answered identically.\n",
-        budget: include_str!("../serve_budget.txt"),
+        budget: Some(include_str!("../serve_budget.txt")),
         grid: serve_grid,
         measure: measure_serve,
     },
 ];
+
+/// The note under the paper's timed tables.
+const PAPER_NOTE: &str = "'TO' marks a cell past the per-cell timeout, '[subopt]' a protocol that meets its\n\
+                          specification but is not optimal; 'spec ok' covers the cells that finished.\n";
+
+/// Every `(n, t)` with `2 <= n <= max_n` and `1 <= t <= n`; the quick grid
+/// (`!full`) keeps only `t <= 2` at its largest `n`.
+fn nt_pairs(max_n: usize, full: bool) -> impl Iterator<Item = (usize, usize)> {
+    (2..=max_n)
+        .flat_map(|n| (1..=n).map(move |t| (n, t)))
+        .filter(move |&(n, t)| full || n < max_n || t <= 2)
+}
+
+/// Table 1's FloodSet instances; each row also times Count FloodSet. The
+/// full grid matches the paper (n up to 6).
+fn table1_grid(full: bool, _smoke: bool) -> Vec<Experiment> {
+    let max_n = if full { 6 } else { 4 };
+    nt_pairs(max_n, full).map(|(n, t)| Experiment::crash(ProtocolKind::FloodSet, n, t)).collect()
+}
+
+/// Table 2's Differential instances, one per explored round count from 1
+/// to `t + 1`; each row also checks Dwork–Moses.
+fn table2_grid(full: bool, _smoke: bool) -> Vec<Experiment> {
+    let max_n = if full { 4 } else { 3 };
+    nt_pairs(max_n, full)
+        .flat_map(|(n, t)| {
+            (1..=t as Round + 1).map(move |rounds| Experiment {
+                horizon: Some(rounds),
+                ..Experiment::crash(ProtocolKind::DiffFloodSet, n, t)
+            })
+        })
+        .collect()
+}
+
+/// Table 3's instances, keyed by `E_min` under crashes; each row also
+/// synthesizes `E_min` under omissions and `E_basic` under both.
+fn table3_grid(full: bool, _smoke: bool) -> Vec<Experiment> {
+    let max_n = if full { 4 } else { 3 };
+    nt_pairs(max_n, full).map(|(n, t)| Experiment::crash(ProtocolKind::EMin, n, t)).collect()
+}
+
+/// FloodSet at `t = 1` for a growing number of agents: the scaling study
+/// behind the paper's discussion of the blow-up threshold.
+fn scaling_grid(full: bool, _smoke: bool) -> Vec<Experiment> {
+    let max_n = if full { 6 } else { 5 };
+    (2..=max_n).map(|n| Experiment::crash(ProtocolKind::FloodSet, n, 1)).collect()
+}
+
+/// FloodSet at `t = 1`, where the explicit engine still fits.
+fn ablation_grid(full: bool, _smoke: bool) -> Vec<Experiment> {
+    let max_n = if full { 5 } else { 4 };
+    (2..=max_n).map(|n| Experiment::crash(ProtocolKind::FloodSet, n, 1)).collect()
+}
+
+/// FloodSet at `t = 2`, from the size where a parallel frontier pays.
+fn explore_grid(full: bool, _smoke: bool) -> Vec<Experiment> {
+    let max_n = if full { 7 } else { 6 };
+    (4..=max_n).map(|n| Experiment::crash(ProtocolKind::FloodSet, n, 2)).collect()
+}
+
+/// The analysis a paper-table cell times: [`Experiment::model_check`] or
+/// [`Experiment::synthesize`].
+type Run = fn(&Experiment) -> ExperimentMeasurement;
+
+/// Times each `(header, experiment, run)` cell of a paper-table row under
+/// `timeout` (`TO` past it, as in the paper), then adds the row's
+/// `spec ok`: whether every cell that finished met its specification, `-`
+/// if every cell timed out.
+fn paper_row(timeout: Duration, cells: &[(&'static str, Experiment, Run)]) -> Vec<Field> {
+    let mut spec_ok = None;
+    let mut fields: Vec<Field> = cells
+        .iter()
+        .map(|&(header, experiment, run)| {
+            let measured = with_timeout(timeout, move || run(&experiment));
+            if let Some(measured) = &measured {
+                spec_ok = Some(spec_ok.unwrap_or(true) && measured.spec_ok);
+            }
+            let wall = measured.as_ref().map(|measured| measured.duration);
+            let subopt = measured.is_some_and(|measured| !measured.optimal);
+            Field::new(header, Value::MaybeWall { wall, subopt })
+        })
+        .collect();
+    fields.push(Field::must_hold("spec ok", spec_ok));
+    fields
+}
+
+/// Table 1: model checking and synthesis of FloodSet and Count FloodSet.
+fn measure_table1(experiment: &Experiment, timeout: Duration) -> Vec<Field> {
+    let count = Experiment { protocol: ProtocolKind::CountFloodSet, ..*experiment };
+    paper_row(
+        timeout,
+        &[
+            ("floodset check", *experiment, Experiment::model_check),
+            ("floodset synth", *experiment, Experiment::synthesize),
+            ("count check", count, Experiment::model_check),
+            ("count synth", count, Experiment::synthesize),
+        ],
+    )
+}
+
+/// Table 2: model checking the Differential and Dwork–Moses protocols.
+fn measure_table2(experiment: &Experiment, timeout: Duration) -> Vec<Field> {
+    let dwork = Experiment { protocol: ProtocolKind::DworkMoses, ..*experiment };
+    paper_row(
+        timeout,
+        &[
+            ("differential check", *experiment, Experiment::model_check),
+            ("dwork-moses check", dwork, Experiment::model_check),
+        ],
+    )
+}
+
+/// Table 3: EBA synthesis for `E_min` and `E_basic` under crash and
+/// sending-omission failures.
+fn measure_table3(experiment: &Experiment, timeout: Duration) -> Vec<Field> {
+    use {FailureKind::*, ProtocolKind::*};
+    let cell = |protocol, failure| Experiment { protocol, failure, ..*experiment };
+    paper_row(
+        timeout,
+        &[
+            ("E_min crash", cell(EMin, Crash), Experiment::synthesize),
+            ("E_min omissions", cell(EMin, SendOmission), Experiment::synthesize),
+            ("E_basic crash", cell(EBasic, Crash), Experiment::synthesize),
+            ("E_basic omissions", cell(EBasic, SendOmission), Experiment::synthesize),
+        ],
+    )
+}
+
+/// The scaling study: model checking and synthesis of FloodSet.
+fn measure_scaling(experiment: &Experiment, timeout: Duration) -> Vec<Field> {
+    paper_row(
+        timeout,
+        &[
+            ("model check", *experiment, Experiment::model_check),
+            ("synthesis", *experiment, Experiment::synthesize),
+        ],
+    )
+}
+
+/// Evaluates the SBA knowledge condition with the explicit-state engine
+/// (on an explored model) and the symbolic engine (relational build
+/// included), and compares their verdicts and satisfying point sets.
+fn measure_engines(experiment: &Experiment, _timeout: Duration) -> Vec<Field> {
+    let (n, params) = (experiment.n, experiment.params());
+    with_protocol!(experiment.protocol, |exchange, rule| {
+        let model = ConsensusModel::explore(exchange, params, rule);
+        let condition = epimc::optimality::sba_knowledge_condition(AgentId::new(0), n, 2);
+
+        let start = Instant::now();
+        let explicit = Checker::new(&model);
+        let explicit_verdict = explicit.holds_everywhere(&condition);
+        let explicit_wall = start.elapsed();
+
+        let start = Instant::now();
+        let symbolic =
+            SymbolicChecker::relational(exchange, params, rule, SymbolicOptions::default());
+        let symbolic_verdict = symbolic.holds_everywhere(&condition);
+        let symbolic_wall = start.elapsed();
+        let stats = symbolic.stats();
+        let agree = explicit_verdict == symbolic_verdict
+            && explicit.check(&condition) == symbolic.check_points(&model, &condition);
+        vec![
+            Field::new("explicit", Value::Wall(explicit_wall)),
+            Field::new("symbolic", Value::Wall(symbolic_wall)),
+            Field::new("peak live nodes", Value::Count(stats.peak_live_nodes as u128)),
+            Field::new("gcs", Value::Count(stats.gc_runs.into())),
+            Field::new("hit-rate", Value::Percent(stats.cache_hit_rate() * 100.0)),
+            Field::must_hold("agree", Some(agree)),
+        ]
+    })
+}
+
+/// Explores the state space sequentially and in parallel, reporting state
+/// counts, de-duplication hits and the speedup, and whether the two
+/// explorations are bit-identical.
+fn measure_explore(experiment: &Experiment, _timeout: Duration) -> Vec<Field> {
+    let params = experiment.params();
+    with_protocol!(experiment.protocol, |exchange, rule| {
+        let sequential = StateSpace::explore_sequential(exchange, params, &rule);
+        let parallel = StateSpace::explore(exchange, params, &rule);
+        let identical = sequential.layers().len() == parallel.layers().len()
+            && sequential
+                .layers()
+                .iter()
+                .zip(parallel.layers())
+                .all(|(seq, par)| seq.states == par.states && seq.successors == par.successors);
+        let (seq_stats, par_stats) = (sequential.stats(), parallel.stats());
+        let speedup =
+            seq_stats.total_wall().as_secs_f64() / par_stats.total_wall().as_secs_f64().max(1e-9);
+        vec![
+            Field::new("states", Value::Count(seq_stats.total_states() as u128)),
+            Field::new("generated", Value::Count(seq_stats.total_generated().into())),
+            Field::new("dedup hits", Value::Count(seq_stats.total_dedup_hits().into())),
+            Field::new("sequential", Value::Wall(seq_stats.total_wall())),
+            Field::new("parallel", Value::Wall(par_stats.total_wall())),
+            Field::new("speedup", Value::Ratio(speedup)),
+            Field::new("threads", Value::Count(parallel.threads() as u128)),
+            Field::must_hold("identical", Some(identical)),
+        ]
+    })
+}
 
 /// `B_0 CB exists0`, the SBA knowledge condition: the symbolic battery's
 /// headline formula and the local ablation's layer-0 query. Purely
@@ -740,7 +708,10 @@ fn measure_synthesis(experiment: &Experiment, timeout: Duration) -> Vec<Field> {
         let rounds = format!("{}+{}", profile.rounds.len(), symbolic.stats.skipped_rounds);
         vec![
             Field::new("states", Value::Count(symbolic.stats.total_states as u128)),
-            Field::new("explicit", Value::MaybeWall(explicit.as_ref().map(|(wall, _)| *wall))),
+            Field::new(
+                "explicit",
+                Value::MaybeWall { wall: explicit.as_ref().map(|(wall, _)| *wall), subopt: false },
+            ),
             Field::new("symbolic", Value::Wall(profile.total_wall)),
             Field::new("rounds+skip", Value::Text(rounds)),
             Field::budget("peak live nodes", profile.peak_live_nodes() as u128, ""),
@@ -1081,8 +1052,8 @@ fn serve_fields(spec: ModelSpec, batches_per_client: usize) -> Result<Vec<Field>
 mod tests {
     use super::*;
 
-    fn ablation(name: &str) -> &'static Ablation {
-        ABLATIONS.iter().find(|ablation| ablation.name == name).expect("a known ablation")
+    fn table(name: &str) -> &'static Table {
+        TABLES.iter().find(|table| table.name == name).expect("a known table")
     }
 
     /// The value under `header` in a measured row.
@@ -1207,13 +1178,13 @@ mod tests {
         let err = gate(&rows, None).unwrap_err();
         assert_eq!(err, "floodset-n5-t1: agree reads NO\nfloodset-n8-t3: snap ok reads NO");
         // The diverging row still renders, as `NO`.
-        assert!(ablation("synthesis").render(&rows[..3]).contains("NO"));
+        assert!(table("synthesis").render(&rows[..3]).contains("NO"));
     }
 
     /// Every key of the ablation's checked-in budget gates at its bound:
     /// the bound itself passes and one more fails, naming the key.
     fn checked_in_budget_gate_can_trip(name: &str) {
-        let budget = ablation(name).budget;
+        let budget = table(name).budget.expect("a budgeted ablation");
         for (key, bound) in parse_budget(budget).unwrap() {
             gate(&[peak_row(key, bound)], Some(budget)).unwrap();
             let err = gate(&[peak_row(key, bound + 1)], Some(budget)).unwrap_err();
@@ -1247,14 +1218,14 @@ mod tests {
     }
 
     /// The budget-key drift gate: every key of every checked-in budget file
-    /// must be the id of an experiment in that ablation's grid (smoke or
-    /// full) plus the suffix of one of its budgeted fields. The CI smoke
-    /// step measures few rows, so a renamed id or suffix in any other row
-    /// would otherwise stop being gated without anything failing.
+    /// must be the id of an experiment in that table's grid (smoke or full)
+    /// plus the suffix of one of its budgeted fields. The CI smoke step
+    /// measures few rows, so a renamed id or suffix in any other row would
+    /// otherwise stop being gated without anything failing.
     #[test]
     fn every_budget_key_is_the_id_of_a_grid_experiment() {
         let probe = Experiment::crash(ProtocolKind::FloodSet, 3, 1);
-        for ablation in &ABLATIONS {
+        for (ablation, budget) in TABLES.iter().filter_map(|table| Some((table, table.budget?))) {
             let suffixes: Vec<&str> = (ablation.measure)(&probe, DEFAULT_TIMEOUT)
                 .iter()
                 .filter_map(|field| match field.gate {
@@ -1264,7 +1235,7 @@ mod tests {
                 .collect();
             let grid = (ablation.grid)(true, true).into_iter().chain((ablation.grid)(true, false));
             let ids: Vec<String> = grid.map(|experiment| experiment.id()).collect();
-            let keys = parse_budget(ablation.budget).unwrap();
+            let keys = parse_budget(budget).unwrap();
             assert!(!keys.is_empty(), "{}_budget.txt gates nothing", ablation.name);
             for (key, _) in keys {
                 let known = ids
@@ -1276,12 +1247,16 @@ mod tests {
     }
 
     /// Ids are derived once, from the experiment: the wire name, `n`, `t`,
-    /// and `-om` under sending omissions — the shape the budget files key.
+    /// `-om` under sending omissions and `-r<rounds>` for a horizon
+    /// override — the shape the budget files key.
     #[test]
     fn experiment_ids_keep_the_budget_file_shape() {
         assert_eq!(Experiment::crash(ProtocolKind::DworkMoses, 3, 1).id(), "dworkmoses-n3-t1");
         let omissions = Experiment::new(ProtocolKind::EBasic, 2, 1, FailureKind::SendOmission);
         assert_eq!(omissions.id(), "ebasic-n2-t1-om");
+        let rounds = Experiment { horizon: Some(1), ..omissions };
+        assert_eq!(rounds.id(), "ebasic-n2-t1-om-r1");
+        assert_eq!(table2_grid(false, false)[0].id(), "diff-n2-t1-r1");
         assert_eq!(symbolic_grid(false, true)[0].id(), "floodset-n4-t1");
     }
 
@@ -1294,7 +1269,7 @@ mod tests {
         assert!(count(&fields, "rel products") > 0, "the build runs forward images");
         assert!(matches!(value(&fields, "img hit-rate"), Value::Percent(rate) if *rate >= 0.0));
         assert_eq!(value(&fields, "verified"), &Value::Flag(Some(true)));
-        let rendered = ablation("frontend").render(&[(experiment.id(), fields)]);
+        let rendered = table("frontend").render(&[(experiment.id(), fields)]);
         assert!(rendered.contains("floodset-n3-t1"), "{rendered}");
         assert!(rendered.contains("rel products"), "{rendered}");
     }
@@ -1322,7 +1297,7 @@ mod tests {
         let experiment = Experiment::crash(ProtocolKind::FloodSet, 3, 1);
         let fields = measure_synthesis(&experiment, Duration::from_secs(60));
         assert_eq!(value(&fields, "agree"), &Value::Flag(Some(true)));
-        assert!(matches!(value(&fields, "explicit"), Value::MaybeWall(Some(_))));
+        assert!(matches!(value(&fields, "explicit"), Value::MaybeWall { wall: Some(_), .. }));
         assert!(count(&fields, "peak live nodes") > 0);
         // Horizon t + 2 = 3 has 4 rounds; the early exit skips the last.
         assert_eq!(value(&fields, "rounds+skip"), &Value::Text("3+1".into()));
@@ -1346,5 +1321,60 @@ mod tests {
         let Value::Text(throughput) = value(&fields, "throughput") else { panic!("text") };
         let per_second: f64 = throughput.trim_end_matches("/s").parse().unwrap();
         assert!(per_second > 0.0, "{throughput}");
+    }
+
+    /// Every timed cell of a paper-table row finished, with its wall time.
+    fn walls_present(fields: &[Field]) -> bool {
+        fields.iter().all(|field| !matches!(field.value, Value::MaybeWall { wall: None, .. }))
+    }
+
+    #[test]
+    fn table1_measure_times_every_cell_and_checks_the_spec() {
+        let experiment = table1_grid(false, false)[0];
+        assert_eq!(experiment.id(), "floodset-n2-t1");
+        let fields = measure_table1(&experiment, DEFAULT_TIMEOUT);
+        assert!(walls_present(&fields));
+        assert_eq!(value(&fields, "spec ok"), &Value::Flag(Some(true)));
+        // FloodSet's textbook rule is not optimal at n = 2, t = 1; a
+        // synthesized protocol always is.
+        assert!(value(&fields, "floodset check").to_string().ends_with(" [subopt]"));
+        assert!(!value(&fields, "floodset synth").to_string().contains("subopt"));
+
+        // A timeout of zero times every cell out: `spec ok` is not measured.
+        let fields = measure_table1(&experiment, Duration::ZERO);
+        assert_eq!(value(&fields, "count synth").to_string(), "TO");
+        assert_eq!(value(&fields, "spec ok"), &Value::Flag(None));
+    }
+
+    #[test]
+    fn table2_rows_have_distinct_ids_and_check_the_spec() {
+        for full in [false, true] {
+            let ids: Vec<String> = table2_grid(full, false).iter().map(Experiment::id).collect();
+            let distinct: std::collections::HashSet<&String> = ids.iter().collect();
+            assert_eq!(distinct.len(), ids.len(), "{ids:?}");
+        }
+        let fields = measure_table2(&table2_grid(false, false)[0], DEFAULT_TIMEOUT);
+        assert!(walls_present(&fields));
+        assert_eq!(value(&fields, "spec ok"), &Value::Flag(Some(true)));
+    }
+
+    #[test]
+    fn engine_ablation_measure_agrees() {
+        let fields = measure_engines(&ablation_grid(false, false)[0], DEFAULT_TIMEOUT);
+        assert!(matches!(value(&fields, "explicit"), Value::Wall(_)));
+        assert!(matches!(value(&fields, "symbolic"), Value::Wall(_)));
+        assert!(count(&fields, "peak live nodes") > 0);
+        assert_eq!(value(&fields, "agree"), &Value::Flag(Some(true)));
+    }
+
+    #[test]
+    fn explore_measure_is_bit_identical() {
+        let fields = measure_explore(&explore_grid(false, false)[0], DEFAULT_TIMEOUT);
+        assert_eq!(count(&fields, "states"), 1680);
+        assert!(matches!(value(&fields, "parallel"), Value::Wall(_)));
+        assert!(count(&fields, "threads") > 0);
+        assert_eq!(value(&fields, "identical"), &Value::Flag(Some(true)));
+        let rendered = table("explore").render(&[("floodset-n4-t2".into(), fields)]);
+        assert!(rendered.contains("floodset-n4-t2"), "{rendered}");
     }
 }

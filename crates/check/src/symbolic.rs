@@ -262,28 +262,6 @@ impl SymbolicStats {
     }
 }
 
-impl fmt::Display for SymbolicStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} state vars, {} reachable-set nodes, {} live nodes (peak {}, {} gcs, {} swept, {} reorders), cache hit-rate {:.1}%, {} pre-images through {} reachable relations built, {} common-belief rounds in {} layer steps, {} reach restrictions",
-            self.num_state_vars,
-            self.reachable_nodes,
-            self.live_nodes,
-            self.peak_live_nodes,
-            self.gc_runs,
-            self.swept_nodes,
-            self.reorder_runs,
-            self.cache_hit_rate() * 100.0,
-            self.preimage_calls,
-            self.reachable_relations_built,
-            self.common_belief_rounds,
-            self.common_belief_layer_steps,
-            self.reach_restrictions
-        )
-    }
-}
-
 /// A handle to a formula denotation (one `Ref` per layer) held in the
 /// rooted arena, so it survives garbage collections.
 type DenId = usize;

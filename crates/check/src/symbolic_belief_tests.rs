@@ -242,10 +242,10 @@ fn a_converged_layer_is_not_revisited() {
     checker.holds_everywhere(&formula);
     let stats = checker.stats();
     let layers = checker.num_layers() as u64;
-    assert!(stats.common_belief_rounds > 1, "one round cannot tell the layers apart: {stats}");
+    assert!(stats.common_belief_rounds > 1, "one round cannot tell the layers apart: {stats:?}");
     assert!(
         stats.common_belief_layer_steps < stats.common_belief_rounds * layers,
-        "every layer ran every round: {stats}"
+        "every layer ran every round: {stats:?}"
     );
     // Additive, and a function of the model and the formula alone.
     checker.holds_everywhere(&formula);

@@ -16,17 +16,15 @@
 //! reports: synthesis is more expensive than model checking, richer
 //! information exchanges blow up earlier, and EBA scales worse than SBA.
 
-use std::fmt;
 use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use epimc_logic::AgentId;
 use epimc_protocols::{with_protocol, ProtocolKind};
-use epimc_synth::{KnowledgeBasedProgram, SymbolicSynthesizer, SynthesisOutcome, Synthesizer};
+use epimc_synth::{KnowledgeBasedProgram, SynthesisOutcome, Synthesizer};
 use epimc_system::{
-    ConsensusModel, DecisionRule, ExploreStats, FailureKind, InformationExchange, ModelParams,
-    Round,
+    ConsensusModel, DecisionRule, FailureKind, InformationExchange, ModelParams, Round,
 };
 
 use crate::optimality::analyze_sba;
@@ -35,8 +33,6 @@ use crate::spec::{check_eba, check_sba};
 /// The outcome of one timed experiment.
 #[derive(Clone, Debug)]
 pub struct ExperimentMeasurement {
-    /// Description of the experiment (exchange, parameters, task).
-    pub label: String,
     /// Wall-clock duration of the analysis.
     pub duration: Duration,
     /// Total number of states explored.
@@ -52,32 +48,6 @@ pub struct ExperimentMeasurement {
     pub earliest_knowledge_time: Option<Round>,
     /// Earliest decision time of the protocol under analysis.
     pub earliest_decision_time: Option<Round>,
-    /// Per-layer exploration statistics (model-checking experiments, where
-    /// the explored space is available; `None` for synthesis, which
-    /// interleaves exploration with checking).
-    pub explore_stats: Option<ExploreStats>,
-}
-
-impl ExperimentMeasurement {
-    /// Formats the duration in the `XmY.ZZZ` style used by the paper's
-    /// tables.
-    pub fn mck_style_duration(&self) -> String {
-        format_mck_duration(self.duration)
-    }
-}
-
-impl fmt::Display for ExperimentMeasurement {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: {} ({} states, spec {}, {})",
-            self.label,
-            self.mck_style_duration(),
-            self.total_states,
-            if self.spec_ok { "ok" } else { "VIOLATED" },
-            if self.optimal { "optimal" } else { "suboptimal" }
-        )
-    }
 }
 
 /// Formats a duration as `XmY.ZZZ`, the style of the paper's tables.
@@ -139,11 +109,13 @@ impl Experiment {
     }
 
     /// The stable instance id — `"{wire_name}-n{n}-t{t}"`, with an `-om`
-    /// suffix under sending omissions — that keys the bench tables' rows
-    /// and the checked-in budget files.
+    /// suffix under sending omissions and an `-r{rounds}` suffix for a
+    /// horizon override — that keys the bench tables' rows and the
+    /// checked-in budget files.
     pub fn id(&self) -> String {
-        let suffix = if self.failure == FailureKind::SendOmission { "-om" } else { "" };
-        format!("{}-n{}-t{}{suffix}", self.protocol.wire_name(), self.n, self.t)
+        let omissions = if self.failure == FailureKind::SendOmission { "-om" } else { "" };
+        let rounds = self.horizon.map_or(String::new(), |rounds| format!("-r{rounds}"));
+        format!("{}-n{}-t{}{omissions}{rounds}", self.protocol.wire_name(), self.n, self.t)
     }
 
     /// The model parameters of the experiment.
@@ -157,18 +129,6 @@ impl Experiment {
             builder = builder.horizon(horizon);
         }
         builder.build()
-    }
-
-    fn label(&self, task: &str) -> String {
-        format!(
-            "{} n={} t={} |V|={} {} {}",
-            self.protocol.paper_name(),
-            self.n,
-            self.t,
-            self.num_values,
-            self.failure,
-            task
-        )
     }
 
     /// The knowledge-based program of the experiment's agreement problem:
@@ -185,43 +145,26 @@ impl Experiment {
     /// this exchange and check its specification — for SBA, also analyse
     /// optimality with respect to the knowledge-based program.
     pub fn model_check(&self) -> ExperimentMeasurement {
-        let (label, params) = (self.label("model-check"), self.params());
-        let eventual = self.protocol.is_eventual();
+        let (params, eventual) = (self.params(), self.protocol.is_eventual());
         with_protocol!(self.protocol, |exchange, rule| model_check(
-            label, exchange, rule, params, eventual
+            exchange, rule, params, eventual
         ))
     }
 
     /// The synthesis experiment: compute the clock-semantics implementation
     /// of the knowledge-based program for this exchange.
     pub fn synthesize(&self) -> ExperimentMeasurement {
-        self.synthesize_on("synthesis", false)
-    }
-
-    /// The symbolic synthesis experiment: like [`Experiment::synthesize`]
-    /// but over the BDD engine, which completes instances the explicit
-    /// synthesizer cannot touch.
-    pub fn synthesize_symbolic(&self) -> ExperimentMeasurement {
-        self.synthesize_on("symbolic-synthesis", true)
-    }
-
-    fn synthesize_on(&self, task: &str, symbolic: bool) -> ExperimentMeasurement {
-        let (label, params, program) = (self.label(task), self.params(), self.program());
+        let (params, program) = (self.params(), self.program());
         let eventual = self.protocol.is_eventual();
         with_protocol!(self.protocol, |exchange, _rule| {
             let start = Instant::now();
-            let outcome = if symbolic {
-                SymbolicSynthesizer::new(exchange, params).synthesize(&program)
-            } else {
-                Synthesizer::new(exchange, params).synthesize(&program)
-            };
-            validate_synthesis(label, start, exchange, params, eventual, outcome)
+            let outcome = Synthesizer::new(exchange, params).synthesize(&program);
+            validate_synthesis(start, exchange, params, eventual, outcome)
         })
     }
 }
 
 fn model_check<E, R>(
-    label: String,
     exchange: E,
     rule: R,
     params: ModelParams,
@@ -255,21 +198,18 @@ where
         )
     };
     ExperimentMeasurement {
-        label,
         duration: start.elapsed(),
         total_states: model.space().total_states(),
         spec_ok,
         optimal,
         earliest_knowledge_time,
         earliest_decision_time,
-        explore_stats: Some(model.space().stats().clone()),
     }
 }
 
 /// Validates a synthesized protocol — it must satisfy its agreement
 /// specification — and closes the measurement started at `start`.
 fn validate_synthesis<E: InformationExchange>(
-    label: String,
     start: Instant,
     exchange: E,
     params: ModelParams,
@@ -282,14 +222,12 @@ fn validate_synthesis<E: InformationExchange>(
         .filter_map(|i| outcome.earliest_decision_time(AgentId::new(i)))
         .min();
     ExperimentMeasurement {
-        label,
         duration: start.elapsed(),
         total_states: outcome.stats.total_states,
         spec_ok: spec.all_hold(),
         optimal: true,
         earliest_knowledge_time: earliest,
         earliest_decision_time: earliest,
-        explore_stats: None,
     }
 }
 
@@ -321,14 +259,9 @@ mod tests {
         assert!(check.spec_ok);
         assert!(check.optimal);
         assert_eq!(check.earliest_knowledge_time, Some(2));
-        // Model-checking measurements carry the exploration statistics.
-        let explore = check.explore_stats.as_ref().expect("explore stats recorded");
-        assert_eq!(explore.total_states(), check.total_states);
-        assert!(explore.total_dedup_hits() > 0);
         let synth = experiment.synthesize();
         assert!(synth.spec_ok);
         assert_eq!(synth.earliest_decision_time, Some(2));
-        assert!(!synth.mck_style_duration().is_empty());
     }
 
     #[test]
@@ -351,24 +284,9 @@ mod tests {
     }
 
     #[test]
-    fn symbolic_synthesis_cells_match_explicit_cells() {
-        let experiment = Experiment::crash(ProtocolKind::FloodSet, 3, 1);
-        let explicit = experiment.synthesize();
-        let symbolic = experiment.synthesize_symbolic();
-        assert!(symbolic.spec_ok);
-        assert_eq!(explicit.earliest_decision_time, symbolic.earliest_decision_time);
-        assert_eq!(explicit.total_states, symbolic.total_states);
-
-        let eba = Experiment::new(ProtocolKind::EMin, 2, 1, FailureKind::SendOmission);
-        let symbolic = eba.synthesize_symbolic();
-        assert!(symbolic.spec_ok);
-        assert_eq!(eba.synthesize().earliest_decision_time, symbolic.earliest_decision_time);
-    }
-
-    #[test]
     fn dwork_moses_experiment_runs_on_small_instance() {
         let experiment = Experiment::crash(ProtocolKind::DworkMoses, 2, 1);
         let check = experiment.model_check();
-        assert!(check.spec_ok, "{check}");
+        assert!(check.spec_ok, "{check:?}");
     }
 }

@@ -430,7 +430,7 @@ pub struct CheckOutcome {
     /// Server-side wall time for the whole batch, in microseconds.
     pub wall_micros: u64,
     /// Relational image computations performed while answering (0 on a
-    /// fully warm repeat — the acceptance criterion the budget gate checks).
+    /// fully warm repeat — the acceptance bar the budget gate checks).
     pub relational_products: u64,
     /// Cross-request denotation-cache hits while answering.
     pub session_hits: u64,
