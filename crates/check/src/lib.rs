@@ -111,9 +111,9 @@
 //!   denotation, by existentially quantifying the variables the agent does
 //!   not observe (with non-constant classes reported, and evaluation
 //!   *focused* on the queried layer for temporal-free formulas);
-//! * [`SymbolicChecker::set_rule_override`] — interprets `DecidesNow`
-//!   atoms symbolically against a partial decision table instead of the
-//!   model's rule;
+//! * [`SymbolicChecker::set_frontier_rule`] — recomputes the newest
+//!   layer's decides-now table under the partial rule fixed so far, so
+//!   `DecidesNow` at the frontier reads the decisions of that rule;
 //! * [`SymbolicChecker::extend_layer_relational`] — grows the model by one
 //!   layer under the partial rule fixed so far, in the same BDD manager
 //!   (node store, caches, reachable sets, GC state), so a whole synthesis

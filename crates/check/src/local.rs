@@ -85,18 +85,9 @@ impl<E: SymbolicEncode, R: SymbolicRule<E>> LocalChecker<E, R> {
     /// Builds a local checker with layer 0 materialised and default
     /// symbolic options.
     pub fn new(exchange: E, params: ModelParams, rule: R) -> Self {
-        Self::with_options(exchange, params, rule, SymbolicOptions::default())
-    }
-
-    /// Builds a local checker with explicit symbolic options.
-    pub fn with_options(
-        exchange: E,
-        params: ModelParams,
-        rule: R,
-        options: SymbolicOptions,
-    ) -> Self {
         let horizon = params.horizon() as usize;
-        let checker = SymbolicChecker::relational_seed(exchange, params, rule, options);
+        let checker =
+            SymbolicChecker::relational_seed(exchange, params, rule, SymbolicOptions::default());
         let stats = LocalStats { layers_expanded: 1, horizon, ..LocalStats::default() };
         LocalChecker { checker, verdicts: RefCell::new(HashMap::new()), stats: Cell::new(stats) }
     }
@@ -493,5 +484,95 @@ where
         formula: &Formula<ConsensusAtom>,
     ) -> PointSet {
         self.check_points(model, formula)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use epimc_bdd::BddError;
+    use epimc_logic::AgentId;
+    use epimc_protocols::{EMin, EMinRule, FloodSet, FloodSetRule};
+    use epimc_system::{FailureKind, Value};
+
+    type F = Formula<ConsensusAtom>;
+
+    /// An op-fuel sweep of the budgeted entry points, with fuel growing by
+    /// a quarter from one op until a query completes on a fresh checker:
+    /// every query either returns the unbudgeted verdict or aborts with at
+    /// most `horizon + 1` layers built, and the same checker then answers
+    /// both queries identically with no budget.
+    fn budgeted_queries_sweep<E, R>(exchange: E, rule: R, params: ModelParams, formula: &F)
+    where
+        E: SymbolicEncode + Clone,
+        R: SymbolicRule<E> + Clone,
+    {
+        let fresh = || LocalChecker::new(exchange.clone(), params, rule.clone());
+        let layer = 1;
+        let want_everywhere = fresh().holds_everywhere(formula);
+        let want_in_layer = fresh().holds_in_layer(formula, layer);
+        for in_layer in [false, true] {
+            let query = |checker: &LocalChecker<E, R>| {
+                if in_layer {
+                    checker.try_holds_in_layer(formula, layer)
+                } else {
+                    checker.try_holds_everywhere(formula)
+                }
+            };
+            let want = if in_layer { want_in_layer } else { want_everywhere };
+            let context = format!("{formula} in_layer={in_layer}");
+            let mut aborts = 0;
+            let mut fuel = 1u64;
+            loop {
+                let checker = fresh();
+                checker.set_budget(Some(Budget::with_max_ops(fuel)));
+                match query(&checker) {
+                    Ok(verdict) => {
+                        assert_eq!(verdict, want, "{context} fuel {fuel}");
+                        break;
+                    }
+                    Err(abort) => {
+                        assert!(
+                            matches!(abort.error, BddError::BudgetExceeded { .. }),
+                            "{context} fuel {fuel}"
+                        );
+                        assert!(abort.layers_built <= checker.horizon() + 1, "{context} {abort}");
+                        checker.set_budget(None);
+                        assert_eq!(query(&checker), Ok(want), "{context} fuel {fuel}: retry");
+                        assert_eq!(checker.try_holds_in_layer(formula, layer), Ok(want_in_layer));
+                        assert_eq!(checker.try_holds_everywhere(formula), Ok(want_everywhere));
+                        aborts += 1;
+                    }
+                }
+                fuel += fuel / 4 + 1;
+            }
+            assert!(aborts > 0, "{context}: the first op already answered");
+        }
+    }
+
+    #[test]
+    fn budgeted_queries_return_the_verdict_or_an_abort() {
+        // The first branch condition of the SBA program for agent 0,
+        // `B^N_0 C_B_N ∃0`, on FloodSet n = 3, t = 1.
+        let crash = ModelParams::builder().agents(3).max_faulty(1).values(2).build();
+        let exists_zero =
+            F::or((0..3).map(|j| F::atom(ConsensusAtom::InitIs(AgentId::new(j), Value::ZERO))));
+        let sba = F::believes_nonfaulty(AgentId::new(0), F::common_belief(exists_zero));
+        budgeted_queries_sweep(FloodSet, FloodSetRule, crash, &sba);
+
+        // The decide-1 branch condition of the EBA program P0 for agent 0,
+        // `K_0 ⋀_j ¬decides_j(0)`, on E_min n = 2, t = 1 under omissions.
+        let omissions = ModelParams::builder()
+            .agents(2)
+            .max_faulty(1)
+            .values(2)
+            .failure(FailureKind::SendOmission)
+            .build();
+        let nobody_deciding_zero = F::and(
+            (0..2)
+                .map(|j| F::not(F::atom(ConsensusAtom::DecidesNow(AgentId::new(j), Value::ZERO)))),
+        );
+        let eba = F::knows(AgentId::new(0), nobody_deciding_zero);
+        budgeted_queries_sweep(EMin, EMinRule, omissions, &eba);
     }
 }

@@ -34,7 +34,8 @@
 //!   ([`SymbolicChecker::extend_layer_relational`]), the one BDD manager
 //!   carries across synthesis rounds instead of being rebuilt each round.
 //! * **Variable-encoded atoms, restricted on demand.** Every atom is a
-//!   constraint over the encoded state variables (`DecidesNow` is the
+//!   constraint over the encoded state variables, built by
+//!   `epimc_relational` (`DecidesNow` is the layer's decides-now table: the
 //!   guarded condition its round was built under) and stays that
 //!   few-node constraint through the boolean connectives: restriction to a
 //!   layer's reachable set commutes with them under the clock semantics,
@@ -88,12 +89,12 @@ use std::fmt;
 use epimc_bdd::{catch_budget, Bdd, BddError, Budget, Ref, ReorderPolicy, SubstId, Var};
 use epimc_logic::{AgentId, Formula, TemporalKind};
 use epimc_relational::{
-    cur, decides_now_table, encode_state, initial_cube, nxt, round_relation, ChoiceVars,
-    SlotLayout, SymbolicEncode, SymbolicRule,
+    atom_constraint, cur, decides_now_table, encode_state, initial_cube, nxt, round_relation,
+    ChoiceVars, SlotLayout, SymbolicEncode, SymbolicRule,
 };
 use epimc_system::{
-    Action, ConsensusAtom, ConsensusModel, DecisionRule, FailureKind, InformationExchange,
-    ModelParams, Observation, PointId, PointModel, Round, TableRule, Value,
+    ConsensusAtom, ConsensusModel, DecisionRule, FailureKind, InformationExchange, ModelParams,
+    Observation, PointId, PointModel, Round,
 };
 
 use crate::pointset::PointSet;
@@ -384,7 +385,8 @@ struct Inner {
     /// Per layer, the guarded decides-now conditions the layer's round was
     /// built under (`dnow[layer][agent * num_values + v]`), which is what
     /// `DecidesNow` atoms denote. The frontier layer's entry comes from the
-    /// rule that built it, until the next extension replaces it.
+    /// rule that built it or [`SymbolicChecker::set_frontier_rule`], until
+    /// the next extension replaces it.
     dnow: Vec<Vec<Ref>>,
     gc_threshold: usize,
     gc_base_threshold: usize,
@@ -585,14 +587,10 @@ pub struct SymbolicChecker<E: InformationExchange, R> {
     choice: ChoiceVars,
     params: ModelParams,
     inner: RefCell<Inner>,
-    /// When set, `DecidesNow` atoms are interpreted against this rule (built
-    /// symbolically from its entries) instead of the model's own rule. The
-    /// synthesis engine points this at the partial rule synthesized so far.
-    rule_override: RefCell<Option<TableRule>>,
-    /// Bumped on every [`SymbolicChecker::set_rule_override`] call; sessions
+    /// Bumped on every [`SymbolicChecker::set_frontier_rule`] call; sessions
     /// record the epoch they were created in, so a stale session (whose
-    /// cached denotations may bake in an older rule) is rejected.
-    override_epoch: Cell<u64>,
+    /// cached denotations may bake in an older frontier table) is rejected.
+    frontier_epoch: Cell<u64>,
     /// When set, evaluation only computes the denotation of this layer
     /// (every other layer stays `FALSE`). Sound for formulas without
     /// temporal operators — knowledge, common belief and the boolean
@@ -629,8 +627,9 @@ pub struct SymbolicChecker<E: InformationExchange, R> {
 /// Cached denotations live in the checker's rooted arena (they survive
 /// garbage collections) until the session is returned via
 /// [`SymbolicChecker::end_session`] or the checker is dropped. A session
-/// becomes *stale* when the rule override changes; using a stale session
-/// panics.
+/// becomes *stale* when the model grows or the frontier's decides-now
+/// table is refreshed ([`SymbolicChecker::set_frontier_rule`]); using a
+/// stale session panics.
 pub struct EvalSession {
     /// Memoised denotations keyed by [`Formula::canonical_hash`] — a
     /// process- and platform-stable structural hash, so a session promoted
@@ -687,22 +686,6 @@ pub struct ObservationValues {
     /// The observations on which the formula is *not* constant, ascending.
     /// Empty whenever the formula is a knowledge condition for the agent.
     pub non_uniform: Vec<Observation>,
-}
-
-/// Disjunction of `items` by balanced pairwise reduction, which keeps the
-/// intermediate diagrams small compared to a linear fold.
-fn or_balanced(bdd: &mut Bdd, mut items: Vec<Ref>) -> Ref {
-    if items.is_empty() {
-        return Ref::FALSE;
-    }
-    while items.len() > 1 {
-        let mut next = Vec::with_capacity(items.len().div_ceil(2));
-        for pair in items.chunks(2) {
-            next.push(if pair.len() == 2 { bdd.or(pair[0], pair[1]) } else { pair[0] });
-        }
-        items = next;
-    }
-    items[0]
 }
 
 impl<E, R> SymbolicChecker<E, R>
@@ -799,7 +782,7 @@ where
     pub fn session(&self) -> EvalSession {
         EvalSession {
             cache: HashMap::new(),
-            epoch: self.override_epoch.get(),
+            epoch: self.frontier_epoch.get(),
             layers: self.num_layers(),
             focus_lock: None,
             hits: 0,
@@ -834,23 +817,11 @@ where
         inner.maybe_gc(&mut []);
     }
 
-    /// Interprets `DecidesNow` atoms against `rule` (the partial rule a
-    /// synthesis run has fixed so far) instead of the model's own decision
-    /// rule. The denotation is built symbolically from the rule's entries —
-    /// an observation-equality constraint per deciding entry, guarded by
-    /// "not yet decided" (and "not crashed" in the crash failure model).
-    /// Pass `None` to restore the model's rule. Existing sessions become
-    /// stale and must not be used afterwards.
-    pub fn set_rule_override(&self, rule: Option<TableRule>) {
-        *self.rule_override.borrow_mut() = rule;
-        self.override_epoch.set(self.override_epoch.get() + 1);
-    }
-
     fn assert_session_fresh(&self, session: &EvalSession) {
         assert_eq!(
             session.epoch,
-            self.override_epoch.get(),
-            "evaluation session outlived a rule-override change; start a new session"
+            self.frontier_epoch.get(),
+            "evaluation session outlived a frontier-rule change; start a new session"
         );
         assert_eq!(
             session.layers,
@@ -1440,84 +1411,11 @@ where
     // ------------------------------------------------------------------
     // Atoms as variable constraints.
 
-    /// Conjunction `bits(slots) == value` over current-state variables.
-    fn eq_const(bdd: &mut Bdd, slots: &[usize], value: u32) -> Ref {
-        if slots.len() < 32 && u64::from(value) >= 1u64 << slots.len() {
-            return Ref::FALSE;
-        }
-        bdd.cube_literals(
-            slots.iter().enumerate().map(|(k, &slot)| (cur(slot), value & (1 << k) != 0)),
-        )
-    }
-
-    /// Comparator `bits(slots) <= value` over current-state variables
-    /// (`slots` low bit first).
-    fn le_const(bdd: &mut Bdd, slots: &[usize], value: u32) -> Ref {
-        if slots.len() < 32 && u64::from(value) >= (1u64 << slots.len()) - 1 {
-            return Ref::TRUE;
-        }
-        let mut acc = Ref::TRUE;
-        for (k, slot) in slots.iter().enumerate() {
-            let x = bdd.var(cur(*slot));
-            acc = if value & (1 << k) != 0 {
-                // This bit of the bound is 1: smaller here wins outright.
-                bdd.ite(x, acc, Ref::TRUE)
-            } else {
-                // This bit of the bound is 0: larger here loses outright.
-                bdd.ite(x, Ref::FALSE, acc)
-            };
-        }
-        acc
-    }
-
     /// The denotation of an atom, unbounded: a current-state constraint
-    /// BDD per layer, left for a consumer to conjoin with the reachable
-    /// sets.
+    /// BDD per layer ([`atom_constraint`]), left for a consumer to conjoin
+    /// with the reachable sets.
     fn atom_denotation(&self, atom: &ConsensusAtom) -> DenId {
-        let constraint = {
-            let mut inner = self.inner.borrow_mut();
-            let bdd = &mut inner.bdd;
-            match *atom {
-                ConsensusAtom::InitIs(agent, value) => Some(Self::eq_const(
-                    bdd,
-                    &self.layout.agents[agent.index()].init_bits,
-                    value.index() as u32,
-                )),
-                ConsensusAtom::ExistsInit(value) => {
-                    let per_agent: Vec<Ref> = self
-                        .layout
-                        .agents
-                        .iter()
-                        .map(|vars| Self::eq_const(bdd, &vars.init_bits, value.index() as u32))
-                        .collect();
-                    Some(bdd.or_all(per_agent))
-                }
-                ConsensusAtom::Nonfaulty(agent) => {
-                    Some(bdd.var(cur(self.layout.agents[agent.index()].nonfaulty)))
-                }
-                ConsensusAtom::Decided(agent) => {
-                    Some(bdd.var(cur(self.layout.agents[agent.index()].decided)))
-                }
-                ConsensusAtom::DecidedValue(agent, value) => {
-                    let vars = &self.layout.agents[agent.index()];
-                    let decided = bdd.var(cur(vars.decided));
-                    let matches = Self::eq_const(bdd, &vars.decision_bits, value.index() as u32);
-                    Some(bdd.and(decided, matches))
-                }
-                ConsensusAtom::ObsEquals(agent, obs_index, value) => {
-                    let vars = &self.layout.agents[agent.index()];
-                    vars.obs_bits.get(obs_index).map(|slots| Self::eq_const(bdd, slots, value))
-                }
-                ConsensusAtom::ObsAtMost(agent, obs_index, value) => {
-                    let vars = &self.layout.agents[agent.index()];
-                    vars.obs_bits.get(obs_index).map(|slots| Self::le_const(bdd, slots, value))
-                }
-                ConsensusAtom::CollisionProbe(truth) => {
-                    Some(if truth { Ref::TRUE } else { Ref::FALSE })
-                }
-                ConsensusAtom::TimeIs(_) | ConsensusAtom::DecidesNow(_, _) => None,
-            }
-        };
+        let constraint = atom_constraint(&mut self.inner.borrow_mut().bdd, &self.layout, atom);
         match (constraint, atom) {
             (Some(c), _) => self.alloc_active(false, |_, _| c),
             (None, ConsensusAtom::TimeIs(round)) => self.alloc_active(false, |_, layer| {
@@ -1528,83 +1426,14 @@ where
                 }
             }),
             // `DecidesNow` looks at the *action* taken in the coming round,
-            // which is not part of the state encoding. Under a rule override
-            // (synthesis) the denotation is built symbolically from the
-            // override's entries; otherwise it is the guarded condition the
-            // layer's round was built under.
+            // which is not part of the state encoding: each layer stores the
+            // guarded conditions of the rule its round was built under.
             (None, ConsensusAtom::DecidesNow(agent, value)) => {
-                let override_rule = self.rule_override.borrow();
-                match override_rule.as_ref() {
-                    Some(rule) => self.decides_now_denotation(rule, *agent, *value),
-                    None => self.relational_decides_now(*agent, *value),
-                }
+                let index = agent.index() * self.params.num_values() + value.index();
+                self.alloc_active(false, |inner, t| inner.dnow[t][index])
             }
-            // Only out-of-range observable indices land here; no state
-            // satisfies them.
-            (None, _) => self.alloc_false(),
+            (None, _) => unreachable!("atom_constraint leaves only TimeIs and DecidesNow"),
         }
-    }
-
-    /// The denotation of `DecidesNow(agent, value)` under `rule`, built from
-    /// the rule's entries instead of scanning states: at layer `t` the atom
-    /// holds exactly at the reachable states where the agent has not yet
-    /// decided, has not crashed, and makes an observation whose `(agent, t)`
-    /// entry decides `value`. (In the crash failure model an agent is
-    /// crashed iff it is faulty, which is the complement of the encoded
-    /// nonfaulty flag; in the omission models no agent ever crashes.)
-    /// Unbounded: the state constraint, not yet conjoined with the layer.
-    fn decides_now_denotation(&self, rule: &TableRule, agent: AgentId, value: Value) -> DenId {
-        let vars = &self.layout.agents[agent.index()];
-        let crash_model = self.params.failure().kind() == FailureKind::Crash;
-        self.alloc_active(false, |inner, t| {
-            // Deciding entries for (agent, t), sorted for determinism
-            // (the table iterates in hash order).
-            let mut deciding: Vec<&Observation> = rule
-                .iter()
-                .filter(|((a, time, _), action)| {
-                    *a == agent && *time == t as Round && **action == Action::Decide(value)
-                })
-                .map(|((_, _, observation), _)| observation)
-                .collect();
-            deciding.sort_unstable();
-            let bdd = &mut inner.bdd;
-            let terms: Vec<Ref> = deciding
-                .into_iter()
-                .map(|observation| {
-                    debug_assert_eq!(observation.len(), vars.obs_bits.len());
-                    // One flat cube over every observable bit: a single
-                    // level-ordered chain regardless of the current
-                    // variable order.
-                    bdd.cube_literals(vars.obs_bits.iter().enumerate().flat_map(
-                        |(field, slots)| {
-                            let value = observation.value(field);
-                            slots
-                                .iter()
-                                .enumerate()
-                                .map(move |(k, &slot)| (cur(slot), value & (1 << k) != 0))
-                        },
-                    ))
-                })
-                .collect();
-            let fires = or_balanced(bdd, terms);
-            let decided = bdd.var(cur(vars.decided));
-            let undecided = bdd.not(decided);
-            let acc = bdd.and(fires, undecided);
-            if crash_model {
-                let alive = bdd.var(cur(vars.nonfaulty));
-                bdd.and(acc, alive)
-            } else {
-                acc
-            }
-        })
-    }
-
-    /// The denotation of `DecidesNow(agent, value)` without a rule
-    /// override: each layer stores the guarded decides-now conditions its
-    /// round was built under, so the (unbounded) denotation is a lookup.
-    fn relational_decides_now(&self, agent: AgentId, value: Value) -> DenId {
-        let index = agent.index() * self.params.num_values() + value.index();
-        self.alloc_active(false, |inner, t| inner.dnow[t][index])
     }
 
     // ------------------------------------------------------------------
@@ -2091,8 +1920,7 @@ where
             choice,
             params,
             inner: RefCell::new(inner),
-            rule_override: RefCell::new(None),
-            override_epoch: Cell::new(0),
+            frontier_epoch: Cell::new(0),
             focus: Cell::new(None),
             reachable_obs: RefCell::new(HashMap::new()),
         }
@@ -2112,11 +1940,16 @@ where
     /// partitioned transition relation and guarded decides-now conditions
     /// from `rule`, roots them, and computes the new layer as the forward
     /// image of the frontier. The round's relation stays available to the
-    /// temporal operators.
+    /// temporal operators. A budget trip leaves the model at its old
+    /// layer count, and the next call builds the round afresh.
     pub fn extend_layer_relational<S: SymbolicRule<E>>(&self, rule: &S) {
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
         let t = inner.reachable.len() - 1;
+        // A trip during an earlier call's image may have left this round's
+        // relation rooted without its layer.
+        inner.relations.truncate(t);
+        inner.relation_supports.truncate(t);
         // No collection can run while the round build's unrooted
         // intermediates are in flight; everything is rooted right below.
         let round = round_relation(
@@ -2130,7 +1963,6 @@ where
         );
         let supports: Vec<Vec<u32>> =
             round.partitions.iter().map(|&part| support_indices(&inner.bdd, part)).collect();
-        debug_assert_eq!(inner.relations.len(), t, "rounds extend one at a time");
         inner.relations.push(round.partitions);
         inner.relation_supports.push(supports);
         // The round's conditions supersede the frontier entry (they are
@@ -2138,19 +1970,43 @@ where
         inner.dnow[t] = round.dnow;
         inner.maybe_gc(&mut []);
         let image = self.relational_image(inner, t);
-        inner.reachable.push(image);
         // The new frontier answers `DecidesNow` from the extending rule
-        // until the next extension replaces it.
-        let frontier = decides_now_table::<E, S>(
+        // until it is refreshed or the next extension replaces it. No
+        // collection runs before the image and its table are rooted
+        // together, so a trip leaves no layer without its table.
+        let frontier = self.dnow_table(inner, rule, t + 1);
+        inner.reachable.push(image);
+        inner.dnow.push(frontier);
+        inner.maybe_gc(&mut []);
+    }
+
+    /// Recomputes the newest layer's decides-now table under `rule`, so
+    /// `DecidesNow` at the frontier reads the decisions `rule` takes there.
+    /// The synthesis engine calls this before each branch with the partial
+    /// rule fixed so far, as the explicit engine re-points its model's
+    /// rule. Every earlier layer keeps the table of the rule its round was
+    /// built under. Existing sessions become stale and must not be used
+    /// afterwards.
+    pub fn set_frontier_rule<S: SymbolicRule<E>>(&self, rule: &S) {
+        let mut inner = self.inner.borrow_mut();
+        let inner = &mut *inner;
+        let frontier = self.dnow_table(inner, rule, inner.reachable.len() - 1);
+        *inner.dnow.last_mut().expect("the checker always has a layer") = frontier;
+        inner.maybe_gc(&mut []);
+        self.frontier_epoch.set(self.frontier_epoch.get() + 1);
+    }
+
+    /// The guarded decides-now conditions of `rule` at layer `time`.
+    /// Unrooted until the caller stores them.
+    fn dnow_table<S: SymbolicRule<E>>(&self, inner: &mut Inner, rule: &S, time: usize) -> Vec<Ref> {
+        decides_now_table::<E, S>(
             &mut inner.bdd,
             &self.layout,
             &self.choice,
             rule,
             &self.params,
-            (t + 1) as Round,
-        );
-        inner.dnow.push(frontier);
-        inner.maybe_gc(&mut []);
+            time as Round,
+        )
     }
 
     /// One forward image: conjoins the frontier layer with the round's
@@ -2198,12 +2054,8 @@ where
     ///
     /// # Errors
     ///
-    /// Fails while evaluation sessions are still holding denotations, or
-    /// while a rule override is installed.
+    /// Fails while evaluation sessions are still holding denotations.
     pub fn snapshot(&self) -> Result<Vec<u8>, String> {
-        if self.rule_override.borrow().is_some() {
-            return Err("clear the rule override before snapshotting".to_string());
-        }
         let inner = self.inner.borrow();
         if inner.arena.live_count() != 0 {
             return Err("end all evaluation sessions before snapshotting".to_string());
@@ -2773,7 +2625,7 @@ mod tests {
     use super::*;
     use crate::explicit::Checker;
     use epimc_protocols::{CountFloodSet, FloodSet, FloodSetRule, TextbookRule};
-    use epimc_system::{FailureKind, ModelParams, Value};
+    use epimc_system::{FailureKind, ModelParams, TableRule, Value};
 
     type F = Formula<ConsensusAtom>;
 
@@ -3014,16 +2866,30 @@ mod tests {
         symbolic.end_session(session);
     }
 
-    /// Under the model's own rule spelled as a decision table, `DecidesNow`
-    /// goes through `decides_now_denotation` instead of the conditions the
-    /// rounds were built under, and must denote what the explicit checker
-    /// reads off the model's actions — as it must again once the override
-    /// is dropped.
-    fn rule_override_matches_scan(agents: usize) {
-        let params = crash(agents);
+    /// Grown the way synthesis grows it — seeded under an empty table,
+    /// each frontier refreshed from the model's rule spelled as a table and
+    /// then extended under that table — `DecidesNow` must denote what the
+    /// explicit checker reads off the model's actions at every layer. A
+    /// refresh from the empty table then empties the frontier's table only.
+    fn frontier_rule_matches_scan(agents: usize) {
+        // FloodSet decides at `t + 1`: end the model there, so the frontier
+        // is the deciding layer.
+        let params = crash(agents).with_horizon(2);
         let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
         let explicit = Checker::new(&model);
-        let symbolic = floodset(params, SymbolicOptions::default());
+        let table = rule_as_table(&model);
+        let empty = TableRule::new("empty");
+        let symbolic = SymbolicChecker::relational_seed(
+            FloodSet,
+            params,
+            empty.clone(),
+            SymbolicOptions::default(),
+        );
+        for _ in 1..model.num_layers() {
+            symbolic.set_frontier_rule(&table);
+            symbolic.extend_layer_relational(&table);
+        }
+        symbolic.set_frontier_rule(&table);
         let formulas: Vec<F> = (0..agents)
             .flat_map(|agent| {
                 (0..2).map(move |value| {
@@ -3031,37 +2897,38 @@ mod tests {
                 })
             })
             .collect();
-        let scanned: Vec<PointSet> = formulas.iter().map(|f| explicit.check(f)).collect();
-        for table in [Some(rule_as_table(&model)), None] {
-            let overridden = table.is_some();
-            symbolic.set_rule_override(table);
-            for (formula, expected) in formulas.iter().zip(&scanned) {
-                assert_eq!(
-                    symbolic.check_points(&model, formula),
-                    *expected,
-                    "override={overridden} disagrees with the scan on {formula}"
-                );
-            }
+        let last = model.num_layers() as Round - 1;
+        for formula in &formulas {
+            let scanned = explicit.check(formula);
+            assert_eq!(symbolic.check_points(&model, formula), scanned, "{formula}");
+            assert!(scanned.iter().any(|point| point.time == last), "{formula}: no frontier point");
+        }
+        symbolic.set_frontier_rule(&empty);
+        for formula in &formulas {
+            let before_the_frontier: Vec<PointId> =
+                explicit.check(formula).iter().filter(|point| point.time < last).collect();
+            let now: Vec<PointId> = symbolic.check_points(&model, formula).iter().collect();
+            assert_eq!(now, before_the_frontier, "{formula} after the empty refresh");
         }
     }
 
     #[test]
-    fn rule_override_matches_explicit_decides_now_scan() {
-        rule_override_matches_scan(3);
+    fn frontier_rule_matches_explicit_decides_now_scan() {
+        frontier_rule_matches_scan(3);
     }
 
     #[test]
-    fn relational_rule_override_matches_explicit_scan() {
-        rule_override_matches_scan(2);
+    fn relational_frontier_rule_matches_explicit_scan() {
+        frontier_rule_matches_scan(2);
     }
 
     #[test]
-    #[should_panic(expected = "outlived a rule-override change")]
+    #[should_panic(expected = "outlived a frontier-rule change")]
     fn stale_sessions_are_rejected() {
         let params = ModelParams::builder().agents(2).max_faulty(1).values(2).build();
         let symbolic = floodset(params, SymbolicOptions::default());
         let mut session = symbolic.session();
-        symbolic.set_rule_override(Some(epimc_system::TableRule::new("fresh")));
+        symbolic.set_frontier_rule(&FloodSetRule);
         let _ = symbolic.holds_everywhere_in_session(&mut session, &exists(0));
     }
 

@@ -14,7 +14,7 @@ use epimc_protocols::{
     CountFloodSet, DiffFloodSet, DworkMoses, DworkMosesRule, EBasic, EBasicRule, EMin, EMinRule,
     FloodSet, FloodSetRule, TextbookRule,
 };
-use epimc_system::{FailureKind, ModelParams};
+use epimc_system::{FailureKind, ModelParams, Value};
 
 type F = Formula<ConsensusAtom>;
 

@@ -12,7 +12,7 @@ use epimc_protocols::{
     CountFloodSet, DiffFloodSet, DworkMoses, DworkMosesRule, EBasic, EBasicRule, EMin, EMinRule,
     FloodSet, FloodSetRule, TextbookRule,
 };
-use epimc_system::{AgentSet, FailureKind, ModelParams};
+use epimc_system::{AgentSet, FailureKind, ModelParams, Value};
 
 type F = Formula<ConsensusAtom>;
 
@@ -157,7 +157,7 @@ where
             inner.bdd.cube_literals(bits.iter().enumerate().map(|(slot, &bit)| (cur(slot), bit)))
         })
         .collect();
-    let mut target = [or_balanced(&mut inner.bdd, minterms)];
+    let mut target = [inner.bdd.or_all(minterms)];
     inner.maybe_gc(&mut target);
     let result = if universal {
         checker.all_next(inner, t, target[0])

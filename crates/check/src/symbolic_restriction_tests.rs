@@ -15,7 +15,7 @@ use epimc_protocols::{
     CountFloodSet, DiffFloodSet, DworkMoses, DworkMosesRule, EBasic, EBasicRule, EMin, EMinRule,
     FloodSet, FloodSetRule, TextbookRule,
 };
-use epimc_system::{FailureKind, ModelParams};
+use epimc_system::{Action, FailureKind, ModelParams, TableRule, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -55,7 +55,7 @@ where
 }
 
 /// An operand of the grid: every kind of atom the evaluator builds
-/// differently (constraints, `TimeIs`, both `DecidesNow` paths, an
+/// differently (constraints, `TimeIs`, `DecidesNow`, an
 /// observable compared with a value its bits cannot hold) and the
 /// constants, half of them negated.
 fn operand(rng: &mut StdRng, n: usize) -> F {
@@ -110,8 +110,8 @@ fn grid(seed: u64, n: usize) -> Vec<F> {
 
 /// The model's own rule as a decision table: every `(agent, time,
 /// observation)` at which the model decides becomes an entry, so a checker
-/// under this override must answer exactly as without it — through
-/// `decides_now_denotation` instead of the rounds' own conditions.
+/// whose frontier table is refreshed from it must answer exactly as under
+/// the model's rule.
 pub(super) fn rule_as_table<E, R>(model: &ConsensusModel<E, R>) -> TableRule
 where
     E: InformationExchange,
@@ -160,8 +160,9 @@ where
 
 /// The differential on one family: default options and `gc_threshold: 2`
 /// (unbounded operands sit in the arena across the safe points of
-/// `common_belief` and `map_layers`); with and without a rule override;
-/// unfocused, and through `observation_values` at every layer.
+/// `common_belief` and `map_layers`); with the frontier's decides-now
+/// table from the model's rule and then refreshed from the rule spelled as
+/// a table; unfocused, and through `observation_values` at every layer.
 fn restriction_agrees_on<E, R>(family: &str, exchange: E, rule: R, params: ModelParams, seed: u64)
 where
     E: InformationExchange + SymbolicEncode + Clone,
@@ -181,9 +182,11 @@ where
     let collecting = SymbolicOptions { gc_threshold: 2, ..default };
     for (label, options) in [("default", default), ("collecting", collecting)] {
         let checker = &SymbolicChecker::relational(exchange.clone(), params, rule.clone(), options);
-        for overridden in [false, true] {
-            checker.set_rule_override(overridden.then(|| table.clone()));
-            let context = format!("{family} {label} override={overridden}");
+        for refreshed in [false, true] {
+            if refreshed {
+                checker.set_frontier_rule(&table);
+            }
+            let context = format!("{family} {label} refreshed={refreshed}");
             let baseline = checker.inner.borrow().arena.live_count();
 
             let mut session = checker.session();
@@ -234,7 +237,6 @@ where
                 "{context}: denotation leak"
             );
         }
-        checker.set_rule_override(None);
         if label == "collecting" {
             assert!(checker.stats().gc_runs > 0, "{family}: never collected");
         }

@@ -68,8 +68,8 @@ pub mod prelude {
     };
     pub use epimc_relational::{SymbolicEncode, SymbolicRule};
     pub use epimc_synth::{
-        KnowledgeBasedProgram, NonUniformClass, SymbolicSynthesisOptions, SymbolicSynthesisProfile,
-        SymbolicSynthesizer, SynthesisOutcome, SynthesisStats, Synthesizer,
+        KnowledgeBasedProgram, NonUniformClass, SymbolicSynthesisProfile, SymbolicSynthesizer,
+        SynthesisOutcome, SynthesisStats, Synthesizer,
     };
     pub use epimc_system::{
         Action, ConsensusAtom, ConsensusModel, Decision, DecisionRule, FailureKind,

@@ -400,6 +400,58 @@ impl<P> Formula<P> {
         self.free_vars().is_empty()
     }
 
+    /// Computes the polarity with which fixpoint variable `var` occurs.
+    pub(crate) fn polarity_of(&self, var: FixpointVar) -> Polarity {
+        fn go<P>(f: &Formula<P>, var: FixpointVar, positive: bool) -> Polarity {
+            match f {
+                Formula::Var(v) if *v == var => {
+                    if positive {
+                        Polarity::Positive
+                    } else {
+                        Polarity::Negative
+                    }
+                }
+                Formula::Var(_) | Formula::True | Formula::False | Formula::Atom(_) => {
+                    Polarity::Absent
+                }
+                Formula::Gfp(v, _) | Formula::Lfp(v, _) if *v == var => Polarity::Absent,
+                Formula::Gfp(_, inner) | Formula::Lfp(_, inner) => go(inner, var, positive),
+                Formula::Not(inner) => go(inner, var, !positive),
+                Formula::And(items) | Formula::Or(items) => items
+                    .iter()
+                    .fold(Polarity::Absent, |acc, item| acc.join(go(item, var, positive))),
+                Formula::Implies(lhs, rhs) => go(lhs, var, !positive).join(go(rhs, var, positive)),
+                Formula::Iff(lhs, rhs) => {
+                    // Both sides occur under both polarities.
+                    let l = go(lhs, var, positive).join(go(lhs, var, !positive));
+                    let r = go(rhs, var, positive).join(go(rhs, var, !positive));
+                    l.join(r)
+                }
+                Formula::Knows(_, inner)
+                | Formula::BelievesNonfaulty(_, inner)
+                | Formula::EveryoneBelieves(inner)
+                | Formula::CommonBelief(inner)
+                | Formula::Temporal(_, inner) => go(inner, var, positive),
+            }
+        }
+        go(self, var, true)
+    }
+
+    /// Checks that every fixpoint binder in the formula binds its variable
+    /// only positively, as required for the fixpoints to be well defined.
+    pub fn fixpoints_well_formed(&self) -> bool {
+        let mut ok = true;
+        self.visit(&mut |f| {
+            if let Formula::Gfp(v, body) | Formula::Lfp(v, body) = f {
+                match body.polarity_of(*v) {
+                    Polarity::Negative | Polarity::Mixed => ok = false,
+                    Polarity::Absent | Polarity::Positive => {}
+                }
+            }
+        });
+        ok
+    }
+
     /// A canonical 64-bit hash of the formula's structure: stable across
     /// processes, platforms and runs (unlike `std`'s randomised default
     /// hasher), so it can key cross-request and on-disk caches. Two
@@ -580,6 +632,35 @@ impl<P> Formula<P> {
             }
         });
         max
+    }
+}
+
+/// The polarity with which a fixpoint variable occurs inside a formula.
+///
+/// The greatest-fixpoint operator `νX. φ(X)` is only meaningful when `X`
+/// occurs positively in `φ` (under an even number of negations), as required
+/// by the paper's semantic model.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Polarity {
+    /// The variable does not occur.
+    Absent,
+    /// Every occurrence is under an even number of negations.
+    Positive,
+    /// Every occurrence is under an odd number of negations.
+    Negative,
+    /// The variable occurs both positively and negatively.
+    Mixed,
+}
+
+impl Polarity {
+    fn join(self, other: Polarity) -> Polarity {
+        use Polarity::*;
+        match (self, other) {
+            (Absent, p) | (p, Absent) => p,
+            (Positive, Positive) => Positive,
+            (Negative, Negative) => Negative,
+            _ => Mixed,
+        }
     }
 }
 
@@ -822,5 +903,32 @@ mod tests {
         let f = F::gfp(3, F::and([F::var(3), F::lfp(7, F::var(7))]));
         assert_eq!(f.max_var(), Some(7));
         assert_eq!(F::atom("p").max_var(), None);
+    }
+
+    #[test]
+    fn polarity_analysis() {
+        let f = F::and([F::var(0), F::not(F::var(1))]);
+        assert_eq!(f.polarity_of(0), Polarity::Positive);
+        assert_eq!(f.polarity_of(1), Polarity::Negative);
+        assert_eq!(f.polarity_of(2), Polarity::Absent);
+        let g = F::and([F::var(0), F::not(F::var(0))]);
+        assert_eq!(g.polarity_of(0), Polarity::Mixed);
+        // Implication flips the antecedent.
+        let h = F::implies(F::var(0), F::var(0));
+        assert_eq!(h.polarity_of(0), Polarity::Mixed);
+        // Shadowed binders do not count.
+        let shadow = F::gfp(0, F::var(0));
+        assert_eq!(shadow.polarity_of(0), Polarity::Absent);
+    }
+
+    #[test]
+    fn fixpoint_well_formedness() {
+        let ok = F::gfp(0, F::and([F::var(0), F::atom("p")]));
+        assert!(ok.fixpoints_well_formed());
+        let bad = F::gfp(0, F::not(F::var(0)));
+        assert!(!bad.fixpoints_well_formed());
+        // The common-belief expansion is always well formed.
+        let cb = F::common_belief(F::atom("p")).expand_derived(3, &|_| "nf", 0);
+        assert!(cb.fixpoints_well_formed());
     }
 }

@@ -38,9 +38,7 @@ mod agent;
 mod display;
 mod formula;
 mod parse;
-mod simplify;
 
 pub use agent::{AgentId, AgentSet};
 pub use formula::{FixpointVar, Formula, TemporalKind};
 pub use parse::{parse_formula, ParseError};
-pub use simplify::Polarity;

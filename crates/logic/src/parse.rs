@@ -57,7 +57,10 @@ struct Parser<'a, P, F> {
 /// # Errors
 ///
 /// Returns a [`ParseError`] describing the position and cause of the first
-/// syntax error or atom-resolution failure.
+/// syntax error or atom-resolution failure, and rejects a formula no engine
+/// can evaluate: one with a free fixpoint variable, or a fixpoint whose
+/// variable occurs negatively (under `!`, left of `=>`, or under `<=>`),
+/// whose iteration need not converge.
 ///
 /// # Example
 ///
@@ -78,6 +81,12 @@ where
     parser.skip_ws();
     if parser.pos != parser.input.len() {
         return Err(parser.error("unexpected trailing input"));
+    }
+    if let Some(v) = formula.free_vars().first() {
+        return Err(parser.error(format!("free fixpoint variable _X{v}")));
+    }
+    if !formula.fixpoints_well_formed() {
+        return Err(parser.error("a fixpoint variable occurs negatively in its body"));
     }
     Ok(formula)
 }
@@ -354,6 +363,24 @@ mod tests {
         assert!(err.message.contains(")"));
         let err = parse("p q").unwrap_err();
         assert!(err.message.contains("trailing"));
+    }
+
+    #[test]
+    fn rejects_open_and_non_monotone_fixpoints() {
+        let err = parse("_X0").unwrap_err();
+        assert!(err.message.contains("free fixpoint variable _X0"), "{err}");
+        let err = parse("gfp _X0. (_X0 /\\ _X1)").unwrap_err();
+        assert!(err.message.contains("free fixpoint variable _X1"), "{err}");
+        for input in ["gfp _X0. !_X0", "lfp _X0. (_X0 <=> p)", "gfp _X0. (_X0 => p)"] {
+            let err = parse(input).unwrap_err();
+            assert!(err.message.contains("occurs negatively"), "{input}: {err}");
+        }
+        // Positive occurrences, a shadowed negated one and a double
+        // negation are fine.
+        for input in ["gfp _X0. (p => _X0)", "gfp _X0. (_X0 /\\ !(lfp _X0. _X0))", "gfp _X0. !!_X0"]
+        {
+            assert!(parse(input).is_ok(), "{input}");
+        }
     }
 
     #[test]

@@ -8,10 +8,10 @@
 
 use epimc_bdd::{Bdd, Ref};
 use epimc_logic::AgentId;
-use epimc_system::{FailureKind, InformationExchange, ModelParams, Round, Value};
+use epimc_system::{ConsensusAtom, FailureKind, InformationExchange, ModelParams, Round, Value};
 
 use crate::choice::ChoiceVars;
-use crate::enc::Enc;
+use crate::enc::{cube_eq, Enc};
 use crate::layout::{cur, SlotLayout};
 use crate::{SymbolicEncode, SymbolicRule};
 
@@ -294,6 +294,67 @@ pub fn encode_state<E: InformationExchange>(
     bits
 }
 
+/// The constraint `atom` denotes over the current-state variables of
+/// `layout`, the same at every layer. An observable index the layout does
+/// not have, or a value its bits cannot hold, is `⊥`. `None` for the two
+/// atoms whose denotation depends on the layer: `TimeIs`, and
+/// `DecidesNow`, which is the layer's decides-now table
+/// ([`decides_now_table`]).
+pub fn atom_constraint(bdd: &mut Bdd, layout: &SlotLayout, atom: &ConsensusAtom) -> Option<Ref> {
+    let slots = |agent: &AgentId| &layout.agents[agent.index()];
+    Some(match atom {
+        ConsensusAtom::InitIs(agent, value) => {
+            cube_eq(bdd, &slots(agent).init_bits, value.index() as u32)
+        }
+        ConsensusAtom::ExistsInit(value) => {
+            let per_agent: Vec<Ref> = layout
+                .agents
+                .iter()
+                .map(|agent| cube_eq(bdd, &agent.init_bits, value.index() as u32))
+                .collect();
+            bdd.or_all(per_agent)
+        }
+        ConsensusAtom::Nonfaulty(agent) => bdd.var(cur(slots(agent).nonfaulty)),
+        ConsensusAtom::Decided(agent) => bdd.var(cur(slots(agent).decided)),
+        ConsensusAtom::DecidedValue(agent, value) => {
+            let decided = bdd.var(cur(slots(agent).decided));
+            let matches = cube_eq(bdd, &slots(agent).decision_bits, value.index() as u32);
+            bdd.and(decided, matches)
+        }
+        ConsensusAtom::ObsEquals(agent, field, value) => match slots(agent).obs_bits.get(*field) {
+            Some(bits) => cube_eq(bdd, bits, *value),
+            None => Ref::FALSE,
+        },
+        ConsensusAtom::ObsAtMost(agent, field, value) => match slots(agent).obs_bits.get(*field) {
+            Some(bits) => cube_le(bdd, bits, *value),
+            None => Ref::FALSE,
+        },
+        ConsensusAtom::CollisionProbe(true) => Ref::TRUE,
+        ConsensusAtom::CollisionProbe(false) => Ref::FALSE,
+        ConsensusAtom::TimeIs(_) | ConsensusAtom::DecidesNow(_, _) => return None,
+    })
+}
+
+/// `bits(slots) ≤ value` over current-state variables (`slots` low bit
+/// first).
+fn cube_le(bdd: &mut Bdd, slots: &[usize], value: u32) -> Ref {
+    if slots.len() < 32 && u64::from(value) >= (1u64 << slots.len()) - 1 {
+        return Ref::TRUE;
+    }
+    let mut acc = Ref::TRUE;
+    for (bit, &slot) in slots.iter().enumerate() {
+        let x = bdd.var(cur(slot));
+        acc = if (value >> bit) & 1 == 1 {
+            // This bit of the bound is 1: smaller here wins outright.
+            bdd.ite(x, acc, Ref::TRUE)
+        } else {
+            // This bit of the bound is 0: larger here loses outright.
+            bdd.ite(x, Ref::FALSE, acc)
+        };
+    }
+    acc
+}
+
 /// Reference forward image, with no conjunction scheduling or early
 /// quantification: conjoin the layer with every partition, quantify the
 /// current-state and choice variables, rename next-state back to current.
@@ -483,6 +544,32 @@ mod tests {
         enc.set_dnow(AgentId::new(0), 0, Ref::TRUE);
         enc.set_dnow(AgentId::new(1), 0, Ref::TRUE);
         enc.dnow(AgentId::new(0), 2);
+    }
+
+    #[test]
+    fn equalities_with_values_beyond_their_bits_are_false() {
+        // `seen` has two bits and the initial preference one: a value they
+        // cannot hold matches no state instead of wrapping onto its low bits.
+        let exchange = ToyFlood;
+        let params = params(3, 1, FailureKind::Crash);
+        let mut bdd = Bdd::new();
+        let layout = SlotLayout::new(&exchange, &params);
+        let choice = ChoiceVars::new(FailureKind::Crash, params.num_agents(), layout.num_slots);
+        let agent = AgentId::new(0);
+        let mut enc = Enc::new(&mut bdd, &layout, &choice, params, 0);
+        assert_eq!(enc.field_eq(agent, 0, 4), Ref::FALSE);
+        assert_eq!(enc.init_eq(agent, 2), Ref::FALSE);
+        assert_ne!(enc.field_eq(agent, 0, 3), Ref::FALSE);
+        for (atom, want) in [
+            (ConsensusAtom::ObsEquals(agent, 0, 4), Ref::FALSE),
+            (ConsensusAtom::ObsEquals(agent, 1, 0), Ref::FALSE),
+            (ConsensusAtom::InitIs(agent, Value::new(2)), Ref::FALSE),
+            (ConsensusAtom::ObsAtMost(agent, 0, 3), Ref::TRUE),
+            (ConsensusAtom::ObsAtMost(agent, 0, 1 << 20), Ref::TRUE),
+        ] {
+            assert_eq!(atom_constraint(&mut bdd, &layout, &atom), Some(want), "{atom:?}");
+        }
+        assert_eq!(atom_constraint(&mut bdd, &layout, &ConsensusAtom::TimeIs(0)), None);
     }
 
     #[test]

@@ -28,6 +28,17 @@ use epimc_system::{FailureKind, ModelParams, Observation, Round};
 use crate::choice::ChoiceVars;
 use crate::layout::{cur, nxt, SlotLayout};
 
+/// `bits(slots) = value` over current-state variables (`slots` low bit
+/// first); `⊥` when `value` needs more bits than `slots` has.
+pub(crate) fn cube_eq(bdd: &mut Bdd, slots: &[usize], value: u32) -> Ref {
+    if slots.len() < 32 && u64::from(value) >> slots.len() != 0 {
+        return Ref::FALSE;
+    }
+    bdd.cube_literals(
+        slots.iter().enumerate().map(|(bit, &slot)| (cur(slot), (value >> bit) & 1 == 1)),
+    )
+}
+
 /// The encoding context for one round's transition relation. See the module
 /// docs for the contract.
 pub struct Enc<'a> {
@@ -116,8 +127,7 @@ impl<'a> Enc<'a> {
 
     /// `init_agent = v` (current state).
     pub fn init_eq(&mut self, agent: AgentId, v: u32) -> Ref {
-        let slots = self.layout.agents[agent.index()].init_bits.clone();
-        self.cube_eq(&slots, v)
+        cube_eq(self.bdd, &self.layout.agents[agent.index()].init_bits, v)
     }
 
     /// Bit `bit` of observable field `field` of `agent` (current state).
@@ -131,8 +141,7 @@ impl<'a> Enc<'a> {
 
     /// `field_agent = val` (current state).
     pub fn field_eq(&mut self, agent: AgentId, field: usize, val: u32) -> Ref {
-        let slots = self.layout.agents[agent.index()].obs_bits[field].clone();
-        self.cube_eq(&slots, val)
+        cube_eq(self.bdd, &self.layout.agents[agent.index()].obs_bits[field], val)
     }
 
     /// The full observation-equality cube for `agent` (current state).
@@ -145,15 +154,6 @@ impl<'a> Enc<'a> {
             acc = self.bdd.and(acc, eq);
         }
         acc
-    }
-
-    fn cube_eq(&mut self, slots: &[usize], val: u32) -> Ref {
-        let literals: Vec<_> = slots
-            .iter()
-            .enumerate()
-            .map(|(bit, &slot)| (cur(slot), (val >> bit) & 1 == 1))
-            .collect();
-        self.bdd.cube_literals(literals)
     }
 
     // ---- channel and decision conditions ------------------------------

@@ -1,6 +1,7 @@
 //! The state-variable layout of the symbolic encoding — the one owner of
-//! it: the relation builders of this crate and `epimc_check::SymbolicChecker`
-//! both read their variables off a [`SlotLayout`].
+//! it: the relation and atom builders of this crate read their variables
+//! off a [`SlotLayout`], and `epimc_check::SymbolicChecker` builds its
+//! atoms through them.
 //!
 //! One *slot* holds one state bit; slot `s` owns the BDD variable pair
 //! `Var(2s)` (current) / `Var(2s + 1)` (next), so a state variable and its

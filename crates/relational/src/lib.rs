@@ -35,11 +35,12 @@
 //!   decided" and liveness guards.
 //!
 //! [`initial_cube`] and [`round_relation`] assemble these into the pieces
-//! the checker consumes; housekeeping semantics (self-delivery never
-//! fails, crashing-now agents still act and decide, crashed agents are
-//! frozen, the fault budget) mirror the explicit explorer exactly — that
-//! equivalence is what the relational ≡ explicit differential suite pins
-//! down.
+//! the checker consumes, and [`atom_constraint`] / [`decides_now_table`]
+//! build what its atoms denote, so the bit layout has one owner.
+//! Housekeeping semantics (self-delivery never fails, crashing-now agents
+//! still act and decide, crashed agents are frozen, the fault budget)
+//! mirror the explicit explorer exactly — that equivalence is what the
+//! relational ≡ explicit differential suite pins down.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,7 +55,8 @@ use epimc_logic::AgentId;
 use epimc_system::{Action, DecisionRule, InformationExchange, NeverDecide, TableRule, Value};
 
 pub use build::{
-    decides_now_table, encode_state, initial_cube, naive_image, round_relation, RoundRelation,
+    atom_constraint, decides_now_table, encode_state, initial_cube, naive_image, round_relation,
+    RoundRelation,
 };
 pub use choice::ChoiceVars;
 pub use enc::Enc;

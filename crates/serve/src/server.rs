@@ -887,6 +887,39 @@ mod tests {
         ));
     }
 
+    /// A formula no engine can evaluate answers `error` at parse time, on
+    /// both backends, before the entry is touched: a non-monotone fixpoint
+    /// (whose iteration need not converge) and a free fixpoint variable
+    /// (which would panic mid-evaluation). The entry stays warm.
+    #[test]
+    fn ill_formed_fixpoints_answer_errors_and_keep_the_entry_warm() {
+        let mut state = ServerState::new(ServeOptions::default());
+        let spec = floodset_spec();
+        for request in [check_request(spec), local_check_request(spec)] {
+            let Request::Check { backend, .. } = request else { unreachable!() };
+            expect_check(state.dispatch(request.clone()));
+            for text in ["gfp _X0. !_X0", "lfp _X0. (_X0 <=> decided[0])", "_X0"] {
+                let started = Instant::now();
+                let response = state.dispatch(Request::Check {
+                    spec,
+                    formulas: vec![text.to_string()],
+                    deadline_ms: None,
+                    backend,
+                });
+                let elapsed = started.elapsed();
+                assert!(
+                    matches!(&response, Response::Error(message) if message.contains("fixpoint")),
+                    "{backend:?} `{text}`: {response:?}"
+                );
+                assert!(elapsed < Duration::from_secs(1), "{backend:?} `{text}`: {elapsed:?}");
+                assert!(is_warm(&state, &spec, backend), "{backend:?} `{text}` evicted the entry");
+            }
+            let again = expect_check(state.dispatch(request));
+            assert!(again.warm && again.relational_products == 0, "{backend:?}: {again:?}");
+        }
+        assert_eq!(state.evictions, 0);
+    }
+
     #[test]
     fn snapshot_and_restore_round_trip_through_a_file() {
         let mut state = ServerState::new(ServeOptions::default());

@@ -76,10 +76,7 @@ mod synthesize;
 
 pub use kbp::{KbpBranch, KnowledgeBasedProgram};
 pub use predicate::{ObsLiteral, PredicateCube, PredicateReport};
-pub use symbolic::{
-    SymbolicSynthesisOptions, SymbolicSynthesisProfile, SymbolicSynthesizer, SynthesisAbort,
-    SynthesisRound,
-};
+pub use symbolic::{SymbolicSynthesisProfile, SymbolicSynthesizer, SynthesisAbort, SynthesisRound};
 pub use synthesize::{
     NonUniformClass, SynthesisOutcome, SynthesisStats, Synthesizer, TemplateValuation,
 };

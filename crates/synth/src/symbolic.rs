@@ -24,9 +24,12 @@
 //!    garbage collector carry over — the static variable order is installed
 //!    once, with the seed — and collections sweep the dead work of earlier
 //!    rounds mid-run;
-//! 2. `DecidesNow` atoms are interpreted against the partial rule through
-//!    the checker's rule override, symbolically (an observation-equality
-//!    constraint per deciding table entry) rather than by scanning states;
+//! 2. `DecidesNow` atoms read each layer's decides-now table: the guarded
+//!    deciding conditions of the rule the layer's round was built under.
+//!    Before each branch the frontier's table is refreshed from the partial
+//!    rule fixed so far ([`SymbolicChecker::set_frontier_rule`]), as the
+//!    explicit engine re-points its model's rule. Earlier layers need no
+//!    refresh: the induction only ever adds entries at the current time;
 //! 3. each branch is evaluated once per round inside an
 //!    [`EvalSession`](epimc_check::EvalSession): the per-agent conditions
 //!    `B^N_i C_B_N φ` share the memoised common-belief fixpoint, so the
@@ -54,22 +57,6 @@ use epimc_system::{InformationExchange, ModelParams, Round};
 
 use crate::kbp::KnowledgeBasedProgram;
 use crate::synthesize::{Induction, SynthesisOutcome};
-
-/// Tuning knobs of the symbolic synthesis engine.
-#[derive(Clone, Copy, Debug)]
-pub struct SymbolicSynthesisOptions {
-    /// Options forwarded to the per-round [`SymbolicChecker`].
-    pub symbolic: SymbolicOptions,
-    /// Whether to exit the forward induction once every agent has decided
-    /// (or crashed) in every reachable state of the final explored layer.
-    pub early_exit: bool,
-}
-
-impl Default for SymbolicSynthesisOptions {
-    fn default() -> Self {
-        SymbolicSynthesisOptions { symbolic: SymbolicOptions::default(), early_exit: true }
-    }
-}
 
 /// Measurements of one round of the symbolic forward induction.
 #[derive(Clone, Debug)]
@@ -118,7 +105,7 @@ impl SymbolicSynthesisProfile {
 pub struct SymbolicSynthesizer<E: InformationExchange> {
     exchange: E,
     params: ModelParams,
-    options: SymbolicSynthesisOptions,
+    options: SymbolicOptions,
     /// Rounds fully recorded by the most recent run — the partial-progress
     /// stat [`SymbolicSynthesizer::try_synthesize`] reports when a budget
     /// trip unwinds past the run's local profile.
@@ -149,15 +136,11 @@ impl std::error::Error for SynthesisAbort {}
 impl<E: InformationExchange> SymbolicSynthesizer<E> {
     /// Creates a symbolic synthesizer with default options.
     pub fn new(exchange: E, params: ModelParams) -> Self {
-        Self::with_options(exchange, params, SymbolicSynthesisOptions::default())
+        Self::with_options(exchange, params, SymbolicOptions::default())
     }
 
-    /// Creates a symbolic synthesizer with explicit options.
-    pub fn with_options(
-        exchange: E,
-        params: ModelParams,
-        options: SymbolicSynthesisOptions,
-    ) -> Self {
+    /// Creates a symbolic synthesizer whose checker runs under `options`.
+    pub fn with_options(exchange: E, params: ModelParams, options: SymbolicOptions) -> Self {
         SymbolicSynthesizer { exchange, params, options, rounds_progress: Cell::new(0) }
     }
 }
@@ -169,7 +152,7 @@ impl<E: InformationExchange + SymbolicEncode> SymbolicSynthesizer<E> {
     }
 
     /// Fallible [`SymbolicSynthesizer::synthesize_profiled`]: when the
-    /// installed budget (`options.symbolic.budget`) trips mid-run, the
+    /// installed budget (`options.budget`) trips mid-run, the
     /// abort is returned as a structured [`SynthesisAbort`] carrying the
     /// number of rounds that completed, instead of unwinding.
     pub fn try_synthesize(
@@ -205,18 +188,18 @@ impl<E: InformationExchange + SymbolicEncode> SymbolicSynthesizer<E> {
             self.exchange.clone(),
             self.params,
             induction.rule.clone(),
-            self.options.symbolic,
+            self.options,
         );
         let mut total_states = layer_states(&checker, 0);
         for time in 0..=horizon {
             let round_start = Instant::now();
             let states = layer_states(&checker, time);
             for branch in &program.branches {
-                // Interpret `DecidesNow` against the rule as fixed by
+                // `DecidesNow` at the frontier reads the rule as fixed by
                 // earlier branches and rounds; earlier branches of this
                 // very round matter for the EBA-style programs whose
                 // conditions mention current-round decisions.
-                checker.set_rule_override(Some(induction.rule.clone()));
+                checker.set_frontier_rule(&induction.rule);
                 let mut session = checker.session();
                 for agent in AgentId::all(self.params.num_agents()) {
                     let condition = branch.condition_for(agent, &self.params);
@@ -235,7 +218,7 @@ impl<E: InformationExchange + SymbolicEncode> SymbolicSynthesizer<E> {
             if time < horizon {
                 checker.extend_layer_relational(&induction.rule);
                 total_states += layer_states(&checker, time + 1);
-                if self.options.early_exit && checker.final_layer_settled() {
+                if checker.final_layer_settled() {
                     induction.note_skipped_rounds(time, horizon);
                     break;
                 }
@@ -261,6 +244,7 @@ where
 mod tests {
     use super::*;
     use crate::synthesize::Synthesizer;
+    use epimc_bdd::Budget;
     use epimc_protocols::{EMin, FloodSet};
     use epimc_system::run::{simulate_run, Adversary};
     use epimc_system::{ConsensusModel, FailureKind, PointModel, Value};
@@ -370,5 +354,54 @@ mod tests {
             assert_eq!(round.time, expected_time as Round);
             assert!(round.layer_states > 0);
         }
+    }
+
+    /// An op-fuel sweep of `try_synthesize`, with fuel growing by a
+    /// quarter from one op until a run completes: every run either returns
+    /// the unbudgeted outcome or aborts with progress within bounds, and
+    /// the same synthesizer then answers identically with no budget.
+    fn budgeted_synthesis_sweep<E: InformationExchange + SymbolicEncode>(
+        exchange: E,
+        params: ModelParams,
+        program: &KnowledgeBasedProgram,
+    ) {
+        let (want, want_profile) =
+            SymbolicSynthesizer::new(exchange.clone(), params).synthesize_profiled(program);
+        let mut synthesizer = SymbolicSynthesizer::new(exchange, params);
+        let mut aborts = 0;
+        let mut fuel = 1u64;
+        loop {
+            synthesizer.options.budget = Some(Budget::with_max_ops(fuel));
+            match synthesizer.try_synthesize(program) {
+                Ok((outcome, profile)) => {
+                    assert_same_outcome(&want, &outcome);
+                    assert_eq!(profile.rounds.len(), want_profile.rounds.len(), "fuel {fuel}");
+                    break;
+                }
+                Err(abort) => {
+                    assert!(matches!(abort.error, BddError::BudgetExceeded { .. }), "fuel {fuel}");
+                    assert!(abort.rounds_completed <= want_profile.rounds.len(), "fuel {fuel}");
+                    aborts += 1;
+                }
+            }
+            fuel += fuel / 4 + 1;
+        }
+        assert!(aborts > 0, "the first op already completed the run");
+        synthesizer.options.budget = None;
+        let (outcome, profile) = synthesizer.try_synthesize(program).expect("no budget, no abort");
+        assert_same_outcome(&want, &outcome);
+        assert_eq!(profile.rounds.len(), want_profile.rounds.len());
+    }
+
+    #[test]
+    fn budgeted_synthesis_returns_the_outcome_or_an_abort() {
+        budgeted_synthesis_sweep(FloodSet, crash_params(3, 1), &KnowledgeBasedProgram::sba(2));
+        let omissions = ModelParams::builder()
+            .agents(2)
+            .max_faulty(1)
+            .values(2)
+            .failure(FailureKind::SendOmission)
+            .build();
+        budgeted_synthesis_sweep(EMin, omissions, &KnowledgeBasedProgram::eba_p0());
     }
 }

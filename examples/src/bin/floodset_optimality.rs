@@ -3,7 +3,8 @@
 //! optimal with respect to the information it exchanges when `t >= n - 1`,
 //! and the earliest decision times follow condition (2).
 //!
-//! Run with `cargo run -p epimc-examples --bin floodset_optimality`.
+//! Run with `cargo run -p epimc-examples --bin floodset_optimality`. Exits
+//! with status 1 when the optimised rule violates the SBA specification.
 
 use epimc::prelude::*;
 
@@ -53,6 +54,7 @@ fn main() {
     println!("(OptimalFloodSetRule, condition (2)) closes the gap:");
     println!();
 
+    let mut all_hold = true;
     for (n, t) in [(3usize, 2usize), (3, 3), (2, 2)] {
         let params = ModelParams::builder()
             .agents(n)
@@ -61,13 +63,17 @@ fn main() {
             .failure(FailureKind::Crash)
             .build();
         let model = ConsensusModel::explore(FloodSet, params, OptimalFloodSetRule);
-        let spec = epimc::spec::check_sba(&model);
+        let holds = epimc::spec::check_sba(&model).all_hold();
+        all_hold &= holds;
         let optimality = epimc::optimality::analyze_sba(&model);
         println!(
-            "  n={n} t={t}: optimised rule decides at time {:?}, SBA spec holds: {}, optimal: {}",
+            "  n={n} t={t}: optimised rule decides at time {:?}, SBA spec holds: {holds}, \
+             optimal: {}",
             optimality.earliest_decision_time.unwrap(),
-            spec.all_hold(),
             optimality.is_optimal()
         );
+    }
+    if !all_hold {
+        std::process::exit(1);
     }
 }
