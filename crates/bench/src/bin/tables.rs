@@ -13,15 +13,14 @@
 //! Every selection is one [`epimc_bench::Table`]: its grid of experiments
 //! is measured, printed one row per instance id, and gated. A `MustHold`
 //! field that reads `NO` — a paper-table cell whose protocol violates its
-//! specification, an engine disagreement, a parallel exploration that
-//! diverged from the sequential one, a snapshot or post-trip differential —
-//! exits 1 with or without `--budget`.
+//! specification, an engine disagreement, a snapshot or post-trip
+//! differential — exits 1 with or without `--budget`.
 //!
 //! `table1`, `table2` and `table3` reproduce the paper's tables (`TO` past
 //! the per-cell timeout, `[subopt]` on a correct but suboptimal protocol);
 //! `scaling` times FloodSet at t=1 as the agents grow; `ablation` compares
 //! the explicit-state and symbolic engines on the SBA knowledge condition;
-//! `explore` compares sequential and parallel frontier expansion.
+//! `explore` reports the explicit oracle's state space and its wall time.
 //!
 //! `symbolic`, `synthesis`, `frontend`, `local` and `serve` are this
 //! reproduction's ablations (see each table's note). `--smoke` restricts

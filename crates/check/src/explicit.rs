@@ -25,45 +25,20 @@ pub struct Checker<'m, M: PointModel> {
 impl<'m, M: PointModel> Checker<'m, M> {
     /// Creates a checker for the given model, precomputing the
     /// observation-equivalence groups that realise the clock-semantics
-    /// knowledge accessibility relation.
-    ///
-    /// Grouping is parallelised within each layer: workers group contiguous
-    /// chunks of the layer's points, and the per-chunk maps are merged in
-    /// chunk order at the end, so the index lists are identical (and sorted
-    /// ascending) for every worker count.
-    pub fn new(model: &'m M) -> Self
-    where
-        M: Sync,
-    {
+    /// knowledge accessibility relation. Points are visited in index order,
+    /// so each group's index list is sorted ascending.
+    pub fn new(model: &'m M) -> Self {
         let n = model.num_agents();
         let mut groups = Vec::with_capacity(model.num_layers());
         for time in 0..model.num_layers() as Round {
-            let chunk_maps = epimc_par::parallel_chunks(
-                model.layer_size(time),
-                epimc_par::num_threads(),
-                |range| {
-                    let mut per_agent: Vec<HashMap<Observation, Vec<usize>>> =
-                        vec![HashMap::new(); n];
-                    for index in range {
-                        let point = PointId::new(time, index);
-                        for agent in AgentId::all(n) {
-                            per_agent[agent.index()]
-                                .entry(model.observation(agent, point).clone())
-                                .or_default()
-                                .push(index);
-                        }
-                    }
-                    per_agent
-                },
-            );
-            // Merge per-chunk groups; chunks cover ascending index ranges, so
-            // appending in chunk order keeps each group's indices sorted.
             let mut per_agent: Vec<HashMap<Observation, Vec<usize>>> = vec![HashMap::new(); n];
-            for chunk in chunk_maps {
-                for (merged, partial) in per_agent.iter_mut().zip(chunk) {
-                    for (observation, mut indices) in partial {
-                        merged.entry(observation).or_default().append(&mut indices);
-                    }
+            for index in 0..model.layer_size(time) {
+                let point = PointId::new(time, index);
+                for agent in AgentId::all(n) {
+                    per_agent[agent.index()]
+                        .entry(model.observation(agent, point).clone())
+                        .or_default()
+                        .push(index);
                 }
             }
             groups.push(per_agent);

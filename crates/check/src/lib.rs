@@ -78,7 +78,7 @@
 //! formula denotation are *rooted*, and collections run automatically once
 //! the live-node count passes [`SymbolicOptions::gc_threshold`] — including
 //! inside fixpoint iterations. The operation caches are capacity-bounded
-//! ([`SymbolicOptions::cache_capacity`]), so memory stays proportional to
+//! ([`epimc_bdd::DEFAULT_CACHE_CAPACITY`]), so memory stays proportional to
 //! the live diagrams, not to the history of operations. The per-round
 //! reachable relations the temporal operators build are a second,
 //! *cache* tier of the collector ([`epimc_bdd::Bdd::gc_with_cache`]): kept

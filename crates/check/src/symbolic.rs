@@ -114,9 +114,6 @@ pub enum ReorderMode {
 /// Tuning knobs of the symbolic engine.
 #[derive(Clone, Copy, Debug)]
 pub struct SymbolicOptions {
-    /// Capacity of the manager's `ite` cache (the other operation caches
-    /// are sized relative to it); see [`epimc_bdd::Bdd::with_cache_capacity`].
-    pub cache_capacity: usize,
     /// Live-node count above which a garbage collection is triggered at the
     /// next safe point. After a collection the effective threshold is
     /// raised to twice the surviving live nodes, so a model that genuinely
@@ -136,7 +133,6 @@ pub struct SymbolicOptions {
 impl Default for SymbolicOptions {
     fn default() -> Self {
         SymbolicOptions {
-            cache_capacity: epimc_bdd::DEFAULT_CACHE_CAPACITY,
             // Peak store size is bounded by this threshold plus one
             // epoch's garbage. The cache-conscious node store makes a
             // collection cheap enough (three dense u32 sweeps) that 2^17
@@ -1845,7 +1841,7 @@ where
             ChoiceVars::new(params.failure().kind(), params.num_agents(), layout.num_slots);
         let num_slots = layout.num_slots;
 
-        let mut bdd = Bdd::with_cache_capacity(options.cache_capacity);
+        let mut bdd = Bdd::new();
         bdd.set_budget(options.budget);
         bdd.set_groups((0..num_slots).map(|slot| vec![cur(slot), nxt(slot)]).collect());
         let crash = params.failure().kind() == FailureKind::Crash;
@@ -2173,7 +2169,7 @@ where
             (0..count).map(|_| Ok(reader.u64()? as usize)).collect::<Result<Vec<usize>, String>>()
         };
         let relation_rounds = reader.u64()? as usize;
-        if relation_rounds + 1 != num_layers {
+        if relation_rounds.checked_add(1) != Some(num_layers) {
             return Err(format!(
                 "snapshot has {relation_rounds} relation rounds for {num_layers} layers"
             ));
@@ -2194,10 +2190,15 @@ where
         reader.finish()?;
         let (bdd, mut roots) = Bdd::restore(bdd_bytes).map_err(|error| error.to_string())?;
 
-        // Expected root count from the distribution tables.
-        let relation_refs: usize = relation_lens.iter().sum();
-        let dnow_refs: usize = dnow_lens.iter().sum();
-        let expected = num_layers + n + 1 + relation_refs + dnow_refs;
+        // Expected root count from the distribution tables, which a crafted
+        // stream may make overflow.
+        let Some(expected) = relation_lens
+            .iter()
+            .chain(&dnow_lens)
+            .try_fold(num_layers + n + 1, |sum, &len| sum.checked_add(len))
+        else {
+            return Err("snapshot length tables overflow".to_string());
+        };
         if roots.len() != expected {
             return Err(format!(
                 "snapshot carries {} rooted handles, expected {expected}",
@@ -3161,6 +3162,44 @@ mod tests {
             .err()
             .expect("a version 1 stream restored");
         assert!(error.contains("unsupported checker snapshot version 1"), "{error}");
+    }
+
+    #[test]
+    fn overflowing_relation_length_tables_are_rejected() {
+        let params = crash(3);
+        let bytes = floodset(params, SymbolicOptions::default()).snapshot().expect("snapshot");
+        // The relation length table follows the magic, the version, four
+        // u32 fingerprint fields, the kind byte, and four u64 counts
+        // (slots, choice bits, layers, relation rounds).
+        let first_len = CHECKER_SNAPSHOT_MAGIC.len() + 4 + 4 * 4 + 1 + 4 * 8;
+        let read = |bytes: &[u8], at: usize| {
+            u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+        };
+        let reseal = |mut bytes: Vec<u8>| {
+            let payload = bytes.len() - 8;
+            let checksum = fnv1a(&bytes[..payload]);
+            bytes[payload..].copy_from_slice(&checksum.to_le_bytes());
+            bytes
+        };
+        assert!(read(&bytes, first_len - 8) >= 2, "fewer than two relation rounds");
+        // One length of u64::MAX overflows the sum; adding 2^63 to two
+        // lengths wraps it back to the true root count.
+        let mut saturated = bytes.clone();
+        saturated[first_len..first_len + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let mut wrapped = bytes.clone();
+        for at in [first_len, first_len + 8] {
+            let len = read(&wrapped, at).wrapping_add(1 << 63);
+            wrapped[at..at + 8].copy_from_slice(&len.to_le_bytes());
+        }
+        for crafted in [saturated, wrapped] {
+            let restored = SymbolicChecker::restore_relational(
+                FloodSet,
+                params,
+                FloodSetRule,
+                &reseal(crafted),
+            );
+            assert!(restored.is_err(), "a crafted length table restored");
+        }
     }
 
     #[test]

@@ -84,7 +84,6 @@ fn frontier_agrees_on<E, R>(family: &str, exchange: E, rule: R, params: ModelPar
 where
     E: InformationExchange + SymbolicEncode + Clone,
     R: DecisionRule<E> + SymbolicRule<E> + Clone,
-    ConsensusModel<E, R>: Sync,
 {
     let model = ConsensusModel::explore(exchange.clone(), params, rule.clone());
     let explicit = Checker::new(&model);

@@ -99,7 +99,6 @@ fn oracle_answers<E, R>(
 where
     E: InformationExchange,
     R: DecisionRule<E>,
-    ConsensusModel<E, R>: Sync,
 {
     let mut sets = Vec::new();
     let mut rounds = Vec::new();
@@ -199,7 +198,6 @@ fn preimage_agrees_on<E, R>(family: &str, exchange: E, rule: R, params: ModelPar
 where
     E: InformationExchange + SymbolicEncode + Clone,
     R: DecisionRule<E> + SymbolicRule<E> + Clone,
-    ConsensusModel<E, R>: Sync,
 {
     let model = ConsensusModel::explore(exchange.clone(), params, rule.clone());
     let rounds = model.num_layers() - 1;

@@ -167,7 +167,6 @@ fn restriction_agrees_on<E, R>(family: &str, exchange: E, rule: R, params: Model
 where
     E: InformationExchange + SymbolicEncode + Clone,
     R: DecisionRule<E> + SymbolicRule<E> + Clone,
-    ConsensusModel<E, R>: Sync,
 {
     let model = ConsensusModel::explore(exchange.clone(), params, rule.clone());
     let explicit = Checker::new(&model);

@@ -19,11 +19,7 @@ use crate::value::Round;
 /// insensitive to anything other than the agent's own local state, the time,
 /// and whether the agent has already decided (the generator enforces the
 /// Unique-Decision requirement by never asking again after a decision).
-///
-/// Rules are `Sync` so the parallel explorer can consult one rule from
-/// every worker thread; rules are lookup tables or pure functions, so
-/// implementations satisfy the bound automatically.
-pub trait DecisionRule<E: InformationExchange>: Sync {
+pub trait DecisionRule<E: InformationExchange> {
     /// A short human-readable name (used in reports and benchmarks).
     fn name(&self) -> String;
 

@@ -139,15 +139,15 @@ impl<M> Received<M> {
 /// messages received, and which part of the local state is *observable* for
 /// the purposes of the clock semantics of knowledge.
 ///
-/// Exchanges and their local states are `Send + Sync` so that the
-/// state-space explorer can expand a layer's frontier across worker threads
-/// (see [`StateSpace`](crate::StateSpace)); protocol state is plain data, so
-/// implementations satisfy these bounds automatically.
-pub trait InformationExchange: Clone + Send + Sync {
+/// Exchanges and their local states are `Send` so that a checker built on
+/// them can move to another thread (the checking server is moved, warm
+/// checkers and all, into the thread that runs it); protocol state is
+/// plain data, so implementations satisfy the bound automatically.
+pub trait InformationExchange: Clone + Send {
     /// The local state of an agent.
-    type LocalState: Clone + Eq + Ord + Hash + fmt::Debug + Send + Sync;
+    type LocalState: Clone + Eq + Ord + Hash + fmt::Debug + Send;
     /// The messages broadcast by agents.
-    type Message: Clone + Eq + Hash + fmt::Debug + Send + Sync;
+    type Message: Clone + Eq + Hash + fmt::Debug + Send;
 
     /// A short human-readable name (used in reports and benchmarks).
     fn name(&self) -> &'static str;

@@ -1,4 +1,4 @@
-//! Layered, parallel exploration of the reachable state space.
+//! Layered exploration of the reachable state space.
 //!
 //! The state space of a synchronous protocol model is organised as one layer
 //! per time point (`0 ..= horizon`). Layer `m + 1` is produced from layer
@@ -8,18 +8,13 @@
 //! de-duplicated within each layer, which is what keeps the exploration
 //! tractable: many distinct adversary choices lead to the same global state.
 //!
-//! # Parallel frontier expansion
+//! # Canonical layers
 //!
-//! Expanding one source state is independent of every other source state,
-//! so each layer's frontier is split into contiguous chunks expanded by
-//! worker threads (see `epimc_par`). Each worker de-duplicates the
-//! successors it generates in a chunk-local interner; the per-worker results
-//! are merged into the layer's global interner at the layer barrier, and the
-//! merged layer is then sorted into the canonical order. Because the final
-//! sort is a total order on states and edges are remapped afterwards, the
-//! result is **bit-identical** for every worker count — `EPIMC_THREADS=1`
-//! (or [`StateSpace::explore_sequential`]) reproduces the parallel result
-//! exactly, which `tests/run_vs_space.rs` checks.
+//! Each new layer is built in one pass over the frontier with one interner,
+//! then sorted into the total order on [`GlobalState`]; the successor edges
+//! are remapped to the sorted positions and sorted too. A state's index in
+//! its layer (its `PointId`) therefore depends only on the model, not on
+//! the order in which the frontier was expanded.
 //!
 //! Successor states intern their `inits` (never change after time 0) and
 //! `decisions` (shared until an agent decides) behind reference-counted
@@ -28,11 +23,9 @@
 //!
 //! Exploration records an [`ExploreStats`]: per-layer state counts,
 //! generated-successor counts, de-duplication hits and wall-clock times,
-//! consumed by the experiment harness (`epimc::experiments`) and the
-//! `tables` binary.
+//! consumed by the `tables` binary's `explore` table.
 
 use std::collections::HashMap;
-use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -49,8 +42,8 @@ use crate::value::{Round, Value};
 /// One layer of the state space: the de-duplicated global states at a given
 /// time, together with the successor edges into the next layer.
 ///
-/// States are stored behind `Arc` so that layers, the de-duplication
-/// interner and parallel workers share them without copying.
+/// States are stored behind `Arc` so that layers and the de-duplication
+/// interner share them without copying.
 pub struct Layer<E: InformationExchange> {
     /// The states of the layer, in a deterministic (sorted) order.
     pub states: Vec<Arc<GlobalState<E>>>,
@@ -88,14 +81,12 @@ pub struct LayerStats {
 
 /// Statistics of a state-space exploration, recorded layer by layer.
 ///
-/// Exposed through [`StateSpace::stats`] and consumed by the experiment
-/// harness and the `tables` binary to report where exploration time goes.
+/// Exposed through [`StateSpace::stats`] and consumed by the `tables`
+/// binary to report where exploration time goes.
 #[derive(Clone, Debug, Default)]
 pub struct ExploreStats {
     /// One entry per layer, in time order.
     pub layers: Vec<LayerStats>,
-    /// Number of worker threads the exploration was configured with.
-    pub threads: usize,
 }
 
 impl ExploreStats {
@@ -120,41 +111,20 @@ impl ExploreStats {
     }
 }
 
-impl fmt::Display for ExploreStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} states ({} generated, {} deduped) in {:.3?} on {} threads",
-            self.total_states(),
-            self.total_generated(),
-            self.total_dedup_hits(),
-            self.total_wall(),
-            self.threads
-        )
-    }
-}
-
 /// The layered reachable state space of a model instance
 /// `(E, F, P, n, t, |V|)`.
 pub struct StateSpace<E: InformationExchange> {
     exchange: E,
     params: ModelParams,
     layers: Vec<Layer<E>>,
-    threads: usize,
     stats: ExploreStats,
 }
 
 impl<E: InformationExchange> StateSpace<E> {
-    /// Builds the initial layer (time 0) with the default worker count:
-    /// every combination of initial preferences, and — for the omission
-    /// failure models — every choice of faulty set of size at most `t`.
+    /// Builds the initial layer (time 0): every combination of initial
+    /// preferences, and — for the omission failure models — every choice of
+    /// faulty set of size at most `t`.
     pub fn initial(exchange: E, params: ModelParams) -> Self {
-        Self::initial_with_threads(exchange, params, epimc_par::num_threads())
-    }
-
-    /// [`StateSpace::initial`] with an explicit worker count for the
-    /// subsequent [`StateSpace::extend`] calls (1 = fully sequential).
-    pub fn initial_with_threads(exchange: E, params: ModelParams, threads: usize) -> Self {
         let start = Instant::now();
         let n = params.num_agents();
         let mut states: Vec<GlobalState<E>> = Vec::new();
@@ -191,46 +161,18 @@ impl<E: InformationExchange> StateSpace<E> {
                 dedup_hits: generated - states.len() as u64,
                 wall: start.elapsed(),
             }],
-            threads: threads.max(1),
         };
-        StateSpace {
-            exchange,
-            params,
-            layers: vec![Layer { states, successors }],
-            threads: threads.max(1),
-            stats,
-        }
+        StateSpace { exchange, params, layers: vec![Layer { states, successors }], stats }
     }
 
     /// Builds the full state space up to the horizon of `params`, using the
-    /// given decision rule throughout and the default worker count.
+    /// given decision rule throughout.
     pub fn explore<R: DecisionRule<E>>(exchange: E, params: ModelParams, rule: &R) -> Self {
-        Self::explore_with_threads(exchange, params, rule, epimc_par::num_threads())
-    }
-
-    /// [`StateSpace::explore`] with an explicit worker count.
-    pub fn explore_with_threads<R: DecisionRule<E>>(
-        exchange: E,
-        params: ModelParams,
-        rule: &R,
-        threads: usize,
-    ) -> Self {
-        let mut space = StateSpace::initial_with_threads(exchange, params, threads);
+        let mut space = StateSpace::initial(exchange, params);
         while space.num_layers() <= params.horizon() as usize {
             space.extend(rule);
         }
         space
-    }
-
-    /// Fully sequential exploration (a single worker). Produces exactly the
-    /// same layers and edges as the parallel exploration; used as the
-    /// baseline for differential tests and speedup measurements.
-    pub fn explore_sequential<R: DecisionRule<E>>(
-        exchange: E,
-        params: ModelParams,
-        rule: &R,
-    ) -> Self {
-        Self::explore_with_threads(exchange, params, rule, 1)
     }
 
     /// Extends the state space by one more layer, applying `rule` to the
@@ -242,41 +184,35 @@ impl<E: InformationExchange> StateSpace<E> {
         let source = &self.layers[time as usize];
         let expander = Expander { exchange: &self.exchange, params: &self.params, rule, time };
 
-        // Fan out: expand contiguous chunks of the frontier on worker
-        // threads, each with a chunk-local successor interner.
-        let chunks = epimc_par::parallel_chunks(source.len(), self.threads, |range| {
-            expander.expand_chunk(source, range)
-        });
-
-        // Layer barrier: merge the chunk-local interners into the global
-        // layer, remapping chunk-local successor ids to layer-global ids.
+        // Expand the frontier, interning each successor into the new layer
+        // in first-seen order. `Arc<GlobalState>` borrows as `GlobalState`,
+        // so a candidate is only allocated into an `Arc` when it is new.
         let mut index_of: HashMap<Arc<GlobalState<E>>, usize> = HashMap::new();
         let mut next_states: Vec<Arc<GlobalState<E>>> = Vec::new();
-        let mut edges: Vec<Vec<usize>> = vec![Vec::new(); source.len()];
+        let mut edges: Vec<Vec<usize>> = Vec::with_capacity(source.len());
         let mut generated = 0u64;
-        for chunk in chunks {
-            generated += chunk.generated;
-            let remap: Vec<usize> = chunk
-                .states
-                .into_iter()
-                .map(|state| {
-                    *index_of.entry(state).or_insert_with_key(|state| {
-                        next_states.push(Arc::clone(state));
+        for state in &source.states {
+            let mut targets = Vec::new();
+            expander.expand(state, |successor| {
+                generated += 1;
+                let id = match index_of.get(&successor) {
+                    Some(&id) => id,
+                    None => {
+                        let shared = Arc::new(successor);
+                        index_of.insert(Arc::clone(&shared), next_states.len());
+                        next_states.push(shared);
                         next_states.len() - 1
-                    })
-                })
-                .collect();
-            for (offset, local_targets) in chunk.edges.into_iter().enumerate() {
-                // Distinct local ids name distinct states, so the remap is
-                // injective and the per-source lists stay duplicate-free;
-                // they are sorted once below, after the canonical reorder.
-                edges[chunk.first_source + offset] =
-                    local_targets.into_iter().map(|local| remap[local as usize]).collect();
-            }
+                    }
+                };
+                if !targets.contains(&id) {
+                    targets.push(id);
+                }
+            });
+            edges.push(targets);
         }
 
-        // Re-order the new layer deterministically and remap the edges, so
-        // the result is independent of chunking and worker scheduling.
+        // Sort the new layer into the canonical order and remap the edges, so
+        // a state's index depends only on the model.
         let mut order: Vec<usize> = (0..next_states.len()).collect();
         order.sort_by(|&a, &b| next_states[a].cmp(&next_states[b]));
         let mut remap = vec![0usize; next_states.len()];
@@ -329,32 +265,13 @@ impl<E: InformationExchange> StateSpace<E> {
         &self.exchange
     }
 
-    /// The number of worker threads used to extend this space.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// The per-layer exploration statistics recorded so far.
     pub fn stats(&self) -> &ExploreStats {
         &self.stats
     }
 }
 
-/// The result of expanding one contiguous chunk of a layer's frontier on a
-/// worker thread.
-struct ChunkExpansion<E: InformationExchange> {
-    /// Index (in the source layer) of the first source state of the chunk.
-    first_source: usize,
-    /// The distinct successor states generated by the chunk, in first-seen
-    /// order; positions in this vector are the chunk-local successor ids.
-    states: Vec<Arc<GlobalState<E>>>,
-    /// Per source state of the chunk, the chunk-local ids of its successors.
-    edges: Vec<Vec<u32>>,
-    /// Number of successor states generated before de-duplication.
-    generated: u64,
-}
-
-/// Borrowed context shared by all expansion workers of one layer.
+/// Borrowed context for expanding the states of one layer.
 struct Expander<'a, E: InformationExchange, R> {
     exchange: &'a E,
     params: &'a ModelParams,
@@ -363,124 +280,89 @@ struct Expander<'a, E: InformationExchange, R> {
 }
 
 impl<E: InformationExchange, R: DecisionRule<E>> Expander<'_, E, R> {
-    /// Expands the source states `range` of `source`, de-duplicating
-    /// successors chunk-locally.
-    fn expand_chunk(&self, source: &Layer<E>, range: std::ops::Range<usize>) -> ChunkExpansion<E> {
+    /// Generates every successor of `state`, one adversary choice at a
+    /// time, passing each to `emit` (duplicates included).
+    fn expand(&self, state: &GlobalState<E>, mut emit: impl FnMut(GlobalState<E>)) {
         let n = self.params.num_agents();
         let kind = self.params.failure().kind();
         let t = self.params.max_faulty();
 
-        let mut interner: HashMap<Arc<GlobalState<E>>, u32> = HashMap::new();
-        let mut states: Vec<Arc<GlobalState<E>>> = Vec::new();
-        let mut edges: Vec<Vec<u32>> = vec![Vec::new(); range.len()];
-        let mut generated = 0u64;
-        let first_source = range.start;
-
-        for state_idx in range {
-            let state = &source.states[state_idx];
-
-            // 1. Decision-layer actions and the resulting decision records.
-            // The decision slice is interned: successors share the source's
-            // slice unless some agent decides this round, and the copy is
-            // made at most once per source state even when several agents
-            // decide simultaneously (the common case at the deadline round).
-            let mut actions = vec![Action::Noop; n];
-            let mut updated_decisions: Option<Vec<Option<Decision>>> = None;
-            for agent in AgentId::all(n) {
-                if state.has_decided(agent) || state.env.has_crashed(agent) {
-                    continue;
-                }
-                let action = self.rule.action(
-                    self.exchange,
-                    self.params,
-                    agent,
-                    self.time,
-                    state.local(agent),
-                );
-                actions[agent.index()] = action;
-                if let Action::Decide(value) = action {
-                    updated_decisions.get_or_insert_with(|| state.decisions.to_vec())
-                        [agent.index()] = Some(Decision { value, round: self.time });
-                }
+        // 1. Decision-layer actions and the resulting decision records.
+        // The decision slice is interned: successors share the source's
+        // slice unless some agent decides this round, and the copy is
+        // made at most once per source state even when several agents
+        // decide simultaneously (the common case at the deadline round).
+        let mut actions = vec![Action::Noop; n];
+        let mut updated_decisions: Option<Vec<Option<Decision>>> = None;
+        for agent in AgentId::all(n) {
+            if state.has_decided(agent) || state.env.has_crashed(agent) {
+                continue;
             }
-            let decisions: Arc<[Option<Decision>]> = match updated_decisions {
-                Some(updated) => updated.into(),
-                None => Arc::clone(&state.decisions),
-            };
+            let action =
+                self.rule.action(self.exchange, self.params, agent, self.time, state.local(agent));
+            actions[agent.index()] = action;
+            if let Action::Decide(value) = action {
+                updated_decisions.get_or_insert_with(|| state.decisions.to_vec())[agent.index()] =
+                    Some(Decision { value, round: self.time });
+            }
+        }
+        let decisions: Arc<[Option<Decision>]> = match updated_decisions {
+            Some(updated) => updated.into(),
+            None => Arc::clone(&state.decisions),
+        };
 
-            // 2. Messages each (non-crashed) agent broadcasts this round.
-            let messages: Vec<Option<E::Message>> = AgentId::all(n)
-                .map(|agent| {
-                    if state.env.has_crashed(agent) {
-                        None
-                    } else {
-                        self.exchange.message(
-                            self.params,
-                            agent,
-                            state.local(agent),
-                            actions[agent.index()],
-                        )
-                    }
+        // 2. Messages each (non-crashed) agent broadcasts this round.
+        let messages: Vec<Option<E::Message>> = AgentId::all(n)
+            .map(|agent| {
+                if state.env.has_crashed(agent) {
+                    None
+                } else {
+                    self.exchange.message(
+                        self.params,
+                        agent,
+                        state.local(agent),
+                        actions[agent.index()],
+                    )
+                }
+            })
+            .collect();
+
+        // 3. Adversary choices for this round.
+        let crash_choices: Vec<AgentSet> = match kind {
+            FailureKind::Crash => {
+                let alive = AgentSet::full(n).difference(state.env.crashed);
+                let budget = t.saturating_sub(state.env.crashed.len());
+                subsets_up_to(alive, budget).collect()
+            }
+            // Omission failures: the faulty set is fixed in the initial
+            // state and no agent ever crashes.
+            _ => vec![AgentSet::EMPTY],
+        };
+
+        for crashing in crash_choices {
+            let mut env = state.env;
+            if kind == FailureKind::Crash {
+                env.crash(crashing);
+            }
+
+            // 4. Per-receiver possibilities, then their product.
+            let per_receiver: Vec<Vec<E::LocalState>> = AgentId::all(n)
+                .map(|receiver| {
+                    self.receiver_options(state, receiver, &actions, &messages, crashing, kind)
                 })
                 .collect();
 
-            // 3. Adversary choices for this round.
-            let crash_choices: Vec<AgentSet> = match kind {
-                FailureKind::Crash => {
-                    let alive = AgentSet::full(n).difference(state.env.crashed);
-                    let budget = t.saturating_sub(state.env.crashed.len());
-                    subsets_up_to(alive, budget).collect()
-                }
-                // Omission failures: the faulty set is fixed in the initial
-                // state and no agent ever crashes.
-                _ => vec![AgentSet::EMPTY],
-            };
-
-            for crashing in crash_choices {
-                let mut env = state.env;
-                if kind == FailureKind::Crash {
-                    env.crash(crashing);
-                }
-
-                // 4. Per-receiver possibilities, then their product.
-                let per_receiver: Vec<Vec<E::LocalState>> = AgentId::all(n)
-                    .map(|receiver| {
-                        self.receiver_options(state, receiver, &actions, &messages, crashing, kind)
-                    })
-                    .collect();
-
-                for combination in CartesianProduct::new(&per_receiver) {
-                    let locals: Vec<E::LocalState> = combination.into_iter().cloned().collect();
-                    let successor = GlobalState {
-                        env,
-                        inits: Arc::clone(&state.inits),
-                        locals,
-                        decisions: Arc::clone(&decisions),
-                    };
-                    generated += 1;
-                    // Chunk-local interning: `Arc<GlobalState>` borrows as
-                    // `GlobalState`, so the candidate is only allocated into
-                    // an `Arc` when it is genuinely new.
-                    let local_id = match interner.get(&successor) {
-                        Some(&id) => id,
-                        None => {
-                            let id = u32::try_from(states.len())
-                                .expect("more than u32::MAX states in one chunk");
-                            let shared = Arc::new(successor);
-                            interner.insert(Arc::clone(&shared), id);
-                            states.push(shared);
-                            id
-                        }
-                    };
-                    let targets = &mut edges[state_idx - first_source];
-                    if !targets.contains(&local_id) {
-                        targets.push(local_id);
-                    }
-                }
+            for combination in CartesianProduct::new(&per_receiver) {
+                let locals: Vec<E::LocalState> = combination.into_iter().cloned().collect();
+                let successor = GlobalState {
+                    env,
+                    inits: Arc::clone(&state.inits),
+                    locals,
+                    decisions: Arc::clone(&decisions),
+                };
+                emit(successor);
             }
         }
-
-        ChunkExpansion { first_source, states, edges, generated }
     }
 
     /// The distinct local states `receiver` can end the round with, given the
@@ -736,20 +618,29 @@ mod tests {
         let p = params(3, 1, FailureKind::Crash);
         let space = StateSpace::explore(ToyFlood, p, &NeverDecide);
         assert_eq!(space.num_layers() as u32, p.horizon() + 1);
-        // Every non-final layer state has at least one successor, and all
-        // edges point at valid indices of the next layer.
-        for (layer_idx, layer) in space.layers().iter().enumerate() {
-            if layer_idx + 1 == space.num_layers() {
-                assert!(layer.successors.iter().all(Vec::is_empty));
-                continue;
-            }
-            let next_len = space.layers()[layer_idx + 1].len();
-            for succ in &layer.successors {
-                assert!(!succ.is_empty(), "state without successors at layer {layer_idx}");
-                assert!(succ.iter().all(|&target| target < next_len));
+        assert!(space.total_states() > space.layers()[0].len());
+        // Under every failure kind the layers are in canonical form: states
+        // strictly ascending, and every non-final state has a non-empty,
+        // strictly ascending successor list into the next layer.
+        for kind in FailureKind::ALL {
+            let space = StateSpace::explore(ToyFlood, params(3, 2, kind), &NeverDecide);
+            for (layer_idx, layer) in space.layers().iter().enumerate() {
+                assert!(layer.states.windows(2).all(|w| w[0] < w[1]), "{kind:?} layer {layer_idx}");
+                if layer_idx + 1 == space.num_layers() {
+                    assert!(layer.successors.iter().all(Vec::is_empty));
+                    continue;
+                }
+                let next_len = space.layers()[layer_idx + 1].len();
+                for succ in &layer.successors {
+                    assert!(
+                        !succ.is_empty(),
+                        "{kind:?}: state without successors at layer {layer_idx}"
+                    );
+                    assert!(succ.windows(2).all(|w| w[0] < w[1]), "{kind:?} layer {layer_idx}");
+                    assert!(succ.iter().all(|&target| target < next_len));
+                }
             }
         }
-        assert!(space.total_states() > space.layers()[0].len());
     }
 
     #[test]
@@ -819,28 +710,6 @@ mod tests {
         assert!(found);
     }
 
-    /// Compares every layer of two state spaces for exact equality of states
-    /// and successor edges.
-    fn assert_spaces_identical(a: &StateSpace<ToyFlood>, b: &StateSpace<ToyFlood>) {
-        assert_eq!(a.num_layers(), b.num_layers());
-        for (layer_a, layer_b) in a.layers().iter().zip(b.layers()) {
-            assert_eq!(layer_a.states, layer_b.states);
-            assert_eq!(layer_a.successors, layer_b.successors);
-        }
-    }
-
-    #[test]
-    fn parallel_and_sequential_exploration_are_bit_identical() {
-        for kind in FailureKind::ALL {
-            let p = params(3, 2, kind);
-            let sequential = StateSpace::explore_sequential(ToyFlood, p, &NeverDecide);
-            for threads in [2, 3, 8] {
-                let parallel = StateSpace::explore_with_threads(ToyFlood, p, &NeverDecide, threads);
-                assert_spaces_identical(&sequential, &parallel);
-            }
-        }
-    }
-
     #[test]
     fn stats_record_layers_and_dedup() {
         let p = params(3, 1, FailureKind::Crash);
@@ -856,6 +725,5 @@ mod tests {
         // The exploration enumerates strictly more candidates than states
         // (adversary choices collide), so dedup hits are visible.
         assert!(stats.total_dedup_hits() > 0);
-        assert!(!format!("{stats}").is_empty());
     }
 }

@@ -16,17 +16,12 @@
 //!   the concrete protocols in `epimc-protocols`;
 //! * [`StateSpace`]: a layered (per-round), de-duplicated reachable state
 //!   space, constructed by enumerating all adversary choices allowed by the
-//!   failure model. Layers are built by **parallel frontier expansion**:
-//!   each worker thread expands a contiguous chunk of the previous layer
-//!   with a chunk-local successor interner, the per-worker results are
-//!   merged at the layer barrier, and the layer is sorted into a canonical
-//!   order — so the space is bit-identical for every worker count
-//!   (`EPIMC_THREADS=1` or [`StateSpace::explore_sequential`] reproduce the
-//!   parallel result exactly). Global states intern their initial-value and
-//!   decision vectors behind reference-counted slices, eliminating the
-//!   per-successor clone churn. Per-layer [`ExploreStats`] (state counts,
-//!   de-duplication hits, wall time) are recorded and consumed by
-//!   `epimc::experiments` and the `tables` binary;
+//!   failure model. Each layer is built in one pass over the previous one
+//!   and sorted into a canonical order, so a state's index depends only on
+//!   the model. Global states intern their initial-value and decision
+//!   vectors behind reference-counted slices, eliminating the per-successor
+//!   clone churn. Per-layer [`ExploreStats`] (state counts, de-duplication
+//!   hits, wall time) are recorded and consumed by the `tables` binary;
 //! * [`ConsensusModel`] and the [`PointModel`] trait: the Kripke-style view
 //!   of the state space consumed by the model checking and synthesis crates,
 //!   including the clock-semantics observations and the indexical nonfaulty

@@ -98,9 +98,8 @@ pub struct ConsensusModel<E: InformationExchange, R> {
     observations: Vec<Vec<Vec<Observation>>>,
 }
 
-/// Computes one layer's observation cache (`[point][agent]`), layer-parallel
-/// (the encoding of one state is independent of every other state). Shared
-/// by the full precompute of [`ConsensusModel::new`] and the incremental
+/// Computes one layer's observation cache (`[point][agent]`). Shared by the
+/// full precompute of [`ConsensusModel::new`] and the incremental
 /// [`ConsensusModel::extend_layer`].
 fn layer_observations<E: InformationExchange>(
     space: &StateSpace<E>,
@@ -108,26 +107,20 @@ fn layer_observations<E: InformationExchange>(
 ) -> Vec<Vec<Observation>> {
     let params = *space.params();
     let n = params.num_agents();
-    epimc_par::parallel_chunks(layer.len(), epimc_par::num_threads(), |range| {
-        range
-            .map(|index| {
-                let state = &layer.states[index];
-                AgentId::all(n)
-                    .map(|agent| space.exchange().observation(&params, agent, state.local(agent)))
-                    .collect::<Vec<_>>()
-            })
-            .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    layer
+        .states
+        .iter()
+        .map(|state| {
+            AgentId::all(n)
+                .map(|agent| space.exchange().observation(&params, agent, state.local(agent)))
+                .collect()
+        })
+        .collect()
 }
 
 impl<E: InformationExchange, R: DecisionRule<E>> ConsensusModel<E, R> {
-    /// Wraps an explored state space and its decision rule.
-    ///
-    /// The per-point observations are precomputed layer-parallel (the
-    /// encoding of one state is independent of every other state).
+    /// Wraps an explored state space and its decision rule, precomputing
+    /// the per-point observations.
     pub fn new(space: StateSpace<E>, rule: R) -> Self {
         let observations =
             space.layers().iter().map(|layer| layer_observations(&space, layer)).collect();

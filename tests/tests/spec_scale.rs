@@ -55,7 +55,6 @@ fn engines_agree_on_the_specification<E, R>(
 ) where
     E: InformationExchange + SymbolicEncode + Clone + 'static,
     R: DecisionRule<E> + SymbolicRule<E> + Clone + 'static,
-    ConsensusModel<E, R>: Sync,
 {
     let formulas = specification(&params);
     let global = SymbolicChecker::relational(
