@@ -75,11 +75,6 @@ impl Budget {
     pub fn with_max_ops(max_ops: u64) -> Self {
         Budget { max_ops: Some(max_ops), ..Budget::default() }
     }
-
-    /// Whether no limit is set (such a budget never trips).
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.max_live_nodes.is_none() && self.max_ops.is_none()
-    }
 }
 
 /// A typed error unwound out of the manager when a [`Budget`] trips.

@@ -64,7 +64,8 @@
 //!   structurally valid after an abort, so callers may keep or discard it.
 //! * **Snapshot persistence.** [`Bdd::snapshot`] serializes the whole
 //!   manager (node store, learned order, groups, counters, plus caller
-//!   roots) into a versioned, checksummed binary format, and
+//!   roots and words) into a versioned, checksummed binary format — the
+//!   one snapshot format of the workspace — and
 //!   [`Bdd::restore`] decodes it with full revalidation of the canonicity
 //!   invariants — precomputed models survive process restarts. See the
 //!   `snapshot` module docs for the byte layout and version policy.
@@ -109,4 +110,4 @@ pub use manager::{Bdd, BddStats, GcStats, Ref, Var, DEFAULT_CACHE_CAPACITY};
 pub use ops::SubstId;
 pub use order::{interleaved_order, interleaved_slot};
 pub use reorder::{ReorderPolicy, ReorderStats};
-pub use snapshot::{SnapshotError, SNAPSHOT_VERSION};
+pub use snapshot::{reseal_snapshot, SnapshotError, SNAPSHOT_VERSION};

@@ -1362,7 +1362,7 @@ mod tests {
         assert_eq!(tiered_gc.cache_only_nodes, 0);
         assert_eq!(plain_roots, tiered_roots);
         assert_eq!(plain.stats(), tiered.stats());
-        assert!(plain.snapshot(&plain_roots) == tiered.snapshot(&tiered_roots));
+        assert!(plain.snapshot(&plain_roots, &[]) == tiered.snapshot(&tiered_roots, &[]));
         plain.check_canonical_invariant().unwrap();
         tiered.check_canonical_invariant().unwrap();
     }

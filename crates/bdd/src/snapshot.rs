@@ -1,18 +1,21 @@
-//! Versioned binary snapshots of a whole BDD manager.
+//! Versioned binary snapshots of a whole BDD manager: the one snapshot
+//! format of the workspace.
 //!
 //! A snapshot captures everything needed to resurrect a manager in another
 //! process: the struct-of-arrays node store (variables, low/high edges with
 //! their complement bits, and the free-list), the learned level ↔ variable
 //! order, the sifting groups, the cache capacity, and the lifetime
-//! statistics counters. The caller additionally passes the
-//! external [`Ref`]s it wants to survive; [`Bdd::restore`] hands them back
-//! in the same order, valid against the restored manager.
+//! statistics counters. The caller additionally passes the external
+//! [`Ref`]s it wants to survive and a list of plain `u64` words (a client's
+//! own tables: the checker stores its model fingerprint, root-list lengths
+//! and GC trigger state there); [`Bdd::restore`] hands both back in the
+//! same order, the roots valid against the restored manager. A client
+//! snapshot is therefore one such stream, never a frame around one.
 //!
-//! The workspace `serde` is a no-op compatibility stub, so the format is a
-//! hand-rolled little-endian byte layout:
+//! The format is a hand-rolled little-endian byte layout:
 //!
 //! ```text
-//! magic   b"EPMC"                     version u32 (currently 1)
+//! magic   b"EPMC"                     version u32 (currently 2)
 //! flags   u8 (bit 0: complement edges; always set — a stream with the
 //!         bit clear is a two-terminal manager and is rejected)
 //! cache capacity u64
@@ -21,6 +24,7 @@
 //! order:  num_levels u64, level_of u32s, var_at u32s
 //! groups: count u64, then per group u64 length + u32 variable indices
 //! roots:  count u64 + packed u32 refs (slot << 1 | complement bit)
+//! words:  count u64 + u64s            (the caller's, passed through)
 //! counters: 9 × u64 (peak live, O(1) negations, gc runs, swept nodes,
 //!           reorder runs, reorder swaps, relational products,
 //!           image cache hits, image cache misses)
@@ -28,9 +32,11 @@
 //! ```
 //!
 //! **Version policy:** [`SNAPSHOT_VERSION`] must be bumped on *any* change
-//! to the store layout or field order above — including changes to the
+//! to the layout or field order above — including changes to the
 //! complement-edge convention or the tombstone sentinel — and old versions
-//! are rejected, never migrated silently.
+//! are rejected, never migrated silently. Version 2 added the word
+//! section. A client that changes what its words or roots mean bumps this
+//! same constant: there is no second version number.
 //!
 //! **Restore revalidates canonicity.** Decoding never trusts the bytes:
 //! lengths are bounds-checked against the remaining input before any
@@ -40,7 +46,9 @@
 //! [`Bdd::check_canonical_invariant`] (non-redundancy, ordering, the
 //! never-complemented-high convention, unique-table agreement). Corrupt,
 //! truncated or wrong-version input yields a [`SnapshotError`], never a
-//! panic and never an unsound manager.
+//! panic and never an unsound manager. The checksum detects accidental
+//! damage only; it is no MAC, so the checks behind it are what make a
+//! deliberately edited stream safe to decode (see [`reseal_snapshot`]).
 //!
 //! Substitutions registered via [`Bdd::register_substitution`] are *not*
 //! serialized: substitution ids are allocated sequentially, so clients
@@ -51,7 +59,7 @@ use crate::store::NodeStore;
 
 /// Current snapshot format version. Bump on any change to the byte layout
 /// or to the store invariants it encodes (see the module docs).
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Magic bytes opening every snapshot.
 const MAGIC: [u8; 4] = *b"EPMC";
@@ -63,9 +71,10 @@ const FLAG_COMPLEMENT_EDGES: u8 = 1;
 /// stored by the node arena. Part of the format.
 const SENTINEL: u32 = u32::MAX;
 
-/// Upper bound accepted for the serialized cache capacity; anything larger
-/// is treated as corruption rather than honoured with a giant allocation.
-const MAX_CACHE_CAPACITY: u64 = 1 << 28;
+/// Upper bound accepted for the serialized cache capacity, 16× the default.
+/// The caches are allocated up front, so anything larger is treated as
+/// corruption rather than honoured with a giant allocation.
+const MAX_CACHE_CAPACITY: u64 = 1 << 20;
 
 /// An error produced while decoding a snapshot. Carries a human-readable
 /// description of the first violation found.
@@ -104,6 +113,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// Rewrites the trailer checksum (the last eight bytes, which must exist)
+/// of an edited snapshot stream, so tests can hand the semantic checks of
+/// [`Bdd::restore`] a stream the checksum would otherwise stop.
+pub fn reseal_snapshot(bytes: &mut [u8]) {
+    let (payload, trailer) = bytes.split_at_mut(bytes.len() - 8);
+    trailer.copy_from_slice(&fnv1a(payload).to_le_bytes());
+}
+
 /// Little-endian append helpers for the encoder.
 fn put_u32(out: &mut Vec<u8>, value: u32) {
     out.extend_from_slice(&value.to_le_bytes());
@@ -128,33 +145,35 @@ impl<'a> Reader<'a> {
         self.bytes.len() - self.pos
     }
 
+    /// The next `N` bytes.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        let raw = self.bytes.get(self.pos..self.pos + N).ok_or_else(|| {
+            SnapshotError::new(format!("truncated input (expected {N} more bytes)"))
+        })?;
+        self.pos += N;
+        Ok(raw.try_into().expect("a slice of N bytes"))
+    }
+
     fn u8(&mut self) -> Result<u8, SnapshotError> {
-        if self.remaining() < 1 {
-            return Err(SnapshotError::new("truncated input (expected a byte)"));
-        }
-        let value = self.bytes[self.pos];
-        self.pos += 1;
-        Ok(value)
+        Ok(self.array::<1>()?[0])
     }
 
     fn u32(&mut self) -> Result<u32, SnapshotError> {
-        if self.remaining() < 4 {
-            return Err(SnapshotError::new("truncated input (expected a u32)"));
-        }
-        let mut raw = [0u8; 4];
-        raw.copy_from_slice(&self.bytes[self.pos..self.pos + 4]);
-        self.pos += 4;
-        Ok(u32::from_le_bytes(raw))
+        self.array().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Result<u64, SnapshotError> {
-        if self.remaining() < 8 {
-            return Err(SnapshotError::new("truncated input (expected a u64)"));
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// Reads a lifetime counter. No manager counts to 2^63, so a larger
+    /// value is corruption, and would overflow on its next increment.
+    fn counter(&mut self) -> Result<u64, SnapshotError> {
+        let value = self.u64()?;
+        if value >= 1 << 63 {
+            return Err(SnapshotError::new(format!("implausible counter {value}")));
         }
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&self.bytes[self.pos..self.pos + 8]);
-        self.pos += 8;
-        Ok(u64::from_le_bytes(raw))
+        Ok(value)
     }
 
     /// Reads a length-prefixed count, refusing counts whose payload cannot
@@ -172,21 +191,18 @@ impl<'a> Reader<'a> {
     }
 
     fn u32_vec(&mut self, count: usize) -> Result<Vec<u32>, SnapshotError> {
-        let mut values = Vec::with_capacity(count);
-        for _ in 0..count {
-            values.push(self.u32()?);
-        }
-        Ok(values)
+        (0..count).map(|_| self.u32()).collect()
     }
 }
 
 impl Bdd {
-    /// Serializes the manager and the given external references into the
-    /// versioned snapshot format (see the module docs). The operation
-    /// caches and registered substitutions are *not* captured: caches are
-    /// memoisation state, and substitution ids are deterministic to
-    /// re-register. `roots` come back from [`Bdd::restore`] in order.
-    pub fn snapshot(&self, roots: &[Ref]) -> Vec<u8> {
+    /// Serializes the manager, the given external references and the
+    /// caller's `words` into the versioned snapshot format (see the module
+    /// docs). The operation caches and registered substitutions are *not*
+    /// captured: caches are memoisation state, and substitution ids are
+    /// deterministic to re-register. `roots` and `words` come back from
+    /// [`Bdd::restore`] in order.
+    pub fn snapshot(&self, roots: &[Ref], words: &[u64]) -> Vec<u8> {
         let (vars, lows, highs, free) = self.store.raw_parts();
         let mut out = Vec::with_capacity(64 + vars.len() * 12);
         out.extend_from_slice(&MAGIC);
@@ -225,6 +241,10 @@ impl Bdd {
         for &root in roots {
             put_u32(&mut out, root.raw());
         }
+        put_u64(&mut out, words.len() as u64);
+        for &word in words {
+            put_u64(&mut out, word);
+        }
         put_u64(&mut out, self.peak_live_nodes as u64);
         put_u64(&mut out, self.o1_negations);
         put_u64(&mut out, self.gc_runs);
@@ -241,16 +261,19 @@ impl Bdd {
 
     /// Decodes a snapshot produced by [`Bdd::snapshot`], revalidating every
     /// structural invariant, and returns the manager together with the
-    /// caller's roots (same order they were passed to the encoder).
+    /// caller's roots and words (same order they were passed to the
+    /// encoder). The words are returned as stored: their meaning, and
+    /// checking it, is the caller's.
     ///
     /// # Errors
     ///
     /// Returns a [`SnapshotError`] on any corruption: bad checksum, wrong
     /// magic or version, truncated input, out-of-bounds edges or roots,
     /// free-list / tombstone disagreement, non-permutation level maps,
-    /// duplicate node triples, or a store that fails
-    /// [`Bdd::check_canonical_invariant`]. Never panics on untrusted input.
-    pub fn restore(bytes: &[u8]) -> Result<(Bdd, Vec<Ref>), SnapshotError> {
+    /// duplicate node triples, implausible cache capacities or counters, or
+    /// a store that fails [`Bdd::check_canonical_invariant`]. Never panics
+    /// on untrusted input.
+    pub fn restore(bytes: &[u8]) -> Result<(Bdd, Vec<Ref>, Vec<u64>), SnapshotError> {
         if bytes.len() < MAGIC.len() + 4 + 8 {
             return Err(SnapshotError::new("input shorter than the fixed header"));
         }
@@ -328,6 +351,11 @@ impl Bdd {
         let num_levels = reader.count(8, "level")?;
         let level_of = reader.u32_vec(num_levels)?;
         let var_at = reader.u32_vec(num_levels)?;
+        // Checked before `try_set_order` materialises every variable up to
+        // the largest index it is given.
+        if let Some(index) = var_at.iter().find(|&&index| index as usize >= num_levels) {
+            return Err(SnapshotError::new(format!("order lists unknown variable v{index}")));
+        }
         let mut bdd = Bdd::with_cache_capacity(capacity as usize);
         let order: Vec<Var> = var_at.iter().map(|&index| Var::new(index)).collect();
         bdd.try_set_order(order).map_err(|message| {
@@ -393,15 +421,18 @@ impl Bdd {
             roots.push(root);
         }
 
-        let peak_live_nodes = reader.u64()?;
-        bdd.o1_negations = reader.u64()?;
-        bdd.gc_runs = reader.u64()?;
-        bdd.swept_nodes = reader.u64()?;
-        bdd.reorder_runs = reader.u64()?;
-        bdd.reorder_swaps = reader.u64()?;
-        bdd.relational_product_calls = reader.u64()?;
-        bdd.image_cache_hits = reader.u64()?;
-        bdd.image_cache_misses = reader.u64()?;
+        let word_count = reader.count(8, "word")?;
+        let words = (0..word_count).map(|_| reader.u64()).collect::<Result<Vec<u64>, _>>()?;
+
+        let peak_live_nodes = reader.counter()?;
+        bdd.o1_negations = reader.counter()?;
+        bdd.gc_runs = reader.counter()?;
+        bdd.swept_nodes = reader.counter()?;
+        bdd.reorder_runs = reader.counter()?;
+        bdd.reorder_swaps = reader.counter()?;
+        bdd.relational_product_calls = reader.counter()?;
+        bdd.image_cache_hits = reader.counter()?;
+        bdd.image_cache_misses = reader.counter()?;
         if reader.remaining() != 0 {
             return Err(SnapshotError::new(format!(
                 "{} trailing bytes after the snapshot payload",
@@ -429,7 +460,7 @@ impl Bdd {
             usize::try_from(peak_live_nodes).unwrap_or(usize::MAX).max(bdd.store.live());
         bdd.check_canonical_invariant()
             .map_err(|message| SnapshotError::new(format!("canonicity violated: {message}")))?;
-        Ok((bdd, roots))
+        Ok((bdd, roots, words))
     }
 }
 
@@ -446,9 +477,10 @@ mod tests {
         let xy = bdd.and(x, y);
         let f = bdd.xor(xy, z);
         let g = bdd.not(f);
-        let bytes = bdd.snapshot(&[f, g]);
-        let (restored, roots) = Bdd::restore(&bytes).expect("round trip");
+        let bytes = bdd.snapshot(&[f, g], &[7, u64::MAX]);
+        let (restored, roots, words) = Bdd::restore(&bytes).expect("round trip");
         assert_eq!(roots.len(), 2);
+        assert_eq!(words, [7, u64::MAX]);
         assert_eq!(restored.current_order(), bdd.current_order());
         for assignment in 0..8u32 {
             let bits: Vec<bool> = (0..3).map(|bit| assignment >> bit & 1 == 1).collect();
@@ -462,11 +494,9 @@ mod tests {
     #[test]
     fn rejects_wrong_version() {
         let bdd = Bdd::new();
-        let mut bytes = bdd.snapshot(&[]);
+        let mut bytes = bdd.snapshot(&[], &[]);
         bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
-        let n = bytes.len();
-        let checksum = fnv1a(&bytes[..n - 8]);
-        bytes[n - 8..].copy_from_slice(&checksum.to_le_bytes());
+        reseal_snapshot(&mut bytes);
         let error = Bdd::restore(&bytes).unwrap_err();
         assert!(error.message().contains("version 99"), "{error}");
     }
@@ -475,7 +505,7 @@ mod tests {
     fn rejects_bad_checksum_and_truncation() {
         let mut bdd = Bdd::new();
         let x = bdd.var(Var::new(0));
-        let mut bytes = bdd.snapshot(&[x]);
+        let mut bytes = bdd.snapshot(&[x], &[1, 2]);
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
         assert!(Bdd::restore(&bytes).is_err());

@@ -7,9 +7,9 @@
 //! statistics. Corrupted, truncated and wrong-version byte streams must be
 //! rejected with an error, never a panic (this suite runs in release CI).
 
-use epimc_bdd::{Bdd, Ref, ReorderPolicy, Var};
+use epimc_bdd::{reseal_snapshot, Bdd, Ref, ReorderPolicy, Var};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 const NUM_VARS: u32 = 6;
 const CASES: usize = 24;
@@ -65,10 +65,12 @@ fn random_round_trips_preserve_semantics_order_and_stats() {
     let mut rng = StdRng::seed_from_u64(0xEBDD_517C);
     for case in 0..CASES {
         let (bdd, roots) = churned_manager(&mut rng);
-        let bytes = bdd.snapshot(&roots);
-        let (restored, restored_roots) =
+        let words: Vec<u64> = (0..case).map(|_| rng.next_u64()).collect();
+        let bytes = bdd.snapshot(&roots, &words);
+        let (restored, restored_roots, restored_words) =
             Bdd::restore(&bytes).unwrap_or_else(|error| panic!("case {case}: {error}"));
         assert_eq!(restored_roots.len(), roots.len(), "case {case}: root count");
+        assert_eq!(restored_words, words, "case {case}: words");
         assert_eq!(restored.current_order(), bdd.current_order(), "case {case}: order");
         for (index, (&old, &new)) in roots.iter().zip(&restored_roots).enumerate() {
             assert_eq!(
@@ -94,8 +96,8 @@ fn random_round_trips_preserve_semantics_order_and_stats() {
 fn round_trip_composes_with_further_operations() {
     let mut rng = StdRng::seed_from_u64(0xC0FF_EE00);
     let (bdd, roots) = churned_manager(&mut rng);
-    let bytes = bdd.snapshot(&roots);
-    let (mut restored, mut roots) = Bdd::restore(&bytes).expect("round trip");
+    let bytes = bdd.snapshot(&roots, &[]);
+    let (mut restored, mut roots, _) = Bdd::restore(&bytes).expect("round trip");
     // The restored manager must be fully operational: build, gc, reorder.
     let a = roots[0];
     let b = roots[1];
@@ -113,7 +115,7 @@ fn round_trip_composes_with_further_operations() {
 fn every_truncated_prefix_is_rejected_without_panicking() {
     let mut rng = StdRng::seed_from_u64(7);
     let (bdd, roots) = churned_manager(&mut rng);
-    let bytes = bdd.snapshot(&roots);
+    let bytes = bdd.snapshot(&roots, &[3, 5]);
     for cut in 0..bytes.len() {
         assert!(Bdd::restore(&bytes[..cut]).is_err(), "prefix of {cut} bytes accepted");
     }
@@ -123,7 +125,7 @@ fn every_truncated_prefix_is_rejected_without_panicking() {
 fn single_byte_corruptions_are_rejected_without_panicking() {
     let mut rng = StdRng::seed_from_u64(11);
     let (bdd, roots) = churned_manager(&mut rng);
-    let mut bytes = bdd.snapshot(&roots);
+    let mut bytes = bdd.snapshot(&roots, &[3, 5]);
     // Flip each byte in turn (stride 1 over the whole stream): either the
     // checksum catches it, or — when the flip hits the checksum itself —
     // the checksum no longer matches the payload. Restoring must fail
@@ -137,18 +139,6 @@ fn single_byte_corruptions_are_rejected_without_panicking() {
     Bdd::restore(&bytes).expect("pristine stream restores");
 }
 
-/// FNV-1a 64-bit, the snapshot trailer checksum, so a test can re-seal a
-/// stream it edited on purpose.
-fn reseal(bytes: &mut [u8]) {
-    let (payload, trailer) = bytes.split_at_mut(bytes.len() - 8);
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in payload.iter() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    trailer.copy_from_slice(&hash.to_le_bytes());
-}
-
 #[test]
 fn complement_edge_mode_is_preserved() {
     let mut bdd = Bdd::with_cache_capacity(1 << 10);
@@ -156,10 +146,10 @@ fn complement_edge_mode_is_preserved() {
     let y = bdd.var(Var::new(1));
     let and = bdd.and(x, y);
     let nand = bdd.not(and);
-    let mut bytes = bdd.snapshot(&[nand]);
+    let mut bytes = bdd.snapshot(&[nand], &[]);
     // The flag byte follows the magic and the version; bit 0 is set.
     assert_eq!(bytes[8], 1, "every snapshot is a complement-edge manager");
-    let (mut restored, roots) = Bdd::restore(&bytes).expect("round trip");
+    let (mut restored, roots, _) = Bdd::restore(&bytes).expect("round trip");
     assert!(!restored.eval_bits(roots[0], &[true, true]));
     assert!(restored.eval_bits(roots[0], &[true, false]));
     // The restored manager negates by flipping the bit: no allocation.
@@ -171,7 +161,7 @@ fn complement_edge_mode_is_preserved() {
     // A well-formed stream whose flag byte says two-terminal is refused by
     // name, not restored into another representation.
     bytes[8] = 0;
-    reseal(&mut bytes);
+    reseal_snapshot(&mut bytes);
     let error = Bdd::restore(&bytes).expect_err("two-terminal stream accepted");
     assert!(error.message().contains("two-terminal"), "{error}");
 }

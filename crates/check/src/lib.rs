@@ -119,10 +119,13 @@
 //!   (node store, caches, reachable sets, GC state), so a whole synthesis
 //!   run lives in a single collected manager;
 //! * [`SymbolicChecker::snapshot`] / [`SymbolicChecker::restore_relational`]
-//!   — a checker handed *across processes*: a versioned, checksummed byte
-//!   stream embedding the whole manager (see `epimc-bdd`'s snapshot module)
-//!   that restores to a checker answering bit-identically, used by
-//!   `epimc-serve` to persist warm model state.
+//!   — a checker handed *across processes*: one `epimc-bdd` snapshot
+//!   stream (see its snapshot module) whose roots are the layers, relation
+//!   partitions and decides-now tables and whose words are the model
+//!   fingerprint, length tables and GC state; the cubes the layout
+//!   determines are derived again on restore. It restores to a checker
+//!   answering bit-identically, and `epimc-serve` uses it to persist warm
+//!   model state.
 //!
 //! All engines implement the same semantics; `tests/engine_agreement.rs`
 //! checks them against each other on randomly generated formulas, and the
@@ -142,5 +145,5 @@ pub use local::{CheckBackend, LocalChecker, LocalStats};
 pub use pointset::PointSet;
 pub use symbolic::{
     BudgetAbort, EvalSession, ObservationValues, ReorderMode, SymbolicChecker, SymbolicOptions,
-    SymbolicStats, CHECKER_SNAPSHOT_VERSION,
+    SymbolicStats,
 };

@@ -28,8 +28,8 @@
 //!
 //! [`CheckBackend`] is the common seam over all three engines — explicit
 //! [`Checker`], global [`SymbolicChecker`], and [`LocalChecker`] — used
-//! by the differential tests and `epimc-serve`'s per-request backend
-//! selection.
+//! by the differential tests. `epimc-serve` selects its per-request
+//! backend through its own warm-checker handle, not through this seam.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;

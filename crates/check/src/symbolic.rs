@@ -405,14 +405,57 @@ macro_rules! inner_roots {
     }};
 }
 
-/// The model's long-lived handles: what a seed builds and what a
-/// snapshot carries, in the order a snapshot lists them.
+/// The model's long-lived handles a checker cannot recompute: what a seed
+/// builds and what a snapshot carries, in the order a snapshot lists them.
 struct ModelRoots {
     reachable: Vec<Ref>,
-    hidden_cubes: Vec<Ref>,
-    all_quant_cube: Ref,
     relations: Vec<Vec<Ref>>,
     dnow: Vec<Vec<Ref>>,
+}
+
+/// The handles a checker derives from its layout instead of storing: each
+/// agent's hidden-variable cube, then the pre-image quantification cube
+/// (every primed and every choice variable). A seed and a restore both
+/// build them here, so a snapshot never carries them.
+fn derived_cubes(bdd: &mut Bdd, layout: &SlotLayout, choice: &ChoiceVars) -> (Vec<Ref>, Ref) {
+    let num_slots = layout.num_slots;
+    let all_quant: Vec<Var> = (0..num_slots).map(nxt).chain(choice.all_vars()).collect();
+    let all_quant_cube = bdd.cube_of_vars(all_quant);
+    let hidden_cubes = layout
+        .agents
+        .iter()
+        .map(|slots| {
+            let mut observed = vec![false; num_slots];
+            for slot in slots.obs_bits.iter().flatten() {
+                observed[*slot] = true;
+            }
+            let hidden =
+                (0..num_slots).filter(|&slot| !observed[slot]).map(cur).collect::<Vec<_>>();
+            bdd.cube_of_vars(hidden)
+        })
+        .collect();
+    (hidden_cubes, all_quant_cube)
+}
+
+/// The checker's words in a snapshot: the model fingerprint a restore
+/// verifies before trusting a single `Ref` (agent count, fault bound, value
+/// count, failure kind, horizon, and the variable layout the exchange
+/// induces).
+fn fingerprint(params: &ModelParams, layout: &SlotLayout, choice: &ChoiceVars) -> [u64; 7] {
+    [
+        params.num_agents() as u64,
+        params.max_faulty() as u64,
+        params.num_values() as u64,
+        match params.failure().kind() {
+            FailureKind::Crash => 0,
+            FailureKind::SendOmission => 1,
+            FailureKind::ReceiveOmission => 2,
+            FailureKind::GeneralOmission => 3,
+        },
+        u64::from(params.horizon()),
+        layout.num_slots as u64,
+        choice.count() as u64,
+    ]
 }
 
 /// The sorted variable-index support of `f`.
@@ -422,14 +465,16 @@ fn support_indices(bdd: &Bdd, f: Ref) -> Vec<u32> {
 
 impl Inner {
     /// The one constructor, shared by a fresh seed and a restored
-    /// snapshot. It registers both substitution directions — in this order
-    /// on every manager, so a restored checker's ids (allocated
-    /// sequentially) match the snapshotted one's — derives each relation
-    /// partition's support from the partition itself, and starts every
-    /// counter, cache and the arena empty.
+    /// snapshot. It takes the [`derived_cubes`], registers both
+    /// substitution directions — in this order on every manager, so a
+    /// restored checker's ids (allocated sequentially) match the
+    /// snapshotted one's — derives each relation partition's support from
+    /// the partition itself, and starts every counter, cache and the arena
+    /// empty.
     fn new(
         mut bdd: Bdd,
         num_slots: usize,
+        (hidden_cubes, all_quant_cube): (Vec<Ref>, Ref),
         roots: ModelRoots,
         gc_threshold: usize,
         gc_base_threshold: usize,
@@ -438,7 +483,7 @@ impl Inner {
             bdd.register_substitution((0..num_slots).map(|slot| (cur(slot), nxt(slot))).collect());
         let nxt_to_cur =
             bdd.register_substitution((0..num_slots).map(|slot| (nxt(slot), cur(slot))).collect());
-        let ModelRoots { reachable, hidden_cubes, all_quant_cube, relations, dnow } = roots;
+        let ModelRoots { reachable, relations, dnow } = roots;
         let relation_supports = relations
             .iter()
             .map(|parts| parts.iter().map(|&part| support_indices(&bdd, part)).collect())
@@ -1869,32 +1914,13 @@ where
         }
         bdd.set_order(order);
 
-        // What a pre-image quantifies out of `T_t ∧ S'`: every primed and
-        // every choice variable, in one cube.
-        let all_quant: Vec<Var> = (0..num_slots).map(nxt).chain(choice.all_vars()).collect();
-        let all_quant_cube = bdd.cube_of_vars(all_quant);
-        let hidden_cubes = (0..n)
-            .map(|agent| {
-                let mut observed = vec![false; num_slots];
-                for slot in layout.agents[agent].obs_bits.iter().flatten() {
-                    observed[*slot] = true;
-                }
-                let hidden =
-                    (0..num_slots).filter(|&slot| !observed[slot]).map(cur).collect::<Vec<_>>();
-                bdd.cube_of_vars(hidden)
-            })
-            .collect();
+        let cubes = derived_cubes(&mut bdd, &layout, &choice);
         let init = initial_cube(&mut bdd, &layout, &exchange, &params);
         let frontier = decides_now_table::<E, R>(&mut bdd, &layout, &choice, &rule, &params, 0);
-        let roots = ModelRoots {
-            reachable: vec![init],
-            hidden_cubes,
-            all_quant_cube,
-            relations: Vec::new(),
-            dnow: vec![frontier],
-        };
+        let roots =
+            ModelRoots { reachable: vec![init], relations: Vec::new(), dnow: vec![frontier] };
         let mut inner =
-            Inner::new(bdd, num_slots, roots, options.gc_threshold, options.gc_threshold);
+            Inner::new(bdd, num_slots, cubes, roots, options.gc_threshold, options.gc_threshold);
         inner.maybe_gc(&mut []);
         Self::from_parts(exchange, rule, layout, choice, params, inner)
     }
@@ -2037,16 +2063,17 @@ where
         inner.bdd.replace(acc, inner.nxt_to_cur)
     }
 
-    /// Serializes the checker — every built layer, round relation
-    /// and decides-now table, the GC trigger state, and the whole BDD manager
-    /// (via [`epimc_bdd::Bdd::snapshot`]) — into a versioned, checksummed
-    /// byte stream that [`SymbolicChecker::restore_relational`] can
-    /// resurrect in another process.
+    /// Serializes the checker into one [`epimc_bdd::Bdd::snapshot`] stream
+    /// that [`SymbolicChecker::restore_relational`] can resurrect in another
+    /// process. The stream's roots are every built layer, round relation
+    /// partition and decides-now table; its words are the model fingerprint,
+    /// the length tables that split the roots back up, and the GC trigger
+    /// state. The hidden-variable and quantification cubes are not stored:
+    /// a restore derives them from the layout.
     ///
     /// The exchange and rule are *not* serialized (they are code, not
     /// data); the restoring process passes equal `params` and compatible
-    /// implementations, and a fingerprint of the model parameters and
-    /// variable layout is verified on restore.
+    /// implementations, and the fingerprint is verified on restore.
     ///
     /// # Errors
     ///
@@ -2056,146 +2083,101 @@ where
         if inner.arena.live_count() != 0 {
             return Err("end all evaluation sessions before snapshotting".to_string());
         }
+        let (roots, words) = self.snapshot_parts(&inner);
+        Ok(inner.bdd.snapshot(&roots, &words))
+    }
 
-        let mut out = Vec::new();
-        out.extend_from_slice(CHECKER_SNAPSHOT_MAGIC);
-        out.extend_from_slice(&CHECKER_SNAPSHOT_VERSION.to_le_bytes());
-        // Model fingerprint: restore verifies the passed params produce the
-        // same variable layout before trusting a single Ref.
-        out.extend_from_slice(&(self.params.num_agents() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.params.max_faulty() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.params.num_values() as u32).to_le_bytes());
-        out.push(failure_kind_tag(self.params.failure().kind()));
-        out.extend_from_slice(&self.params.horizon().to_le_bytes());
-        out.extend_from_slice(&(self.layout.num_slots as u64).to_le_bytes());
-        out.extend_from_slice(&(self.choice.count() as u64).to_le_bytes());
-
-        // Root distribution tables: layer count, then the length of each
-        // round's partition list and of each layer's decides-now table.
-        out.extend_from_slice(&(inner.reachable.len() as u64).to_le_bytes());
+    /// The roots and words [`SymbolicChecker::snapshot`] writes: the
+    /// fingerprint, the layer count, the relation and decides-now length
+    /// tables (each a count, then one length per list), and the GC trigger
+    /// state; the roots in the order the tables describe.
+    fn snapshot_parts(&self, inner: &Inner) -> (Vec<Ref>, Vec<u64>) {
+        let mut words = fingerprint(&self.params, &self.layout, &self.choice).to_vec();
+        words.push(inner.reachable.len() as u64);
         for lists in [&inner.relations, &inner.dnow] {
-            out.extend_from_slice(&(lists.len() as u64).to_le_bytes());
-            for list in lists {
-                out.extend_from_slice(&(list.len() as u64).to_le_bytes());
-            }
+            words.push(lists.len() as u64);
+            words.extend(lists.iter().map(|list| list.len() as u64));
         }
-
-        // GC trigger state.
-        out.extend_from_slice(&(inner.gc_threshold as u64).to_le_bytes());
-        out.extend_from_slice(&(inner.gc_base_threshold as u64).to_le_bytes());
-
-        // Every rooted handle, in the `ModelRoots` order the restorer
-        // re-distributes from the tables above.
-        let mut roots: Vec<Ref> = Vec::new();
-        roots.extend_from_slice(&inner.reachable);
-        roots.extend_from_slice(&inner.hidden_cubes);
-        roots.push(inner.all_quant_cube);
-        for list in inner.relations.iter().chain(&inner.dnow) {
-            roots.extend_from_slice(list);
-        }
-        let bdd_bytes = inner.bdd.snapshot(&roots);
-        out.extend_from_slice(&(bdd_bytes.len() as u64).to_le_bytes());
-        out.extend_from_slice(&bdd_bytes);
-        let checksum = fnv1a(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        Ok(out)
+        words.extend([inner.gc_threshold as u64, inner.gc_base_threshold as u64]);
+        let lists = inner.relations.iter().chain(&inner.dnow).flatten();
+        (inner.reachable.iter().chain(lists).copied().collect(), words)
     }
 
     /// Decodes a stream produced by [`SymbolicChecker::snapshot`] into a
     /// working checker over the given exchange, parameters and rule.
     ///
-    /// The model fingerprint in the stream must match `params` (same agent
-    /// count, fault bound, value count, failure kind, horizon, and the
-    /// variable layout the exchange induces); the embedded BDD snapshot is
-    /// revalidated by [`epimc_bdd::Bdd::restore`]; and the substitutions
-    /// the relational machinery needs are re-registered (ids are
-    /// deterministic, so the caches stay coherent). Answers are
-    /// bit-identical to the checker that was snapshotted.
+    /// The manager is revalidated by [`epimc_bdd::Bdd::restore`]; the
+    /// fingerprint in the stream must match `params` and the variable
+    /// layout the exchange induces; the length tables must account for
+    /// every root and every word; the cubes are derived from the layout;
+    /// and the substitutions the relational machinery needs are
+    /// re-registered (ids are deterministic, so the caches stay coherent).
+    /// Answers are bit-identical to the checker that was snapshotted.
     ///
     /// # Errors
     ///
     /// Fails on corrupt, truncated or wrong-version input, on a fingerprint
-    /// mismatch, or when the embedded manager fails revalidation.
+    /// mismatch, on length tables that disagree with the stream, or when
+    /// the manager fails revalidation.
     pub fn restore_relational(
         exchange: E,
         params: ModelParams,
         rule: R,
         bytes: &[u8],
     ) -> Result<Self, String> {
-        let mut reader = EnvelopeReader::new(bytes)?;
-        let version = reader.u32()?;
-        if version != CHECKER_SNAPSHOT_VERSION {
-            return Err(format!(
-                "unsupported checker snapshot version {version} \
-                 (this build reads {CHECKER_SNAPSHOT_VERSION})"
-            ));
-        }
-        let n = reader.u32()? as usize;
-        let t = reader.u32()? as usize;
-        let num_values = reader.u32()? as usize;
-        let kind_tag = reader.u8()?;
-        let horizon = reader.u32()?;
-        let fingerprint_ok = n == params.num_agents()
-            && t == params.max_faulty()
-            && num_values == params.num_values()
-            && kind_tag == failure_kind_tag(params.failure().kind())
-            && horizon == params.horizon();
-        if !fingerprint_ok {
-            return Err(format!(
-                "snapshot was taken for a different model instance \
-                 (snapshot: n={n} t={t} values={num_values} kind-tag={kind_tag} \
-                 horizon={horizon})"
-            ));
-        }
+        let (mut bdd, mut roots, words) = Bdd::restore(bytes).map_err(|error| error.to_string())?;
         let layout = SlotLayout::new(&exchange, &params);
         let choice =
             ChoiceVars::new(params.failure().kind(), params.num_agents(), layout.num_slots);
-        let num_slots = reader.u64()? as usize;
-        let choice_bits = reader.u64()? as usize;
-        if num_slots != layout.num_slots || choice_bits != choice.count() {
+        let expected = fingerprint(&params, &layout, &choice);
+        let mut words = words.into_iter();
+        let stored: Vec<u64> = words.by_ref().take(expected.len()).collect();
+        if stored[..] != expected[..] {
             return Err(format!(
-                "snapshot variable layout ({num_slots} slots, {choice_bits} choice bits) \
-                 does not match the exchange's layout ({} slots, {} choice bits)",
-                layout.num_slots,
-                choice.count()
+                "snapshot was taken for a different model instance (fingerprint \
+                 {stored:?}; these params and exchange give {expected:?})"
             ));
         }
-
-        let num_layers = reader.u64()? as usize;
+        let num_levels = 2 * layout.num_slots + choice.count();
+        if bdd.num_levels() != num_levels {
+            return Err(format!(
+                "snapshot manager does not have the layout's {num_levels} variables"
+            ));
+        }
+        let mut word = || -> Result<usize, String> {
+            let word = words.next().ok_or("checker snapshot words end early")?;
+            usize::try_from(word).map_err(|_| format!("checker snapshot word {word} overflows"))
+        };
+        let num_layers = word()?;
         if num_layers == 0 {
             return Err("snapshot has no layers".to_string());
         }
-        let list_lens = |reader: &mut EnvelopeReader, count: usize| {
-            (0..count).map(|_| Ok(reader.u64()? as usize)).collect::<Result<Vec<usize>, String>>()
-        };
-        let relation_rounds = reader.u64()? as usize;
+        let relation_rounds = word()?;
         if relation_rounds.checked_add(1) != Some(num_layers) {
             return Err(format!(
                 "snapshot has {relation_rounds} relation rounds for {num_layers} layers"
             ));
         }
-        let relation_lens = list_lens(&mut reader, relation_rounds)?;
-        let dnow_layers = reader.u64()? as usize;
+        let relation_lens = (0..relation_rounds).map(|_| word()).collect::<Result<Vec<_>, _>>()?;
+        let dnow_layers = word()?;
         if dnow_layers != num_layers {
             return Err(format!(
                 "snapshot has {dnow_layers} decides-now tables for {num_layers} layers"
             ));
         }
-        let dnow_lens = list_lens(&mut reader, dnow_layers)?;
-        let gc_threshold = reader.u64()? as usize;
-        let gc_base_threshold = reader.u64()? as usize;
+        let dnow_lens = (0..dnow_layers).map(|_| word()).collect::<Result<Vec<_>, _>>()?;
+        let gc_threshold = word()?;
+        let gc_base_threshold = word()?;
+        if words.next().is_some() {
+            return Err("checker snapshot has words left over".to_string());
+        }
 
-        let bdd_len = reader.u64()? as usize;
-        let bdd_bytes = reader.bytes(bdd_len)?;
-        reader.finish()?;
-        let (bdd, mut roots) = Bdd::restore(bdd_bytes).map_err(|error| error.to_string())?;
-
-        // Expected root count from the distribution tables, which a crafted
+        // Expected root count from the length tables, which a crafted
         // stream may make overflow.
         let Some(expected) = relation_lens
             .iter()
             .chain(&dnow_lens)
-            .try_fold(num_layers + n + 1, |sum, &len| sum.checked_add(len))
+            .try_fold(num_layers, |sum, &len| sum.checked_add(len))
         else {
             return Err("snapshot length tables overflow".to_string());
         };
@@ -2205,6 +2187,16 @@ where
                 roots.len()
             ));
         }
+        // Every round has one partition per agent and every layer one
+        // decides-now condition per agent and value, which the evaluator
+        // indexes without a check.
+        let n = params.num_agents();
+        let table_len = n * params.num_values();
+        if relation_lens.iter().any(|&len| len != n)
+            || dnow_lens.iter().any(|&len| len != table_len)
+        {
+            return Err("snapshot length tables do not match the layout".to_string());
+        }
 
         // Distribute the roots back, in the order `snapshot` flattened
         // them. Supports are derivable (they mention variable identities,
@@ -2212,12 +2204,12 @@ where
         // the stream.
         let mut take = |count: usize| -> Vec<Ref> { roots.drain(..count).collect() };
         let reachable = take(num_layers);
-        let hidden_cubes = take(n);
-        let all_quant_cube = take(1)[0];
         let relations = relation_lens.iter().map(|&len| take(len)).collect();
         let dnow = dnow_lens.iter().map(|&len| take(len)).collect();
-        let roots = ModelRoots { reachable, hidden_cubes, all_quant_cube, relations, dnow };
-        let inner = Inner::new(bdd, num_slots, roots, gc_threshold, gc_base_threshold);
+        let roots = ModelRoots { reachable, relations, dnow };
+        let cubes = derived_cubes(&mut bdd, &layout, &choice);
+        let inner =
+            Inner::new(bdd, layout.num_slots, cubes, roots, gc_threshold, gc_base_threshold);
         Ok(Self::from_parts(exchange, rule, layout, choice, params, inner))
     }
 }
@@ -2499,112 +2491,6 @@ where
     /// since `live_before` was captured.
     pub(crate) fn seam_budget_abort(&self, error: BddError, live_before: &[usize]) -> BudgetAbort {
         self.budget_abort(error, live_before, None)
-    }
-}
-
-/// Magic bytes opening a checker snapshot (the embedded manager has its own
-/// `EPMC` magic inside).
-const CHECKER_SNAPSHOT_MAGIC: &[u8; 4] = b"EPCK";
-
-/// Version of the checker snapshot envelope. Bumped on any layout change;
-/// the embedded BDD snapshot carries its own independent version. Version
-/// 2 dropped the reorder-policy fields, two unused cubes from the root
-/// list and the per-list presence bytes of version 1, which is rejected.
-pub const CHECKER_SNAPSHOT_VERSION: u32 = 2;
-
-fn failure_kind_tag(kind: FailureKind) -> u8 {
-    match kind {
-        FailureKind::Crash => 0,
-        FailureKind::SendOmission => 1,
-        FailureKind::ReceiveOmission => 2,
-        FailureKind::GeneralOmission => 3,
-    }
-}
-
-/// FNV-1a 64-bit (standard constants), the envelope trailer checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
-/// Checksum-verified little-endian reader over a checker-snapshot envelope.
-struct EnvelopeReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> EnvelopeReader<'a> {
-    /// Verifies the trailer checksum and the magic, and positions the
-    /// reader after the magic.
-    fn new(bytes: &'a [u8]) -> Result<Self, String> {
-        if bytes.len() < CHECKER_SNAPSHOT_MAGIC.len() + 4 + 8 {
-            return Err("checker snapshot shorter than the fixed header".to_string());
-        }
-        let (payload, trailer) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-        if fnv1a(payload) != stored {
-            return Err("checker snapshot checksum mismatch (corrupt or truncated)".to_string());
-        }
-        if &payload[..CHECKER_SNAPSHOT_MAGIC.len()] != CHECKER_SNAPSHOT_MAGIC {
-            return Err("bad magic (not an epimc checker snapshot)".to_string());
-        }
-        Ok(EnvelopeReader { bytes: payload, pos: CHECKER_SNAPSHOT_MAGIC.len() })
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        if self.remaining() < 1 {
-            return Err("truncated checker snapshot (expected a byte)".to_string());
-        }
-        let value = self.bytes[self.pos];
-        self.pos += 1;
-        Ok(value)
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        if self.remaining() < 4 {
-            return Err("truncated checker snapshot (expected a u32)".to_string());
-        }
-        let mut raw = [0u8; 4];
-        raw.copy_from_slice(&self.bytes[self.pos..self.pos + 4]);
-        self.pos += 4;
-        Ok(u32::from_le_bytes(raw))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        if self.remaining() < 8 {
-            return Err("truncated checker snapshot (expected a u64)".to_string());
-        }
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&self.bytes[self.pos..self.pos + 8]);
-        self.pos += 8;
-        Ok(u64::from_le_bytes(raw))
-    }
-
-    fn bytes(&mut self, count: usize) -> Result<&'a [u8], String> {
-        if self.remaining() < count {
-            return Err(format!(
-                "truncated checker snapshot ({count} bytes claimed, {} remain)",
-                self.remaining()
-            ));
-        }
-        let slice = &self.bytes[self.pos..self.pos + count];
-        self.pos += count;
-        Ok(slice)
-    }
-
-    fn finish(&self) -> Result<(), String> {
-        if self.remaining() != 0 {
-            return Err(format!("{} trailing bytes in checker snapshot", self.remaining()));
-        }
-        Ok(())
     }
 }
 
@@ -3148,57 +3034,83 @@ mod tests {
     }
 
     #[test]
-    fn version_1_checker_snapshots_are_rejected_by_version() {
+    fn pre_version_2_snapshots_are_rejected() {
         let params = crash(2);
-        let checker = floodset(params, SymbolicOptions::default());
-        let mut bytes = checker.snapshot().expect("snapshot");
-        // An intact, correctly sealed stream that claims version 1.
-        let version = CHECKER_SNAPSHOT_MAGIC.len();
-        bytes[version..version + 4].copy_from_slice(&1u32.to_le_bytes());
-        let payload = bytes.len() - 8;
-        let checksum = fnv1a(&bytes[..payload]);
-        bytes[payload..].copy_from_slice(&checksum.to_le_bytes());
-        let error = SymbolicChecker::restore_relational(FloodSet, params, FloodSetRule, &bytes)
-            .err()
-            .expect("a version 1 stream restored");
-        assert!(error.contains("unsupported checker snapshot version 1"), "{error}");
+        let bytes = floodset(params, SymbolicOptions::default()).snapshot().expect("snapshot");
+        let restore = |bytes: &[u8]| {
+            SymbolicChecker::restore_relational(FloodSet, params, FloodSetRule, bytes)
+                .err()
+                .expect("a pre-version-2 stream restored")
+        };
+        // An intact, correctly sealed kernel stream that claims version 1.
+        let mut version_1 = bytes.clone();
+        version_1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        epimc_bdd::reseal_snapshot(&mut version_1);
+        let error = restore(&version_1);
+        assert!(error.contains("unsupported snapshot version 1"), "{error}");
+        // A sealed stream under another magic, as the retired checker
+        // envelope had, is rejected by its magic.
+        let mut foreign = bytes.clone();
+        foreign[..4].copy_from_slice(b"XXXX");
+        epimc_bdd::reseal_snapshot(&mut foreign);
+        let error = restore(&foreign);
+        assert!(error.contains("bad magic"), "{error}");
     }
 
     #[test]
     fn overflowing_relation_length_tables_are_rejected() {
         let params = crash(3);
-        let bytes = floodset(params, SymbolicOptions::default()).snapshot().expect("snapshot");
-        // The relation length table follows the magic, the version, four
-        // u32 fingerprint fields, the kind byte, and four u64 counts
-        // (slots, choice bits, layers, relation rounds).
-        let first_len = CHECKER_SNAPSHOT_MAGIC.len() + 4 + 4 * 4 + 1 + 4 * 8;
-        let read = |bytes: &[u8], at: usize| {
-            u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+        let checker = floodset(params, SymbolicOptions::default());
+        let inner = checker.inner.borrow();
+        let (roots, words) = checker.snapshot_parts(&inner);
+        let restored = |words: &[u64]| {
+            let bytes = inner.bdd.snapshot(&roots, words);
+            SymbolicChecker::restore_relational(FloodSet, params, FloodSetRule, &bytes)
         };
-        let reseal = |mut bytes: Vec<u8>| {
-            let payload = bytes.len() - 8;
-            let checksum = fnv1a(&bytes[..payload]);
-            bytes[payload..].copy_from_slice(&checksum.to_le_bytes());
-            bytes
-        };
-        assert!(read(&bytes, first_len - 8) >= 2, "fewer than two relation rounds");
+        assert!(restored(&words).is_ok(), "the uncrafted words restore");
+        // The relation length table follows the fingerprint, the layer
+        // count and the relation round count.
+        let first_len = fingerprint(&checker.params, &checker.layout, &checker.choice).len() + 2;
+        assert!(words[first_len - 1] >= 2, "fewer than two relation rounds");
         // One length of u64::MAX overflows the sum; adding 2^63 to two
         // lengths wraps it back to the true root count.
-        let mut saturated = bytes.clone();
-        saturated[first_len..first_len + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        let mut wrapped = bytes.clone();
-        for at in [first_len, first_len + 8] {
-            let len = read(&wrapped, at).wrapping_add(1 << 63);
-            wrapped[at..at + 8].copy_from_slice(&len.to_le_bytes());
+        let mut saturated = words.clone();
+        saturated[first_len] = u64::MAX;
+        let mut wrapped = words.clone();
+        for at in [first_len, first_len + 1] {
+            wrapped[at] = wrapped[at].wrapping_add(1 << 63);
         }
-        for crafted in [saturated, wrapped] {
-            let restored = SymbolicChecker::restore_relational(
-                FloodSet,
-                params,
-                FloodSetRule,
-                &reseal(crafted),
+        // Moving a partition from one round to the next keeps the sum but
+        // not the layout; a missing word and a leftover word are errors too.
+        let mut shifted = words.clone();
+        shifted[first_len] += 1;
+        shifted[first_len + 1] -= 1;
+        let short = &words[..words.len() - 1];
+        let long = [&words[..], &[0]].concat();
+        for crafted in [&saturated[..], &wrapped, &shifted, short, &long] {
+            assert!(restored(crafted).is_err(), "crafted words {crafted:?} restored");
+        }
+    }
+
+    #[test]
+    fn swapped_hidden_cubes_are_derived_again_on_restore() {
+        // The cubes follow from the layout, so a snapshot does not carry
+        // them: a checker whose cubes were swapped (as a stream editing
+        // them would) restores with the right ones.
+        let params = crash(3);
+        let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
+        let explicit = Checker::new(&model);
+        let checker = floodset(params, SymbolicOptions::default());
+        checker.inner.borrow_mut().hidden_cubes.swap(0, 1);
+        let bytes = checker.snapshot().expect("snapshot");
+        let restored = SymbolicChecker::restore_relational(FloodSet, params, FloodSetRule, &bytes)
+            .expect("restore");
+        for formula in agreement_formulas() {
+            assert_eq!(
+                restored.check_points(&model, &formula),
+                explicit.check(&formula),
+                "restored checker disagrees on {formula}"
             );
-            assert!(restored.is_err(), "a crafted length table restored");
         }
     }
 

@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of an agent (process) in a multi-agent system.
 ///
 /// Agents are numbered `0..n` within a model instance. The identifier is a
 /// plain index; any richer naming (e.g. the `D0`, `D1`, ... names used in MCK
 /// scripts) is a presentation concern handled by the model.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AgentId(u8);
 
 impl AgentId {
@@ -63,7 +61,7 @@ impl From<AgentId> for usize {
 ///
 /// Used for indexical sets such as the set `N` of nonfaulty agents, the set of
 /// agents an agent knows to have crashed, and adversary-selected faulty sets.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct AgentSet(u64);
 
 impl AgentSet {

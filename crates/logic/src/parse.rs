@@ -21,6 +21,7 @@
 //! define its own atom vocabulary.
 
 use std::fmt;
+use std::marker::PhantomData;
 
 use crate::agent::AgentId;
 use crate::formula::Formula;
@@ -42,11 +43,17 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How deeply a formula may nest (prefix operators, parentheses and chained
+/// `=>` / `<=>` count one level each): parsing and every recursive walk of a
+/// formula use stack in proportion, so deeper input is refused.
+const MAX_NESTING: usize = 256;
+
 struct Parser<'a, P, F> {
     input: &'a str,
     pos: usize,
+    depth: usize,
     resolve: F,
-    _marker: std::marker::PhantomData<P>,
+    _marker: PhantomData<P>,
 }
 
 /// Parses a formula from its textual representation.
@@ -60,7 +67,8 @@ struct Parser<'a, P, F> {
 /// syntax error or atom-resolution failure, and rejects a formula no engine
 /// can evaluate: one with a free fixpoint variable, or a fixpoint whose
 /// variable occurs negatively (under `!`, left of `=>`, or under `<=>`),
-/// whose iteration need not converge.
+/// whose iteration need not converge. Input nested more than 256 levels
+/// deep is rejected too, rather than overflowing the stack.
 ///
 /// # Example
 ///
@@ -76,7 +84,7 @@ where
     F: FnMut(&str) -> Result<P, String>,
 {
     let mut parser =
-        Parser { input, pos: 0, resolve: resolve_atom, _marker: std::marker::PhantomData };
+        Parser { input, pos: 0, depth: 0, resolve: resolve_atom, _marker: PhantomData };
     let formula = parser.parse_iff()?;
     parser.skip_ws();
     if parser.pos != parser.input.len() {
@@ -143,19 +151,33 @@ where
         digits.parse().map_err(|_| self.error("number out of range"))
     }
 
+    /// Enters one more level of nesting; the caller leaves it on success.
+    fn descend(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.error(format!("formula nested deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     fn parse_iff(&mut self) -> Result<Formula<P>, ParseError> {
+        let depth = self.depth;
         let mut lhs = self.parse_implies()?;
         while self.eat("<=>") {
+            self.descend()?;
             let rhs = self.parse_implies()?;
             lhs = Formula::iff(lhs, rhs);
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn parse_implies(&mut self) -> Result<Formula<P>, ParseError> {
         let lhs = self.parse_or()?;
         if self.eat("=>") {
+            self.descend()?;
             let rhs = self.parse_implies()?;
+            self.depth -= 1;
             Ok(Formula::implies(lhs, rhs))
         } else {
             Ok(lhs)
@@ -179,6 +201,14 @@ where
     }
 
     fn parse_unary(&mut self) -> Result<Formula<P>, ParseError> {
+        self.descend()?;
+        let formula = self.parse_prefixed()?;
+        self.depth -= 1;
+        Ok(formula)
+    }
+
+    /// A prefixed or parenthesised formula, fixpoint, constant or atom.
+    fn parse_prefixed(&mut self) -> Result<Formula<P>, ParseError> {
         self.skip_ws();
         if self.eat("!") {
             return Ok(Formula::not(self.parse_unary()?));
@@ -398,5 +428,20 @@ mod tests {
         assert_eq!(f, Formula::atom("truex".to_string()));
         let g = parse("AGreement").unwrap();
         assert_eq!(g, Formula::atom("AGreement".to_string()));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let negations = |depth: usize| format!("{}p", "!".repeat(depth - 1));
+        assert!(parse(&negations(MAX_NESTING)).is_ok());
+        let error = parse(&negations(MAX_NESTING + 1)).unwrap_err();
+        assert!(error.message.contains("nested deeper"), "{error}");
+        for deep in [
+            format!("{}p{}", "(".repeat(100_000), ")".repeat(100_000)),
+            format!("p{}", " => p".repeat(100_000)),
+            format!("p{}", " <=> p".repeat(100_000)),
+        ] {
+            assert!(parse(&deep).is_err(), "input nested 100 000 levels parsed");
+        }
     }
 }

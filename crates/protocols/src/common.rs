@@ -3,11 +3,10 @@
 use std::fmt;
 
 use epimc_system::Value;
-use serde::{Deserialize, Serialize};
 
 /// A set of decision values, stored as a bitmask over the (small) decision
 /// domain. This is the `w : Values -> Bool` array of the MCK scripts.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ValueSet(u16);
 
 impl ValueSet {

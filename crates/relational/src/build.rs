@@ -11,7 +11,7 @@ use epimc_logic::AgentId;
 use epimc_system::{ConsensusAtom, FailureKind, InformationExchange, ModelParams, Round, Value};
 
 use crate::choice::ChoiceVars;
-use crate::enc::{cube_eq, Enc};
+use crate::enc::{count_at_most, cube_eq, Enc};
 use crate::layout::{cur, SlotLayout};
 use crate::{SymbolicEncode, SymbolicRule};
 
@@ -83,7 +83,7 @@ pub fn initial_cube<E: InformationExchange>(
                 bdd.not(nf)
             })
             .collect();
-        let within_bound = at_most(bdd, &faulty, params.max_faulty());
+        let within_bound = count_at_most(bdd, &faulty, params.max_faulty());
         acc = bdd.and(acc, within_bound);
     }
     acc
@@ -190,7 +190,7 @@ where
                 enc.bdd().or(down, crashing)
             })
             .collect();
-        let budget = enc.count_at_most(&bad, params.max_faulty());
+        let budget = count_at_most(enc.bdd(), &bad, params.max_faulty());
         partitions[0] = enc.bdd().and(partitions[0], budget);
     }
 
@@ -378,21 +378,6 @@ pub fn naive_image(
     let cube = bdd.cube_of_vars(quant);
     let primed = bdd.exists(acc, cube);
     bdd.replace(primed, rename)
-}
-
-fn at_most(bdd: &mut Bdd, conds: &[Ref], bound: usize) -> Ref {
-    let mut rows = vec![Ref::TRUE];
-    for &cond in conds {
-        let width = (rows.len() + 1).min(bound + 1);
-        let mut next_rows = Vec::with_capacity(width);
-        for k in 0..width {
-            let with = if k > 0 { rows[k - 1] } else { Ref::FALSE };
-            let without = if k < rows.len() { rows[k] } else { Ref::FALSE };
-            next_rows.push(bdd.ite(cond, with, without));
-        }
-        rows = next_rows;
-    }
-    bdd.or_all(rows)
 }
 
 #[cfg(test)]

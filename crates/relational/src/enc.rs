@@ -39,6 +39,31 @@ pub(crate) fn cube_eq(bdd: &mut Bdd, slots: &[usize], value: u32) -> Ref {
     )
 }
 
+/// Popcount rows over `conds`: `rows[k]` holds iff exactly `k` of them
+/// hold, for `k` up to `cap`. Counts past `cap` are dropped (a branch that
+/// exceeds it can never come back), so the intermediate BDDs stay
+/// `O(cap)` wide.
+fn count_rows(bdd: &mut Bdd, conds: &[Ref], cap: usize) -> Vec<Ref> {
+    let mut rows = vec![Ref::TRUE];
+    for &cond in conds {
+        let width = (rows.len() + 1).min(cap + 1);
+        let mut next_rows = Vec::with_capacity(width);
+        for k in 0..width {
+            let with = if k > 0 { rows[k - 1] } else { Ref::FALSE };
+            let without = if k < rows.len() { rows[k] } else { Ref::FALSE };
+            next_rows.push(bdd.ite(cond, with, without));
+        }
+        rows = next_rows;
+    }
+    rows
+}
+
+/// `|{c ∈ conds : c}| ≤ bound`, computed with a saturating counter.
+pub(crate) fn count_at_most(bdd: &mut Bdd, conds: &[Ref], bound: usize) -> Ref {
+    let rows = count_rows(bdd, conds, bound);
+    bdd.or_all(rows)
+}
+
 /// The encoding context for one round's transition relation. See the module
 /// docs for the contract.
 pub struct Enc<'a> {
@@ -325,35 +350,6 @@ impl<'a> Enc<'a> {
     /// Exact-popcount rows: `result[k]` holds iff exactly `k` of `conds`
     /// hold, for `k = 0 ..= conds.len()`.
     pub fn count_exact(&mut self, conds: &[Ref]) -> Vec<Ref> {
-        let mut rows = vec![Ref::TRUE];
-        for &cond in conds {
-            let mut next_rows = Vec::with_capacity(rows.len() + 1);
-            for k in 0..=rows.len() {
-                let with = if k > 0 { rows[k - 1] } else { Ref::FALSE };
-                let without = if k < rows.len() { rows[k] } else { Ref::FALSE };
-                next_rows.push(self.bdd.ite(cond, with, without));
-            }
-            rows = next_rows;
-        }
-        rows
-    }
-
-    /// `|{c ∈ conds : c}| ≤ bound`, computed with a saturating counter so
-    /// the intermediate BDDs stay `O(bound)` wide.
-    pub fn count_at_most(&mut self, conds: &[Ref], bound: usize) -> Ref {
-        // rows[k] = exactly k so far, for k <= bound; overflow is dropped
-        // (any branch that exceeds the bound can never come back).
-        let mut rows = vec![Ref::TRUE];
-        for &cond in conds {
-            let width = (rows.len() + 1).min(bound + 1);
-            let mut next_rows = Vec::with_capacity(width);
-            for k in 0..width {
-                let with = if k > 0 { rows[k - 1] } else { Ref::FALSE };
-                let without = if k < rows.len() { rows[k] } else { Ref::FALSE };
-                next_rows.push(self.bdd.ite(cond, with, without));
-            }
-            rows = next_rows;
-        }
-        self.bdd.or_all(rows)
+        count_rows(self.bdd, conds, conds.len())
     }
 }

@@ -52,9 +52,8 @@
 //! Frames are 4-byte little-endian length prefixes followed by UTF-8 text
 //! (see [`framing`]); requests and responses are single frames (see
 //! [`proto`] for the commands, the model-spec grammar, and the dotted atom
-//! vocabulary). The protocol is deliberately hand-rolled: the workspace's
-//! `serde` is an offline no-op stub, and the framing is small enough that
-//! a schema language would cost more than it saves.
+//! vocabulary). The protocol is deliberately hand-rolled: the framing is
+//! small enough that a schema language would cost more than it saves.
 //!
 //! # Robustness
 //!

@@ -1035,37 +1035,43 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A snapshot written by a build with the version 1 checker envelope:
-    /// intact and correctly sealed, but a layout this build no longer reads.
-    /// Boot moves it aside like any unreadable file and keeps serving.
+    /// Snapshots written before the one-format stream: a version 1 kernel
+    /// stream, and a stream under another magic as the retired checker
+    /// envelope had, both intact and correctly sealed, but layouts this
+    /// build no longer reads. Boot moves each aside like any unreadable
+    /// file and keeps serving.
     #[test]
-    fn startup_recovery_quarantines_version_1_snapshots() {
-        let dir = temp_dir("version-1");
+    fn startup_recovery_quarantines_pre_version_2_snapshots() {
+        let dir = temp_dir("pre-version-2");
         let spec = floodset_spec();
         let mut state = ServerState::new(dir_options(&dir));
         let before = expect_check(state.handle(check_request(spec)));
         state.handle(Request::Snapshot { spec, path: AUTO_SNAPSHOT_PATH.to_string() });
         let snap = dir.join(snapshot_file_name(&spec));
-        let mut bytes = std::fs::read(&snap).unwrap();
-        // The version follows the 4-byte magic; the trailer is FNV-1a over
-        // everything before it.
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-        let payload = bytes.len() - 8;
-        let checksum = bytes[..payload].iter().fold(0xcbf2_9ce4_8422_2325_u64, |hash, &byte| {
-            (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3)
-        });
-        bytes[payload..].copy_from_slice(&checksum.to_le_bytes());
-        std::fs::write(&snap, &bytes).unwrap();
-        let error = restore(&spec, &bytes).err().expect("a version 1 stream restored");
-        assert!(error.contains("unsupported checker snapshot version 1"), "{error}");
+        let bytes = std::fs::read(&snap).unwrap();
+        // The kernel version follows its 4-byte magic.
+        let mut version_1 = bytes.clone();
+        version_1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        epimc_bdd::reseal_snapshot(&mut version_1);
+        let mut foreign = bytes.clone();
+        foreign[..4].copy_from_slice(b"XXXX");
+        epimc_bdd::reseal_snapshot(&mut foreign);
+        for (old, reason) in [(version_1, "unsupported snapshot version 1"), (foreign, "bad magic")]
+        {
+            std::fs::write(&snap, &old).unwrap();
+            let error = restore(&spec, &old).err().expect("a pre-version-2 stream restored");
+            assert!(error.contains(reason), "{error}");
 
-        let mut recovered = ServerState::new(dir_options(&dir));
-        assert_eq!(recovered.entries.len(), 0, "the version 1 file is not trusted");
-        assert!(!snap.exists(), "the version 1 snapshot was moved aside");
-        assert!(snap.with_extension("snap.corrupt").exists(), "quarantined, not deleted");
-        let cold = expect_check(recovered.handle(check_request(spec)));
-        assert!(!cold.warm);
-        assert_eq!(cold.verdicts, before.verdicts);
+            let mut recovered = ServerState::new(dir_options(&dir));
+            assert_eq!(recovered.entries.len(), 0, "the old file is not trusted");
+            assert!(!snap.exists(), "the old snapshot was moved aside");
+            let quarantined = snap.with_extension("snap.corrupt");
+            assert!(quarantined.exists(), "quarantined, not deleted");
+            std::fs::remove_file(&quarantined).unwrap();
+            let cold = expect_check(recovered.handle(check_request(spec)));
+            assert!(!cold.warm);
+            assert_eq!(cold.verdicts, before.verdicts);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -2,15 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::value::{Round, Value};
 
 /// The action performed by an agent in a round of the decision protocol.
 ///
 /// Following the paper (Section 3), the only actions are `noop` and
 /// `decide(v)` for a value `v` in the decision domain.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Action {
     /// No action this round.
     Noop,
@@ -45,7 +43,7 @@ impl fmt::Display for Action {
 /// A recorded decision: which value was decided and at which time the
 /// deciding action was taken (i.e. the decision was taken as a function of
 /// the agent's state at time `round`).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Decision {
     /// The decided value.
     pub value: Value,

@@ -4,7 +4,6 @@ use std::fmt;
 use std::hash::Hash;
 
 use epimc_logic::AgentId;
-use serde::{Deserialize, Serialize};
 
 use crate::action::Action;
 use crate::params::ModelParams;
@@ -18,7 +17,7 @@ use crate::value::Value;
 /// agent's epistemic local state is the pair of the current time and this
 /// observation; the model checker groups the states of a layer by
 /// observation to compute what each agent knows.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Observation(Vec<u32>);
 
 impl Observation {
@@ -68,7 +67,7 @@ impl fmt::Display for Observation {
 /// Description of one observable variable of an information exchange:
 /// its name (used when reporting synthesized predicates) and the size of its
 /// finite domain.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct ObservableVar {
     /// Human-readable name, e.g. `values_received[0]` or `count`.
     pub name: String,

@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use epimc_logic::{AgentId, AgentSet};
 
 /// The kind of failures that faulty agents may exhibit.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum FailureKind {
     /// Crash failures: a faulty agent crashes in some round, sending an
     /// arbitrary subset of the messages it was supposed to send in that
@@ -54,7 +52,7 @@ impl fmt::Display for FailureKind {
 
 /// A failure model: a failure kind together with the upper bound `t` on the
 /// number of faulty agents.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct FailureModel {
     kind: FailureKind,
     max_faulty: usize,
@@ -94,9 +92,7 @@ impl fmt::Display for FailureModel {
 ///   adversary in the initial state (any set of at most `t` agents) and no
 ///   agent ever crashes; `N` is the complement of the faulty set throughout
 ///   the run.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct EnvState {
     /// Agents that have crashed in the current or an earlier round.
     pub crashed: AgentSet,

@@ -139,13 +139,6 @@ impl<E: InformationExchange, R: DecisionRule<E>> ConsensusModel<E, R> {
         &self.space
     }
 
-    /// Dismantles the model, returning the underlying state space and the
-    /// decision rule. Used by the synthesis engine, which alternates between
-    /// extending the state space and model-checking the layers built so far.
-    pub fn into_parts(self) -> (StateSpace<E>, R) {
-        (self.space, self.rule)
-    }
-
     /// Replaces the decision rule without touching the explored layers or
     /// the observation cache.
     ///

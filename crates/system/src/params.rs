@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::failure::{FailureKind, FailureModel};
 use crate::value::Round;
 
@@ -15,7 +13,7 @@ use crate::value::Round;
 /// cannot always be made before round `t + 1`, and in the modelling
 /// convention of the paper decisions taken as a function of knowledge at time
 /// `t + 1` are performed during round `t + 2`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ModelParams {
     n: usize,
     num_values: usize,

@@ -76,22 +76,6 @@ impl<E: InformationExchange> GlobalState<E> {
         self.env.nonfaulty(self.num_agents())
     }
 
-    /// Returns `true` when every agent in `agents` that has decided agrees on
-    /// the same value.
-    pub fn decisions_agree(&self, agents: AgentSet) -> bool {
-        let mut seen: Option<Value> = None;
-        for agent in agents.iter() {
-            if let Some(decision) = self.decision(agent) {
-                match seen {
-                    None => seen = Some(decision.value),
-                    Some(v) if v != decision.value => return false,
-                    Some(_) => {}
-                }
-            }
-        }
-        true
-    }
-
     fn key(&self) -> StateKey<'_, E> {
         (&self.env, &self.inits, &self.locals, &self.decisions)
     }

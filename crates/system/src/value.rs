@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A decision value, drawn from the finite set `V = {0, .., k-1}` of a model
 /// instance.
 ///
 /// The knowledge-based program for SBA decides on the *least* value for which
 /// the knowledge condition holds, so values are ordered.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Value(u8);
 
 impl Value {
