@@ -31,6 +31,8 @@
 //!   adds a second tier of *cache roots*, kept and remapped the same way
 //!   but reported apart ([`GcStats::cache_only_nodes`]), so memoised
 //!   diagrams can survive a collection without counting as model size.
+//!   A collection keeps the unique table's high-water capacity;
+//!   [`Bdd::gc_shrink`] returns it to the survivors' size.
 //! * **Bounded operation caches.** The `ite`/`exists`/`replace`/`and_exists`
 //!   memo tables are direct-mapped caches with a fixed capacity
 //!   ([`Bdd::with_cache_capacity`]) and deterministic hashing, so cache

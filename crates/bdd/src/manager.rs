@@ -248,7 +248,8 @@ impl BddStats {
     }
 }
 
-/// Statistics returned by one [`Bdd::gc`] / [`Bdd::gc_with_cache`] run.
+/// Statistics returned by one [`Bdd::gc`] / [`Bdd::gc_with_cache`] /
+/// [`Bdd::gc_shrink`] run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GcStats {
     /// Nodes that survived the sweep (including the terminal).
@@ -982,7 +983,7 @@ impl Bdd {
     /// Every other non-terminal [`Ref`] held by the caller is invalidated;
     /// see the [`Ref`] documentation for the rooting contract.
     pub fn gc<'a, I: IntoIterator<Item = &'a mut Ref>>(&mut self, roots: I) -> GcStats {
-        self.gc_with_cache(roots, [])
+        self.sweep(roots, [], false)
     }
 
     /// [`Bdd::gc`] with a second tier of roots: `cache_roots` are kept and
@@ -993,6 +994,30 @@ impl Bdd {
     /// mark pass over one stack: `roots` first, then `cache_roots`, so a
     /// node both tiers reach counts as root-held.
     pub fn gc_with_cache<'a, 'b, I, C>(&mut self, roots: I, cache_roots: C) -> GcStats
+    where
+        I: IntoIterator<Item = &'a mut Ref>,
+        C: IntoIterator<Item = &'b mut Ref>,
+    {
+        self.sweep(roots, cache_roots, false)
+    }
+
+    /// [`Bdd::gc_with_cache`] that also returns the unique table to the
+    /// survivors' size. A plain collection keeps the table's high-water
+    /// capacity (the next build regrows into it); this one drops the old
+    /// table before allocating the new one, so a manager that is done
+    /// building — a warm model about to sit idle — holds no more table
+    /// than its nodes need.
+    pub fn gc_shrink<'a, 'b, I, C>(&mut self, roots: I, cache_roots: C) -> GcStats
+    where
+        I: IntoIterator<Item = &'a mut Ref>,
+        C: IntoIterator<Item = &'b mut Ref>,
+    {
+        self.sweep(roots, cache_roots, true)
+    }
+
+    /// The one collector behind [`Bdd::gc`], [`Bdd::gc_with_cache`] and
+    /// [`Bdd::gc_shrink`]; `shrink` right-sizes the unique table.
+    fn sweep<'a, 'b, I, C>(&mut self, roots: I, cache_roots: C, shrink: bool) -> GcStats
     where
         I: IntoIterator<Item = &'a mut Ref>,
         C: IntoIterator<Item = &'b mut Ref>,
@@ -1031,8 +1056,14 @@ impl Bdd {
         }
         let swept = live_before - live.live();
         self.store = live;
-        // Rebuild the unique table over the surviving nodes.
-        self.unique.clear();
+        // Rebuild the unique table over the surviving nodes: in place, or
+        // in a fresh table once the old one is freed.
+        if shrink {
+            self.unique = HashMap::default();
+            self.unique.reserve(self.store.len() - 1);
+        } else {
+            self.unique.clear();
+        }
         for slot in 1..self.store.len() {
             self.unique.insert(self.store.get(slot), Ref::from_index(slot));
         }
@@ -1337,6 +1368,47 @@ mod tests {
             assert_eq!(bdd.eval_bits(cached, &[bits & 1 != 0, bits & 2 != 0, bits & 4 != 0]), want);
         }
         bdd.check_canonical_invariant().unwrap();
+    }
+
+    #[test]
+    fn gc_shrink_right_sizes_the_unique_table() {
+        // Every minterm over 12 variables fills the table with thousands of
+        // nodes; keeping one small diagram, a plain collection keeps the
+        // build's capacity and the shrinking one returns it to at most twice
+        // its entries.
+        let build = || {
+            let mut bdd = Bdd::new();
+            let vars: Vec<Ref> = (0..12).map(|i| bdd.var(Var::new(i))).collect();
+            for minterm in 0..1u32 << vars.len() {
+                vars.iter().enumerate().fold(Ref::TRUE, |acc, (i, &x)| {
+                    let literal = if minterm >> i & 1 == 1 { x } else { bdd.not(x) };
+                    bdd.and(acc, literal)
+                });
+            }
+            let parity = vars.iter().fold(Ref::FALSE, |acc, &x| bdd.xor(acc, x));
+            let keep = bdd.and(vars[0], parity);
+            (bdd, keep)
+        };
+        let (mut plain, mut plain_keep) = build();
+        let (mut shrunk, mut shrunk_keep) = build();
+        let built_capacity = shrunk.unique.capacity();
+        assert!(shrunk.unique.len() > 4_000, "the build is too small to shrink");
+        let plain_gc = plain.gc([&mut plain_keep]);
+        let shrunk_gc = shrunk.gc_shrink([&mut shrunk_keep], []);
+        assert_eq!(plain_gc, shrunk_gc);
+        assert_eq!(plain.unique.capacity(), built_capacity, "`gc` keeps the capacity");
+        let entries = shrunk.unique.len();
+        assert_eq!(entries + 1, shrunk.live_nodes(), "every non-terminal survivor is indexed");
+        assert!(
+            shrunk.unique.capacity() <= 2 * entries,
+            "{} slots for {entries} entries",
+            shrunk.unique.capacity()
+        );
+        shrunk.check_canonical_invariant().unwrap();
+        assert!(plain.snapshot(&[plain_keep], &[]) == shrunk.snapshot(&[shrunk_keep], &[]));
+        let vars: Vec<Ref> = (0..12).map(|i| shrunk.var(Var::new(i))).collect();
+        let parity = vars.iter().fold(Ref::FALSE, |acc, &x| shrunk.xor(acc, x));
+        assert_eq!(shrunk.and(vars[0], parity), shrunk_keep, "canonicity across the rebuild");
     }
 
     #[test]

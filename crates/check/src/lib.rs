@@ -82,8 +82,9 @@
 //! the live diagrams, not to the history of operations. The per-round
 //! reachable relations the temporal operators build are a second,
 //! *cache* tier of the collector ([`epimc_bdd::Bdd::gc_with_cache`]): kept
-//! across automatic collections, but not counted by the GC trigger, and
-//! dropped by reorders and [`SymbolicChecker::force_gc`].
+//! across automatic collections and [`SymbolicChecker::compact`], but not
+//! counted by the GC trigger, and dropped by reorders and
+//! [`SymbolicChecker::force_gc`].
 //! [`SymbolicStats`] reports peak live nodes, collections, swept nodes,
 //! reorders, and cache hit/miss/eviction counts.
 //!

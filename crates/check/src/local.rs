@@ -122,15 +122,10 @@ impl<E: SymbolicEncode, R: SymbolicRule<E>> LocalChecker<E, R> {
         self.stats.get()
     }
 
-    /// BDD-level counters of the underlying relational checker (peak
-    /// live nodes, GC runs, …).
+    /// BDD-level counters of the underlying relational checker (live and
+    /// peak live nodes, GC runs, …), in O(1).
     pub fn symbolic_stats(&self) -> SymbolicStats {
         self.checker.stats()
-    }
-
-    /// Live nodes of the underlying checker's manager, in O(1).
-    pub fn live_nodes(&self) -> usize {
-        self.checker.live_nodes()
     }
 
     /// Arms (or disarms, with `None`) the BDD operation budget; use the

@@ -55,8 +55,8 @@
 //!   current-state variables kept — and `pre(S) ∧ reachable[t]` is one
 //!   fused [`epimc_bdd::Bdd::and_exists`] of `T_t` with the primed target.
 //!   `T_t` is built on first use and held in a per-round cache that
-//!   automatic collections keep as a cache tier the GC trigger does not
-//!   count, and that reorders and
+//!   automatic collections and [`SymbolicChecker::compact`] keep as a
+//!   cache tier the GC trigger does not count, and that reorders and
 //!   [`SymbolicChecker::force_gc`] empty; it is never serialised (see the
 //!   section comment above `reachable_relation` for the measurements
 //!   behind that).
@@ -86,7 +86,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
 
-use epimc_bdd::{catch_budget, Bdd, BddError, Budget, Ref, ReorderPolicy, SubstId, Var};
+use epimc_bdd::{catch_budget, Bdd, BddError, Budget, GcStats, Ref, ReorderPolicy, SubstId, Var};
 use epimc_logic::{AgentId, Formula, TemporalKind};
 use epimc_relational::{
     atom_constraint, cur, decides_now_table, encode_state, initial_cube, nxt, round_relation,
@@ -198,7 +198,9 @@ pub struct SymbolicStats {
     pub gc_runs: u64,
     /// Total nodes reclaimed by garbage collection.
     pub swept_nodes: u64,
-    /// Sum over layers of the node count of the reachable-set BDDs.
+    /// Sum over layers of the node count of the reachable-set BDDs
+    /// ([`epimc_bdd::Bdd::node_count`] of each layer, so nodes two layers
+    /// share count twice). Kept as a running total, not walked.
     pub reachable_nodes: usize,
     /// Operation-cache hits in the current statistics epoch.
     pub cache_hits: u64,
@@ -227,7 +229,7 @@ pub struct SymbolicStats {
     /// Reachable relations `T_t` built for those pre-images, counting
     /// every rebuild after a reorder or a full collection
     /// ([`SymbolicChecker::force_gc`]) dropped the cache; automatic
-    /// collections keep it.
+    /// collections and [`SymbolicChecker::compact`] keep it.
     pub reachable_relations_built: u64,
     /// Rounds of the common-belief frontier iteration: per `C_B`
     /// evaluation, the number of rounds its slowest layer needed before
@@ -337,6 +339,11 @@ struct Inner {
     arena: DenArena,
     /// Reachable-set BDD of every layer.
     reachable: Vec<Ref>,
+    /// Σ [`Bdd::node_count`] over `reachable`, kept as a running total: a
+    /// layer never changes once it is pushed, and a collection remaps its
+    /// nodes without changing how many there are, so only a reorder (which
+    /// resizes every diagram) recounts it.
+    reachable_nodes: usize,
     /// For each agent, the cube of current-state variables it does *not*
     /// observe.
     hidden_cubes: Vec<Ref>,
@@ -484,6 +491,7 @@ impl Inner {
         let nxt_to_cur =
             bdd.register_substitution((0..num_slots).map(|slot| (nxt(slot), cur(slot))).collect());
         let ModelRoots { reachable, relations, dnow } = roots;
+        let reachable_nodes = reachable.iter().map(|&layer| bdd.node_count(layer)).sum();
         let relation_supports = relations
             .iter()
             .map(|parts| parts.iter().map(|&part| support_indices(&bdd, part)).collect())
@@ -492,6 +500,7 @@ impl Inner {
             bdd,
             arena: DenArena::default(),
             reachable,
+            reachable_nodes,
             hidden_cubes,
             cur_to_nxt,
             nxt_to_cur,
@@ -524,6 +533,25 @@ impl Inner {
             let roots = inner_roots!(inner, extra);
             inner.bdd.gc_with_cache(roots, inner.reachable_relations.values_mut())
         };
+        self.retrigger(gc);
+    }
+
+    /// [`Inner::collect`] between checks (no scratch refs) that also
+    /// returns the unique table to the survivors' size
+    /// ([`Bdd::gc_shrink`]).
+    fn compact(&mut self) {
+        let gc = {
+            let inner = &mut *self;
+            let mut no_scratch: [Ref; 0] = [];
+            let roots = inner_roots!(inner, no_scratch);
+            inner.bdd.gc_shrink(roots, inner.reachable_relations.values_mut())
+        };
+        self.retrigger(gc);
+    }
+
+    /// Sets the next automatic collection's trigger from this one's
+    /// survivors (see [`Inner::collect`]).
+    fn retrigger(&mut self, gc: GcStats) {
         let model_live = gc.live_nodes - gc.cache_only_nodes;
         self.gc_threshold = self.gc_base_threshold.max(model_live * 2) + gc.cache_only_nodes;
     }
@@ -544,6 +572,7 @@ impl Inner {
         // Reordering sweeps twice; keep the GC threshold consistent with
         // the (possibly much smaller) surviving store.
         self.gc_threshold = self.gc_base_threshold.max(self.bdd.live_nodes() * 2);
+        self.reachable_nodes = self.reachable.iter().map(|&layer| self.bdd.node_count(layer)).sum();
     }
 
     /// Collects if the live-node count has crossed the threshold. Only call
@@ -757,29 +786,32 @@ where
     }
 
     /// Forces a *full* garbage collection now: drops the cached reachable
-    /// relations that automatic collections keep, then collects, rooting
-    /// all persistent handles — afterwards the store holds the model alone
-    /// (e.g. before a snapshot). Every `PointSet` already extracted stays
-    /// valid (it holds no BDD references); subsequent checks are
-    /// unaffected, bar rebuilding a relation on the next pre-image.
+    /// relations that automatic collections keep, then
+    /// [compacts](SymbolicChecker::compact) — afterwards the manager holds
+    /// the model and the live session denotations alone (e.g. before a
+    /// snapshot). Every `PointSet` already extracted stays valid (it holds
+    /// no BDD references); subsequent checks are unaffected, bar
+    /// rebuilding a relation on the next pre-image.
     pub fn force_gc(&self) {
         let mut inner = self.inner.borrow_mut();
         inner.reachable_relations.clear();
-        inner.collect(&mut []);
+        inner.compact();
     }
 
-    /// Live nodes of the checker's manager, in O(1). [`Self::stats`]
-    /// reports the same figure but walks every reachable layer for its
-    /// other fields, so the server's node budget, which sums this over
-    /// every warm checker after every request, reads it here.
-    pub fn live_nodes(&self) -> usize {
-        self.inner.borrow().bdd.live_nodes()
+    /// Collects now, rooting all persistent handles and live session
+    /// denotations and keeping the reachable relations as an automatic
+    /// collection does, and returns the manager's unique table to the
+    /// survivors' size (automatic collections keep its high-water
+    /// capacity). Afterwards the manager holds the model and its caches
+    /// and no garbage — what a warm model should hold between requests.
+    pub fn compact(&self) {
+        self.inner.borrow_mut().compact();
     }
 
-    /// Statistics about the symbolic encoding (for the ablation benchmarks).
-    /// The manager's counters are O(1); `reachable_nodes` walks each
-    /// reachable layer ([`epimc_bdd::Bdd::node_count`]), so the call is
-    /// linear in the layers' diagrams.
+    /// Statistics about the symbolic encoding, in O(1): the manager's
+    /// figures are maintained counters, and `reachable_nodes` is a running
+    /// total the checker updates where it pushes a layer, so callers may
+    /// read this after every request or synthesis round.
     pub fn stats(&self) -> SymbolicStats {
         let inner = self.inner.borrow();
         let bdd_stats = inner.bdd.stats();
@@ -791,7 +823,7 @@ where
             peak_live_nodes: bdd_stats.peak_live_nodes,
             gc_runs: bdd_stats.gc_runs,
             swept_nodes: bdd_stats.swept_nodes,
-            reachable_nodes: inner.reachable.iter().map(|&r| inner.bdd.node_count(r)).sum(),
+            reachable_nodes: inner.reachable_nodes,
             cache_hits: bdd_stats.total_cache_hits(),
             cache_misses: bdd_stats.cache_misses,
             cache_evictions: bdd_stats.cache_evictions,
@@ -1997,6 +2029,7 @@ where
         // collection runs before the image and its table are rooted
         // together, so a trip leaves no layer without its table.
         let frontier = self.dnow_table(inner, rule, t + 1);
+        inner.reachable_nodes += inner.bdd.node_count(image);
         inner.reachable.push(image);
         inner.dnow.push(frontier);
         inner.maybe_gc(&mut []);
@@ -2887,7 +2920,7 @@ mod tests {
             stats.image_cache_hits + stats.image_cache_misses > 0,
             "image cache counters never moved"
         );
-        assert_eq!(relational.live_nodes(), stats.live_nodes, "the O(1) count is the scanned one");
+        assert_eq!(stats.reachable_nodes, walked_reachable_nodes(&relational));
     }
 
     #[test]
@@ -2949,6 +2982,69 @@ mod tests {
                 "seed-grown checker disagrees on {formula}"
             );
         }
+    }
+
+    /// Σ [`Bdd::node_count`] over the checker's layers, walked afresh.
+    fn walked_reachable_nodes<E: InformationExchange, R>(checker: &SymbolicChecker<E, R>) -> usize {
+        let inner = checker.inner.borrow();
+        inner.reachable.iter().map(|&layer| inner.bdd.node_count(layer)).sum()
+    }
+
+    #[test]
+    fn the_running_reachable_node_total_is_the_walked_sum() {
+        let params = crash(3);
+        let seed = || {
+            SymbolicChecker::relational_seed(
+                FloodSet,
+                params,
+                FloodSetRule,
+                SymbolicOptions::default(),
+            )
+        };
+        let agrees = |checker: &SymbolicChecker<FloodSet, FloodSetRule>, when: &str| {
+            assert_eq!(checker.stats().reachable_nodes, walked_reachable_nodes(checker), "{when}");
+        };
+        let checker = seed();
+        agrees(&checker, "after the seed");
+        checker.extend_layer_relational(&FloodSetRule);
+        agrees(&checker, "after the first extension");
+        // Trip the second extension at several points of its op count — in
+        // the round build, the image and the decides-now table — each on a
+        // fresh twin, then retry it unbudgeted.
+        let twin = seed();
+        twin.extend_layer_relational(&FloodSetRule);
+        twin.set_budget(Some(Budget::with_max_ops(u64::MAX)));
+        twin.extend_layer_relational(&FloodSetRule);
+        let needed = twin.inner.borrow().bdd.budget_ops();
+        assert!(needed > 100, "the extension is too small to trip ({needed} ops)");
+        for fuel in [1, needed / 3, needed / 2, needed - 1] {
+            let tripped = seed();
+            tripped.extend_layer_relational(&FloodSetRule);
+            tripped.set_budget(Some(Budget::with_max_ops(fuel)));
+            let trip = catch_budget(|| tripped.extend_layer_relational(&FloodSetRule));
+            tripped.set_budget(None);
+            assert!(trip.is_err(), "fuel {fuel} of {needed} did not trip");
+            assert_eq!(tripped.num_layers(), 2, "fuel {fuel}: a tripped extension added a layer");
+            agrees(&tripped, &format!("after an extension tripped at fuel {fuel}"));
+            tripped.extend_layer_relational(&FloodSetRule);
+            agrees(&tripped, &format!("after the retry of fuel {fuel}"));
+            assert_eq!(tripped.stats().reachable_nodes, twin.stats().reachable_nodes);
+        }
+        while checker.num_layers() <= params.horizon() as usize {
+            checker.extend_layer_relational(&FloodSetRule);
+            agrees(&checker, &format!("after growing to {} layers", checker.num_layers()));
+        }
+        checker.compact();
+        agrees(&checker, "after a compaction");
+        checker.force_gc();
+        agrees(&checker, "after a full collection");
+        checker.force_reorder();
+        agrees(&checker, "after a reorder");
+        let bytes = checker.snapshot().expect("snapshot");
+        let restored = SymbolicChecker::restore_relational(FloodSet, params, FloodSetRule, &bytes)
+            .expect("restore");
+        agrees(&restored, "after a snapshot round trip");
+        assert_eq!(restored.stats().reachable_nodes, checker.stats().reachable_nodes);
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //!
 //! `--smoke` runs the CI gate: it starts a server on an ephemeral port,
 //! sends the same batched query twice (the second must be warm: zero
-//! relational image computations, denotation-cache hits), snapshots the
+//! relational image computations, denotation-cache hits, and the live
+//! nodes the cold reply reported after compacting its build), snapshots the
 //! warm instance to a file, re-answers the batch from that snapshot in a
 //! *child process*, and compares the verdicts bit-for-bit.
 //!
@@ -141,7 +142,10 @@ fn restore_answer(args: &[&str]) -> Result<(), String> {
     Ok(())
 }
 
-const SMOKE_SPEC: &str = "protocol=floodset n=5 t=2 values=2 failure=crash";
+/// Large enough that the cold batch leaves more garbage than an automatic
+/// collection tolerates: were it not collected before the cold reply, the
+/// warm repeat would collect it and report fewer live nodes.
+const SMOKE_SPEC: &str = "protocol=floodset n=8 t=3 values=2 failure=crash";
 const SMOKE_FORMULAS: [&str; 4] = [
     "CB exists0 => decides[0].0",
     "AG (decided[1].0 => !decided[1].1)",
@@ -179,6 +183,13 @@ fn smoke_test(options: ServeOptions) -> Result<(), String> {
     }
     if warm.session_hits == 0 {
         return Err("warm repeat never hit the denotation cache".to_string());
+    }
+    if warm.live_nodes != cold.live_nodes {
+        return Err(format!(
+            "warm repeat holds {} live nodes, the cold reply {}: the cold build's garbage \
+             outlived its reply",
+            warm.live_nodes, cold.live_nodes
+        ));
     }
 
     // Cross-process snapshot: the server writes the warm instance to a

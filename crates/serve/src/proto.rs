@@ -741,57 +741,4 @@ mod tests {
         assert_eq!(parse_snapshot_file_name("floodset-n8-t3-v2-crash-h5"), None, "no extension");
         assert_eq!(parse_snapshot_file_name("floodset-n99-t3-v2-crash-h5.snap"), None, "bad n");
     }
-
-    /// Property: no corruption of an encoded message — seeded bit flips,
-    /// truncations, or raw noise — can make `Request::decode`,
-    /// `Response::decode`, `ModelSpec::parse` or
-    /// `parse_snapshot_file_name` panic; a mutation either still decodes
-    /// to *some* value or errs with a message, never a crash.
-    #[test]
-    fn corrupted_payloads_never_panic_the_decoders() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0xC0DEC);
-        let spec = ModelSpec::parse("protocol=floodset n=4 t=1 values=2 failure=crash").unwrap();
-        let seeds: Vec<Vec<u8>> = vec![
-            Request::Check {
-                spec,
-                formulas: vec!["CB exists0".to_string(), "AG decided[0]".to_string()],
-                deadline_ms: Some(50),
-                backend: RequestBackend::Local,
-            }
-            .encode(),
-            Request::Snapshot { spec, path: "auto".to_string() }.encode(),
-            Response::Check(CheckOutcome {
-                warm: false,
-                wall_micros: 1,
-                relational_products: 2,
-                session_hits: 3,
-                live_nodes: 4,
-                verdicts: vec![true, false],
-            })
-            .encode(),
-            Response::BudgetExceeded("deadline".to_string()).encode(),
-        ];
-        for round in 0..2_000 {
-            let mut bytes = seeds[round % seeds.len()].clone();
-            match rng.gen_range(0..3u32) {
-                0 if !bytes.is_empty() => {
-                    let at = rng.gen_range(0..bytes.len());
-                    bytes[at] ^= 1 << rng.gen_range(0..8u32);
-                }
-                1 => bytes.truncate(rng.gen_range(0..=bytes.len())),
-                _ => {
-                    let len = rng.gen_range(0..48usize);
-                    bytes = (0..len).map(|_| rng.gen_range(0..=255u64) as u8).collect();
-                }
-            }
-            let _ = Request::decode(&bytes);
-            let _ = Response::decode(&bytes);
-            if let Ok(text) = std::str::from_utf8(&bytes) {
-                let _ = ModelSpec::parse(text);
-                let _ = parse_snapshot_file_name(text);
-            }
-        }
-    }
 }

@@ -32,8 +32,16 @@
 //! entries are dropped until the total fits — lazy entries first (they
 //! rebuild in one layer), and the last symbolic entry is always kept.
 //! Bounding on live nodes rather than entry count makes one huge instance
-//! count for what it actually costs. A request that trips its budget or
-//! panics costs exactly the entry it touched.
+//! count for what it actually costs. A request that allocated nodes on a
+//! default-backend model — it built or extended the model, or evaluated
+//! formulas its session did not hold — collects
+//! ([`SymbolicChecker::compact`]) once its budget is disarmed and before
+//! it replies. So between requests a warm entry holds its model and its
+//! caches (denotations, reachable relations) and no garbage: the sum, and
+//! the reply's `live_nodes`, read the same whether a batch came in one
+//! request or formula by formula, and no later request pays to collect
+//! what an earlier one left. A request that trips its budget or panics costs
+//! exactly the entry it touched.
 //!
 //! # Concurrency
 //!
@@ -53,7 +61,7 @@ use std::time::{Duration, Instant};
 
 use epimc_check::{
     catch_budget, BddError, Budget, BudgetReason, EvalSession, LocalChecker, SymbolicChecker,
-    SymbolicOptions,
+    SymbolicOptions, SymbolicStats,
 };
 use epimc_logic::{AgentId, Formula};
 use epimc_protocols::with_protocol;
@@ -145,14 +153,21 @@ trait WarmBackend: Send {
 
     fn layers(&self) -> usize;
 
-    fn live_nodes(&self) -> u64;
-
-    /// Relational image computations so far.
-    fn relational_products(&self) -> u64;
+    /// The warm manager's counters, in O(1): the node budget sums their
+    /// `live_nodes` after every request, and a check reply reports them
+    /// and the request's `relational_product_calls`.
+    fn stats(&self) -> SymbolicStats;
 
     /// Arms (or, with `None`, disarms) a per-request resource budget on
     /// the warm manager.
     fn set_budget(&self, budget: Option<Budget>);
+
+    /// Collects what the request left behind, so the entry holds its
+    /// model and its cross-request cache alone. Called once the request's
+    /// budget is disarmed, after any request that allocated nodes. The
+    /// lazy engine grows inside its queries, under its own collector, and
+    /// keeps this no-op.
+    fn compact(&self) {}
 
     /// The checker-snapshot stream of the instance, on the backend that
     /// has one (snapshot requests always go to the default backend).
@@ -214,16 +229,16 @@ impl<E: SymbolicEncode, R: SymbolicRule<E> + Send> WarmBackend for WarmSymbolic<
         self.checker.num_layers()
     }
 
-    fn live_nodes(&self) -> u64 {
-        self.checker.live_nodes() as u64
-    }
-
-    fn relational_products(&self) -> u64 {
-        self.checker.stats().relational_product_calls
+    fn stats(&self) -> SymbolicStats {
+        self.checker.stats()
     }
 
     fn set_budget(&self, budget: Option<Budget>) {
         self.checker.set_budget(budget);
+    }
+
+    fn compact(&self) {
+        self.checker.compact();
     }
 
     fn snapshot(&mut self) -> Result<Vec<u8>, String> {
@@ -259,12 +274,8 @@ impl<E: SymbolicEncode, R: SymbolicRule<E> + Send> WarmBackend for LocalChecker<
         self.layers_expanded()
     }
 
-    fn live_nodes(&self) -> u64 {
-        LocalChecker::live_nodes(self) as u64
-    }
-
-    fn relational_products(&self) -> u64 {
-        self.symbolic_stats().relational_product_calls
+    fn stats(&self) -> SymbolicStats {
+        self.symbolic_stats()
     }
 
     fn set_budget(&self, budget: Option<Budget>) {
@@ -377,7 +388,7 @@ impl ServerState {
     }
 
     fn live_nodes(&self) -> u64 {
-        self.entries.values().map(|entry| entry.checker.live_nodes()).sum()
+        self.entries.values().map(|entry| entry.checker.stats().live_nodes as u64).sum()
     }
 
     /// Evicts least-recently-used entries until the summed live nodes fit
@@ -536,14 +547,14 @@ impl ServerState {
             .map(|ms| Budget::with_timeout(Duration::from_millis(ms)));
         let started = Instant::now();
         let key = entry_key(&spec, backend);
-        // Read the image counter before any build/extension so a cold
-        // request charges its model construction to `relational_products`
-        // (an entry about to be rebuilt for another horizon starts over).
-        let products_before = self
+        // Read the counters before any build/extension so a cold request
+        // charges its model construction to `relational_products` (an
+        // entry about to be rebuilt for another horizon starts over).
+        let before = self
             .entries
             .get(&key)
             .filter(|entry| entry.checker.serves(spec.horizon as usize))
-            .map_or(0, |entry| entry.checker.relational_products());
+            .map_or_else(SymbolicStats::default, |entry| entry.checker.stats());
         // Everything that can trip the budget — cold build, horizon
         // extension, evaluation — runs under `catch_budget`; on a trip the
         // touched entry is evicted (its in-flight state is suspect, and
@@ -558,12 +569,20 @@ impl ServerState {
             let hits_before = entry.checker.hits();
             let verdicts = entry.checker.answer(&formulas);
             entry.checker.set_budget(None);
+            // Whatever allocated nodes may have left garbage: a build, an
+            // extension, or formulas the session did not hold yet. A repeat
+            // answered from the session allocates nothing and skips this.
+            if entry.checker.stats().allocated_nodes > before.allocated_nodes {
+                entry.checker.compact();
+            }
+            let stats = entry.checker.stats();
             CheckOutcome {
                 warm,
                 wall_micros: started.elapsed().as_micros() as u64,
-                relational_products: entry.checker.relational_products() - products_before,
+                relational_products: stats.relational_product_calls
+                    - before.relational_product_calls,
                 session_hits: entry.checker.hits() - hits_before,
-                live_nodes: entry.checker.live_nodes(),
+                live_nodes: stats.live_nodes as u64,
                 verdicts,
             }
         });
@@ -825,6 +844,55 @@ mod tests {
         assert_eq!(warm.verdicts, cold.verdicts, "warm answers must match cold");
         assert_eq!(warm.relational_products, 0, "a warm repeat computes no images");
         assert!(warm.session_hits > 0, "the denotation cache must hit on a repeat");
+    }
+
+    /// The reply's `live_nodes` once the touched entry is compacted again:
+    /// equal to the reply's own figure exactly when the request left no
+    /// garbage behind.
+    fn recompacted_live_nodes(state: &ServerState, spec: &ModelSpec) -> u64 {
+        let entry = &state.entries[&entry_key(spec, RequestBackend::Symbolic)];
+        entry.checker.compact();
+        entry.checker.stats().live_nodes as u64
+    }
+
+    /// A request that allocates — a build, an extension, a formula the
+    /// session did not hold — collects its garbage before it replies: the
+    /// reply's `live_nodes` is what a second collection leaves, a warm
+    /// repeat (which allocates nothing) reports the same count, and a batch
+    /// sent formula by formula ends where the same batch in one request
+    /// does.
+    #[test]
+    fn every_allocating_request_is_compacted_before_the_reply() {
+        let mut state = ServerState::new(ServeOptions::default());
+        let spec = floodset_spec();
+        let longer = ModelSpec { horizon: spec.horizon + 1, ..spec };
+        for (spec, what) in [(spec, "cold build"), (longer, "extension")] {
+            let built = expect_check(state.handle(check_request(spec)));
+            assert!(!built.warm && built.relational_products > 0, "{what}");
+            assert_eq!(built.live_nodes, recompacted_live_nodes(&state, &spec), "{what}");
+            let warm = expect_check(state.handle(check_request(spec)));
+            assert!(warm.warm, "{what}");
+            assert_eq!(warm.verdicts, built.verdicts, "{what}");
+            assert_eq!(warm.relational_products, 0, "{what}");
+            assert_eq!(warm.live_nodes, built.live_nodes, "{what}: the warm repeat allocated");
+        }
+        let Request::Check { formulas, .. } = check_request(spec) else { unreachable!() };
+        let mut split = ServerState::new(ServeOptions::default());
+        let mut last = None;
+        for formula in formulas {
+            let single = Request::Check {
+                spec,
+                formulas: vec![formula],
+                deadline_ms: None,
+                backend: RequestBackend::Symbolic,
+            };
+            let outcome = expect_check(split.handle(single));
+            assert_eq!(outcome.live_nodes, recompacted_live_nodes(&split, &spec));
+            last = Some(outcome);
+        }
+        let whole =
+            expect_check(ServerState::new(ServeOptions::default()).handle(check_request(spec)));
+        assert_eq!(last.unwrap().live_nodes, whole.live_nodes, "split and whole batches differ");
     }
 
     #[test]
@@ -1327,11 +1395,15 @@ mod tests {
     }
 
     /// An expired deadline on a *cold build* answers budget-exceeded
-    /// without ever inserting a poisoned entry; retrying without a
-    /// deadline succeeds.
+    /// without ever inserting a poisoned entry, and leaves every other
+    /// warm entry as it was (compaction never runs under a budget);
+    /// retrying without a deadline succeeds.
     #[test]
     fn budget_trip_during_cold_build_leaves_no_entry_behind() {
         let mut state = ServerState::new(ServeOptions::default());
+        let count = ModelSpec::parse("protocol=count n=2 t=1 failure=send").unwrap();
+        let held = expect_check(state.handle(check_request(count)));
+        let evictions_before = state.evictions;
         let spec = floodset_spec();
         let response = state.handle(Request::Check {
             spec,
@@ -1340,7 +1412,15 @@ mod tests {
             backend: RequestBackend::Symbolic,
         });
         assert!(matches!(response, Response::BudgetExceeded(_)), "got {response:?}");
-        assert!(state.entries.is_empty(), "an aborted cold build inserts nothing");
+        assert!(
+            !is_warm(&state, &spec, RequestBackend::Symbolic),
+            "an aborted build inserts nothing"
+        );
+        assert_eq!(state.entries.len(), 1, "the other entry survives");
+        assert_eq!(state.evictions, evictions_before, "nothing else was evicted");
+        let still_warm = expect_check(state.handle(check_request(count)));
+        assert!(still_warm.warm && still_warm.relational_products == 0);
+        assert_eq!(still_warm.live_nodes, held.live_nodes, "the other entry changed");
         let retry = expect_check(state.handle(check_request(spec)));
         assert!(!retry.warm);
     }

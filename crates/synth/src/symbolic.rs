@@ -68,9 +68,11 @@ pub struct SynthesisRound {
     /// Wall-clock time of the round (evaluating every branch condition and
     /// extracting the class values).
     pub wall: Duration,
-    /// The symbolic engine's statistics at the end of the round. The BDD
-    /// manager persists across rounds, so the node/GC/cache counters are
-    /// cumulative over the run so far.
+    /// The symbolic engine's statistics at the end of the round, read in
+    /// O(1) ([`epimc_check::SymbolicChecker::stats`]). The BDD manager
+    /// persists across rounds, so the node/GC/cache counters are
+    /// cumulative over the run so far, and `reachable_nodes` covers every
+    /// layer built so far.
     pub stats: SymbolicStats,
 }
 

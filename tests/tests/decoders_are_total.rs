@@ -9,8 +9,10 @@
 //!   mutated stream is resealed — the trailer checksum catches accidents,
 //!   it is no MAC — so the mutation reaches the semantic checks behind it.
 //!   A stream that restores must answer a fixed three-formula batch.
-//! * `Request::decode`, `Response::decode` and `parse_service_formula`,
-//!   which also refuses input nested deep enough to overflow the stack.
+//! * `Request::decode`, `Response::decode`, `ModelSpec::parse`,
+//!   `parse_snapshot_file_name` and `parse_service_formula`, which also
+//!   refuses input nested deep enough to overflow the stack. Raw noise
+//!   joins the mutations here.
 //!
 //! The seeds are fixed, so a failure reproduces exactly.
 
@@ -19,7 +21,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use epimc::prelude::*;
 use epimc_bdd::reseal_snapshot;
 use epimc_integration::{crash_params, omission_params};
-use epimc_serve::proto::parse_service_formula;
+use epimc_serve::proto::{parse_service_formula, parse_snapshot_file_name};
 use epimc_serve::{CheckOutcome, Request, RequestBackend, Response};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -154,6 +156,21 @@ fn snapshot_decoders_are_total() {
     }
 }
 
+/// Every wire and formula decoder on each input; a panic fails the test.
+fn assert_no_decoder_panics(inputs: &[Vec<u8>]) {
+    for bytes in inputs {
+        let outcome = catch_unwind(|| {
+            let _ = Request::decode(bytes);
+            let _ = Response::decode(bytes);
+            let text = String::from_utf8_lossy(bytes);
+            let _ = ModelSpec::parse(&text);
+            let _ = parse_snapshot_file_name(&text);
+            let _ = parse_service_formula(&text);
+        });
+        assert!(outcome.is_ok(), "input {bytes:?} panicked a decoder");
+    }
+}
+
 #[test]
 fn wire_and_formula_decoders_are_total() {
     let spec = ModelSpec::parse("protocol=floodset n=4 t=1 values=2 failure=crash").unwrap();
@@ -166,6 +183,7 @@ fn wire_and_formula_decoders_are_total() {
         }
         .encode(),
         Request::Restore { spec, path: "auto".to_string() }.encode(),
+        Request::Snapshot { spec, path: "auto".to_string() }.encode(),
         Response::Check(CheckOutcome {
             warm: true,
             wall_micros: 1,
@@ -176,6 +194,7 @@ fn wire_and_formula_decoders_are_total() {
         })
         .encode(),
         Response::Overloaded("live-node ceiling".to_string()).encode(),
+        Response::BudgetExceeded("deadline".to_string()).encode(),
         b"gfp _X0. (B[0] CB exists0 /\\ AX _X0) \\/ !(K[1] decided[0].1 => EG time.2)".to_vec(),
     ];
     // Nesting deep enough to overflow the stack is refused, not followed.
@@ -187,14 +206,20 @@ fn wire_and_formula_decoders_are_total() {
         assert!(parse_service_formula(&deep).is_err(), "100 000 nesting levels parsed");
     }
     let mut rng = StdRng::seed_from_u64(0xDEC2);
-    for payload in &payloads {
-        for bytes in mutations(payload, &mut rng) {
-            let outcome = catch_unwind(|| {
-                let _ = Request::decode(&bytes);
-                let _ = Response::decode(&bytes);
-                let _ = parse_service_formula(&String::from_utf8_lossy(&bytes));
-            });
-            assert!(outcome.is_ok(), "a mutation of {payload:?} panicked a decoder");
-        }
-    }
+    let inputs: Vec<Vec<u8>> =
+        payloads.iter().flat_map(|payload| mutations(payload, &mut rng)).collect();
+    assert_no_decoder_panics(&inputs);
+}
+
+/// Raw noise, derived from no valid message, panics no decoder either.
+#[test]
+fn corrupted_payloads_never_panic_the_decoders() {
+    let mut rng = StdRng::seed_from_u64(0xC0DEC);
+    let noise: Vec<Vec<u8>> = (0..1_000)
+        .map(|_| {
+            let len = rng.gen_range(0..48usize);
+            (0..len).map(|_| rng.gen_range(0..=255u64) as u8).collect()
+        })
+        .collect();
+    assert_no_decoder_panics(&noise);
 }
