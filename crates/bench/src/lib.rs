@@ -329,11 +329,11 @@ pub const TABLES: [Table; 11] = [
     },
     Table {
         name: "local",
-        title: "Local engine: on-the-fly solving versus global symbolic checking (B_0 CB exists0 @ t=0)",
+        title: "Local engine: lazy layers versus global symbolic checking (B_0 CB exists0 @ t=0)",
         note: "'layers used' counts the reachable layers the local engine materialised, out of the\n\
-               'layers' a full build constructs; 'local wall' includes lazy construction and solving,\n\
+               'layers' a full build constructs; 'local wall' includes lazy construction and evaluation,\n\
                'global wall' the full relational build plus the same query bounded to the layer.\n\
-               'memo hits' are verdict-memo and hash-consing hits after a warm repeat of the query.\n",
+               'memo hits' are verdict-memo hits after a warm repeat of the query.\n",
         budget: Some(include_str!("../local_budget.txt")),
         grid: local_grid,
         measure: measure_local,

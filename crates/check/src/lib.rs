@@ -14,14 +14,15 @@
 //!   as per-layer bit sets; knowledge is computed by grouping the points of a
 //!   layer by observation; common belief is computed as the greatest
 //!   fixpoint of the "everyone believes" operator.
-//! * [`LocalChecker`] — the lazy **local** engine. The formula is compiled
-//!   into a fixpoint equation system (`epimc-local`) and solved by a
-//!   worklist with dependency tracking; reachable layers are materialised
-//!   relationally *only when a cell of the system demands them*, so a
-//!   layer-bounded query on a deep model touches a fraction of it. Verdicts
-//!   are memoised across queries, keyed by
-//!   [`epimc_logic::Formula::canonical_hash`] with a structural collision
-//!   check. All three engines answer identically; the common
+//! * [`LocalChecker`] — the lazy **local** engine, a façade over
+//!   [`SymbolicChecker::holds_in_layer`]: the model starts at layer 0 and
+//!   a query at layer `t` builds only the layers its formula reads (`t`
+//!   plus its `AX`/`EX` nesting, or the horizon for an unbounded temporal
+//!   operator), since knowledge and common belief are layer-local under
+//!   the clock semantics, so a layer-bounded query on a deep model
+//!   touches a fraction of it. Verdicts are memoised across queries, keyed
+//!   by [`epimc_logic::Formula::canonical_hash`] with a structural
+//!   collision check. All three engines answer identically; the common
 //!   [`CheckBackend`] seam lets differential suites drive them uniformly.
 //! * [`SymbolicChecker`] — the OBDD engine, mirroring the implementation
 //!   strategy of MCK. Each layer's set of reachable states is encoded as a
@@ -139,6 +140,8 @@ mod explicit;
 mod local;
 mod pointset;
 mod symbolic;
+#[cfg(test)]
+mod tests;
 
 pub use epimc_bdd::{catch_budget, BddError, Budget, BudgetReason};
 pub use explicit::Checker;

@@ -1,30 +1,24 @@
-//! The **local** (on-the-fly) engine: [`LocalChecker`] compiles a formula
-//! into an `epimc-local` fixpoint equation system and solves it against
-//! the relational model, materialising only the layers the query
-//! actually depends on.
+//! The **local** (lazy) engine: [`LocalChecker`] answers through
+//! [`SymbolicChecker::holds_in_layer`] over a model grown on demand.
 //!
-//! The checker owns a [`SymbolicChecker`] built from
-//! [`SymbolicChecker::relational_seed`] — layer 0 only — and grows it via
-//! the relational layer extension exactly when the solver's
-//! `ensure_layer` demands a deeper layer (a `Next` child, or a requested
-//! root layer). Because knowledge, belief and common belief are
-//! layer-local under clock semantics, a purely epistemic query about
-//! layer `t` settles after materialising `t + 1` layers, however large
-//! the horizon; each `AX`/`EX` (and each unrolling step of `AG`/`AF`/…)
-//! adds one layer of depth. [`LocalChecker::layers_expanded`] exposes the
-//! resulting laziness measure, and `crates/local/tests/laziness.rs`
-//! pins the contract: verdicts are invariant under forced full
-//! expansion.
+//! The checker owns a [`SymbolicChecker`] seeded with layer 0
+//! ([`SymbolicChecker::relational_seed`]) and never builds a layer before
+//! a query needs it. Knowledge, belief and common belief are layer-local
+//! under the clock semantics, so the layers a query at layer `t` needs
+//! can be read off the formula: a purely epistemic query settles with
+//! `t + 1` layers built however large the horizon, each nested `AX`/`EX`
+//! adds one, and an unbounded temporal operator needs them all.
+//! [`LocalChecker::layers_expanded`] exposes the laziness, and
+//! `tests/tests/laziness.rs` pins the contract: exact layer counts, and
+//! verdicts invariant under forced full expansion. Queries about the
+//! whole model ([`LocalChecker::holds_everywhere`],
+//! [`LocalChecker::check_points`]) build every layer and go to the
+//! global evaluator.
 //!
 //! Verdicts are memoised across calls keyed by
 //! [`Formula::canonical_hash`], with a structural equality check on every
 //! hit so a hash collision degrades to a miss instead of a wrong answer —
 //! the same discipline as the evaluator's denotation cache.
-//!
-//! Alternating equation systems (a fixpoint body referencing an enclosing
-//! fixpoint's variable) exceed the local solver's contract; those
-//! formulas fall back to the global symbolic evaluator over the fully
-//! expanded model, counted in [`LocalStats::fallbacks`].
 //!
 //! [`CheckBackend`] is the common seam over all three engines — explicit
 //! [`Checker`], global [`SymbolicChecker`], and [`LocalChecker`] — used
@@ -34,38 +28,33 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 
-use epimc_bdd::{catch_budget, Budget};
-use epimc_local::{solve, EqSystem, Slot};
+use epimc_bdd::Budget;
 use epimc_logic::Formula;
 use epimc_relational::{SymbolicEncode, SymbolicRule};
 use epimc_system::{
     ConsensusAtom, ConsensusModel, DecisionRule, InformationExchange, ModelParams, PointModel,
-    Round,
 };
 
 use crate::explicit::Checker;
 use crate::pointset::PointSet;
-use crate::symbolic::{BudgetAbort, SymbolicChecker, SymbolicOptions, SymbolicStats};
+use crate::symbolic::{layer_demand, BudgetAbort, SymbolicChecker, SymbolicOptions, SymbolicStats};
 
-/// Cumulative counters for a [`LocalChecker`] (summed over all queries it
-/// has answered; `layers_expanded` / `horizon` describe the current model
-/// state). BDD-level counters live in [`LocalChecker::symbolic_stats`].
+/// Cumulative counters for a [`LocalChecker`], summed over the queries it
+/// has answered (`layers_expanded` describes the model as it stands).
+/// BDD-level counters live in [`LocalChecker::symbolic_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LocalStats {
-    /// (equation, layer) cells instantiated by the worklist solver.
+    /// Layer denotations evaluated: one for a temporal-free layer query
+    /// (evaluated under a focus on its layer), and every built layer for
+    /// any other evaluation.
     pub cells: usize,
-    /// Worklist pops (cell recomputations).
-    pub iterations: u64,
-    /// Conservative fixpoint-cycle resets.
-    pub resets: u64,
-    /// Memo hits: compile-time hash-consing plus cross-call verdict hits.
-    pub memo_hits: usize,
-    /// Layers materialised so far (the laziness measure; `horizon + 1`
-    /// after a forced full expansion).
+    /// Layers built so far (the laziness measure; `horizon + 1` after a
+    /// forced full expansion).
     pub layers_expanded: usize,
-    /// The model horizon (layers are `0..=horizon`).
-    pub horizon: usize,
-    /// Alternating formulas delegated to the global evaluator.
+    /// Queries answered from the verdict memo.
+    pub memo_hits: usize,
+    /// Queries that demanded the whole horizon: global verdicts, point
+    /// read-offs, and layer queries whose formula reaches the last layer.
     pub fallbacks: u64,
 }
 
@@ -73,8 +62,9 @@ pub struct LocalStats {
 /// the layer scope (`None` = everywhere) and the verdict.
 type VerdictEntry = (Formula<ConsensusAtom>, Option<usize>, bool);
 
-/// The local (on-the-fly) engine: a lazily grown relational model plus
-/// the `epimc-local` equation-system solver. See the module docs.
+/// The local (lazy) engine: a relational model grown as queries demand,
+/// answered by the global evaluator, plus a verdict memo. See the module
+/// docs.
 pub struct LocalChecker<E: SymbolicEncode, R: SymbolicRule<E>> {
     checker: SymbolicChecker<E, R>,
     verdicts: RefCell<HashMap<u64, Vec<VerdictEntry>>>,
@@ -85,11 +75,13 @@ impl<E: SymbolicEncode, R: SymbolicRule<E>> LocalChecker<E, R> {
     /// Builds a local checker with layer 0 materialised and default
     /// symbolic options.
     pub fn new(exchange: E, params: ModelParams, rule: R) -> Self {
-        let horizon = params.horizon() as usize;
         let checker =
             SymbolicChecker::relational_seed(exchange, params, rule, SymbolicOptions::default());
-        let stats = LocalStats { layers_expanded: 1, horizon, ..LocalStats::default() };
-        LocalChecker { checker, verdicts: RefCell::new(HashMap::new()), stats: Cell::new(stats) }
+        LocalChecker {
+            checker,
+            verdicts: RefCell::new(HashMap::new()),
+            stats: Cell::new(LocalStats::default()),
+        }
     }
 
     /// The model parameters.
@@ -110,16 +102,14 @@ impl<E: SymbolicEncode, R: SymbolicRule<E>> LocalChecker<E, R> {
     }
 
     /// Materialises every layer up to the horizon (the laziness
-    /// property tests re-solve after this and demand identical
-    /// verdicts).
+    /// property tests re-ask after this and demand identical verdicts).
     pub fn force_full_expansion(&self) {
         self.checker.extend_to(self.horizon() + 1);
-        self.sync_expansion();
     }
 
-    /// Cumulative solver counters.
+    /// Cumulative query counters.
     pub fn stats(&self) -> LocalStats {
-        self.stats.get()
+        LocalStats { layers_expanded: self.layers_expanded(), ..self.stats.get() }
     }
 
     /// BDD-level counters of the underlying relational checker (live and
@@ -134,55 +124,33 @@ impl<E: SymbolicEncode, R: SymbolicRule<E>> LocalChecker<E, R> {
         self.checker.set_budget(budget);
     }
 
-    /// `formula` holds at every point of every layer.
+    /// `formula` holds at every point of every layer: the whole model is
+    /// built and the global evaluator answers.
     pub fn holds_everywhere(&self, formula: &Formula<ConsensusAtom>) -> bool {
         if let Some(verdict) = self.memo_get(formula, None) {
             return verdict;
         }
-        let layers: Vec<usize> = (0..=self.horizon()).collect();
-        let verdict = match self.run(formula, &layers) {
-            Some((store, roots)) => {
-                let all = roots.iter().all(|&(layer, slot)| {
-                    self.checker.seam_slot_equals_reachable(store, slot, layer)
-                });
-                self.checker.seam_release_store(store);
-                all
-            }
-            None => self.checker.holds_everywhere(formula),
-        };
+        self.force_full_expansion();
+        let verdict = self.checker.holds_everywhere(formula);
+        self.count(self.layers_expanded(), true);
         self.memo_put(formula, None, verdict);
         verdict
     }
 
     /// `formula` holds at every point of layer `layer` — the lazy entry
-    /// point: only the fragment of the model below the query's modal
-    /// depth is materialised.
+    /// point: only the layers the formula reads from `layer` are
+    /// materialised ([`SymbolicChecker::holds_in_layer`]).
     ///
     /// # Panics
     ///
     /// Panics if `layer` exceeds the horizon.
     pub fn holds_in_layer(&self, formula: &Formula<ConsensusAtom>, layer: usize) -> bool {
-        assert!(layer <= self.horizon(), "layer {layer} exceeds horizon {}", self.horizon());
         if let Some(verdict) = self.memo_get(formula, Some(layer)) {
             return verdict;
         }
-        let verdict = match self.run(formula, &[layer]) {
-            Some((store, roots)) => {
-                let (_, slot) = roots[0];
-                let holds = self.checker.seam_slot_equals_reachable(store, slot, layer);
-                self.checker.seam_release_store(store);
-                holds
-            }
-            None => {
-                // Global fallback: holds on all of layer `t` iff
-                // `time == t → formula` holds everywhere.
-                let bounded = Formula::implies(
-                    Formula::atom(ConsensusAtom::TimeIs(layer as Round)),
-                    formula.clone(),
-                );
-                self.checker.holds_everywhere(&bounded)
-            }
-        };
+        let verdict = self.checker.holds_in_layer(formula, layer);
+        let cells = if formula.is_temporal() { self.layers_expanded() } else { 1 };
+        self.count(cells, layer_demand(formula, layer, self.horizon()) == self.horizon());
         self.memo_put(formula, Some(layer), verdict);
         verdict
     }
@@ -200,32 +168,21 @@ impl<E: SymbolicEncode, R: SymbolicRule<E>> LocalChecker<E, R> {
         model: &ConsensusModel<E, R2>,
         formula: &Formula<ConsensusAtom>,
     ) -> PointSet {
-        let layers: Vec<usize> = (0..model.num_layers()).collect();
-        match self.run(formula, &layers) {
-            Some((store, roots)) => {
-                let den = self.checker.seam_assemble_den(store, &roots);
-                let set = self.checker.seam_read_points(model, den);
-                self.checker.seam_release_store(den);
-                self.checker.seam_release_store(store);
-                set
-            }
-            None => self.checker.check_points(model, formula),
-        }
+        self.force_full_expansion();
+        let points = self.checker.check_points(model, formula);
+        self.count(self.layers_expanded(), true);
+        points
     }
 
     /// Budgeted [`LocalChecker::holds_everywhere`]: on a budget trip the
     /// checker is restored to a clean state (focus cleared, partial
-    /// denotations released) and the abort report is returned.
+    /// denotations released, budget disarmed) and the abort report is
+    /// returned.
     pub fn try_holds_everywhere(
         &self,
         formula: &Formula<ConsensusAtom>,
     ) -> Result<bool, BudgetAbort> {
-        let live_before = self.checker.seam_live_dens();
-        let result = catch_budget(|| self.holds_everywhere(formula));
-        result.map_err(|error| {
-            self.sync_expansion();
-            self.checker.seam_budget_abort(error, &live_before)
-        })
+        self.checker.catch_abort(|| self.holds_everywhere(formula))
     }
 
     /// Budgeted [`LocalChecker::holds_in_layer`].
@@ -234,48 +191,14 @@ impl<E: SymbolicEncode, R: SymbolicRule<E>> LocalChecker<E, R> {
         formula: &Formula<ConsensusAtom>,
         layer: usize,
     ) -> Result<bool, BudgetAbort> {
-        let live_before = self.checker.seam_live_dens();
-        let result = catch_budget(|| self.holds_in_layer(formula, layer));
-        result.map_err(|error| {
-            self.sync_expansion();
-            self.checker.seam_budget_abort(error, &live_before)
-        })
+        self.checker.catch_abort(|| self.holds_in_layer(formula, layer))
     }
 
-    /// Compiles and solves `formula` at the requested layers, returning
-    /// the slot store and the `(layer, slot)` roots — or `None` when the
-    /// system is alternating and the caller must use the global
-    /// evaluator (the model is fully expanded on that path).
-    fn run(
-        &self,
-        formula: &Formula<ConsensusAtom>,
-        layers: &[usize],
-    ) -> Option<(usize, Vec<(usize, Slot)>)> {
-        let system = EqSystem::compile(formula);
-        if system.is_alternating() {
-            let mut stats = self.stats.get();
-            stats.fallbacks += 1;
-            self.stats.set(stats);
-            self.checker.extend_to(self.horizon() + 1);
-            self.sync_expansion();
-            return None;
-        }
-        let store = self.checker.seam_alloc_store();
-        let mut oracle = SeamOracle { checker: &self.checker, store, horizon: self.horizon() };
-        let solution = solve(&system, &mut oracle, layers);
+    /// Adds one evaluated query to the counters.
+    fn count(&self, cells: usize, whole_horizon: bool) {
         let mut stats = self.stats.get();
-        stats.cells += solution.stats.cells;
-        stats.iterations += solution.stats.iterations;
-        stats.resets += solution.stats.resets;
-        stats.memo_hits += solution.stats.memo_hits;
-        stats.layers_expanded = solution.stats.layers_expanded;
-        self.stats.set(stats);
-        Some((store, solution.roots))
-    }
-
-    fn sync_expansion(&self) {
-        let mut stats = self.stats.get();
-        stats.layers_expanded = self.checker.num_layers();
+        stats.cells += cells;
+        stats.fallbacks += u64::from(whole_horizon);
         self.stats.set(stats);
     }
 
@@ -301,94 +224,6 @@ impl<E: SymbolicEncode, R: SymbolicRule<E>> LocalChecker<E, R> {
             layer,
             verdict,
         ));
-    }
-}
-
-/// `epimc_local::LocalOracle` over the per-layer seams of a
-/// [`SymbolicChecker`]: slots are entries of one rooted arena denotation,
-/// `ensure_layer` is the relational layer extension.
-struct SeamOracle<'c, E: SymbolicEncode, R: SymbolicRule<E>> {
-    checker: &'c SymbolicChecker<E, R>,
-    store: usize,
-    horizon: usize,
-}
-
-impl<'c, E: SymbolicEncode, R: SymbolicRule<E>> epimc_local::LocalOracle<ConsensusAtom>
-    for SeamOracle<'c, E, R>
-{
-    fn horizon(&self) -> usize {
-        self.horizon
-    }
-
-    fn ensure_layer(&mut self, layer: usize) {
-        self.checker.extend_to(layer + 1);
-    }
-
-    fn layers_expanded(&self) -> usize {
-        self.checker.num_layers()
-    }
-
-    fn alloc_slot(&mut self, top: bool, layer: usize) -> Slot {
-        self.checker.seam_push_slot(self.store, top, layer)
-    }
-
-    fn load_top(&mut self, dst: Slot, layer: usize) {
-        self.checker.seam_load_top(self.store, dst, layer);
-    }
-
-    fn load_bottom(&mut self, dst: Slot, _layer: usize) {
-        self.checker.seam_load_bottom(self.store, dst);
-    }
-
-    fn load_atom(&mut self, dst: Slot, atom: &ConsensusAtom, layer: usize) {
-        self.checker.seam_load_atom(self.store, dst, atom, layer);
-    }
-
-    fn not_at(&mut self, dst: Slot, x: Slot, layer: usize) {
-        self.checker.seam_not(self.store, dst, x, layer);
-    }
-
-    fn and_at(&mut self, dst: Slot, xs: &[Slot], layer: usize) {
-        self.checker.seam_and(self.store, dst, xs, layer);
-    }
-
-    fn or_at(&mut self, dst: Slot, xs: &[Slot], layer: usize) {
-        self.checker.seam_or(self.store, dst, xs, layer);
-    }
-
-    fn implies_at(&mut self, dst: Slot, a: Slot, b: Slot, layer: usize) {
-        self.checker.seam_implies(self.store, dst, a, b, layer);
-    }
-
-    fn iff_at(&mut self, dst: Slot, a: Slot, b: Slot, layer: usize) {
-        self.checker.seam_iff(self.store, dst, a, b, layer);
-    }
-
-    fn knows_at(
-        &mut self,
-        dst: Slot,
-        agent: epimc_logic::AgentId,
-        x: Slot,
-        guarded: bool,
-        layer: usize,
-    ) {
-        self.checker.seam_knows(self.store, dst, agent, x, guarded, layer);
-    }
-
-    fn everyone_believes_at(&mut self, dst: Slot, x: Slot, layer: usize) {
-        self.checker.seam_everyone_believes(self.store, dst, x, layer);
-    }
-
-    fn next_at(&mut self, dst: Slot, universal: bool, x_next: Slot, layer: usize) {
-        self.checker.seam_next(self.store, dst, universal, x_next, layer);
-    }
-
-    fn copy_slot(&mut self, dst: Slot, src: Slot) {
-        self.checker.seam_copy(self.store, dst, src);
-    }
-
-    fn slots_equal(&self, a: Slot, b: Slot) -> bool {
-        self.checker.seam_equal(self.store, a, b)
     }
 }
 
@@ -492,36 +327,46 @@ mod tests {
 
     type F = Formula<ConsensusAtom>;
 
+    /// A budgeted query: a formula and its layer (`None`: everywhere).
+    type Query = (F, Option<usize>);
+
+    fn ask<E: SymbolicEncode, R: SymbolicRule<E>>(
+        checker: &LocalChecker<E, R>,
+        (formula, layer): &Query,
+    ) -> Result<bool, BudgetAbort> {
+        match layer {
+            Some(layer) => checker.try_holds_in_layer(formula, *layer),
+            None => checker.try_holds_everywhere(formula),
+        }
+    }
+
     /// An op-fuel sweep of the budgeted entry points, with fuel growing by
     /// a quarter from one op until a query completes on a fresh checker:
-    /// every query either returns the unbudgeted verdict or aborts with at
-    /// most `horizon + 1` layers built, and the same checker then answers
-    /// both queries identically with no budget.
-    fn budgeted_queries_sweep<E, R>(exchange: E, rule: R, params: ModelParams, formula: &F)
+    /// every query either returns the unbudgeted verdict or aborts with
+    /// the layer focus cleared and no layer built past the one it
+    /// demands, and the same checker then answers the query again and
+    /// every other query identically with no budget.
+    fn budgeted_queries_sweep<E, R>(exchange: E, rule: R, params: ModelParams, queries: &[Query])
     where
         E: SymbolicEncode + Clone,
         R: SymbolicRule<E> + Clone,
     {
         let fresh = || LocalChecker::new(exchange.clone(), params, rule.clone());
-        let layer = 1;
-        let want_everywhere = fresh().holds_everywhere(formula);
-        let want_in_layer = fresh().holds_in_layer(formula, layer);
-        for in_layer in [false, true] {
-            let query = |checker: &LocalChecker<E, R>| {
-                if in_layer {
-                    checker.try_holds_in_layer(formula, layer)
-                } else {
-                    checker.try_holds_everywhere(formula)
-                }
-            };
-            let want = if in_layer { want_in_layer } else { want_everywhere };
-            let context = format!("{formula} in_layer={in_layer}");
+        let horizon = params.horizon() as usize;
+        let wants: Vec<bool> =
+            queries.iter().map(|query| ask(&fresh(), query).expect("no budget")).collect();
+        for (query, &want) in queries.iter().zip(&wants) {
+            let (formula, layer) = query;
+            let demand = layer.map_or(horizon, |layer| layer_demand(formula, layer, horizon));
+            let context = format!("{formula} at {layer:?}");
             let mut aborts = 0;
             let mut fuel = 1u64;
             loop {
                 let checker = fresh();
                 checker.set_budget(Some(Budget::with_max_ops(fuel)));
-                match query(&checker) {
+                let result = ask(&checker, query);
+                assert!(checker.layers_expanded() <= demand + 1, "{context} fuel {fuel}");
+                match result {
                     Ok(verdict) => {
                         assert_eq!(verdict, want, "{context} fuel {fuel}");
                         break;
@@ -531,11 +376,13 @@ mod tests {
                             matches!(abort.error, BddError::BudgetExceeded { .. }),
                             "{context} fuel {fuel}"
                         );
-                        assert!(abort.layers_built <= checker.horizon() + 1, "{context} {abort}");
+                        assert_eq!(checker.checker.focus(), None, "{context} fuel {fuel}");
+                        assert!(abort.layers_built <= demand + 1, "{context} {abort}");
                         checker.set_budget(None);
-                        assert_eq!(query(&checker), Ok(want), "{context} fuel {fuel}: retry");
-                        assert_eq!(checker.try_holds_in_layer(formula, layer), Ok(want_in_layer));
-                        assert_eq!(checker.try_holds_everywhere(formula), Ok(want_everywhere));
+                        assert_eq!(ask(&checker, query), Ok(want), "{context} fuel {fuel}: retry");
+                        for (other, &other_want) in queries.iter().zip(&wants) {
+                            assert_eq!(ask(&checker, other), Ok(other_want), "{context}");
+                        }
                         aborts += 1;
                     }
                 }
@@ -543,6 +390,11 @@ mod tests {
             }
             assert!(aborts > 0, "{context}: the first op already answered");
         }
+    }
+
+    /// Everywhere, focused on layer 1, and under `AX` at layer 0.
+    fn queries(formula: F) -> Vec<Query> {
+        vec![(formula.clone(), None), (formula.clone(), Some(1)), (F::all_next(formula), Some(0))]
     }
 
     #[test]
@@ -553,7 +405,7 @@ mod tests {
         let exists_zero =
             F::or((0..3).map(|j| F::atom(ConsensusAtom::InitIs(AgentId::new(j), Value::ZERO))));
         let sba = F::believes_nonfaulty(AgentId::new(0), F::common_belief(exists_zero));
-        budgeted_queries_sweep(FloodSet, FloodSetRule, crash, &sba);
+        budgeted_queries_sweep(FloodSet, FloodSetRule, crash, &queries(sba));
 
         // The decide-1 branch condition of the EBA program P0 for agent 0,
         // `K_0 ⋀_j ¬decides_j(0)`, on E_min n = 2, t = 1 under omissions.
@@ -568,6 +420,6 @@ mod tests {
                 .map(|j| F::not(F::atom(ConsensusAtom::DecidesNow(AgentId::new(j), Value::ZERO)))),
         );
         let eba = F::knows(AgentId::new(0), nobody_deciding_zero);
-        budgeted_queries_sweep(EMin, EMinRule, omissions, &eba);
+        budgeted_queries_sweep(EMin, EMinRule, omissions, &queries(eba));
     }
 }

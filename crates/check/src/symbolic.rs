@@ -393,6 +393,12 @@ struct Inner {
     dnow: Vec<Vec<Ref>>,
     gc_threshold: usize,
     gc_base_threshold: usize,
+    /// The manager's `allocated_nodes` right after the last
+    /// [`Inner::compact`] that ran with no denotation and no reachable
+    /// relation held, so the store held the model alone. While nothing
+    /// has been allocated since, a collection would sweep nothing, and
+    /// [`SymbolicChecker::snapshot`] skips it.
+    model_only_at: Option<usize>,
 }
 
 /// Roots every long-lived handle, every arena denotation and the caller's
@@ -465,6 +471,38 @@ fn fingerprint(params: &ModelParams, layout: &SlotLayout, choice: &ChoiceVars) -
     ]
 }
 
+/// The deepest layer that evaluating `formula` at layer `t` reads, clamped
+/// to the horizon (see [`SymbolicChecker::holds_in_layer`]).
+pub(crate) fn layer_demand(formula: &Formula<ConsensusAtom>, t: usize, horizon: usize) -> usize {
+    next_depth(formula).map_or(horizon, |depth| (t + depth).min(horizon))
+}
+
+/// The `AX`/`EX` nesting depth of `formula`, or `None` when reading it at
+/// a layer may need every later one.
+fn next_depth(formula: &Formula<ConsensusAtom>) -> Option<usize> {
+    match formula {
+        Formula::True | Formula::False | Formula::Atom(_) | Formula::Var(_) => Some(0),
+        Formula::Not(inner)
+        | Formula::Knows(_, inner)
+        | Formula::BelievesNonfaulty(_, inner)
+        | Formula::EveryoneBelieves(inner)
+        | Formula::CommonBelief(inner) => next_depth(inner),
+        Formula::And(items) | Formula::Or(items) => {
+            items.iter().try_fold(0, |depth, item| Some(depth.max(next_depth(item)?)))
+        }
+        Formula::Implies(lhs, rhs) | Formula::Iff(lhs, rhs) => {
+            Some(next_depth(lhs)?.max(next_depth(rhs)?))
+        }
+        // A fixpoint iterates its body, so a body that steps forward at
+        // all may step through every later layer.
+        Formula::Gfp(_, body) | Formula::Lfp(_, body) => next_depth(body).filter(|&d| d == 0),
+        Formula::Temporal(TemporalKind::AllNext | TemporalKind::ExistsNext, inner) => {
+            Some(next_depth(inner)? + 1)
+        }
+        Formula::Temporal(..) => None,
+    }
+}
+
 /// The sorted variable-index support of `f`.
 fn support_indices(bdd: &Bdd, f: Ref) -> Vec<u32> {
     bdd.support(f).iter().map(|var| var.index()).collect()
@@ -516,6 +554,7 @@ impl Inner {
             dnow,
             gc_threshold: gc_threshold.max(2),
             gc_base_threshold: gc_base_threshold.max(2),
+            model_only_at: None,
         }
     }
 
@@ -547,6 +586,14 @@ impl Inner {
             inner.bdd.gc_shrink(roots, inner.reachable_relations.values_mut())
         };
         self.retrigger(gc);
+        let model_only = self.arena.live_count() == 0 && self.reachable_relations.is_empty();
+        self.model_only_at = model_only.then(|| self.bdd.stats().allocated_nodes);
+    }
+
+    /// The full collection: drops the reachable relations, then compacts.
+    fn collect_to_model(&mut self) {
+        self.reachable_relations.clear();
+        self.compact();
     }
 
     /// Sets the next automatic collection's trigger from this one's
@@ -563,6 +610,7 @@ impl Inner {
     /// order.
     fn reorder_now(&mut self) {
         self.reachable_relations.clear();
+        self.model_only_at = None;
         {
             let inner = &mut *self;
             let mut no_scratch: [Ref; 0] = [];
@@ -667,7 +715,8 @@ pub struct SymbolicChecker<E: InformationExchange, R> {
     /// connectives are all layer-local under the clock semantics — and what
     /// makes per-round synthesis cost proportional to one layer instead of
     /// all layers built so far. Set internally by
-    /// [`SymbolicChecker::observation_values`].
+    /// [`SymbolicChecker::observation_values`] and
+    /// [`SymbolicChecker::holds_in_layer`].
     focus: Cell<Option<usize>>,
     /// Memo of the decoded reachable observations per (agent, layer): the
     /// projection is formula-independent, and the synthesis loop asks for it
@@ -793,9 +842,7 @@ where
     /// no BDD references); subsequent checks are unaffected, bar
     /// rebuilding a relation on the next pre-image.
     pub fn force_gc(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.reachable_relations.clear();
-        inner.compact();
+        self.inner.borrow_mut().collect_to_model();
     }
 
     /// Collects now, rooting all persistent handles and live session
@@ -1085,9 +1132,15 @@ where
         &self,
         formula: &Formula<ConsensusAtom>,
     ) -> Result<bool, BudgetAbort> {
+        self.catch_abort(|| self.holds_everywhere(formula))
+    }
+
+    /// Runs `query`, translating a budget trip into a [`BudgetAbort`] after
+    /// the cleanup it describes: the layer focus cleared, every denotation
+    /// the query allocated released, the budget disarmed.
+    pub(crate) fn catch_abort<T>(&self, query: impl FnOnce() -> T) -> Result<T, BudgetAbort> {
         let before = self.inner.borrow().arena.live_ids();
-        catch_budget(|| self.holds_everywhere(formula))
-            .map_err(|error| self.budget_abort(error, &before, None))
+        catch_budget(query).map_err(|error| self.budget_abort(error, &before, None))
     }
 
     /// Fallible [`SymbolicChecker::holds_everywhere_in_session`]. On abort
@@ -1152,9 +1205,37 @@ where
         self.inner.borrow_mut().maybe_gc(&mut []);
         let mut env = HashMap::new();
         let den = self.eval_bounded(formula, &mut env, None);
-        let set = self.seam_read_points(model, den);
+        let set = self.read_points(model, den);
         self.release(den);
         self.inner.borrow_mut().maybe_gc(&mut []);
+        set
+    }
+
+    /// Reads an already-computed denotation off on the points of `model`
+    /// ([`SymbolicChecker::check_points`] without the evaluation step).
+    /// `den` stays owned by the caller.
+    fn read_points<R2: DecisionRule<E>>(
+        &self,
+        model: &ConsensusModel<E, R2>,
+        den: DenId,
+    ) -> PointSet {
+        assert!(
+            model.num_layers() <= self.num_layers(),
+            "oracle model has more layers than the checker has built"
+        );
+        let inner = self.inner.borrow();
+        let layers = inner.arena.get(den);
+        let mut set = PointSet::empty(model);
+        for time in 0..model.num_layers() as Round {
+            for index in 0..model.layer_size(time) {
+                let bits = self.encode_point(model, PointId::new(time, index));
+                let holds =
+                    inner.bdd.eval(layers[time as usize], |v| bits[(v.index() / 2) as usize]);
+                if holds {
+                    set.insert(PointId::new(time, index));
+                }
+            }
+        }
         set
     }
 
@@ -1319,9 +1400,9 @@ where
     //
     // The restriction happens where a consumer needs it, through
     // `eval_bounded`: the public entry points (`check*`,
-    // `holds_everywhere*`, `observation_values`), the operand of a temporal
-    // operator, the body of a fixpoint (its variable is bound to bounded
-    // iterates), and `seam_load_atom`. The epistemic operators conjoin
+    // `holds_everywhere*`, `holds_in_layer`, `observation_values`), the
+    // operand of a temporal operator, and the body of a fixpoint (its
+    // variable is bound to bounded iterates). The epistemic operators conjoin
     // `reachable[l]` onto `¬φ` anyway and take their operand as it is.
     // What a consumer sees is the same boolean function as under eager
     // restriction, hence — canonical diagrams in one manager — the same
@@ -1990,6 +2071,39 @@ where
         }
     }
 
+    /// Returns `true` when `formula` holds at every point of layer `t`,
+    /// building only the layers that verdict reads. Knowledge and common
+    /// belief at a layer depend on that layer alone under the clock
+    /// semantics, so the model is extended through layer `t` for a
+    /// temporal-free formula, however large the horizon; through `t` plus
+    /// the `AX`/`EX` nesting depth when those are the only temporal
+    /// operators; and through the horizon for an unbounded one (`AG`,
+    /// `AF`, `EG`, `EF`) or a fixpoint with a temporal body. A
+    /// temporal-free formula is then evaluated under a focus on layer `t`,
+    /// any other over the built prefix. That is exact at `t`: a temporal
+    /// operator reads layer `l + 1` for layer `l`, and the nesting never
+    /// reads past the demanded layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` exceeds the horizon.
+    pub fn holds_in_layer(&self, formula: &Formula<ConsensusAtom>, t: usize) -> bool {
+        let horizon = self.params.horizon() as usize;
+        assert!(t <= horizon, "layer {t} exceeds horizon {horizon}");
+        self.extend_to(layer_demand(formula, t, horizon) + 1);
+        self.inner.borrow_mut().maybe_gc(&mut []);
+        self.focus.set((!formula.is_temporal()).then_some(t));
+        let den = self.eval_bounded(formula, &mut HashMap::new(), None);
+        self.focus.set(None);
+        let holds = {
+            let inner = self.inner.borrow();
+            inner.arena.get(den)[t] == inner.reachable[t]
+        };
+        self.release(den);
+        self.inner.borrow_mut().maybe_gc(&mut []);
+        holds
+    }
+
     /// Grows the relational model by one layer: builds the next round's
     /// partitioned transition relation and guarded decides-now conditions
     /// from `rule`, roots them, and computes the new layer as the forward
@@ -2104,6 +2218,12 @@ where
     /// state. The hidden-variable and quantification cubes are not stored:
     /// a restore derives them from the layout.
     ///
+    /// The stream carries the model alone: unless the store holds nothing
+    /// else already, the checker first runs the full collection of
+    /// [`SymbolicChecker::force_gc`], which drops the reachable relations
+    /// and whatever ended sessions left behind. So a checker writes the
+    /// same bytes whether or not it was collected just before.
+    ///
     /// The exchange and rule are *not* serialized (they are code, not
     /// data); the restoring process passes equal `params` and compatible
     /// implementations, and the fingerprint is verified on restore.
@@ -2112,9 +2232,12 @@ where
     ///
     /// Fails while evaluation sessions are still holding denotations.
     pub fn snapshot(&self) -> Result<Vec<u8>, String> {
-        let inner = self.inner.borrow();
+        let mut inner = self.inner.borrow_mut();
         if inner.arena.live_count() != 0 {
             return Err("end all evaluation sessions before snapshotting".to_string());
+        }
+        if inner.model_only_at != Some(inner.bdd.stats().allocated_nodes) {
+            inner.collect_to_model();
         }
         let (roots, words) = self.snapshot_parts(&inner);
         Ok(inner.bdd.snapshot(&roots, &words))
@@ -2247,286 +2370,6 @@ where
     }
 }
 
-// ----------------------------------------------------------------------
-// Per-layer seams for the local (on-the-fly) engine.
-//
-// `LocalChecker` (`crate::local`) implements `epimc_local::LocalOracle`
-// on top of a checker grown on demand: its predicate slots are the
-// entries of a single arena denotation (the *store*), so every slot is
-// rooted across garbage collections and reorders, and each seam below
-// computes exactly one layer of the corresponding global-engine
-// denotation. Atoms reuse the evaluator's layer focus — under
-// `focus = Some(t)` the shared builder computes only layer `t` and leaves
-// every other layer `FALSE` — and are restricted to the layer as they are
-// loaded, so every slot is bounded and the connective cells below keep
-// conjoining `reachable[layer]` themselves. The epistemic operators
-// (`knows_layer`, `everyone_believes_layer`), `preimage` (`EX`) and
-// `all_next` are already per-layer and are called directly, so no operator
-// semantics is duplicated.
-
-impl<E, R> SymbolicChecker<E, R>
-where
-    E: InformationExchange,
-    R: DecisionRule<E>,
-{
-    /// Allocates an empty slot store (a growable, rooted denotation).
-    pub(crate) fn seam_alloc_store(&self) -> DenId {
-        self.inner.borrow_mut().arena.alloc(Vec::new(), true)
-    }
-
-    /// Releases a slot store (or any seam-produced denotation).
-    pub(crate) fn seam_release_store(&self, store: DenId) {
-        let mut inner = self.inner.borrow_mut();
-        inner.arena.release(store);
-        inner.maybe_gc(&mut []);
-    }
-
-    /// Appends a slot holding `reachable[layer]` (`top`) or `⊥`.
-    pub(crate) fn seam_push_slot(&self, store: DenId, top: bool, layer: usize) -> usize {
-        let mut inner = self.inner.borrow_mut();
-        let inner = &mut *inner;
-        let value = if top { inner.reachable[layer] } else { Ref::FALSE };
-        let slots = inner.arena.get_mut(store);
-        slots.push(value);
-        slots.len() - 1
-    }
-
-    /// `store[dst] := value`, then polls the GC (the value is rooted
-    /// first, so collection cannot drop it).
-    fn seam_store(&self, store: DenId, dst: usize, value: Ref) {
-        let mut inner = self.inner.borrow_mut();
-        inner.arena.get_mut(store)[dst] = value;
-        inner.maybe_gc(&mut []);
-    }
-
-    /// `store[dst] := den[layer]`, releasing `den`. The slot write and the
-    /// release happen under one borrow so the extracted `Ref` is rooted
-    /// before anything can be collected.
-    fn seam_adopt(&self, store: DenId, dst: usize, den: DenId, layer: usize) {
-        let mut inner = self.inner.borrow_mut();
-        let value = inner.arena.get(den)[layer];
-        inner.arena.get_mut(store)[dst] = value;
-        inner.arena.release(den);
-        inner.maybe_gc(&mut []);
-    }
-
-    pub(crate) fn seam_load_top(&self, store: DenId, dst: usize, layer: usize) {
-        let value = self.inner.borrow().reachable[layer];
-        self.seam_store(store, dst, value);
-    }
-
-    pub(crate) fn seam_load_bottom(&self, store: DenId, dst: usize) {
-        self.seam_store(store, dst, Ref::FALSE);
-    }
-
-    /// One layer of an atom's denotation, through the focused builder.
-    /// Every slot of the store is bounded, so the atom is restricted here.
-    pub(crate) fn seam_load_atom(
-        &self,
-        store: DenId,
-        dst: usize,
-        atom: &ConsensusAtom,
-        layer: usize,
-    ) {
-        debug_assert!(self.focus.get().is_none(), "seam ops must not nest focus");
-        self.focus.set(Some(layer));
-        let den = self.atom_denotation(atom);
-        self.restrict_to_reachable(den);
-        self.focus.set(None);
-        self.seam_adopt(store, dst, den, layer);
-    }
-
-    pub(crate) fn seam_not(&self, store: DenId, dst: usize, x: usize, layer: usize) {
-        let mut inner = self.inner.borrow_mut();
-        let inner = &mut *inner;
-        let reach = inner.reachable[layer];
-        let x = inner.arena.get(store)[x];
-        let not_x = inner.bdd.not(x);
-        let value = inner.bdd.and(reach, not_x);
-        inner.arena.get_mut(store)[dst] = value;
-        inner.maybe_gc(&mut []);
-    }
-
-    pub(crate) fn seam_and(&self, store: DenId, dst: usize, xs: &[usize], layer: usize) {
-        let mut inner = self.inner.borrow_mut();
-        let inner = &mut *inner;
-        let mut acc = inner.reachable[layer];
-        for &x in xs {
-            let operand = inner.arena.get(store)[x];
-            acc = inner.bdd.and(acc, operand);
-        }
-        inner.arena.get_mut(store)[dst] = acc;
-        inner.maybe_gc(&mut []);
-    }
-
-    pub(crate) fn seam_or(&self, store: DenId, dst: usize, xs: &[usize], layer: usize) {
-        let mut inner = self.inner.borrow_mut();
-        let inner = &mut *inner;
-        let mut acc = Ref::FALSE;
-        for &x in xs {
-            let operand = inner.arena.get(store)[x];
-            acc = inner.bdd.or(acc, operand);
-        }
-        let reach = inner.reachable[layer];
-        acc = inner.bdd.and(reach, acc);
-        inner.arena.get_mut(store)[dst] = acc;
-        inner.maybe_gc(&mut []);
-    }
-
-    pub(crate) fn seam_implies(&self, store: DenId, dst: usize, a: usize, b: usize, layer: usize) {
-        let mut inner = self.inner.borrow_mut();
-        let inner = &mut *inner;
-        let (a, b) = (inner.arena.get(store)[a], inner.arena.get(store)[b]);
-        let implies = inner.bdd.implies(a, b);
-        let reach = inner.reachable[layer];
-        let value = inner.bdd.and(reach, implies);
-        inner.arena.get_mut(store)[dst] = value;
-        inner.maybe_gc(&mut []);
-    }
-
-    pub(crate) fn seam_iff(&self, store: DenId, dst: usize, a: usize, b: usize, layer: usize) {
-        let mut inner = self.inner.borrow_mut();
-        let inner = &mut *inner;
-        let (a, b) = (inner.arena.get(store)[a], inner.arena.get(store)[b]);
-        let iff = inner.bdd.iff(a, b);
-        let reach = inner.reachable[layer];
-        let value = inner.bdd.and(reach, iff);
-        inner.arena.get_mut(store)[dst] = value;
-        inner.maybe_gc(&mut []);
-    }
-
-    /// One layer of `K_agent x` (or the guarded belief `B^N_agent x`).
-    pub(crate) fn seam_knows(
-        &self,
-        store: DenId,
-        dst: usize,
-        agent: AgentId,
-        x: usize,
-        guarded: bool,
-        layer: usize,
-    ) {
-        let mut inner = self.inner.borrow_mut();
-        let inner = &mut *inner;
-        inner.maybe_gc(&mut []);
-        let target = inner.arena.get(store)[x];
-        let value = self.knows_layer(inner, layer, agent, target, guarded);
-        inner.arena.get_mut(store)[dst] = value;
-        inner.maybe_gc(&mut []);
-    }
-
-    /// One layer of `E_B_N x`.
-    pub(crate) fn seam_everyone_believes(&self, store: DenId, dst: usize, x: usize, layer: usize) {
-        let mut inner = self.inner.borrow_mut();
-        let inner = &mut *inner;
-        inner.maybe_gc(&mut []);
-        let target = inner.arena.get(store)[x];
-        let value = self.everyone_believes_layer(inner, layer, target);
-        inner.arena.get_mut(store)[dst] = value;
-        inner.maybe_gc(&mut []);
-    }
-
-    /// One layer of `AX x` / `EX x`: `x_next` is a slot at `layer + 1`,
-    /// which must already be materialised (the local solver expands the
-    /// child layer before it ever recomputes a `Next` cell).
-    pub(crate) fn seam_next(
-        &self,
-        store: DenId,
-        dst: usize,
-        universal: bool,
-        x_next: usize,
-        layer: usize,
-    ) {
-        let mut inner = self.inner.borrow_mut();
-        let inner = &mut *inner;
-        inner.maybe_gc(&mut []);
-        let target_next = inner.arena.get(store)[x_next];
-        let value = if universal {
-            self.all_next(inner, layer, target_next)
-        } else {
-            self.preimage(inner, layer, target_next)
-        };
-        inner.arena.get_mut(store)[dst] = value;
-        inner.maybe_gc(&mut []);
-    }
-
-    pub(crate) fn seam_copy(&self, store: DenId, dst: usize, src: usize) {
-        let mut inner = self.inner.borrow_mut();
-        let slots = inner.arena.get_mut(store);
-        slots[dst] = slots[src];
-    }
-
-    pub(crate) fn seam_equal(&self, store: DenId, a: usize, b: usize) -> bool {
-        let inner = self.inner.borrow();
-        let slots = inner.arena.get(store);
-        slots[a] == slots[b]
-    }
-
-    /// Whether a slot equals the full reachable set of its layer (the
-    /// "holds everywhere in the layer" test — canonical BDDs make it a
-    /// pointer comparison).
-    pub(crate) fn seam_slot_equals_reachable(
-        &self,
-        store: DenId,
-        slot: usize,
-        layer: usize,
-    ) -> bool {
-        let inner = self.inner.borrow();
-        inner.arena.get(store)[slot] == inner.reachable[layer]
-    }
-
-    /// Assembles `(layer, slot)` roots into a full-length denotation
-    /// (missing layers `⊥`), for point-set readout.
-    pub(crate) fn seam_assemble_den(&self, store: DenId, roots: &[(usize, usize)]) -> DenId {
-        let mut inner = self.inner.borrow_mut();
-        let mut layers = vec![Ref::FALSE; inner.reachable.len()];
-        for &(layer, slot) in roots {
-            layers[layer] = inner.arena.get(store)[slot];
-        }
-        inner.arena.alloc(layers, true)
-    }
-
-    /// Reads an already-computed denotation off on the points of `model`
-    /// ([`SymbolicChecker::check_points`] without the evaluation step).
-    /// `den` stays owned by the caller.
-    pub(crate) fn seam_read_points<R2: DecisionRule<E>>(
-        &self,
-        model: &ConsensusModel<E, R2>,
-        den: DenId,
-    ) -> PointSet {
-        assert!(
-            model.num_layers() <= self.num_layers(),
-            "oracle model has more layers than the checker has built"
-        );
-        let inner = self.inner.borrow();
-        let layers = inner.arena.get(den);
-        let mut set = PointSet::empty(model);
-        for time in 0..model.num_layers() as Round {
-            for index in 0..model.layer_size(time) {
-                let bits = self.encode_point(model, PointId::new(time, index));
-                let holds =
-                    inner.bdd.eval(layers[time as usize], |v| bits[(v.index() / 2) as usize]);
-                if holds {
-                    set.insert(PointId::new(time, index));
-                }
-            }
-        }
-        set
-    }
-
-    /// Arena denotations live right now — the `live_before` argument of
-    /// [`SymbolicChecker::seam_budget_abort`].
-    pub(crate) fn seam_live_dens(&self) -> Vec<usize> {
-        self.inner.borrow().arena.live_ids()
-    }
-
-    /// Budget-trip cleanup for seam-driven evaluation: clears the layer
-    /// focus, disarms the budget, and releases every denotation allocated
-    /// since `live_before` was captured.
-    pub(crate) fn seam_budget_abort(&self, error: BddError, live_before: &[usize]) -> BudgetAbort {
-        self.budget_abort(error, live_before, None)
-    }
-}
-
 #[cfg(test)]
 #[path = "symbolic_preimage_tests.rs"]
 mod preimage_tests;
@@ -2538,6 +2381,15 @@ mod belief_tests;
 #[cfg(test)]
 #[path = "symbolic_restriction_tests.rs"]
 mod restriction_tests;
+
+/// The current layer focus (`None` between evaluations), for the budget
+/// sweeps of the lazy façade.
+#[cfg(test)]
+impl<E: InformationExchange, R> SymbolicChecker<E, R> {
+    pub(crate) fn focus(&self) -> Option<usize> {
+        self.focus.get()
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -2765,7 +2617,7 @@ mod tests {
         // entry point is handed, read off on the model's points.
         let check_in_session = |session: &mut EvalSession, formula: &F| {
             let den = symbolic.eval_bounded(formula, &mut HashMap::new(), Some(session));
-            let set = symbolic.seam_read_points(&model, den);
+            let set = symbolic.read_points(&model, den);
             symbolic.release(den);
             set
         };
@@ -3127,6 +2979,46 @@ mod tests {
             SymbolicChecker::restore_relational(FloodSet, other, FloodSetRule, &bytes).is_err(),
             "snapshot for n=4 must not restore under n=3 params"
         );
+    }
+
+    #[test]
+    fn a_snapshot_carries_the_model_alone() {
+        // A temporal batch leaves reachable relations and ended-session
+        // garbage behind; the snapshot must not carry either.
+        let params = crash(4);
+        let batch = [
+            F::exists_finally(F::atom(ConsensusAtom::Decided(AgentId::new(0)))),
+            F::all_next(F::all_next(F::atom(ConsensusAtom::Decided(AgentId::new(0))))),
+            sba_condition(0, 0),
+        ];
+        let after_batch = || {
+            let checker = floodset(params, SymbolicOptions::default());
+            let mut session = checker.session();
+            for formula in &batch {
+                checker.holds_everywhere_in_session(&mut session, formula);
+            }
+            checker.end_session(session);
+            assert!(checker.stats().reachable_relations_built > 0);
+            checker
+        };
+        let checker = after_batch();
+        let live_before = checker.stats().live_nodes;
+        let bytes = checker.snapshot().expect("snapshot");
+        assert!(checker.stats().live_nodes < live_before, "the snapshot collected nothing");
+        assert_eq!(checker.snapshot().expect("snapshot again"), bytes, "a second snapshot");
+        let collected = after_batch();
+        collected.force_gc();
+        assert_eq!(collected.snapshot().expect("snapshot"), bytes, "a snapshot after force_gc");
+
+        let restored = SymbolicChecker::restore_relational(FloodSet, params, FloodSetRule, &bytes)
+            .expect("restore");
+        assert_eq!(restored.stats().live_nodes, checker.stats().live_nodes);
+        let reference = floodset(params, SymbolicOptions::default());
+        for formula in batch.iter().chain(&agreement_formulas()) {
+            let want = reference.holds_everywhere(formula);
+            assert_eq!(restored.holds_everywhere(formula), want, "restored: {formula}");
+            assert_eq!(checker.holds_everywhere(formula), want, "snapshotted: {formula}");
+        }
     }
 
     #[test]

@@ -197,7 +197,7 @@ where
                 for asked in [formula, &padded] {
                     let den = consumer_denotation(checker, asked, Some(&mut session), &context);
                     assert_eq!(
-                        &checker.seam_read_points(&model, den),
+                        &checker.read_points(&model, den),
                         want,
                         "{context}: {asked} differs from the explicit checker"
                     );

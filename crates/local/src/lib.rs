@@ -1,191 +1,91 @@
-//! Local (on-the-fly) solving of epistemic-temporal formulas as fixpoint
-//! equation systems.
+//! Compilation of epistemic-temporal formulas into flat fixpoint equation
+//! systems ([`EqSystem::compile`]).
 //!
-//! The two global engines in `epimc-check` — explicit enumeration and the
-//! symbolic OBDD evaluator — both pay for the entire layered model before a
-//! single verdict comes back: the explicit engine enumerates every reachable
-//! state, and the symbolic engine builds the reachable-set BDD of every
-//! layer up to the horizon. Yet under the clock semantics the knowledge
-//! operators are **layer-local**: an agent's local state is the pair
-//! (time, observation), so `K_i φ`, `B^N_i φ`, `E_B_N φ` and the common
-//! belief fixpoint `C_B_N φ` at layer `t` depend only on the denotations at
-//! layer `t`. A temporal-free query about layer 0 never needs layers
-//! `1..=horizon` at all, and a bounded temporal query needs exactly the
-//! layers its `Next` chain reaches.
+//! A [`Formula`] becomes one equation per subformula. Common belief
+//! becomes a greatest fixpoint `νX. E_B_N (X ∧ φ)`; the bounded temporal
+//! operators become least or greatest fixpoints according to their
+//! polarity (`AG`/`EG` are greatest, `AF`/`EF` are least, `AX`/`EX` are
+//! plain next-step equations). Closed subformulas are hash-consed during
+//! compilation, keyed by [`Formula::canonical_hash`] and verified by
+//! structural equality. Each equation records the polarity of its
+//! governing fixpoint and the fixpoints whose cycle it lies on, and a
+//! system whose fixpoint body references an enclosing fixpoint's variable
+//! is flagged ([`EqSystem::is_alternating`]).
 //!
-//! This crate exploits that structure in the style of local (on-the-fly)
-//! solvers for fixpoint equation systems:
-//!
-//! 1. **Compilation** ([`EqSystem::compile`]): a [`Formula`] is compiled
-//!    into a flat equation system over predicate variables, one equation
-//!    per subformula. Common belief becomes a greatest fixpoint
-//!    `νX. E_B_N (X ∧ φ)`; the bounded temporal operators become least or
-//!    greatest fixpoints according to their polarity (`AG`/`EG` are
-//!    greatest, `AF`/`EF` are least, `AX`/`EX` are plain next-step
-//!    equations). Closed subformulas are hash-consed during compilation,
-//!    keyed by [`Formula::canonical_hash`] and verified by structural
-//!    equality, so repeated sub-verdicts are shared rather than re-solved.
-//! 2. **Local solving** ([`solve`]): equations are instantiated into
-//!    *cells* — one per (equation, layer) pair — only as the query demands
-//!    them, starting from the root at the requested layers. Instantiating a
-//!    cell at layer `t` asks the oracle to materialise layer `t` (via
-//!    [`LocalOracle::ensure_layer`], which in the BDD backend grows the
-//!    relational front-end one layer at a time); a `Next` equation is the
-//!    only one that reaches into layer `t + 1`. A worklist then runs
-//!    chaotic iteration over the instantiated cells, with dependency
-//!    edges registered at instantiation time, until every cell is stable.
-//!
-//! # The laziness contract
-//!
-//! Because knowledge and common belief are layer-local, the set of layers a
-//! query touches is exactly the set reachable from the demanded layers
-//! through `Next` equations. In particular a temporal-free formula demanded
-//! at layer 0 settles with a single expanded layer, however large the
-//! horizon — this is the `layers_expanded < horizon` contract asserted by
-//! the `laziness` property suite and gated by the `local` benchmark budget.
-//!
-//! # Fixpoint initialisation and resets
-//!
-//! Cells are initialised by the polarity of their governing fixpoint
-//! (greatest fixpoints start at ⊤ restricted to the layer's reachable set,
-//! least fixpoints at ⊥) and updated monotonically by the worklist. When a
-//! value *outside* a fixpoint's cycle changes — an input to the fixpoint,
-//! or an outer fixpoint variable it depends on — every instantiated cell
-//! on that fixpoint's cycle at the affected layer is conservatively reset
-//! to its initial value and re-queued, so the fixpoint restarts from its
-//! extreme once its inputs have stabilised. This is sound and terminating
-//! for the alternation-free fragment (no fixpoint body referencing an
-//! enclosing fixpoint variable), which covers every formula the rest of the
-//! workspace produces: common belief and the bounded temporal operators
-//! introduce fresh, non-alternating fixpoints. Genuinely alternating
-//! formulas are detected at compile time ([`EqSystem::is_alternating`]);
-//! callers such as `epimc-check`'s `LocalChecker` fall back to a global
-//! engine for those.
-//!
-//! The solver is oracle-agnostic: all predicate representation lives behind
-//! the [`LocalOracle`] trait (slot-indexed storage plus the boolean,
-//! epistemic and next-step operations), so the same compiler and worklist
-//! drive both the BDD-backed checker in `epimc-check` and the bit-vector
-//! toy oracle used by this crate's own tests.
+//! Nothing in the workspace solves these systems. The lazy engine,
+//! `epimc-check`'s `LocalChecker`, answers through the global evaluator
+//! (`SymbolicChecker::holds_in_layer`), which reads the layers a query
+//! needs off the formula. The compiler stays for one caller: the
+//! reference benchmark (`benchmark/src/probes.rs`) times
+//! `EqSystem::compile` for its `local.compile_us` probe, and the crate
+//! goes when that probe does.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::Hash;
 
 use epimc_logic::{AgentId, FixpointVar, Formula, TemporalKind};
 
-/// Index of a predicate slot owned by a [`LocalOracle`].
-///
-/// Slots are plain indices into oracle-owned storage, so the oracle can
-/// keep every live predicate rooted across garbage collections of its
-/// underlying representation (the BDD backend keeps all slots inside one
-/// rooted denotation arena entry).
-pub type Slot = usize;
-
 /// Index of an equation in an [`EqSystem`].
 pub type NodeId = usize;
 
-/// The model- and representation-specific operations the local solver is
-/// parameterised by.
-///
-/// A slot holds the denotation of one predicate **at one layer** of the
-/// layered model: a subset of that layer's reachable points. Every
-/// operation writes its full result into `dst` (no read-modify-write), and
-/// implementations must keep results within the layer's reachable set —
-/// in particular `not_at`, `implies_at` and `iff_at` are complements
-/// *relative to the reachable set*, matching the global engines.
-///
-/// `dst` is never one of the operand slots when called by [`solve`], but
-/// implementations should not rely on that.
-pub trait LocalOracle<P> {
-    /// The model horizon (number of rounds); layers are `0..=horizon`.
-    fn horizon(&self) -> usize;
-    /// Materialises layer `layer` (and any earlier layers it requires).
-    /// Called before any slot at `layer` is allocated or operated on.
-    fn ensure_layer(&mut self, layer: usize);
-    /// Number of layers materialised so far (the laziness measure).
-    fn layers_expanded(&self) -> usize;
-    /// Allocates a fresh slot at `layer`, initialised to the layer's full
-    /// reachable set (`top = true`) or to the empty set (`top = false`).
-    fn alloc_slot(&mut self, top: bool, layer: usize) -> Slot;
-    /// `dst := ` the full reachable set of `layer`.
-    fn load_top(&mut self, dst: Slot, layer: usize);
-    /// `dst := ∅`.
-    fn load_bottom(&mut self, dst: Slot, layer: usize);
-    /// `dst := ` the denotation of `atom` at `layer`.
-    fn load_atom(&mut self, dst: Slot, atom: &P, layer: usize);
-    /// `dst := reachable(layer) ∖ x`.
-    fn not_at(&mut self, dst: Slot, x: Slot, layer: usize);
-    /// `dst := ⋂ xs` (the full reachable set when `xs` is empty).
-    fn and_at(&mut self, dst: Slot, xs: &[Slot], layer: usize);
-    /// `dst := ⋃ xs` (empty when `xs` is empty).
-    fn or_at(&mut self, dst: Slot, xs: &[Slot], layer: usize);
-    /// `dst := (reachable(layer) ∖ a) ∪ b`.
-    fn implies_at(&mut self, dst: Slot, a: Slot, b: Slot, layer: usize);
-    /// `dst := ` the points where `a` and `b` agree, within reachable.
-    fn iff_at(&mut self, dst: Slot, a: Slot, b: Slot, layer: usize);
-    /// `dst := K_agent x` at `layer` (`guarded = false`), or the indexical
-    /// belief `B^N_agent x` (`guarded = true`): the points whose
-    /// observation class (restricted, when guarded, to points where the
-    /// agent is nonfaulty) lies inside `x`.
-    fn knows_at(&mut self, dst: Slot, agent: AgentId, x: Slot, guarded: bool, layer: usize);
-    /// `dst := E_B_N x` at `layer`: the points where every agent that is
-    /// nonfaulty there believes `x`.
-    fn everyone_believes_at(&mut self, dst: Slot, x: Slot, layer: usize);
-    /// `dst := ` the points of `layer` all of whose successors
-    /// (`universal = true`) or at least one of whose successors
-    /// (`universal = false`) lie in `x_next`, a slot at `layer + 1`.
-    /// Only called when `layer < horizon`.
-    fn next_at(&mut self, dst: Slot, universal: bool, x_next: Slot, layer: usize);
-    /// `dst := src`. `dst` adopts `src`'s layer (the solver reuses one
-    /// scratch slot across layers).
-    fn copy_slot(&mut self, dst: Slot, src: Slot);
-    /// Whether two slots hold the same set (of the same layer).
-    fn slots_equal(&self, a: Slot, b: Slot) -> bool;
-}
-
-/// Right-hand side of one equation of the system.
+/// Right-hand side of one equation of the system ([`EqSystem::rhs`]);
+/// operands are equation ids.
 #[derive(Debug, Clone)]
-enum EqRhs<P> {
+pub enum EqRhs<P> {
+    /// The constant true.
     Top,
+    /// The constant false.
     Bottom,
+    /// An atomic proposition.
     Atom(P),
+    /// Negation.
     Not(NodeId),
+    /// Conjunction.
     And(Vec<NodeId>),
+    /// Disjunction.
     Or(Vec<NodeId>),
+    /// Implication.
     Implies(NodeId, NodeId),
+    /// Biconditional.
     Iff(NodeId, NodeId),
+    /// `K_i φ`.
     Knows(AgentId, NodeId),
+    /// `B^N_i φ`.
     BelievesNonfaulty(AgentId, NodeId),
+    /// `E_B_N φ`.
     EveryoneBelieves(NodeId),
     /// Next-step operator: the value at layer `t` is determined by
     /// `child`'s value at layer `t + 1`; at the last layer it degenerates
     /// to the constant `default_top` (⊤ for universal operators, ⊥ for
     /// existential ones), matching the global engines' horizon semantics.
     Next {
+        /// `AX` (`true`) or `EX`.
         universal: bool,
+        /// The value at the last layer.
         default_top: bool,
+        /// The operand, read one layer later.
         child: NodeId,
     },
     /// Occurrence of a fixpoint variable, resolved to its binding
     /// [`EqRhs::Fix`] equation.
     Var(NodeId),
     /// A fixpoint equation; its polarity (greatest `νX. body` vs least
-    /// `μX. body`) lives in the node's `init_greatest`.
+    /// `μX. body`) is recorded with the equation at compile time.
     Fix {
+        /// The equation the fixpoint iterates.
         body: NodeId,
     },
 }
 
-/// One equation plus the solver metadata computed at compile time.
+/// One equation plus the metadata computed at compile time.
 #[derive(Debug, Clone)]
 struct EqNode<P> {
     rhs: EqRhs<P>,
-    /// Initial value polarity of this equation's cells: `true` starts at
-    /// the layer's reachable set (governing fixpoint is greatest), `false`
-    /// at the empty set. Irrelevant — and `false` — for equations not on
-    /// any fixpoint cycle.
+    /// The polarity of the governing fixpoint: `true` when it is a
+    /// greatest one. Irrelevant — and `false` — for equations not on any
+    /// fixpoint cycle.
     init_greatest: bool,
     /// The fixpoint equations whose cycle this equation lies on: its free
     /// fixpoint references, plus itself if it is a `Fix`. Sorted.
@@ -193,7 +93,7 @@ struct EqNode<P> {
 }
 
 /// A compiled fixpoint equation system: a flat table of equations with a
-/// distinguished root, ready to be solved against any [`LocalOracle`].
+/// distinguished root.
 #[derive(Debug, Clone)]
 pub struct EqSystem<P> {
     nodes: Vec<EqNode<P>>,
@@ -274,9 +174,8 @@ impl<P: Clone + Eq + Hash> Compiler<P> {
         let mut cycles = self.free_fixes(body);
         cycles.retain(|&f| f != fix_id);
         if !cycles.is_empty() {
-            // The body references an enclosing fixpoint variable: the
-            // flat worklist's reset discipline does not cover this, so
-            // flag the system for the caller to fall back on.
+            // The body references an enclosing fixpoint variable: flag
+            // the system as alternating.
             self.alternating = true;
         }
         cycles.push(fix_id);
@@ -495,314 +394,24 @@ impl<P> EqSystem<P> {
     }
 
     /// Whether some fixpoint body references an enclosing fixpoint
-    /// variable. The worklist's conservative reset discipline is only
-    /// sound for the alternation-free fragment, so [`solve`] refuses such
-    /// systems; callers fall back to a global engine.
+    /// variable (an alternating system).
     pub fn is_alternating(&self) -> bool {
         self.alternating
     }
-}
 
-/// Counters describing one [`solve`] run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolveStats {
-    /// Number of (equation, layer) cells instantiated.
-    pub cells: usize,
-    /// Worklist pops (cell recomputations).
-    pub iterations: u64,
-    /// Conservative fixpoint-cycle resets triggered by out-of-cycle
-    /// changes.
-    pub resets: u64,
-    /// Hash-consing hits during compilation of the solved system.
-    pub memo_hits: usize,
-    /// Layers the oracle had materialised when the run finished.
-    pub layers_expanded: usize,
-    /// The oracle's horizon (layers are `0..=horizon`).
-    pub horizon: usize,
-}
-
-/// The result of a [`solve`] run: for each requested layer, the oracle
-/// slot holding the root formula's denotation at that layer, plus run
-/// statistics. The slots remain owned by the oracle.
-#[derive(Debug, Clone)]
-pub struct Solution {
-    /// `(layer, slot)` pairs, in the order the layers were requested.
-    pub roots: Vec<(usize, Slot)>,
-    /// Counters for the run.
-    pub stats: SolveStats,
-}
-
-struct Cell {
-    node: NodeId,
-    layer: usize,
-    slot: Slot,
-    in_queue: bool,
-    dependents: Vec<usize>,
-}
-
-struct Solver<'a, P, O> {
-    system: &'a EqSystem<P>,
-    oracle: &'a mut O,
-    cells: Vec<Cell>,
-    index: HashMap<(NodeId, usize), usize>,
-    /// Instantiated cells on each fixpoint's cycle, per (fix, layer) —
-    /// the reset targets.
-    members: HashMap<(NodeId, usize), Vec<usize>>,
-    queue: VecDeque<usize>,
-    scratch: Slot,
-    iterations: u64,
-    resets: u64,
-}
-
-/// Hard ceiling on worklist pops: real runs converge in a small multiple
-/// of the cell count, so hitting this means the equation system violated
-/// the solver's termination preconditions — fail loudly over looping.
-const MAX_ITERATIONS_PER_CELL: u64 = 1 << 20;
-
-impl<'a, P, O: LocalOracle<P>> Solver<'a, P, O> {
-    fn instantiate(&mut self, node: NodeId, layer: usize) -> usize {
-        if let Some(&id) = self.index.get(&(node, layer)) {
-            return id;
-        }
-        let system = self.system;
-        self.oracle.ensure_layer(layer);
-        let slot = self.oracle.alloc_slot(system.nodes[node].init_greatest, layer);
-        let id = self.cells.len();
-        self.cells.push(Cell { node, layer, slot, in_queue: true, dependents: Vec::new() });
-        self.index.insert((node, layer), id);
-        self.queue.push_back(id);
-        for &f in &system.nodes[node].cycles {
-            self.members.entry((f, layer)).or_default().push(id);
-        }
-        let children: Vec<(NodeId, usize)> = match &system.nodes[node].rhs {
-            EqRhs::Top | EqRhs::Bottom | EqRhs::Atom(_) => Vec::new(),
-            EqRhs::Not(c)
-            | EqRhs::Knows(_, c)
-            | EqRhs::BelievesNonfaulty(_, c)
-            | EqRhs::EveryoneBelieves(c) => vec![(*c, layer)],
-            EqRhs::And(cs) | EqRhs::Or(cs) => cs.iter().map(|&c| (c, layer)).collect(),
-            EqRhs::Implies(a, b) | EqRhs::Iff(a, b) => vec![(*a, layer), (*b, layer)],
-            EqRhs::Next { child, .. } => {
-                if layer < self.oracle.horizon() {
-                    vec![(*child, layer + 1)]
-                } else {
-                    Vec::new()
-                }
-            }
-            EqRhs::Var(f) => vec![(*f, layer)],
-            EqRhs::Fix { body, .. } => vec![(*body, layer)],
-        };
-        for (child, child_layer) in children {
-            let cid = self.instantiate(child, child_layer);
-            if !self.cells[cid].dependents.contains(&id) {
-                self.cells[cid].dependents.push(id);
-            }
-        }
-        id
+    /// The equation of the compiled formula itself.
+    pub fn root(&self) -> NodeId {
+        self.root
     }
 
-    fn enqueue(&mut self, id: usize) {
-        if !self.cells[id].in_queue {
-            self.cells[id].in_queue = true;
-            self.queue.push_back(id);
-        }
+    /// The right-hand side of equation `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not an equation of this system.
+    pub fn rhs(&self, id: NodeId) -> &EqRhs<P> {
+        &self.nodes[id].rhs
     }
-
-    fn slot_of(&self, node: NodeId, layer: usize) -> Slot {
-        self.cells[self.index[&(node, layer)]].slot
-    }
-
-    fn recompute(&mut self, id: usize) {
-        let system = self.system;
-        let (node, layer, slot) = {
-            let cell = &self.cells[id];
-            (cell.node, cell.layer, cell.slot)
-        };
-        let scratch = self.scratch;
-        match &system.nodes[node].rhs {
-            EqRhs::Top => self.oracle.load_top(scratch, layer),
-            EqRhs::Bottom => self.oracle.load_bottom(scratch, layer),
-            EqRhs::Atom(p) => self.oracle.load_atom(scratch, p, layer),
-            EqRhs::Not(c) => {
-                let x = self.slot_of(*c, layer);
-                self.oracle.not_at(scratch, x, layer);
-            }
-            EqRhs::And(cs) => {
-                let xs: Vec<Slot> = cs.iter().map(|&c| self.slot_of(c, layer)).collect();
-                self.oracle.and_at(scratch, &xs, layer);
-            }
-            EqRhs::Or(cs) => {
-                let xs: Vec<Slot> = cs.iter().map(|&c| self.slot_of(c, layer)).collect();
-                self.oracle.or_at(scratch, &xs, layer);
-            }
-            EqRhs::Implies(a, b) => {
-                let (xa, xb) = (self.slot_of(*a, layer), self.slot_of(*b, layer));
-                self.oracle.implies_at(scratch, xa, xb, layer);
-            }
-            EqRhs::Iff(a, b) => {
-                let (xa, xb) = (self.slot_of(*a, layer), self.slot_of(*b, layer));
-                self.oracle.iff_at(scratch, xa, xb, layer);
-            }
-            EqRhs::Knows(agent, c) => {
-                let x = self.slot_of(*c, layer);
-                self.oracle.knows_at(scratch, *agent, x, false, layer);
-            }
-            EqRhs::BelievesNonfaulty(agent, c) => {
-                let x = self.slot_of(*c, layer);
-                self.oracle.knows_at(scratch, *agent, x, true, layer);
-            }
-            EqRhs::EveryoneBelieves(c) => {
-                let x = self.slot_of(*c, layer);
-                self.oracle.everyone_believes_at(scratch, x, layer);
-            }
-            EqRhs::Next { universal, default_top, child } => {
-                if layer < self.oracle.horizon() {
-                    let x = self.slot_of(*child, layer + 1);
-                    self.oracle.next_at(scratch, *universal, x, layer);
-                } else if *default_top {
-                    self.oracle.load_top(scratch, layer);
-                } else {
-                    self.oracle.load_bottom(scratch, layer);
-                }
-            }
-            EqRhs::Var(f) => {
-                let x = self.slot_of(*f, layer);
-                self.oracle.copy_slot(scratch, x);
-            }
-            EqRhs::Fix { body, .. } => {
-                let x = self.slot_of(*body, layer);
-                self.oracle.copy_slot(scratch, x);
-            }
-        }
-        if !self.oracle.slots_equal(scratch, slot) {
-            self.oracle.copy_slot(slot, scratch);
-            self.changed(id);
-        }
-    }
-
-    /// Propagates a value change of cell `id`: dependents are re-queued,
-    /// and any fixpoint cycle a dependent lies on that `id` does *not*
-    /// lie on has received an out-of-cycle input change, so its cells at
-    /// the dependent's layer are conservatively reset to their extremes.
-    fn changed(&mut self, id: usize) {
-        let deps = self.cells[id].dependents.clone();
-        let from_node = self.cells[id].node;
-        for d in deps {
-            self.enqueue(d);
-            let (d_node, d_layer) = (self.cells[d].node, self.cells[d].layer);
-            let to_reset: Vec<NodeId> = self.system.nodes[d_node]
-                .cycles
-                .iter()
-                .copied()
-                .filter(|f| !self.system.nodes[from_node].cycles.contains(f))
-                .collect();
-            for f in to_reset {
-                self.reset_fix(f, d_layer);
-            }
-        }
-    }
-
-    /// Resets every instantiated cell on fixpoint `f`'s cycle at `layer`
-    /// to its polarity's extreme and re-queues it, so the cycle restarts
-    /// from the correct side now that one of its inputs moved. Cells whose
-    /// value actually changes propagate further (cascading the reset into
-    /// nested fixpoints); the cascade terminates because re-resetting an
-    /// already-extreme cell is a no-op.
-    fn reset_fix(&mut self, f: NodeId, layer: usize) {
-        let member_ids = match self.members.get(&(f, layer)) {
-            Some(ids) => ids.clone(),
-            None => return,
-        };
-        self.resets += 1;
-        for m in member_ids {
-            let (slot, init, m_layer) = {
-                let cell = &self.cells[m];
-                (cell.slot, self.system.nodes[cell.node].init_greatest, cell.layer)
-            };
-            let scratch = self.scratch;
-            if init {
-                self.oracle.load_top(scratch, m_layer);
-            } else {
-                self.oracle.load_bottom(scratch, m_layer);
-            }
-            if !self.oracle.slots_equal(scratch, slot) {
-                self.oracle.copy_slot(slot, scratch);
-                self.enqueue(m);
-                self.changed(m);
-            }
-        }
-    }
-
-    fn run(&mut self) {
-        let cap = MAX_ITERATIONS_PER_CELL.saturating_mul(self.cells.len().max(1) as u64);
-        while let Some(id) = self.queue.pop_front() {
-            self.cells[id].in_queue = false;
-            self.iterations += 1;
-            assert!(
-                self.iterations <= cap,
-                "local solver failed to converge after {} iterations over {} cells",
-                self.iterations,
-                self.cells.len(),
-            );
-            self.recompute(id);
-        }
-    }
-}
-
-/// Solves `system` against `oracle`, demanding the root equation at each
-/// of `layers`, and returns the root slots plus run statistics.
-///
-/// Only the model fragment reachable from the demanded cells is
-/// materialised: a temporal-free query at layer 0 expands a single layer
-/// regardless of the horizon.
-///
-/// # Panics
-///
-/// Panics if `system.is_alternating()` (see [`EqSystem::is_alternating`])
-/// or if some requested layer exceeds `oracle.horizon()`.
-pub fn solve<P, O: LocalOracle<P>>(
-    system: &EqSystem<P>,
-    oracle: &mut O,
-    layers: &[usize],
-) -> Solution {
-    assert!(
-        !system.is_alternating(),
-        "local solver requires an alternation-free equation system; \
-         callers must fall back to a global engine"
-    );
-    let horizon = oracle.horizon();
-    for &layer in layers {
-        assert!(layer <= horizon, "requested layer {layer} exceeds horizon {horizon}");
-    }
-    let scratch_layer = layers.iter().copied().min().unwrap_or(0);
-    oracle.ensure_layer(scratch_layer);
-    let scratch = oracle.alloc_slot(false, scratch_layer);
-    let mut solver = Solver {
-        system,
-        oracle,
-        cells: Vec::new(),
-        index: HashMap::new(),
-        members: HashMap::new(),
-        queue: VecDeque::new(),
-        scratch,
-        iterations: 0,
-        resets: 0,
-    };
-    for &layer in layers {
-        solver.instantiate(system.root, layer);
-    }
-    solver.run();
-    let roots: Vec<(usize, Slot)> =
-        layers.iter().map(|&layer| (layer, solver.slot_of(system.root, layer))).collect();
-    let stats = SolveStats {
-        cells: solver.cells.len(),
-        iterations: solver.iterations,
-        resets: solver.resets,
-        memo_hits: system.memo_hits(),
-        layers_expanded: solver.oracle.layers_expanded(),
-        horizon,
-    };
-    Solution { roots, stats }
 }
 
 #[cfg(test)]

@@ -28,13 +28,14 @@
 //!   request (see [`RequestBackend`], [`Client::check_with_backend`])
 //!   answers through the lazy local engine
 //!   ([`epimc_check::LocalChecker`]) instead of the warm global checker:
-//!   only the model layers the query's equation system actually demands
-//!   are materialised, and verdicts memoise across requests. Local
-//!   entries are warmed, budgeted and evicted independently of the
-//!   symbolic ones — a trip or panic costs exactly the entry the request
-//!   touched — and go first under node pressure (they are cheap to
-//!   rebuild). Both backends must answer bit-identically; the chaos
-//!   harness checks exactly that on every differential batch.
+//!   its model starts at layer 0 and grows as queries demand (a `check`
+//!   verdict covers every layer, so the first one builds them all), and
+//!   verdicts memoise across requests. Local entries are warmed,
+//!   budgeted and evicted independently of the symbolic ones — a trip or
+//!   panic costs exactly the entry the request touched — and go first
+//!   under node pressure (they are cheap to rebuild). Both backends must
+//!   answer bit-identically; the chaos harness checks exactly that on
+//!   every differential batch.
 //!
 //! # Protocols
 //!

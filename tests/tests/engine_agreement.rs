@@ -1,7 +1,7 @@
 //! Seeded random differential suite cross-validating the model-checking
 //! engines: on randomly generated epistemic/temporal formulas, the
 //! explicit-state checker, the symbolic (BDD) checker and the local
-//! (on-the-fly) checker must return exactly the same set of points — not
+//! (lazy) checker must return exactly the same set of points — not
 //! merely the same valid/invalid verdict. The explicit checker over an
 //! explored model is the one point-level oracle; the symbolic engines build
 //! their model relationally, as everything that ships does, and are read

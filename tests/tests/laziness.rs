@@ -1,20 +1,25 @@
-//! The laziness contract of the local engine, as a property suite:
+//! The laziness contract of the local engine (`LocalChecker`, the lazy
+//! façade over the global evaluator's `holds_in_layer`), as a property
+//! suite:
 //!
 //! 1. **Expansion invariance** — verdicts and point sets computed lazily
-//!    (layers materialised on demand) are identical to those computed
-//!    against a fully expanded model, both across checkers (a lazy one vs
-//!    one force-expanded before its first query) and within one checker
-//!    (solve lazily, force-expand every layer, re-solve).
-//! 2. **Early settling** — layer-locality of knowledge and common belief
-//!    under clock semantics means a purely epistemic layer-0 query must
-//!    settle with `layers_expanded < horizon`, however deep the model.
+//!    (layers materialised on demand, temporal formulas evaluated over the
+//!    built prefix) are identical to those computed against a fully
+//!    expanded model, both across checkers (a lazy one vs one
+//!    force-expanded before its first query) and within one checker (ask
+//!    lazily, force-expand every layer, ask again).
+//! 2. **Exact demand** — knowledge and common belief are layer-local under
+//!    clock semantics, so a query at layer `t` builds exactly the layers
+//!    its formula reads: `t + 1` for a purely epistemic one, one more per
+//!    nested `AX`/`EX`, and all of them for an unbounded temporal
+//!    operator.
 //!
 //! The formula generator is seeded, so failures reproduce exactly.
 
-use epimc_check::LocalChecker;
-use epimc_logic::{AgentId, Formula};
-use epimc_protocols::{FloodSet, FloodSetRule};
-use epimc_system::{ConsensusAtom, ConsensusModel, ModelParams, Value};
+use epimc::prelude::{
+    AgentId, Checker, ConsensusAtom, ConsensusModel, FloodSet, FloodSetRule, Formula, LocalChecker,
+    ModelParams, SymbolicChecker, SymbolicOptions, Value,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -148,22 +153,91 @@ fn epistemic_layer_zero_queries_settle_early() {
     assert!(settled_early > 0, "no layer-0 epistemic query settled with layers_expanded < horizon");
     // The queries above are purely epistemic: layer 0 alone suffices.
     assert_eq!(checker.layers_expanded(), 1, "epistemic layer-0 queries must not expand layers");
-    assert_eq!(checker.stats().horizon, horizon);
     assert!(checker.stats().layers_expanded < horizon);
 }
 
-/// `Next` depth bounds expansion: an `AX`-guarded layer-0 query needs
-/// exactly one extra layer, not the whole horizon.
+/// A purely epistemic layer-0 query builds layer 0 alone and gives the
+/// explicit oracle's verdict.
+#[test]
+fn layer_zero_epistemic_query_expands_one_layer() {
+    let params = ModelParams::builder().agents(3).max_faulty(1).values(2).horizon(4).build();
+    let model = ConsensusModel::explore(FloodSet, params, FloodSetRule);
+    let explicit = Checker::new(&model);
+    let exists = |v: usize| F::atom(ConsensusAtom::ExistsInit(Value::new(v)));
+    for formula in [
+        F::believes_nonfaulty(AgentId::new(0), F::common_belief(F::or([exists(0), exists(1)]))),
+        F::believes_nonfaulty(AgentId::new(0), F::common_belief(exists(0))),
+        F::knows(AgentId::new(1), exists(1)),
+    ] {
+        let checker = LocalChecker::new(FloodSet, params, FloodSetRule);
+        let initially = F::implies(F::atom(ConsensusAtom::TimeIs(0)), formula.clone());
+        assert_eq!(
+            checker.holds_in_layer(&formula, 0),
+            explicit.holds_everywhere(&initially),
+            "{formula}"
+        );
+        assert_eq!(checker.layers_expanded(), 1, "{formula}");
+    }
+}
+
+/// `Next` depth bounds expansion: `AX^k φ` (and `EX^k φ`) at layer `t`
+/// builds exactly `min(t + k, horizon) + 1` layers, and the verdict is
+/// the one a fully built model gives.
 #[test]
 fn next_depth_bounds_expansion() {
     let params = ModelParams::builder().agents(3).max_faulty(1).values(2).horizon(4).build();
+    let horizon = params.horizon() as usize;
+    let global =
+        SymbolicChecker::relational(FloodSet, params, FloodSetRule, SymbolicOptions::default());
+    let phi = F::knows(AgentId::new(0), F::atom(ConsensusAtom::Decided(AgentId::new(1))));
+    for k in 0..=3 {
+        for universal in [true, false] {
+            let formula = (0..k).fold(phi.clone(), |f, _| {
+                if universal {
+                    F::all_next(f)
+                } else {
+                    F::exists_next(f)
+                }
+            });
+            for t in 0..=horizon {
+                let checker = LocalChecker::new(FloodSet, params, FloodSetRule);
+                assert_eq!(
+                    checker.holds_in_layer(&formula, t),
+                    global.holds_in_layer(&formula, t),
+                    "{formula} at layer {t}"
+                );
+                assert_eq!(
+                    checker.layers_expanded(),
+                    (t + k).min(horizon) + 1,
+                    "{formula} at layer {t}"
+                );
+            }
+        }
+    }
+}
+
+/// An unbounded temporal operator demands the whole horizon, and at the
+/// horizon the next-step operators take the global engines' defaults:
+/// `AX` holds vacuously and `EX` fails.
+#[test]
+fn unbounded_temporal_defaults_match_global_engines() {
+    let params = ModelParams::builder().agents(3).max_faulty(1).values(2).horizon(4).build();
+    let horizon = params.horizon() as usize;
+    let global =
+        SymbolicChecker::relational(FloodSet, params, FloodSetRule, SymbolicOptions::default());
+    let decided = F::atom(ConsensusAtom::Decided(AgentId::new(0)));
+    for formula in [F::all_globally(F::not(decided.clone())), F::exists_finally(decided)] {
+        let checker = LocalChecker::new(FloodSet, params, FloodSetRule);
+        assert_eq!(
+            checker.holds_in_layer(&formula, 0),
+            global.holds_in_layer(&formula, 0),
+            "{formula}"
+        );
+        assert_eq!(checker.layers_expanded(), horizon + 1, "{formula}");
+        assert_eq!(checker.stats().fallbacks, 1, "{formula}");
+    }
     let checker = LocalChecker::new(FloodSet, params, FloodSetRule);
-    let formula =
-        F::all_next(F::knows(AgentId::new(0), F::atom(ConsensusAtom::Decided(AgentId::new(1)))));
-    checker.holds_in_layer(&formula, 0);
-    assert_eq!(
-        checker.layers_expanded(),
-        2,
-        "AX φ at layer 0 must materialise exactly layers 0 and 1"
-    );
+    assert!(checker.holds_in_layer(&F::all_next(F::ff()), horizon));
+    assert!(!checker.holds_in_layer(&F::exists_next(F::tt()), horizon));
+    assert_eq!(checker.layers_expanded(), horizon + 1);
 }
